@@ -5,167 +5,51 @@ same space, so expected losses are inner products the library never leaves.
 `audit` estimates the decision calibration error with a closed-form witness,
 `calibrate` removes it by iterative patching, `synth` supplies planted
 instances and the paired indistinguishable worlds, and `experiments` turns
-the guarantees into seeded desk-scale checks.
+the guarantees into seeded desk-scale checks.  The top level re-exports the
+quickstart names; everything else lives in the submodules.
 """
 
-from .audit import (
-    AuditReport,
-    audit,
-    closed_form_witness,
-    decce_estimate,
-    empirical_gap,
-    random_loss_pool,
-)
-from .calibrate import (
-    CalibConfig,
-    CalibrationTrace,
-    DataExhaustedError,
-    IterationRecord,
-    alg1_step,
-    alg2_step,
-    potential,
-    project,
-    run_calibration,
-)
-from .kernel import (
-    KernelMismatchError,
-    KernelSpec,
-    OutcomeDomainError,
-    RkhsElement,
-    axpy,
-    compress,
-    feature,
-    inner,
-    norm,
-    norm2,
-    scale,
-    zero_element,
-)
+from .audit import audit, empirical_gap, random_loss_pool
+from .calibrate import CalibConfig, run_calibration
+from .kernel import KernelSpec
 from .model import (
-    ConstantBase,
-    DecisionRuleConfig,
-    LossFunction,
-    PatchRecord,
     Predictor,
-    SampleBatch,
     SimilarityBase,
-    constant_mean_base,
-    deterministic_best_response,
-    evaluate_predictor,
     load_loss,
     load_predictor,
-    loss_estimate,
     loss_estimates,
-    make_loss,
-    save_loss,
     save_predictor,
     smooth_best_response,
 )
 from .synth import (
     AffineMap,
     ContextSpec,
-    LowerBoundInstance,
-    PlantedInstance,
     SyntheticSource,
     SynthSpec,
-    cobb_douglas_value,
-    collision_reject,
-    decce_linear_binary,
-    direction_grid,
-    gen_dataset,
-    gen_lower_bound,
-    make_cobb_douglas_loss,
     make_piecewise_linear_loss,
-    piecewise_linear_value,
     planted_bias_instance,
-)
-from .experiments import (
-    ExperimentResult,
-    clopper_pearson,
-    collision_acceptance_oracle,
-    convergence_experiment,
-    distinguishing_experiment,
-    fit_loglog,
-    hoeffding_halfwidth,
-    hoeffding_sample_size,
-    regret_experiment,
-    sample_complexity_sweep,
-    uniform_convergence_experiment,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AffineMap",
-    "AuditReport",
     "CalibConfig",
-    "CalibrationTrace",
-    "ConstantBase",
     "ContextSpec",
-    "DataExhaustedError",
-    "DecisionRuleConfig",
-    "ExperimentResult",
-    "IterationRecord",
-    "KernelMismatchError",
     "KernelSpec",
-    "LossFunction",
-    "LowerBoundInstance",
-    "OutcomeDomainError",
-    "PatchRecord",
-    "PlantedInstance",
     "Predictor",
-    "RkhsElement",
-    "SampleBatch",
     "SimilarityBase",
     "SyntheticSource",
     "SynthSpec",
-    "alg1_step",
-    "alg2_step",
     "audit",
-    "axpy",
-    "clopper_pearson",
-    "closed_form_witness",
-    "cobb_douglas_value",
-    "collision_acceptance_oracle",
-    "collision_reject",
-    "compress",
-    "constant_mean_base",
-    "convergence_experiment",
-    "decce_estimate",
-    "decce_linear_binary",
-    "deterministic_best_response",
-    "direction_grid",
-    "distinguishing_experiment",
     "empirical_gap",
-    "evaluate_predictor",
-    "feature",
-    "fit_loglog",
-    "gen_dataset",
-    "gen_lower_bound",
-    "hoeffding_halfwidth",
-    "hoeffding_sample_size",
-    "inner",
     "load_loss",
     "load_predictor",
-    "loss_estimate",
     "loss_estimates",
-    "make_cobb_douglas_loss",
-    "make_loss",
     "make_piecewise_linear_loss",
-    "norm",
-    "norm2",
-    "piecewise_linear_value",
     "planted_bias_instance",
-    "potential",
-    "project",
     "random_loss_pool",
-    "regret_experiment",
     "run_calibration",
-    "sample_complexity_sweep",
-    "save_loss",
     "save_predictor",
-    "scale",
     "smooth_best_response",
-    "uniform_convergence_experiment",
-    "zero_element",
 ]

@@ -20,8 +20,7 @@ from .model import (
     EvaluatedBatch,
     LossFunction,
     SampleBatch,
-    evaluate_batch,
-    loss_estimate_columns,
+    as_evaluated,
     make_loss,
     smooth_best_response,
 )
@@ -38,20 +37,12 @@ class AuditReport:
     threshold: float
     n_used: int
     candidate_pool_size: int
-
-
-def _as_evaluated(p_or_eb, batch: SampleBatch | None) -> EvaluatedBatch:
-    if isinstance(p_or_eb, EvaluatedBatch):
-        return p_or_eb
-    if batch is None:
-        raise ValueError("a batch is required when passing a Predictor")
-    return evaluate_batch(p_or_eb, batch)
+    batch_id: str = ""
 
 
 def rule_probabilities(eb: EvaluatedBatch, lossprime: LossFunction, beta: float) -> np.ndarray:
     """Smooth best-response probabilities on the batch; (n, |A|)."""
-    cols = loss_estimate_columns(eb.kernel, eb.anchors, lossprime)
-    return smooth_best_response(eb.W @ cols, beta)
+    return smooth_best_response(eb.W @ lossprime.values(eb.anchors), beta)
 
 
 def _residual_coeff_matrix(eb: EvaluatedBatch, B: np.ndarray) -> np.ndarray:
@@ -64,13 +55,6 @@ def _residual_coeff_matrix(eb: EvaluatedBatch, B: np.ndarray) -> np.ndarray:
     return np.vstack([B / n, -(eb.W.T @ B) / n])
 
 
-def residual_mean_gram(eb: EvaluatedBatch, B: np.ndarray) -> np.ndarray:
-    """Pairwise inner products of weighted residual means; (k, k)."""
-    C = _residual_coeff_matrix(eb, B)
-    Z = np.vstack([eb.Y, eb.anchors])
-    return span_gram(eb.kernel, Z, C)
-
-
 def residual_mean_elements(eb: EvaluatedBatch, B: np.ndarray) -> tuple[RkhsElement, ...]:
     """The weighted residual means themselves, as compressed spans."""
     C = _residual_coeff_matrix(eb, B)
@@ -78,31 +62,34 @@ def residual_mean_elements(eb: EvaluatedBatch, B: np.ndarray) -> tuple[RkhsEleme
     return tuple(compress(RkhsElement(eb.kernel, Z, C[:, j])) for j in range(B.shape[1]))
 
 
-def scaled_directions(
-    elements, norms: np.ndarray, scale_to: float
-) -> tuple[RkhsElement, ...]:
-    """Each element rescaled to norm `scale_to`; degenerate inputs become zero."""
-    out = []
-    for el, nv in zip(elements, norms):
-        if nv <= DEGENERATE_NORM:
-            out.append(zero_element(el.spec))
-        else:
-            out.append(RkhsElement(el.spec, el.anchors, el.coeffs * (scale_to / nv)))
-    return tuple(out)
-
-
 def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     """Witness-sup gap for every candidate lossprime in one Gram pass."""
     if not pool:
         raise ValueError("candidate pool must be nonempty")
     probs = [rule_probabilities(eb, lp, beta) for lp in pool]
-    B = np.hstack(probs)
-    gram = residual_mean_gram(eb, B)
-    norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
-    norms = norms.reshape(len(pool), -1)
-    effective = np.where(norms > DEGENERATE_NORM, norms, 0.0)
-    gaps = R1 * effective.sum(axis=1)
+    C = _residual_coeff_matrix(eb, np.hstack(probs))
+    gram = span_gram(eb.kernel, np.vstack([eb.Y, eb.anchors]), C)
+    norms = np.sqrt(np.clip(np.diag(gram), 0.0, None)).reshape(len(pool), -1)
+    gaps = R1 * np.where(norms > DEGENERATE_NORM, norms, 0.0).sum(axis=1)
     return gaps, norms, probs
+
+
+def _best_witness(eb: EvaluatedBatch, pool, beta: float, R1: float, loss_id: str):
+    """The gap-maximizing loss for the best candidate lossprime of the pool.
+
+    Each action coefficient is that candidate's residual mean rescaled to
+    norm R1, or zero where the residual is degenerate.  Returns (witness,
+    index of the best candidate, gap of every candidate).
+    """
+    gaps, norms, probs = _gap_scan(eb, pool, beta, R1)
+    best = int(np.argmax(gaps))
+    elements = [
+        RkhsElement(el.spec, el.anchors, el.coeffs * (R1 / nv))
+        if nv > DEGENERATE_NORM
+        else zero_element(el.spec)
+        for el, nv in zip(residual_mean_elements(eb, probs[best]), norms[best])
+    ]
+    return make_loss(loss_id, elements, R1), best, gaps
 
 
 def closed_form_witness(
@@ -118,12 +105,8 @@ def closed_form_witness(
 
     Accepts either a Predictor plus a batch, or an EvaluatedBatch directly.
     """
-    eb = _as_evaluated(p_or_eb, batch)
-    kprobs = rule_probabilities(eb, lossprime, beta)
-    gram = residual_mean_gram(eb, kprobs)
-    norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
-    elements = scaled_directions(residual_mean_elements(eb, kprobs), norms, R1)
-    return make_loss(loss_id, elements, R1)
+    eb = as_evaluated(p_or_eb, batch)
+    return _best_witness(eb, [lossprime], beta, R1, loss_id)[0]
 
 
 def empirical_gap(
@@ -135,10 +118,10 @@ def empirical_gap(
     beta: float,
 ) -> float:
     """|Ehat[ sum_a <r(a), phi(y) - p(x)> * k_a(x) ]| on the batch."""
-    eb = _as_evaluated(p_or_eb, batch)
+    eb = as_evaluated(p_or_eb, batch)
     kprobs = rule_probabilities(eb, lossprime, beta)
     vals = loss.values(eb.Y)
-    ests = eb.W @ loss_estimate_columns(eb.kernel, eb.anchors, loss)
+    ests = eb.W @ loss.values(eb.anchors)
     return abs(float(np.mean(np.sum((vals - ests) * kprobs, axis=1))))
 
 
@@ -159,13 +142,8 @@ def audit(
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    eb = _as_evaluated(p_or_eb, batch)
-    gaps, norms, probs = _gap_scan(eb, pool, beta, R1)
-    best = int(np.argmax(gaps))
-    elements = scaled_directions(
-        residual_mean_elements(eb, probs[best]), norms[best], R1
-    )
-    witness = make_loss(witness_id, elements, R1)
+    eb = as_evaluated(p_or_eb, batch)
+    witness, best, gaps = _best_witness(eb, pool, beta, R1, witness_id)
     threshold = AUDIT_THRESHOLD_FACTOR * epsilon
     gap = float(gaps[best])
     return AuditReport(
@@ -176,6 +154,7 @@ def audit(
         threshold=threshold,
         n_used=len(eb),
         candidate_pool_size=len(pool),
+        batch_id=eb.batch_id,
     )
 
 
@@ -183,8 +162,7 @@ def decce_estimate(
     p_or_eb, batch: SampleBatch | None = None, *, pool, beta: float, R1: float
 ) -> float:
     """Best witness-sup gap over the pool: a lower bound on the true decCE."""
-    eb = _as_evaluated(p_or_eb, batch)
-    gaps, _, _ = _gap_scan(eb, pool, beta, R1)
+    gaps, _, _ = _gap_scan(as_evaluated(p_or_eb, batch), pool, beta, R1)
     return float(np.max(gaps))
 
 

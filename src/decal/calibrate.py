@@ -24,17 +24,16 @@ from .audit import (
     decce_estimate,
     random_loss_pool,
     residual_mean_elements,
-    residual_mean_gram,
     rule_probabilities,
-    scaled_directions,
 )
-from .kernel import RkhsElement, norm
+from .kernel import RkhsElement
 from .model import (
     EvaluatedBatch,
     LossFunction,
     PatchRecord,
     Predictor,
     SampleBatch,
+    as_evaluated,
     evaluate_batch,
 )
 
@@ -163,14 +162,6 @@ class CalibrationTrace:
         }
 
 
-def project(v: RkhsElement, R2: float) -> RkhsElement:
-    """Metric projection onto the radius-R2 ball: rescale iff the norm exceeds R2."""
-    nv = norm(v)
-    if nv <= R2:
-        return v
-    return RkhsElement(v.spec, v.anchors, v.coeffs * (R2 / nv))
-
-
 def _potential_eb(eb: EvaluatedBatch) -> float:
     """Ehat[ ||phi(y) - p(x)||^2 ] on an evaluated batch."""
     spec = eb.kernel
@@ -186,31 +177,23 @@ def potential(p: Predictor, batch: SampleBatch) -> float:
     return _potential_eb(evaluate_batch(p, batch))
 
 
-def alg1_step(
-    p_or_eb,
-    report: AuditReport,
-    batch: SampleBatch | None = None,
-    *,
-    config: CalibConfig,
-) -> PatchRecord:
-    """Fixed-step patch: each action's adjustment is the audited residual
-    mean rescaled to norm eta * R1 (zero for degenerate directions).
+def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
+    """Fixed-step patch: the audited witness scaled by eta, so each action's
+    adjustment is its residual mean rescaled to norm eta * R1 (zero for
+    degenerate directions).
     """
     if not report.found:
         raise ValueError("alg1_step requires a report with found=True")
-    eb = p_or_eb if isinstance(p_or_eb, EvaluatedBatch) else evaluate_batch(p_or_eb, batch)
-    lossprime = report.witness_lossprime
-    kprobs = rule_probabilities(eb, lossprime, config.beta)
-    gram = residual_mean_gram(eb, kprobs)
-    norms = np.sqrt(np.clip(np.diag(gram), 0.0, None))
-    adjustments = scaled_directions(
-        residual_mean_elements(eb, kprobs), norms, config.eta * config.R1
+    witness = report.witness_loss
+    step = config.eta * config.R1 / witness.R1
+    adjustments = tuple(
+        RkhsElement(el.spec, el.anchors, el.coeffs * step) for el in witness.coefficients
     )
     return PatchRecord(
         "alg1",
-        lossprime,
+        report.witness_lossprime,
         config.beta,
-        batch_id=eb.batch_id,
+        batch_id=report.batch_id,
         eta=config.eta,
         adjustments=adjustments,
     )
@@ -229,7 +212,7 @@ def alg2_step(
     are the raw per-action residual means; the replayed update at x is
     rows^T @ mixing @ k(x).
     """
-    eb = p_or_eb if isinstance(p_or_eb, EvaluatedBatch) else evaluate_batch(p_or_eb, batch)
+    eb = as_evaluated(p_or_eb, batch)
     kprobs = rule_probabilities(eb, lossprime, config.beta)
     n_act = kprobs.shape[1]
     dhat = (kprobs.T @ kprobs) / len(eb)
@@ -270,7 +253,6 @@ def run_calibration(
     every previously found witness plus any user-registered losses.
     """
     trace = CalibrationTrace()
-    seeds = np.random.SeedSequence(config.seed).spawn(config.max_iters + 1)
     try:
         heldout = source.take(config.heldout_size)
     except DataExhaustedError as exc:
@@ -291,7 +273,8 @@ def run_calibration(
             trace.terminal = "error"
             trace.error = str(exc)
             break
-        rng = np.random.default_rng(seeds[t])
+        # the t-th child of SeedSequence(seed), without spawning all of them
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(t,)))
         pool = _dedup_losses(
             random_loss_pool(
                 p.kernel, batch.Y, config.n_actions, config.R1, config.pool_size, rng
@@ -314,7 +297,7 @@ def run_calibration(
             break
         pot_before = _potential_eb(eb)
         if config.algorithm == "alg1":
-            rec = alg1_step(eb, report, config=config)
+            rec = alg1_step(report, config=config)
         else:
             rec = alg2_step(eb, report.witness_lossprime, config=config)
         p_next = p.with_patch(rec)
@@ -334,7 +317,9 @@ def run_calibration(
         witnesses = _dedup_losses(witnesses + [report.witness_loss, report.witness_lossprime])
         p = p_next
 
-    heldout_rng = np.random.default_rng(seeds[-1])
+    heldout_rng = np.random.default_rng(
+        np.random.SeedSequence(config.seed, spawn_key=(config.max_iters,))
+    )
     heldout_pool = _dedup_losses(
         random_loss_pool(
             p.kernel, heldout.Y, config.n_actions, config.R1, config.pool_size, heldout_rng

@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -64,6 +63,7 @@ class Field:
     exclusive_max: bool = False
     choices: tuple | None = None
     allow_none: bool = False
+    min_items: int = 1  # list kinds only
 
 
 def _coerce_scalar(key: str, value, kind: str):
@@ -103,8 +103,10 @@ def _validate_field(key: str, value, f: Field):
             return None
         raise ConfigError(f"config key {key!r}: null is not allowed")
     if f.kind.startswith("list_"):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"config key {key!r}: expected a nonempty list")
+        if not isinstance(value, list) or len(value) < f.min_items:
+            raise ConfigError(
+                f"config key {key!r}: expected a list of at least {f.min_items} items"
+            )
         item_kind = f.kind.removeprefix("list_")
         out = []
         for item in value:
@@ -214,7 +216,7 @@ EXPERIMENT_SCHEMAS = {
     },
     "uniform_convergence": {
         "experiment": Field("str", choices=("uniform_convergence",)),
-        "n_grid": Field("list_int", minimum=8),
+        "n_grid": Field("list_int", minimum=8, min_items=3),
         "pool_size": Field("int", default=16, minimum=1),
         "reference_n": Field("int", default=8192, minimum=64),
         "resamples": Field("int", default=20, minimum=2),
@@ -250,7 +252,7 @@ EXPERIMENT_SCHEMAS = {
     },
     "sample_complexity": {
         "experiment": Field("str", choices=("sample_complexity",)),
-        "eps_grid": Field("list_float", minimum=0.0, exclusive_min=True),
+        "eps_grid": Field("list_float", minimum=0.0, exclusive_min=True, min_items=3),
         "shift_norm": Field("float", default=0.3, minimum=0.0),
         "beta": Field("float", default=4.0, minimum=0.0),
         "n_actions": Field("int", default=2, minimum=1),
@@ -281,34 +283,40 @@ def _sanitize(doc):
 
 
 class RunDir:
-    """Output directory with an output ledger; manifest.json goes last."""
+    """Output directory with an output ledger; manifest.json goes last.
+
+    The directory is created on the first write, so a run that fails before
+    writing anything leaves no directory behind.
+    """
 
     def __init__(self, out: Path, quiet: bool):
         self.path = out
         self.quiet = quiet
         self.outputs: list[str] = []
         self.t0 = time.monotonic()
-        out.mkdir(parents=True, exist_ok=True)
+
+    def _file(self, name: str) -> Path:
+        self.path.mkdir(parents=True, exist_ok=True)
+        return self.path / name
 
     def write_json(self, name: str, doc: dict) -> None:
-        save_json(self.path / name, _sanitize(doc))
+        save_json(self._file(name), _sanitize(doc))
         self.outputs.append(name)
 
     def write_csv(self, name: str, rows) -> None:
-        with open(self.path / name, "w", newline="") as fh:
+        with open(self._file(name), "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         self.outputs.append(name)
 
-    def finish(self, command: str, config: dict, threads: int) -> None:
+    def finish(self, command: str, config: dict) -> None:
         manifest = {
             "command": command,
             "config": _sanitize(config),
             "outputs": self.outputs,
-            "threads": threads,
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "wall_ms": (time.monotonic() - self.t0) * 1000.0,
         }
-        save_json(self.path / "manifest.json", manifest)
+        save_json(self._file("manifest.json"), manifest)
         if not self.quiet:
             names = ", ".join(self.outputs + ["manifest.json"])
             print(f"{command}: wrote {names} under {self.path}")
@@ -330,10 +338,18 @@ def _matrix_csv(header: list[str], arrays: list[np.ndarray]) -> list[list[str]]:
 # Command runners
 
 
+def _planted(kernel: tuple, **kwargs):
+    """A planted instance from parsed config values; a ValueError raised
+    while building it is a configuration error."""
+    try:
+        return planted_bias_instance(KernelSpec(*kernel), **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _planted_from_config(cfg: dict):
-    spec = KernelSpec(cfg["kernel_kind"], cfg["kernel_dim"], cfg["R2"])
-    return planted_bias_instance(
-        spec,
+    return _planted(
+        (cfg["kernel_kind"], cfg["kernel_dim"], cfg["R2"]),
         context_dim=cfg["context_dim"],
         support_size=cfg["support_size"],
         shift_norm=cfg["shift_norm"],
@@ -342,25 +358,25 @@ def _planted_from_config(cfg: dict):
     )
 
 
+def _calib_config(cfg: dict) -> CalibConfig:
+    """The run config of a calibrate or regret config; its ValueErrors are
+    configuration errors."""
+    keys = ("epsilon", "beta", "R1", "R2", "n_actions", "algorithm", "audit_batch_size",
+            "pool_size", "heldout_size", "seed")
+    try:
+        return CalibConfig(
+            eta=cfg.get("eta"), max_iters=cfg.get("max_iters"), **{k: cfg[k] for k in keys}
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def run_calibrate_command(doc: dict, rd: RunDir, seed_override: int | None) -> tuple[int, dict]:
     cfg = parse_config(doc, CALIBRATE_SCHEMA)
     if seed_override is not None:
         cfg["seed"] = seed_override
     inst = _planted_from_config(cfg)
-    cc = CalibConfig(
-        epsilon=cfg["epsilon"],
-        beta=cfg["beta"],
-        R1=cfg["R1"],
-        R2=cfg["R2"],
-        n_actions=cfg["n_actions"],
-        algorithm=cfg["algorithm"],
-        eta=cfg["eta"],
-        max_iters=cfg["max_iters"],
-        audit_batch_size=cfg["audit_batch_size"],
-        pool_size=cfg["pool_size"],
-        heldout_size=cfg["heldout_size"],
-        seed=cfg["seed"],
-    )
+    cc = _calib_config(cfg)
     cfg.update({"eta": cc.eta, "max_iters": cc.max_iters, "ridge_lambda": RIDGE_LAMBDA})
     calibrated, trace = run_calibration(inst.predictor, inst.source(cfg["seed"]), cc)
 
@@ -467,24 +483,18 @@ def run_synth_command(doc: dict, rd: RunDir, seed_override: int | None) -> tuple
 
 
 def _run_regret(cfg: dict) -> ExperimentResult:
-    spec = KernelSpec("min", 1, cfg["R2"])
-    inst = planted_bias_instance(
-        spec, context_dim=2, support_size=24,
+    inst = _planted(
+        ("min", 1, cfg["R2"]), context_dim=2, support_size=24,
         shift_norm=cfg["shift_norm"], seed=cfg["seed"] + 17,
     )
+    spec = inst.kernel
     pool_batch = inst.source(cfg["seed"] + 5).take(512)
     losses = random_loss_pool(
         spec, pool_batch.Y, cfg["n_actions"], cfg["R1"], cfg["loss_count"],
         np.random.default_rng(cfg["seed"] + 3), id_prefix="regret",
     )
-    cc = CalibConfig(
-        epsilon=cfg["epsilon"], beta=cfg["beta"], R1=cfg["R1"], R2=cfg["R2"],
-        n_actions=cfg["n_actions"], algorithm=cfg["algorithm"],
-        audit_batch_size=cfg["audit_batch_size"], pool_size=cfg["pool_size"],
-        heldout_size=cfg["heldout_size"], seed=cfg["seed"],
-    )
     calibrated, trace = run_calibration(
-        inst.predictor, inst.source(cfg["seed"]), cc, user_losses=losses
+        inst.predictor, inst.source(cfg["seed"]), _calib_config(cfg), user_losses=losses
     )
     batch = inst.source(cfg["seed"] + 9).take(cfg["regret_batch_size"])
     result = regret_experiment(
@@ -524,6 +534,8 @@ def run_experiment_command(doc: dict, rd: RunDir, seed_override: int | None) -> 
         ]
         result = convergence_experiment(cells, seed=cfg["seed"])
     elif name == "uniform_convergence":
+        if cfg["reference_n"] <= max(cfg["n_grid"]):
+            raise ConfigError("config key 'reference_n': must exceed every n_grid size")
         result = uniform_convergence_experiment(
             cfg["n_grid"],
             pool_size=cfg["pool_size"],
@@ -609,24 +621,6 @@ COMMANDS: dict[str, Callable] = {
 # Entry point
 
 
-def _set_thread_budget(n: int) -> None:
-    """Best-effort global thread cap: library code is single-threaded by
-    design, so this constrains BLAS pools only."""
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(n)
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decal",
@@ -636,20 +630,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to a flat JSON config")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="global thread budget")
     parser.add_argument("--quiet", action="store_true", help="suppress the closing summary line")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     if args.seed is not None and args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return 2
-    _set_thread_budget(args.threads)
     try:
         raw = json.loads(Path(args.config).read_text())
     except FileNotFoundError:
@@ -664,13 +653,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:  # noqa: BLE001 - the contract maps these to exit 3
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    rd.finish(args.command, resolved, args.threads)
+    rd.finish(args.command, resolved)
     return code
 
 

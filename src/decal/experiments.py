@@ -18,13 +18,7 @@ from scipy import stats
 from .audit import closed_form_witness, empirical_gap, random_loss_pool, rule_probabilities
 from .calibrate import CalibConfig, run_calibration
 from .kernel import KernelSpec
-from .model import (
-    LossFunction,
-    Predictor,
-    SampleBatch,
-    evaluate_batch,
-    loss_estimate_columns,
-)
+from .model import LossFunction, Predictor, SampleBatch, evaluate_batch
 from .synth import (
     LogitMixtureBase,
     PlantedBiasMap,
@@ -411,10 +405,7 @@ def regret_experiment(
 
     probs = {l.loss_id: rule_probabilities(eb, l, beta) for l in losses}
     values = {l.loss_id: l.values(eb.Y) for l in losses}
-    ests = {
-        l.loss_id: eb.W @ loss_estimate_columns(eb.kernel, eb.anchors, l)
-        for l in losses
-    }
+    ests = {l.loss_id: eb.W @ l.values(eb.anchors) for l in losses}
 
     smooth_violation = -float("inf")
     for l in losses:

@@ -116,15 +116,6 @@ def as_outcomes(Y, dim: int) -> np.ndarray:
     return arr
 
 
-def eval_kernel(spec: KernelSpec, y1, y2) -> float:
-    """K(y1, y2) for a single admissible pair."""
-    a = as_outcomes(y1, spec.dim)
-    b = as_outcomes(y2, spec.dim)
-    spec.check_domain(a)
-    spec.check_domain(b)
-    return float(spec.gram(a, b)[0, 0])
-
-
 @dataclass(frozen=True, eq=False)
 class RkhsElement:
     """Immutable finite span sum_i coeffs[i] * phi(anchors[i])."""
@@ -181,16 +172,20 @@ def norm(v: RkhsElement) -> float:
     return math.sqrt(norm2(v))
 
 
-def axpy(a: float, u: RkhsElement, v: RkhsElement) -> RkhsElement:
-    """a * u + v as a concatenated span."""
-    _check_same_spec(u, v)
-    anchors = np.vstack([u.anchors, v.anchors])
-    coeffs = np.concatenate([a * u.coeffs, v.coeffs])
-    return RkhsElement(u.spec, anchors, coeffs)
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bitwise-distinct rows in order of first appearance.
 
-
-def scale(a: float, v: RkhsElement) -> RkhsElement:
-    return RkhsElement(v.spec, v.anchors, a * v.coeffs)
+    Returns (first, inverse): rows[first] are the distinct rows and
+    rows[i] equals rows[first[inverse[i]]].  Rows compare as raw bytes, so
+    0.0 and -0.0 stay distinct.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.ravel()]
 
 
 def compress(v: RkhsElement, tol: float = 0.0) -> RkhsElement:
@@ -202,19 +197,10 @@ def compress(v: RkhsElement, tol: float = 0.0) -> RkhsElement:
         raise ValueError("tol must be >= 0")
     if len(v) == 0:
         return v
-    index: dict[bytes, int] = {}
-    order: list[int] = []
-    merged = np.zeros(len(v))
-    for i, row in enumerate(v.anchors):
-        key = row.tobytes()
-        j = index.get(key)
-        if j is None:
-            j = len(order)
-            index[key] = j
-            order.append(i)
-        merged[j] += v.coeffs[i]
-    anchors = v.anchors[order]
-    coeffs = merged[: len(order)]
+    first, inverse = distinct_rows(v.anchors)
+    # bincount adds in input order from 0.0, as a running sum per anchor would
+    coeffs = np.bincount(inverse, weights=v.coeffs, minlength=len(first))
+    anchors = v.anchors[first]
     weight = np.abs(coeffs) * np.sqrt(np.maximum(v.spec.diag(anchors), 0.0))
     keep = weight > tol
     return RkhsElement(v.spec, anchors[keep], coeffs[keep])

@@ -19,13 +19,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import softmax
 
-from .kernel import (
-    KernelSpec,
-    RkhsElement,
-    as_outcomes,
-    compress,
-    norm,
-)
+from .kernel import KernelSpec, RkhsElement, as_outcomes, compress, distinct_rows, norm
 
 DEGENERATE_NORM = 1e-12
 
@@ -90,27 +84,6 @@ def deterministic_best_response(fvals) -> int:
     return int(np.argmin(f))
 
 
-@dataclass(frozen=True)
-class DecisionRuleConfig:
-    """How an agent turns estimated losses into an action."""
-
-    mode: str = "smooth"  # "smooth" | "deterministic"
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("smooth", "deterministic"):
-            raise ValueError(f"unknown decision rule mode {self.mode!r}")
-        if self.mode == "smooth" and not self.beta >= 0:
-            raise ValueError("smooth rules need beta >= 0")
-
-    def action_distribution(self, fvals) -> np.ndarray:
-        if self.mode == "smooth":
-            return smooth_best_response(fvals, self.beta)
-        out = np.zeros(len(fvals))
-        out[deterministic_best_response(fvals)] = 1.0
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Loss functions
 
@@ -151,7 +124,11 @@ class LossFunction:
         return np.array([norm(el) for el in self.coefficients])
 
     def values(self, Y) -> np.ndarray:
-        """Loss matrix ell(a, y_i), shape (n, n_actions)."""
+        """Loss matrix ell(a, y_i), shape (n, n_actions).
+
+        On a predictor's anchors these are the loss-estimate columns:
+        <r(a), sum_j w_j phi(anchors[j])> = w @ values(anchors)[:, a].
+        """
         spec = self.spec
         Ym = as_outcomes(Y, spec.dim)
         cols = []
@@ -174,17 +151,6 @@ def make_loss(loss_id: str, coefficients, R1: float) -> LossFunction:
             rescaled = True
         elements.append(el)
     return LossFunction(loss_id, tuple(elements), R1, rescaled)
-
-
-def loss_estimate_columns(spec: KernelSpec, anchors: np.ndarray, loss: LossFunction) -> np.ndarray:
-    """Columns u_a with <r(a), sum_j w_j phi(anchors[j])> = w @ u_a; (N, |A|)."""
-    cols = []
-    for el in loss.coefficients:
-        if len(el) == 0:
-            cols.append(np.zeros(len(anchors)))
-        else:
-            cols.append(spec.gram(anchors, el.anchors) @ el.coeffs)
-    return np.column_stack(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -365,50 +331,45 @@ class _EvalPlan:
 
     def __init__(self, predictor: "Predictor") -> None:
         spec = predictor.kernel
-        base_anchors = as_outcomes(predictor.base.anchors, spec.dim)
-        rows: list[np.ndarray] = list(base_anchors)
-        index: dict[bytes, int] = {}
-        for i, row in enumerate(rows):
-            index.setdefault(row.tobytes(), i)
-
-        def align(element: RkhsElement) -> list[tuple[int, float]]:
-            entries = []
-            for anchor, c in zip(element.anchors, element.coeffs):
-                key = anchor.tobytes()
-                j = index.get(key)
-                if j is None:
-                    j = len(rows)
-                    index[key] = j
-                    rows.append(anchor)
-                entries.append((j, float(c)))
-            return entries
+        base = as_outcomes(predictor.base.anchors, spec.dim)
+        n_base = len(base)
+        per_step = [
+            rec.adjustments if rec.algorithm == "alg1" else rec.residual_rows
+            for rec in predictor.patches
+        ]
+        # Base anchors are kept as they are; every patch anchor goes to the
+        # first bitwise-equal row, and unseen rows are appended in order.
+        Z = np.vstack([base] + [el.anchors for els in per_step for el in els])
+        first, inverse = distinct_rows(Z)
+        appended = first >= n_base
+        row_of = np.where(appended, n_base + np.cumsum(appended) - 1, first)[inverse]
+        new_first = first[appended]
+        anchors = np.vstack([base, Z[new_first]])
 
         steps: list[_PlanStep] = []
-        for rec in predictor.patches:
-            n_before = len(rows)
-            prefix = np.vstack(rows) if rows else np.zeros((0, spec.dim))
-            V = loss_estimate_columns(spec, prefix, rec.witness_lossprime)
-            if rec.algorithm == "alg1":
-                per_action = [align(el) for el in rec.adjustments]
-            else:
-                per_action = [align(el) for el in rec.residual_rows]
-            n_after = len(rows)
-            mat = np.zeros((len(per_action), n_after))
-            for a, entries in enumerate(per_action):
-                for j, c in entries:
-                    mat[a, j] += c
+        n_before, offset = n_base, n_base
+        for rec, elements in zip(predictor.patches, per_step):
+            end = offset + sum(len(el) for el in elements)
+            n_after = n_base + int(np.searchsorted(new_first, end))
+            mat = np.zeros((len(elements), n_after))
+            for a, el in enumerate(elements):
+                cols = row_of[offset : offset + len(el)]
+                mat[a] = np.bincount(cols, weights=el.coeffs, minlength=n_after)
+                offset += len(el)
+            V = rec.witness_lossprime.values(anchors[:n_before])
             if rec.algorithm == "alg1":
                 steps.append(_PlanStep("alg1", n_before, n_after, rec.beta, V, D=mat))
             else:
                 steps.append(
                     _PlanStep("alg2", n_before, n_after, rec.beta, V, M=rec.mixing, R=mat)
                 )
+            n_before = n_after
 
         self.spec = spec
-        self.anchors = np.vstack(rows) if rows else np.zeros((0, spec.dim))
+        self.anchors = anchors
         self.anchors.setflags(write=False)
-        self.n_base = len(base_anchors)
-        self.n_total = len(rows)
+        self.n_base = n_base
+        self.n_total = len(anchors)
         self.steps = steps
         self._gram: np.ndarray | None = None
 
@@ -479,20 +440,9 @@ class Predictor:
         return RkhsElement(self.kernel, self._plan.anchors, W[0])
 
 
-def evaluate_predictor(p: Predictor, x) -> RkhsElement:
-    return p.evaluate(x)
-
-
 def loss_estimates(p: Predictor, X, loss: LossFunction) -> np.ndarray:
     """Estimated losses f(x_i, a) = <r(a), p(x_i)>; shape (m, |A|)."""
-    W = p.coefficients(X)
-    cols = loss_estimate_columns(p.kernel, p.anchors, loss)
-    return W @ cols
-
-
-def loss_estimate(p: Predictor, x, a: int, loss: LossFunction) -> float:
-    est = loss_estimates(p, x, loss)
-    return float(est[0, a])
+    return p.coefficients(X) @ loss.values(p.anchors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,6 +467,15 @@ def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
     return EvaluatedBatch(
         p.kernel, batch.X, batch.Y, plan.anchors, plan.gram(), W, batch.batch_id
     )
+
+
+def as_evaluated(p_or_eb, batch: SampleBatch | None = None) -> EvaluatedBatch:
+    """An EvaluatedBatch as given, or a Predictor pushed through `batch`."""
+    if isinstance(p_or_eb, EvaluatedBatch):
+        return p_or_eb
+    if batch is None:
+        raise ValueError("a batch is required when passing a Predictor")
+    return evaluate_batch(p_or_eb, batch)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,7 @@ import numpy as np
 from scipy.special import softmax
 
 from .calibrate import DataExhaustedError
-from .kernel import (
-    KernelSpec,
-    RkhsElement,
-    as_outcomes,
-    compress,
-    norm,
-)
+from .kernel import KernelSpec, RkhsElement, as_outcomes, compress, distinct_rows, norm
 from .model import (
     LossFunction,
     Predictor,
@@ -425,15 +419,8 @@ def collision_reject(predictions: np.ndarray, outcomes: np.ndarray) -> bool:
     repeated prediction value carries discordant noise signs.
     """
     signs = np.sign(outcomes[:, 0] - predictions[:, 0])
-    seen: dict[bytes, float] = {}
-    for row, s in zip(predictions, signs):
-        key = row.tobytes()
-        prev = seen.get(key)
-        if prev is None:
-            seen[key] = s
-        elif prev != s:
-            return True
-    return False
+    first, group = distinct_rows(predictions)
+    return bool(np.any(signs != signs[first][group]))
 
 
 def direction_grid(d: int, seed: int = 0, size: int = 4096) -> np.ndarray:

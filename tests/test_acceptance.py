@@ -109,7 +109,7 @@ def test_implicit_pipeline_matches_vector_oracle():
         # one fixed-step patch driven by an audit over a known pool
         report = audit(p, b1, epsilon=1e-6, pool=[lossprime], beta=beta, R1=R1)
         assert report.found
-        p = p.with_patch(alg1_step(p, report, b1, config=cfg))
+        p = p.with_patch(alg1_step(report, config=cfg))
         K1 = oracle.smooth_rule(P1, Lp, beta)
         vp.add_alg1(oracle.alg1_directions(b1.Y, P1, K1, cfg.eta, R1), Lp, beta)
         P2 = vp.evaluate(b2.X)

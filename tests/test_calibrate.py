@@ -11,7 +11,6 @@ from decal.calibrate import (
     alg1_step,
     alg2_step,
     potential,
-    project,
     run_calibration,
 )
 from decal.kernel import KernelSpec, RkhsElement, feature, norm, zero_element
@@ -45,22 +44,6 @@ class BiasedStream:
         batch = SampleBatch(X, Y, batch_id=f"stream-{self._count:04d}")
         self._count += 1
         return batch
-
-
-# projection
-
-
-def test_project_is_identity_inside_ball():
-    v = feature(MIN, 0.5)  # norm sqrt(.5) < 1.5
-    assert project(v, MIN.R2) is v
-
-
-def test_project_rescales_onto_sphere():
-    v = RkhsElement(MIN, np.array([[0.81]]), np.array([4.0]))  # norm 3.6
-    w = project(v, MIN.R2)
-    assert norm(w) == pytest.approx(MIN.R2, rel=1e-12)
-    again = project(w, MIN.R2)
-    assert np.array_equal(again.coeffs, w.coeffs)
 
 
 # potential
@@ -133,7 +116,7 @@ def test_alg1_adjustments_have_exact_step_norm():
     batch = SampleBatch(rng.standard_normal((40, 2)), min_outcomes(40), "b7")
     report = audited(zero_predictor(), batch, cfg)
     assert report.found
-    rec = alg1_step(zero_predictor(), report, batch, config=cfg)
+    rec = alg1_step(report, config=cfg)
     assert rec.algorithm == "alg1" and rec.eta == cfg.eta and rec.batch_id == "b7"
     for el in rec.adjustments:
         assert norm(el) == pytest.approx(cfg.eta * cfg.R1, rel=1e-12)
@@ -145,7 +128,7 @@ def test_alg1_requires_a_firing_report():
     report = audited(zero_predictor(), batch, cfg)
     assert not report.found
     with pytest.raises(ValueError):
-        alg1_step(zero_predictor(), report, batch, config=cfg)
+        alg1_step(report, config=cfg)
 
 
 def test_alg2_single_action_halves_the_residual_mean():
@@ -274,6 +257,18 @@ def test_exhausted_source_reports_error():
 def test_exhaustion_on_the_heldout_draw_returns_base():
     cfg = CalibConfig(
         epsilon=0.1, beta=4.0, R1=1.0, R2=1.5, n_actions=2, heldout_size=64,
+    )
+    p0 = zero_predictor()
+    p, trace = run_calibration(p0, ArraySource(np.zeros((10, 1)), np.full((10, 1), 0.5)), cfg)
+    assert trace.terminal == "error"
+    assert p is p0
+
+
+def test_huge_iteration_cap_costs_nothing_up_front():
+    # round seeds are derived per round, so a cap of 1e8 allocates nothing
+    # before the first draw, which fails here
+    cfg = CalibConfig(
+        epsilon=0.1, beta=4.0, R1=1.0, R2=1.5, n_actions=2, heldout_size=64, max_iters=10**8,
     )
     p0 = zero_predictor()
     p, trace = run_calibration(p0, ArraySource(np.zeros((10, 1)), np.full((10, 1), 0.5)), cfg)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import decal.cli
 from decal.calibrate import TRACE_COLUMNS
 from decal.cli import (
     AUDIT_SCHEMA,
@@ -16,6 +17,7 @@ from decal.cli import (
     main,
     parse_config,
 )
+from decal.kernel import OutcomeDomainError
 from decal.model import load_loss, load_predictor
 
 FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "planted_bias.json"
@@ -100,7 +102,9 @@ def test_parse_audit_schema_has_no_algorithm_knob():
 def test_cli_flag_validation(tmp_path):
     cfg = write_config(tmp_path, CALIBRATE_BASE)
     out = str(tmp_path / "o")
-    assert main(["calibrate", "--config", cfg, "--out", out, "--threads", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:  # an unknown option is a usage error
+        main(["calibrate", "--config", cfg, "--out", out, "--threads", "1"])
+    assert exc.value.code == 2
     assert main(["calibrate", "--config", cfg, "--out", out, "--seed", "-1"]) == 2
 
 
@@ -117,6 +121,22 @@ def test_cli_unknown_key_exits_two(tmp_path, capsys):
     assert code == 2
     assert "extra_knob" in capsys.readouterr().err
     assert not (out_dir / "manifest.json").exists()
+
+
+def test_config_error_leaves_no_out_directory(tmp_path):
+    code, out_dir = run_cli(tmp_path, "calibrate", dict(CALIBRATE_BASE, shift_norm=0.9))
+    assert code == 2
+    assert not out_dir.exists()
+
+
+def test_domain_error_after_the_build_exits_three(tmp_path, monkeypatch, capsys):
+    def bad_data(*args, **kwargs):
+        raise OutcomeDomainError("outcome norm 2.0 exceeds domain radius 1.0")
+
+    monkeypatch.setattr(decal.cli, "run_calibration", bad_data)
+    code, _ = run_cli(tmp_path, "calibrate", CALIBRATE_BASE)
+    assert code == 3
+    assert "runtime error" in capsys.readouterr().err
 
 
 # calibrate command
@@ -145,7 +165,7 @@ def test_calibrate_writes_the_artifact_set(tmp_path):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "calibrate"
     assert manifest["outputs"] == ["trace.csv", "summary.json", "predictor.json"]
-    assert manifest["threads"] == 1
+    assert "threads" not in manifest
     assert manifest["config"]["eta"] == pytest.approx(0.125)  # epsilon / (2 R1^2)
     assert manifest["config"]["max_iters"] == 576
     assert manifest["config"]["ridge_lambda"] == 1.0
@@ -332,6 +352,17 @@ def test_experiment_schema_floor_on_trials(tmp_path, capsys):
     assert code == 2
     assert "trials" in capsys.readouterr().err
     assert not (out_dir / "results.json").exists()
+
+
+def test_experiment_grid_errors_exit_two(tmp_path, capsys):
+    doc = {"experiment": "uniform_convergence", "n_grid": [64, 128], "reference_n": 512}
+    code, out_dir = run_cli(tmp_path, "experiment", doc)
+    assert code == 2
+    assert "n_grid" in capsys.readouterr().err
+    code, out_dir = run_cli(tmp_path, "experiment", dict(doc, n_grid=[64, 128, 1024]), out="b")
+    assert code == 2
+    assert "reference_n" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # report command

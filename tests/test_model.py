@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
-from decal.kernel import KernelSpec, RkhsElement, axpy, feature, inner, norm, zero_element
+from decal.kernel import KernelSpec, RkhsElement, compress, feature, inner, norm, zero_element
 from decal.model import (
     ConstantBase,
-    DecisionRuleConfig,
     LossFunction,
     PatchRecord,
     Predictor,
@@ -21,10 +20,8 @@ from decal.model import (
     constant_mean_base,
     deterministic_best_response,
     evaluate_batch,
-    evaluate_predictor,
     load_loss,
     load_predictor,
-    loss_estimate,
     loss_estimates,
     loss_from_doc,
     loss_to_doc,
@@ -128,17 +125,6 @@ def test_deterministic_rule_rejects_bad_shapes():
         deterministic_best_response([[0.1, 0.2]])
 
 
-def test_rule_config_dispatch():
-    cfg = DecisionRuleConfig("deterministic", beta=0.0)
-    assert np.array_equal(cfg.action_distribution([0.2, 0.1, 0.3]), [0.0, 1.0, 0.0])
-    smooth = DecisionRuleConfig("smooth", beta=2.0)
-    assert smooth.action_distribution([1.0, 1.0]) == pytest.approx([0.5, 0.5])
-    with pytest.raises(ValueError):
-        DecisionRuleConfig("greedy")
-    with pytest.raises(ValueError):
-        DecisionRuleConfig("smooth", beta=-1.0)
-
-
 @given(
     f=arrays(np.float64, 4, elements=st.floats(-30, 30)),
     step=arrays(np.float64, 4, elements=st.floats(-1, 1)),
@@ -219,14 +205,14 @@ def test_estimate_reproduces_on_point_mass():
 def test_estimate_zero_for_zero_prediction():
     p = Predictor(MIN, ConstantBase(zero_element(MIN)))
     loss = random_loss(MIN, 2, 1.0)
-    assert loss_estimate(p, [[0.0]], 0, loss) == 0.0
+    assert loss_estimates(p, [[0.0]], loss)[0, 0] == 0.0
 
 
 def test_estimate_orthogonal_split_cancels():
     # prediction (.5, .5) against the loss direction (1, -1)
     p = constant_predictor(LIN2, [[0.5, 0.5]], [1.0])
     loss = single_anchor_loss(LIN2, [np.array([1.0, -1.0])], 2.0, "split")
-    assert loss_estimate(p, [[0.0]], 0, loss) == 0.0
+    assert loss_estimates(p, [[0.0]], loss)[0, 0] == 0.0
 
 
 def test_estimates_linear_in_the_loss():
@@ -235,7 +221,14 @@ def test_estimates_linear_in_the_loss():
     lb = random_loss(MIN, 2, 1.0, "b")
     combo = LossFunction(
         "combo",
-        tuple(axpy(0.7, ea, eb) for ea, eb in zip(la.coefficients, lb.coefficients)),
+        tuple(
+            RkhsElement(
+                MIN,
+                np.vstack([ea.anchors, eb.anchors]),
+                np.concatenate([0.7 * ea.coeffs, eb.coeffs]),
+            )
+            for ea, eb in zip(la.coefficients, lb.coefficients)
+        ),
         4.0,
     )
     X = rng.standard_normal((5, 2))
@@ -258,7 +251,7 @@ def test_empty_patch_chain_returns_base():
     pts = sample_points(MIN, 3)
     coeffs = np.array([0.2, 0.3, -0.1])
     p = constant_predictor(MIN, pts, coeffs)
-    el = evaluate_predictor(p, [[0.4]])
+    el = p.evaluate([[0.4]])
     assert np.array_equal(el.anchors, pts)
     assert np.array_equal(el.coeffs, coeffs)
 
@@ -312,6 +305,67 @@ def test_patch_record_validation():
         PatchRecord("alg2", w, 1.0, mixing=np.eye(3), residual_rows=zz)
     with pytest.raises(ValueError):
         PatchRecord("alg2", w, 1.0, mixing=np.eye(2), residual_rows=zz[:1])
+
+
+# Few coordinates, so rows repeat often and 0.0 / -0.0 must stay apart, and
+# coefficients whose sums depend on the order of addition.
+TERMS = st.lists(
+    st.tuples(
+        st.tuples(*[st.sampled_from([0.0, -0.0, 0.25])] * 2),
+        st.one_of(st.sampled_from([0.1, 0.2, 0.3, -0.7, 1 / 3]), st.floats(-2.0, 2.0)),
+    ),
+    max_size=8,
+)
+
+
+def _span(terms):
+    anchors = np.array([row for row, _ in terms], dtype=np.float64).reshape(-1, 2)
+    return RkhsElement(LIN2, anchors, np.array([c for _, c in terms], dtype=np.float64))
+
+
+@given(base=TERMS, chain=st.lists(st.tuples(TERMS, TERMS), max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_row_dedup_matches_dict_reference(base, chain):
+    """compress and the patch-chain anchor list agree bit for bit with a
+    dict keyed by row bytes that sums coefficients in input order."""
+    for el in [_span(base)] + [_span(t) for step in chain for t in step]:
+        index, rows, sums = {}, [], []
+        for row, c in zip(el.anchors, el.coeffs):
+            j = index.setdefault(row.tobytes(), len(rows))
+            if j == len(rows):
+                rows.append(row)
+                sums.append(0.0)
+            sums[j] += c
+        weights = [abs(c) * np.sqrt(LIN2.diag(rows[j][None])[0]) for j, c in enumerate(sums)]
+        keep = [j for j, w in enumerate(weights) if w > 0]
+        got = compress(el)
+        assert got.anchors.tobytes() == np.array([rows[j] for j in keep]).tobytes()
+        assert got.coeffs.tobytes() == np.array([sums[j] for j in keep]).tobytes()
+
+    lossprime = make_loss("lp", [feature(LIN2, [0.5, 0.0]), feature(LIN2, [0.0, 0.5])], 1.0)
+    base_el = _span(base)
+    steps = [tuple(_span(t) for t in step) for step in chain]
+    p = Predictor(LIN2, ConstantBase(base_el))
+    for els in steps:
+        p = p.with_patch(PatchRecord("alg1", lossprime, 1.0, eta=0.1, adjustments=els))
+
+    index, rows = {}, []
+    for row in base_el.anchors:
+        index.setdefault(row.tobytes(), len(rows))
+        rows.append(row)
+    for els, plan_step in zip(steps, p._plan.steps):
+        entries = []
+        for a, el in enumerate(els):
+            for row, c in zip(el.anchors, el.coeffs):
+                j = index.setdefault(row.tobytes(), len(rows))
+                if j == len(rows):
+                    rows.append(row)
+                entries.append((a, j, c))
+        D = np.zeros((len(els), len(rows)))
+        for a, j, c in entries:
+            D[a, j] += c
+        assert plan_step.D.tobytes() == D.tobytes()
+    assert p.anchors.tobytes() == np.array(rows).reshape(-1, 2).tobytes()
 
 
 def test_patched_predictor_matches_vector_simulation():

@@ -289,6 +289,17 @@ def test_collision_sign_detector():
     distinct = np.array([[0.5, 0.0], [0.0, 0.5]])
     mixed = distinct + np.array([[0.2, 0.0], [-0.2, 0.0]])
     assert not collision_reject(distinct, mixed)
+    # agrees with a dict keyed by row bytes, on draws with many repeats
+    verdicts = set()
+    for seed in range(40):
+        inst = gen_lower_bound(4, 0.2, 5, 1 + seed % 2, seed=seed)
+        seen, want = {}, False
+        for row, y in zip(inst.predictions, inst.outcomes):
+            sign = np.sign(y[0] - row[0])
+            want = want or seen.setdefault(row.tobytes(), sign) != sign
+        assert collision_reject(inst.predictions, inst.outcomes) == want
+        verdicts.add(want)
+    assert verdicts == {False, True}
 
 
 def test_world2_never_trips_the_detector():
