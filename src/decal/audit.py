@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, RkhsElement, compress, span_gram, zero_element
+from .kernel import KernelSpec, RkhsElement, check_spec, compress, span_gram, zero_element
 from .model import (
     DEGENERATE_NORM,
     EvaluatedBatch,
@@ -28,7 +28,7 @@ from .model import (
 AUDIT_THRESHOLD_FACTOR = 0.75  # audits fire at 3/4 of the calibration target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AuditReport:
     found: bool
     witness_loss: LossFunction | None
@@ -38,11 +38,20 @@ class AuditReport:
     n_used: int
     candidate_pool_size: int
     batch_id: str = ""
+    # the best candidate's rule on the batch (n, |A|) and raw residual means
+    rule_probs: np.ndarray | None = None
+    residual_rows: tuple[RkhsElement, ...] = ()
+
+
+def batch_estimates(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
+    """Estimated losses <r(a), p(x_i)> on the batch; (n, |A|)."""
+    check_spec(eb.kernel, loss.spec)
+    return eb.W @ loss.values(eb.anchors)
 
 
 def rule_probabilities(eb: EvaluatedBatch, lossprime: LossFunction, beta: float) -> np.ndarray:
     """Smooth best-response probabilities on the batch; (n, |A|)."""
-    return smooth_best_response(eb.W @ lossprime.values(eb.anchors), beta)
+    return smooth_best_response(batch_estimates(eb, lossprime), beta)
 
 
 def _residual_coeff_matrix(eb: EvaluatedBatch, B: np.ndarray) -> np.ndarray:
@@ -55,17 +64,14 @@ def _residual_coeff_matrix(eb: EvaluatedBatch, B: np.ndarray) -> np.ndarray:
     return np.vstack([B / n, -(eb.W.T @ B) / n])
 
 
-def residual_mean_elements(eb: EvaluatedBatch, B: np.ndarray) -> tuple[RkhsElement, ...]:
-    """The weighted residual means themselves, as compressed spans."""
-    C = _residual_coeff_matrix(eb, B)
-    Z = np.vstack([eb.Y, eb.anchors])
-    return tuple(compress(RkhsElement(eb.kernel, Z, C[:, j])) for j in range(B.shape[1]))
-
-
 def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
-    """Witness-sup gap for every candidate lossprime in one Gram pass."""
+    """Witness-sup gap, per-action residual norms and rule probabilities of
+    every candidate lossprime, from one Gram pass."""
     if not pool:
         raise ValueError("candidate pool must be nonempty")
+    counts = sorted({lp.n_actions for lp in pool})
+    if len(counts) > 1:
+        raise ValueError(f"candidate pool mixes action counts {counts}")
     probs = [rule_probabilities(eb, lp, beta) for lp in pool]
     C = _residual_coeff_matrix(eb, np.hstack(probs))
     gram = span_gram(eb.kernel, np.vstack([eb.Y, eb.anchors]), C)
@@ -74,39 +80,33 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     return gaps, norms, probs
 
 
-def _best_witness(eb: EvaluatedBatch, pool, beta: float, R1: float, loss_id: str):
-    """The gap-maximizing loss for the best candidate lossprime of the pool.
+def _witness(eb: EvaluatedBatch, probs: np.ndarray, norms: np.ndarray, R1: float, loss_id: str):
+    """One candidate's gap-maximizing loss and its raw residual means.
 
-    Each action coefficient is that candidate's residual mean rescaled to
-    norm R1, or zero where the residual is degenerate.  Returns (witness,
-    index of the best candidate, gap of every candidate).
+    Each action coefficient is the residual mean weighted by that action's
+    rule probability, rescaled to norm R1, or zero where it is degenerate.
     """
-    gaps, norms, probs = _gap_scan(eb, pool, beta, R1)
-    best = int(np.argmax(gaps))
+    C = _residual_coeff_matrix(eb, probs)
+    Z = np.vstack([eb.Y, eb.anchors])
+    means = tuple(compress(RkhsElement(eb.kernel, Z, C[:, j])) for j in range(probs.shape[1]))
     elements = [
         RkhsElement(el.spec, el.anchors, el.coeffs * (R1 / nv))
         if nv > DEGENERATE_NORM
         else zero_element(el.spec)
-        for el, nv in zip(residual_mean_elements(eb, probs[best]), norms[best])
+        for el, nv in zip(means, norms)
     ]
-    return make_loss(loss_id, elements, R1), best, gaps
+    return make_loss(loss_id, elements, R1), means
 
 
-def closed_form_witness(
-    p_or_eb,
-    lossprime: LossFunction,
-    batch: SampleBatch | None = None,
-    *,
-    R1: float,
-    beta: float,
-    loss_id: str = "witness",
-) -> LossFunction:
-    """The gap-maximizing loss at norm bound R1 for a fixed lossprime.
-
-    Accepts either a Predictor plus a batch, or an EvaluatedBatch directly.
+def closed_form_witnesses(
+    eb: EvaluatedBatch, pool, *, R1: float, beta: float, loss_ids
+) -> list[LossFunction]:
+    """The gap-maximizing loss at norm bound R1 for every candidate lossprime
+    of the pool, from one scan of the batch; loss_ids name them in order.
     """
-    eb = as_evaluated(p_or_eb, batch)
-    return _best_witness(eb, [lossprime], beta, R1, loss_id)[0]
+    _, norms, probs = _gap_scan(eb, pool, beta, R1)
+    scanned = zip(probs, norms, loss_ids, strict=True)
+    return [_witness(eb, P, nv, R1, lid)[0] for P, nv, lid in scanned]
 
 
 def empirical_gap(
@@ -120,8 +120,8 @@ def empirical_gap(
     """|Ehat[ sum_a <r(a), phi(y) - p(x)> * k_a(x) ]| on the batch."""
     eb = as_evaluated(p_or_eb, batch)
     kprobs = rule_probabilities(eb, lossprime, beta)
+    ests = batch_estimates(eb, loss)
     vals = loss.values(eb.Y)
-    ests = eb.W @ loss.values(eb.anchors)
     return abs(float(np.mean(np.sum((vals - ests) * kprobs, axis=1))))
 
 
@@ -143,7 +143,9 @@ def audit(
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     eb = as_evaluated(p_or_eb, batch)
-    witness, best, gaps = _best_witness(eb, pool, beta, R1, witness_id)
+    gaps, norms, probs = _gap_scan(eb, pool, beta, R1)
+    best = int(np.argmax(gaps))
+    witness, means = _witness(eb, probs[best], norms[best], R1, witness_id)
     threshold = AUDIT_THRESHOLD_FACTOR * epsilon
     gap = float(gaps[best])
     return AuditReport(
@@ -155,6 +157,8 @@ def audit(
         n_used=len(eb),
         candidate_pool_size=len(pool),
         batch_id=eb.batch_id,
+        rule_probs=probs[best],
+        residual_rows=means,
     )
 
 

@@ -18,24 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audit import (
-    AuditReport,
-    audit,
-    decce_estimate,
-    random_loss_pool,
-    residual_mean_elements,
-    rule_probabilities,
-)
+from .audit import AuditReport, audit, decce_estimate, random_loss_pool
 from .kernel import RkhsElement
-from .model import (
-    EvaluatedBatch,
-    LossFunction,
-    PatchRecord,
-    Predictor,
-    SampleBatch,
-    as_evaluated,
-    evaluate_batch,
-)
+from .model import EvaluatedBatch, LossFunction, PatchRecord, Predictor, SampleBatch, evaluate_batch
 
 TRACE_COLUMNS = (
     "iter",
@@ -199,33 +184,26 @@ def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
     )
 
 
-def alg2_step(
-    p_or_eb,
-    lossprime: LossFunction,
-    batch: SampleBatch | None = None,
-    *,
-    config: CalibConfig,
-) -> PatchRecord:
-    """Regularized least-squares patch.
+def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
+    """Regularized least-squares patch from the audited rule probabilities.
 
     Dhat[a, b] = Ehat[k_a k_b], mixing = (Dhat + I)^-1, and the stored rows
     are the raw per-action residual means; the replayed update at x is
     rows^T @ mixing @ k(x).
     """
-    eb = as_evaluated(p_or_eb, batch)
-    kprobs = rule_probabilities(eb, lossprime, config.beta)
-    n_act = kprobs.shape[1]
-    dhat = (kprobs.T @ kprobs) / len(eb)
-    mixing = np.linalg.inv(dhat + np.eye(n_act))
+    if not report.found:
+        raise ValueError("alg2_step requires a report with found=True")
+    kprobs = report.rule_probs
+    dhat = (kprobs.T @ kprobs) / report.n_used
+    mixing = np.linalg.inv(dhat + np.eye(kprobs.shape[1]))
     mixing = (mixing + mixing.T) / 2.0  # keep the inverse exactly symmetric
-    rows = residual_mean_elements(eb, kprobs)
     return PatchRecord(
         "alg2",
-        lossprime,
+        report.witness_lossprime,
         config.beta,
-        batch_id=eb.batch_id,
+        batch_id=report.batch_id,
         mixing=mixing,
-        residual_rows=rows,
+        residual_rows=report.residual_rows,
     )
 
 
@@ -296,11 +274,8 @@ def run_calibration(
             trace.final_gap = report.empirical_gap
             break
         pot_before = _potential_eb(eb)
-        if config.algorithm == "alg1":
-            rec = alg1_step(report, config=config)
-        else:
-            rec = alg2_step(eb, report.witness_lossprime, config=config)
-        p_next = p.with_patch(rec)
+        step = alg1_step if config.algorithm == "alg1" else alg2_step
+        p_next = p.with_patch(step(report, config=config))
         pot_after = potential(p_next, batch)
         trace.iterations.append(
             IterationRecord(

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,6 +33,7 @@ from .experiments import (
     distinguishing_experiment,
     hoeffding_halfwidth,
     regret_experiment,
+    sample_complexity_instances,
     sample_complexity_sweep,
     uniform_convergence_experiment,
 )
@@ -338,13 +340,20 @@ def _matrix_csv(header: list[str], arrays: list[np.ndarray]) -> list[list[str]]:
 # Command runners
 
 
-def _planted(kernel: tuple, **kwargs):
-    """A planted instance from parsed config values; a ValueError raised
-    while building it is a configuration error."""
+@contextmanager
+def _config_errors():
+    """A ValueError raised while building from parsed config values is a
+    configuration error."""
     try:
-        return planted_bias_instance(KernelSpec(*kernel), **kwargs)
+        yield
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _planted(kernel: tuple, **kwargs):
+    """A planted instance from parsed config values."""
+    with _config_errors():
+        return planted_bias_instance(KernelSpec(*kernel), **kwargs)
 
 
 def _planted_from_config(cfg: dict):
@@ -359,16 +368,13 @@ def _planted_from_config(cfg: dict):
 
 
 def _calib_config(cfg: dict) -> CalibConfig:
-    """The run config of a calibrate or regret config; its ValueErrors are
-    configuration errors."""
+    """The run config of a calibrate or regret config."""
     keys = ("epsilon", "beta", "R1", "R2", "n_actions", "algorithm", "audit_batch_size",
             "pool_size", "heldout_size", "seed")
-    try:
+    with _config_errors():
         return CalibConfig(
             eta=cfg.get("eta"), max_iters=cfg.get("max_iters"), **{k: cfg[k] for k in keys}
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def run_calibrate_command(doc: dict, rd: RunDir, seed_override: int | None) -> tuple[int, dict]:
@@ -557,12 +563,12 @@ def run_experiment_command(doc: dict, rd: RunDir, seed_override: int | None) -> 
             decce_samples=cfg["decce_samples"],
         )
     else:
+        with _config_errors():
+            cells = sample_complexity_instances(
+                cfg["eps_grid"], seed=cfg["seed"], shift_norm=cfg["shift_norm"]
+            )
         result = sample_complexity_sweep(
-            cfg["eps_grid"],
-            seed=cfg["seed"],
-            shift_norm=cfg["shift_norm"],
-            beta=cfg["beta"],
-            n_actions=cfg["n_actions"],
+            cells, seed=cfg["seed"], beta=cfg["beta"], n_actions=cfg["n_actions"]
         )
     rd.write_json("results.json", result.to_doc())
     rd.write_csv("results.csv", result.to_csv_rows())

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .audit import closed_form_witness, empirical_gap, random_loss_pool, rule_probabilities
+from .audit import batch_estimates, closed_form_witnesses, empirical_gap, random_loss_pool
 from .calibrate import CalibConfig, run_calibration
 from .kernel import KernelSpec
-from .model import LossFunction, Predictor, SampleBatch, evaluate_batch
+from .model import LossFunction, Predictor, SampleBatch, evaluate_batch, smooth_best_response
 from .synth import (
     LogitMixtureBase,
     PlantedBiasMap,
@@ -221,18 +221,15 @@ def witness_pair_pool(
     """A fixed pool of (loss, lossprime) pairs for deviation studies.
 
     Candidates are random norm-R1 losses; each is paired with the closed-form
-    gap maximizer it induces on the given batch.  The pairs are then frozen:
-    later evaluations treat both components as fixed functions.
+    gap maximizer it induces on the given batch, all from one scan.  The
+    pairs are then frozen: later evaluations treat both components as fixed
+    functions.
     """
     eb = evaluate_batch(p, batch)
     candidates = random_loss_pool(eb.kernel, batch.Y, n_actions, R1, pool_size, rng)
-    return [
-        (
-            closed_form_witness(eb, lp, R1=R1, beta=beta, loss_id=f"star-{lp.loss_id}"),
-            lp,
-        )
-        for lp in candidates
-    ]
+    ids = [f"star-{lp.loss_id}" for lp in candidates]
+    witnesses = closed_form_witnesses(eb, candidates, R1=R1, beta=beta, loss_ids=ids)
+    return list(zip(witnesses, candidates))
 
 
 def pair_deviation_curve(
@@ -403,9 +400,9 @@ def regret_experiment(
     slack = hoeffding_halfwidth(2.0 * R1 * R2, len(batch), delta)
     bound = 2.0 * epsilon + smooth_gap + slack
 
-    probs = {l.loss_id: rule_probabilities(eb, l, beta) for l in losses}
+    ests = {l.loss_id: batch_estimates(eb, l) for l in losses}
+    probs = {lid: smooth_best_response(f, beta) for lid, f in ests.items()}
     values = {l.loss_id: l.values(eb.Y) for l in losses}
-    ests = {l.loss_id: eb.W @ l.values(eb.anchors) for l in losses}
 
     smooth_violation = -float("inf")
     for l in losses:
@@ -584,25 +581,31 @@ def distinguishing_experiment(
 # Sample-count sweep (reported, never gated)
 
 
-def sample_complexity_sweep(
-    eps_grid,
-    seed: int = 0,
-    shift_norm: float = 0.3,
-    n_actions: int = 2,
-    beta: float = 4.0,
-) -> ExperimentResult:
-    """Total samples consumed by alg1 vs alg2 across an epsilon sweep, with
-    fitted log-log exponents against 1/epsilon.  Descriptive only: the
-    result always passes; the exponents are for the report.
-    """
+def sample_complexity_instances(
+    eps_grid, seed: int = 0, shift_norm: float = 0.3
+) -> list[tuple[float, PlantedInstance]]:
+    """The sweep's cells: each epsilon, ascending, with its planted instance,
+    all built before any calibration runs."""
     eps_grid = sorted(float(e) for e in eps_grid)
     if len(eps_grid) < 3:
         raise ValueError("need at least three epsilon values for a decay fit")
+    return [
+        (eps, _planted_min_kernel_instance(shift_norm, seed + 31 * i))
+        for i, eps in enumerate(eps_grid)
+    ]
+
+
+def sample_complexity_sweep(
+    cells, seed: int = 0, n_actions: int = 2, beta: float = 4.0
+) -> ExperimentResult:
+    """Total samples consumed by alg1 vs alg2 across the epsilon cells,
+    with fitted log-log exponents against 1/epsilon.  Descriptive only: the
+    result always passes; the exponents are for the report.
+    """
     out = ExperimentResult("sample_complexity", seed, passed=True)
     totals: dict[str, list[float]] = {"alg1": [], "alg2": []}
     for alg in ("alg1", "alg2"):
-        for i, eps in enumerate(eps_grid):
-            inst = _planted_min_kernel_instance(shift_norm, seed + 31 * i)
+        for i, (eps, inst) in enumerate(cells):
             cfg = CalibConfig(
                 epsilon=eps, beta=beta, R1=1.0, R2=inst.kernel.R2,
                 n_actions=n_actions, algorithm=alg,
@@ -619,6 +622,6 @@ def sample_complexity_sweep(
                  "samples": consumed, "terminal": trace.terminal}
             )
     for alg, ys in totals.items():
-        fit = fit_loglog([1.0 / e for e in eps_grid], ys)
+        fit = fit_loglog([1.0 / eps for eps, _ in cells], ys)
         out.fits[alg] = {"exponent": fit["slope"], "exponent_se": fit["slope_se"]}
     return out

@@ -150,14 +150,15 @@ def feature(spec: KernelSpec, y) -> RkhsElement:
     return RkhsElement(spec, as_outcomes(y, spec.dim), np.ones(1))
 
 
-def _check_same_spec(u: RkhsElement, v: RkhsElement) -> None:
-    if u.spec != v.spec:
-        raise KernelMismatchError(f"kernel specs differ: {u.spec} vs {v.spec}")
+def check_spec(a: KernelSpec, b: KernelSpec) -> None:
+    """Raise KernelMismatchError unless spans over a and b share one RKHS."""
+    if a != b:
+        raise KernelMismatchError(f"kernel specs differ: {a} vs {b}")
 
 
 def inner(u: RkhsElement, v: RkhsElement) -> float:
     """<u, v> via the cross-Gram matrix of the anchors."""
-    _check_same_spec(u, v)
+    check_spec(u.spec, v.spec)
     if len(u) == 0 or len(v) == 0:
         return 0.0
     return float(u.coeffs @ u.spec.gram(u.anchors, v.anchors) @ v.coeffs)

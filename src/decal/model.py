@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import softmax
 
-from .kernel import KernelSpec, RkhsElement, as_outcomes, compress, distinct_rows, norm
+from .kernel import KernelSpec, RkhsElement, as_outcomes, check_spec, compress, distinct_rows, norm
 
 DEGENERATE_NORM = 1e-12
 
@@ -281,7 +281,8 @@ class PatchRecord:
 
     algorithm "alg2": residual_rows[a] is the raw per-action residual mean
     and mixing is (Dhat + I)^-1; the update at x is
-    sum_a (mixing @ ruleprob(x))_a * residual_rows[a].
+    sum_a (mixing @ ruleprob(x))_a * residual_rows[a].  Replay treats alg1
+    as the same form with the identity as its mixing matrix.
     """
 
     algorithm: str
@@ -316,14 +317,12 @@ class PatchRecord:
 
 @dataclass(frozen=True)
 class _PlanStep:
-    kind: str
     n_before: int
     n_after: int
     beta: float
     V: np.ndarray  # (n_before, |A|) loss-estimate columns of the witness
-    D: np.ndarray | None = None  # alg1: (|A|, n_after) adjustment rows
-    M: np.ndarray | None = None  # alg2 mixing
-    R: np.ndarray | None = None  # alg2: (|A|, n_after) residual rows
+    M: np.ndarray  # (|A|, |A|) mixing; the identity for alg1
+    R: np.ndarray  # (|A|, n_after) adjustment or residual rows
 
 
 class _EvalPlan:
@@ -337,6 +336,9 @@ class _EvalPlan:
             rec.adjustments if rec.algorithm == "alg1" else rec.residual_rows
             for rec in predictor.patches
         ]
+        for rec, elements in zip(predictor.patches, per_step):
+            for other in (rec.witness_lossprime.spec, *(el.spec for el in elements)):
+                check_spec(spec, other)
         # Base anchors are kept as they are; every patch anchor goes to the
         # first bitwise-equal row, and unseen rows are appended in order.
         Z = np.vstack([base] + [el.anchors for els in per_step for el in els])
@@ -357,12 +359,8 @@ class _EvalPlan:
                 mat[a] = np.bincount(cols, weights=el.coeffs, minlength=n_after)
                 offset += len(el)
             V = rec.witness_lossprime.values(anchors[:n_before])
-            if rec.algorithm == "alg1":
-                steps.append(_PlanStep("alg1", n_before, n_after, rec.beta, V, D=mat))
-            else:
-                steps.append(
-                    _PlanStep("alg2", n_before, n_after, rec.beta, V, M=rec.mixing, R=mat)
-                )
+            M = rec.mixing if rec.algorithm == "alg2" else np.eye(len(elements))
+            steps.append(_PlanStep(n_before, n_after, rec.beta, V, M, mat))
             n_before = n_after
 
         self.spec = spec
@@ -427,10 +425,7 @@ class Predictor:
         for st in plan.steps:
             F = W[:, : st.n_before] @ st.V
             P = smooth_best_response(F, st.beta)
-            if st.kind == "alg1":
-                W[:, : st.n_after] += P @ st.D
-            else:
-                W[:, : st.n_after] += (P @ st.M) @ st.R
+            W[:, : st.n_after] += (P @ st.M) @ st.R
             _project_rows(W, G, st.n_after, R2)
         return W
 
@@ -442,6 +437,7 @@ class Predictor:
 
 def loss_estimates(p: Predictor, X, loss: LossFunction) -> np.ndarray:
     """Estimated losses f(x_i, a) = <r(a), p(x_i)>; shape (m, |A|)."""
+    check_spec(p.kernel, loss.spec)
     return p.coefficients(X) @ loss.values(p.anchors)
 
 

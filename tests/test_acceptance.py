@@ -14,7 +14,7 @@ import pytest
 import oracle
 from decal.audit import (
     audit,
-    closed_form_witness,
+    closed_form_witnesses,
     empirical_gap,
     random_loss_pool,
 )
@@ -116,7 +116,8 @@ def test_implicit_pipeline_matches_vector_oracle():
         np.testing.assert_allclose(p.coefficients(b2.X) @ p.anchors, P2, atol=PIPELINE_ATOL)
 
         # one least-squares patch on top, from a second batch
-        p = p.with_patch(alg2_step(p, loss, b2, config=cfg))
+        report = audit(p, b2, epsilon=1e-6, pool=[loss], beta=beta, R1=R1)
+        p = p.with_patch(alg2_step(report, config=cfg))
         Pb2 = vp.evaluate(b2.X)
         K2 = oracle.smooth_rule(Pb2, L, beta)
         M, G = oracle.alg2_update(b2.Y, Pb2, K2)
@@ -143,7 +144,7 @@ def test_closed_form_witness_dominates_random_losses():
         )
         eb = evaluate_batch(inst.predictor, inst.source(4200 + k).take(48))
         lossprime = random_loss_pool(spec, eb.Y, n_act, 1.0, 1, rng, id_prefix="lp")[0]
-        star = closed_form_witness(eb, lossprime, R1=1.0, beta=beta, loss_id="star")
+        star = closed_form_witnesses(eb, [lossprime], R1=1.0, beta=beta, loss_ids=["star"])[0]
         gap_star = empirical_gap(eb, star, lossprime, beta=beta)
         for rival in random_loss_pool(spec, eb.Y, n_act, 1.0, 100, rng):
             assert empirical_gap(eb, rival, lossprime, beta=beta) <= gap_star + DOMINANCE_SLACK

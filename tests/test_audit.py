@@ -7,13 +7,13 @@ import oracle
 from decal.audit import (
     AUDIT_THRESHOLD_FACTOR,
     audit,
-    closed_form_witness,
+    closed_form_witnesses,
     decce_estimate,
     empirical_gap,
     random_loss_pool,
     rule_probabilities,
 )
-from decal.kernel import KernelSpec, RkhsElement, feature, zero_element
+from decal.kernel import KernelMismatchError, KernelSpec, RkhsElement, feature, zero_element
 from decal.model import (
     ConstantBase,
     LossFunction,
@@ -108,7 +108,8 @@ def test_linear_instance_matches_vector_oracle():
     P = oracle.project_rows(np.tile(bcoeffs @ banchors, (3, 1)), LIN2.R2)
     K = oracle.smooth_rule(P, rows, 3.0)
 
-    wl = closed_form_witness(p, lp, batch, R1=1.0, beta=3.0, loss_id="star")
+    eb = evaluate_batch(p, batch)
+    wl = closed_form_witnesses(eb, [lp], R1=1.0, beta=3.0, loss_ids=["star"])[0]
     wl_vecs = np.vstack([el.coeffs @ el.anchors if len(el) else np.zeros(2) for el in wl.coefficients])
     expect_vecs, expect_gap = oracle.closed_form_witness(Y, P, K, 1.0)
     assert np.allclose(wl_vecs, expect_vecs, atol=1e-9)
@@ -135,7 +136,7 @@ def test_witness_dominates_random_losses():
     batch = min_batch(40)
     p = min_predictor()
     lp = pool_for(batch, 2, 1, seed=9)[0]
-    wl = closed_form_witness(p, lp, batch, R1=1.0, beta=4.0)
+    wl = closed_form_witnesses(evaluate_batch(p, batch), [lp], R1=1.0, beta=4.0, loss_ids=["w"])[0]
     best = empirical_gap(p, wl, lp, batch, beta=4.0)
     for cand in random_loss_pool(MIN, batch.Y, 2, 1.0, 40, np.random.default_rng(3)):
         assert empirical_gap(p, cand, lp, batch, beta=4.0) <= best + 1e-9
@@ -206,8 +207,40 @@ def test_audit_validation():
         audit(p, batch, epsilon=0.0, pool=pool, beta=1.0, R1=1.0)
     with pytest.raises(ValueError):
         decce_estimate(p, batch, pool=[], beta=1.0, R1=1.0)
-    with pytest.raises(ValueError):
-        closed_form_witness(p, pool[0], None, R1=1.0, beta=1.0)
+    # a loss over another kernel with the same outcome dimension
+    lin1 = KernelSpec("linear", 1, 1.5)
+    other = LossFunction("lin", (feature(lin1, 0.5), feature(lin1, -0.5)), 1.0)
+    with pytest.raises(KernelMismatchError):
+        audit(p, batch, epsilon=0.1, pool=[other], beta=1.0, R1=1.0)
+    with pytest.raises(KernelMismatchError):
+        empirical_gap(p, other, pool[0], batch, beta=1.0)
+
+
+def test_pool_with_mixed_action_counts_is_rejected():
+    # stacked per-action norms of a 1-action and a 3-action candidate would
+    # otherwise regroup as 2 + 2 columns and report a wrong gap
+    batch = min_batch(20)
+    p = min_predictor()
+    pool = pool_for(batch, 1, 1, seed=5) + pool_for(batch, 3, 1, seed=6)
+    for lp in pool:
+        audit(p, batch, epsilon=0.1, pool=[lp], beta=3.0, R1=1.0)
+    with pytest.raises(ValueError, match=r"action counts \[1, 3\]"):
+        audit(p, batch, epsilon=0.1, pool=pool, beta=3.0, R1=1.0)
+
+
+def test_pooled_witnesses_match_pools_of_one():
+    batch = min_batch(60)
+    p = min_predictor()
+    pool = pool_for(batch, 3, 6, seed=11)
+    eb = evaluate_batch(p, batch)
+    ids = [f"star-{lp.loss_id}" for lp in pool]
+    pooled = closed_form_witnesses(eb, pool, R1=1.0, beta=4.0, loss_ids=ids)
+    for lp, lid, got in zip(pool, ids, pooled):
+        alone = closed_form_witnesses(eb, [lp], R1=1.0, beta=4.0, loss_ids=[lid])[0]
+        assert got.loss_id == alone.loss_id == lid
+        for a, b in zip(got.coefficients, alone.coefficients):
+            assert np.array_equal(a.anchors, b.anchors)
+            np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=1e-12, atol=0.0)
 
 
 # candidate pools

@@ -111,6 +111,11 @@ def audited(p, batch, config, seed=0):
     )
 
 
+def audit_one(p, lossprime, batch, config):
+    """A firing audit of a one-candidate pool, for patch steps on a given lossprime."""
+    return audit(p, batch, epsilon=1e-6, pool=[lossprime], beta=config.beta, R1=config.R1)
+
+
 def test_alg1_adjustments_have_exact_step_norm():
     cfg = CalibConfig(epsilon=0.3, beta=4.0, R1=1.0, R2=1.5, n_actions=2, pool_size=8)
     batch = SampleBatch(rng.standard_normal((40, 2)), min_outcomes(40), "b7")
@@ -129,6 +134,8 @@ def test_alg1_requires_a_firing_report():
     assert not report.found
     with pytest.raises(ValueError):
         alg1_step(report, config=cfg)
+    with pytest.raises(ValueError):  # alg2 builds from the same report
+        alg2_step(report, config=cfg)
 
 
 def test_alg2_single_action_halves_the_residual_mean():
@@ -136,7 +143,7 @@ def test_alg2_single_action_halves_the_residual_mean():
     cfg = CalibConfig(epsilon=0.1, beta=3.0, R1=1.0, R2=1.5, n_actions=1)
     batch = SampleBatch(np.zeros((3, 1)), np.array([[0.2], [0.5], [0.8]]))
     lp = LossFunction("lp", (feature(MIN, 0.5),), 1.0)
-    rec = alg2_step(zero_predictor(), lp, batch, config=cfg)
+    rec = alg2_step(audit_one(zero_predictor(), lp, batch, cfg), config=cfg)
     assert np.array_equal(rec.mixing, np.array([[0.5]]))
     # raw residual row is the mean feature of the outcomes
     row = rec.residual_rows[0]
@@ -157,7 +164,7 @@ def test_alg2_matches_vector_oracle():
         "lp", tuple(RkhsElement(LIN2, r[None, :], np.array([1.0])) for r in rows), 1.0
     )
     cfg = CalibConfig(epsilon=0.1, beta=3.0, R1=1.0, R2=1.5, n_actions=2)
-    rec = alg2_step(p, lp, batch, config=cfg)
+    rec = alg2_step(audit_one(p, lp, batch, cfg), config=cfg)
 
     P = oracle.project_rows(np.tile(coeffs @ anchors, (12, 1)), LIN2.R2)
     K = oracle.smooth_rule(P, rows, 3.0)
@@ -173,7 +180,7 @@ def test_alg2_mixing_is_spd_with_unit_capped_spectrum():
     cfg = CalibConfig(epsilon=0.1, beta=5.0, R1=1.0, R2=1.5, n_actions=4)
     batch = SampleBatch(rng.standard_normal((30, 2)), min_outcomes(30))
     lp = random_loss_pool(MIN, batch.Y, 4, 1.0, 1, np.random.default_rng(3))[0]
-    rec = alg2_step(zero_predictor(), lp, batch, config=cfg)
+    rec = alg2_step(audit_one(zero_predictor(), lp, batch, cfg), config=cfg)
     assert np.array_equal(rec.mixing, rec.mixing.T)
     eigs = np.linalg.eigvalsh(rec.mixing)
     assert np.all(eigs > 0.0)

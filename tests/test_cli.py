@@ -363,6 +363,11 @@ def test_experiment_grid_errors_exit_two(tmp_path, capsys):
     assert code == 2
     assert "reference_n" in capsys.readouterr().err
     assert not out_dir.exists()
+    doc = {"experiment": "sample_complexity", "eps_grid": [0.5, 0.4, 0.3], "shift_norm": 0.9}
+    code, out_dir = run_cli(tmp_path, "experiment", doc, out="c")
+    assert code == 2
+    assert "headroom" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # report command

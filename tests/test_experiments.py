@@ -18,6 +18,7 @@ from decal.experiments import (
     hoeffding_sample_size,
     pair_deviation_curve,
     regret_experiment,
+    sample_complexity_instances,
     sample_complexity_sweep,
     uniform_convergence_experiment,
     witness_pair_pool,
@@ -325,7 +326,7 @@ def test_distinguishing_validation():
 
 
 def test_sample_sweep_reports_exponents():
-    res = sample_complexity_sweep((0.5, 0.4, 0.3), seed=1)
+    res = sample_complexity_sweep(sample_complexity_instances((0.5, 0.4, 0.3), seed=1), seed=1)
     assert res.passed  # descriptive harness never gates
     assert len(res.cells) == 6
     assert {c["algorithm"] for c in res.cells} == {"alg1", "alg2"}
@@ -335,4 +336,4 @@ def test_sample_sweep_reports_exponents():
 
 def test_sample_sweep_validation():
     with pytest.raises(ValueError):
-        sample_complexity_sweep((0.5, 0.4))
+        sample_complexity_instances((0.5, 0.4))

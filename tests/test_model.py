@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
-from decal.kernel import KernelSpec, RkhsElement, compress, feature, inner, norm, zero_element
+from decal.kernel import (
+    KernelMismatchError,
+    KernelSpec,
+    RkhsElement,
+    compress,
+    feature,
+    inner,
+    norm,
+    zero_element,
+)
 from decal.model import (
     ConstantBase,
     LossFunction,
@@ -242,6 +251,13 @@ def test_estimate_rejects_kernel_mismatch():
     loss = random_loss(LIN2, 2, 1.0)
     with pytest.raises(ValueError):
         loss_estimates(p, [[0.0]], loss)
+    # same outcome dimension, different kernel
+    loss = random_loss(KernelSpec("linear", 1, 1.5), 2, 1.0)
+    with pytest.raises(KernelMismatchError):
+        loss_estimates(p, [[0.0]], loss)
+    patched = p.with_patch(PatchRecord("alg1", loss, 1.0, eta=0.1, adjustments=loss.coefficients))
+    with pytest.raises(KernelMismatchError):
+        patched.coefficients([[0.0]])
 
 
 # predictors and patches
@@ -364,7 +380,7 @@ def test_row_dedup_matches_dict_reference(base, chain):
         D = np.zeros((len(els), len(rows)))
         for a, j, c in entries:
             D[a, j] += c
-        assert plan_step.D.tobytes() == D.tobytes()
+        assert plan_step.R.tobytes() == D.tobytes()
     assert p.anchors.tobytes() == np.array(rows).reshape(-1, 2).tobytes()
 
 
