@@ -21,11 +21,11 @@ from .model import (
     LossFunction,
     SampleBatch,
     as_evaluated,
-    make_loss,
     smooth_best_response,
 )
 
 AUDIT_THRESHOLD_FACTOR = 0.75  # audits fire at 3/4 of the calibration target
+POOL_LOSS_SPAN = 8  # outcomes anchoring each action of a random pool loss
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +84,8 @@ def _witness(eb: EvaluatedBatch, probs: np.ndarray, norms: np.ndarray, R1: float
     """One candidate's gap-maximizing loss and its raw residual means.
 
     Each action coefficient is the residual mean weighted by that action's
-    rule probability, rescaled to norm R1, or zero where it is degenerate.
+    rule probability, rescaled to norm R1 by its norm from the pooled scan,
+    or zero where it is degenerate.
     """
     C = _residual_coeff_matrix(eb, probs)
     Z = np.vstack([eb.Y, eb.anchors])
@@ -95,7 +96,7 @@ def _witness(eb: EvaluatedBatch, probs: np.ndarray, norms: np.ndarray, R1: float
         else zero_element(el.spec)
         for el, nv in zip(means, norms)
     ]
-    return make_loss(loss_id, elements, R1), means
+    return LossFunction(loss_id, tuple(elements), R1), means
 
 
 def closed_form_witnesses(
@@ -177,7 +178,6 @@ def random_loss_pool(
     R1: float,
     size: int,
     rng: np.random.Generator,
-    span: int = 8,
     id_prefix: str = "rand",
 ) -> list[LossFunction]:
     """Random candidate losses anchored on observed outcomes, each action
@@ -190,7 +190,7 @@ def random_loss_pool(
     for k in range(size):
         elements = []
         for _ in range(n_actions):
-            take = min(span, n)
+            take = min(POOL_LOSS_SPAN, n)
             idx = rng.choice(n, size=take, replace=False)
             coeffs = rng.standard_normal(take)
             el = compress(RkhsElement(spec, Y[idx], coeffs))

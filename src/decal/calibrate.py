@@ -4,7 +4,7 @@ Each round draws a fresh audit batch, scans a candidate pool for the best
 closed-form witness, and if the witness gap exceeds 3 * epsilon / 4 appends
 one patch to the predictor: either the fixed-step adjustment rule (alg1,
 step size eta = epsilon / (2 R1^2)) or the regularized least-squares update
-(alg2, ridge weight fixed at 1).  The squared distance between predictions
+(alg2, ridge weight RIDGE_LAMBDA).  The squared distance between predictions
 and outcome features acts as the potential; on every audit batch the alg1
 patch decreases it by at least 2 * eta * gap - eta^2 * R1^2 before
 projection, and projection never increases it.
@@ -34,6 +34,8 @@ TRACE_COLUMNS = (
 
 # Confidence parameter for the held-out potential slack reported with a run.
 HELDOUT_DELTA = 0.01
+
+RIDGE_LAMBDA = 1.0  # alg2's regularizer, fixed
 
 
 class DataExhaustedError(RuntimeError):
@@ -187,15 +189,15 @@ def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
 def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
     """Regularized least-squares patch from the audited rule probabilities.
 
-    Dhat[a, b] = Ehat[k_a k_b], mixing = (Dhat + I)^-1, and the stored rows
-    are the raw per-action residual means; the replayed update at x is
-    rows^T @ mixing @ k(x).
+    Dhat[a, b] = Ehat[k_a k_b], mixing = (Dhat + RIDGE_LAMBDA * I)^-1, and
+    the stored rows are the raw per-action residual means; the replayed
+    update at x is rows^T @ mixing @ k(x).
     """
     if not report.found:
         raise ValueError("alg2_step requires a report with found=True")
     kprobs = report.rule_probs
     dhat = (kprobs.T @ kprobs) / report.n_used
-    mixing = np.linalg.inv(dhat + np.eye(kprobs.shape[1]))
+    mixing = np.linalg.inv(dhat + RIDGE_LAMBDA * np.eye(kprobs.shape[1]))
     mixing = (mixing + mixing.T) / 2.0  # keep the inverse exactly symmetric
     return PatchRecord(
         "alg2",

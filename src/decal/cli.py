@@ -26,10 +26,11 @@ from typing import Callable
 import numpy as np
 
 from .audit import AuditReport, audit, random_loss_pool
-from .calibrate import HELDOUT_DELTA, CalibConfig, run_calibration
+from .calibrate import HELDOUT_DELTA, RIDGE_LAMBDA, CalibConfig, run_calibration
 from .experiments import (
     ExperimentResult,
     convergence_experiment,
+    convergence_instances,
     distinguishing_experiment,
     hoeffding_halfwidth,
     regret_experiment,
@@ -40,8 +41,6 @@ from .experiments import (
 from .kernel import KERNEL_KINDS, KernelSpec
 from .model import kernel_to_doc, loss_to_doc, predictor_to_doc, save_json
 from .synth import gen_lower_bound, planted_bias_instance
-
-RIDGE_LAMBDA = 1.0  # alg2's regularizer is fixed, echoed for the record
 
 
 class ConfigError(Exception):
@@ -123,14 +122,22 @@ def _validate_field(key: str, value, f: Field):
     return value
 
 
-def parse_config(doc: dict, schema: dict[str, Field]) -> dict:
+def parse_config(doc: dict, schema) -> dict:
     """Resolve a flat config document against a schema, strictly.
 
-    Unknown keys are errors; missing keys take schema defaults; every value
-    is type- and range-checked.  Returns the fully-resolved mapping.
+    `schema` maps keys to Fields, or is a pair (key, schemas) whose schema
+    the document's value at `key` selects.  Unknown keys are errors; missing
+    keys take schema defaults; every value is type- and range-checked.
+    Returns the fully-resolved mapping.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
+    if isinstance(schema, tuple):
+        selector, schemas = schema
+        name = doc.get(selector)
+        if not isinstance(name, str) or name not in schemas:
+            raise ConfigError(f"config key {selector!r}: must be one of {sorted(schemas)}")
+        schema = schemas[name]
     for key in doc:
         if key not in schema:
             raise ConfigError(f"unknown config key: {key!r}")
@@ -264,6 +271,17 @@ EXPERIMENT_SCHEMAS = {
 
 REPORT_SCHEMA = {"run_dir": Field("str")}
 
+SCHEMAS = {
+    "calibrate": CALIBRATE_SCHEMA,
+    "audit": AUDIT_SCHEMA,
+    "synth": (
+        "instance",
+        {"planted_bias": SYNTH_PLANTED_SCHEMA, "lower_bound": SYNTH_LOWER_SCHEMA},
+    ),
+    "experiment": ("experiment", EXPERIMENT_SCHEMAS),
+    "report": REPORT_SCHEMA,
+}
+
 
 # ---------------------------------------------------------------------------
 # Output plumbing
@@ -377,10 +395,7 @@ def _calib_config(cfg: dict) -> CalibConfig:
         )
 
 
-def run_calibrate_command(doc: dict, rd: RunDir, seed_override: int | None) -> tuple[int, dict]:
-    cfg = parse_config(doc, CALIBRATE_SCHEMA)
-    if seed_override is not None:
-        cfg["seed"] = seed_override
+def run_calibrate_command(cfg: dict, rd: RunDir) -> int:
     inst = _planted_from_config(cfg)
     cc = _calib_config(cfg)
     cfg.update({"eta": cc.eta, "max_iters": cc.max_iters, "ridge_lambda": RIDGE_LAMBDA})
@@ -402,8 +417,8 @@ def run_calibrate_command(doc: dict, rd: RunDir, seed_override: int | None) -> t
     rd.write_json("summary.json", summary)
     rd.write_json("predictor.json", predictor_to_doc(calibrated))
     if trace.terminal == "error":
-        return 3, cfg
-    return (0 if trace.terminal == "calibrated" else 1), cfg
+        return 3
+    return 0 if trace.terminal == "calibrated" else 1
 
 
 def audit_report_doc(report: AuditReport, approx_offset: float) -> dict:
@@ -427,10 +442,7 @@ def audit_report_doc(report: AuditReport, approx_offset: float) -> dict:
     }
 
 
-def run_audit_command(doc: dict, rd: RunDir, seed_override: int | None) -> tuple[int, dict]:
-    cfg = parse_config(doc, AUDIT_SCHEMA)
-    if seed_override is not None:
-        cfg["seed"] = seed_override
+def run_audit_command(cfg: dict, rd: RunDir) -> int:
     inst = _planted_from_config(cfg)
     batch = inst.source(cfg["seed"]).take(cfg["n"])
     pool = random_loss_pool(
@@ -455,17 +467,11 @@ def run_audit_command(doc: dict, rd: RunDir, seed_override: int | None) -> tuple
             "witness_loss.json",
             {"kernel": kernel_to_doc(inst.kernel), "loss": loss_to_doc(report.witness_loss)},
         )
-    return 0, cfg
+    return 0
 
 
-def run_synth_command(doc: dict, rd: RunDir, seed_override: int | None) -> tuple[int, dict]:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    instance = doc.get("instance")
-    if instance == "lower_bound":
-        cfg = parse_config(doc, SYNTH_LOWER_SCHEMA)
-        if seed_override is not None:
-            cfg["seed"] = seed_override
+def run_synth_command(cfg: dict, rd: RunDir) -> int:
+    if cfg["instance"] == "lower_bound":
         inst = gen_lower_bound(cfg["d"], cfg["epsilon"], cfg["n"], cfg["world"], cfg["seed"])
         d = cfg["d"]
         header = [f"p{i}" for i in range(d)] + [f"y{i}" for i in range(d)]
@@ -475,20 +481,29 @@ def run_synth_command(doc: dict, rd: RunDir, seed_override: int | None) -> tuple
                 "sigma.csv",
                 [[f"s{i}" for i in range(d)], [_float_cell(v) for v in inst.sigma]],
             )
-        return 0, cfg
-    cfg = parse_config(doc, SYNTH_PLANTED_SCHEMA)
-    if seed_override is not None:
-        cfg["seed"] = seed_override
+        return 0
     inst = _planted_from_config(cfg)
     batch = inst.source(cfg["seed"]).take(cfg["n"])
     header = [f"x{i}" for i in range(batch.X.shape[1])] + [
         f"y{i}" for i in range(batch.Y.shape[1])
     ]
     rd.write_csv("dataset.csv", _matrix_csv(header, [batch.X, batch.Y]))
-    return 0, cfg
+    return 0
 
 
-def _run_regret(cfg: dict) -> ExperimentResult:
+def _run_convergence(*, epsilons, R2, shift_norm, seed, **params) -> ExperimentResult:
+    with _config_errors():
+        cells = convergence_instances(epsilons, R2=R2, shift_norm=shift_norm, seed=seed)
+    return convergence_experiment(cells, shift_norm=shift_norm, seed=seed, **params)
+
+
+def _run_uniform_convergence(**params) -> ExperimentResult:
+    if params["reference_n"] <= max(params["n_grid"]):
+        raise ConfigError("config key 'reference_n': must exceed every n_grid size")
+    return uniform_convergence_experiment(**params)
+
+
+def _run_regret(**cfg) -> ExperimentResult:
     inst = _planted(
         ("min", 1, cfg["R2"]), context_dim=2, support_size=24,
         shift_norm=cfg["shift_norm"], seed=cfg["seed"] + 17,
@@ -513,70 +528,31 @@ def _run_regret(cfg: dict) -> ExperimentResult:
     return result
 
 
-def run_experiment_command(doc: dict, rd: RunDir, seed_override: int | None) -> tuple[int, dict]:
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    name = doc.get("experiment")
-    if name not in EXPERIMENT_SCHEMAS:
-        raise ConfigError(
-            f"config key 'experiment': must be one of {sorted(EXPERIMENT_SCHEMAS)}"
-        )
-    cfg = parse_config(doc, EXPERIMENT_SCHEMAS[name])
-    if seed_override is not None:
-        cfg["seed"] = seed_override
-    if name == "convergence":
-        cells = [
-            {
-                "epsilon": e,
-                "beta": cfg["beta"],
-                "R1": cfg["R1"],
-                "R2": cfg["R2"],
-                "shift_norm": cfg["shift_norm"],
-                "n_actions": cfg["n_actions"],
-                "audit_batch_size": cfg["audit_batch_size"],
-                "heldout_size": cfg["heldout_size"],
-            }
-            for e in cfg["epsilons"]
-        ]
-        result = convergence_experiment(cells, seed=cfg["seed"])
-    elif name == "uniform_convergence":
-        if cfg["reference_n"] <= max(cfg["n_grid"]):
-            raise ConfigError("config key 'reference_n': must exceed every n_grid size")
-        result = uniform_convergence_experiment(
-            cfg["n_grid"],
-            pool_size=cfg["pool_size"],
-            reference_n=cfg["reference_n"],
-            resamples=cfg["resamples"],
-            seed=cfg["seed"],
-            beta=cfg["beta"],
-            R1=cfg["R1"],
-        )
-    elif name == "regret":
-        result = _run_regret(cfg)
-    elif name == "distinguishing":
-        result = distinguishing_experiment(
-            cfg["d_grid"],
-            cfg["n_grid"],
-            epsilon=cfg["epsilon"],
-            trials=cfg["trials"],
-            seed=cfg["seed"],
-            decce_samples=cfg["decce_samples"],
-        )
-    else:
-        with _config_errors():
-            cells = sample_complexity_instances(
-                cfg["eps_grid"], seed=cfg["seed"], shift_norm=cfg["shift_norm"]
-            )
-        result = sample_complexity_sweep(
-            cells, seed=cfg["seed"], beta=cfg["beta"], n_actions=cfg["n_actions"]
-        )
+def _run_sample_complexity(*, eps_grid, shift_norm, seed, **params) -> ExperimentResult:
+    with _config_errors():
+        cells = sample_complexity_instances(eps_grid, seed=seed, shift_norm=shift_norm)
+    return sample_complexity_sweep(cells, seed=seed, **params)
+
+
+# Each harness takes its schema's keys, less "experiment", as keywords.
+EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
+    "convergence": _run_convergence,
+    "uniform_convergence": _run_uniform_convergence,
+    "regret": _run_regret,
+    "distinguishing": distinguishing_experiment,
+    "sample_complexity": _run_sample_complexity,
+}
+
+
+def run_experiment_command(cfg: dict, rd: RunDir) -> int:
+    params = dict(cfg)
+    result = EXPERIMENTS[params.pop("experiment")](**params)
     rd.write_json("results.json", result.to_doc())
     rd.write_csv("results.csv", result.to_csv_rows())
-    return (0 if result.passed else 1), cfg
+    return 0 if result.passed else 1
 
 
-def run_report_command(doc: dict, rd: RunDir, seed_override: int | None) -> tuple[int, dict]:
-    cfg = parse_config(doc, REPORT_SCHEMA)
+def run_report_command(cfg: dict, rd: RunDir) -> int:
     run_dir = Path(cfg["run_dir"])
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.is_file():
@@ -611,10 +587,12 @@ def run_report_command(doc: dict, rd: RunDir, seed_override: int | None) -> tupl
             k: a.get(k) for k in ("found", "empirical_gap", "decce_adjusted")
         }
     rd.write_json("report.json", digest)
-    return 0, cfg
+    return 0
 
 
-COMMANDS: dict[str, Callable] = {
+# Each runner takes the resolved config, to which it may add derived values
+# for the manifest, and returns the exit code.
+COMMANDS: dict[str, Callable[[dict, RunDir], int]] = {
     "calibrate": run_calibrate_command,
     "audit": run_audit_command,
     "synth": run_synth_command,
@@ -655,14 +633,17 @@ def main(argv=None) -> int:
         return 2
     rd = RunDir(Path(args.out), args.quiet)
     try:
-        code, resolved = COMMANDS[args.command](raw, rd, args.seed)
+        cfg = parse_config(raw, SCHEMAS[args.command])
+        if args.seed is not None and "seed" in cfg:
+            cfg["seed"] = args.seed
+        code = COMMANDS[args.command](cfg, rd)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - the contract maps these to exit 3
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
-    rd.finish(args.command, resolved)
+    rd.finish(args.command, cfg)
     return code
 
 

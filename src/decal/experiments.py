@@ -30,7 +30,11 @@ from .synth import (
 )
 
 CI_LEVEL = 0.99  # confidence level for every interval an experiment reports
+REGRET_DELTA = 0.01  # failure probability of the regret bound's sampling slack
+CHECK_TOL = 1e-9  # round-off allowance of the exact inequalities a harness checks
 DEGENERATE_GAP = 1e-12
+SLOPE_BAND = (-0.65, -0.35)  # accepted log-log decay slopes, around -1/2
+TWIN_DIMS = (5, 50)  # ambient dimensions of the linear-kernel twins
 
 
 # ---------------------------------------------------------------------------
@@ -44,13 +48,6 @@ def hoeffding_halfwidth(B: float, n: int, delta: float) -> float:
     if B < 0 or n < 1 or not 0 < delta < 1:
         raise ValueError("need B >= 0, n >= 1, 0 < delta < 1")
     return 2.0 * B * math.sqrt(2.0 * math.log(2.0 / delta) / n)
-
-
-def hoeffding_sample_size(B: float, t: float, delta: float) -> int:
-    """Smallest n with the half-width above at most t: ceil(8 B^2 ln(2/delta) / t^2)."""
-    if not (B > 0 and t > 0 and 0 < delta < 1):
-        raise ValueError("need B > 0, t > 0, 0 < delta < 1")
-    return max(1, math.ceil(8.0 * B * B * math.log(2.0 / delta) / (t * t)))
 
 
 def clopper_pearson(k: int, n: int, level: float = CI_LEVEL) -> tuple[float, float]:
@@ -137,39 +134,48 @@ def _planted_min_kernel_instance(
                                  shift_norm=shift_norm, seed=seed)
 
 
-def convergence_experiment(
-    cells: list[dict],
-    seed: int = 0,
-    tolerance: float = 1e-9,
-) -> ExperimentResult:
-    """Run alg1 on planted-bias instances over a grid of cell settings.
+def convergence_instances(
+    epsilons, *, R2: float, shift_norm: float, seed: int
+) -> list[tuple[float, PlantedInstance]]:
+    """The convergence cells: each epsilon, in the given order, with its
+    planted instance, all built before any calibration runs."""
+    return [
+        (float(eps), _planted_min_kernel_instance(shift_norm, seed + 17 * i, R2=R2))
+        for i, eps in enumerate(epsilons)
+    ]
 
-    Cells are dicts with `epsilon` required and optional beta, R1, R2,
-    shift_norm, n_actions, audit_batch_size, heldout_size.  Per cell:
-    terminal status, iteration count against the analysis cap, the final
-    held-out gap estimate and potential, and the audited per-round
-    inequality pot_before - pot_after >= 2 eta gap - eta^2 R1^2 - tolerance.
-    Construction or calibration failures land in the cell record.
+
+def convergence_experiment(
+    cells,
+    *,
+    beta: float,
+    R1: float,
+    shift_norm: float,
+    n_actions: int,
+    audit_batch_size: int,
+    heldout_size: int,
+    seed: int,
+) -> ExperimentResult:
+    """Run alg1 on each cell's planted instance at the cell's epsilon.
+
+    Per cell: the settings (shift_norm as requested), terminal status,
+    iteration count against the analysis cap, the final held-out gap
+    estimate and potential, and the audited per-round inequality
+    pot_before - pot_after >= 2 eta gap - eta^2 R1^2 - CHECK_TOL.
+    Calibration failures land in the cell record.
     """
     out = ExperimentResult("convergence", seed, passed=True)
-    for i, cell in enumerate(cells):
-        record = dict(cell)
+    for i, (eps, inst) in enumerate(cells):
+        record = {
+            "epsilon": eps, "beta": beta, "R1": R1, "R2": inst.kernel.R2,
+            "shift_norm": shift_norm, "n_actions": n_actions,
+            "audit_batch_size": audit_batch_size, "heldout_size": heldout_size,
+        }
         try:
-            inst = _planted_min_kernel_instance(
-                float(cell.get("shift_norm", 0.3)),
-                seed + 17 * i,
-                R2=float(cell.get("R2", 1.5)),
-            )
             cfg = CalibConfig(
-                epsilon=float(cell["epsilon"]),
-                beta=float(cell.get("beta", 4.0)),
-                R1=float(cell.get("R1", 1.0)),
-                R2=inst.kernel.R2,
-                n_actions=int(cell.get("n_actions", 2)),
-                algorithm="alg1",
-                audit_batch_size=int(cell.get("audit_batch_size", 192)),
-                heldout_size=int(cell.get("heldout_size", 512)),
-                seed=seed + 1000 + i,
+                epsilon=eps, beta=beta, R1=R1, R2=inst.kernel.R2, n_actions=n_actions,
+                algorithm="alg1", audit_batch_size=audit_batch_size,
+                heldout_size=heldout_size, seed=seed + 1000 + i,
             )
             _, trace = run_calibration(inst.predictor, inst.source(seed + 2000 + i), cfg)
         except Exception as exc:  # noqa: BLE001 - cell records carry failures
@@ -185,7 +191,7 @@ def convergence_experiment(
         ok = (
             trace.terminal == "calibrated"
             and len(trace.iterations) <= cfg.max_iters
-            and (not trace.iterations or slack_min >= -tolerance)
+            and (not trace.iterations or slack_min >= -CHECK_TOL)
         )
         record.update(
             {
@@ -305,8 +311,6 @@ def uniform_convergence_experiment(
     seed: int = 0,
     beta: float = 2.0,
     R1: float = 1.0,
-    slope_band: tuple[float, float] = (-0.65, -0.35),
-    dims: tuple[int, int] = (5, 50),
 ) -> ExperimentResult:
     """Decay of the pair-pool deviation statistic with sample size.
 
@@ -315,7 +319,7 @@ def uniform_convergence_experiment(
     dimension-freeness probe).  Per instance a pair pool is frozen against
     one large reference batch; the statistic at each n is
     max over pairs of |gap_n - gap_reference| averaged over resamples.
-    Passes when every fitted log-log slope lies in slope_band and the twin
+    Passes when every fitted log-log slope lies in SLOPE_BAND and the twin
     intercepts agree within the joint CI at the declared level.  A pool
     whose reference gaps all vanish flags the run degenerate and fails.
     """
@@ -328,7 +332,7 @@ def uniform_convergence_experiment(
     instances: dict[str, PlantedInstance] = {
         "min": _planted_min_kernel_instance(0.25, seed + 3)
     }
-    instances.update(_embedded_linear_twins(dims, 0.25, seed + 5))
+    instances.update(_embedded_linear_twins(TWIN_DIMS, 0.25, seed + 5))
 
     out = ExperimentResult("uniform_convergence", seed, passed=True)
     degenerate = False
@@ -354,10 +358,10 @@ def uniform_convergence_experiment(
             continue
         fit = fit_loglog(n_grid, deviations)
         out.fits[name] = fit
-        out.passed = out.passed and slope_band[0] <= fit["slope"] <= slope_band[1]
+        out.passed = out.passed and SLOPE_BAND[0] <= fit["slope"] <= SLOPE_BAND[1]
 
     out.notes["degenerate"] = degenerate
-    names = [f"linear{d}" for d in dims]
+    names = [f"linear{d}" for d in TWIN_DIMS]
     if degenerate or any(nm not in out.fits for nm in names):
         out.passed = False
         return out
@@ -383,11 +387,10 @@ def regret_experiment(
     beta: float,
     R1: float,
     R2: float,
-    delta: float = 0.01,
-    tolerance: float = 1e-9,
 ) -> ExperimentResult:
     """Every ordered pair of losses: acting on the smooth rule of the wrong
-    loss costs at most 2 epsilon + (ln|A| + 1) / beta plus sampling slack.
+    loss costs at most 2 epsilon + (ln|A| + 1) / beta plus the sampling
+    slack at REGRET_DELTA, up to CHECK_TOL.
 
     Also checks, per sample and per loss, the smoothing inequality
     sum_a k_a f_a <= min_a f_a + (ln|A| + 1) / beta exactly.
@@ -397,7 +400,7 @@ def regret_experiment(
     eb = evaluate_batch(p, batch)
     n_act = losses[0].n_actions
     smooth_gap = (math.log(n_act) + 1.0) / beta
-    slack = hoeffding_halfwidth(2.0 * R1 * R2, len(batch), delta)
+    slack = hoeffding_halfwidth(2.0 * R1 * R2, len(batch), REGRET_DELTA)
     bound = 2.0 * epsilon + smooth_gap + slack
 
     ests = {l.loss_id: batch_estimates(eb, l) for l in losses}
@@ -423,7 +426,7 @@ def regret_experiment(
             worst = max(worst, regret)
             out.cells.append(
                 {"loss": l.loss_id, "rule_loss": lp.loss_id, "regret": regret,
-                 "ok": regret <= bound + tolerance}
+                 "ok": regret <= bound + CHECK_TOL}
             )
     out.fits = {
         "max_regret": worst,
@@ -432,7 +435,7 @@ def regret_experiment(
         "slack": slack,
         "smooth_violation_max": smooth_violation,
     }
-    out.passed = worst <= bound + tolerance and smooth_violation <= tolerance
+    out.passed = worst <= bound + CHECK_TOL and smooth_violation <= CHECK_TOL
     return out
 
 
@@ -469,7 +472,6 @@ def distinguishing_experiment(
     epsilon: float = 0.2,
     trials: int = 1000,
     seed: int = 0,
-    level: float = CI_LEVEL,
     decce_samples: int = 1000,
 ) -> ExperimentResult:
     """Monte-Carlo acceptance gap of the collision distinguisher across the
@@ -504,7 +506,7 @@ def distinguishing_experiment(
             accept2 += not collision_reject(w2.predictions, w2.outcomes)
         p1 = accept1 / trials
         p2 = accept2 / trials
-        lo, hi = clopper_pearson(accept1, trials, level)
+        lo, hi = clopper_pearson(accept1, trials)
         oracle_p1 = collision_acceptance_oracle(d, n)
         return {
             "d": d,

@@ -19,6 +19,9 @@ KERNEL_KINDS = ("linear", "min", "exp")
 # Anchors this far outside the declared domain are rejected.
 DOMAIN_SLACK = 1e-9
 
+# Rows of the point list per dense Gram block in span_gram.
+SPAN_GRAM_BLOCK = 2048
+
 
 class KernelMismatchError(ValueError):
     """Spans built over different kernel specs were combined."""
@@ -189,26 +192,24 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse.ravel()]
 
 
-def compress(v: RkhsElement, tol: float = 0.0) -> RkhsElement:
-    """Merge bitwise-identical anchors, then drop terms with
-    |c| * sqrt(K(y, y)) <= tol.  tol=0 removes exact zeros only, so the
-    represented element is unchanged.
+def compress(v: RkhsElement) -> RkhsElement:
+    """Merge bitwise-identical anchors, then drop the terms that are exactly
+    zero (a zero coefficient or K(y, y) = 0), so the represented element is
+    unchanged.
     """
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
     if len(v) == 0:
         return v
     first, inverse = distinct_rows(v.anchors)
     # bincount adds in input order from 0.0, as a running sum per anchor would
     coeffs = np.bincount(inverse, weights=v.coeffs, minlength=len(first))
     anchors = v.anchors[first]
-    weight = np.abs(coeffs) * np.sqrt(np.maximum(v.spec.diag(anchors), 0.0))
-    keep = weight > tol
+    keep = np.abs(coeffs) * np.sqrt(np.maximum(v.spec.diag(anchors), 0.0)) > 0.0
     return RkhsElement(v.spec, anchors[keep], coeffs[keep])
 
 
-def span_gram(spec: KernelSpec, points: np.ndarray, C: np.ndarray, block: int = 2048) -> np.ndarray:
-    """C.T @ K @ C for the Gram matrix K of `points`, in row blocks.
+def span_gram(spec: KernelSpec, points: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """C.T @ K @ C for the Gram matrix K of `points`, in row blocks of
+    SPAN_GRAM_BLOCK.
 
     Columns of C are coefficient vectors over the shared point list; the
     result is the matrix of pairwise inner products of the spanned elements.
@@ -218,7 +219,7 @@ def span_gram(spec: KernelSpec, points: np.ndarray, C: np.ndarray, block: int = 
     if len(points) != n:
         raise ValueError("points and coefficient rows differ in length")
     out = np.zeros((k, k))
-    for i0 in range(0, n, block):
-        i1 = min(i0 + block, n)
+    for i0 in range(0, n, SPAN_GRAM_BLOCK):
+        i1 = min(i0 + SPAN_GRAM_BLOCK, n)
         out += C[i0:i1].T @ (spec.gram(points[i0:i1], points) @ C)
     return out

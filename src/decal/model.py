@@ -1,4 +1,4 @@
-"""Loss functions, predictors, and decision rules over kernel spans.
+"""Loss functions, predictors, and the smooth decision rule over kernel spans.
 
 A predictor is a base coefficient map plus an ordered chain of calibration
 patches.  Evaluation replays the chain: each patch recomputes the smooth
@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import softmax
 
-from .kernel import KernelSpec, RkhsElement, as_outcomes, check_spec, compress, distinct_rows, norm
+from .kernel import KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, norm
 
 DEGENERATE_NORM = 1e-12
 
@@ -76,14 +76,6 @@ def smooth_best_response(fvals, beta: float) -> np.ndarray:
     return softmax(-beta * f, axis=-1)
 
 
-def deterministic_best_response(fvals) -> int:
-    """Index of the smallest estimated loss; ties go to the lowest index."""
-    f = np.asarray(fvals, dtype=np.float64)
-    if f.ndim != 1 or f.size == 0:
-        raise ValueError("fvals must be a nonempty vector")
-    return int(np.argmin(f))
-
-
 # ---------------------------------------------------------------------------
 # Loss functions
 
@@ -92,9 +84,9 @@ def deterministic_best_response(fvals) -> int:
 class LossFunction:
     """Per-action RKHS coefficients r(a); the loss value is <r(a), phi(y)>.
 
-    Construct through make_loss, which enforces the norm bound R1 by
-    rescaling any over-bound action coefficient down to norm R1 exactly
-    (recorded in `rescaled`).
+    make_loss enforces the norm bound R1 by rescaling any over-bound action
+    coefficient down to norm R1 exactly (recorded in `rescaled`); callers
+    that scale every action to norm R1 themselves construct it directly.
     """
 
     loss_id: str
@@ -202,13 +194,6 @@ class ConstantBase(PredictorBase):
     @classmethod
     def from_doc(cls, doc: dict, spec: KernelSpec) -> "ConstantBase":
         return cls(element_from_doc(doc["element"], spec))
-
-
-def constant_mean_base(spec: KernelSpec, Y) -> ConstantBase:
-    """Feature mean of the outcomes Y, with duplicate anchors merged."""
-    Ym = as_outcomes(Y, spec.dim)
-    el = RkhsElement(spec, Ym, np.full(len(Ym), 1.0 / len(Ym)))
-    return ConstantBase(compress(el))
 
 
 @register_base
@@ -429,11 +414,6 @@ class Predictor:
             _project_rows(W, G, st.n_after, R2)
         return W
 
-    def evaluate(self, x) -> RkhsElement:
-        """The predicted element at a single context."""
-        W = self.coefficients(x)
-        return RkhsElement(self.kernel, self._plan.anchors, W[0])
-
 
 def loss_estimates(p: Predictor, X, loss: LossFunction) -> np.ndarray:
     """Estimated losses f(x_i, a) = <r(a), p(x_i)>; shape (m, |A|)."""
@@ -509,10 +489,6 @@ def loss_from_doc(doc: dict, spec: KernelSpec) -> LossFunction:
     return LossFunction(doc["loss_id"], elements, float(doc["R1"]), bool(doc["rescaled"]))
 
 
-def base_to_doc(base: PredictorBase) -> dict:
-    return base.to_doc()
-
-
 def base_from_doc(doc: dict, spec: KernelSpec) -> PredictorBase:
     cls = _BASE_REGISTRY.get(doc["kind"])
     if cls is None:
@@ -560,7 +536,7 @@ def patch_from_doc(doc: dict, spec: KernelSpec) -> PatchRecord:
 def predictor_to_doc(p: Predictor) -> dict:
     return {
         "kernel": kernel_to_doc(p.kernel),
-        "base": base_to_doc(p.base),
+        "base": p.base.to_doc(),
         "patches": [patch_to_doc(rec) for rec in p.patches],
     }
 

@@ -195,14 +195,6 @@ class SynthSpec:
             raise ValueError("n must be >= 1")
 
 
-def gen_dataset(spec: SynthSpec) -> SampleBatch:
-    """One seeded draw; the same spec always yields the identical batch."""
-    rng = np.random.default_rng(spec.seed)
-    X = spec.contexts.sample(spec.n, rng)
-    Y = spec.outcomes.sample(X, spec.kernel, rng)
-    return SampleBatch(X, Y, batch_id=f"synth-{spec.seed}")
-
-
 class SyntheticSource:
     """Endless stream of disjoint batches drawn from one SynthSpec."""
 
@@ -305,10 +297,6 @@ class PlantedInstance:
         return SyntheticSource(
             SynthSpec(self.kernel, self.contexts, self.outcomes, n=1, seed=seed)
         )
-
-    def population_decce(self, R1: float) -> float:
-        """sup over norm-R1 losses of the planted gap: R1 * ||s||."""
-        return R1 * self.shift_norm
 
 
 def _support_points(spec: KernelSpec, size: int, rng: np.random.Generator) -> np.ndarray:

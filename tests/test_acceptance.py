@@ -96,8 +96,8 @@ def test_implicit_pipeline_matches_vector_oracle():
         # prediction, single-point evaluation, estimates, potential, gap
         P1 = vp.evaluate(b1.X)
         np.testing.assert_allclose(p.coefficients(b1.X) @ p.anchors, P1, atol=PIPELINE_ATOL)
-        e0 = p.evaluate(b1.X[0])
-        np.testing.assert_allclose(e0.coeffs @ e0.anchors, P1[0], atol=PIPELINE_ATOL)
+        e0 = p.coefficients(b1.X[0])[0] @ p.anchors
+        np.testing.assert_allclose(e0, P1[0], atol=PIPELINE_ATOL)
         np.testing.assert_allclose(
             loss_estimates(p, b1.X, loss), oracle.loss_estimates(P1, L), atol=PIPELINE_ATOL
         )

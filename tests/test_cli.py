@@ -1,6 +1,7 @@
 """Command-line interface: strict configs, artifacts, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import decal.cli
 from decal.calibrate import TRACE_COLUMNS
+from decal.experiments import SLOPE_BAND
 from decal.cli import (
     AUDIT_SCHEMA,
     CALIBRATE_SCHEMA,
@@ -185,6 +187,36 @@ def test_calibrate_seed_override_lands_in_manifest(tmp_path):
     assert manifest["config"]["seed"] == 9
 
 
+SEEDED_CONFIGS = {
+    "audit": {"kernel_kind": "min", "kernel_dim": 1, "R2": 1.5, "epsilon": 0.2, "beta": 6.0,
+              "n": 64, "pool_size": 4},
+    "synth-planted": {"instance": "planted_bias", "n": 16, "kernel_kind": "min",
+                      "kernel_dim": 1, "R2": 1.5},
+    "synth-lower": {"instance": "lower_bound", "n": 16, "d": 4, "epsilon": 0.2, "world": 2},
+    "experiment": {"experiment": "distinguishing", "d_grid": [4], "n_grid": [2],
+                   "trials": 100, "decce_samples": 100},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED_CONFIGS))
+def test_seed_override_reaches_every_seeded_command(tmp_path, case):
+    command = case.split("-")[0]
+    code, out_dir = run_cli(tmp_path, command, SEEDED_CONFIGS[case], extra=("--seed", "9"))
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["config"]["seed"] == 9
+
+
+def test_report_takes_no_seed(tmp_path):
+    _, cal_dir = run_cli(tmp_path, "calibrate", CALIBRATE_BASE, out="cal")
+    code, rep_dir = run_cli(
+        tmp_path, "report", {"run_dir": str(cal_dir)}, out="rep", extra=("--seed", "9")
+    )
+    assert code == 0
+    manifest = json.loads((rep_dir / "manifest.json").read_text())
+    assert "seed" not in manifest["config"]
+
+
 def test_calibrate_with_zero_shift_needs_no_patches(tmp_path):
     code, out_dir = run_cli(tmp_path, "calibrate", dict(CALIBRATE_BASE, shift_norm=0.0))
     assert code == 0
@@ -324,26 +356,28 @@ def test_experiment_convergence_roundtrip(tmp_path):
 
 
 def test_experiment_gate_failure_exits_one(tmp_path):
-    # a shift with no headroom under R2 fails inside the cell, not the CLI
+    # too few resamples for the decay fit: fitted slopes leave the band
     doc = {
-        "experiment": "convergence",
-        "epsilons": [0.35],
-        "shift_norm": 0.9,
-        "audit_batch_size": 96,
-        "heldout_size": 128,
+        "experiment": "uniform_convergence",
+        "n_grid": [64, 128, 256],
+        "reference_n": 1024,
+        "resamples": 4,
+        "pool_size": 4,
     }
     code, out_dir = run_cli(tmp_path, "experiment", doc)
     assert code == 1
     results = json.loads((out_dir / "results.json").read_text())
     assert results["passed"] is False
-    assert "error" in results["cells"][0]
+    lo, hi = SLOPE_BAND
+    assert any(not lo <= fit["slope"] <= hi for fit in results["fits"].values())
 
 
 def test_experiment_unknown_name_exits_two(tmp_path, capsys):
-    code, _ = run_cli(tmp_path, "experiment", {"experiment": "psychic"})
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "experiment" in err and "convergence" in err
+    for name in ("psychic", ["convergence"]):  # a list once raised TypeError: exit 3
+        code, _ = run_cli(tmp_path, "experiment", {"experiment": name})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "experiment" in err and "convergence" in err
 
 
 def test_experiment_schema_floor_on_trials(tmp_path, capsys):
@@ -365,6 +399,17 @@ def test_experiment_grid_errors_exit_two(tmp_path, capsys):
     assert not out_dir.exists()
     doc = {"experiment": "sample_complexity", "eps_grid": [0.5, 0.4, 0.3], "shift_norm": 0.9}
     code, out_dir = run_cli(tmp_path, "experiment", doc, out="c")
+    assert code == 2
+    assert "headroom" in capsys.readouterr().err
+    assert not out_dir.exists()
+    doc = {
+        "experiment": "convergence",
+        "epsilons": [0.35],
+        "shift_norm": 0.9,
+        "audit_batch_size": 96,
+        "heldout_size": 128,
+    }
+    code, out_dir = run_cli(tmp_path, "experiment", doc, out="d")
     assert code == 2
     assert "headroom" in capsys.readouterr().err
     assert not out_dir.exists()
@@ -404,6 +449,7 @@ def test_module_entry_point_runs(tmp_path):
         [sys.executable, "-m", "decal.cli", "synth", "--config", cfg, "--out", str(out)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     assert proc.returncode == 0
     assert "dataset.csv" in proc.stdout

@@ -12,10 +12,10 @@ from decal.experiments import (
     clopper_pearson,
     collision_acceptance_oracle,
     convergence_experiment,
+    convergence_instances,
     distinguishing_experiment,
     fit_loglog,
     hoeffding_halfwidth,
-    hoeffding_sample_size,
     pair_deviation_curve,
     regret_experiment,
     sample_complexity_instances,
@@ -24,7 +24,7 @@ from decal.experiments import (
     witness_pair_pool,
 )
 from decal.audit import random_loss_pool
-from decal.kernel import KernelSpec, feature
+from decal.kernel import KernelSpec, feature, norm
 from decal.model import ConstantBase, Predictor, SampleBatch
 from decal.synth import planted_bias_instance
 
@@ -34,22 +34,6 @@ rng = np.random.default_rng(47)
 
 
 # concentration calculators
-
-
-def test_reference_sample_size():
-    # B = 1, t = 0.1, delta = 0.05: ceil(800 ln 40) = 2952
-    assert hoeffding_sample_size(1.0, 0.1, 0.05) == 2952
-
-
-def test_sample_size_is_tight():
-    n = hoeffding_sample_size(1.0, 0.1, 0.05)
-    assert hoeffding_halfwidth(1.0, n, 0.05) <= 0.1
-    assert hoeffding_halfwidth(1.0, n - 1, 0.05) > 0.1
-
-
-def test_sample_size_scales_quadratically():
-    assert hoeffding_sample_size(2.0, 0.1, 0.05) == 11805
-    assert hoeffding_sample_size(1.0, 0.05, 0.05) == 11805
 
 
 def test_halfwidth_shrinks_with_n():
@@ -67,10 +51,6 @@ def test_concentration_validation():
         hoeffding_halfwidth(1.0, 0, 0.05)
     with pytest.raises(ValueError):
         hoeffding_halfwidth(1.0, 10, 1.0)
-    with pytest.raises(ValueError):
-        hoeffding_sample_size(0.0, 0.1, 0.05)
-    with pytest.raises(ValueError):
-        hoeffding_sample_size(1.0, 0.0, 0.05)
 
 
 def test_clopper_pearson_edges_and_ordering():
@@ -158,8 +138,18 @@ def test_collision_oracle_matches_enumeration(d, n):
 # convergence harness
 
 
+CONVERGENCE = dict(
+    beta=4.0, R1=1.0, shift_norm=0.3, n_actions=2, audit_batch_size=192, heldout_size=512
+)
+
+
+def run_convergence(epsilons, seed):
+    cells = convergence_instances(epsilons, R2=1.5, shift_norm=0.3, seed=seed)
+    return convergence_experiment(cells, seed=seed, **CONVERGENCE)
+
+
 def test_convergence_cells_record_runs():
-    res = convergence_experiment([{"epsilon": 0.3}, {"epsilon": 0.4, "beta": 6.0}], seed=2)
+    res = run_convergence([0.3, 0.4], seed=2)
     assert res.experiment == "convergence"
     assert res.passed
     for cell in res.cells:
@@ -171,7 +161,7 @@ def test_convergence_cells_record_runs():
 
 
 def test_convergence_captures_cell_failures():
-    res = convergence_experiment([{"epsilon": 0.3}, {"beta": 2.0}], seed=0)
+    res = run_convergence([0.3, 0.0], seed=0)  # epsilon 0 fails the run config
     assert not res.passed
     good, bad = res.cells
     assert good["ok"]
@@ -193,6 +183,10 @@ def test_witness_pairs_are_anchored_and_scaled():
     for wl, lp in pairs:
         assert wl.loss_id == f"star-{lp.loss_id}"
         assert np.all(wl.norms() <= 1.0 + 1e-9)
+        assert wl.rescaled is False
+        for el in wl.coefficients:  # scaled from the pooled Gram, checked densely
+            if len(el):
+                assert norm(el) == pytest.approx(1.0, rel=1e-12)
         assert lp.norms() == pytest.approx(np.ones(2), rel=1e-12)
 
 

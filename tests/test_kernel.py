@@ -213,19 +213,10 @@ def test_compress_all_zero_coefficients():
 
 def test_compress_preserves_inner_products():
     v = random_span(MIN, 10)
-    cv = compress(v, 0.0)
+    cv = compress(v)
     for _ in range(20):
         w = random_span(MIN, 3)
         assert inner(cv, w) == pytest.approx(inner(v, w), rel=1e-9, abs=1e-12)
-
-
-def test_compress_drop_tolerance_bounds_error():
-    anchors = np.array([[0.9], [0.5], [0.2]])
-    v = RkhsElement(MIN, anchors, np.array([1.0, 1e-8, -1e-8]))
-    c = compress(v, tol=1e-7)
-    dropped = len(v) - len(c)
-    assert dropped == 2
-    assert norm(concat(-1.0, c, v)) <= 1e-7 * dropped
 
 
 # domain and spec errors

@@ -15,7 +15,6 @@ from decal.kernel import (
     RkhsElement,
     compress,
     feature,
-    inner,
     norm,
     zero_element,
 )
@@ -26,8 +25,6 @@ from decal.model import (
     Predictor,
     SampleBatch,
     SimilarityBase,
-    constant_mean_base,
-    deterministic_best_response,
     evaluate_batch,
     load_loss,
     load_predictor,
@@ -112,26 +109,6 @@ def test_smooth_rule_batched_rows():
     assert out.sum(axis=1) == pytest.approx(np.ones(8), abs=1e-12)
     for i in range(8):
         assert out[i] == pytest.approx(smooth_best_response(F[i], 1.7), abs=1e-15)
-
-
-def test_deterministic_rule_picks_argmin():
-    assert deterministic_best_response([0.2, 0.1, 0.3]) == 1
-
-
-def test_deterministic_rule_tie_goes_low():
-    assert deterministic_best_response([0.5, 0.5]) == 0
-
-
-def test_deterministic_rule_translation_invariant():
-    f = rng.standard_normal(6)
-    assert deterministic_best_response(f) == deterministic_best_response(f - 3.0)
-
-
-def test_deterministic_rule_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        deterministic_best_response([])
-    with pytest.raises(ValueError):
-        deterministic_best_response([[0.1, 0.2]])
 
 
 @given(
@@ -263,24 +240,29 @@ def test_estimate_rejects_kernel_mismatch():
 # predictors and patches
 
 
+def predicted(p, x):
+    """The predicted element at a single context."""
+    return RkhsElement(p.kernel, p.anchors, p.coefficients(x)[0])
+
+
 def test_empty_patch_chain_returns_base():
     pts = sample_points(MIN, 3)
     coeffs = np.array([0.2, 0.3, -0.1])
     p = constant_predictor(MIN, pts, coeffs)
-    el = p.evaluate([[0.4]])
+    el = predicted(p, [[0.4]])
     assert np.array_equal(el.anchors, pts)
     assert np.array_equal(el.coeffs, coeffs)
 
 
 def test_base_is_projected_onto_ball():
     p = constant_predictor(MIN, [[0.81]], [3.0])  # norm 2.7 > R2
-    el = p.evaluate([[0.0]])
+    el = predicted(p, [[0.0]])
     assert norm(el) == pytest.approx(MIN.R2, rel=1e-12)
 
 
 def test_zero_adjustment_patch_is_identity():
     p = constant_predictor(MIN, sample_points(MIN, 3), [0.3, 0.1, -0.2])
-    before = p.evaluate([[0.25]])
+    before = predicted(p, [[0.25]])
     rec = PatchRecord(
         "alg1",
         random_loss(MIN, 2, 1.0, "w"),
@@ -288,7 +270,7 @@ def test_zero_adjustment_patch_is_identity():
         eta=0.5,
         adjustments=(zero_element(MIN), zero_element(MIN)),
     )
-    after = p.with_patch(rec).evaluate([[0.25]])
+    after = predicted(p.with_patch(rec), [[0.25]])
     assert np.array_equal(after.anchors, before.anchors)
     assert np.array_equal(after.coeffs, before.coeffs)
 
@@ -303,7 +285,7 @@ def test_patched_norms_stay_in_ball():
         rec = PatchRecord("alg1", random_loss(MIN, 2, 1.0, f"w{t}"), 3.0, eta=0.6, adjustments=adj)
         p = p.with_patch(rec)
         for x in rng.standard_normal((3, 2)):
-            assert norm(p.evaluate(x)) <= MIN.R2 + 1e-6
+            assert norm(predicted(p, x)) <= MIN.R2 + 1e-6
 
 
 def test_patch_record_validation():
@@ -447,23 +429,6 @@ def test_evaluate_batch_reuses_coefficients():
 
 
 # bases
-
-
-def test_constant_mean_base_weights():
-    Y = np.array([[0.2], [0.5], [0.8]])
-    base = constant_mean_base(MIN, Y)
-    el = base.element
-    # mean embedding: <mean, phi(t)> is the average of K(y_i, t)
-    probe = feature(MIN, 0.6)
-    assert inner(el, probe) == pytest.approx(np.mean([0.2, 0.5, 0.6]), abs=1e-12)
-    assert base.weights(np.zeros((4, 2))).shape == (4, len(el))
-
-
-def test_constant_mean_base_merges_duplicates():
-    base = constant_mean_base(MIN, [[0.5], [0.5], [0.9], [0.5]])
-    el = base.element
-    assert len(el) == 2
-    assert el.coeffs.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_similarity_base_matches_explicit_softmax():

@@ -14,12 +14,10 @@ from decal.synth import (
     AffineMap,
     ArraySource,
     ContextSpec,
-    SynthSpec,
     cobb_douglas_value,
     collision_reject,
     decce_linear_binary,
     direction_grid,
-    gen_dataset,
     gen_lower_bound,
     make_cobb_douglas_loss,
     make_piecewise_linear_loss,
@@ -150,16 +148,6 @@ def test_affine_map_checks_the_domain():
         amap.sample(np.array([[5.0]]), MIN, np.random.default_rng(0))
 
 
-def test_gen_dataset_is_seed_deterministic():
-    amap = AffineMap(np.array([[0.05, 0.05]]), np.array([0.4]), noise_scale=0.1)
-    spec = SynthSpec(MIN, ContextSpec("uniform", 2), amap, n=50, seed=9)
-    a, b = gen_dataset(spec), gen_dataset(spec)
-    assert np.array_equal(a.X, b.X) and np.array_equal(a.Y, b.Y)
-    assert a.batch_id == "synth-9"
-    other = gen_dataset(SynthSpec(MIN, ContextSpec("uniform", 2), amap, n=50, seed=10))
-    assert not np.array_equal(a.Y, other.Y)
-
-
 def test_synthetic_source_streams_fresh_batches():
     inst = planted_bias_instance(MIN, context_dim=2, support_size=8, shift_norm=0.2, seed=0)
     src = inst.source(seed=4)
@@ -188,8 +176,6 @@ def test_array_source_slices_then_raises():
 def test_planted_shift_norm_is_exact():
     inst = planted_bias_instance(MIN, context_dim=3, support_size=12, shift_norm=0.3, seed=7)
     assert inst.shift_norm == pytest.approx(0.3, rel=1e-12)
-    assert inst.population_decce(1.0) == pytest.approx(0.3, rel=1e-12)
-    assert inst.population_decce(2.5) == pytest.approx(0.75, rel=1e-12)
     assert norm(inst.outcomes.shift_element(MIN)) == pytest.approx(0.3, rel=1e-12)
 
 
