@@ -129,18 +129,6 @@ class CalibrationTrace:
         return {
             "terminal": self.terminal,
             "error": self.error,
-            "iterations": [
-                {
-                    "iter": r.iteration,
-                    "gap": r.gap,
-                    "pot_before": r.pot_before,
-                    "pot_after": r.pot_after,
-                    "witness_id": r.witness_id,
-                    "witness_prime_id": r.witness_prime_id,
-                    "batch_id": r.batch_id,
-                }
-                for r in self.iterations
-            ],
             "final_gap": self.final_gap,
             "initial_heldout_potential": self.initial_heldout_potential,
             "final_heldout_potential": self.final_heldout_potential,
@@ -166,23 +154,22 @@ def potential(p: Predictor, batch: SampleBatch) -> float:
 
 def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
     """Fixed-step patch: the audited witness scaled by eta, so each action's
-    adjustment is its residual mean rescaled to norm eta * R1 (zero for
-    degenerate directions).
+    row is its residual mean rescaled to norm eta * R1 (zero for degenerate
+    directions), mixed by the identity.
     """
     if not report.found:
         raise ValueError("alg1_step requires a report with found=True")
     witness = report.witness_loss
     step = config.eta * config.R1 / witness.R1
-    adjustments = tuple(
-        RkhsElement(el.spec, el.anchors, el.coeffs * step) for el in witness.coefficients
-    )
     return PatchRecord(
         "alg1",
         report.witness_lossprime,
         config.beta,
         batch_id=report.batch_id,
+        rows=tuple(
+            RkhsElement(el.spec, el.anchors, el.coeffs * step) for el in witness.coefficients
+        ),
         eta=config.eta,
-        adjustments=adjustments,
     )
 
 
@@ -190,8 +177,8 @@ def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
     """Regularized least-squares patch from the audited rule probabilities.
 
     Dhat[a, b] = Ehat[k_a k_b], mixing = (Dhat + RIDGE_LAMBDA * I)^-1, and
-    the stored rows are the raw per-action residual means; the replayed
-    update at x is rows^T @ mixing @ k(x).
+    the rows are the raw per-action residual means; the replayed update at x
+    is rows^T @ mixing @ k(x).
     """
     if not report.found:
         raise ValueError("alg2_step requires a report with found=True")
@@ -204,19 +191,16 @@ def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         report.witness_lossprime,
         config.beta,
         batch_id=report.batch_id,
+        rows=report.residual_rows,
         mixing=mixing,
-        residual_rows=report.residual_rows,
     )
 
 
 def _dedup_losses(losses) -> list[LossFunction]:
-    seen: set[str] = set()
-    out = []
+    first: dict[str, LossFunction] = {}
     for l in losses:
-        if l.loss_id not in seen:
-            seen.add(l.loss_id)
-            out.append(l)
-    return out
+        first.setdefault(l.loss_id, l)
+    return list(first.values())
 
 
 def run_calibration(
@@ -244,6 +228,14 @@ def run_calibration(
 
     p = p0
     witnesses: list[LossFunction] = []
+
+    def candidate_pool(Y, key: int) -> list[LossFunction]:
+        """Random losses from the key-th child of SeedSequence(seed), then the
+        witnesses found so far and the user losses; the first of an id wins."""
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(key,)))
+        drawn = random_loss_pool(p0.kernel, Y, config.n_actions, config.R1, config.pool_size, rng)
+        return _dedup_losses(drawn + witnesses + list(user_losses))
+
     trace.terminal = "iteration_cap"
     for t in range(config.max_iters):
         started = time.perf_counter()
@@ -253,20 +245,11 @@ def run_calibration(
             trace.terminal = "error"
             trace.error = str(exc)
             break
-        # the t-th child of SeedSequence(seed), without spawning all of them
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(t,)))
-        pool = _dedup_losses(
-            random_loss_pool(
-                p.kernel, batch.Y, config.n_actions, config.R1, config.pool_size, rng
-            )
-            + witnesses
-            + list(user_losses)
-        )
         eb = evaluate_batch(p, batch)
         report = audit(
             eb,
             epsilon=config.epsilon,
-            pool=pool,
+            pool=candidate_pool(batch.Y, t),
             beta=config.beta,
             R1=config.R1,
             witness_id=f"it{t:03d}-star",
@@ -294,19 +277,10 @@ def run_calibration(
         witnesses = _dedup_losses(witnesses + [report.witness_loss, report.witness_lossprime])
         p = p_next
 
-    heldout_rng = np.random.default_rng(
-        np.random.SeedSequence(config.seed, spawn_key=(config.max_iters,))
-    )
-    heldout_pool = _dedup_losses(
-        random_loss_pool(
-            p.kernel, heldout.Y, config.n_actions, config.R1, config.pool_size, heldout_rng
-        )
-        + witnesses
-        + list(user_losses)
-    )
     heldout_eb = evaluate_batch(p, heldout)
     trace.final_heldout_potential = _potential_eb(heldout_eb)
     trace.final_heldout_decce = decce_estimate(
-        heldout_eb, pool=heldout_pool, beta=config.beta, R1=config.R1
+        heldout_eb, pool=candidate_pool(heldout.Y, config.max_iters), beta=config.beta,
+        R1=config.R1,
     )
     return p, trace

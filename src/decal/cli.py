@@ -39,7 +39,7 @@ from .experiments import (
     uniform_convergence_experiment,
 )
 from .kernel import KERNEL_KINDS, KernelSpec
-from .model import kernel_to_doc, loss_to_doc, predictor_to_doc, save_json
+from .model import loss_file_doc, predictor_to_doc, save_json
 from .synth import gen_lower_bound, planted_bias_instance
 
 
@@ -403,7 +403,6 @@ def run_calibrate_command(cfg: dict, rd: RunDir) -> int:
 
     rd.write_csv("trace.csv", trace.to_csv_rows())
     summary = trace.to_doc()
-    del summary["iterations"]
     summary.update(
         {
             "n_iterations": len(trace.iterations),
@@ -463,10 +462,7 @@ def run_audit_command(cfg: dict, rd: RunDir) -> int:
     )
     rd.write_json("report.json", audit_report_doc(report, cfg["approx_offset"]))
     if report.found and report.witness_loss is not None:
-        rd.write_json(
-            "witness_loss.json",
-            {"kernel": kernel_to_doc(inst.kernel), "loss": loss_to_doc(report.witness_loss)},
-        )
+        rd.write_json("witness_loss.json", loss_file_doc(report.witness_loss))
     return 0
 
 

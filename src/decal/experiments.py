@@ -285,20 +285,17 @@ def _embedded_linear_twins(
     inst0 = planted_bias_instance(
         spec0, context_dim=3, support_size=24, shift_norm=shift_norm, seed=seed
     )
-    base0 = inst0.predictor.base
+    world0 = inst0.outcomes
     rng = np.random.default_rng(seed + 1)
     q, _ = np.linalg.qr(rng.standard_normal((d1, d1)))
-    padded = np.hstack([base0.support, np.zeros((len(base0.support), d1 - d0))])
-    support1 = padded @ q.T
+    padded = np.hstack([world0.support, np.zeros((len(world0.support), d1 - d0))])
     spec1 = KernelSpec("linear", d1, 1.0)
-    outcomes1 = PlantedBiasMap(
-        support1, base0.weight_matrix, base0.weight_offset, base0.shift_coeffs
-    )
-    base1 = LogitMixtureBase(
-        spec1, support1, base0.weight_matrix, base0.weight_offset, base0.shift_coeffs
+    world1 = PlantedBiasMap(
+        padded @ q.T, world0.weight_matrix, world0.weight_offset, world0.shift_coeffs
     )
     inst1 = PlantedInstance(
-        spec1, inst0.contexts, outcomes1, Predictor(spec1, base1), inst0.shift_norm
+        spec1, inst0.contexts, world1, Predictor(spec1, LogitMixtureBase(spec1, world1)),
+        inst0.shift_norm,
     )
     return {f"linear{d0}": inst0, f"linear{d1}": inst1}
 

@@ -3,10 +3,9 @@
 A predictor is a base coefficient map plus an ordered chain of calibration
 patches.  Evaluation replays the chain: each patch recomputes the smooth
 decision rule of its recorded witness loss against the element built so far,
-adds the recorded per-action adjustments weighted by that rule, and projects
-back onto the radius-R2 ball.  All of this happens on coefficient vectors
-over one shared anchor list, so a batch of contexts is one pass of matrix
-algebra.
+adds the recorded rows mixed by the rule, and projects back onto the
+radius-R2 ball.  All of this happens on coefficient vectors over one shared
+anchor list, so a batch of contexts is one pass of matrix algebra.
 """
 
 from __future__ import annotations
@@ -258,46 +257,43 @@ class SimilarityBase(PredictorBase):
 @dataclass(frozen=True, eq=False)
 class PatchRecord:
     """One calibration round: the witness decision loss, the rule temperature
-    used when the patch was laid down, and the per-action update data.
+    used when the patch was laid down, and the update rows mixed by the rule.
 
-    algorithm "alg1": adjustments[a] has norm eta * R1 (or is zero when the
-    audited residual direction was degenerate); the update at x is
-    sum_a adjustments[a] * ruleprob_a(x).
-
-    algorithm "alg2": residual_rows[a] is the raw per-action residual mean
-    and mixing is (Dhat + I)^-1; the update at x is
-    sum_a (mixing @ ruleprob(x))_a * residual_rows[a].  Replay treats alg1
-    as the same form with the identity as its mixing matrix.
+    The update at x is sum_a (mixing @ ruleprob(x))_a * rows[a].  alg1 mixes
+    with the identity, and rows[a] has norm eta * R1 (or is zero when the
+    audited residual direction was degenerate).  alg2 mixes with
+    (Dhat + I)^-1, and rows[a] is the raw per-action residual mean.
     """
 
     algorithm: str
     witness_lossprime: LossFunction
     beta: float
     batch_id: str = ""
-    eta: float | None = None
-    adjustments: tuple[RkhsElement, ...] = ()
+    rows: tuple[RkhsElement, ...] = ()
     mixing: np.ndarray | None = None
-    residual_rows: tuple[RkhsElement, ...] = ()
+    eta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("alg1", "alg2"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         n_act = self.witness_lossprime.n_actions
         if self.algorithm == "alg1":
             if self.eta is None or not self.eta > 0:
                 raise ValueError("alg1 patches need eta > 0")
-            if len(self.adjustments) != n_act:
-                raise ValueError("one adjustment per action required")
-        else:
+            # the file format stores no alg1 mixing, so any other would be lost
+            if self.mixing is not None and not np.array_equal(self.mixing, np.eye(n_act)):
+                raise ValueError("alg1 patches mix with the identity")
+            mixing = np.eye(n_act)
+        elif self.algorithm == "alg2":
             if self.mixing is None:
                 raise ValueError("alg2 patches need the mixing matrix")
             mixing = np.asarray(self.mixing, dtype=np.float64).copy()
-            if mixing.shape != (n_act, n_act):
-                raise ValueError("mixing matrix must be (|A|, |A|)")
-            mixing.setflags(write=False)
-            object.__setattr__(self, "mixing", mixing)
-            if len(self.residual_rows) != n_act:
-                raise ValueError("one residual row per action required")
+        else:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        if mixing.shape != (n_act, n_act):
+            raise ValueError("mixing matrix must be (|A|, |A|)")
+        if len(self.rows) != n_act:
+            raise ValueError("one row per action required")
+        mixing.setflags(write=False)
+        object.__setattr__(self, "mixing", mixing)
 
 
 @dataclass(frozen=True)
@@ -306,55 +302,45 @@ class _PlanStep:
     n_after: int
     beta: float
     V: np.ndarray  # (n_before, |A|) loss-estimate columns of the witness
-    M: np.ndarray  # (|A|, |A|) mixing; the identity for alg1
-    R: np.ndarray  # (|A|, n_after) adjustment or residual rows
+    M: np.ndarray  # (|A|, |A|) the record's mixing
+    R: np.ndarray  # (|A|, n_after) the record's rows over the anchors
 
 
 class _EvalPlan:
-    """Patch chain aligned onto one shared anchor matrix."""
+    """Patch chain aligned onto one shared anchor matrix, one patch at a time."""
 
     def __init__(self, predictor: "Predictor") -> None:
-        spec = predictor.kernel
-        base = as_outcomes(predictor.base.anchors, spec.dim)
-        n_base = len(base)
-        per_step = [
-            rec.adjustments if rec.algorithm == "alg1" else rec.residual_rows
-            for rec in predictor.patches
-        ]
-        for rec, elements in zip(predictor.patches, per_step):
-            for other in (rec.witness_lossprime.spec, *(el.spec for el in elements)):
-                check_spec(spec, other)
-        # Base anchors are kept as they are; every patch anchor goes to the
-        # first bitwise-equal row, and unseen rows are appended in order.
-        Z = np.vstack([base] + [el.anchors for els in per_step for el in els])
-        first, inverse = distinct_rows(Z)
-        appended = first >= n_base
-        row_of = np.where(appended, n_base + np.cumsum(appended) - 1, first)[inverse]
-        new_first = first[appended]
-        anchors = np.vstack([base, Z[new_first]])
-
-        steps: list[_PlanStep] = []
-        n_before, offset = n_base, n_base
-        for rec, elements in zip(predictor.patches, per_step):
-            end = offset + sum(len(el) for el in elements)
-            n_after = n_base + int(np.searchsorted(new_first, end))
-            mat = np.zeros((len(elements), n_after))
-            for a, el in enumerate(elements):
-                cols = row_of[offset : offset + len(el)]
-                mat[a] = np.bincount(cols, weights=el.coeffs, minlength=n_after)
-                offset += len(el)
-            V = rec.witness_lossprime.values(anchors[:n_before])
-            M = rec.mixing if rec.algorithm == "alg2" else np.eye(len(elements))
-            steps.append(_PlanStep(n_before, n_after, rec.beta, V, M, mat))
-            n_before = n_after
-
-        self.spec = spec
-        self.anchors = anchors
+        self.spec = predictor.kernel
+        self.anchors = as_outcomes(predictor.base.anchors, self.spec.dim).copy()
+        self.n_base = len(self.anchors)
+        self.steps: list[_PlanStep] = []
+        for rec in predictor.patches:
+            self._append(rec)
         self.anchors.setflags(write=False)
-        self.n_base = n_base
-        self.n_total = len(anchors)
-        self.steps = steps
         self._gram: np.ndarray | None = None
+
+    def _append(self, rec: PatchRecord) -> None:
+        """Align one patch: each of its anchors goes to the first bitwise-equal
+        row so far, unseen rows are appended in order, base rows stay as given."""
+        for other in (rec.witness_lossprime.spec, *(el.spec for el in rec.rows)):
+            check_spec(self.spec, other)
+        n_before = len(self.anchors)
+        Z = np.vstack([self.anchors] + [el.anchors for el in rec.rows])
+        first, inverse = distinct_rows(Z)
+        seen = first < n_before
+        # the position of each distinct row once the unseen ones are appended
+        row_at = np.where(seen, first, n_before - np.count_nonzero(seen) + np.arange(len(first)))
+        self.anchors = np.vstack([self.anchors, Z[first[~seen]]])
+        n_after = len(self.anchors)
+
+        R = np.zeros((len(rec.rows), n_after))
+        offset = n_before
+        for a, el in enumerate(rec.rows):
+            cols = row_at[inverse[offset : offset + len(el)]]
+            R[a] = np.bincount(cols, weights=el.coeffs, minlength=n_after)
+            offset += len(el)
+        V = rec.witness_lossprime.values(self.anchors[:n_before])
+        self.steps.append(_PlanStep(n_before, n_after, rec.beta, V, rec.mixing, R))
 
     def gram(self) -> np.ndarray:
         if self._gram is None:
@@ -402,7 +388,7 @@ class Predictor:
         """
         plan = self._plan
         Xm = as_contexts(X)
-        W = np.zeros((len(Xm), plan.n_total))
+        W = np.zeros((len(Xm), len(plan.anchors)))
         W[:, : plan.n_base] = self.base.weights(Xm)
         G = plan.gram()
         R2 = self.kernel.R2
@@ -497,6 +483,7 @@ def base_from_doc(doc: dict, spec: KernelSpec) -> PredictorBase:
 
 
 def patch_to_doc(rec: PatchRecord) -> dict:
+    rows = [element_to_doc(el) for el in rec.rows]
     doc = {
         "algorithm": rec.algorithm,
         "witness_lossprime": loss_to_doc(rec.witness_lossprime),
@@ -505,31 +492,24 @@ def patch_to_doc(rec: PatchRecord) -> dict:
     }
     if rec.algorithm == "alg1":
         doc["eta"] = rec.eta
-        doc["adjustments"] = [element_to_doc(el) for el in rec.adjustments]
+        doc["adjustments"] = rows
     else:
         doc["mixing"] = rec.mixing.tolist()
-        doc["residual_rows"] = [element_to_doc(el) for el in rec.residual_rows]
+        doc["residual_rows"] = rows
     return doc
 
 
 def patch_from_doc(doc: dict, spec: KernelSpec) -> PatchRecord:
-    lossprime = loss_from_doc(doc["witness_lossprime"], spec)
-    if doc["algorithm"] == "alg1":
-        return PatchRecord(
-            "alg1",
-            lossprime,
-            float(doc["beta"]),
-            doc["batch_id"],
-            eta=float(doc["eta"]),
-            adjustments=tuple(element_from_doc(d, spec) for d in doc["adjustments"]),
-        )
+    alg1 = doc["algorithm"] == "alg1"
+    rows = doc["adjustments"] if alg1 else doc["residual_rows"]
     return PatchRecord(
-        "alg2",
-        lossprime,
+        doc["algorithm"],
+        loss_from_doc(doc["witness_lossprime"], spec),
         float(doc["beta"]),
         doc["batch_id"],
-        mixing=np.asarray(doc["mixing"], dtype=np.float64),
-        residual_rows=tuple(element_from_doc(d, spec) for d in doc["residual_rows"]),
+        rows=tuple(element_from_doc(d, spec) for d in rows),
+        mixing=None if alg1 else np.asarray(doc["mixing"], dtype=np.float64),
+        eta=float(doc["eta"]) if alg1 else None,
     )
 
 
@@ -564,8 +544,9 @@ def load_predictor(path) -> Predictor:
     return predictor_from_doc(load_json(path))
 
 
-def save_loss(path, loss: LossFunction, spec: KernelSpec) -> None:
-    save_json(path, {"kernel": kernel_to_doc(spec), "loss": loss_to_doc(loss)})
+def loss_file_doc(loss: LossFunction) -> dict:
+    """The loss file document: the loss together with its kernel."""
+    return {"kernel": kernel_to_doc(loss.spec), "loss": loss_to_doc(loss)}
 
 
 def load_loss(path) -> LossFunction:

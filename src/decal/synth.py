@@ -241,46 +241,34 @@ class ArraySource:
 # Planted-bias instances
 
 
+# The planted world's arrays, as PlantedBiasMap fields and as document keys.
+_WORLD_KEYS = ("support", "weight_matrix", "weight_offset", "shift_coeffs")
+
+
 @register_base
 @dataclass(frozen=True, eq=False)
 class LogitMixtureBase(PredictorBase):
-    """Softmax mixture weights over a fixed support, minus a fixed shift."""
+    """A planted world's softmax mixture weights minus its shift."""
 
     kind: ClassVar[str] = "logit_mixture"
     spec: KernelSpec
-    support: np.ndarray
-    weight_matrix: np.ndarray
-    weight_offset: np.ndarray
-    shift_coeffs: np.ndarray
+    world: PlantedBiasMap
 
     @property
     def anchors(self) -> np.ndarray:
-        return as_outcomes(self.support, self.spec.dim)
+        return as_outcomes(self.world.support, self.spec.dim)
 
     def weights(self, X: np.ndarray) -> np.ndarray:
-        logits = X @ np.asarray(self.weight_matrix, dtype=np.float64).T + np.asarray(
-            self.weight_offset, dtype=np.float64
-        )
-        return softmax(logits, axis=1) - np.asarray(self.shift_coeffs, dtype=np.float64)
+        return self.world.mixture_weights(X) - np.asarray(self.world.shift_coeffs, dtype=np.float64)
 
     def to_doc(self) -> dict:
-        return {
-            "kind": self.kind,
-            "support": np.asarray(self.support).tolist(),
-            "weight_matrix": np.asarray(self.weight_matrix).tolist(),
-            "weight_offset": np.asarray(self.weight_offset).tolist(),
-            "shift_coeffs": np.asarray(self.shift_coeffs).tolist(),
-        }
+        arrays = {k: np.asarray(getattr(self.world, k)).tolist() for k in _WORLD_KEYS}
+        return {"kind": self.kind, **arrays}
 
     @classmethod
     def from_doc(cls, doc: dict, spec: KernelSpec) -> "LogitMixtureBase":
-        return cls(
-            spec,
-            np.asarray(doc["support"], dtype=np.float64),
-            np.asarray(doc["weight_matrix"], dtype=np.float64),
-            np.asarray(doc["weight_offset"], dtype=np.float64),
-            np.asarray(doc["shift_coeffs"], dtype=np.float64),
-        )
+        arrays = (np.asarray(doc[k], dtype=np.float64) for k in _WORLD_KEYS)
+        return cls(spec, PlantedBiasMap(*arrays))
 
 
 @dataclass(frozen=True)
@@ -353,8 +341,7 @@ def planted_bias_instance(
             raise RuntimeError("could not find a non-degenerate shift direction")
 
     outcomes = PlantedBiasMap(support, weight_matrix, weight_offset, shift)
-    base = LogitMixtureBase(spec, support, weight_matrix, weight_offset, shift)
-    predictor = Predictor(spec, base)
+    predictor = Predictor(spec, LogitMixtureBase(spec, outcomes))
     contexts = ContextSpec(context_kind, context_dim)
     actual = norm(outcomes.shift_element(spec))
     return PlantedInstance(spec, contexts, outcomes, predictor, actual)

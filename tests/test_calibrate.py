@@ -123,7 +123,7 @@ def test_alg1_adjustments_have_exact_step_norm():
     assert report.found
     rec = alg1_step(report, config=cfg)
     assert rec.algorithm == "alg1" and rec.eta == cfg.eta and rec.batch_id == "b7"
-    for el in rec.adjustments:
+    for el in rec.rows:
         assert norm(el) == pytest.approx(cfg.eta * cfg.R1, rel=1e-12)
 
 
@@ -146,7 +146,7 @@ def test_alg2_single_action_halves_the_residual_mean():
     rec = alg2_step(audit_one(zero_predictor(), lp, batch, cfg), config=cfg)
     assert np.array_equal(rec.mixing, np.array([[0.5]]))
     # raw residual row is the mean feature of the outcomes
-    row = rec.residual_rows[0]
+    row = rec.rows[0]
     mean_feat = RkhsElement(MIN, batch.Y, np.full(3, 1 / 3))
     assert norm(row) == pytest.approx(norm(mean_feat), rel=1e-12)
 
@@ -171,7 +171,7 @@ def test_alg2_matches_vector_oracle():
     M, G = oracle.alg2_update(Y, P, K)
     assert np.allclose(rec.mixing, M, atol=1e-9)
     got_rows = np.vstack(
-        [el.coeffs @ el.anchors if len(el) else np.zeros(2) for el in rec.residual_rows]
+        [el.coeffs @ el.anchors if len(el) else np.zeros(2) for el in rec.rows]
     )
     assert np.allclose(got_rows, G, atol=1e-9)
 
@@ -185,7 +185,7 @@ def test_alg2_mixing_is_spd_with_unit_capped_spectrum():
     eigs = np.linalg.eigvalsh(rec.mixing)
     assert np.all(eigs > 0.0)
     assert np.all(eigs <= 1.0 + 1e-12)
-    for el in rec.residual_rows:
+    for el in rec.rows:
         assert norm(el) <= 2.0 * MIN.R2 + 1e-9
 
 
@@ -304,5 +304,4 @@ def test_trace_rows_are_csv_ready():
     doc = trace.to_doc()
     assert doc["terminal"] == "calibrated"
     assert doc["heldout_size"] == 128
-    assert len(doc["iterations"]) == len(trace.iterations)
-    assert set(doc["iterations"][0]) == set(TRACE_COLUMNS)
+    assert "iterations" not in doc  # to_csv_rows is the one per-iteration writer

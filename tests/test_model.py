@@ -29,12 +29,13 @@ from decal.model import (
     load_loss,
     load_predictor,
     loss_estimates,
+    loss_file_doc,
     loss_from_doc,
     loss_to_doc,
     make_loss,
     predictor_from_doc,
     predictor_to_doc,
-    save_loss,
+    save_json,
     save_predictor,
     smooth_best_response,
 )
@@ -232,7 +233,7 @@ def test_estimate_rejects_kernel_mismatch():
     loss = random_loss(KernelSpec("linear", 1, 1.5), 2, 1.0)
     with pytest.raises(KernelMismatchError):
         loss_estimates(p, [[0.0]], loss)
-    patched = p.with_patch(PatchRecord("alg1", loss, 1.0, eta=0.1, adjustments=loss.coefficients))
+    patched = p.with_patch(PatchRecord("alg1", loss, 1.0, rows=loss.coefficients, eta=0.1))
     with pytest.raises(KernelMismatchError):
         patched.coefficients([[0.0]])
 
@@ -267,8 +268,8 @@ def test_zero_adjustment_patch_is_identity():
         "alg1",
         random_loss(MIN, 2, 1.0, "w"),
         beta=4.0,
+        rows=(zero_element(MIN), zero_element(MIN)),
         eta=0.5,
-        adjustments=(zero_element(MIN), zero_element(MIN)),
     )
     after = predicted(p.with_patch(rec), [[0.25]])
     assert np.array_equal(after.anchors, before.anchors)
@@ -282,7 +283,7 @@ def test_patched_norms_stay_in_ball():
             RkhsElement(MIN, sample_points(MIN, 1), np.array([0.6]))
             for _ in range(2)
         )
-        rec = PatchRecord("alg1", random_loss(MIN, 2, 1.0, f"w{t}"), 3.0, eta=0.6, adjustments=adj)
+        rec = PatchRecord("alg1", random_loss(MIN, 2, 1.0, f"w{t}"), 3.0, rows=adj, eta=0.6)
         p = p.with_patch(rec)
         for x in rng.standard_normal((3, 2)):
             assert norm(predicted(p, x)) <= MIN.R2 + 1e-6
@@ -294,15 +295,17 @@ def test_patch_record_validation():
     with pytest.raises(ValueError):
         PatchRecord("alg3", w, 1.0)
     with pytest.raises(ValueError):
-        PatchRecord("alg1", w, 1.0, adjustments=zz)  # missing eta
+        PatchRecord("alg1", w, 1.0, rows=zz)  # missing eta
     with pytest.raises(ValueError):
-        PatchRecord("alg1", w, 1.0, eta=0.1, adjustments=zz[:1])
+        PatchRecord("alg1", w, 1.0, rows=zz[:1], eta=0.1)
     with pytest.raises(ValueError):
-        PatchRecord("alg2", w, 1.0, residual_rows=zz)  # missing mixing
+        PatchRecord("alg1", w, 1.0, rows=zz, mixing=2 * np.eye(2), eta=0.1)  # not the identity
     with pytest.raises(ValueError):
-        PatchRecord("alg2", w, 1.0, mixing=np.eye(3), residual_rows=zz)
+        PatchRecord("alg2", w, 1.0, rows=zz)  # missing mixing
     with pytest.raises(ValueError):
-        PatchRecord("alg2", w, 1.0, mixing=np.eye(2), residual_rows=zz[:1])
+        PatchRecord("alg2", w, 1.0, rows=zz, mixing=np.eye(3))
+    with pytest.raises(ValueError):
+        PatchRecord("alg2", w, 1.0, rows=zz[:1], mixing=np.eye(2))
 
 
 # Few coordinates, so rows repeat often and 0.0 / -0.0 must stay apart, and
@@ -321,12 +324,20 @@ def _span(terms):
     return RkhsElement(LIN2, anchors, np.array([c for _, c in terms], dtype=np.float64))
 
 
-@given(base=TERMS, chain=st.lists(st.tuples(TERMS, TERMS), max_size=3))
+# Symmetric positive definite 2 x 2 mixing matrices for alg2 records.
+SPD = arrays(np.float64, (2, 2), elements=st.floats(-2.0, 2.0)).map(
+    lambda A: A @ A.T + np.eye(2)
+)
+
+
+@given(base=TERMS, chain=st.lists(st.tuples(TERMS, TERMS, SPD), max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_row_dedup_matches_dict_reference(base, chain):
     """compress and the patch-chain anchor list agree bit for bit with a
-    dict keyed by row bytes that sums coefficients in input order."""
-    for el in [_span(base)] + [_span(t) for step in chain for t in step]:
+    dict keyed by row bytes that sums coefficients in input order; the
+    chain alternates alg1 and alg2 records, and each plan step mixes with
+    the record's matrix (the identity for alg1)."""
+    for el in [_span(base)] + [_span(t) for t0, t1, _ in chain for t in (t0, t1)]:
         index, rows, sums = {}, [], []
         for row, c in zip(el.anchors, el.coeffs):
             j = index.setdefault(row.tobytes(), len(rows))
@@ -342,16 +353,23 @@ def test_row_dedup_matches_dict_reference(base, chain):
 
     lossprime = make_loss("lp", [feature(LIN2, [0.5, 0.0]), feature(LIN2, [0.0, 0.5])], 1.0)
     base_el = _span(base)
-    steps = [tuple(_span(t) for t in step) for step in chain]
+    steps, mixings = [], []
     p = Predictor(LIN2, ConstantBase(base_el))
-    for els in steps:
-        p = p.with_patch(PatchRecord("alg1", lossprime, 1.0, eta=0.1, adjustments=els))
+    for i, (t0, t1, mixing) in enumerate(chain):
+        els = (_span(t0), _span(t1))
+        if i % 2:
+            p = p.with_patch(PatchRecord("alg2", lossprime, 1.0, rows=els, mixing=mixing))
+        else:
+            p = p.with_patch(PatchRecord("alg1", lossprime, 1.0, rows=els, eta=0.1))
+            mixing = np.eye(2)
+        steps.append(els)
+        mixings.append(mixing)
 
     index, rows = {}, []
     for row in base_el.anchors:
         index.setdefault(row.tobytes(), len(rows))
         rows.append(row)
-    for els, plan_step in zip(steps, p._plan.steps):
+    for els, mixing, plan_step in zip(steps, mixings, p._plan.steps, strict=True):
         entries = []
         for a, el in enumerate(els):
             for row, c in zip(el.anchors, el.coeffs):
@@ -363,6 +381,7 @@ def test_row_dedup_matches_dict_reference(base, chain):
         for a, j, c in entries:
             D[a, j] += c
         assert plan_step.R.tobytes() == D.tobytes()
+        assert plan_step.M.tobytes() == mixing.tobytes()
     assert p.anchors.tobytes() == np.array(rows).reshape(-1, 2).tobytes()
 
 
@@ -389,8 +408,8 @@ def test_patched_predictor_matches_vector_simulation():
             "alg1",
             single_anchor_loss(LIN2, r1, 1.0, "w1"),
             beta=4.0,
+            rows=tuple(RkhsElement(LIN2, row[None, :], np.array([1.0])) for row in d),
             eta=0.25,
-            adjustments=tuple(RkhsElement(LIN2, row[None, :], np.array([1.0])) for row in d),
         )
     )
     p = p.with_patch(
@@ -398,8 +417,8 @@ def test_patched_predictor_matches_vector_simulation():
             "alg2",
             single_anchor_loss(LIN2, r2, 1.0, "w2"),
             beta=2.0,
+            rows=tuple(RkhsElement(LIN2, row[None, :], np.array([1.0])) for row in gvecs),
             mixing=M,
-            residual_rows=tuple(RkhsElement(LIN2, row[None, :], np.array([1.0])) for row in gvecs),
         )
     )
 
@@ -480,13 +499,13 @@ def build_patched_predictor():
     p = constant_predictor(MIN, sample_points(MIN, 3), [0.4, -0.1, 0.2])
     adj = tuple(RkhsElement(MIN, sample_points(MIN, 1), np.array([0.15])) for _ in range(2))
     p = p.with_patch(
-        PatchRecord("alg1", random_loss(MIN, 2, 1.0, "w1"), 4.0, "b1", eta=0.15, adjustments=adj)
+        PatchRecord("alg1", random_loss(MIN, 2, 1.0, "w1"), 4.0, "b1", rows=adj, eta=0.15)
     )
     rows = tuple(RkhsElement(MIN, sample_points(MIN, 2), rng.standard_normal(2) * 0.1) for _ in range(2))
     M = np.linalg.inv(np.array([[1.3, 0.2], [0.2, 1.1]]))
     M = (M + M.T) / 2.0
     return p.with_patch(
-        PatchRecord("alg2", random_loss(MIN, 2, 1.0, "w2"), 2.0, "b2", mixing=M, residual_rows=rows)
+        PatchRecord("alg2", random_loss(MIN, 2, 1.0, "w2"), 2.0, "b2", rows=rows, mixing=M)
     )
 
 
@@ -531,7 +550,7 @@ def test_loss_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.values(Y), loss.values(Y))
 
     path = tmp_path / "loss.json"
-    save_loss(path, loss, MIN)
+    save_json(path, loss_file_doc(loss))
     again = load_loss(path)
     assert again.spec == MIN
     assert np.array_equal(again.values(Y), loss.values(Y))
