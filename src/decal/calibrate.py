@@ -64,8 +64,8 @@ class CalibConfig:
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not (self.beta >= 0 and math.isfinite(self.beta)):
+            raise ValueError("beta must be finite and >= 0")
         if not (self.R1 > 0 and self.R2 > 0):
             raise ValueError("R1 and R2 must be positive")
         if self.n_actions < 1:
@@ -143,8 +143,7 @@ def _potential_eb(eb: EvaluatedBatch) -> float:
     dk = spec.diag(eb.Y)
     cross = spec.gram(eb.Y, eb.anchors)
     inner_py = np.einsum("ij,ij->i", eb.W, cross)
-    pnorm2 = np.einsum("ij,ij->i", eb.W @ eb.anchor_gram, eb.W)
-    return float(np.mean(dk - 2.0 * inner_py + pnorm2))
+    return float(np.mean(dk - 2.0 * inner_py + eb.pnorm2))
 
 
 def potential(p: Predictor, batch: SampleBatch) -> float:

@@ -77,6 +77,8 @@ def _coerce_scalar(key: str, value, kind: str):
     if kind == "float":
         if not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r}: expected a number")
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key!r}: must be finite, got {value}")
         return float(value)
     if kind == "str":
         if not isinstance(value, str):

@@ -5,20 +5,33 @@ patches.  Evaluation replays the chain: each patch recomputes the smooth
 decision rule of its recorded witness loss against the element built so far,
 adds the recorded rows mixed by the rule, and projects back onto the
 radius-R2 ball.  All of this happens on coefficient vectors over one shared
-anchor list, so a batch of contexts is one pass of matrix algebra.
+anchor list, so a batch of contexts is one pass of matrix algebra.  Replay
+tracks each prediction's squared norm through the updates instead of
+recomputing it: each plan step caches its rows' products with the Gram
+matrix, so no N x N Gram matrix is ever formed, and a patched predictor
+extends its parent's plan by one step.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import softmax
 
-from .kernel import KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, norm
+from .kernel import (
+    SPAN_GRAM_BLOCK,
+    KernelSpec,
+    RkhsElement,
+    as_outcomes,
+    check_spec,
+    distinct_rows,
+    norm,
+)
 
 DEGENERATE_NORM = 1e-12
 
@@ -63,16 +76,23 @@ class SampleBatch:
 # Decision rules
 
 
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis: subtract the max, exponentiate, divide by
+    the sum -- scipy.special.softmax's operations, so its bits too."""
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
 def smooth_best_response(fvals, beta: float) -> np.ndarray:
     """Quantal response exp(-beta * f_a) / sum_b exp(-beta * f_b).
 
     Operates on the last axis; beta = 0 gives the uniform distribution.
-    Overflow-safe via max subtraction inside scipy's softmax.
+    Overflow-safe via max subtraction inside the softmax.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    if not (beta >= 0 and math.isfinite(beta)):
+        raise ValueError("beta must be finite and >= 0")
     f = np.asarray(fvals, dtype=np.float64)
-    return softmax(-beta * f, axis=-1)
+    return softmax(-beta * f)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +249,7 @@ class SimilarityBase(PredictorBase):
             + np.einsum("ij,ij->i", self.contexts, self.contexts)[None, :]
             - 2.0 * X @ self.contexts.T
         )
-        logw = -d2 / (2.0 * self.bandwidth**2)
-        return softmax(logw, axis=1)
+        return softmax(-d2 / (2.0 * self.bandwidth**2))
 
     def to_doc(self) -> dict:
         return {
@@ -304,20 +323,36 @@ class _PlanStep:
     V: np.ndarray  # (n_before, |A|) loss-estimate columns of the witness
     M: np.ndarray  # (|A|, |A|) the record's mixing
     R: np.ndarray  # (|A|, n_after) the record's rows over the anchors
+    H: np.ndarray  # (n_after, |A|) K(anchors[:n_after], anchors[:n_after]) @ R.T
+    S: np.ndarray  # (|A|, |A|) R @ H, the Gram matrix of the rows
 
 
 class _EvalPlan:
-    """Patch chain aligned onto one shared anchor matrix, one patch at a time."""
+    """Patch chain aligned onto one shared anchor matrix, one patch at a time.
+
+    Every array a plan holds is read-only, so a child plan shares its
+    parent's steps and the parent stays valid.
+    """
 
     def __init__(self, predictor: "Predictor") -> None:
         self.spec = predictor.kernel
-        self.anchors = as_outcomes(predictor.base.anchors, self.spec.dim).copy()
-        self.n_base = len(self.anchors)
+        anchors = as_outcomes(predictor.base.anchors, self.spec.dim).copy()
+        base_gram = self.spec.gram(anchors, anchors)
+        anchors.setflags(write=False)
+        base_gram.setflags(write=False)
+        self.anchors = anchors
+        self.n_base = len(anchors)
+        self.base_gram = base_gram
         self.steps: list[_PlanStep] = []
         for rec in predictor.patches:
             self._append(rec)
-        self.anchors.setflags(write=False)
-        self._gram: np.ndarray | None = None
+
+    def extended(self, rec: PatchRecord) -> "_EvalPlan":
+        """This plan with one more patch appended; this plan is unchanged."""
+        plan = copy.copy(self)
+        plan.steps = list(self.steps)
+        plan._append(rec)
+        return plan
 
     def _append(self, rec: PatchRecord) -> None:
         """Align one patch: each of its anchors goes to the first bitwise-equal
@@ -330,8 +365,8 @@ class _EvalPlan:
         seen = first < n_before
         # the position of each distinct row once the unseen ones are appended
         row_at = np.where(seen, first, n_before - np.count_nonzero(seen) + np.arange(len(first)))
-        self.anchors = np.vstack([self.anchors, Z[first[~seen]]])
-        n_after = len(self.anchors)
+        anchors = np.vstack([self.anchors, Z[first[~seen]]])
+        n_after = len(anchors)
 
         R = np.zeros((len(rec.rows), n_after))
         offset = n_before
@@ -339,22 +374,26 @@ class _EvalPlan:
             cols = row_at[inverse[offset : offset + len(el)]]
             R[a] = np.bincount(cols, weights=el.coeffs, minlength=n_after)
             offset += len(el)
-        V = rec.witness_lossprime.values(self.anchors[:n_before])
-        self.steps.append(_PlanStep(n_before, n_after, rec.beta, V, rec.mixing, R))
+        H = np.zeros((n_after, len(rec.rows)))
+        for i0 in range(0, n_after, SPAN_GRAM_BLOCK):
+            i1 = min(i0 + SPAN_GRAM_BLOCK, n_after)
+            H[i0:i1] = self.spec.gram(anchors[i0:i1], anchors) @ R.T
+        V = rec.witness_lossprime.values(anchors[:n_before])
+        step = _PlanStep(n_before, n_after, rec.beta, V, rec.mixing, R, H, R @ H)
+        for arr in (anchors, V, R, H, step.S):
+            arr.setflags(write=False)
+        self.anchors = anchors
+        self.steps.append(step)
 
-    def gram(self) -> np.ndarray:
-        if self._gram is None:
-            self._gram = self.spec.gram(self.anchors, self.anchors)
-        return self._gram
 
-
-def _project_rows(W: np.ndarray, G: np.ndarray, upto: int, R2: float) -> None:
-    """Scale rows of W[:, :upto] with norm > R2 back onto the ball, in place."""
-    sub = W[:, :upto]
-    n2 = np.einsum("ij,ij->i", sub @ G[:upto, :upto], sub)
+def _project_rows(W: np.ndarray, n2: np.ndarray, upto: int, R2: float) -> None:
+    """Scale the rows of W[:, :upto] whose squared norm n2 exceeds R2**2 back
+    onto the ball, in place, and scale their n2 to match."""
     over = n2 > R2 * R2
     if np.any(over):
-        sub[over] *= (R2 / np.sqrt(n2[over]))[:, None]
+        s = R2 / np.sqrt(n2[over])
+        W[over, :upto] *= s[:, None]
+        n2[over] *= s * s
 
 
 @dataclass(frozen=True)
@@ -378,27 +417,42 @@ class Predictor:
         return self._plan.anchors
 
     def with_patch(self, record: PatchRecord) -> "Predictor":
-        return Predictor(self.kernel, self.base, self.patches + (record,))
+        child = Predictor(self.kernel, self.base, self.patches + (record,))
+        plan = self.__dict__.get("_plan_cache")
+        if plan is not None:
+            object.__setattr__(child, "_plan_cache", plan.extended(record))
+        return child
 
     def coefficients(self, X) -> np.ndarray:
-        """Coefficient matrix of the predictions over self.anchors; (m, N).
+        """Coefficient matrix of the predictions over self.anchors; (m, N)."""
+        return self._replay(X)[0]
 
-        Replays the patch chain on the whole batch at once, projecting onto
+    def _replay(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Replay the patch chain on the whole batch at once, projecting onto
         the R2 ball after the base map and after every patch.
+
+        Returns the coefficients W (m, N) and the squared norms n2 (m,) of
+        the predictions.  n2 is tracked, not recomputed: with Q the mixed
+        rule probabilities of a step, ||w + Q R||^2 = n2 + 2 <w, Q R> +
+        ||Q R||^2, and the step's cached H and S supply both inner products.
         """
         plan = self._plan
         Xm = as_contexts(X)
         W = np.zeros((len(Xm), len(plan.anchors)))
-        W[:, : plan.n_base] = self.base.weights(Xm)
-        G = plan.gram()
+        Wb = W[:, : plan.n_base]
+        Wb[...] = self.base.weights(Xm)
+        n2 = np.einsum("ij,ij->i", Wb @ plan.base_gram, Wb)
         R2 = self.kernel.R2
-        _project_rows(W, G, plan.n_base, R2)
+        _project_rows(W, n2, plan.n_base, R2)
         for st in plan.steps:
-            F = W[:, : st.n_before] @ st.V
-            P = smooth_best_response(F, st.beta)
-            W[:, : st.n_after] += (P @ st.M) @ st.R
-            _project_rows(W, G, st.n_after, R2)
-        return W
+            # W[:, n_before:] is still zero, so the products need only the first columns
+            sub = W[:, : st.n_before]
+            Q = smooth_best_response(sub @ st.V, st.beta) @ st.M
+            WH = sub @ st.H[: st.n_before]
+            n2 += 2.0 * np.einsum("ij,ij->i", WH, Q) + np.einsum("ij,ij->i", Q @ st.S, Q)
+            W[:, : st.n_after] += Q @ st.R
+            _project_rows(W, n2, st.n_after, R2)
+        return W, n2
 
 
 def loss_estimates(p: Predictor, X, loss: LossFunction) -> np.ndarray:
@@ -415,8 +469,8 @@ class EvaluatedBatch:
     X: np.ndarray
     Y: np.ndarray
     anchors: np.ndarray
-    anchor_gram: np.ndarray
     W: np.ndarray
+    pnorm2: np.ndarray  # (n,) squared norms of the predictions, tracked by replay
     batch_id: str = ""
 
     def __len__(self) -> int:
@@ -424,11 +478,8 @@ class EvaluatedBatch:
 
 
 def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
-    plan = p._plan
-    W = p.coefficients(batch.X)
-    return EvaluatedBatch(
-        p.kernel, batch.X, batch.Y, plan.anchors, plan.gram(), W, batch.batch_id
-    )
+    W, pnorm2 = p._replay(batch.X)
+    return EvaluatedBatch(p.kernel, batch.X, batch.Y, p.anchors, W, pnorm2, batch.batch_id)
 
 
 def as_evaluated(p_or_eb, batch: SampleBatch | None = None) -> EvaluatedBatch:

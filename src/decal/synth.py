@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import softmax
 
 from .calibrate import DataExhaustedError
 from .kernel import KernelSpec, RkhsElement, as_outcomes, compress, distinct_rows, norm
@@ -27,6 +26,7 @@ from .model import (
     as_contexts,
     make_loss,
     register_base,
+    softmax,
 )
 
 COBB_DOUGLAS_R1 = math.sqrt(math.e)  # norm bound e^(||alpha||^2 / 2) on the simplex
@@ -166,7 +166,7 @@ class PlantedBiasMap:
         logits = X @ np.asarray(self.weight_matrix, dtype=np.float64).T + np.asarray(
             self.weight_offset, dtype=np.float64
         )
-        return softmax(logits, axis=1)
+        return softmax(logits)
 
     def sample(self, X: np.ndarray, spec: KernelSpec, rng: np.random.Generator) -> np.ndarray:
         q = self.mixture_weights(X)

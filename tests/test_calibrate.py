@@ -90,6 +90,8 @@ def test_config_fills_analysis_defaults():
         {"audit_batch_size": 0},
         {"pool_size": 0},
         {"heldout_size": 0},
+        {"beta": float("nan")},
+        {"beta": float("inf")},
     ],
 )
 def test_config_validation(kwargs):

@@ -125,6 +125,19 @@ def test_cli_unknown_key_exits_two(tmp_path, capsys):
     assert not (out_dir / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("beta", float("nan")), ("beta", float("inf")), ("beta", float("-inf")),
+     ("R1", float("inf")), ("epsilon", float("nan"))],
+)
+def test_non_finite_config_value_exits_two(tmp_path, capsys, key, value):
+    """JSON NaN and Infinity parse as floats; they are config errors, not runtime faults."""
+    code, out_dir = run_cli(tmp_path, "calibrate", dict(CALIBRATE_BASE, **{key: value}))
+    assert code == 2
+    assert f"config key {key!r}: must be finite" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_config_error_leaves_no_out_directory(tmp_path):
     code, out_dir = run_cli(tmp_path, "calibrate", dict(CALIBRATE_BASE, shift_norm=0.9))
     assert code == 2

@@ -25,6 +25,7 @@ from decal.model import (
     Predictor,
     SampleBatch,
     SimilarityBase,
+    _EvalPlan,
     evaluate_batch,
     load_loss,
     load_predictor,
@@ -38,6 +39,7 @@ from decal.model import (
     save_json,
     save_predictor,
     smooth_best_response,
+    softmax,
 )
 
 MIN = KernelSpec("min", 1, 1.5)
@@ -94,6 +96,24 @@ def test_smooth_rule_two_to_one_split():
 def test_smooth_rule_rejects_negative_beta():
     with pytest.raises(ValueError):
         smooth_best_response([0.0, 1.0], -0.5)
+
+
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+def test_smooth_rule_rejects_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="finite"):
+        smooth_best_response([0.0, 1.0], beta)
+
+
+def test_softmax_matches_scipy_bitwise():
+    from scipy.special import softmax as scipy_softmax
+
+    g = np.random.default_rng(23)
+    cases = [g.standard_normal(shape) * scale
+             for shape in [(1,), (5,), (64, 2), (40, 7), (3, 4, 6)]
+             for scale in (1e-3, 1.0, 30.0, 1e3)]
+    cases.append(np.array([[1e3, -1e3, 0.0], [-1e3, -1e3, -1e3], [1e3, 1e3 - 1e-9, 999.0]]))
+    for Z in cases:
+        assert softmax(Z).tobytes() == scipy_softmax(Z, axis=-1).tobytes()
 
 
 def test_smooth_rule_translation_invariant():
@@ -435,6 +455,136 @@ def test_patched_predictor_matches_vector_simulation():
     assert np.allclose(
         loss_estimates(p, X, probe), oracle.loss_estimates(sim.evaluate(X), Lp), atol=1e-9
     )
+
+
+def _dense_replay(p, X):
+    """Replay that recomputes every squared norm from the full Gram matrix
+    (W @ G) before each projection; returns W and the number of steps whose
+    projection moved at least one row."""
+    plan = p._plan
+    G = p.kernel.gram(plan.anchors, plan.anchors)
+    R2 = p.kernel.R2
+    W = np.zeros((len(X), len(plan.anchors)))
+    W[:, : plan.n_base] = p.base.weights(X)
+    fired = 0
+
+    def project(upto):
+        nonlocal fired
+        sub = W[:, :upto]
+        n2 = np.einsum("ij,ij->i", sub @ G[:upto, :upto], sub)
+        over = n2 > R2 * R2
+        sub[over] *= (R2 / np.sqrt(n2[over]))[:, None]
+        fired += bool(np.any(over))
+
+    project(plan.n_base)
+    for step in plan.steps:
+        P = oracle.softmax_rows(-step.beta * (W[:, : step.n_before] @ step.V))
+        W[:, : step.n_after] += (P @ step.M) @ step.R
+        project(step.n_after)
+    return W, fired
+
+
+def _random_chain(g, spec, pool, n_patches, scale):
+    """Mixed alg1/alg2 records over the outcome rows of `pool`, so anchors
+    repeat; every seventh is an alg1 push of norm 4 * R2 that sends every row
+    out of the ball."""
+
+    def element(k, coeff_scale):
+        picks = g.integers(0, len(pool), k)
+        return RkhsElement(spec, pool[picks], g.standard_normal(k) * coeff_scale)
+
+    push = RkhsElement(spec, pool[:1], [4.0 * spec.R2 / np.sqrt(spec.diag(pool[:1])[0])])
+    records = []
+    for t in range(n_patches):
+        lossprime = make_loss(f"lp{t}", [element(2, 1.0) for _ in range(2)], 1.0)
+        beta = float(g.uniform(0.5, 4.0))
+        if t % 7 == 3:
+            records.append(PatchRecord("alg1", lossprime, beta, rows=(push, push), eta=0.1))
+        elif g.random() < 0.5:
+            rows = tuple(element(int(g.integers(1, 4)), scale) for _ in range(2))
+            records.append(PatchRecord("alg1", lossprime, beta, rows=rows, eta=0.1))
+        else:
+            A = g.standard_normal((2, 2))
+            M = np.linalg.inv(A @ A.T / 4.0 + np.eye(2))
+            rows = tuple(element(int(g.integers(1, 4)), scale) for _ in range(2))
+            records.append(PatchRecord("alg2", lossprime, beta, rows=rows, mixing=(M + M.T) / 2.0))
+    return records
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_patches=st.integers(50, 64),
+    scale=st.floats(0.05, 2.0),
+)
+@settings(max_examples=15, deadline=None)
+def test_tracked_norms_match_dense_replay(seed, n_patches, scale):
+    """Tracked squared norms equal diag(W G W^T), and W equals a replay that
+    recomputes each norm from the Gram matrix, both to 1e-12 relative (to the
+    ball's R2^2 and the largest coefficient), over long chains in which the
+    projection fires."""
+    g = np.random.default_rng(seed)
+    spec = KernelSpec("linear", 2, 1.5)
+    train = g.uniform(-1.0, 1.0, size=(12, 2))
+    base = SimilarityBase(spec, train, g.standard_normal((12, 2)), bandwidth=0.8)
+    pool = g.uniform(-1.0, 1.0, size=(40, 2))
+    p = Predictor(spec, base, tuple(_random_chain(g, spec, pool, n_patches, scale)))
+    X = g.standard_normal((16, 2))
+
+    W, n2 = p._replay(X)
+    G = spec.gram(p.anchors, p.anchors)
+    dense_n2 = np.einsum("ij,ij->i", W @ G, W)
+    np.testing.assert_allclose(n2, dense_n2, rtol=1e-12, atol=1e-12 * spec.R2**2)
+    assert np.all(n2 <= spec.R2**2 * (1.0 + 1e-12))
+
+    W_ref, fired = _dense_replay(p, X)
+    assert fired >= n_patches // 7
+    np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12 * np.abs(W_ref).max())
+
+
+def test_child_plans_extend_the_parents(monkeypatch):
+    """A chain grown by with_patch, replayed between steps, builds one plan
+    and extends it; the result is bit-equal to a plan built from the saved
+    chain, and every parent plan is left as it was."""
+    g = np.random.default_rng(31)
+    train = sample_points(MIN, 20)
+    base = SimilarityBase(MIN, train, g.standard_normal((20, 2)), bandwidth=0.6)
+    records = _random_chain(g, MIN, sample_points(MIN, 40), 12, 0.4)
+    X = g.standard_normal((9, 2))
+
+    built = []
+    init = _EvalPlan.__init__
+    monkeypatch.setattr(_EvalPlan, "__init__", lambda self, q: (built.append(q), init(self, q))[1])
+
+    p = Predictor(MIN, base)
+    p.coefficients(X)
+    parents = []
+    for rec in records:
+        plan = p._plan
+        parents.append((plan, len(plan.steps), plan.anchors.tobytes()))
+        p = p.with_patch(rec)
+        assert all(a is b for a, b in zip(p._plan.steps, plan.steps, strict=False))
+        assert len(p._plan.steps) == len(plan.steps) + 1
+        p.coefficients(X)
+    assert len(built) == 1
+
+    q = predictor_from_doc(predictor_to_doc(p))
+    fresh = _EvalPlan(q)
+    assert p._plan.anchors.tobytes() == fresh.anchors.tobytes()
+    for mine, theirs in zip(p._plan.steps, fresh.steps, strict=True):
+        for name in ("n_before", "n_after", "beta"):
+            assert getattr(mine, name) == getattr(theirs, name), name
+        for name in "VMRHS":
+            a, b = getattr(mine, name), getattr(theirs, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert np.array_equal(p.coefficients(X), q.coefficients(X))
+
+    for plan, n_steps, anchors in parents:
+        assert len(plan.steps) == n_steps
+        assert plan.anchors.tobytes() == anchors
+        assert not plan.anchors.flags.writeable
+        assert not plan.base_gram.flags.writeable
+        for step in plan.steps:
+            assert not any(getattr(step, name).flags.writeable for name in "VMRHS")
 
 
 def test_evaluate_batch_reuses_coefficients():
