@@ -14,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, RkhsElement, check_spec, compress, span_gram, zero_element
+from .kernel import (
+    KernelSpec,
+    RkhsElement,
+    as_outcomes,
+    check_spec,
+    compress,
+    merge_terms,
+    span_gram,
+    zero_element,
+)
 from .model import (
     DEGENERATE_NORM,
     EvaluatedBatch,
@@ -64,17 +73,40 @@ def _residual_coeff_matrix(eb: EvaluatedBatch, B: np.ndarray) -> np.ndarray:
     return np.vstack([B / n, -(eb.W.T @ B) / n])
 
 
+def _merged_coeffs(eb: EvaluatedBatch, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's distinct points and the residual-mean coefficients over
+    them; with every point distinct, the unmerged matrix as it is.
+
+    Rows are summed onto their point in input order from 0.0, as compress's
+    bincount does, so each column is bitwise what compress would give it.
+    """
+    points, inverse = eb.distinct_points
+    C = _residual_coeff_matrix(eb, B)
+    if len(points) == len(inverse):
+        return points, C
+    cols = C.shape[1]
+    bins = (inverse[:, None] * cols + np.arange(cols)).ravel()
+    merged = np.bincount(bins, weights=C.ravel(), minlength=len(points) * cols)
+    return points, merged.reshape(len(points), cols)
+
+
+def _require_samples(eb: EvaluatedBatch) -> None:
+    if len(eb) == 0:
+        raise ValueError("need at least one sample")
+
+
 def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     """Witness-sup gap, per-action residual norms and rule probabilities of
-    every candidate lossprime, from one Gram pass."""
+    every candidate lossprime, from one Gram pass over the batch's distinct
+    points."""
+    _require_samples(eb)
     if not pool:
         raise ValueError("candidate pool must be nonempty")
     counts = sorted({lp.n_actions for lp in pool})
     if len(counts) > 1:
         raise ValueError(f"candidate pool mixes action counts {counts}")
     probs = [rule_probabilities(eb, lp, beta) for lp in pool]
-    C = _residual_coeff_matrix(eb, np.hstack(probs))
-    gram = span_gram(eb.kernel, np.vstack([eb.Y, eb.anchors]), C)
+    gram = span_gram(eb.kernel, *_merged_coeffs(eb, np.hstack(probs)))
     norms = np.sqrt(np.clip(np.diag(gram), 0.0, None)).reshape(len(pool), -1)
     gaps = R1 * np.where(norms > DEGENERATE_NORM, norms, 0.0).sum(axis=1)
     return gaps, norms, probs
@@ -87,9 +119,8 @@ def _witness(eb: EvaluatedBatch, probs: np.ndarray, norms: np.ndarray, R1: float
     rule probability, rescaled to norm R1 by its norm from the pooled scan,
     or zero where it is degenerate.
     """
-    C = _residual_coeff_matrix(eb, probs)
-    Z = np.vstack([eb.Y, eb.anchors])
-    means = tuple(compress(RkhsElement(eb.kernel, Z, C[:, j])) for j in range(probs.shape[1]))
+    points, C = _merged_coeffs(eb, probs)
+    means = tuple(compress(RkhsElement(eb.kernel, points, c)) for c in C.T)
     elements = [
         RkhsElement(el.spec, el.anchors, el.coeffs * (R1 / nv))
         if nv > DEGENERATE_NORM
@@ -120,6 +151,7 @@ def empirical_gap(
 ) -> float:
     """|Ehat[ sum_a <r(a), phi(y) - p(x)> * k_a(x) ]| on the batch."""
     eb = as_evaluated(p_or_eb, batch)
+    _require_samples(eb)
     kprobs = rule_probabilities(eb, lossprime, beta)
     ests = batch_estimates(eb, loss)
     vals = loss.values(eb.Y)
@@ -183,21 +215,22 @@ def random_loss_pool(
     """Random candidate losses anchored on observed outcomes, each action
     coefficient normalized to norm R1 exactly.
     """
+    Y = as_outcomes(Y, spec.dim)
     n = len(Y)
     if n == 0:
         raise ValueError("need at least one outcome to anchor pool losses")
+    spec.check_domain(Y)
     pool = []
     for k in range(size):
         elements = []
         for _ in range(n_actions):
             take = min(POOL_LOSS_SPAN, n)
             idx = rng.choice(n, size=take, replace=False)
-            coeffs = rng.standard_normal(take)
-            el = compress(RkhsElement(spec, Y[idx], coeffs))
-            nv = np.sqrt(max(span_gram(spec, el.anchors, el.coeffs[:, None])[0, 0], 0.0))
+            anchors, coeffs = merge_terms(spec, Y[idx], rng.standard_normal(take))
+            nv = np.sqrt(max(span_gram(spec, anchors, coeffs[:, None])[0, 0], 0.0))
             if nv <= DEGENERATE_NORM:
                 elements.append(zero_element(spec))
             else:
-                elements.append(RkhsElement(spec, el.anchors, el.coeffs * (R1 / nv)))
+                elements.append(RkhsElement(spec, anchors, coeffs * (R1 / nv)))
         pool.append(LossFunction(f"{id_prefix}-{k:03d}", tuple(elements), R1))
     return pool

@@ -192,19 +192,28 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse.ravel()]
 
 
-def compress(v: RkhsElement) -> RkhsElement:
-    """Merge bitwise-identical anchors, then drop the terms that are exactly
-    zero (a zero coefficient or K(y, y) = 0), so the represented element is
-    unchanged.
+def merge_terms(
+    spec: KernelSpec, anchors: np.ndarray, coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge bitwise-identical anchors of the span sum_i coeffs[i] *
+    phi(anchors[i]), then drop the terms that are exactly zero (a zero
+    coefficient or K(y, y) = 0); returns the remaining (anchors, coeffs).
+    `anchors` is a nonempty (n, dim) float array.
     """
+    first, inverse = distinct_rows(anchors)
+    # bincount adds in input order from 0.0, as a running sum per anchor would
+    merged = np.bincount(inverse, weights=coeffs, minlength=len(first))
+    anchors = anchors[first]
+    keep = np.abs(merged) * np.sqrt(np.maximum(spec.diag(anchors), 0.0)) > 0.0
+    return anchors[keep], merged[keep]
+
+
+def compress(v: RkhsElement) -> RkhsElement:
+    """The same element with repeated anchors merged and zero terms dropped
+    (see merge_terms)."""
     if len(v) == 0:
         return v
-    first, inverse = distinct_rows(v.anchors)
-    # bincount adds in input order from 0.0, as a running sum per anchor would
-    coeffs = np.bincount(inverse, weights=v.coeffs, minlength=len(first))
-    anchors = v.anchors[first]
-    keep = np.abs(coeffs) * np.sqrt(np.maximum(v.spec.diag(anchors), 0.0)) > 0.0
-    return RkhsElement(v.spec, anchors[keep], coeffs[keep])
+    return RkhsElement(v.spec, *merge_terms(v.spec, v.anchors, v.coeffs))
 
 
 def span_gram(spec: KernelSpec, points: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ import copy
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
 
@@ -475,6 +476,18 @@ class EvaluatedBatch:
 
     def __len__(self) -> int:
         return len(self.X)
+
+    @cached_property
+    def distinct_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """(points, inverse): the bitwise-distinct rows of [Y; anchors] in
+        order of first appearance, and the index of each row's point.
+        Computed once per batch and shared by every audit scan on it."""
+        rows = np.vstack([self.Y, self.anchors])
+        first, inverse = distinct_rows(rows)
+        points = rows[first]
+        points.setflags(write=False)
+        inverse.setflags(write=False)
+        return points, inverse
 
 
 def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:

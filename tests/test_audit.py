@@ -1,11 +1,19 @@
 """Auditing: empirical gaps, closed-form witnesses, and pool scans."""
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from decal.audit import (
     AUDIT_THRESHOLD_FACTOR,
+    POOL_LOSS_SPAN,
+    _gap_scan,
+    _residual_coeff_matrix,
+    _witness,
     audit,
     closed_form_witnesses,
     decce_estimate,
@@ -13,15 +21,30 @@ from decal.audit import (
     random_loss_pool,
     rule_probabilities,
 )
-from decal.kernel import KernelMismatchError, KernelSpec, RkhsElement, feature, zero_element
+from decal.kernel import (
+    KernelMismatchError,
+    KernelSpec,
+    RkhsElement,
+    compress,
+    feature,
+    span_gram,
+    zero_element,
+)
 from decal.model import (
+    DEGENERATE_NORM,
     ConstantBase,
+    EvaluatedBatch,
     LossFunction,
     Predictor,
     SampleBatch,
     evaluate_batch,
     loss_estimates,
 )
+from decal.synth import planted_bias_instance
+
+# the modules themselves; the package exports a function named `audit`
+audit_module = importlib.import_module("decal.audit")
+model_module = importlib.import_module("decal.model")
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN2 = KernelSpec("linear", 2, 1.5)
@@ -151,6 +174,122 @@ def test_scan_gap_agrees_with_direct_evaluation():
     assert report.empirical_gap == pytest.approx(direct, rel=1e-9)
 
 
+def test_empty_batch_is_rejected_by_every_entry_point():
+    p = min_predictor()
+    empty = SampleBatch(np.zeros((0, 2)), np.zeros((0, 1)))
+    pool = pool_for(min_batch(10), 2, 3)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        audit(p, empty, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        decce_estimate(p, empty, pool=pool, beta=2.0, R1=1.0)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        empirical_gap(p, pool[0], pool[1], empty, beta=2.0)
+
+
+# the scan over distinct points
+
+SCAN_SPECS = {
+    "min": KernelSpec("min", 1, 1.5),
+    "linear": KernelSpec("linear", 2, 1.5),
+    "exp": KernelSpec("exp", 2, 2.0),
+}
+
+
+def scan_batch(spec, n, n_anchors, support_size, all_distinct, signed_zeros, seed):
+    """An evaluated batch whose outcomes and anchors repeat a small support,
+    or are all distinct; signed_zeros puts rows that differ only in the sign
+    of a zero coordinate into the batch."""
+    r = np.random.default_rng(seed)
+
+    def draw(m):
+        if spec.kind == "min":
+            return r.uniform(0.0, 1.0, (m, 1))
+        return r.uniform(-0.5, 0.5, (m, spec.dim))
+
+    if all_distinct:
+        Y, anchors = draw(n), draw(n_anchors)
+    else:
+        support = draw(support_size)
+        Y = support[r.integers(0, support_size, n)]
+        anchors = support[r.integers(0, support_size, n_anchors)]
+    if signed_zeros:
+        zeros = np.array([[0.0], [-0.0]]) if spec.dim == 1 else np.array([[0.0, 0.3], [-0.0, 0.3]])
+        Y = np.vstack([zeros, Y, zeros[::-1]])
+        anchors = np.vstack([anchors, zeros])
+    W = r.standard_normal((len(Y), len(anchors))) * 0.3
+    return EvaluatedBatch(spec, r.standard_normal((len(Y), 2)), Y, anchors, W, np.zeros(len(Y)))
+
+
+@given(
+    st.sampled_from(sorted(SCAN_SPECS)),
+    st.integers(1, 60),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_merged_scan_matches_dense_reference(
+    kind, n, n_anchors, support_size, all_distinct, signed_zeros, seed
+):
+    spec = SCAN_SPECS[kind]
+    eb = scan_batch(spec, n, n_anchors, support_size, all_distinct, signed_zeros, seed)
+    pool = random_loss_pool(spec, eb.Y, 2, 1.0, 3, np.random.default_rng(seed))
+    gaps, norms, probs = _gap_scan(eb, pool, 3.0, 1.0)
+
+    # dense reference over the unmerged points [Y; anchors]
+    Z = np.vstack([eb.Y, eb.anchors])
+    C = _residual_coeff_matrix(eb, np.hstack(probs))
+    K = spec.gram(Z, Z)
+    dense = np.diag(span_gram(spec, Z, C))
+    slack = np.einsum("ij,ik,kj->j", np.abs(C), np.abs(K), np.abs(C))
+    tol = 1e-12 * np.abs(dense) + 1e-12 * slack
+    assert np.all(np.abs(norms.ravel() ** 2 - np.clip(dense, 0.0, None)) <= tol)
+    ref_norms = np.sqrt(np.clip(dense, 0.0, None)).reshape(norms.shape)
+    ref_gaps = np.where(ref_norms > DEGENERATE_NORM, ref_norms, 0.0).sum(axis=1)
+    norm_tol = np.minimum(
+        tol / np.maximum(ref_norms.ravel(), DEGENERATE_NORM), np.sqrt(tol)
+    ).reshape(norms.shape)
+    assert np.all(np.abs(gaps - ref_gaps) <= norm_tol.sum(axis=1))
+
+    # each witness's residual means are bitwise what compress gives unmerged
+    for P, nv in zip(probs, norms):
+        _, means = _witness(eb, P, nv, 1.0, "w")
+        Cp = _residual_coeff_matrix(eb, P)
+        for j, got in enumerate(means):
+            want = compress(RkhsElement(spec, Z, Cp[:, j]))
+            assert got.anchors.shape == want.anchors.shape
+            assert got.anchors.tobytes() == want.anchors.tobytes()
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_audit_scans_each_distinct_point_once(monkeypatch):
+    # 4,096 samples of a 24-point planted instance: the scans see at most
+    # the 24 support points plus the 24 anchors, merged once per batch
+    spec = KernelSpec("min", 1, 1.5)
+    inst = planted_bias_instance(spec, 2, 24, 0.25, 3)
+    eb = evaluate_batch(inst.predictor, inst.source(0).take(4096))
+    pool = random_loss_pool(spec, eb.Y, 2, 1.0, 4, np.random.default_rng(0))
+    scanned, merged = [], []
+    real_span_gram, real_distinct_rows = audit_module.span_gram, model_module.distinct_rows
+
+    def counting_span_gram(spec, points, C):
+        scanned.append(len(points))
+        return real_span_gram(spec, points, C)
+
+    def counting_distinct_rows(rows):
+        merged.append(len(rows))
+        return real_distinct_rows(rows)
+
+    monkeypatch.setattr(audit_module, "span_gram", counting_span_gram)
+    monkeypatch.setattr(model_module, "distinct_rows", counting_distinct_rows)
+    audit(eb, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
+    decce_estimate(eb, pool=pool, beta=2.0, R1=1.0)
+    assert len(scanned) == 2 and max(scanned) <= 48
+    assert merged == [4096 + 24]
+
+
 # audit reports
 
 
@@ -261,3 +400,44 @@ def test_random_pool_shape_and_norms():
 def test_random_pool_needs_outcomes():
     with pytest.raises(ValueError):
         random_loss_pool(MIN, np.zeros((0, 1)), 2, 1.0, 3, np.random.default_rng(0))
+
+
+def per_element_pool(spec, Y, n_actions, R1, size, rng, id_prefix="rand"):
+    """random_loss_pool written with one element per step: the drawn span,
+    its compression, and the element rescaled to norm R1."""
+    pool = []
+    for k in range(size):
+        elements = []
+        for _ in range(n_actions):
+            take = min(POOL_LOSS_SPAN, len(Y))
+            idx = rng.choice(len(Y), size=take, replace=False)
+            el = compress(RkhsElement(spec, Y[idx], rng.standard_normal(take)))
+            nv = np.sqrt(max(span_gram(spec, el.anchors, el.coeffs[:, None])[0, 0], 0.0))
+            if nv <= DEGENERATE_NORM:
+                elements.append(zero_element(spec))
+            else:
+                elements.append(RkhsElement(spec, el.anchors, el.coeffs * (R1 / nv)))
+        pool.append(LossFunction(f"{id_prefix}-{k:03d}", tuple(elements), R1))
+    return pool
+
+
+@pytest.mark.parametrize(
+    "spec, Y",
+    [
+        (MIN, np.random.default_rng(1).uniform(0.0, 1.0, (50, 1))),
+        (MIN, np.array([[0.0], [0.25], [0.5], [0.75], [-0.0]])[np.arange(40) % 5]),
+        (MIN, np.array([[0.4]] * 3)),
+        (KernelSpec("linear", 3, 1.5), np.random.default_rng(2).uniform(-0.5, 0.5, (30, 3))),
+    ],
+    ids=["min-continuous", "min-repeated", "min-fewer-than-span", "linear3"],
+)
+def test_random_pool_matches_per_element_construction(spec, Y):
+    got = random_loss_pool(spec, Y, 3, 0.7, 32, np.random.default_rng(4), id_prefix="c")
+    want = per_element_pool(spec, Y, 3, 0.7, 32, np.random.default_rng(4), id_prefix="c")
+    assert [loss.loss_id for loss in got] == [loss.loss_id for loss in want]
+    for a, b in zip(got, want):
+        assert a.R1 == b.R1
+        for x, y in zip(a.coefficients, b.coefficients, strict=True):
+            assert x.anchors.shape == y.anchors.shape
+            assert x.anchors.tobytes() == y.anchors.tobytes()
+            assert x.coeffs.tobytes() == y.coeffs.tobytes()
