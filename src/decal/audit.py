@@ -29,7 +29,7 @@ from .model import (
     EvaluatedBatch,
     LossFunction,
     SampleBatch,
-    as_evaluated,
+    evaluate_batch,
     smooth_best_response,
 )
 
@@ -40,8 +40,8 @@ POOL_LOSS_SPAN = 8  # outcomes anchoring each action of a random pool loss
 @dataclass(frozen=True, eq=False)
 class AuditReport:
     found: bool
-    witness_loss: LossFunction | None
-    witness_lossprime: LossFunction | None
+    witness_loss: LossFunction
+    witness_lossprime: LossFunction
     empirical_gap: float
     threshold: float
     n_used: int
@@ -142,15 +142,9 @@ def closed_form_witnesses(
 
 
 def empirical_gap(
-    p_or_eb,
-    loss: LossFunction,
-    lossprime: LossFunction,
-    batch: SampleBatch | None = None,
-    *,
-    beta: float,
+    eb: EvaluatedBatch, loss: LossFunction, lossprime: LossFunction, *, beta: float
 ) -> float:
     """|Ehat[ sum_a <r(a), phi(y) - p(x)> * k_a(x) ]| on the batch."""
-    eb = as_evaluated(p_or_eb, batch)
     _require_samples(eb)
     kprobs = rule_probabilities(eb, lossprime, beta)
     ests = batch_estimates(eb, loss)
@@ -168,14 +162,19 @@ def audit(
     R1: float,
     witness_id: str = "witness",
 ) -> AuditReport:
-    """Scan the pool for the best closed-form witness pair.
+    """Scan the pool for the best closed-form witness pair on an
+    EvaluatedBatch, or on a Predictor pushed through `batch`.
 
-    found is True when the best gap exceeds 3 * epsilon / 4, in which case
-    the report carries the maximizing (witness, lossprime) pair.
+    found is True when the best gap exceeds 3 * epsilon / 4; the report
+    carries the maximizing (witness, lossprime) pair either way.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    eb = as_evaluated(p_or_eb, batch)
+    eb = p_or_eb
+    if not isinstance(eb, EvaluatedBatch):
+        if batch is None:
+            raise ValueError("a batch is required when passing a Predictor")
+        eb = evaluate_batch(p_or_eb, batch)
     gaps, norms, probs = _gap_scan(eb, pool, beta, R1)
     best = int(np.argmax(gaps))
     witness, means = _witness(eb, probs[best], norms[best], R1, witness_id)
@@ -195,11 +194,9 @@ def audit(
     )
 
 
-def decce_estimate(
-    p_or_eb, batch: SampleBatch | None = None, *, pool, beta: float, R1: float
-) -> float:
+def decce_estimate(eb: EvaluatedBatch, *, pool, beta: float, R1: float) -> float:
     """Best witness-sup gap over the pool: a lower bound on the true decCE."""
-    gaps, _, _ = _gap_scan(as_evaluated(p_or_eb, batch), pool, beta, R1)
+    gaps, _, _ = _gap_scan(eb, pool, beta, R1)
     return float(np.max(gaps))
 
 

@@ -72,14 +72,20 @@ class CalibConfig:
             raise ValueError("n_actions must be >= 1")
         if self.algorithm not in ("alg1", "alg2"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.eta is None:
-            object.__setattr__(self, "eta", self.epsilon / (2.0 * self.R1**2))
-        elif not self.eta > 0:
-            raise ValueError("eta must be positive")
-        if self.max_iters is None:
-            cap = math.ceil(16.0 * self.R1**2 * self.R2**2 / self.epsilon**2)
-            object.__setattr__(self, "max_iters", cap)
-        elif self.max_iters < 1:
+        try:
+            if self.eta is None:
+                object.__setattr__(self, "eta", self.epsilon / (2.0 * self.R1**2))
+            if self.max_iters is None:
+                cap = math.ceil(16.0 * self.R1**2 * self.R2**2 / self.epsilon**2)
+                object.__setattr__(self, "max_iters", cap)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise ValueError(
+                f"epsilon = {self.epsilon!r}, R1 = {self.R1!r}, R2 = {self.R2!r} give no finite"
+                " eta = epsilon / (2 R1^2) or max_iters = ceil(16 R1^2 R2^2 / epsilon^2)"
+            ) from exc
+        if not (self.eta > 0 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+        if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         for name in ("audit_batch_size", "pool_size", "heldout_size"):
             if getattr(self, name) < 1:

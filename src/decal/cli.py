@@ -434,10 +434,8 @@ def audit_report_doc(report: AuditReport, approx_offset: float) -> dict:
         "threshold": report.threshold,
         "n_used": report.n_used,
         "candidate_pool_size": report.candidate_pool_size,
-        "witness_loss_id": report.witness_loss.loss_id if report.witness_loss else None,
-        "witness_lossprime_id": (
-            report.witness_lossprime.loss_id if report.witness_lossprime else None
-        ),
+        "witness_loss_id": report.witness_loss.loss_id,
+        "witness_lossprime_id": report.witness_lossprime.loss_id,
         "approx_offset": approx_offset,
         "decce_adjusted": report.empirical_gap + approx_offset,
     }
@@ -463,7 +461,7 @@ def run_audit_command(cfg: dict, rd: RunDir) -> int:
         R1=cfg["R1"],
     )
     rd.write_json("report.json", audit_report_doc(report, cfg["approx_offset"]))
-    if report.found and report.witness_loss is not None:
+    if report.found:
         rd.write_json("witness_loss.json", loss_file_doc(report.witness_loss))
     return 0
 

@@ -19,7 +19,7 @@ KERNEL_KINDS = ("linear", "min", "exp")
 # Anchors this far outside the declared domain are rejected.
 DOMAIN_SLACK = 1e-9
 
-# Rows of the point list per dense Gram block in span_gram.
+# Rows of the point list per dense Gram block in gram_apply.
 SPAN_GRAM_BLOCK = 2048
 
 
@@ -162,8 +162,6 @@ def check_spec(a: KernelSpec, b: KernelSpec) -> None:
 def inner(u: RkhsElement, v: RkhsElement) -> float:
     """<u, v> via the cross-Gram matrix of the anchors."""
     check_spec(u.spec, v.spec)
-    if len(u) == 0 or len(v) == 0:
-        return 0.0
     return float(u.coeffs @ u.spec.gram(u.anchors, v.anchors) @ v.coeffs)
 
 
@@ -216,19 +214,22 @@ def compress(v: RkhsElement) -> RkhsElement:
     return RkhsElement(v.spec, *merge_terms(v.spec, v.anchors, v.coeffs))
 
 
+def gram_apply(spec: KernelSpec, points: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """K @ C for the Gram matrix K of `points`, in row blocks of SPAN_GRAM_BLOCK
+    rows; the full n x n Gram matrix is never materialized."""
+    out = np.empty((len(points), C.shape[1]))
+    for i0 in range(0, len(points), SPAN_GRAM_BLOCK):
+        i1 = min(i0 + SPAN_GRAM_BLOCK, len(points))
+        out[i0:i1] = spec.gram(points[i0:i1], points) @ C
+    return out
+
+
 def span_gram(spec: KernelSpec, points: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """C.T @ K @ C for the Gram matrix K of `points`, in row blocks of
-    SPAN_GRAM_BLOCK.
+    """C.T @ K @ C for the Gram matrix K of `points`.
 
     Columns of C are coefficient vectors over the shared point list; the
     result is the matrix of pairwise inner products of the spanned elements.
-    The full n x n Gram matrix is never materialized.
     """
-    n, k = C.shape
-    if len(points) != n:
+    if len(points) != len(C):
         raise ValueError("points and coefficient rows differ in length")
-    out = np.zeros((k, k))
-    for i0 in range(0, n, SPAN_GRAM_BLOCK):
-        i1 = min(i0 + SPAN_GRAM_BLOCK, n)
-        out += C[i0:i1].T @ (spec.gram(points[i0:i1], points) @ C)
-    return out
+    return C.T @ gram_apply(spec, points, C)

@@ -25,13 +25,7 @@ from typing import ClassVar
 import numpy as np
 
 from .kernel import (
-    SPAN_GRAM_BLOCK,
-    KernelSpec,
-    RkhsElement,
-    as_outcomes,
-    check_spec,
-    distinct_rows,
-    norm,
+    KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, gram_apply, norm
 )
 
 DEGENERATE_NORM = 1e-12
@@ -143,13 +137,7 @@ class LossFunction:
         """
         spec = self.spec
         Ym = as_outcomes(Y, spec.dim)
-        cols = []
-        for el in self.coefficients:
-            if len(el) == 0:
-                cols.append(np.zeros(len(Ym)))
-            else:
-                cols.append(spec.gram(Ym, el.anchors) @ el.coeffs)
-        return np.column_stack(cols) if cols else np.zeros((len(Ym), 0))
+        return np.column_stack([spec.gram(Ym, el.anchors) @ el.coeffs for el in self.coefficients])
 
 
 def make_loss(loss_id: str, coefficients, R1: float) -> LossFunction:
@@ -375,10 +363,7 @@ class _EvalPlan:
             cols = row_at[inverse[offset : offset + len(el)]]
             R[a] = np.bincount(cols, weights=el.coeffs, minlength=n_after)
             offset += len(el)
-        H = np.zeros((n_after, len(rec.rows)))
-        for i0 in range(0, n_after, SPAN_GRAM_BLOCK):
-            i1 = min(i0 + SPAN_GRAM_BLOCK, n_after)
-            H[i0:i1] = self.spec.gram(anchors[i0:i1], anchors) @ R.T
+        H = gram_apply(self.spec, anchors, R.T)
         V = rec.witness_lossprime.values(anchors[:n_before])
         step = _PlanStep(n_before, n_after, rec.beta, V, rec.mixing, R, H, R @ H)
         for arr in (anchors, V, R, H, step.S):
@@ -405,13 +390,9 @@ class Predictor:
     base: PredictorBase
     patches: tuple[PatchRecord, ...] = ()
 
-    @property
+    @cached_property
     def _plan(self) -> _EvalPlan:
-        plan = self.__dict__.get("_plan_cache")
-        if plan is None:
-            plan = _EvalPlan(self)
-            object.__setattr__(self, "_plan_cache", plan)
-        return plan
+        return _EvalPlan(self)
 
     @property
     def anchors(self) -> np.ndarray:
@@ -419,9 +400,7 @@ class Predictor:
 
     def with_patch(self, record: PatchRecord) -> "Predictor":
         child = Predictor(self.kernel, self.base, self.patches + (record,))
-        plan = self.__dict__.get("_plan_cache")
-        if plan is not None:
-            object.__setattr__(child, "_plan_cache", plan.extended(record))
+        object.__setattr__(child, "_plan", self._plan.extended(record))
         return child
 
     def coefficients(self, X) -> np.ndarray:
@@ -493,15 +472,6 @@ class EvaluatedBatch:
 def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
     W, pnorm2 = p._replay(batch.X)
     return EvaluatedBatch(p.kernel, batch.X, batch.Y, p.anchors, W, pnorm2, batch.batch_id)
-
-
-def as_evaluated(p_or_eb, batch: SampleBatch | None = None) -> EvaluatedBatch:
-    """An EvaluatedBatch as given, or a Predictor pushed through `batch`."""
-    if isinstance(p_or_eb, EvaluatedBatch):
-        return p_or_eb
-    if batch is None:
-        raise ValueError("a batch is required when passing a Predictor")
-    return evaluate_batch(p_or_eb, batch)
 
 
 # ---------------------------------------------------------------------------

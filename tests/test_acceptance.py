@@ -102,7 +102,7 @@ def test_implicit_pipeline_matches_vector_oracle():
             loss_estimates(p, b1.X, loss), oracle.loss_estimates(P1, L), atol=PIPELINE_ATOL
         )
         assert potential(p, b1) == pytest.approx(oracle.potential(b1.Y, P1), abs=PIPELINE_ATOL)
-        assert empirical_gap(p, loss, lossprime, b1, beta=beta) == pytest.approx(
+        assert empirical_gap(evaluate_batch(p, b1), loss, lossprime, beta=beta) == pytest.approx(
             oracle.empirical_gap(b1.Y, P1, L, Lp, beta), abs=PIPELINE_ATOL
         )
 
@@ -125,7 +125,7 @@ def test_implicit_pipeline_matches_vector_oracle():
         P3 = vp.evaluate(b3.X)
         np.testing.assert_allclose(p.coefficients(b3.X) @ p.anchors, P3, atol=PIPELINE_ATOL)
         assert potential(p, b3) == pytest.approx(oracle.potential(b3.Y, P3), abs=PIPELINE_ATOL)
-        assert empirical_gap(p, loss, lossprime, b3, beta=beta) == pytest.approx(
+        assert empirical_gap(evaluate_batch(p, b3), loss, lossprime, beta=beta) == pytest.approx(
             oracle.empirical_gap(b3.Y, P3, L, Lp, beta), abs=PIPELINE_ATOL
         )
 

@@ -73,8 +73,9 @@ def test_point_mass_predictor_has_zero_gap():
     batch = SampleBatch(rng.standard_normal((8, 2)), np.full((8, 1), y0))
     p = Predictor(MIN, ConstantBase(feature(MIN, y0)))
     pool = pool_for(batch, 2, 3)
+    eb = evaluate_batch(p, batch)
     for lp in pool:
-        assert empirical_gap(p, pool[0], lp, batch, beta=5.0) == 0.0
+        assert empirical_gap(eb, pool[0], lp, beta=5.0) == 0.0
     report = audit(p, batch, epsilon=0.01, pool=pool, beta=5.0, R1=1.0)
     assert not report.found
     assert report.empirical_gap == pytest.approx(0.0, abs=1e-12)
@@ -85,18 +86,19 @@ def test_zero_loss_has_zero_gap():
     p = min_predictor()
     zero = LossFunction("zero", (zero_element(MIN), zero_element(MIN)), 1.0)
     lp = pool_for(batch, 2, 1)[0]
-    assert empirical_gap(p, zero, lp, batch, beta=3.0) == 0.0
+    assert empirical_gap(evaluate_batch(p, batch), zero, lp, beta=3.0) == 0.0
 
 
 def test_gap_bounded_by_loss_and_ball_radii():
     batch = min_batch(20)
     p = min_predictor(scale=1.0)
     pool = pool_for(batch, 3, 6)
+    eb = evaluate_batch(p, batch)
     for loss in pool:
         for lp in pool:
-            gap = empirical_gap(p, loss, lp, batch, beta=2.0)
+            gap = empirical_gap(eb, loss, lp, beta=2.0)
             assert gap <= 2.0 * 1.0 * MIN.R2 + 1e-9
-    assert decce_estimate(p, batch, pool=pool, beta=2.0, R1=1.0) <= 2.0 * MIN.R2 + 1e-9
+    assert decce_estimate(eb, pool=pool, beta=2.0, R1=1.0) <= 2.0 * MIN.R2 + 1e-9
 
 
 def test_rule_probabilities_match_model_path():
@@ -137,7 +139,7 @@ def test_linear_instance_matches_vector_oracle():
     expect_vecs, expect_gap = oracle.closed_form_witness(Y, P, K, 1.0)
     assert np.allclose(wl_vecs, expect_vecs, atol=1e-9)
 
-    gap = empirical_gap(p, wl, lp, batch, beta=3.0)
+    gap = empirical_gap(eb, wl, lp, beta=3.0)
     assert gap == pytest.approx(expect_gap, abs=1e-9)
     assert gap == pytest.approx(
         oracle.empirical_gap(Y, P, wl_vecs, rows, 3.0), abs=1e-9
@@ -150,7 +152,7 @@ def test_single_action_witness_is_scaled_residual_mean():
     batch = SampleBatch(np.zeros((2, 1)), np.array([[0.2], [0.8]]))
     p = Predictor(MIN, ConstantBase(zero_element(MIN)))
     pool = random_loss_pool(MIN, batch.Y, 1, 1.0, 3, np.random.default_rng(1))
-    got = decce_estimate(p, batch, pool=pool, beta=7.0, R1=1.0)
+    got = decce_estimate(evaluate_batch(p, batch), pool=pool, beta=7.0, R1=1.0)
     # ||(phi(.2) + phi(.8)) / 2||^2 = (0.2 + 2 * 0.2 + 0.8) / 4
     assert got == pytest.approx(np.sqrt(0.35), abs=1e-12)
 
@@ -159,10 +161,11 @@ def test_witness_dominates_random_losses():
     batch = min_batch(40)
     p = min_predictor()
     lp = pool_for(batch, 2, 1, seed=9)[0]
-    wl = closed_form_witnesses(evaluate_batch(p, batch), [lp], R1=1.0, beta=4.0, loss_ids=["w"])[0]
-    best = empirical_gap(p, wl, lp, batch, beta=4.0)
+    eb = evaluate_batch(p, batch)
+    wl = closed_form_witnesses(eb, [lp], R1=1.0, beta=4.0, loss_ids=["w"])[0]
+    best = empirical_gap(eb, wl, lp, beta=4.0)
     for cand in random_loss_pool(MIN, batch.Y, 2, 1.0, 40, np.random.default_rng(3)):
-        assert empirical_gap(p, cand, lp, batch, beta=4.0) <= best + 1e-9
+        assert empirical_gap(eb, cand, lp, beta=4.0) <= best + 1e-9
 
 
 def test_scan_gap_agrees_with_direct_evaluation():
@@ -170,7 +173,8 @@ def test_scan_gap_agrees_with_direct_evaluation():
     p = min_predictor()
     pool = pool_for(batch, 2, 5, seed=4)
     report = audit(p, batch, epsilon=0.05, pool=pool, beta=4.0, R1=1.0)
-    direct = empirical_gap(p, report.witness_loss, report.witness_lossprime, batch, beta=4.0)
+    eb = evaluate_batch(p, batch)
+    direct = empirical_gap(eb, report.witness_loss, report.witness_lossprime, beta=4.0)
     assert report.empirical_gap == pytest.approx(direct, rel=1e-9)
 
 
@@ -180,10 +184,11 @@ def test_empty_batch_is_rejected_by_every_entry_point():
     pool = pool_for(min_batch(10), 2, 3)
     with pytest.raises(ValueError, match="need at least one sample"):
         audit(p, empty, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
+    eb = evaluate_batch(p, empty)
     with pytest.raises(ValueError, match="need at least one sample"):
-        decce_estimate(p, empty, pool=pool, beta=2.0, R1=1.0)
+        decce_estimate(eb, pool=pool, beta=2.0, R1=1.0)
     with pytest.raises(ValueError, match="need at least one sample"):
-        empirical_gap(p, pool[0], pool[1], empty, beta=2.0)
+        empirical_gap(eb, pool[0], pool[1], beta=2.0)
 
 
 # the scan over distinct points
@@ -333,8 +338,9 @@ def test_pool_growth_never_shrinks_the_estimate():
     batch = min_batch(20)
     p = min_predictor()
     pool = pool_for(batch, 2, 8)
-    small = decce_estimate(p, batch, pool=pool[:3], beta=3.0, R1=1.0)
-    large = decce_estimate(p, batch, pool=pool, beta=3.0, R1=1.0)
+    eb = evaluate_batch(p, batch)
+    small = decce_estimate(eb, pool=pool[:3], beta=3.0, R1=1.0)
+    large = decce_estimate(eb, pool=pool, beta=3.0, R1=1.0)
     assert small <= large
 
 
@@ -344,15 +350,18 @@ def test_audit_validation():
     pool = pool_for(batch, 2, 2)
     with pytest.raises(ValueError):
         audit(p, batch, epsilon=0.0, pool=pool, beta=1.0, R1=1.0)
+    with pytest.raises(ValueError, match="a batch is required"):
+        audit(p, epsilon=0.1, pool=pool, beta=1.0, R1=1.0)
+    eb = evaluate_batch(p, batch)
     with pytest.raises(ValueError):
-        decce_estimate(p, batch, pool=[], beta=1.0, R1=1.0)
+        decce_estimate(eb, pool=[], beta=1.0, R1=1.0)
     # a loss over another kernel with the same outcome dimension
     lin1 = KernelSpec("linear", 1, 1.5)
     other = LossFunction("lin", (feature(lin1, 0.5), feature(lin1, -0.5)), 1.0)
     with pytest.raises(KernelMismatchError):
         audit(p, batch, epsilon=0.1, pool=[other], beta=1.0, R1=1.0)
     with pytest.raises(KernelMismatchError):
-        empirical_gap(p, other, pool[0], batch, beta=1.0)
+        empirical_gap(eb, other, pool[0], beta=1.0)
 
 
 def test_pool_with_mixed_action_counts_is_rejected():

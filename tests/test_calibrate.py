@@ -92,6 +92,13 @@ def test_config_fills_analysis_defaults():
         {"heldout_size": 0},
         {"beta": float("nan")},
         {"beta": float("inf")},
+        # the derived eta and max_iters overflow, or eta underflows to zero
+        {"epsilon": 1e-200},
+        {"epsilon": 1e-320},
+        {"R1": 1e200},
+        {"R2": 1e200},
+        {"R1": 1e-160, "epsilon": 1.0},
+        {"epsilon": 1e-320, "R1": 1e3, "max_iters": 3},
     ],
 )
 def test_config_validation(kwargs):

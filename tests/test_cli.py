@@ -138,8 +138,14 @@ def test_non_finite_config_value_exits_two(tmp_path, capsys, key, value):
     assert not out_dir.exists()
 
 
-def test_config_error_leaves_no_out_directory(tmp_path):
-    code, out_dir = run_cli(tmp_path, "calibrate", dict(CALIBRATE_BASE, shift_norm=0.9))
+@pytest.mark.parametrize(
+    "override",
+    [{"shift_norm": 0.9}, {"epsilon": 1e-200}, {"epsilon": 1e-320}, {"R1": 1e200},
+     {"R2": 1e200}],
+    ids=["shift_norm", "epsilon-1e-200", "epsilon-1e-320", "R1-1e200", "R2-1e200"],
+)
+def test_config_error_leaves_no_out_directory(tmp_path, override):
+    code, out_dir = run_cli(tmp_path, "calibrate", dict(CALIBRATE_BASE, **override))
     assert code == 2
     assert not out_dir.exists()
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decal import kernel
 from decal.kernel import (
     KernelMismatchError,
     KernelSpec,
@@ -13,9 +14,11 @@ from decal.kernel import (
     as_outcomes,
     compress,
     feature,
+    gram_apply,
     inner,
     norm,
     norm2,
+    span_gram,
     zero_element,
 )
 
@@ -26,11 +29,11 @@ EXP2 = KernelSpec("exp", 2, 2.0)
 rng = np.random.default_rng(7)
 
 
-def sample_points(spec, n):
+def sample_points(spec, n, r=rng):
     if spec.kind == "min":
-        return rng.uniform(0.0, 1.0, size=(n, 1))
-    pts = rng.standard_normal((n, spec.dim))
-    radii = rng.uniform(0.0, spec.domain_radius, size=(n, 1))
+        return r.uniform(0.0, 1.0, size=(n, 1))
+    pts = r.standard_normal((n, spec.dim))
+    radii = r.uniform(0.0, spec.domain_radius, size=(n, 1))
     return pts / np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-12) * radii
 
 
@@ -107,6 +110,30 @@ def test_gram_psd(spec):
         Y = sample_points(spec, n)
         eigs = np.linalg.eigvalsh(spec.gram(Y, Y))
         assert eigs.min() >= -1e-9
+
+
+# the blocked Gram product
+
+
+@pytest.mark.parametrize("spec", [MIN, LIN3, EXP2], ids=lambda s: s.kind)
+@given(st.integers(1, 7), st.integers(0, 24), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_blocked_gram_products_match_dense(spec, block, n, k, seed):
+    """Several row blocks, the last one ragged, give the dense products."""
+    r = np.random.default_rng(seed)
+    points = sample_points(spec, n, r)
+    C = r.standard_normal((n, k))
+    K = spec.gram(points, points)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "SPAN_GRAM_BLOCK", block)
+        applied = gram_apply(spec, points, C)
+        products = span_gram(spec, points, C)
+    for got, want, scale in (
+        (applied, K @ C, np.abs(K) @ np.abs(C)),
+        (products, C.T @ K @ C, np.abs(C).T @ np.abs(K) @ np.abs(C)),
+    ):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-12 * scale)
 
 
 # span arithmetic

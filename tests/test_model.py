@@ -253,9 +253,8 @@ def test_estimate_rejects_kernel_mismatch():
     loss = random_loss(KernelSpec("linear", 1, 1.5), 2, 1.0)
     with pytest.raises(KernelMismatchError):
         loss_estimates(p, [[0.0]], loss)
-    patched = p.with_patch(PatchRecord("alg1", loss, 1.0, rows=loss.coefficients, eta=0.1))
     with pytest.raises(KernelMismatchError):
-        patched.coefficients([[0.0]])
+        p.with_patch(PatchRecord("alg1", loss, 1.0, rows=loss.coefficients, eta=0.1))
 
 
 # predictors and patches

@@ -8,7 +8,7 @@ from scipy.stats import chi2_contingency
 
 from decal.audit import decce_estimate, random_loss_pool
 from decal.kernel import KernelSpec, norm
-from decal.model import predictor_from_doc, predictor_to_doc
+from decal.model import evaluate_batch, predictor_from_doc, predictor_to_doc
 from decal.synth import (
     COBB_DOUGLAS_R1,
     AffineMap,
@@ -215,7 +215,7 @@ def test_planted_gap_estimate_approaches_shift_norm():
     inst = planted_bias_instance(MIN, context_dim=2, support_size=12, shift_norm=0.3, seed=2)
     batch = inst.source(seed=8).take(4000)
     pool = random_loss_pool(MIN, batch.Y, 1, 1.0, 4, np.random.default_rng(0))
-    got = decce_estimate(inst.predictor, batch, pool=pool, beta=3.0, R1=1.0)
+    got = decce_estimate(evaluate_batch(inst.predictor, batch), pool=pool, beta=3.0, R1=1.0)
     assert got == pytest.approx(0.3, abs=0.05)
 
 
