@@ -19,7 +19,6 @@ from .kernel import (
     RkhsElement,
     as_outcomes,
     check_spec,
-    compress,
     merge_terms,
     span_gram,
     zero_element,
@@ -96,9 +95,9 @@ def _require_samples(eb: EvaluatedBatch) -> None:
 
 
 def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
-    """Witness-sup gap, per-action residual norms and rule probabilities of
-    every candidate lossprime, from one Gram pass over the batch's distinct
-    points."""
+    """Witness-sup gap, per-action residual norms, rule probabilities and
+    residual-mean span (distinct points, per-action columns) of every
+    candidate lossprime, from one Gram pass over the batch's distinct points."""
     _require_samples(eb)
     if not pool:
         raise ValueError("candidate pool must be nonempty")
@@ -106,21 +105,22 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     if len(counts) > 1:
         raise ValueError(f"candidate pool mixes action counts {counts}")
     probs = [rule_probabilities(eb, lp, beta) for lp in pool]
-    gram = span_gram(eb.kernel, *_merged_coeffs(eb, np.hstack(probs)))
+    points, C = _merged_coeffs(eb, np.hstack(probs))
+    gram = span_gram(eb.kernel, points, C)
     norms = np.sqrt(np.clip(np.diag(gram), 0.0, None)).reshape(len(pool), -1)
     gaps = R1 * np.where(norms > DEGENERATE_NORM, norms, 0.0).sum(axis=1)
-    return gaps, norms, probs
+    spans = [(points, cols) for cols in np.split(C, len(pool), axis=1)]
+    return gaps, norms, probs, spans
 
 
-def _witness(eb: EvaluatedBatch, probs: np.ndarray, norms: np.ndarray, R1: float, loss_id: str):
-    """One candidate's gap-maximizing loss and its raw residual means.
-
-    Each action coefficient is the residual mean weighted by that action's
-    rule probability, rescaled to norm R1 by its norm from the pooled scan,
-    or zero where it is degenerate.
+def _witness(spec: KernelSpec, span, norms: np.ndarray, R1: float, loss_id: str):
+    """One candidate's gap-maximizing loss and its raw residual means, cut
+    from its span in the pooled scan: each action coefficient is the
+    residual mean weighted by that action's rule probability, rescaled to
+    norm R1 by its norm from the pooled scan, or zero where it is degenerate.
     """
-    points, C = _merged_coeffs(eb, probs)
-    means = tuple(compress(RkhsElement(eb.kernel, points, c)) for c in C.T)
+    points, cols = span
+    means = tuple(RkhsElement(spec, *merge_terms(spec, points, c)) for c in cols.T)
     elements = [
         RkhsElement(el.spec, el.anchors, el.coeffs * (R1 / nv))
         if nv > DEGENERATE_NORM
@@ -136,9 +136,9 @@ def closed_form_witnesses(
     """The gap-maximizing loss at norm bound R1 for every candidate lossprime
     of the pool, from one scan of the batch; loss_ids name them in order.
     """
-    _, norms, probs = _gap_scan(eb, pool, beta, R1)
-    scanned = zip(probs, norms, loss_ids, strict=True)
-    return [_witness(eb, P, nv, R1, lid)[0] for P, nv, lid in scanned]
+    _, norms, _, spans = _gap_scan(eb, pool, beta, R1)
+    scanned = zip(spans, norms, loss_ids, strict=True)
+    return [_witness(eb.kernel, span, nv, R1, lid)[0] for span, nv, lid in scanned]
 
 
 def empirical_gap(
@@ -175,9 +175,9 @@ def audit(
         if batch is None:
             raise ValueError("a batch is required when passing a Predictor")
         eb = evaluate_batch(p_or_eb, batch)
-    gaps, norms, probs = _gap_scan(eb, pool, beta, R1)
+    gaps, norms, probs, spans = _gap_scan(eb, pool, beta, R1)
     best = int(np.argmax(gaps))
-    witness, means = _witness(eb, probs[best], norms[best], R1, witness_id)
+    witness, means = _witness(eb.kernel, spans[best], norms[best], R1, witness_id)
     threshold = AUDIT_THRESHOLD_FACTOR * epsilon
     gap = float(gaps[best])
     return AuditReport(
@@ -196,7 +196,7 @@ def audit(
 
 def decce_estimate(eb: EvaluatedBatch, *, pool, beta: float, R1: float) -> float:
     """Best witness-sup gap over the pool: a lower bound on the true decCE."""
-    gaps, _, _ = _gap_scan(eb, pool, beta, R1)
+    gaps = _gap_scan(eb, pool, beta, R1)[0]
     return float(np.max(gaps))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -116,31 +116,16 @@ class CalibrationTrace:
     heldout_size: int = 0
 
     def to_csv_rows(self) -> list[list]:
+        """The header and one row of raw values per iteration."""
         rows = [list(TRACE_COLUMNS)]
         for r in self.iterations:
-            rows.append(
-                [
-                    r.iteration,
-                    repr(r.gap),
-                    repr(r.pot_before),
-                    repr(r.pot_after),
-                    r.witness_id,
-                    r.witness_prime_id,
-                    r.batch_id,
-                ]
-            )
+            rows.append([r.iteration, r.gap, r.pot_before, r.pot_after, r.witness_id,
+                         r.witness_prime_id, r.batch_id])
         return rows
 
     def to_doc(self) -> dict:
-        return {
-            "terminal": self.terminal,
-            "error": self.error,
-            "final_gap": self.final_gap,
-            "initial_heldout_potential": self.initial_heldout_potential,
-            "final_heldout_potential": self.final_heldout_potential,
-            "final_heldout_decce": self.final_heldout_decce,
-            "heldout_size": self.heldout_size,
-        }
+        """Every field but the iterations, which to_csv_rows writes."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "iterations"}
 
 
 def _potential_eb(eb: EvaluatedBatch) -> float:

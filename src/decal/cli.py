@@ -290,15 +290,14 @@ SCHEMAS = {
 
 
 def _sanitize(doc):
-    """Replace non-finite floats with None so emitted JSON is standard."""
+    """Replace numpy scalars with Python ones and non-finite floats with
+    None, so emitted JSON is standard."""
     if isinstance(doc, dict):
         return {k: _sanitize(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
         return [_sanitize(v) for v in doc]
-    if isinstance(doc, np.floating):
-        doc = float(doc)
-    if isinstance(doc, np.integer):
-        doc = int(doc)
+    if isinstance(doc, np.generic):
+        doc = doc.item()
     if isinstance(doc, float) and not math.isfinite(doc):
         return None
     return doc
@@ -326,8 +325,14 @@ class RunDir:
         self.outputs.append(name)
 
     def write_csv(self, name: str, rows) -> None:
+        """Rows of raw values: every float cell, numpy floats included, is
+        written as repr(float(v)), which round-trips; other cells as csv
+        writes them."""
         with open(self._file(name), "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+            csv.writer(fh, lineterminator="\n").writerows(
+                [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+                for row in rows
+            )
         self.outputs.append(name)
 
     def finish(self, command: str, config: dict) -> None:
@@ -342,18 +347,6 @@ class RunDir:
         if not self.quiet:
             names = ", ".join(self.outputs + ["manifest.json"])
             print(f"{command}: wrote {names} under {self.path}")
-
-
-def _float_cell(v) -> str:
-    return repr(float(v))
-
-
-def _matrix_csv(header: list[str], arrays: list[np.ndarray]) -> list[list[str]]:
-    rows = [header]
-    mat = np.hstack(arrays)
-    for row in mat:
-        rows.append([_float_cell(v) for v in row])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -471,19 +464,16 @@ def run_synth_command(cfg: dict, rd: RunDir) -> int:
         inst = gen_lower_bound(cfg["d"], cfg["epsilon"], cfg["n"], cfg["world"], cfg["seed"])
         d = cfg["d"]
         header = [f"p{i}" for i in range(d)] + [f"y{i}" for i in range(d)]
-        rd.write_csv("dataset.csv", _matrix_csv(header, [inst.predictions, inst.outcomes]))
+        rd.write_csv("dataset.csv", [header, *np.hstack([inst.predictions, inst.outcomes])])
         if inst.sigma is not None:
-            rd.write_csv(
-                "sigma.csv",
-                [[f"s{i}" for i in range(d)], [_float_cell(v) for v in inst.sigma]],
-            )
+            rd.write_csv("sigma.csv", [[f"s{i}" for i in range(d)], inst.sigma])
         return 0
     inst = _planted_from_config(cfg)
     batch = inst.source(cfg["seed"]).take(cfg["n"])
     header = [f"x{i}" for i in range(batch.X.shape[1])] + [
         f"y{i}" for i in range(batch.Y.shape[1])
     ]
-    rd.write_csv("dataset.csv", _matrix_csv(header, [batch.X, batch.Y]))
+    rd.write_csv("dataset.csv", [header, *np.hstack([batch.X, batch.Y])])
     return 0
 
 
@@ -548,6 +538,15 @@ def run_experiment_command(cfg: dict, rd: RunDir) -> int:
     return 0 if result.passed else 1
 
 
+# The files a report digests, each with its metrics key and the fields it takes.
+DIGEST_SOURCES = (
+    ("summary.json", "calibration",
+     ("terminal", "final_gap", "final_heldout_decce", "gate_passed")),
+    ("results.json", "experiment", ("experiment", "passed", "fits", "notes")),
+    ("report.json", "audit", ("found", "empirical_gap", "decce_adjusted")),
+)
+
+
 def run_report_command(cfg: dict, rd: RunDir) -> int:
     run_dir = Path(cfg["run_dir"])
     manifest_path = run_dir / "manifest.json"
@@ -560,28 +559,11 @@ def run_report_command(cfg: dict, rd: RunDir) -> int:
         "source_outputs": manifest.get("outputs"),
         "metrics": {},
     }
-    summary_path = run_dir / "summary.json"
-    if summary_path.is_file():
-        s = json.loads(summary_path.read_text())
-        digest["metrics"]["calibration"] = {
-            k: s.get(k)
-            for k in ("terminal", "final_gap", "final_heldout_decce", "gate_passed")
-        }
-    results_path = run_dir / "results.json"
-    if results_path.is_file():
-        r = json.loads(results_path.read_text())
-        digest["metrics"]["experiment"] = {
-            "experiment": r.get("experiment"),
-            "passed": r.get("passed"),
-            "fits": r.get("fits"),
-            "notes": r.get("notes"),
-        }
-    audit_path = run_dir / "report.json"
-    if audit_path.is_file():
-        a = json.loads(audit_path.read_text())
-        digest["metrics"]["audit"] = {
-            k: a.get(k) for k in ("found", "empirical_gap", "decce_adjusted")
-        }
+    for name, key, fields in DIGEST_SOURCES:
+        path = run_dir / name
+        if path.is_file():
+            doc = json.loads(path.read_text())
+            digest["metrics"][key] = {k: doc.get(k) for k in fields}
     rd.write_json("report.json", digest)
     return 0
 

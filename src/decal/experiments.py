@@ -10,7 +10,7 @@ ad-hoc tolerances are invented at runtime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -91,35 +91,23 @@ class ExperimentResult:
     notes: dict = field(default_factory=dict)
 
     def to_doc(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "passed": self.passed,
-            "cells": self.cells,
-            "fits": self.fits,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_csv_rows(self) -> list[list]:
+        """Long format of raw values: one row per cell metric and per fit."""
         rows = [["experiment", "cell", "metric", "value"]]
         for i, cell in enumerate(self.cells):
             for key in sorted(cell):
-                rows.append([self.experiment, i, key, _csv_value(cell[key])])
+                rows.append([self.experiment, i, key, cell[key]])
         for key in sorted(self.fits):
             val = self.fits[key]
             if isinstance(val, dict):
                 for sub in sorted(val):
-                    rows.append([self.experiment, "", f"fit.{key}.{sub}", _csv_value(val[sub])])
+                    rows.append([self.experiment, "", f"fit.{key}.{sub}", val[sub]])
             else:
-                rows.append([self.experiment, "", f"fit.{key}", _csv_value(val)])
-        rows.append([self.experiment, "", "passed", str(self.passed)])
+                rows.append([self.experiment, "", f"fit.{key}", val])
+        rows.append([self.experiment, "", "passed", self.passed])
         return rows
-
-
-def _csv_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def test_merged_scan_matches_dense_reference(
     spec = SCAN_SPECS[kind]
     eb = scan_batch(spec, n, n_anchors, support_size, all_distinct, signed_zeros, seed)
     pool = random_loss_pool(spec, eb.Y, 2, 1.0, 3, np.random.default_rng(seed))
-    gaps, norms, probs = _gap_scan(eb, pool, 3.0, 1.0)
+    gaps, norms, probs, spans = _gap_scan(eb, pool, 3.0, 1.0)
 
     # dense reference over the unmerged points [Y; anchors]
     Z = np.vstack([eb.Y, eb.anchors])
@@ -258,12 +258,13 @@ def test_merged_scan_matches_dense_reference(
     ).reshape(norms.shape)
     assert np.all(np.abs(gaps - ref_gaps) <= norm_tol.sum(axis=1))
 
-    # each witness's residual means are bitwise what compress gives unmerged
-    for P, nv in zip(probs, norms):
-        _, means = _witness(eb, P, nv, 1.0, "w")
-        Cp = _residual_coeff_matrix(eb, P)
+    # each witness's residual means are bitwise what compress gives the
+    # unmerged columns of the stacked matrix
+    width = norms.shape[1]
+    for i, (span, nv) in enumerate(zip(spans, norms)):
+        _, means = _witness(spec, span, nv, 1.0, "w")
         for j, got in enumerate(means):
-            want = compress(RkhsElement(spec, Z, Cp[:, j]))
+            want = compress(RkhsElement(spec, Z, C[:, i * width + j]))
             assert got.anchors.shape == want.anchors.shape
             assert got.anchors.tobytes() == want.anchors.tobytes()
             assert got.coeffs.tobytes() == want.coeffs.tobytes()

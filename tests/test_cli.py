@@ -11,7 +11,7 @@ import pytest
 
 import decal.cli
 from decal.calibrate import TRACE_COLUMNS
-from decal.experiments import SLOPE_BAND
+from decal.experiments import SLOPE_BAND, ExperimentResult
 from decal.cli import (
     AUDIT_SCHEMA,
     CALIBRATE_SCHEMA,
@@ -354,6 +354,14 @@ def test_synth_validates_instance_kind(tmp_path, capsys):
     assert "instance" in capsys.readouterr().err
 
 
+def test_json_writer_takes_numpy_scalars(tmp_path):
+    rd = decal.cli.RunDir(tmp_path / "out", quiet=True)
+    rd.write_json("a.json", {"ok": np.bool_(True), "n": np.int64(3),
+                             "x": [np.float64(0.25), np.float64("inf")]})
+    doc = json.loads((tmp_path / "out" / "a.json").read_text())
+    assert doc == {"ok": True, "n": 3, "x": [0.25, None]}
+
+
 # experiment command
 
 
@@ -372,6 +380,28 @@ def test_experiment_convergence_roundtrip(tmp_path):
     csv_rows = (out_dir / "results.csv").read_text().splitlines()
     assert csv_rows[0] == "experiment,cell,metric,value"
     assert csv_rows[-1].endswith("passed,True")
+
+
+def test_experiment_csv_writes_numpy_floats_as_numbers(tmp_path, monkeypatch):
+    def harness(**params):
+        return ExperimentResult(
+            "demo", seed=0, passed=True,
+            cells=[{"gap": np.float64(0.25), "n": np.int64(10)}],
+            fits={"alg1": {"slope": np.float64(-0.5)}, "bound": np.float64(1.5)},
+        )
+
+    monkeypatch.setitem(decal.cli.EXPERIMENTS, "distinguishing", harness)
+    doc = {"experiment": "distinguishing", "d_grid": [4], "n_grid": [2]}
+    code, out_dir = run_cli(tmp_path, "experiment", doc)
+    assert code == 0
+    rows = (out_dir / "results.csv").read_text().splitlines()
+    assert rows[1:] == [
+        "demo,0,gap,0.25",
+        "demo,0,n,10",
+        "demo,,fit.alg1.slope,-0.5",
+        "demo,,fit.bound,1.5",
+        "demo,,passed,True",
+    ]
 
 
 def test_experiment_gate_failure_exits_one(tmp_path):
@@ -437,16 +467,42 @@ def test_experiment_grid_errors_exit_two(tmp_path, capsys):
 # report command
 
 
-def test_report_digest_of_a_calibration_run(tmp_path):
-    _, cal_dir = run_cli(tmp_path, "calibrate", CALIBRATE_BASE, out="cal")
-    doc = {"run_dir": str(cal_dir)}
-    code, rep_dir = run_cli(tmp_path, "report", doc, out="rep")
+# command: (config, its outputs, digested file, metrics key, digested fields,
+# values the fixture run must show)
+REPORT_SOURCES = {
+    "calibrate": (
+        CALIBRATE_BASE, ["trace.csv", "summary.json", "predictor.json"], "summary.json",
+        "calibration", {"terminal", "final_gap", "final_heldout_decce", "gate_passed"},
+        {"terminal": "calibrated", "gate_passed": True},
+    ),
+    "experiment": (
+        {"experiment": "convergence", "epsilons": [0.35], "audit_batch_size": 96,
+         "heldout_size": 128},
+        ["results.json", "results.csv"], "results.json",
+        "experiment", {"experiment", "passed", "fits", "notes"},
+        {"experiment": "convergence", "passed": True},
+    ),
+    "audit": (
+        AUDIT_BASE, ["report.json", "witness_loss.json"], "report.json",
+        "audit", {"found", "empirical_gap", "decce_adjusted"}, {"found": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_SOURCES))
+def test_report_digest_of_a_run(tmp_path, command):
+    doc, outputs, name, key, fields, expected = REPORT_SOURCES[command]
+    _, src_dir = run_cli(tmp_path, command, doc, out="src")
+    code, rep_dir = run_cli(tmp_path, "report", {"run_dir": str(src_dir)}, out="rep")
     assert code == 0
     digest = json.loads((rep_dir / "report.json").read_text())
-    assert digest["source_command"] == "calibrate"
-    assert digest["source_outputs"] == ["trace.csv", "summary.json", "predictor.json"]
-    assert digest["metrics"]["calibration"]["gate_passed"] is True
-    assert digest["metrics"]["calibration"]["terminal"] == "calibrated"
+    manifest = json.loads((src_dir / "manifest.json").read_text())
+    assert digest["source_command"] == command
+    assert digest["source_config"] == manifest["config"]
+    assert digest["source_outputs"] == outputs
+    source = json.loads((src_dir / name).read_text())
+    assert digest["metrics"] == {key: {k: source[k] for k in fields}}
+    assert expected.items() <= digest["metrics"][key].items()
 
 
 def test_report_requires_a_manifest(tmp_path, capsys):

@@ -103,10 +103,11 @@ def test_result_csv_rows_flatten_fits():
     )
     rows = res.to_csv_rows()
     assert rows[0] == ["experiment", "cell", "metric", "value"]
-    assert ["demo", 0, "gap", "0.25"] in rows
-    assert ["demo", "", "fit.alg1.slope", "-0.5"] in rows
-    assert ["demo", "", "fit.bound", "1.5"] in rows
-    assert rows[-1] == ["demo", "", "passed", "True"]
+    assert ["demo", 0, "gap", 0.25] in rows
+    assert ["demo", 0, "n", 10] in rows
+    assert ["demo", "", "fit.alg1.slope", -0.5] in rows
+    assert ["demo", "", "fit.bound", 1.5] in rows
+    assert rows[-1] == ["demo", "", "passed", True]
     doc = res.to_doc()
     assert set(doc) == {"experiment", "seed", "passed", "cells", "fits", "notes"}
 
