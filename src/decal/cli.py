@@ -538,13 +538,16 @@ def run_experiment_command(cfg: dict, rd: RunDir) -> int:
     return 0 if result.passed else 1
 
 
-# The files a report digests, each with its metrics key and the fields it takes.
-DIGEST_SOURCES = (
-    ("summary.json", "calibration",
-     ("terminal", "final_gap", "final_heldout_decce", "gate_passed")),
-    ("results.json", "experiment", ("experiment", "passed", "fits", "notes")),
-    ("report.json", "audit", ("found", "empirical_gap", "decce_adjusted")),
-)
+# What a report digests from a run of each command: the file, its metrics key
+# and the fields it takes.  Keyed by the manifest's command, not by which files
+# exist, since an audit and a report both write report.json; a command with no
+# entry (synth, report) contributes no metrics.
+DIGEST_SOURCES = {
+    "calibrate": ("summary.json", "calibration",
+                  ("terminal", "final_gap", "final_heldout_decce", "gate_passed")),
+    "experiment": ("results.json", "experiment", ("experiment", "passed", "fits", "notes")),
+    "audit": ("report.json", "audit", ("found", "empirical_gap", "decce_adjusted")),
+}
 
 
 def run_report_command(cfg: dict, rd: RunDir) -> int:
@@ -559,7 +562,9 @@ def run_report_command(cfg: dict, rd: RunDir) -> int:
         "source_outputs": manifest.get("outputs"),
         "metrics": {},
     }
-    for name, key, fields in DIGEST_SOURCES:
+    source = DIGEST_SOURCES.get(manifest.get("command"))
+    if source is not None:
+        name, key, fields = source
         path = run_dir / name
         if path.is_file():
             doc = json.loads(path.read_text())

@@ -4,12 +4,19 @@ A predictor is a base coefficient map plus an ordered chain of calibration
 patches.  Evaluation replays the chain: each patch recomputes the smooth
 decision rule of its recorded witness loss against the element built so far,
 adds the recorded rows mixed by the rule, and projects back onto the
-radius-R2 ball.  All of this happens on coefficient vectors over one shared
-anchor list, so a batch of contexts is one pass of matrix algebra.  Replay
-tracks each prediction's squared norm through the updates instead of
-recomputing it: each plan step caches its rows' products with the Gram
-matrix, so no N x N Gram matrix is ever formed, and a patched predictor
-extends its parent's plan by one step.
+radius-R2 ball.  Every prediction is a_0 * W_0(x) + sum_t a_t * Q_t(x) R_t,
+with W_0 the base coefficients, Q_t the mixed rule probabilities of patch t,
+R_t its rows over the shared anchor list, and a_t the product of the
+projection scalings applied to the row from patch t on.
+Replay therefore carries coordinates over the patch-row basis
+F = [I; R_1; ...; R_T]: K = n_base + sum_t |A_t| numbers per prediction, not
+one per anchor.  Each plan step caches the basis applied to its witness
+columns and to its rows' Gram products, and replay tracks each prediction's
+squared norm through the updates instead of recomputing it, so no N x N Gram
+matrix is formed, a decision reads loss estimates straight off the
+coordinates, and a patched predictor extends its parent's plan by one step.
+The coefficient matrix over the anchors, W = Z F, is built only where a
+caller needs it (`coefficients`, `evaluate_batch`).
 """
 
 from __future__ import annotations
@@ -308,16 +315,35 @@ class PatchRecord:
 class _PlanStep:
     n_before: int
     n_after: int
+    k: int  # basis rows before this step; its own coordinates are Z[:, k : k + |A|]
     beta: float
-    V: np.ndarray  # (n_before, |A|) loss-estimate columns of the witness
     M: np.ndarray  # (|A|, |A|) the record's mixing
     R: np.ndarray  # (|A|, n_after) the record's rows over the anchors
-    H: np.ndarray  # (n_after, |A|) K(anchors[:n_after], anchors[:n_after]) @ R.T
-    S: np.ndarray  # (|A|, |A|) R @ H, the Gram matrix of the rows
+    S: np.ndarray  # (|A|, |A|) the Gram matrix of the rows
+    # (k, 2 |A|) the basis so far applied to [V | H[:n_before]], where V holds
+    # the witness's loss-estimate columns on the anchors and H = K(anchors,
+    # anchors) @ R.T the rows' Gram products
+    table: np.ndarray
+
+    def replay(self, Z: np.ndarray, n2: np.ndarray, R2: float) -> None:
+        """Carry coordinates Z (m, >= k + |A|) and squared norms n2 through
+        this patch, in place.
+
+        With Q the mixed rule probabilities, ||w + Q R||^2 = n2 + 2 <w, Q R>
+        + ||Q R||^2, and the table and S supply both inner products.
+        """
+        a = len(self.M)
+        ZT = Z[:, : self.k] @ self.table
+        Q = smooth_best_response(ZT[:, :a], self.beta) @ self.M
+        n2 += 2.0 * np.einsum("ij,ij->i", ZT[:, a:], Q) + np.einsum("ij,ij->i", Q @ self.S, Q)
+        Z[:, self.k : self.k + a] = Q
+        _project_rows(Z, n2, self.k + a, R2)
 
 
 class _EvalPlan:
-    """Patch chain aligned onto one shared anchor matrix, one patch at a time.
+    """Patch chain aligned onto one shared anchor matrix, one patch at a time,
+    with the patch-row basis F = [I_{n_base}; R_1; ...; R_T] that replay
+    carries its coordinates over (k rows).
 
     Every array a plan holds is read-only, so a child plan shares its
     parent's steps and the parent stays valid.
@@ -331,6 +357,7 @@ class _EvalPlan:
         base_gram.setflags(write=False)
         self.anchors = anchors
         self.n_base = len(anchors)
+        self.k = self.n_base
         self.base_gram = base_gram
         self.steps: list[_PlanStep] = []
         for rec in predictor.patches:
@@ -342,6 +369,23 @@ class _EvalPlan:
         plan.steps = list(self.steps)
         plan._append(rec)
         return plan
+
+    def lift(self, X: np.ndarray) -> np.ndarray:
+        """F @ X for X with one row per anchor (at least the last step's
+        n_after): [X[:n_base]; R_1 @ X[:n_after_1]; ...], shape (k, cols)."""
+        return np.vstack([X[: self.n_base]] + [st.R @ X[: st.n_after] for st in self.steps])
+
+    def expand(self, Z: np.ndarray) -> np.ndarray:
+        """The coefficients over the anchors, W = Z @ F: the base block, then
+        one rank-|A| update per step; shape (m, N).  With no step the basis
+        is the identity and W is Z itself."""
+        if not self.steps:
+            return Z
+        W = np.zeros((len(Z), len(self.anchors)))
+        W[:, : self.n_base] = Z[:, : self.n_base]
+        for st in self.steps:
+            W[:, : st.n_after] += Z[:, st.k : st.k + len(st.M)] @ st.R
+        return W
 
     def _append(self, rec: PatchRecord) -> None:
         """Align one patch: each of its anchors goes to the first bitwise-equal
@@ -365,11 +409,13 @@ class _EvalPlan:
             offset += len(el)
         H = gram_apply(self.spec, anchors, R.T)
         V = rec.witness_lossprime.values(anchors[:n_before])
-        step = _PlanStep(n_before, n_after, rec.beta, V, rec.mixing, R, H, R @ H)
-        for arr in (anchors, V, R, H, step.S):
+        table = self.lift(np.hstack([V, H[:n_before]]))
+        step = _PlanStep(n_before, n_after, self.k, rec.beta, rec.mixing, R, R @ H, table)
+        for arr in (anchors, R, step.S, table):
             arr.setflags(write=False)
         self.anchors = anchors
         self.steps.append(step)
+        self.k += len(rec.rows)
 
 
 def _project_rows(W: np.ndarray, n2: np.ndarray, upto: int, R2: float) -> None:
@@ -405,40 +451,40 @@ class Predictor:
 
     def coefficients(self, X) -> np.ndarray:
         """Coefficient matrix of the predictions over self.anchors; (m, N)."""
-        return self._replay(X)[0]
+        return self._plan.expand(self._replay(X)[0])
 
     def _replay(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Replay the patch chain on the whole batch at once, projecting onto
         the R2 ball after the base map and after every patch.
 
-        Returns the coefficients W (m, N) and the squared norms n2 (m,) of
-        the predictions.  n2 is tracked, not recomputed: with Q the mixed
-        rule probabilities of a step, ||w + Q R||^2 = n2 + 2 <w, Q R> +
-        ||Q R||^2, and the step's cached H and S supply both inner products.
+        Returns the coordinates Z (m, k) of the predictions over the plan's
+        patch-row basis F, so that their coefficients over the anchors are
+        W = Z @ F, and their squared norms n2 (m,).  Z[:, :n_base] is the
+        projected base map; each step reads the coordinates so far through
+        its table, writes its mixed rule probabilities into its own |A|
+        columns, and scales the rows it projects, all without forming W.
         """
         plan = self._plan
         Xm = as_contexts(X)
-        W = np.zeros((len(Xm), len(plan.anchors)))
-        Wb = W[:, : plan.n_base]
-        Wb[...] = self.base.weights(Xm)
-        n2 = np.einsum("ij,ij->i", Wb @ plan.base_gram, Wb)
+        Z = np.zeros((len(Xm), plan.k))
+        Zb = Z[:, : plan.n_base]
+        Zb[...] = self.base.weights(Xm)
+        n2 = np.einsum("ij,ij->i", Zb @ plan.base_gram, Zb)
         R2 = self.kernel.R2
-        _project_rows(W, n2, plan.n_base, R2)
+        _project_rows(Z, n2, plan.n_base, R2)
         for st in plan.steps:
-            # W[:, n_before:] is still zero, so the products need only the first columns
-            sub = W[:, : st.n_before]
-            Q = smooth_best_response(sub @ st.V, st.beta) @ st.M
-            WH = sub @ st.H[: st.n_before]
-            n2 += 2.0 * np.einsum("ij,ij->i", WH, Q) + np.einsum("ij,ij->i", Q @ st.S, Q)
-            W[:, : st.n_after] += Q @ st.R
-            _project_rows(W, n2, st.n_after, R2)
-        return W, n2
+            st.replay(Z, n2, R2)
+        return Z, n2
 
 
 def loss_estimates(p: Predictor, X, loss: LossFunction) -> np.ndarray:
-    """Estimated losses f(x_i, a) = <r(a), p(x_i)>; shape (m, |A|)."""
+    """Estimated losses f(x_i, a) = <r(a), p(x_i)>; shape (m, |A|).
+
+    Read off the replay coordinates: W @ L = Z @ (F @ L) with L the loss's
+    columns on the anchors, so no (m, N) coefficient matrix is built."""
     check_spec(p.kernel, loss.spec)
-    return p.coefficients(X) @ loss.values(p.anchors)
+    plan = p._plan
+    return p._replay(X)[0] @ plan.lift(loss.values(plan.anchors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,7 +495,8 @@ class EvaluatedBatch:
     X: np.ndarray
     Y: np.ndarray
     anchors: np.ndarray
-    W: np.ndarray
+    W: np.ndarray  # (n, N) coefficients of the predictions over the anchors
+    Z: np.ndarray  # (n, k) the replay's coordinates over the patch-row basis
     pnorm2: np.ndarray  # (n,) squared norms of the predictions, tracked by replay
     batch_id: str = ""
 
@@ -470,8 +517,26 @@ class EvaluatedBatch:
 
 
 def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
-    W, pnorm2 = p._replay(batch.X)
-    return EvaluatedBatch(p.kernel, batch.X, batch.Y, p.anchors, W, pnorm2, batch.batch_id)
+    Z, pnorm2 = p._replay(batch.X)
+    W = p._plan.expand(Z)
+    return EvaluatedBatch(p.kernel, batch.X, batch.Y, p.anchors, W, Z, pnorm2, batch.batch_id)
+
+
+def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
+    """The batch of `eb`, evaluated on p's parent, carried through p's last
+    patch only: the same numbers as evaluate_batch(p, batch), bit for bit,
+    without replaying the earlier patches again."""
+    plan = p._plan
+    if not plan.steps:
+        raise ValueError("the predictor has no patch to extend through")
+    st = plan.steps[-1]
+    if eb.Z.shape[1] != st.k or len(eb.anchors) != st.n_before:
+        raise ValueError("the batch was not evaluated on the predictor's parent")
+    Z = np.zeros((len(eb), plan.k))
+    Z[:, : st.k] = eb.Z
+    pnorm2 = eb.pnorm2.copy()
+    st.replay(Z, pnorm2, p.kernel.R2)
+    return EvaluatedBatch(p.kernel, eb.X, eb.Y, plan.anchors, plan.expand(Z), Z, pnorm2, eb.batch_id)
 
 
 # ---------------------------------------------------------------------------

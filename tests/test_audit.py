@@ -222,7 +222,8 @@ def scan_batch(spec, n, n_anchors, support_size, all_distinct, signed_zeros, see
         Y = np.vstack([zeros, Y, zeros[::-1]])
         anchors = np.vstack([anchors, zeros])
     W = r.standard_normal((len(Y), len(anchors))) * 0.3
-    return EvaluatedBatch(spec, r.standard_normal((len(Y), 2)), Y, anchors, W, np.zeros(len(Y)))
+    # with no patch the basis is the identity, so the coordinates are W
+    return EvaluatedBatch(spec, r.standard_normal((len(Y), 2)), Y, anchors, W, W, np.zeros(len(Y)))
 
 
 @given(

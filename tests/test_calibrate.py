@@ -234,6 +234,37 @@ def test_alg1_iterations_obey_the_potential_inequality():
         assert drop >= 2.0 * eta * row.gap - eta**2 * cfg.R1**2 - 1e-9
 
 
+class RecordingStream(BiasedStream):
+    """A BiasedStream that keeps every batch it hands out."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.batches = {}
+
+    def take(self, n):
+        batch = super().take(n)
+        self.batches[batch.batch_id] = batch
+        return batch
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+def test_pot_after_is_the_patched_predictors_potential(algorithm):
+    """pot_after carries the round's replay through the new patch only, and
+    equals a full replay of the patched predictor on that batch bit for bit;
+    continuous outcomes, so every patch adds anchors."""
+    cfg = CalibConfig(
+        epsilon=0.2, beta=4.0, R1=1.0, R2=1.5, n_actions=2, algorithm=algorithm,
+        audit_batch_size=96, pool_size=8, heldout_size=128, seed=4,
+    )
+    source = RecordingStream(3)
+    p0 = zero_predictor()
+    p, trace = run_calibration(p0, source, cfg)
+    assert len(trace.iterations) >= 2
+    for t, row in enumerate(trace.iterations):
+        patched = Predictor(p0.kernel, p0.base, p.patches[: t + 1])
+        assert row.pot_after == potential(patched, source.batches[row.batch_id])
+
+
 def test_alg2_run_also_calibrates():
     cfg = CalibConfig(
         epsilon=0.3, beta=4.0, R1=1.0, R2=1.5, n_actions=2, algorithm="alg2",

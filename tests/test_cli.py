@@ -468,7 +468,7 @@ def test_experiment_grid_errors_exit_two(tmp_path, capsys):
 
 
 # command: (config, its outputs, digested file, metrics key, digested fields,
-# values the fixture run must show)
+# values the fixture run must show); a report run is digested to no metrics
 REPORT_SOURCES = {
     "calibrate": (
         CALIBRATE_BASE, ["trace.csv", "summary.json", "predictor.json"], "summary.json",
@@ -486,12 +486,17 @@ REPORT_SOURCES = {
         AUDIT_BASE, ["report.json", "witness_loss.json"], "report.json",
         "audit", {"found", "empirical_gap", "decce_adjusted"}, {"found": True},
     ),
+    "report": (None, ["report.json"], None, None, None, None),
 }
 
 
 @pytest.mark.parametrize("command", sorted(REPORT_SOURCES))
 def test_report_digest_of_a_run(tmp_path, command):
     doc, outputs, name, key, fields, expected = REPORT_SOURCES[command]
+    if command == "report":
+        # a report of an audit run: both write report.json
+        _, audit_dir = run_cli(tmp_path, "audit", REPORT_SOURCES["audit"][0], out="audit")
+        doc = {"run_dir": str(audit_dir)}
     _, src_dir = run_cli(tmp_path, command, doc, out="src")
     code, rep_dir = run_cli(tmp_path, "report", {"run_dir": str(src_dir)}, out="rep")
     assert code == 0
@@ -500,6 +505,9 @@ def test_report_digest_of_a_run(tmp_path, command):
     assert digest["source_command"] == command
     assert digest["source_config"] == manifest["config"]
     assert digest["source_outputs"] == outputs
+    if key is None:
+        assert digest["metrics"] == {}
+        return
     source = json.loads((src_dir / name).read_text())
     assert digest["metrics"] == {key: {k: source[k] for k in fields}}
     assert expected.items() <= digest["metrics"][key].items()

@@ -27,6 +27,7 @@ from decal.model import (
     SimilarityBase,
     _EvalPlan,
     evaluate_batch,
+    extend_evaluated,
     load_loss,
     load_predictor,
     loss_estimates,
@@ -457,9 +458,9 @@ def test_patched_predictor_matches_vector_simulation():
 
 
 def _dense_replay(p, X):
-    """Replay that recomputes every squared norm from the full Gram matrix
-    (W @ G) before each projection; returns W and the number of steps whose
-    projection moved at least one row."""
+    """Replay over the anchors that recomputes every squared norm from the
+    full Gram matrix (W @ G) before each projection; returns W and the number
+    of steps whose projection moved at least one row."""
     plan = p._plan
     G = p.kernel.gram(plan.anchors, plan.anchors)
     R2 = p.kernel.R2
@@ -476,9 +477,10 @@ def _dense_replay(p, X):
         fired += bool(np.any(over))
 
     project(plan.n_base)
-    for step in plan.steps:
-        P = oracle.softmax_rows(-step.beta * (W[:, : step.n_before] @ step.V))
-        W[:, : step.n_after] += (P @ step.M) @ step.R
+    for step, rec in zip(plan.steps, p.patches, strict=True):
+        V = rec.witness_lossprime.values(plan.anchors[: step.n_before])
+        P = oracle.softmax_rows(-rec.beta * (W[:, : step.n_before] @ V))
+        W[:, : step.n_after] += (P @ rec.mixing) @ step.R
         project(step.n_after)
     return W, fired
 
@@ -510,6 +512,15 @@ def _random_chain(g, spec, pool, n_patches, scale):
     return records
 
 
+def _dense_basis(plan):
+    """The patch-row basis F = [I; R_1; ...; R_T] as one (k, N) matrix."""
+    N = len(plan.anchors)
+    blocks = [np.eye(plan.n_base, N)]
+    for step in plan.steps:
+        blocks.append(np.hstack([step.R, np.zeros((len(step.R), N - step.n_after))]))
+    return np.vstack(blocks)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_patches=st.integers(50, 64),
@@ -517,10 +528,12 @@ def _random_chain(g, spec, pool, n_patches, scale):
 )
 @settings(max_examples=15, deadline=None)
 def test_tracked_norms_match_dense_replay(seed, n_patches, scale):
-    """Tracked squared norms equal diag(W G W^T), and W equals a replay that
-    recomputes each norm from the Gram matrix, both to 1e-12 relative (to the
-    ball's R2^2 and the largest coefficient), over long chains in which the
-    projection fires."""
+    """Replay in the patch-row basis agrees with a replay over the anchors
+    that recomputes each norm from the Gram matrix, over long chains in which
+    the projection fires: the coordinates Z expand to W = Z F, the tracked
+    squared norms equal diag(W G W^T), and loss estimates equal W L, all to
+    1e-12 relative (to the ball's R2^2, the largest coefficient, and the
+    largest estimate)."""
     g = np.random.default_rng(seed)
     spec = KernelSpec("linear", 2, 1.5)
     train = g.uniform(-1.0, 1.0, size=(12, 2))
@@ -529,7 +542,11 @@ def test_tracked_norms_match_dense_replay(seed, n_patches, scale):
     p = Predictor(spec, base, tuple(_random_chain(g, spec, pool, n_patches, scale)))
     X = g.standard_normal((16, 2))
 
-    W, n2 = p._replay(X)
+    Z, n2 = p._replay(X)
+    plan = p._plan
+    assert Z.shape == (len(X), plan.k) == (len(X), 12 + 2 * n_patches)
+    W = p.coefficients(X)
+    assert W.tobytes() == plan.expand(Z).tobytes()
     G = spec.gram(p.anchors, p.anchors)
     dense_n2 = np.einsum("ij,ij->i", W @ G, W)
     np.testing.assert_allclose(n2, dense_n2, rtol=1e-12, atol=1e-12 * spec.R2**2)
@@ -537,7 +554,34 @@ def test_tracked_norms_match_dense_replay(seed, n_patches, scale):
 
     W_ref, fired = _dense_replay(p, X)
     assert fired >= n_patches // 7
-    np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=1e-12 * np.abs(W_ref).max())
+    atol = 1e-12 * np.abs(W_ref).max()
+    np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(Z @ _dense_basis(plan), W_ref, rtol=1e-12, atol=atol)
+
+    loss = make_loss("probe", [RkhsElement(spec, pool[:5], g.standard_normal(5)) for _ in range(3)], 1.0)
+    want = W_ref @ loss.values(p.anchors)
+    got = loss_estimates(p, X, loss)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_loss_estimates_never_expand_the_coefficients(monkeypatch):
+    """A decision on a patched continuous-outcome predictor reads the replay
+    coordinates and never builds the (m, N) coefficient matrix."""
+    g = np.random.default_rng(43)
+    train = sample_points(MIN, 30)
+    base = SimilarityBase(MIN, train, g.standard_normal((30, 2)), bandwidth=0.6)
+    p = Predictor(MIN, base, tuple(_random_chain(g, MIN, sample_points(MIN, 200), 6, 0.4)))
+    X = g.standard_normal((50, 2))
+    loss = random_loss(MIN, 3, 1.0, "decide")
+    want = p.coefficients(X) @ loss.values(p.anchors)
+    assert len(p.anchors) > p._plan.k
+
+    def refuse(self, Z):
+        raise AssertionError("the coefficient matrix was expanded")
+
+    monkeypatch.setattr(_EvalPlan, "expand", refuse)
+    got = loss_estimates(p, X, loss)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_child_plans_extend_the_parents(monkeypatch):
@@ -559,7 +603,7 @@ def test_child_plans_extend_the_parents(monkeypatch):
     parents = []
     for rec in records:
         plan = p._plan
-        parents.append((plan, len(plan.steps), plan.anchors.tobytes()))
+        parents.append((plan, len(plan.steps), plan.k, plan.anchors.tobytes()))
         p = p.with_patch(rec)
         assert all(a is b for a, b in zip(p._plan.steps, plan.steps, strict=False))
         assert len(p._plan.steps) == len(plan.steps) + 1
@@ -569,21 +613,45 @@ def test_child_plans_extend_the_parents(monkeypatch):
     q = predictor_from_doc(predictor_to_doc(p))
     fresh = _EvalPlan(q)
     assert p._plan.anchors.tobytes() == fresh.anchors.tobytes()
+    assert p._plan.k == fresh.k
     for mine, theirs in zip(p._plan.steps, fresh.steps, strict=True):
-        for name in ("n_before", "n_after", "beta"):
+        for name in ("n_before", "n_after", "k", "beta"):
             assert getattr(mine, name) == getattr(theirs, name), name
-        for name in "VMRHS":
+        for name in STEP_ARRAYS:
             a, b = getattr(mine, name), getattr(theirs, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert np.array_equal(p.coefficients(X), q.coefficients(X))
+    assert np.array_equal(p._replay(X)[0], q._replay(X)[0])
 
-    for plan, n_steps, anchors in parents:
+    for plan, n_steps, k, anchors in parents:
         assert len(plan.steps) == n_steps
+        assert plan.k == k
         assert plan.anchors.tobytes() == anchors
         assert not plan.anchors.flags.writeable
         assert not plan.base_gram.flags.writeable
         for step in plan.steps:
-            assert not any(getattr(step, name).flags.writeable for name in "VMRHS")
+            assert not any(getattr(step, name).flags.writeable for name in STEP_ARRAYS)
+
+
+STEP_ARRAYS = ("table", "M", "R", "S")
+
+
+def test_extend_evaluated_is_a_full_replay_of_the_child():
+    g = np.random.default_rng(47)
+    base = SimilarityBase(MIN, sample_points(MIN, 10), g.standard_normal((10, 2)), bandwidth=0.6)
+    records = _random_chain(g, MIN, sample_points(MIN, 60), 5, 0.8)
+    parent = Predictor(MIN, base, tuple(records[:-1]))
+    child = parent.with_patch(records[-1])
+    batch = SampleBatch(g.standard_normal((24, 2)), sample_points(MIN, 24), "b")
+    got = extend_evaluated(evaluate_batch(parent, batch), child)
+    want = evaluate_batch(child, batch)
+    for name in ("W", "Z", "pnorm2", "anchors"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.batch_id == "b"
+    with pytest.raises(ValueError, match="parent"):
+        extend_evaluated(want, child)
+    with pytest.raises(ValueError, match="no patch"):
+        extend_evaluated(evaluate_batch(Predictor(MIN, base), batch), Predictor(MIN, base))
 
 
 def test_evaluate_batch_reuses_coefficients():
@@ -593,6 +661,7 @@ def test_evaluate_batch_reuses_coefficients():
     assert len(eb) == 6
     assert eb.batch_id == "b0"
     assert np.array_equal(eb.W, p.coefficients(batch.X))
+    assert np.array_equal(eb.Z, eb.W)  # no patch: the basis is the identity
     assert np.array_equal(eb.anchors, p.anchors)
 
 
