@@ -18,7 +18,6 @@ from .kernel import (
     KernelSpec,
     RkhsElement,
     as_outcomes,
-    check_spec,
     merge_terms,
     span_gram,
     zero_element,
@@ -53,40 +52,12 @@ class AuditReport:
 
 def batch_estimates(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
     """Estimated losses <r(a), p(x_i)> on the batch; (n, |A|)."""
-    check_spec(eb.kernel, loss.spec)
-    return eb.W @ loss.values(eb.anchors)
+    return eb.plan.estimates(eb.Z, loss)
 
 
 def rule_probabilities(eb: EvaluatedBatch, lossprime: LossFunction, beta: float) -> np.ndarray:
     """Smooth best-response probabilities on the batch; (n, |A|)."""
     return smooth_best_response(batch_estimates(eb, lossprime), beta)
-
-
-def _residual_coeff_matrix(eb: EvaluatedBatch, B: np.ndarray) -> np.ndarray:
-    """Coefficients of the weighted residual means over [Y; anchors].
-
-    Column c of B weights the samples; the spanned element is
-    (1/n) sum_i B[i, c] * (phi(y_i) - p(x_i)).
-    """
-    n = len(eb)
-    return np.vstack([B / n, -(eb.W.T @ B) / n])
-
-
-def _merged_coeffs(eb: EvaluatedBatch, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The batch's distinct points and the residual-mean coefficients over
-    them; with every point distinct, the unmerged matrix as it is.
-
-    Rows are summed onto their point in input order from 0.0, as compress's
-    bincount does, so each column is bitwise what compress would give it.
-    """
-    points, inverse = eb.distinct_points
-    C = _residual_coeff_matrix(eb, B)
-    if len(points) == len(inverse):
-        return points, C
-    cols = C.shape[1]
-    bins = (inverse[:, None] * cols + np.arange(cols)).ravel()
-    merged = np.bincount(bins, weights=C.ravel(), minlength=len(points) * cols)
-    return points, merged.reshape(len(points), cols)
 
 
 def _require_samples(eb: EvaluatedBatch) -> None:
@@ -96,8 +67,11 @@ def _require_samples(eb: EvaluatedBatch) -> None:
 
 def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     """Witness-sup gap, per-action residual norms, rule probabilities and
-    residual-mean span (distinct points, per-action columns) of every
-    candidate lossprime, from one Gram pass over the batch's distinct points."""
+    residual-mean parts of every candidate lossprime.  With B the rule
+    probabilities, a residual mean is BU (B / n summed onto the distinct
+    outcomes U in input order from 0.0, as compress's bincount does) minus
+    ZB = Z^T B / n over the basis F, and its squared norm is a diagonal entry
+    of BU^T K_UU BU - 2 BU^T K_FU^T ZB + ZB^T gram_F ZB."""
     _require_samples(eb)
     if not pool:
         raise ValueError("candidate pool must be nonempty")
@@ -105,21 +79,32 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     if len(counts) > 1:
         raise ValueError(f"candidate pool mixes action counts {counts}")
     probs = [rule_probabilities(eb, lp, beta) for lp in pool]
-    points, C = _merged_coeffs(eb, np.hstack(probs))
-    gram = span_gram(eb.kernel, points, C)
-    norms = np.sqrt(np.clip(np.diag(gram), 0.0, None)).reshape(len(pool), -1)
+    B = np.hstack(probs)
+    n, cols = B.shape
+    U, inverse = eb.outcomes
+    bins = (inverse[:, None] * cols + np.arange(cols)).ravel()
+    BU = np.bincount(bins, weights=(B / n).ravel(), minlength=len(U) * cols).reshape(len(U), cols)
+    ZB = (eb.Z.T @ B) / n
+    sq = (
+        np.einsum("ij,ij->j", BU, eb.K_UU @ BU)
+        - 2.0 * np.einsum("ij,ij->j", eb.K_FU @ BU, ZB)
+        + np.einsum("ij,ij->j", ZB, eb.plan.gram_F @ ZB)
+    )
+    norms = np.sqrt(np.clip(sq, 0.0, None)).reshape(len(pool), -1)
     gaps = R1 * np.where(norms > DEGENERATE_NORM, norms, 0.0).sum(axis=1)
-    spans = [(points, cols) for cols in np.split(C, len(pool), axis=1)]
-    return gaps, norms, probs, spans
+    parts = list(zip(np.split(BU, len(pool), axis=1), np.split(ZB, len(pool), axis=1)))
+    return gaps, norms, probs, parts
 
 
-def _witness(spec: KernelSpec, span, norms: np.ndarray, R1: float, loss_id: str):
+def _witness(eb: EvaluatedBatch, parts, norms: np.ndarray, R1: float, loss_id: str):
     """One candidate's gap-maximizing loss and its raw residual means, cut
-    from its span in the pooled scan: each action coefficient is the
+    from its parts in the pooled scan: each action coefficient is the
     residual mean weighted by that action's rule probability, rescaled to
     norm R1 by its norm from the pooled scan, or zero where it is degenerate.
     """
-    points, cols = span
+    spec, (BU, ZB) = eb.kernel, parts
+    points = np.vstack([eb.outcomes[0], eb.plan.anchors])
+    cols = np.vstack([BU, -eb.plan.expand(ZB.T).T])
     means = tuple(RkhsElement(spec, *merge_terms(spec, points, c)) for c in cols.T)
     elements = [
         RkhsElement(el.spec, el.anchors, el.coeffs * (R1 / nv))
@@ -136,9 +121,9 @@ def closed_form_witnesses(
     """The gap-maximizing loss at norm bound R1 for every candidate lossprime
     of the pool, from one scan of the batch; loss_ids name them in order.
     """
-    _, norms, _, spans = _gap_scan(eb, pool, beta, R1)
-    scanned = zip(spans, norms, loss_ids, strict=True)
-    return [_witness(eb.kernel, span, nv, R1, lid)[0] for span, nv, lid in scanned]
+    _, norms, _, parts = _gap_scan(eb, pool, beta, R1)
+    scanned = zip(parts, norms, loss_ids, strict=True)
+    return [_witness(eb, part, nv, R1, lid)[0] for part, nv, lid in scanned]
 
 
 def empirical_gap(
@@ -175,9 +160,9 @@ def audit(
         if batch is None:
             raise ValueError("a batch is required when passing a Predictor")
         eb = evaluate_batch(p_or_eb, batch)
-    gaps, norms, probs, spans = _gap_scan(eb, pool, beta, R1)
+    gaps, norms, probs, parts = _gap_scan(eb, pool, beta, R1)
     best = int(np.argmax(gaps))
-    witness, means = _witness(eb.kernel, spans[best], norms[best], R1, witness_id)
+    witness, means = _witness(eb, parts[best], norms[best], R1, witness_id)
     threshold = AUDIT_THRESHOLD_FACTOR * epsilon
     gap = float(gaps[best])
     return AuditReport(

@@ -132,12 +132,9 @@ class CalibrationTrace:
 
 
 def _potential_eb(eb: EvaluatedBatch) -> float:
-    """Ehat[ ||phi(y) - p(x)||^2 ] on an evaluated batch."""
-    spec = eb.kernel
-    dk = spec.diag(eb.Y)
-    cross = spec.gram(eb.Y, eb.anchors)
-    inner_py = np.einsum("ij,ij->i", eb.W, cross)
-    return float(np.mean(dk - 2.0 * inner_py + eb.pnorm2))
+    """Ehat[ ||phi(y) - p(x)||^2 ] on an evaluated batch, through the basis."""
+    inner_py = np.einsum("ij,ji->i", eb.Z, eb.K_FU[:, eb.outcomes[1]])
+    return float(np.mean(eb.kernel.diag(eb.Y) - 2.0 * inner_py + eb.pnorm2))
 
 
 def potential(p: Predictor, batch: SampleBatch) -> float:

@@ -15,8 +15,8 @@ columns and to its rows' Gram products, and replay tracks each prediction's
 squared norm through the updates instead of recomputing it, so no N x N Gram
 matrix is formed, a decision reads loss estimates straight off the
 coordinates, and a patched predictor extends its parent's plan by one step.
-The coefficient matrix over the anchors, W = Z F, is built only where a
-caller needs it (`coefficients`, `evaluate_batch`).
+The plan also keeps F G F^T, so the audit reads through the basis too; the
+coefficients W = Z F are built only by `coefficients` and for a witness's |A| rows.
 """
 
 from __future__ import annotations
@@ -359,6 +359,7 @@ class _EvalPlan:
         self.n_base = len(anchors)
         self.k = self.n_base
         self.base_gram = base_gram
+        self.gram_F = base_gram  # F G F^T (k, k), G the Gram matrix of the anchors
         self.steps: list[_PlanStep] = []
         for rec in predictor.patches:
             self._append(rec)
@@ -387,6 +388,11 @@ class _EvalPlan:
             W[:, : st.n_after] += Z[:, st.k : st.k + len(st.M)] @ st.R
         return W
 
+    def estimates(self, Z: np.ndarray, loss: LossFunction) -> np.ndarray:
+        """Loss estimates W @ L = Z @ (F @ L) of coordinates Z; (m, |A|)."""
+        check_spec(self.spec, loss.spec)
+        return Z @ self.lift(loss.values(self.anchors))
+
     def _append(self, rec: PatchRecord) -> None:
         """Align one patch: each of its anchors goes to the first bitwise-equal
         row so far, unseen rows are appended in order, base rows stay as given."""
@@ -411,9 +417,13 @@ class _EvalPlan:
         V = rec.witness_lossprime.values(anchors[:n_before])
         table = self.lift(np.hstack([V, H[:n_before]]))
         step = _PlanStep(n_before, n_after, self.k, rec.beta, rec.mixing, R, R @ H, table)
-        for arr in (anchors, R, step.S, table):
+        # the new rows' border of F G F^T: F_{<t} G R^T is the table's right half
+        cross = table[:, len(rec.rows) :]
+        gram_F = np.block([[self.gram_F, cross], [cross.T, step.S]])
+        for arr in (anchors, R, step.S, table, gram_F):
             arr.setflags(write=False)
         self.anchors = anchors
+        self.gram_F = gram_F
         self.steps.append(step)
         self.k += len(rec.rows)
 
@@ -478,24 +488,20 @@ class Predictor:
 
 
 def loss_estimates(p: Predictor, X, loss: LossFunction) -> np.ndarray:
-    """Estimated losses f(x_i, a) = <r(a), p(x_i)>; shape (m, |A|).
-
-    Read off the replay coordinates: W @ L = Z @ (F @ L) with L the loss's
-    columns on the anchors, so no (m, N) coefficient matrix is built."""
-    check_spec(p.kernel, loss.spec)
-    plan = p._plan
-    return p._replay(X)[0] @ plan.lift(loss.values(plan.anchors))
+    """Estimated losses f(x_i, a) = <r(a), p(x_i)>; shape (m, |A|), read off
+    the replay coordinates, so no (m, N) coefficient matrix is built."""
+    return p._plan.estimates(p._replay(X)[0], loss)
 
 
 @dataclass(frozen=True, eq=False)
 class EvaluatedBatch:
-    """A batch pushed through a predictor once; reused by audit and patching."""
+    """A batch pushed through a predictor once; reused by audit and patching.
+    Caches the kernel blocks the audit reads, over the distinct outcomes U."""
 
     kernel: KernelSpec
     X: np.ndarray
     Y: np.ndarray
-    anchors: np.ndarray
-    W: np.ndarray  # (n, N) coefficients of the predictions over the anchors
+    plan: _EvalPlan
     Z: np.ndarray  # (n, k) the replay's coordinates over the patch-row basis
     pnorm2: np.ndarray  # (n,) squared norms of the predictions, tracked by replay
     batch_id: str = ""
@@ -504,39 +510,48 @@ class EvaluatedBatch:
         return len(self.X)
 
     @cached_property
-    def distinct_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """(points, inverse): the bitwise-distinct rows of [Y; anchors] in
-        order of first appearance, and the index of each row's point.
-        Computed once per batch and shared by every audit scan on it."""
-        rows = np.vstack([self.Y, self.anchors])
-        first, inverse = distinct_rows(rows)
-        points = rows[first]
-        points.setflags(write=False)
+    def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, inverse): the bitwise-distinct outcomes in order of first
+        appearance, and the index in U of each sample's outcome."""
+        first, inverse = distinct_rows(self.Y)
+        U = self.Y[first]
+        U.setflags(write=False)
         inverse.setflags(write=False)
-        return points, inverse
+        return U, inverse
+
+    @cached_property
+    def K_UU(self) -> np.ndarray:
+        """K(U, U); (|U|, |U|)."""
+        return self.kernel.gram(self.outcomes[0], self.outcomes[0])
+
+    @cached_property
+    def K_FU(self) -> np.ndarray:
+        """F @ K(anchors, U), the basis's inner products with phi(U); (k, |U|)."""
+        return self.plan.lift(self.kernel.gram(self.plan.anchors, self.outcomes[0]))
 
 
 def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
     Z, pnorm2 = p._replay(batch.X)
-    W = p._plan.expand(Z)
-    return EvaluatedBatch(p.kernel, batch.X, batch.Y, p.anchors, W, Z, pnorm2, batch.batch_id)
+    return EvaluatedBatch(p.kernel, batch.X, batch.Y, p._plan, Z, pnorm2, batch.batch_id)
 
 
 def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
     """The batch of `eb`, evaluated on p's parent, carried through p's last
     patch only: the same numbers as evaluate_batch(p, batch), bit for bit,
-    without replaying the earlier patches again."""
+    without replaying the earlier patches again.  eb's plan must hold p's
+    steps but the last, as the same objects (as `with_patch` makes it)."""
     plan = p._plan
     if not plan.steps:
         raise ValueError("the predictor has no patch to extend through")
     st = plan.steps[-1]
-    if eb.Z.shape[1] != st.k or len(eb.anchors) != st.n_before:
+    same = [id(s) for s in eb.plan.steps] == [id(s) for s in plan.steps[:-1]]
+    if not same or eb.plan.base_gram is not plan.base_gram:
         raise ValueError("the batch was not evaluated on the predictor's parent")
     Z = np.zeros((len(eb), plan.k))
     Z[:, : st.k] = eb.Z
     pnorm2 = eb.pnorm2.copy()
     st.replay(Z, pnorm2, p.kernel.R2)
-    return EvaluatedBatch(p.kernel, eb.X, eb.Y, plan.anchors, plan.expand(Z), Z, pnorm2, eb.batch_id)
+    return EvaluatedBatch(p.kernel, eb.X, eb.Y, plan, Z, pnorm2, eb.batch_id)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from decal.audit import (
     AUDIT_THRESHOLD_FACTOR,
     POOL_LOSS_SPAN,
     _gap_scan,
-    _residual_coeff_matrix,
     _witness,
     audit,
     closed_form_witnesses,
@@ -21,11 +20,13 @@ from decal.audit import (
     random_loss_pool,
     rule_probabilities,
 )
+from decal.calibrate import CalibConfig, run_calibration
 from decal.kernel import (
     KernelMismatchError,
     KernelSpec,
     RkhsElement,
     compress,
+    distinct_rows,
     feature,
     span_gram,
     zero_element,
@@ -33,14 +34,17 @@ from decal.kernel import (
 from decal.model import (
     DEGENERATE_NORM,
     ConstantBase,
-    EvaluatedBatch,
     LossFunction,
+    PatchRecord,
     Predictor,
     SampleBatch,
+    SimilarityBase,
+    _EvalPlan,
     evaluate_batch,
     loss_estimates,
+    make_loss,
 )
-from decal.synth import planted_bias_instance
+from decal.synth import ArraySource, planted_bias_instance
 
 # the modules themselves; the package exports a function named `audit`
 audit_module = importlib.import_module("decal.audit")
@@ -200,10 +204,12 @@ SCAN_SPECS = {
 }
 
 
-def scan_batch(spec, n, n_anchors, support_size, all_distinct, signed_zeros, seed):
-    """An evaluated batch whose outcomes and anchors repeat a small support,
-    or are all distinct; signed_zeros puts rows that differ only in the sign
-    of a zero coordinate into the batch."""
+def scan_case(spec, n, support_size, all_distinct, signed_zeros, n_patches, seed):
+    """A patched predictor and an evaluated batch whose outcomes, base
+    anchors and patch rows repeat a small support, or are all distinct;
+    signed_zeros adds rows that differ only in the sign of a zero coordinate.
+    Every third patch, and the last, pushes every prediction out of the R2
+    ball, so the projection fires."""
     r = np.random.default_rng(seed)
 
     def draw(m):
@@ -211,44 +217,85 @@ def scan_batch(spec, n, n_anchors, support_size, all_distinct, signed_zeros, see
             return r.uniform(0.0, 1.0, (m, 1))
         return r.uniform(-0.5, 0.5, (m, spec.dim))
 
-    if all_distinct:
-        Y, anchors = draw(n), draw(n_anchors)
-    else:
-        support = draw(support_size)
-        Y = support[r.integers(0, support_size, n)]
-        anchors = support[r.integers(0, support_size, n_anchors)]
+    support = draw(support_size)
+
+    def rows(m):
+        return draw(m) if all_distinct else support[r.integers(0, support_size, m)]
+
+    def element(m, scale):
+        return RkhsElement(spec, rows(m), r.standard_normal(m) * scale)
+
+    Y, anchors = rows(n), rows(4)
     if signed_zeros:
         zeros = np.array([[0.0], [-0.0]]) if spec.dim == 1 else np.array([[0.0, 0.3], [-0.0, 0.3]])
         Y = np.vstack([zeros, Y, zeros[::-1]])
         anchors = np.vstack([anchors, zeros])
-    W = r.standard_normal((len(Y), len(anchors))) * 0.3
-    # with no patch the basis is the identity, so the coordinates are W
-    return EvaluatedBatch(spec, r.standard_normal((len(Y), 2)), Y, anchors, W, W, np.zeros(len(Y)))
+    base = SimilarityBase(spec, anchors, r.standard_normal((len(anchors), 2)), bandwidth=0.7)
+    top = np.full((1, spec.dim), 0.5)
+    push = RkhsElement(spec, top, [4.0 * spec.R2 / np.sqrt(spec.diag(top)[0])])
+    records = []
+    for t in range(n_patches):
+        lossprime = make_loss(f"lp{t}", [element(2, 1.0) for _ in range(2)], 1.0)
+        beta = float(r.uniform(0.5, 4.0))
+        if t % 3 == 1 or t == n_patches - 1:
+            records.append(PatchRecord("alg1", lossprime, beta, rows=(push, push), eta=0.1))
+        elif t % 2:
+            rows_t = tuple(element(int(r.integers(1, 4)), 0.4) for _ in range(2))
+            records.append(PatchRecord("alg1", lossprime, beta, rows=rows_t, eta=0.1))
+        else:
+            A = r.standard_normal((2, 2))
+            M = np.linalg.inv(A @ A.T / 4.0 + np.eye(2))
+            rows_t = tuple(element(int(r.integers(1, 4)), 0.4) for _ in range(2))
+            records.append(PatchRecord("alg2", lossprime, beta, rows=rows_t, mixing=(M + M.T) / 2.0))
+    p = Predictor(spec, base, tuple(records))
+    return p, evaluate_batch(p, SampleBatch(r.standard_normal((len(Y), 2)), Y))
+
+
+def dense_basis(plan):
+    """The patch-row basis F = [I; R_1; ...; R_T] as one (k, N) matrix."""
+    N = len(plan.anchors)
+    blocks = [np.eye(plan.n_base, N)]
+    for step in plan.steps:
+        blocks.append(np.hstack([step.R, np.zeros((len(step.R), N - step.n_after))]))
+    return np.vstack(blocks)
+
+
+def coefficient_map(points, coeffs):
+    """{point bytes: coefficient} of a span with distinct points."""
+    return {pt.tobytes(): c for pt, c in zip(points, coeffs, strict=True)}
 
 
 @given(
     st.sampled_from(sorted(SCAN_SPECS)),
     st.integers(1, 60),
-    st.integers(1, 6),
     st.integers(1, 5),
     st.booleans(),
     st.booleans(),
+    st.integers(2, 7),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=60, deadline=None)
-def test_merged_scan_matches_dense_reference(
-    kind, n, n_anchors, support_size, all_distinct, signed_zeros, seed
+def test_basis_scan_matches_dense_reference(
+    kind, n, support_size, all_distinct, signed_zeros, n_patches, seed
 ):
+    """The scan in the patch-row basis agrees with the residual means spanned
+    densely over the unmerged points [Y; anchors], with the coefficients
+    W = p.coefficients(X) over the anchors: squared norms to 1e-12 relative
+    (slack scaled by |C|^T |K| |C|) and witness means coefficient by
+    coefficient to 1e-12 of the magnitudes summed into each."""
     spec = SCAN_SPECS[kind]
-    eb = scan_batch(spec, n, n_anchors, support_size, all_distinct, signed_zeros, seed)
+    p, eb = scan_case(spec, n, support_size, all_distinct, signed_zeros, n_patches, seed)
+    assert np.allclose(eb.pnorm2, spec.R2**2, rtol=1e-9)  # the last push was projected
     pool = random_loss_pool(spec, eb.Y, 2, 1.0, 3, np.random.default_rng(seed))
-    gaps, norms, probs, spans = _gap_scan(eb, pool, 3.0, 1.0)
+    gaps, norms, probs, parts = _gap_scan(eb, pool, 3.0, 1.0)
 
-    # dense reference over the unmerged points [Y; anchors]
-    Z = np.vstack([eb.Y, eb.anchors])
-    C = _residual_coeff_matrix(eb, np.hstack(probs))
-    K = spec.gram(Z, Z)
-    dense = np.diag(span_gram(spec, Z, C))
+    n = len(eb)
+    W = p.coefficients(eb.X)
+    B = np.hstack(probs)
+    points = np.vstack([eb.Y, p.anchors])
+    C = np.vstack([B / n, -(W.T @ B) / n])
+    K = spec.gram(points, points)
+    dense = np.diag(span_gram(spec, points, C))
     slack = np.einsum("ij,ik,kj->j", np.abs(C), np.abs(K), np.abs(C))
     tol = 1e-12 * np.abs(dense) + 1e-12 * slack
     assert np.all(np.abs(norms.ravel() ** 2 - np.clip(dense, 0.0, None)) <= tol)
@@ -259,42 +306,80 @@ def test_merged_scan_matches_dense_reference(
     ).reshape(norms.shape)
     assert np.all(np.abs(gaps - ref_gaps) <= norm_tol.sum(axis=1))
 
-    # each witness's residual means are bitwise what compress gives the
-    # unmerged columns of the stacked matrix
+    # each point's coefficient in a witness mean is a sum of terms whose
+    # magnitudes add up to at most `scale` at that point
+    F = dense_basis(p._plan)
+    terms = np.vstack([np.abs(B) / n, np.abs(F).T @ (np.abs(eb.Z).T @ np.abs(B)) / n])
+    first, inverse = distinct_rows(points)
     width = norms.shape[1]
-    for i, (span, nv) in enumerate(zip(spans, norms)):
-        _, means = _witness(spec, span, nv, 1.0, "w")
+    U = eb.outcomes[0]
+    for i, (part, nv) in enumerate(zip(parts, norms)):
+        _, means = _witness(eb, part, nv, 1.0, "w")
+        BU, ZB = part
+        own = np.vstack([BU, -p._plan.expand(ZB.T).T])
         for j, got in enumerate(means):
-            want = compress(RkhsElement(spec, Z, C[:, i * width + j]))
-            assert got.anchors.shape == want.anchors.shape
-            assert got.anchors.tobytes() == want.anchors.tobytes()
-            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            c = i * width + j
+            # the merge is compress of the witness's own unmerged columns
+            mine = compress(RkhsElement(spec, np.vstack([U, p.anchors]), own[:, j]))
+            assert got.anchors.tobytes() == mine.anchors.tobytes()
+            assert got.coeffs.tobytes() == mine.coeffs.tobytes()
+            # and it matches compress of the dense columns
+            want = compress(RkhsElement(spec, points, C[:, c]))
+            scale = np.bincount(inverse, weights=terms[:, c], minlength=len(first))
+            got_at, want_at = coefficient_map(got.anchors, got.coeffs), coefficient_map(
+                want.anchors, want.coeffs
+            )
+            assert set(got_at) | set(want_at) <= {pt.tobytes() for pt in points[first]}
+            for pt, s in zip(points[first], scale):
+                key = pt.tobytes()
+                assert abs(got_at.get(key, 0.0) - want_at.get(key, 0.0)) <= 1e-12 * s
 
 
 def test_audit_scans_each_distinct_point_once(monkeypatch):
-    # 4,096 samples of a 24-point planted instance: the scans see at most
-    # the 24 support points plus the 24 anchors, merged once per batch
+    # 4,096 samples of a 24-point planted instance: the outcomes are merged
+    # once per batch, and no Gram matrix the scans build spans more than the
+    # distinct outcomes U plus the K basis rows
     spec = KernelSpec("min", 1, 1.5)
     inst = planted_bias_instance(spec, 2, 24, 0.25, 3)
     eb = evaluate_batch(inst.predictor, inst.source(0).take(4096))
     pool = random_loss_pool(spec, eb.Y, 2, 1.0, 4, np.random.default_rng(0))
-    scanned, merged = [], []
-    real_span_gram, real_distinct_rows = audit_module.span_gram, model_module.distinct_rows
+    merged, grams = [], []
+    real_gram, real_distinct_rows = KernelSpec.gram, model_module.distinct_rows
 
-    def counting_span_gram(spec, points, C):
-        scanned.append(len(points))
-        return real_span_gram(spec, points, C)
+    def counting_gram(self, Y1, Y2):
+        grams.append((len(Y1), len(Y2)))
+        return real_gram(self, Y1, Y2)
 
     def counting_distinct_rows(rows):
         merged.append(len(rows))
         return real_distinct_rows(rows)
 
-    monkeypatch.setattr(audit_module, "span_gram", counting_span_gram)
+    monkeypatch.setattr(KernelSpec, "gram", counting_gram)
     monkeypatch.setattr(model_module, "distinct_rows", counting_distinct_rows)
     audit(eb, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
     decce_estimate(eb, pool=pool, beta=2.0, R1=1.0)
-    assert len(scanned) == 2 and max(scanned) <= 48
-    assert merged == [4096 + 24]
+    assert merged == [4096]
+    bound = len(eb.outcomes[0]) + eb.plan.k
+    assert bound <= 48
+    assert grams and max(max(shape) for shape in grams) <= bound
+
+
+def test_calibration_expands_only_witness_rows(monkeypatch):
+    # a patched calibration on continuous outcomes: the coefficients over
+    # the anchors are expanded only for a witness's |A| residual means
+    g = np.random.default_rng(29)
+    source = ArraySource(g.standard_normal((2000, 2)), g.uniform(0.3, 0.9, (2000, 1)))
+    p0 = Predictor(MIN, ConstantBase(zero_element(MIN)))
+    config = CalibConfig(epsilon=0.2, beta=4.0, R1=1.0, R2=1.5, n_actions=3, max_iters=4,
+                         audit_batch_size=96, pool_size=8, heldout_size=96)
+    rows = []
+    real_expand = _EvalPlan.expand
+    monkeypatch.setattr(
+        _EvalPlan, "expand", lambda self, Z: (rows.append(len(Z)), real_expand(self, Z))[1]
+    )
+    p, trace = run_calibration(p0, source, config)
+    assert len(p.patches) >= 2
+    assert rows and max(rows) <= config.n_actions
 
 
 # audit reports

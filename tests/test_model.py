@@ -645,8 +645,9 @@ def test_extend_evaluated_is_a_full_replay_of_the_child():
     batch = SampleBatch(g.standard_normal((24, 2)), sample_points(MIN, 24), "b")
     got = extend_evaluated(evaluate_batch(parent, batch), child)
     want = evaluate_batch(child, batch)
-    for name in ("W", "Z", "pnorm2", "anchors"):
+    for name in ("Z", "pnorm2"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.plan is want.plan is child._plan
     assert got.batch_id == "b"
     with pytest.raises(ValueError, match="parent"):
         extend_evaluated(want, child)
@@ -654,15 +655,46 @@ def test_extend_evaluated_is_a_full_replay_of_the_child():
         extend_evaluated(evaluate_batch(Predictor(MIN, base), batch), Predictor(MIN, base))
 
 
+def test_extend_evaluated_rejects_a_siblings_batch():
+    """Two children of one parent whose patches share their anchors give
+    batches of the same shapes; only the batch of the grandchild's own
+    parent extends."""
+    g = np.random.default_rng(53)
+    base = SimilarityBase(MIN, sample_points(MIN, 10), g.standard_normal((10, 2)), bandwidth=0.6)
+    records = _random_chain(g, MIN, sample_points(MIN, 60), 3, 0.8)
+    rec = records[1]
+    rows = tuple(RkhsElement(MIN, el.anchors, -0.5 * el.coeffs) for el in rec.rows)
+    twin = PatchRecord(rec.algorithm, rec.witness_lossprime, rec.beta + 1.0, rows=rows,
+                       mixing=rec.mixing, eta=rec.eta)
+    parent = Predictor(MIN, base, tuple(records[:1]))
+    first, second = parent.with_patch(rec), parent.with_patch(twin)
+    grandchild = second.with_patch(records[2])
+    batch = SampleBatch(g.standard_normal((24, 2)), sample_points(MIN, 24), "b")
+    sibling = evaluate_batch(first, batch)
+    assert sibling.Z.shape == evaluate_batch(second, batch).Z.shape
+    assert len(sibling.plan.anchors) == grandchild._plan.steps[-1].n_before
+    with pytest.raises(ValueError, match="parent"):
+        extend_evaluated(sibling, grandchild)
+    # the same chain with a plan of its own is not the parent either
+    rebuilt = Predictor(MIN, base, second.patches)
+    with pytest.raises(ValueError, match="parent"):
+        extend_evaluated(evaluate_batch(rebuilt, batch), grandchild)
+    got = extend_evaluated(evaluate_batch(second, batch), grandchild)
+    assert got.Z.tobytes() == evaluate_batch(grandchild, batch).Z.tobytes()
+
+
 def test_evaluate_batch_reuses_coefficients():
-    p = constant_predictor(MIN, sample_points(MIN, 3), [0.2, 0.2, 0.2])
-    batch = SampleBatch(rng.standard_normal((6, 2)), sample_points(MIN, 6), "b0")
+    """The batch keeps the replay's coordinates; they expand to exactly the
+    coefficients the predictor gives."""
+    g = np.random.default_rng(59)
+    base = SimilarityBase(MIN, sample_points(MIN, 8), g.standard_normal((8, 2)), bandwidth=0.6)
+    p = Predictor(MIN, base, tuple(_random_chain(g, MIN, sample_points(MIN, 40), 4, 0.5)))
+    batch = SampleBatch(g.standard_normal((6, 2)), sample_points(MIN, 6), "b0")
     eb = evaluate_batch(p, batch)
     assert len(eb) == 6
     assert eb.batch_id == "b0"
-    assert np.array_equal(eb.W, p.coefficients(batch.X))
-    assert np.array_equal(eb.Z, eb.W)  # no patch: the basis is the identity
-    assert np.array_equal(eb.anchors, p.anchors)
+    assert eb.plan is p._plan
+    assert p.coefficients(batch.X).tobytes() == eb.plan.expand(eb.Z).tobytes()
 
 
 # bases
