@@ -1,12 +1,12 @@
 """Command-line entry point.
 
 Five commands (calibrate, audit, synth, experiment, report), each driven by
-a flat JSON config parsed strictly: unknown keys, type mismatches, and
-out-of-range values name the offending key and exit with code 2.  Exit 0
-means success with every declared gate passing, 1 a gate failure, 3 a
-runtime failure.  All artifacts land in the --out directory and are listed
-in manifest.json, which is written last and is the only file allowed to
-carry nondeterministic fields (timestamp, wall time).
+a flat JSON config parsed strictly: unknown keys, type mismatches,
+out-of-range values and repeated list items name the offending key and exit
+with code 2.  Exit 0 means success with every declared gate passing, 1 a
+gate failure, 3 a runtime failure.  All artifacts land in the --out
+directory and are listed in manifest.json, which is written last and is the
+only file allowed to carry nondeterministic fields (timestamp, wall time).
 """
 
 from __future__ import annotations
@@ -116,6 +116,8 @@ def _validate_field(key: str, value, f: Field):
             item = _coerce_scalar(key, item, item_kind)
             _check_range(key, item, f)
             out.append(item)
+        if len(set(out)) < len(out):
+            raise ConfigError(f"config key {key!r}: items must be distinct")
         return out
     value = _coerce_scalar(key, value, f.kind)
     if f.choices is not None and value not in f.choices:

@@ -5,15 +5,25 @@ distinguishing study.
 Every statistical slack quoted by a harness comes from the Hoeffding
 calculator below or from an exact binomial (Clopper-Pearson) interval; no
 ad-hoc tolerances are invented at runtime.
+
+The interval is computed here, from the standard library alone: each
+endpoint is bisected on p until the midpoint equals an endpoint, against a
+binomial tail summed directly (the upper tail is never formed as 1 - cdf).
+A tail sum starts from its largest term, computed with Loader's saddle-point
+binomial pmf (C. Loader, "Fast and Accurate Computation of Binomial
+Probabilities", 2000; the stirlerr and bd0 of R's dbinom_raw), walks outward
+with the ratio recurrence t_{i+1} = t_i (n - i) / (i + 1) p / q until a term
+falls below 2^-60 / (n + 1) of the largest, and adds the terms with
+math.fsum.  The normal quantile is statistics.NormalDist's.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .audit import batch_estimates, closed_form_witnesses, empirical_gap, random_loss_pool
 from .calibrate import CalibConfig, run_calibration
@@ -30,6 +40,7 @@ from .synth import (
 )
 
 CI_LEVEL = 0.99  # confidence level for every interval an experiment reports
+CI_Z = statistics.NormalDist().inv_cdf(0.5 + CI_LEVEL / 2.0)  # two-sided normal quantile
 REGRET_DELTA = 0.01  # failure probability of the regret bound's sampling slack
 CHECK_TOL = 1e-9  # round-off allowance of the exact inequalities a harness checks
 DEGENERATE_GAP = 1e-12
@@ -50,13 +61,116 @@ def hoeffding_halfwidth(B: float, n: int, delta: float) -> float:
     return 2.0 * B * math.sqrt(2.0 * math.log(2.0 / delta) / n)
 
 
+# stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n / e)^n) for n <= 15; index 0 unused
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
+_LN_2PI = math.log(2.0 * math.pi)
+_TAIL_CUTOFF = 2.0**-60  # terms below this share of the largest end a tail sum
+
+
+def _stirlerr(n: int) -> float:
+    """Error of Stirling's formula for ln n!: the table up to 15, then the
+    asymptotic series 1/(12n) - 1/(360n^3) + ... to as many terms as n needs."""
+    if n <= 15:
+        return _STIRLERR[n]
+    nn = float(n) * n
+    s0, s1, s2, s3, s4 = 1.0 / 12, 1.0 / 360, 1.0 / 1260, 1.0 / 1680, 1.0 / 1188
+    if n > 500:
+        return (s0 - s1 / nn) / n
+    if n > 80:
+        return (s0 - (s1 - s2 / nn) / nn) / n
+    if n > 35:
+        return (s0 - (s1 - (s2 - s3 / nn) / nn) / nn) / n
+    return (s0 - (s1 - (s2 - (s3 - s4 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """Deviance term x ln(x / m) + m - x, by its series in (x - m) / (x + m)
+    when x is near m, where the closed form cancels."""
+    if abs(x - m) < 0.1 * (x + m):
+        v = (x - m) / (x + m)
+        s = (x - m) * v
+        ej = 2.0 * x * v
+        v *= v
+        j = 3
+        while True:
+            ej *= v
+            s_next = s + ej / j
+            if s_next == s:
+                return s
+            s = s_next
+            j += 2
+    return x * math.log(x / m) + m - x
+
+
+def _binom_pmf(x: int, n: int, p: float, q: float) -> float:
+    """P[X = x] for X ~ Binomial(n, p), q = 1 - p, 0 < p < 1, in Loader's
+    saddle-point form."""
+    if x == 0:
+        return math.exp(n * math.log(q) if p >= 0.1 else -_bd0(n, n * q) - n * p)
+    if x == n:
+        return math.exp(n * math.log(p) if q >= 0.1 else -_bd0(n, n * p) - n * q)
+    lc = (_stirlerr(n) - _stirlerr(x) - _stirlerr(n - x)
+          - _bd0(x, n * p) - _bd0(n - x, n * q))
+    lf = _LN_2PI + math.log(x) + math.log1p(-x / n)
+    return math.exp(lc - 0.5 * lf)
+
+
+def _binom_tail(k: int, n: int, p: float, upper: bool) -> float:
+    """P[X >= k] (upper) or P[X <= k] for X ~ Binomial(n, p), 0 < p < 1,
+    summed outward from the tail's largest term."""
+    q = 1.0 - p
+    first, last = (k, n) if upper else (0, k)
+    top = min(max(math.floor((n + 1) * p), first), last)
+    peak = _binom_pmf(top, n, p, q)
+    if peak == 0.0:
+        return 0.0
+    cutoff = peak * _TAIL_CUTOFF / (n + 1)
+    terms = [peak]
+    ratio = p / q
+    t, i = peak, top
+    while i < last and t >= cutoff:
+        t *= (n - i) / (i + 1) * ratio
+        i += 1
+        terms.append(t)
+    t, i = peak, top
+    while i > first and t >= cutoff:
+        t *= i / (n - i + 1) / ratio
+        i -= 1
+        terms.append(t)
+    return math.fsum(terms)
+
+
+def _bisect_unit(left_of_root) -> float:
+    """The point of [0, 1] where the predicate turns from True to False,
+    halving until the midpoint equals an endpoint."""
+    a, b = 0.0, 1.0
+    while True:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return mid
+        if left_of_root(mid):
+            a = mid
+        else:
+            b = mid
+
+
 def clopper_pearson(k: int, n: int, level: float = CI_LEVEL) -> tuple[float, float]:
-    """Exact binomial confidence interval for k successes out of n."""
+    """Exact binomial confidence interval for k successes out of n: lo solves
+    P[X >= k | lo] = alpha / 2 and hi solves P[X <= k | hi] = alpha / 2,
+    alpha = 1 - level."""
     if not 0 <= k <= n or n < 1:
         raise ValueError("need 0 <= k <= n, n >= 1")
-    alpha = 1.0 - level
-    lo = 0.0 if k == 0 else float(stats.beta.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(stats.beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    if not 0.0 < level < 1.0:
+        raise ValueError("need 0 < level < 1")
+    half = (1.0 - level) / 2.0
+    lo = 0.0 if k == 0 else _bisect_unit(lambda p: _binom_tail(k, n, p, True) < half)
+    hi = 1.0 if k == n else _bisect_unit(lambda p: _binom_tail(k, n, p, False) > half)
     return lo, hi
 
 
@@ -66,8 +180,8 @@ def fit_loglog(ns, values) -> dict:
     """
     ns = np.asarray(ns, dtype=np.float64)
     vals = np.asarray(values, dtype=np.float64)
-    if len(ns) < 3:
-        raise ValueError("need at least three points to fit a decay rate")
+    if len(np.unique(ns)) < 3:
+        raise ValueError("need at least three distinct sizes to fit a decay rate")
     if np.any(vals <= 0):
         raise ValueError("values must be positive for a log-log fit")
     x = np.log(ns)
@@ -350,10 +464,9 @@ def uniform_convergence_experiment(
     if degenerate or any(nm not in out.fits for nm in names):
         out.passed = False
         return out
-    z = float(stats.norm.ppf(0.5 + CI_LEVEL / 2.0))
     fa, fb = out.fits[names[0]], out.fits[names[1]]
     gap = abs(fa["intercept"] - fb["intercept"])
-    band = z * math.hypot(fa["intercept_se"], fb["intercept_se"])
+    band = CI_Z * math.hypot(fa["intercept_se"], fb["intercept_se"])
     out.notes["intercept_gap"] = gap
     out.notes["intercept_band"] = band
     out.passed = out.passed and gap <= band

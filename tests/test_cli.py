@@ -1,7 +1,9 @@
 """Command-line interface: strict configs, artifacts, and exit codes."""
 
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +24,8 @@ from decal.cli import (
 from decal.kernel import OutcomeDomainError
 from decal.model import load_loss, load_predictor
 
-FIXTURE = Path(__file__).resolve().parent.parent / "configs" / "planted_bias.json"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "configs" / "planted_bias.json"
 
 CALIBRATE_BASE = {
     "kernel_kind": "min",
@@ -464,6 +467,28 @@ def test_experiment_grid_errors_exit_two(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "key, doc",
+    [
+        ("n_grid", {"experiment": "uniform_convergence", "n_grid": [8, 8, 8],
+                    "reference_n": 64, "resamples": 2, "pool_size": 1}),
+        ("eps_grid", {"experiment": "sample_complexity", "eps_grid": [0.3, 0.3, 0.3]}),
+        ("epsilons", {"experiment": "convergence", "epsilons": [0.35, 0.35]}),
+        ("d_grid", {"experiment": "distinguishing", "d_grid": [4, 4], "n_grid": [2]}),
+        ("n_grid", {"experiment": "distinguishing", "d_grid": [4], "n_grid": [2, 2]}),
+    ],
+    ids=["uniform-n_grid", "eps_grid", "epsilons", "d_grid", "distinguishing-n_grid"],
+)
+def test_experiment_repeated_grid_items_exit_two(tmp_path, capsys, key, doc):
+    # every list key rejects a repeated item before anything runs: a
+    # repeated size would leave a decay fit singular
+    code, out_dir = run_cli(tmp_path, "experiment", doc)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err and "distinct" in err
+    assert not out_dir.exists()
+
+
 # report command
 
 
@@ -537,3 +562,60 @@ def test_module_entry_point_runs(tmp_path):
     assert proc.returncode == 0
     assert "dataset.csv" in proc.stdout
     assert (out / "manifest.json").is_file()
+
+
+# the experiment command in a fresh interpreter where scipy cannot be imported
+NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import decal.cli
+args = sys.argv[1:]
+codes = [decal.cli.main(["experiment", "--config", cfg, "--out", out, "--quiet"])
+         for cfg, out in zip(args[::2], args[1::2])]
+print(json.dumps(codes))
+"""
+
+NO_SCIPY_CONFIGS = {
+    # reaches clopper_pearson
+    "distinguishing": {"experiment": "distinguishing", "d_grid": [16], "n_grid": [2],
+                       "trials": 100, "decce_samples": 100},
+    # reaches the normal quantile of the twin-intercept band
+    "uniform_convergence": {"experiment": "uniform_convergence", "n_grid": [32, 128, 512],
+                            "reference_n": 2048, "resamples": 8, "pool_size": 4},
+}
+
+
+def test_experiments_run_without_scipy(tmp_path):
+    args = []
+    for name, doc in NO_SCIPY_CONFIGS.items():
+        args += [write_config(tmp_path, doc, name=f"{name}.json"), str(tmp_path / name)]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, 0]
+    cells = json.loads((tmp_path / "distinguishing" / "results.json").read_text())["cells"]
+    assert all(0.0 <= c["ci_lo"] < c["ci_hi"] <= 1.0 for c in cells)
+    notes = json.loads((tmp_path / "uniform_convergence" / "results.json").read_text())["notes"]
+    assert notes["intercept_gap"] <= notes["intercept_band"]
+
+
+def test_runtime_imports_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.split(r"[\s<>=!~;\[]", dep, maxsplit=1)[0] for dep in project["dependencies"]}
+    assert "scipy" not in declared
+    allowed = set(sys.stdlib_module_names) | declared | {"decal"}
+    for path in sorted((ROOT / "src" / "decal").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

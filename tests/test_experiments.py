@@ -5,8 +5,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decal.experiments import (
+    CI_LEVEL,
+    CI_Z,
     ExperimentResult,
     _embedded_linear_twins,
     clopper_pearson,
@@ -66,6 +70,61 @@ def test_clopper_pearson_edges_and_ordering():
         clopper_pearson(5, 4)
     with pytest.raises(ValueError):
         clopper_pearson(-1, 4)
+    for level in (1.5, 1.0, 0.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            clopper_pearson(3, 10, level=level)
+
+
+def scipy_interval(k, n, level):
+    """scipy's beta.ppf endpoints, each polished by one Newton step on
+    scipy's regularized incomplete beta: beta.ppf alone is off by up to
+    1.9e-12 relative (hi at k = 1, n = 99,999, level 0.56, against a
+    50-digit root), more than the tolerance below.  The edges k = 0 and
+    k = n are 0 and 1 exactly."""
+    from scipy import special, stats
+
+    half = (1.0 - level) / 2.0
+    lo, hi = 0.0, 1.0
+    if k > 0:
+        a, b = k, n - k + 1
+        p = stats.beta.ppf(half, a, b)
+        lo = float(p - (special.betainc(a, b, p) - half) / stats.beta.pdf(p, a, b))
+    if k < n:
+        a, b = k + 1, n - k
+        p = stats.beta.ppf(1.0 - half, a, b)
+        hi = float(p + (special.betaincc(a, b, p) - half) / stats.beta.pdf(p, a, b))
+    return lo, hi
+
+
+@st.composite
+def binomial_counts(draw):
+    n = draw(st.integers(1, 100_000))
+    return draw(st.integers(0, n)), n
+
+
+EDGE_N = 100_000
+
+
+@given(counts=binomial_counts(), level=st.floats(0.5, 0.9999))
+@example(counts=(0, EDGE_N), level=0.9999)
+@example(counts=(1, EDGE_N), level=0.9999)
+@example(counts=(2, EDGE_N), level=0.9999)
+@example(counts=(2, EDGE_N), level=0.9)
+@example(counts=(EDGE_N - 2, EDGE_N), level=0.9999)
+@example(counts=(EDGE_N - 1, EDGE_N), level=0.9999)
+@example(counts=(EDGE_N, EDGE_N), level=0.5)
+@settings(max_examples=60, deadline=None)
+def test_clopper_pearson_matches_scipy_beta_ppf(counts, level):
+    k, n = counts
+    lo, hi = clopper_pearson(k, n, level)
+    assert (lo, hi) == pytest.approx(scipy_interval(k, n, level), rel=1e-12, abs=0.0)
+
+
+def test_normal_quantile_matches_scipy_norm_ppf():
+    from scipy import stats
+
+    ref = float(stats.norm.ppf(0.5 + CI_LEVEL / 2.0))
+    assert abs(CI_Z - ref) <= 2.0 * math.ulp(ref)
 
 
 def test_fit_recovers_exact_power_law():
@@ -90,6 +149,8 @@ def test_fit_validation():
         fit_loglog([10, 20], [1.0, 0.5])
     with pytest.raises(ValueError):
         fit_loglog([10, 20, 40], [1.0, 0.0, 0.5])
+    with pytest.raises(ValueError, match="distinct"):  # repeated sizes: a singular fit
+        fit_loglog([8, 8, 8, 16], [1.0, 0.9, 0.8, 0.5])
 
 
 # result containers
