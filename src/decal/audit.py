@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (
-    KernelSpec,
-    RkhsElement,
-    as_outcomes,
-    merge_terms,
-    span_gram,
-    zero_element,
-)
+from .kernel import KernelSpec, as_outcomes, column_norms, merge_terms
 from .model import (
     DEGENERATE_NORM,
     EvaluatedBatch,
@@ -45,9 +38,10 @@ class AuditReport:
     n_used: int
     candidate_pool_size: int
     batch_id: str = ""
-    # the best candidate's rule on the batch (n, |A|) and raw residual means
+    # the best candidate's rule on the batch (n, |A|), and its raw residual
+    # means as the columns of an (M, |A|) matrix over witness_loss.anchors
     rule_probs: np.ndarray | None = None
-    residual_rows: tuple[RkhsElement, ...] = ()
+    residual_means: np.ndarray | None = None
 
 
 def batch_estimates(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
@@ -96,23 +90,23 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     return gaps, norms, probs, parts
 
 
+def _unit_columns(coeffs: np.ndarray, nv: np.ndarray, R1: float) -> np.ndarray:
+    """coeffs with each column rescaled from norm nv to R1, or zero where nv is degenerate."""
+    live = nv > DEGENERATE_NORM
+    return np.where(live, coeffs * (R1 / np.where(live, nv, 1.0)), 0.0)
+
+
 def _witness(eb: EvaluatedBatch, parts, norms: np.ndarray, R1: float, loss_id: str):
     """One candidate's gap-maximizing loss and its raw residual means, cut
     from its parts in the pooled scan: each action coefficient is the
     residual mean weighted by that action's rule probability, rescaled to
     norm R1 by its norm from the pooled scan, or zero where it is degenerate.
+    Every column lives on one merged table over [U; anchors].
     """
     spec, (BU, ZB) = eb.kernel, parts
     points = np.vstack([eb.outcomes[0], eb.plan.anchors])
-    cols = np.vstack([BU, -eb.plan.expand(ZB.T).T])
-    means = tuple(RkhsElement(spec, *merge_terms(spec, points, c)) for c in cols.T)
-    elements = [
-        RkhsElement(el.spec, el.anchors, el.coeffs * (R1 / nv))
-        if nv > DEGENERATE_NORM
-        else zero_element(el.spec)
-        for el, nv in zip(means, norms)
-    ]
-    return LossFunction(loss_id, tuple(elements), R1), means
+    anchors, means = merge_terms(spec, points, np.vstack([BU, -eb.plan.expand(ZB.T).T]))
+    return LossFunction(loss_id, spec, anchors, _unit_columns(means, norms, R1), R1), means
 
 
 def closed_form_witnesses(
@@ -175,7 +169,7 @@ def audit(
         candidate_pool_size=len(pool),
         batch_id=eb.batch_id,
         rule_probs=probs[best],
-        residual_rows=means,
+        residual_means=means,
     )
 
 
@@ -202,17 +196,14 @@ def random_loss_pool(
     if n == 0:
         raise ValueError("need at least one outcome to anchor pool losses")
     spec.check_domain(Y)
+    take = min(POOL_LOSS_SPAN, n)
     pool = []
     for k in range(size):
-        elements = []
-        for _ in range(n_actions):
-            take = min(POOL_LOSS_SPAN, n)
-            idx = rng.choice(n, size=take, replace=False)
-            anchors, coeffs = merge_terms(spec, Y[idx], rng.standard_normal(take))
-            nv = np.sqrt(max(span_gram(spec, anchors, coeffs[:, None])[0, 0], 0.0))
-            if nv <= DEGENERATE_NORM:
-                elements.append(zero_element(spec))
-            else:
-                elements.append(RkhsElement(spec, anchors, coeffs * (R1 / nv)))
-        pool.append(LossFunction(f"{id_prefix}-{k:03d}", tuple(elements), R1))
+        idx, coeffs = [], np.zeros((take * n_actions, n_actions))
+        for a in range(n_actions):
+            idx.append(rng.choice(n, size=take, replace=False))
+            coeffs[a * take : (a + 1) * take, a] = rng.standard_normal(take)
+        anchors, coeffs = merge_terms(spec, Y[np.concatenate(idx)], coeffs)
+        unit = _unit_columns(coeffs, column_norms(spec, anchors, coeffs), R1)
+        pool.append(LossFunction(f"{id_prefix}-{k:03d}", spec, anchors, unit, R1))
     return pool

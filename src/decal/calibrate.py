@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .audit import AuditReport, audit, decce_estimate, random_loss_pool
-from .kernel import RkhsElement
 from .model import (
     EvaluatedBatch, LossFunction, PatchRecord, Predictor, SampleBatch, evaluate_batch,
     extend_evaluated,
@@ -155,10 +154,9 @@ def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         "alg1",
         report.witness_lossprime,
         config.beta,
+        witness.anchors,
+        witness.coeffs * step,
         batch_id=report.batch_id,
-        rows=tuple(
-            RkhsElement(el.spec, el.anchors, el.coeffs * step) for el in witness.coefficients
-        ),
         eta=config.eta,
     )
 
@@ -180,8 +178,9 @@ def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         "alg2",
         report.witness_lossprime,
         config.beta,
+        report.witness_loss.anchors,
+        report.residual_means,
         batch_id=report.batch_id,
-        rows=report.residual_rows,
         mixing=mixing,
     )
 
@@ -264,7 +263,7 @@ def run_calibration(
                 wall_ms=(time.perf_counter() - started) * 1e3,
             )
         )
-        witnesses = _dedup_losses(witnesses + [report.witness_loss, report.witness_lossprime])
+        witnesses.append(report.witness_loss)
         p = p_next
 
     heldout_eb = evaluate_batch(p, heldout)

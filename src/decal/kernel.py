@@ -20,7 +20,7 @@ KERNEL_KINDS = ("linear", "min", "exp")
 DOMAIN_SLACK = 1e-9
 
 # Rows of the point list per dense Gram block in gram_apply.
-SPAN_GRAM_BLOCK = 2048
+GRAM_APPLY_BLOCK = 2048
 
 
 class KernelMismatchError(ValueError):
@@ -119,6 +119,23 @@ def as_outcomes(Y, dim: int) -> np.ndarray:
     return arr
 
 
+def frozen_span(spec: KernelSpec, anchors, coeffs, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Checked read-only copies of anchors (n, dim) and coefficients (n,) for
+    ndim 1, or (n, cols) for ndim 2: one column per spanned element."""
+    anchors = as_outcomes(anchors, spec.dim).copy()
+    coeffs = np.asarray(coeffs, dtype=np.float64).copy()
+    if ndim == 1:
+        coeffs = coeffs.reshape(-1)
+    if coeffs.ndim != ndim or len(coeffs) != len(anchors):
+        raise ValueError("anchor and coefficient counts differ")
+    if coeffs.size and not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must be finite")
+    spec.check_domain(anchors)
+    anchors.setflags(write=False)
+    coeffs.setflags(write=False)
+    return anchors, coeffs
+
+
 @dataclass(frozen=True, eq=False)
 class RkhsElement:
     """Immutable finite span sum_i coeffs[i] * phi(anchors[i])."""
@@ -128,24 +145,12 @@ class RkhsElement:
     coeffs: np.ndarray  # (n,)
 
     def __post_init__(self) -> None:
-        anchors = as_outcomes(self.anchors, self.spec.dim).copy()
-        coeffs = np.asarray(self.coeffs, dtype=np.float64).reshape(-1).copy()
-        if len(anchors) != len(coeffs):
-            raise ValueError("anchor and coefficient counts differ")
-        if coeffs.size and not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
-        self.spec.check_domain(anchors)
-        anchors.setflags(write=False)
-        coeffs.setflags(write=False)
+        anchors, coeffs = frozen_span(self.spec, self.anchors, self.coeffs, 1)
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-
-def zero_element(spec: KernelSpec) -> RkhsElement:
-    return RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros(0))
 
 
 def feature(spec: KernelSpec, y) -> RkhsElement:
@@ -174,6 +179,13 @@ def norm(v: RkhsElement) -> float:
     return math.sqrt(norm2(v))
 
 
+def column_norms(spec: KernelSpec, anchors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Norms of the spans that are the columns of `coeffs` over `anchors`: the
+    root diagonal of coeffs^T G coeffs, clamped at zero against round-off."""
+    G = spec.gram(anchors, anchors)
+    return np.sqrt(np.maximum(np.einsum("ij,ij->j", coeffs, G @ coeffs), 0.0))
+
+
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bitwise-distinct rows in order of first appearance.
 
@@ -193,43 +205,35 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def merge_terms(
     spec: KernelSpec, anchors: np.ndarray, coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Merge bitwise-identical anchors of the span sum_i coeffs[i] *
-    phi(anchors[i]), then drop the terms that are exactly zero (a zero
-    coefficient or K(y, y) = 0); returns the remaining (anchors, coeffs).
-    `anchors` is a nonempty (n, dim) float array.
+    """Merge bitwise-identical anchors of the spans whose coefficients are
+    the columns of `coeffs` (n, cols), then drop the anchors where every
+    term is exactly zero (a zero coefficient or K(y, y) = 0); returns the
+    remaining (anchors, coeffs).  `anchors` is an (n, dim) float array.
     """
     first, inverse = distinct_rows(anchors)
+    cols = coeffs.shape[1]
+    bins = (inverse[:, None] * cols + np.arange(cols)).ravel()
     # bincount adds in input order from 0.0, as a running sum per anchor would
-    merged = np.bincount(inverse, weights=coeffs, minlength=len(first))
+    merged = np.bincount(bins, weights=coeffs.ravel(), minlength=len(first) * cols)
+    merged = merged.reshape(len(first), cols)
     anchors = anchors[first]
-    keep = np.abs(merged) * np.sqrt(np.maximum(spec.diag(anchors), 0.0)) > 0.0
+    scale = np.sqrt(np.maximum(spec.diag(anchors), 0.0))
+    keep = np.any(np.abs(merged) * scale[:, None] > 0.0, axis=1)
     return anchors[keep], merged[keep]
 
 
 def compress(v: RkhsElement) -> RkhsElement:
     """The same element with repeated anchors merged and zero terms dropped
     (see merge_terms)."""
-    if len(v) == 0:
-        return v
-    return RkhsElement(v.spec, *merge_terms(v.spec, v.anchors, v.coeffs))
+    anchors, merged = merge_terms(v.spec, v.anchors, v.coeffs[:, None])
+    return RkhsElement(v.spec, anchors, merged[:, 0])
 
 
 def gram_apply(spec: KernelSpec, points: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """K @ C for the Gram matrix K of `points`, in row blocks of SPAN_GRAM_BLOCK
+    """K @ C for the Gram matrix K of `points`, in row blocks of GRAM_APPLY_BLOCK
     rows; the full n x n Gram matrix is never materialized."""
     out = np.empty((len(points), C.shape[1]))
-    for i0 in range(0, len(points), SPAN_GRAM_BLOCK):
-        i1 = min(i0 + SPAN_GRAM_BLOCK, len(points))
+    for i0 in range(0, len(points), GRAM_APPLY_BLOCK):
+        i1 = min(i0 + GRAM_APPLY_BLOCK, len(points))
         out[i0:i1] = spec.gram(points[i0:i1], points) @ C
     return out
-
-
-def span_gram(spec: KernelSpec, points: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """C.T @ K @ C for the Gram matrix K of `points`.
-
-    Columns of C are coefficient vectors over the shared point list; the
-    result is the matrix of pairwise inner products of the spanned elements.
-    """
-    if len(points) != len(C):
-        raise ValueError("points and coefficient rows differ in length")
-    return C.T @ gram_apply(spec, points, C)

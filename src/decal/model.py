@@ -32,7 +32,8 @@ from typing import ClassVar
 import numpy as np
 
 from .kernel import (
-    KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, gram_apply, norm
+    KernelSpec, RkhsElement, as_outcomes, check_spec, column_norms, distinct_rows, frozen_span,
+    gram_apply, merge_terms,
 )
 
 DEGENERATE_NORM = 1e-12
@@ -101,63 +102,67 @@ def smooth_best_response(fvals, beta: float) -> np.ndarray:
 # Loss functions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossFunction:
-    """Per-action RKHS coefficients r(a); the loss value is <r(a), phi(y)>.
+    """Per-action RKHS coefficients r(a) = sum_i coeffs[i, a] * phi(anchors[i]),
+    one column per action on one anchor table; the loss value is <r(a), phi(y)>.
 
     make_loss enforces the norm bound R1 by rescaling any over-bound action
-    coefficient down to norm R1 exactly (recorded in `rescaled`); callers
-    that scale every action to norm R1 themselves construct it directly.
+    column down to norm R1 exactly (recorded in `rescaled`); callers that
+    scale every action to norm R1 themselves construct it directly.
     """
 
     loss_id: str
-    coefficients: tuple[RkhsElement, ...]
+    spec: KernelSpec
+    anchors: np.ndarray  # (M, dim)
+    coeffs: np.ndarray  # (M, |A|), column a for action a
     R1: float
     rescaled: bool = False
 
     def __post_init__(self) -> None:
-        if not self.coefficients:
+        anchors, coeffs = frozen_span(self.spec, self.anchors, self.coeffs, 2)
+        if coeffs.shape[1] == 0:
             raise ValueError("a loss needs at least one action")
-        spec = self.coefficients[0].spec
-        for el in self.coefficients:
-            if el.spec != spec:
-                raise ValueError("all action coefficients must share one kernel")
         if not self.R1 > 0:
             raise ValueError("R1 must be positive")
-
-    @property
-    def spec(self) -> KernelSpec:
-        return self.coefficients[0].spec
+        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def n_actions(self) -> int:
-        return len(self.coefficients)
+        return self.coeffs.shape[1]
 
     def norms(self) -> np.ndarray:
-        return np.array([norm(el) for el in self.coefficients])
+        return column_norms(self.spec, self.anchors, self.coeffs)
 
     def values(self, Y) -> np.ndarray:
-        """Loss matrix ell(a, y_i), shape (n, n_actions).
+        """Loss matrix ell(a, y_i), shape (n, n_actions), from one Gram block.
 
         On a predictor's anchors these are the loss-estimate columns:
         <r(a), sum_j w_j phi(anchors[j])> = w @ values(anchors)[:, a].
         """
-        spec = self.spec
-        Ym = as_outcomes(Y, spec.dim)
-        return np.column_stack([spec.gram(Ym, el.anchors) @ el.coeffs for el in self.coefficients])
+        return self.spec.gram(as_outcomes(Y, self.spec.dim), self.anchors) @ self.coeffs
 
 
-def make_loss(loss_id: str, coefficients, R1: float) -> LossFunction:
-    """Build a LossFunction, rescaling actions whose norm exceeds R1."""
-    elements = []
-    rescaled = False
-    for el in coefficients:
-        nv = norm(el)
-        if nv > R1 * (1.0 + 1e-12):
-            el = RkhsElement(el.spec, el.anchors, el.coeffs * (R1 / nv))
-            rescaled = True
-        elements.append(el)
-    return LossFunction(loss_id, tuple(elements), R1, rescaled)
+def make_loss(loss_id: str, elements, R1: float) -> LossFunction:
+    """Build a LossFunction from one RkhsElement per action: stack them on
+    one merged anchor table, then rescale the actions whose norm exceeds R1."""
+    elements = list(elements)
+    if not elements:
+        raise ValueError("a loss needs at least one action")
+    spec = elements[0].spec
+    for el in elements:
+        check_spec(spec, el.spec)
+    sizes = [len(el) for el in elements]
+    coeffs = np.zeros((sum(sizes), len(elements)))
+    coeffs[np.arange(sum(sizes)), np.repeat(np.arange(len(elements)), sizes)] = np.concatenate(
+        [el.coeffs for el in elements]
+    )
+    anchors, coeffs = merge_terms(spec, np.vstack([el.anchors for el in elements]), coeffs)
+    nv = column_norms(spec, anchors, coeffs)
+    over = nv > R1 * (1.0 + 1e-12)
+    coeffs = coeffs * np.where(over, R1 / np.where(over, nv, 1.0), 1.0)
+    return LossFunction(loss_id, spec, anchors, coeffs, R1, bool(np.any(over)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +209,11 @@ class ConstantBase(PredictorBase):
         return np.tile(self.element.coeffs, (len(X), 1))
 
     def to_doc(self) -> dict:
-        return {"kind": self.kind, "element": element_to_doc(self.element)}
+        return {"kind": self.kind, "element": span_to_doc(self.anchors, self.element.coeffs)}
 
     @classmethod
     def from_doc(cls, doc: dict, spec: KernelSpec) -> "ConstantBase":
-        return cls(element_from_doc(doc["element"], spec))
+        return cls(RkhsElement(spec, *span_from_doc(doc["element"], spec)))
 
 
 @register_base
@@ -272,19 +277,21 @@ class SimilarityBase(PredictorBase):
 @dataclass(frozen=True, eq=False)
 class PatchRecord:
     """One calibration round: the witness decision loss, the rule temperature
-    used when the patch was laid down, and the update rows mixed by the rule.
+    used when the patch was laid down, and the update rows mixed by the rule:
+    row a = sum_i coeffs[i, a] * phi(anchors[i]), over the witness's kernel.
 
-    The update at x is sum_a (mixing @ ruleprob(x))_a * rows[a].  alg1 mixes
-    with the identity, and rows[a] has norm eta * R1 (or is zero when the
-    audited residual direction was degenerate).  alg2 mixes with
-    (Dhat + I)^-1, and rows[a] is the raw per-action residual mean.
+    The update at x is sum_a (mixing @ ruleprob(x))_a * row a.  alg1 mixes with
+    the identity, and row a has norm eta * R1 (or is zero when the audited
+    residual direction was degenerate).  alg2 mixes with (Dhat + I)^-1, and
+    row a is the raw per-action residual mean.
     """
 
     algorithm: str
     witness_lossprime: LossFunction
     beta: float
+    anchors: np.ndarray  # (M, dim)
+    coeffs: np.ndarray  # (M, |A|), column a for action a
     batch_id: str = ""
-    rows: tuple[RkhsElement, ...] = ()
     mixing: np.ndarray | None = None
     eta: float | None = None
 
@@ -305,10 +312,13 @@ class PatchRecord:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if mixing.shape != (n_act, n_act):
             raise ValueError("mixing matrix must be (|A|, |A|)")
-        if len(self.rows) != n_act:
-            raise ValueError("one row per action required")
+        anchors, coeffs = frozen_span(self.witness_lossprime.spec, self.anchors, self.coeffs, 2)
+        if coeffs.shape[1] != n_act:
+            raise ValueError("one coefficient column per action required")
         mixing.setflags(write=False)
         object.__setattr__(self, "mixing", mixing)
+        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 @dataclass(frozen=True)
@@ -396,36 +406,30 @@ class _EvalPlan:
     def _append(self, rec: PatchRecord) -> None:
         """Align one patch: each of its anchors goes to the first bitwise-equal
         row so far, unseen rows are appended in order, base rows stay as given."""
-        for other in (rec.witness_lossprime.spec, *(el.spec for el in rec.rows)):
-            check_spec(self.spec, other)
+        check_spec(self.spec, rec.witness_lossprime.spec)
         n_before = len(self.anchors)
-        Z = np.vstack([self.anchors] + [el.anchors for el in rec.rows])
+        Z = np.vstack([self.anchors, rec.anchors])
         first, inverse = distinct_rows(Z)
         seen = first < n_before
         # the position of each distinct row once the unseen ones are appended
         row_at = np.where(seen, first, n_before - np.count_nonzero(seen) + np.arange(len(first)))
         anchors = np.vstack([self.anchors, Z[first[~seen]]])
         n_after = len(anchors)
-
-        R = np.zeros((len(rec.rows), n_after))
-        offset = n_before
-        for a, el in enumerate(rec.rows):
-            cols = row_at[inverse[offset : offset + len(el)]]
-            R[a] = np.bincount(cols, weights=el.coeffs, minlength=n_after)
-            offset += len(el)
+        cols = row_at[inverse[n_before:]]
+        R = np.array([np.bincount(cols, weights=c, minlength=n_after) for c in rec.coeffs.T])
         H = gram_apply(self.spec, anchors, R.T)
         V = rec.witness_lossprime.values(anchors[:n_before])
         table = self.lift(np.hstack([V, H[:n_before]]))
         step = _PlanStep(n_before, n_after, self.k, rec.beta, rec.mixing, R, R @ H, table)
         # the new rows' border of F G F^T: F_{<t} G R^T is the table's right half
-        cross = table[:, len(rec.rows) :]
+        cross = table[:, len(R) :]
         gram_F = np.block([[self.gram_F, cross], [cross.T, step.S]])
         for arr in (anchors, R, step.S, table, gram_F):
             arr.setflags(write=False)
         self.anchors = anchors
         self.gram_F = gram_F
         self.steps.append(step)
-        self.k += len(rec.rows)
+        self.k += len(R)
 
 
 def _project_rows(W: np.ndarray, n2: np.ndarray, upto: int, R2: float) -> None:
@@ -566,13 +570,15 @@ def kernel_from_doc(doc: dict) -> KernelSpec:
     return KernelSpec(doc["kind"], int(doc["dim"]), float(doc["R2"]))
 
 
-def element_to_doc(el: RkhsElement) -> dict:
-    return {"anchors": el.anchors.tolist(), "coeffs": el.coeffs.tolist()}
+def span_to_doc(anchors: np.ndarray, coeffs: np.ndarray) -> dict:
+    """The anchors once, then the coefficients: one list for an element, one
+    list per column for an anchor table."""
+    return {"anchors": anchors.tolist(), "coeffs": coeffs.T.tolist()}
 
 
-def element_from_doc(doc: dict, spec: KernelSpec) -> RkhsElement:
+def span_from_doc(doc: dict, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     anchors = np.asarray(doc["anchors"], dtype=np.float64).reshape(-1, spec.dim)
-    return RkhsElement(spec, anchors, np.asarray(doc["coeffs"], dtype=np.float64))
+    return anchors, np.asarray(doc["coeffs"], dtype=np.float64).T
 
 
 def loss_to_doc(loss: LossFunction) -> dict:
@@ -580,13 +586,14 @@ def loss_to_doc(loss: LossFunction) -> dict:
         "loss_id": loss.loss_id,
         "R1": loss.R1,
         "rescaled": loss.rescaled,
-        "coefficients": [element_to_doc(el) for el in loss.coefficients],
+        **span_to_doc(loss.anchors, loss.coeffs),
     }
 
 
 def loss_from_doc(doc: dict, spec: KernelSpec) -> LossFunction:
-    elements = tuple(element_from_doc(d, spec) for d in doc["coefficients"])
-    return LossFunction(doc["loss_id"], elements, float(doc["R1"]), bool(doc["rescaled"]))
+    return LossFunction(
+        doc["loss_id"], spec, *span_from_doc(doc, spec), float(doc["R1"]), bool(doc["rescaled"])
+    )
 
 
 def base_from_doc(doc: dict, spec: KernelSpec) -> PredictorBase:
@@ -597,31 +604,28 @@ def base_from_doc(doc: dict, spec: KernelSpec) -> PredictorBase:
 
 
 def patch_to_doc(rec: PatchRecord) -> dict:
-    rows = [element_to_doc(el) for el in rec.rows]
     doc = {
         "algorithm": rec.algorithm,
         "witness_lossprime": loss_to_doc(rec.witness_lossprime),
         "beta": rec.beta,
         "batch_id": rec.batch_id,
+        **span_to_doc(rec.anchors, rec.coeffs),
     }
     if rec.algorithm == "alg1":
         doc["eta"] = rec.eta
-        doc["adjustments"] = rows
     else:
         doc["mixing"] = rec.mixing.tolist()
-        doc["residual_rows"] = rows
     return doc
 
 
 def patch_from_doc(doc: dict, spec: KernelSpec) -> PatchRecord:
     alg1 = doc["algorithm"] == "alg1"
-    rows = doc["adjustments"] if alg1 else doc["residual_rows"]
     return PatchRecord(
         doc["algorithm"],
         loss_from_doc(doc["witness_lossprime"], spec),
         float(doc["beta"]),
+        *span_from_doc(doc, spec),
         doc["batch_id"],
-        rows=tuple(element_from_doc(d, spec) for d in rows),
         mixing=None if alg1 else np.asarray(doc["mixing"], dtype=np.float64),
         eta=float(doc["eta"]) if alg1 else None,
     )
@@ -643,7 +647,7 @@ def predictor_from_doc(doc: dict) -> Predictor:
 
 
 def save_json(path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n")
 
 
 def load_json(path) -> dict:

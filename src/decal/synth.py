@@ -64,7 +64,7 @@ def make_piecewise_linear_loss(
     for a in range(n_actions):
         anchors = np.array([[1.0], [c[a]]])
         coeffs = np.array([k2[a], k1[a] - k2[a]])
-        elements.append(compress(RkhsElement(spec, anchors, coeffs)))
+        elements.append(RkhsElement(spec, anchors, coeffs))
     return make_loss(loss_id, elements, R1)
 
 

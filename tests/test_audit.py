@@ -28,8 +28,6 @@ from decal.kernel import (
     compress,
     distinct_rows,
     feature,
-    span_gram,
-    zero_element,
 )
 from decal.model import (
     DEGENERATE_NORM,
@@ -65,6 +63,22 @@ def min_predictor(n_anchors=4, scale=0.25):
     return Predictor(MIN, ConstantBase(RkhsElement(MIN, anchors, rng.standard_normal(n_anchors) * scale)))
 
 
+def empty(spec):
+    return RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros(0))
+
+
+def stacked(spec, elements):
+    """The elements as the columns of one unmerged anchor table: element a's
+    terms in column a, zeros elsewhere."""
+    anchors = np.vstack([np.zeros((0, spec.dim))] + [el.anchors for el in elements])
+    coeffs = np.zeros((len(anchors), len(elements)))
+    at = 0
+    for a, el in enumerate(elements):
+        coeffs[at : at + len(el), a] = el.coeffs
+        at += len(el)
+    return anchors, coeffs
+
+
 def pool_for(batch, n_actions, size, seed=0, R1=1.0):
     return random_loss_pool(MIN, batch.Y, n_actions, R1, size, np.random.default_rng(seed))
 
@@ -88,7 +102,7 @@ def test_point_mass_predictor_has_zero_gap():
 def test_zero_loss_has_zero_gap():
     batch = min_batch(10)
     p = min_predictor()
-    zero = LossFunction("zero", (zero_element(MIN), zero_element(MIN)), 1.0)
+    zero = LossFunction("zero", MIN, np.zeros((0, 1)), np.zeros((0, 2)), 1.0)
     lp = pool_for(batch, 2, 1)[0]
     assert empirical_gap(evaluate_batch(p, batch), zero, lp, beta=3.0) == 0.0
 
@@ -130,16 +144,14 @@ def test_linear_instance_matches_vector_oracle():
 
     rows = g.standard_normal((2, 2))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    lp = LossFunction(
-        "lp", tuple(RkhsElement(LIN2, r[None, :], np.array([1.0])) for r in rows), 1.0
-    )
+    lp = LossFunction("lp", LIN2, rows, np.eye(2), 1.0)
 
     P = oracle.project_rows(np.tile(bcoeffs @ banchors, (3, 1)), LIN2.R2)
     K = oracle.smooth_rule(P, rows, 3.0)
 
     eb = evaluate_batch(p, batch)
     wl = closed_form_witnesses(eb, [lp], R1=1.0, beta=3.0, loss_ids=["star"])[0]
-    wl_vecs = np.vstack([el.coeffs @ el.anchors if len(el) else np.zeros(2) for el in wl.coefficients])
+    wl_vecs = wl.coeffs.T @ wl.anchors
     expect_vecs, expect_gap = oracle.closed_form_witness(Y, P, K, 1.0)
     assert np.allclose(wl_vecs, expect_vecs, atol=1e-9)
 
@@ -154,7 +166,7 @@ def test_single_action_witness_is_scaled_residual_mean():
     # one action: the rule is identically 1, so the gap is R1 times the norm
     # of the plain residual mean
     batch = SampleBatch(np.zeros((2, 1)), np.array([[0.2], [0.8]]))
-    p = Predictor(MIN, ConstantBase(zero_element(MIN)))
+    p = Predictor(MIN, ConstantBase(empty(MIN)))
     pool = random_loss_pool(MIN, batch.Y, 1, 1.0, 3, np.random.default_rng(1))
     got = decce_estimate(evaluate_batch(p, batch), pool=pool, beta=7.0, R1=1.0)
     # ||(phi(.2) + phi(.8)) / 2||^2 = (0.2 + 2 * 0.2 + 0.8) / 4
@@ -238,15 +250,16 @@ def scan_case(spec, n, support_size, all_distinct, signed_zeros, n_patches, seed
         lossprime = make_loss(f"lp{t}", [element(2, 1.0) for _ in range(2)], 1.0)
         beta = float(r.uniform(0.5, 4.0))
         if t % 3 == 1 or t == n_patches - 1:
-            records.append(PatchRecord("alg1", lossprime, beta, rows=(push, push), eta=0.1))
+            records.append(PatchRecord("alg1", lossprime, beta, *stacked(spec, (push, push)),
+                                       eta=0.1))
         elif t % 2:
-            rows_t = tuple(element(int(r.integers(1, 4)), 0.4) for _ in range(2))
-            records.append(PatchRecord("alg1", lossprime, beta, rows=rows_t, eta=0.1))
+            rows_t = stacked(spec, [element(int(r.integers(1, 4)), 0.4) for _ in range(2)])
+            records.append(PatchRecord("alg1", lossprime, beta, *rows_t, eta=0.1))
         else:
             A = r.standard_normal((2, 2))
             M = np.linalg.inv(A @ A.T / 4.0 + np.eye(2))
-            rows_t = tuple(element(int(r.integers(1, 4)), 0.4) for _ in range(2))
-            records.append(PatchRecord("alg2", lossprime, beta, rows=rows_t, mixing=(M + M.T) / 2.0))
+            rows_t = stacked(spec, [element(int(r.integers(1, 4)), 0.4) for _ in range(2)])
+            records.append(PatchRecord("alg2", lossprime, beta, *rows_t, mixing=(M + M.T) / 2.0))
     p = Predictor(spec, base, tuple(records))
     return p, evaluate_batch(p, SampleBatch(r.standard_normal((len(Y), 2)), Y))
 
@@ -295,7 +308,7 @@ def test_basis_scan_matches_dense_reference(
     points = np.vstack([eb.Y, p.anchors])
     C = np.vstack([B / n, -(W.T @ B) / n])
     K = spec.gram(points, points)
-    dense = np.diag(span_gram(spec, points, C))
+    dense = np.einsum("ij,ij->j", C, K @ C)
     slack = np.einsum("ij,ik,kj->j", np.abs(C), np.abs(K), np.abs(C))
     tol = 1e-12 * np.abs(dense) + 1e-12 * slack
     assert np.all(np.abs(norms.ravel() ** 2 - np.clip(dense, 0.0, None)) <= tol)
@@ -314,11 +327,14 @@ def test_basis_scan_matches_dense_reference(
     width = norms.shape[1]
     U = eb.outcomes[0]
     for i, (part, nv) in enumerate(zip(parts, norms)):
-        _, means = _witness(eb, part, nv, 1.0, "w")
+        witness, means = _witness(eb, part, nv, 1.0, "w")
+        assert means.shape == witness.coeffs.shape == (len(witness.anchors), width)
         BU, ZB = part
         own = np.vstack([BU, -p._plan.expand(ZB.T).T])
-        for j, got in enumerate(means):
+        for j in range(width):
             c = i * width + j
+            live = means[:, j] != 0.0
+            got = RkhsElement(spec, witness.anchors[live], means[live, j])
             # the merge is compress of the witness's own unmerged columns
             mine = compress(RkhsElement(spec, np.vstack([U, p.anchors]), own[:, j]))
             assert got.anchors.tobytes() == mine.anchors.tobytes()
@@ -369,7 +385,7 @@ def test_calibration_expands_only_witness_rows(monkeypatch):
     # the anchors are expanded only for a witness's |A| residual means
     g = np.random.default_rng(29)
     source = ArraySource(g.standard_normal((2000, 2)), g.uniform(0.3, 0.9, (2000, 1)))
-    p0 = Predictor(MIN, ConstantBase(zero_element(MIN)))
+    p0 = Predictor(MIN, ConstantBase(empty(MIN)))
     config = CalibConfig(epsilon=0.2, beta=4.0, R1=1.0, R2=1.5, n_actions=3, max_iters=4,
                          audit_batch_size=96, pool_size=8, heldout_size=96)
     rows = []
@@ -388,7 +404,7 @@ def test_calibration_expands_only_witness_rows(monkeypatch):
 def test_audit_threshold_boundary():
     # zero predictor, all outcomes at .64: gap is ||phi(.64)|| = .8 exactly
     batch = SampleBatch(np.zeros((6, 1)), np.full((6, 1), 0.64))
-    p = Predictor(MIN, ConstantBase(zero_element(MIN)))
+    p = Predictor(MIN, ConstantBase(empty(MIN)))
     pool = random_loss_pool(MIN, batch.Y, 1, 1.0, 2, np.random.default_rng(0))
     hot = audit(p, batch, epsilon=1.0, pool=pool, beta=2.0, R1=1.0)
     assert hot.found and hot.empirical_gap == pytest.approx(0.8, abs=1e-12)
@@ -444,7 +460,7 @@ def test_audit_validation():
         decce_estimate(eb, pool=[], beta=1.0, R1=1.0)
     # a loss over another kernel with the same outcome dimension
     lin1 = KernelSpec("linear", 1, 1.5)
-    other = LossFunction("lin", (feature(lin1, 0.5), feature(lin1, -0.5)), 1.0)
+    other = LossFunction("lin", lin1, [[0.5], [-0.5]], np.eye(2), 1.0)
     with pytest.raises(KernelMismatchError):
         audit(p, batch, epsilon=0.1, pool=[other], beta=1.0, R1=1.0)
     with pytest.raises(KernelMismatchError):
@@ -473,9 +489,8 @@ def test_pooled_witnesses_match_pools_of_one():
     for lp, lid, got in zip(pool, ids, pooled):
         alone = closed_form_witnesses(eb, [lp], R1=1.0, beta=4.0, loss_ids=[lid])[0]
         assert got.loss_id == alone.loss_id == lid
-        for a, b in zip(got.coefficients, alone.coefficients):
-            assert np.array_equal(a.anchors, b.anchors)
-            np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got.anchors, alone.anchors)
+        np.testing.assert_allclose(got.coeffs, alone.coeffs, rtol=1e-12, atol=0.0)
 
 
 # candidate pools
@@ -489,8 +504,7 @@ def test_random_pool_shape_and_norms():
     for loss in pool:
         assert loss.n_actions == 3
         assert loss.norms() == pytest.approx(np.full(3, 0.7), rel=1e-12)
-        for el in loss.coefficients:
-            assert all(a.tobytes() in seen for a in el.anchors)
+        assert all(a.tobytes() in seen for a in loss.anchors)
 
 
 def test_random_pool_needs_outcomes():
@@ -499,8 +513,9 @@ def test_random_pool_needs_outcomes():
 
 
 def per_element_pool(spec, Y, n_actions, R1, size, rng, id_prefix="rand"):
-    """random_loss_pool written with one element per step: the drawn span,
-    its compression, and the element rescaled to norm R1."""
+    """random_loss_pool written with one element per action: the drawn span,
+    its compression, and the element rescaled to norm R1, or dropped where
+    its norm is degenerate."""
     pool = []
     for k in range(size):
         elements = []
@@ -508,12 +523,13 @@ def per_element_pool(spec, Y, n_actions, R1, size, rng, id_prefix="rand"):
             take = min(POOL_LOSS_SPAN, len(Y))
             idx = rng.choice(len(Y), size=take, replace=False)
             el = compress(RkhsElement(spec, Y[idx], rng.standard_normal(take)))
-            nv = np.sqrt(max(span_gram(spec, el.anchors, el.coeffs[:, None])[0, 0], 0.0))
+            G = spec.gram(el.anchors, el.anchors)
+            nv = np.sqrt(max(el.coeffs @ G @ el.coeffs, 0.0))
             if nv <= DEGENERATE_NORM:
-                elements.append(zero_element(spec))
+                elements.append(empty(spec))
             else:
                 elements.append(RkhsElement(spec, el.anchors, el.coeffs * (R1 / nv)))
-        pool.append(LossFunction(f"{id_prefix}-{k:03d}", tuple(elements), R1))
+        pool.append((f"{id_prefix}-{k:03d}", elements))
     return pool
 
 
@@ -528,12 +544,18 @@ def per_element_pool(spec, Y, n_actions, R1, size, rng, id_prefix="rand"):
     ids=["min-continuous", "min-repeated", "min-fewer-than-span", "linear3"],
 )
 def test_random_pool_matches_per_element_construction(spec, Y):
-    got = random_loss_pool(spec, Y, 3, 0.7, 32, np.random.default_rng(4), id_prefix="c")
-    want = per_element_pool(spec, Y, 3, 0.7, 32, np.random.default_rng(4), id_prefix="c")
-    assert [loss.loss_id for loss in got] == [loss.loss_id for loss in want]
-    for a, b in zip(got, want):
-        assert a.R1 == b.R1
-        for x, y in zip(a.coefficients, b.coefficients, strict=True):
-            assert x.anchors.shape == y.anchors.shape
-            assert x.anchors.tobytes() == y.anchors.tobytes()
-            assert x.coeffs.tobytes() == y.coeffs.tobytes()
+    """The pool draws from the generator exactly as one element per action
+    would, and each action's values match that element's to 1e-12 relative."""
+    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+    got = random_loss_pool(spec, Y, 3, 0.7, 32, got_rng, id_prefix="c")
+    want = per_element_pool(spec, Y, 3, 0.7, 32, want_rng, id_prefix="c")
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert [loss.loss_id for loss in got] == [lid for lid, _ in want]
+    for loss, (_, elements) in zip(got, want):
+        assert loss.R1 == 0.7
+        assert loss.n_actions == len(elements)
+        for a, el in enumerate(elements):
+            K = spec.gram(Y, el.anchors)
+            want_vals = K @ el.coeffs
+            slack = np.abs(K) @ np.abs(el.coeffs)
+            assert np.all(np.abs(loss.values(Y)[:, a] - want_vals) <= 1e-12 * slack)

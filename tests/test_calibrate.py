@@ -1,5 +1,7 @@
 """Calibration loop: projection, potentials, patch steps, and traces."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from decal.calibrate import (
     potential,
     run_calibration,
 )
-from decal.kernel import KernelSpec, RkhsElement, feature, norm, zero_element
+from decal.kernel import KernelSpec, RkhsElement, column_norms, norm
 from decal.model import ConstantBase, LossFunction, Predictor, SampleBatch
 from decal.synth import ArraySource, planted_bias_instance
 
@@ -28,7 +30,7 @@ def min_outcomes(n):
 
 
 def zero_predictor(spec=MIN):
-    return Predictor(spec, ConstantBase(zero_element(spec)))
+    return Predictor(spec, ConstantBase(RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros(0))))
 
 
 class BiasedStream:
@@ -132,8 +134,9 @@ def test_alg1_adjustments_have_exact_step_norm():
     assert report.found
     rec = alg1_step(report, config=cfg)
     assert rec.algorithm == "alg1" and rec.eta == cfg.eta and rec.batch_id == "b7"
-    for el in rec.rows:
-        assert norm(el) == pytest.approx(cfg.eta * cfg.R1, rel=1e-12)
+    assert np.array_equal(rec.anchors, report.witness_loss.anchors)
+    for nv in column_norms(MIN, rec.anchors, rec.coeffs):
+        assert nv == pytest.approx(cfg.eta * cfg.R1, rel=1e-12)
 
 
 def test_alg1_requires_a_firing_report():
@@ -151,11 +154,11 @@ def test_alg2_single_action_halves_the_residual_mean():
     # one action: Dhat = [[1]], so the mixing weight is exactly 1/2
     cfg = CalibConfig(epsilon=0.1, beta=3.0, R1=1.0, R2=1.5, n_actions=1)
     batch = SampleBatch(np.zeros((3, 1)), np.array([[0.2], [0.5], [0.8]]))
-    lp = LossFunction("lp", (feature(MIN, 0.5),), 1.0)
+    lp = LossFunction("lp", MIN, [[0.5]], [[1.0]], 1.0)
     rec = alg2_step(audit_one(zero_predictor(), lp, batch, cfg), config=cfg)
     assert np.array_equal(rec.mixing, np.array([[0.5]]))
     # raw residual row is the mean feature of the outcomes
-    row = rec.rows[0]
+    row = RkhsElement(MIN, rec.anchors, rec.coeffs[:, 0])
     mean_feat = RkhsElement(MIN, batch.Y, np.full(3, 1 / 3))
     assert norm(row) == pytest.approx(norm(mean_feat), rel=1e-12)
 
@@ -169,9 +172,7 @@ def test_alg2_matches_vector_oracle():
     batch = SampleBatch(g.standard_normal((12, 2)), Y)
     rows = g.standard_normal((2, 2))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    lp = LossFunction(
-        "lp", tuple(RkhsElement(LIN2, r[None, :], np.array([1.0])) for r in rows), 1.0
-    )
+    lp = LossFunction("lp", LIN2, rows, np.eye(2), 1.0)
     cfg = CalibConfig(epsilon=0.1, beta=3.0, R1=1.0, R2=1.5, n_actions=2)
     rec = alg2_step(audit_one(p, lp, batch, cfg), config=cfg)
 
@@ -179,9 +180,7 @@ def test_alg2_matches_vector_oracle():
     K = oracle.smooth_rule(P, rows, 3.0)
     M, G = oracle.alg2_update(Y, P, K)
     assert np.allclose(rec.mixing, M, atol=1e-9)
-    got_rows = np.vstack(
-        [el.coeffs @ el.anchors if len(el) else np.zeros(2) for el in rec.rows]
-    )
+    got_rows = rec.coeffs.T @ rec.anchors
     assert np.allclose(got_rows, G, atol=1e-9)
 
 
@@ -194,8 +193,7 @@ def test_alg2_mixing_is_spd_with_unit_capped_spectrum():
     eigs = np.linalg.eigvalsh(rec.mixing)
     assert np.all(eigs > 0.0)
     assert np.all(eigs <= 1.0 + 1e-12)
-    for el in rec.rows:
-        assert norm(el) <= 2.0 * MIN.R2 + 1e-9
+    assert np.all(column_norms(MIN, rec.anchors, rec.coeffs) <= 2.0 * MIN.R2 + 1e-9)
 
 
 # full runs
@@ -232,6 +230,39 @@ def test_alg1_iterations_obey_the_potential_inequality():
     for row in trace.iterations:
         drop = row.pot_before - row.pot_after
         assert drop >= 2.0 * eta * row.gap - eta**2 * cfg.R1**2 - 1e-9
+
+
+def test_every_carried_loss_reaches_the_next_pool(monkeypatch):
+    """The losses a run carries between rounds all land in the later pools:
+    none is shadowed by a fresh draw with the same id."""
+    calibrate_module = importlib.import_module("decal.calibrate")
+    pools, offered = [], []
+    real_audit, real_dedup = calibrate_module.audit, calibrate_module._dedup_losses
+
+    def recording_audit(eb, **kw):
+        pools.append(kw["pool"])
+        return real_audit(eb, **kw)
+
+    def recording_dedup(losses):
+        offered.append(list(losses))
+        return real_dedup(losses)
+
+    monkeypatch.setattr(calibrate_module, "audit", recording_audit)
+    monkeypatch.setattr(calibrate_module, "_dedup_losses", recording_dedup)
+    inst = planted_bias_instance(MIN, context_dim=2, support_size=16, shift_norm=0.4, seed=3)
+    cfg = CalibConfig(
+        epsilon=0.1, beta=6.0, R1=1.0, R2=1.5, n_actions=2, max_iters=6,
+        audit_batch_size=160, pool_size=12, heldout_size=320, seed=3,
+    )
+    _, trace = run_calibration(inst.predictor, inst.source(11), cfg)
+    assert len(trace.iterations) >= 2
+    checked = 0
+    for pool in pools:
+        offer = next(o for o in offered if len(o) >= len(pool) and o[0] is pool[0])
+        carried = offer[cfg.pool_size :]
+        assert all(any(loss is c for loss in pool) for c in carried)
+        checked += len(carried)
+    assert checked > 0
 
 
 class RecordingStream(BiasedStream):

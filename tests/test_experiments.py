@@ -28,7 +28,7 @@ from decal.experiments import (
     witness_pair_pool,
 )
 from decal.audit import random_loss_pool
-from decal.kernel import KernelSpec, feature, norm
+from decal.kernel import KernelSpec, feature
 from decal.model import ConstantBase, Predictor, SampleBatch
 from decal.synth import planted_bias_instance
 
@@ -246,9 +246,10 @@ def test_witness_pairs_are_anchored_and_scaled():
         assert wl.loss_id == f"star-{lp.loss_id}"
         assert np.all(wl.norms() <= 1.0 + 1e-9)
         assert wl.rescaled is False
-        for el in wl.coefficients:  # scaled from the pooled Gram, checked densely
-            if len(el):
-                assert norm(el) == pytest.approx(1.0, rel=1e-12)
+        G = MIN.gram(wl.anchors, wl.anchors)  # scaled from the pooled Gram, checked densely
+        for c in wl.coeffs.T:
+            if np.any(c):
+                assert np.sqrt(c @ G @ c) == pytest.approx(1.0, rel=1e-12)
         assert lp.norms() == pytest.approx(np.ones(2), rel=1e-12)
 
 

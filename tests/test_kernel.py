@@ -16,10 +16,9 @@ from decal.kernel import (
     feature,
     gram_apply,
     inner,
+    merge_terms,
     norm,
     norm2,
-    span_gram,
-    zero_element,
 )
 
 MIN = KernelSpec("min", 1, 1.5)
@@ -82,8 +81,12 @@ def test_hand_expanded_difference_norm():
     assert norm2(u) == pytest.approx(0.2, abs=1e-12)
 
 
+def empty(spec):
+    return RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros(0))
+
+
 def test_zero_element_inner_and_norm():
-    z = zero_element(MIN)
+    z = empty(MIN)
     v = random_span(MIN, 5)
     assert inner(z, v) == 0.0
     assert norm(z) == 0.0
@@ -125,9 +128,9 @@ def test_blocked_gram_products_match_dense(spec, block, n, k, seed):
     C = r.standard_normal((n, k))
     K = spec.gram(points, points)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "SPAN_GRAM_BLOCK", block)
+        mp.setattr(kernel, "GRAM_APPLY_BLOCK", block)
         applied = gram_apply(spec, points, C)
-        products = span_gram(spec, points, C)
+    products = C.T @ applied
     for got, want, scale in (
         (applied, K @ C, np.abs(K) @ np.abs(C)),
         (products, C.T @ K @ C, np.abs(C).T @ np.abs(K) @ np.abs(C)),
@@ -189,7 +192,7 @@ def test_axpy_zero_scale_equals_v():
 
 def test_axpy_identity_with_zero():
     u = random_span(MIN, 4)
-    s = concat(1.0, u, zero_element(MIN))
+    s = concat(1.0, u, empty(MIN))
     assert norm(concat(-1.0, u, s)) <= 1e-9
 
 
@@ -236,6 +239,42 @@ def test_compress_merges_duplicates():
 def test_compress_all_zero_coefficients():
     v = RkhsElement(MIN, rng.uniform(0, 1, (4, 1)), np.zeros(4))
     assert len(compress(v)) == 0
+
+
+@st.composite
+def coefficient_tables(draw):
+    """A kernel, (n, dim) anchors drawn with repeats (0.0 and -0.0 among
+    them) and an (n, cols) coefficient matrix with some all-zero columns."""
+    spec = draw(st.sampled_from([MIN, LIN3, EXP2]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.vstack([sample_points(spec, 5, r), np.zeros(spec.dim), -np.zeros(spec.dim)])
+    n = draw(st.integers(1, 16))
+    anchors = pool[r.integers(0, len(pool), n)]
+    coeffs = r.standard_normal((n, draw(st.sampled_from([1, 2, 4]))))
+    coeffs[:, r.random(coeffs.shape[1]) < 0.25] = 0.0
+    coeffs[r.random(coeffs.shape) < 0.2] = 0.0
+    return spec, anchors, coeffs
+
+
+@given(coefficient_tables())
+@settings(max_examples=80, deadline=None)
+def test_merge_terms_columns_match_one_column_merges(table):
+    """Each column of a multi-column merge, on the anchors where it is
+    nonzero, is that column's own one-column merge, bit for bit; and that is
+    a running sum per anchor in input order from 0.0."""
+    spec, anchors, coeffs = table
+    merged_anchors, merged = merge_terms(spec, anchors, coeffs)
+    assert merged.shape == (len(merged_anchors), coeffs.shape[1])
+    assert np.all(np.any(merged != 0.0, axis=1))
+    for c in range(coeffs.shape[1]):
+        alone_anchors, alone = merge_terms(spec, anchors, coeffs[:, c : c + 1])
+        live = merged[:, c] != 0.0
+        assert merged_anchors[live].tobytes() == alone_anchors.tobytes()
+        assert merged[live, c].tobytes() == alone[:, 0].tobytes()
+        sums = {}
+        for row, x in zip(anchors, coeffs[:, c]):
+            sums[row.tobytes()] = sums.get(row.tobytes(), 0.0) + x
+        assert alone[:, 0].tolist() == [sums[row.tobytes()] for row in alone_anchors]
 
 
 def test_compress_preserves_inner_products():

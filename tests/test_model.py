@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,7 +16,6 @@ from decal.kernel import (
     compress,
     feature,
     norm,
-    zero_element,
 )
 from decal.model import (
     ConstantBase,
@@ -68,6 +67,27 @@ def random_loss(spec, n_actions, R1, loss_id="rand"):
 def constant_predictor(spec, anchors, coeffs):
     el = RkhsElement(spec, np.asarray(anchors, dtype=np.float64), np.asarray(coeffs, dtype=np.float64))
     return Predictor(spec, ConstantBase(el))
+
+
+def empty(spec):
+    return RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros(0))
+
+
+def stacked(spec, elements):
+    """The elements as the columns of one unmerged anchor table: element a's
+    terms in column a, zeros elsewhere."""
+    anchors = np.vstack([np.zeros((0, spec.dim))] + [el.anchors for el in elements])
+    coeffs = np.zeros((len(anchors), len(elements)))
+    at = 0
+    for a, el in enumerate(elements):
+        coeffs[at : at + len(el), a] = el.coeffs
+        at += len(el)
+    return anchors, coeffs
+
+
+def record(algorithm, lossprime, beta, rows, **kw):
+    """A patch record whose row a is the element rows[a]."""
+    return PatchRecord(algorithm, lossprime, beta, *stacked(lossprime.spec, rows), **kw)
 
 
 def single_anchor_loss(spec, rows, R1, loss_id):
@@ -167,24 +187,32 @@ def test_make_loss_rescales_oversized_actions():
     loss = make_loss("mixed", [big, small], 1.0)
     assert loss.rescaled
     assert loss.norms()[0] == pytest.approx(1.0, rel=1e-12)
-    assert np.array_equal(loss.coefficients[1].coeffs, small.coeffs)
+    assert np.array_equal(loss.anchors, [[0.9], [0.25]])
+    assert np.array_equal(loss.coeffs[:, 1], [0.0, small.coeffs[0]])
 
 
 def test_make_loss_keeps_in_bound_actions():
     els = [feature(MIN, 0.2), feature(MIN, 0.5)]
     loss = make_loss("ok", els, 1.0)
     assert not loss.rescaled
-    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(loss.coefficients, els))
+    assert np.array_equal(loss.anchors, [[0.2], [0.5]])
+    assert np.array_equal(loss.coeffs, np.eye(2))
     assert np.all(loss.norms() <= 1.0 + 1e-9)
 
 
 def test_loss_validation():
     with pytest.raises(ValueError):
-        LossFunction("empty", (), 1.0)
+        LossFunction("empty", MIN, [[0.5]], np.zeros((1, 0)), 1.0)
     with pytest.raises(ValueError):
-        LossFunction("mixed", (feature(MIN, 0.5), feature(LIN2, [0.1, 0.0])), 1.0)
+        make_loss("empty", [], 1.0)
     with pytest.raises(ValueError):
-        LossFunction("bad-r1", (feature(MIN, 0.5),), 0.0)
+        make_loss("mixed", [feature(MIN, 0.5), feature(LIN2, [0.1, 0.0])], 1.0)
+    with pytest.raises(ValueError):
+        LossFunction("bad-r1", MIN, [[0.5]], [[1.0]], 0.0)
+    with pytest.raises(ValueError):
+        LossFunction("ragged", MIN, [[0.5], [0.6]], [[1.0]], 1.0)
+    with pytest.raises(ValueError):
+        LossFunction("flat", MIN, [[0.5]], [1.0], 1.0)
 
 
 def test_loss_values_reproduce_kernel():
@@ -193,8 +221,67 @@ def test_loss_values_reproduce_kernel():
     assert vals[:, 0] == pytest.approx([0.3, 0.6, 0.6], abs=1e-12)
 
 
+EXP2 = KernelSpec("exp", 2, 2.0)
+
+
+@st.composite
+def action_elements(draw):
+    """1, 2 or 4 per-action elements over one kernel whose anchors repeat a
+    small pool (0.0 and -0.0 among them); some actions are empty or all zero."""
+    spec = draw(st.sampled_from([MIN, LIN2, EXP2]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if spec.kind == "min":
+        pool = np.vstack([r.uniform(0.0, 1.0, (4, 1)), [[0.0], [-0.0]]])
+    else:
+        pts = r.uniform(-0.5, 0.5, (4, spec.dim))
+        pool = np.vstack([pts, np.zeros(spec.dim), -np.zeros(spec.dim)])
+    elements = []
+    for _ in range(draw(st.sampled_from([1, 2, 4]))):
+        k = int(r.integers(0, 7))
+        coeffs = r.standard_normal(k) * (0.0 if r.random() < 0.2 else 1.0)
+        elements.append(RkhsElement(spec, pool[r.integers(0, len(pool), k)], coeffs))
+    return spec, elements
+
+
+@given(action_elements(), st.sampled_from([1e9, 0.5]))
+@settings(max_examples=80, deadline=None)
+def test_loss_table_matches_per_action_reference(case, R1):
+    """make_loss on one merged table gives each action's values and norm as
+    the element itself does, densely, to 1e-12 relative, rescaling exactly
+    the over-bound actions."""
+    spec, elements = case
+    loss = make_loss("t", elements, R1)
+    assert loss.n_actions == len(elements)
+    Y = np.vstack([el.anchors for el in elements] + [np.zeros((1, spec.dim))])
+    for a, el in enumerate(elements):
+        G = spec.gram(el.anchors, el.anchors)
+        nv = np.sqrt(max(el.coeffs @ G @ el.coeffs, 0.0))
+        assume(abs(nv - R1) > 1e-9 * R1)
+        scale = R1 / nv if nv > R1 else 1.0
+        K = spec.gram(Y, el.anchors)
+        want = K @ el.coeffs * scale
+        slack = np.abs(K) @ np.abs(el.coeffs) * scale
+        assert np.all(np.abs(loss.values(Y)[:, a] - want) <= 1e-12 * slack + 1e-300)
+        sq_slack = np.abs(el.coeffs) @ np.abs(G) @ np.abs(el.coeffs) * scale**2
+        assert abs(loss.norms()[a] ** 2 - (nv * scale) ** 2) <= 1e-12 * sq_slack + 1e-300
+    assert loss.rescaled == any(
+        np.sqrt(max(el.coeffs @ spec.gram(el.anchors, el.anchors) @ el.coeffs, 0.0)) > R1
+        for el in elements
+    )
+
+
+def test_loss_values_make_one_gram_call(monkeypatch):
+    loss = random_loss(MIN, 4, 1.0)
+    calls = []
+    gram = KernelSpec.gram
+    monkeypatch.setattr(KernelSpec, "gram", lambda self, A, B: (calls.append(1), gram(self, A, B))[1])
+    vals = loss.values(sample_points(MIN, 5))
+    assert vals.shape == (5, 4)
+    assert len(calls) == 1
+
+
 def test_loss_values_zero_action_column():
-    loss = LossFunction("z", (zero_element(MIN), feature(MIN, 0.5)), 1.0)
+    loss = LossFunction("z", MIN, [[0.5]], [[0.0, 1.0]], 1.0)
     vals = loss.values([[0.4], [0.8]])
     assert np.array_equal(vals[:, 0], np.zeros(2))
 
@@ -211,7 +298,7 @@ def test_estimate_reproduces_on_point_mass():
 
 
 def test_estimate_zero_for_zero_prediction():
-    p = Predictor(MIN, ConstantBase(zero_element(MIN)))
+    p = Predictor(MIN, ConstantBase(empty(MIN)))
     loss = random_loss(MIN, 2, 1.0)
     assert loss_estimates(p, [[0.0]], loss)[0, 0] == 0.0
 
@@ -229,14 +316,9 @@ def test_estimates_linear_in_the_loss():
     lb = random_loss(MIN, 2, 1.0, "b")
     combo = LossFunction(
         "combo",
-        tuple(
-            RkhsElement(
-                MIN,
-                np.vstack([ea.anchors, eb.anchors]),
-                np.concatenate([0.7 * ea.coeffs, eb.coeffs]),
-            )
-            for ea, eb in zip(la.coefficients, lb.coefficients)
-        ),
+        MIN,
+        np.vstack([la.anchors, lb.anchors]),
+        np.vstack([0.7 * la.coeffs, lb.coeffs]),
         4.0,
     )
     X = rng.standard_normal((5, 2))
@@ -255,7 +337,7 @@ def test_estimate_rejects_kernel_mismatch():
     with pytest.raises(KernelMismatchError):
         loss_estimates(p, [[0.0]], loss)
     with pytest.raises(KernelMismatchError):
-        p.with_patch(PatchRecord("alg1", loss, 1.0, rows=loss.coefficients, eta=0.1))
+        p.with_patch(PatchRecord("alg1", loss, 1.0, loss.anchors, loss.coeffs, eta=0.1))
 
 
 # predictors and patches
@@ -285,11 +367,7 @@ def test_zero_adjustment_patch_is_identity():
     p = constant_predictor(MIN, sample_points(MIN, 3), [0.3, 0.1, -0.2])
     before = predicted(p, [[0.25]])
     rec = PatchRecord(
-        "alg1",
-        random_loss(MIN, 2, 1.0, "w"),
-        beta=4.0,
-        rows=(zero_element(MIN), zero_element(MIN)),
-        eta=0.5,
+        "alg1", random_loss(MIN, 2, 1.0, "w"), 4.0, np.zeros((0, 1)), np.zeros((0, 2)), eta=0.5
     )
     after = predicted(p.with_patch(rec), [[0.25]])
     assert np.array_equal(after.anchors, before.anchors)
@@ -303,7 +381,7 @@ def test_patched_norms_stay_in_ball():
             RkhsElement(MIN, sample_points(MIN, 1), np.array([0.6]))
             for _ in range(2)
         )
-        rec = PatchRecord("alg1", random_loss(MIN, 2, 1.0, f"w{t}"), 3.0, rows=adj, eta=0.6)
+        rec = record("alg1", random_loss(MIN, 2, 1.0, f"w{t}"), 3.0, adj, eta=0.6)
         p = p.with_patch(rec)
         for x in rng.standard_normal((3, 2)):
             assert norm(predicted(p, x)) <= MIN.R2 + 1e-6
@@ -311,21 +389,24 @@ def test_patched_norms_stay_in_ball():
 
 def test_patch_record_validation():
     w = random_loss(MIN, 2, 1.0, "w")
-    zz = (zero_element(MIN), zero_element(MIN))
+    zz = (np.zeros((0, 1)), np.zeros((0, 2)))
+    z1 = (np.zeros((0, 1)), np.zeros((0, 1)))
     with pytest.raises(ValueError):
-        PatchRecord("alg3", w, 1.0)
+        PatchRecord("alg3", w, 1.0, *zz)
     with pytest.raises(ValueError):
-        PatchRecord("alg1", w, 1.0, rows=zz)  # missing eta
+        PatchRecord("alg1", w, 1.0, *zz)  # missing eta
     with pytest.raises(ValueError):
-        PatchRecord("alg1", w, 1.0, rows=zz[:1], eta=0.1)
+        PatchRecord("alg1", w, 1.0, *z1, eta=0.1)
     with pytest.raises(ValueError):
-        PatchRecord("alg1", w, 1.0, rows=zz, mixing=2 * np.eye(2), eta=0.1)  # not the identity
+        PatchRecord("alg1", w, 1.0, *zz, mixing=2 * np.eye(2), eta=0.1)  # not the identity
     with pytest.raises(ValueError):
-        PatchRecord("alg2", w, 1.0, rows=zz)  # missing mixing
+        PatchRecord("alg2", w, 1.0, *zz)  # missing mixing
     with pytest.raises(ValueError):
-        PatchRecord("alg2", w, 1.0, rows=zz, mixing=np.eye(3))
+        PatchRecord("alg2", w, 1.0, *zz, mixing=np.eye(3))
     with pytest.raises(ValueError):
-        PatchRecord("alg2", w, 1.0, rows=zz[:1], mixing=np.eye(2))
+        PatchRecord("alg2", w, 1.0, *z1, mixing=np.eye(2))
+    with pytest.raises(ValueError):
+        PatchRecord("alg2", w, 1.0, [[0.5]], np.zeros((2, 2)), mixing=np.eye(2))
 
 
 # Few coordinates, so rows repeat often and 0.0 / -0.0 must stay apart, and
@@ -378,9 +459,9 @@ def test_row_dedup_matches_dict_reference(base, chain):
     for i, (t0, t1, mixing) in enumerate(chain):
         els = (_span(t0), _span(t1))
         if i % 2:
-            p = p.with_patch(PatchRecord("alg2", lossprime, 1.0, rows=els, mixing=mixing))
+            p = p.with_patch(record("alg2", lossprime, 1.0, els, mixing=mixing))
         else:
-            p = p.with_patch(PatchRecord("alg1", lossprime, 1.0, rows=els, eta=0.1))
+            p = p.with_patch(record("alg1", lossprime, 1.0, els, eta=0.1))
             mixing = np.eye(2)
         steps.append(els)
         mixings.append(mixing)
@@ -424,22 +505,10 @@ def test_patched_predictor_matches_vector_simulation():
     M = (M + M.T) / 2.0
 
     p = p.with_patch(
-        PatchRecord(
-            "alg1",
-            single_anchor_loss(LIN2, r1, 1.0, "w1"),
-            beta=4.0,
-            rows=tuple(RkhsElement(LIN2, row[None, :], np.array([1.0])) for row in d),
-            eta=0.25,
-        )
+        PatchRecord("alg1", single_anchor_loss(LIN2, r1, 1.0, "w1"), 4.0, d, np.eye(2), eta=0.25)
     )
     p = p.with_patch(
-        PatchRecord(
-            "alg2",
-            single_anchor_loss(LIN2, r2, 1.0, "w2"),
-            beta=2.0,
-            rows=tuple(RkhsElement(LIN2, row[None, :], np.array([1.0])) for row in gvecs),
-            mixing=M,
-        )
+        PatchRecord("alg2", single_anchor_loss(LIN2, r2, 1.0, "w2"), 2.0, gvecs, np.eye(2), mixing=M)
     )
 
     sim = oracle.VectorPredictor(lambda X: np.tile(base_coeffs @ base_anchors, (len(X), 1)), LIN2.R2)
@@ -451,7 +520,7 @@ def test_patched_predictor_matches_vector_simulation():
     assert np.allclose(implicit, sim.evaluate(X), atol=1e-9)
 
     probe = single_anchor_loss(LIN2, unit_rows(2, 0.9), 1.0, "probe")
-    Lp = np.vstack([el.coeffs @ el.anchors for el in probe.coefficients])
+    Lp = probe.coeffs.T @ probe.anchors
     assert np.allclose(
         loss_estimates(p, X, probe), oracle.loss_estimates(sim.evaluate(X), Lp), atol=1e-9
     )
@@ -500,15 +569,15 @@ def _random_chain(g, spec, pool, n_patches, scale):
         lossprime = make_loss(f"lp{t}", [element(2, 1.0) for _ in range(2)], 1.0)
         beta = float(g.uniform(0.5, 4.0))
         if t % 7 == 3:
-            records.append(PatchRecord("alg1", lossprime, beta, rows=(push, push), eta=0.1))
+            records.append(record("alg1", lossprime, beta, (push, push), eta=0.1))
         elif g.random() < 0.5:
             rows = tuple(element(int(g.integers(1, 4)), scale) for _ in range(2))
-            records.append(PatchRecord("alg1", lossprime, beta, rows=rows, eta=0.1))
+            records.append(record("alg1", lossprime, beta, rows, eta=0.1))
         else:
             A = g.standard_normal((2, 2))
             M = np.linalg.inv(A @ A.T / 4.0 + np.eye(2))
             rows = tuple(element(int(g.integers(1, 4)), scale) for _ in range(2))
-            records.append(PatchRecord("alg2", lossprime, beta, rows=rows, mixing=(M + M.T) / 2.0))
+            records.append(record("alg2", lossprime, beta, rows, mixing=(M + M.T) / 2.0))
     return records
 
 
@@ -663,9 +732,8 @@ def test_extend_evaluated_rejects_a_siblings_batch():
     base = SimilarityBase(MIN, sample_points(MIN, 10), g.standard_normal((10, 2)), bandwidth=0.6)
     records = _random_chain(g, MIN, sample_points(MIN, 60), 3, 0.8)
     rec = records[1]
-    rows = tuple(RkhsElement(MIN, el.anchors, -0.5 * el.coeffs) for el in rec.rows)
-    twin = PatchRecord(rec.algorithm, rec.witness_lossprime, rec.beta + 1.0, rows=rows,
-                       mixing=rec.mixing, eta=rec.eta)
+    twin = PatchRecord(rec.algorithm, rec.witness_lossprime, rec.beta + 1.0, rec.anchors,
+                       -0.5 * rec.coeffs, mixing=rec.mixing, eta=rec.eta)
     parent = Predictor(MIN, base, tuple(records[:1]))
     first, second = parent.with_patch(rec), parent.with_patch(twin)
     grandchild = second.with_patch(records[2])
@@ -749,13 +817,13 @@ def build_patched_predictor():
     p = constant_predictor(MIN, sample_points(MIN, 3), [0.4, -0.1, 0.2])
     adj = tuple(RkhsElement(MIN, sample_points(MIN, 1), np.array([0.15])) for _ in range(2))
     p = p.with_patch(
-        PatchRecord("alg1", random_loss(MIN, 2, 1.0, "w1"), 4.0, "b1", rows=adj, eta=0.15)
+        record("alg1", random_loss(MIN, 2, 1.0, "w1"), 4.0, adj, batch_id="b1", eta=0.15)
     )
     rows = tuple(RkhsElement(MIN, sample_points(MIN, 2), rng.standard_normal(2) * 0.1) for _ in range(2))
     M = np.linalg.inv(np.array([[1.3, 0.2], [0.2, 1.1]]))
     M = (M + M.T) / 2.0
     return p.with_patch(
-        PatchRecord("alg2", random_loss(MIN, 2, 1.0, "w2"), 2.0, "b2", rows=rows, mixing=M)
+        record("alg2", random_loss(MIN, 2, 1.0, "w2"), 2.0, rows, batch_id="b2", mixing=M)
     )
 
 

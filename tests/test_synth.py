@@ -60,7 +60,7 @@ def test_piecewise_norm_formula():
         c = rng.uniform(0.0, 1.0)
         loss = make_piecewise_linear_loss(k1, k2, c, 1, MIN, R1=3.0)
         expect = math.sqrt(max((1.0 - c) * k2**2 + c * k1**2, 0.0))
-        assert norm(loss.coefficients[0]) == pytest.approx(expect, abs=1e-12)
+        assert loss.norms()[0] == pytest.approx(expect, abs=1e-12)
 
 
 def test_piecewise_per_action_pieces():
