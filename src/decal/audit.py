@@ -6,6 +6,11 @@ response induced by lossprime's estimated losses.  For a fixed lossprime the
 loss side has a closed-form maximizer over the R1 ball: each action
 coefficient is the rescaled per-action residual mean.  Auditing therefore
 scans a pool of candidate lossprimes and takes the best closed-form witness.
+
+The scan works in the predictor's patch-row basis, and each witness keeps
+the scan's parts of its residual means (over the batch's distinct outcomes
+and over the basis) as its cut form, so a later plan descending from the
+scanned one evaluates the witness without expanding it over the anchors.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import numpy as np
 from .kernel import KernelSpec, as_outcomes, column_norms, merge_terms
 from .model import (
     DEGENERATE_NORM,
+    CutForm,
     EvaluatedBatch,
     LossFunction,
     SampleBatch,
@@ -90,10 +96,16 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     return gaps, norms, probs, parts
 
 
+def _unit_scale(nv: np.ndarray, R1: float) -> np.ndarray:
+    """R1 / nv per column, or zero where nv is degenerate."""
+    live = nv > DEGENERATE_NORM
+    return np.where(live, R1 / np.where(live, nv, 1.0), 0.0)
+
+
 def _unit_columns(coeffs: np.ndarray, nv: np.ndarray, R1: float) -> np.ndarray:
     """coeffs with each column rescaled from norm nv to R1, or zero where nv is degenerate."""
-    live = nv > DEGENERATE_NORM
-    return np.where(live, coeffs * (R1 / np.where(live, nv, 1.0)), 0.0)
+    # where, not the zero scale alone: a negative coefficient times 0.0 is -0.0
+    return np.where(nv > DEGENERATE_NORM, coeffs * _unit_scale(nv, R1), 0.0)
 
 
 def _witness(eb: EvaluatedBatch, parts, norms: np.ndarray, R1: float, loss_id: str):
@@ -101,12 +113,18 @@ def _witness(eb: EvaluatedBatch, parts, norms: np.ndarray, R1: float, loss_id: s
     from its parts in the pooled scan: each action coefficient is the
     residual mean weighted by that action's rule probability, rescaled to
     norm R1 by its norm from the pooled scan, or zero where it is degenerate.
-    Every column lives on one merged table over [U; anchors].
+    Every column lives on one merged table over [U; anchors]; the loss also
+    carries the parts themselves as its cut form, scaled the same way.  The
+    form copies its |A| columns out of the pooled scan, so that a witness
+    kept for later rounds does not keep the whole pool's parts alive.
     """
     spec, (BU, ZB) = eb.kernel, parts
-    points = np.vstack([eb.outcomes[0], eb.plan.anchors])
-    anchors, means = merge_terms(spec, points, np.vstack([BU, -eb.plan.expand(ZB.T).T]))
-    return LossFunction(loss_id, spec, anchors, _unit_columns(means, norms, R1), R1), means
+    U, plan = eb.outcomes[0], eb.plan
+    anchors, means = merge_terms(spec, np.vstack([U, plan.anchors]),
+                                 np.vstack([BU, -plan.expand(ZB.T).T]))
+    form = CutForm(plan.lineage, plan.k, U, BU.copy(), ZB.copy(), _unit_scale(norms, R1))
+    return LossFunction(loss_id, spec, anchors, _unit_columns(means, norms, R1), R1,
+                        form=form), means
 
 
 def closed_form_witnesses(

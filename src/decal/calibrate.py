@@ -150,6 +150,7 @@ def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         raise ValueError("alg1_step requires a report with found=True")
     witness = report.witness_loss
     step = config.eta * config.R1 / witness.R1
+    form = witness.form
     return PatchRecord(
         "alg1",
         report.witness_lossprime,
@@ -158,6 +159,7 @@ def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         witness.coeffs * step,
         batch_id=report.batch_id,
         eta=config.eta,
+        form=None if form is None else form.scaled(form.scale * step),
     )
 
 
@@ -174,6 +176,7 @@ def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
     dhat = (kprobs.T @ kprobs) / report.n_used
     mixing = np.linalg.inv(dhat + RIDGE_LAMBDA * np.eye(kprobs.shape[1]))
     mixing = (mixing + mixing.T) / 2.0  # keep the inverse exactly symmetric
+    form = report.witness_loss.form
     return PatchRecord(
         "alg2",
         report.witness_lossprime,
@@ -182,6 +185,7 @@ def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         report.residual_means,
         batch_id=report.batch_id,
         mixing=mixing,
+        form=None if form is None else form.scaled(1.0),
     )
 
 

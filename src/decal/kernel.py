@@ -153,11 +153,6 @@ class RkhsElement:
         return len(self.coeffs)
 
 
-def feature(spec: KernelSpec, y) -> RkhsElement:
-    """The single feature map phi(y)."""
-    return RkhsElement(spec, as_outcomes(y, spec.dim), np.ones(1))
-
-
 def check_spec(a: KernelSpec, b: KernelSpec) -> None:
     """Raise KernelMismatchError unless spans over a and b share one RKHS."""
     if a != b:

@@ -15,8 +15,18 @@ columns and to its rows' Gram products, and replay tracks each prediction's
 squared norm through the updates instead of recomputing it, so no N x N Gram
 matrix is formed, a decision reads loss estimates straight off the
 coordinates, and a patched predictor extends its parent's plan by one step.
-The plan also keeps F G F^T, so the audit reads through the basis too; the
-coefficients W = Z F are built only by `coefficients` and for a witness's |A| rows.
+The plan also keeps F G F^T, so the audit reads through the basis too.
+
+A witness or patch cut by the audit carries its cut form in memory: the
+batch's distinct outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of
+its columns sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i, over the first
+k rows f_i of the basis of the plan it was cut on.  A plan that descends
+from that plan (the same base and a prefix of its patch records, compared
+by identity) reads the span's Gram products through the form, K(anchors, U)
+and F G F^T, at N x |U| kernel entries instead of N x (|U| + N).  Losses and
+patches loaded from JSON or built by hand have no form and take the dense
+path, which stays the reference.  The coefficients W = Z F are built only
+by `coefficients` and for a witness's |A| rows.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
@@ -103,6 +113,25 @@ def smooth_best_response(fvals, beta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class CutForm:
+    """The audit's own form of |A| spans cut from one evaluated batch: column a
+    is scale[a] * (sum_u BU[u, a] phi(U[u]) - sum_{i<k} ZB[i, a] f_i), with
+    f_i row i of the patch-row basis of the plan whose lineage (base, patch
+    records) it was cut on.  Held in memory only; no file stores it."""
+
+    lineage: tuple  # (PredictorBase, tuple[PatchRecord, ...])
+    k: int
+    U: np.ndarray  # (|U|, dim)
+    BU: np.ndarray  # (|U|, |A|)
+    ZB: np.ndarray  # (k, |A|)
+    scale: np.ndarray  # (|A|,)
+
+    def scaled(self, scale) -> "CutForm":
+        """The same parts with each column scaled by `scale` instead."""
+        return replace(self, scale=np.broadcast_to(scale, self.scale.shape))
+
+
+@dataclass(frozen=True, eq=False)
 class LossFunction:
     """Per-action RKHS coefficients r(a) = sum_i coeffs[i, a] * phi(anchors[i]),
     one column per action on one anchor table; the loss value is <r(a), phi(y)>.
@@ -118,6 +147,8 @@ class LossFunction:
     coeffs: np.ndarray  # (M, |A|), column a for action a
     R1: float
     rescaled: bool = False
+    # the same span as the audit cut it, which `_witness` attaches
+    form: CutForm | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         anchors, coeffs = frozen_span(self.spec, self.anchors, self.coeffs, 2)
@@ -294,6 +325,8 @@ class PatchRecord:
     batch_id: str = ""
     mixing: np.ndarray | None = None
     eta: float | None = None
+    # the same rows as the audit cut them, which the calibration steps attach
+    form: CutForm | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         n_act = self.witness_lossprime.n_actions
@@ -332,7 +365,7 @@ class _PlanStep:
     S: np.ndarray  # (|A|, |A|) the Gram matrix of the rows
     # (k, 2 |A|) the basis so far applied to [V | H[:n_before]], where V holds
     # the witness's loss-estimate columns on the anchors and H = K(anchors,
-    # anchors) @ R.T the rows' Gram products
+    # anchors) @ R.T the rows' Gram products; F_{<t} G R^T is its right half
     table: np.ndarray
 
     def replay(self, Z: np.ndarray, n2: np.ndarray, R2: float) -> None:
@@ -356,11 +389,13 @@ class _EvalPlan:
     carries its coordinates over (k rows).
 
     Every array a plan holds is read-only, so a child plan shares its
-    parent's steps and the parent stays valid.
+    parent's steps and the parent stays valid.  The lineage (base, records)
+    names the plan by the objects it was built from.
     """
 
     def __init__(self, predictor: "Predictor") -> None:
         self.spec = predictor.kernel
+        self.lineage = (predictor.base, ())
         anchors = as_outcomes(predictor.base.anchors, self.spec.dim).copy()
         base_gram = self.spec.gram(anchors, anchors)
         anchors.setflags(write=False)
@@ -398,14 +433,47 @@ class _EvalPlan:
             W[:, : st.n_after] += Z[:, st.k : st.k + len(st.M)] @ st.R
         return W
 
+    def descends(self, form: CutForm | None) -> bool:
+        """Whether this plan extends the plan `form` was cut on: the same base
+        and a prefix of its records, compared by identity."""
+        if form is None:
+            return False
+        base, recs = form.lineage
+        mine = self.lineage[1]
+        return (base is self.lineage[0] and len(recs) <= len(mine)
+                and all(a is b for a, b in zip(recs, mine)))
+
+    def _through(self, form: CutForm):
+        """F G times the spans of a form this plan descends from, (k, |A|):
+        F K(anchors, U) BU - gram_F[:, :k] ZB, with the form's columns scaled.
+        Also returns K(anchors, U) and the scaled BU and ZB."""
+        BU, ZB = form.BU * form.scale, form.ZB * form.scale
+        K_AU = self.spec.gram(self.anchors, form.U)
+        return self.lift(K_AU @ BU) - self.gram_F[:, : form.k] @ ZB, K_AU, BU, ZB
+
+    def lifted_values(self, loss: LossFunction) -> np.ndarray:
+        """F @ loss.values(anchors), (k, |A|): through the loss's cut form when
+        this plan descends from the plan it was cut on, densely otherwise."""
+        check_spec(self.spec, loss.spec)
+        if not self.descends(loss.form):
+            return self.lift(loss.values(self.anchors))
+        return self._through(loss.form)[0]
+
     def estimates(self, Z: np.ndarray, loss: LossFunction) -> np.ndarray:
         """Loss estimates W @ L = Z @ (F @ L) of coordinates Z; (m, |A|)."""
-        check_spec(self.spec, loss.spec)
-        return Z @ self.lift(loss.values(self.anchors))
+        return Z @ self.lifted_values(loss)
 
     def _append(self, rec: PatchRecord) -> None:
         """Align one patch: each of its anchors goes to the first bitwise-equal
-        row so far, unseen rows are appended in order, base rows stay as given."""
+        row so far, unseen rows are appended in order, base rows stay as given.
+
+        Rows cut on this very plan take their Gram products from their form:
+        F G R^T = F K(anchors, U) BU - gram_F ZB, and R G R^T = BU^T g -
+        ZB^T F G R^T with g = K(U, U) BU - K(U, anchors) F^T ZB the rows'
+        inner products with phi(U).  Expanding R G R^T into four quadratic
+        terms instead would lose its digits to cancellation when the rows are
+        short against their parts.  Other rows multiply the anchors' Gram
+        matrix in blocks."""
         check_spec(self.spec, rec.witness_lossprime.spec)
         n_before = len(self.anchors)
         Z = np.vstack([self.anchors, rec.anchors])
@@ -417,10 +485,17 @@ class _EvalPlan:
         n_after = len(anchors)
         cols = row_at[inverse[n_before:]]
         R = np.array([np.bincount(cols, weights=c, minlength=n_after) for c in rec.coeffs.T])
-        H = gram_apply(self.spec, anchors, R.T)
-        V = rec.witness_lossprime.values(anchors[:n_before])
-        table = self.lift(np.hstack([V, H[:n_before]]))
-        step = _PlanStep(n_before, n_after, self.k, rec.beta, rec.mixing, R, R @ H, table)
+        if self.descends(rec.form) and rec.form.k == self.k:
+            cross, K_AU, BU, ZB = self._through(rec.form)
+            table = np.hstack([self.lifted_values(rec.witness_lossprime), cross])
+            g = self.spec.gram(rec.form.U, rec.form.U) @ BU - K_AU.T @ self.expand(ZB.T).T
+            S = BU.T @ g - ZB.T @ cross
+        else:
+            H = gram_apply(self.spec, anchors, R.T)
+            V = rec.witness_lossprime.values(anchors[:n_before])
+            table = self.lift(np.hstack([V, H[:n_before]]))
+            S = R @ H
+        step = _PlanStep(n_before, n_after, self.k, rec.beta, rec.mixing, R, S, table)
         # the new rows' border of F G F^T: F_{<t} G R^T is the table's right half
         cross = table[:, len(R) :]
         gram_F = np.block([[self.gram_F, cross], [cross.T, step.S]])
@@ -428,6 +503,7 @@ class _EvalPlan:
             arr.setflags(write=False)
         self.anchors = anchors
         self.gram_F = gram_F
+        self.lineage = (self.lineage[0], self.lineage[1] + (rec,))
         self.steps.append(step)
         self.k += len(R)
 

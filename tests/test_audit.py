@@ -27,7 +27,6 @@ from decal.kernel import (
     RkhsElement,
     compress,
     distinct_rows,
-    feature,
 )
 from decal.model import (
     DEGENERATE_NORM,
@@ -43,6 +42,7 @@ from decal.model import (
     make_loss,
 )
 from decal.synth import ArraySource, planted_bias_instance
+from spans import feature
 
 # the modules themselves; the package exports a function named `audit`
 audit_module = importlib.import_module("decal.audit")

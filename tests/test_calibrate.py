@@ -296,6 +296,46 @@ def test_pot_after_is_the_patched_predictors_potential(algorithm):
         assert row.pot_after == potential(patched, source.batches[row.batch_id])
 
 
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+def test_rounds_take_no_gram_block_wider_than_the_batch(algorithm, monkeypatch):
+    """Continuous outcomes grow the anchors by about a batch per patch, yet
+    no Gram block of a round has both sides beyond the audit batch: witnesses
+    and rows are read through the basis they were cut from.  The held-out
+    scoring before and after the rounds is left out."""
+    calibrate_module = importlib.import_module("decal.calibrate")
+    cfg = CalibConfig(
+        epsilon=0.02, beta=4.0, R1=1.0, R2=1.5, n_actions=2, algorithm=algorithm,
+        audit_batch_size=32, pool_size=8, heldout_size=64, max_iters=5, seed=5,
+    )
+    source, heldout, shapes, in_round = BiasedStream(8), [], [], [False]
+    real_take, real_gram = source.take, KernelSpec.gram
+    real_evaluate = calibrate_module.evaluate_batch
+
+    def take(n):
+        batch = real_take(n)
+        if not heldout:  # the first draw is the held-out batch
+            heldout.append(batch)
+        return batch
+
+    def evaluate(p, batch):
+        in_round[0] = batch is not heldout[0]
+        return real_evaluate(p, batch)
+
+    def gram(self, Y1, Y2):
+        if in_round[0]:
+            shapes.append((len(Y1), len(Y2)))
+        return real_gram(self, Y1, Y2)
+
+    source.take = take
+    monkeypatch.setattr(calibrate_module, "evaluate_batch", evaluate)
+    monkeypatch.setattr(KernelSpec, "gram", gram)
+    p, trace = run_calibration(zero_predictor(), source, cfg)
+    assert len(trace.iterations) >= 3
+    assert len(p.anchors) > 2 * cfg.audit_batch_size
+    assert shapes
+    assert all(min(shape) <= cfg.audit_batch_size for shape in shapes)
+
+
 def test_alg2_run_also_calibrates():
     cfg = CalibConfig(
         epsilon=0.3, beta=4.0, R1=1.0, R2=1.5, n_actions=2, algorithm="alg2",

@@ -28,9 +28,10 @@ from decal.experiments import (
     witness_pair_pool,
 )
 from decal.audit import random_loss_pool
-from decal.kernel import KernelSpec, feature
+from decal.kernel import KernelSpec
 from decal.model import ConstantBase, Predictor, SampleBatch
 from decal.synth import planted_bias_instance
+from spans import feature
 
 MIN = KernelSpec("min", 1, 1.5)
 

@@ -13,13 +13,13 @@ from decal.kernel import (
     RkhsElement,
     as_outcomes,
     compress,
-    feature,
     gram_apply,
     inner,
     merge_terms,
     norm,
     norm2,
 )
+from spans import feature
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN3 = KernelSpec("linear", 3, 1.0)

@@ -14,7 +14,6 @@ from decal.kernel import (
     KernelSpec,
     RkhsElement,
     compress,
-    feature,
     norm,
 )
 from decal.model import (
@@ -41,6 +40,7 @@ from decal.model import (
     smooth_best_response,
     softmax,
 )
+from spans import feature
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN2 = KernelSpec("linear", 2, 1.5)
