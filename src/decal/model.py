@@ -16,6 +16,9 @@ squared norm through the updates instead of recomputing it, so no N x N Gram
 matrix is formed, a decision reads loss estimates straight off the
 coordinates, and a patched predictor extends its parent's plan by one step.
 The plan also keeps F G F^T, so the audit reads through the basis too.
+Replay runs in row blocks of REPLAY_BLOCK contexts: a decision reuses one
+block's (REPLAY_BLOCK, k) coordinates, so `loss_estimates` holds only
+block x k numbers, and an evaluated batch is filled block by block.
 
 A witness or patch cut by the audit carries its cut form in memory: the
 batch's distinct outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of
@@ -47,6 +50,9 @@ from .kernel import (
 )
 
 DEGENERATE_NORM = 1e-12
+# Contexts replayed at once: a block's (REPLAY_BLOCK, k) coordinates and its
+# base-map temporaries stay small enough to be reused rather than mapped anew.
+REPLAY_BLOCK = 512
 
 
 def as_contexts(X) -> np.ndarray:
@@ -89,11 +95,15 @@ class SampleBatch:
 # Decision rules
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
+def softmax(z) -> np.ndarray:
     """Softmax over the last axis: subtract the max, exponentiate, divide by
-    the sum -- scipy.special.softmax's operations, so its bits too."""
-    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    the sum -- scipy.special.softmax's operations, so its bits too.  Only the
+    shifted copy is allocated; z is left as it was."""
+    z = np.asarray(z, dtype=np.float64)
+    e = z - np.max(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def smooth_best_response(fvals, beta: float) -> np.ndarray:
@@ -276,12 +286,11 @@ class SimilarityBase(PredictorBase):
         object.__setattr__(self, "contexts", contexts)
 
     def weights(self, X: np.ndarray) -> np.ndarray:
-        d2 = (
-            np.einsum("ij,ij->i", X, X)[:, None]
-            + np.einsum("ij,ij->i", self.contexts, self.contexts)[None, :]
-            - 2.0 * X @ self.contexts.T
-        )
-        return softmax(-d2 / (2.0 * self.bandwidth**2))
+        C = self.contexts
+        d2 = np.add.outer(np.einsum("ij,ij->i", X, X), np.einsum("ij,ij->i", C, C))
+        d2 -= 2.0 * X @ C.T
+        d2 /= -(2.0 * self.bandwidth**2)
+        return softmax(d2)
 
     def to_doc(self) -> dict:
         return {
@@ -540,37 +549,75 @@ class Predictor:
         return child
 
     def coefficients(self, X) -> np.ndarray:
-        """Coefficient matrix of the predictions over self.anchors; (m, N)."""
-        return self._plan.expand(self._replay(X)[0])
+        """Coefficient matrix of the predictions over self.anchors; (m, N),
+        expanded one replay block at a time."""
+        Xm = as_contexts(X)
+        plan = self._plan
+        W = np.empty((len(Xm), len(plan.anchors)))
+        for rows, Z in self._replay_blocks(Xm):
+            W[rows] = plan.expand(Z)
+        return W
 
     def _replay(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Replay the patch chain on the whole batch at once, projecting onto
-        the R2 ball after the base map and after every patch.
+        """Replay the patch chain on every context, in blocks of REPLAY_BLOCK
+        rows, projecting onto the R2 ball after the base map and after every
+        patch.
 
         Returns the coordinates Z (m, k) of the predictions over the plan's
         patch-row basis F, so that their coefficients over the anchors are
-        W = Z @ F, and their squared norms n2 (m,).  Z[:, :n_base] is the
-        projected base map; each step reads the coordinates so far through
-        its table, writes its mixed rule probabilities into its own |A|
-        columns, and scales the rows it projects, all without forming W.
+        W = Z @ F, and their squared norms n2 (m,).
+        """
+        Xm = as_contexts(X)
+        Z = np.empty((len(Xm), self._plan.k))
+        n2 = np.empty(len(Xm))
+        for rows in _row_blocks(len(Xm)):
+            self._replay_rows(Xm[rows], Z[rows], n2[rows])
+        return Z, n2
+
+    def _replay_blocks(self, Xm: np.ndarray):
+        """Yield (rows, Z) for each block of REPLAY_BLOCK contexts, the
+        block's coordinates replayed into one buffer that every block reuses,
+        so no (m, k) matrix is held."""
+        size = min(len(Xm), REPLAY_BLOCK)
+        Zbuf, n2buf = np.empty((size, self._plan.k)), np.empty(size)
+        for rows in _row_blocks(len(Xm)):
+            b = rows.stop - rows.start
+            self._replay_rows(Xm[rows], Zbuf[:b], n2buf[:b])
+            yield rows, Zbuf[:b]
+
+    def _replay_rows(self, X: np.ndarray, Z: np.ndarray, n2: np.ndarray) -> None:
+        """Replay one block of contexts X into Z (b, k) and n2 (b,), in place.
+
+        Z[:, :n_base] is the projected base map; each step reads the
+        coordinates so far through its table, writes its mixed rule
+        probabilities into its own |A| columns, and scales the rows it
+        projects, all without forming W.  Every column of Z is written.
         """
         plan = self._plan
-        Xm = as_contexts(X)
-        Z = np.zeros((len(Xm), plan.k))
         Zb = Z[:, : plan.n_base]
-        Zb[...] = self.base.weights(Xm)
-        n2 = np.einsum("ij,ij->i", Zb @ plan.base_gram, Zb)
+        Zb[...] = self.base.weights(X)
+        n2[...] = np.einsum("ij,ij->i", Zb @ plan.base_gram, Zb)
         R2 = self.kernel.R2
         _project_rows(Z, n2, plan.n_base, R2)
         for st in plan.steps:
             st.replay(Z, n2, R2)
-        return Z, n2
+
+
+def _row_blocks(m: int):
+    """The row slices of the replay blocks of an m-row batch."""
+    return [slice(i, min(i + REPLAY_BLOCK, m)) for i in range(0, m, REPLAY_BLOCK)]
 
 
 def loss_estimates(p: Predictor, X, loss: LossFunction) -> np.ndarray:
     """Estimated losses f(x_i, a) = <r(a), p(x_i)>; shape (m, |A|), read off
-    the replay coordinates, so no (m, N) coefficient matrix is built."""
-    return p._plan.estimates(p._replay(X)[0], loss)
+    the replay coordinates block by block, so neither the (m, N) coefficient
+    matrix nor the (m, k) coordinate matrix is built."""
+    L = p._plan.lifted_values(loss)
+    Xm = as_contexts(X)
+    out = np.empty((len(Xm), L.shape[1]))
+    for rows, Z in p._replay_blocks(Xm):
+        out[rows] = Z @ L
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -627,10 +674,11 @@ def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
     same = [id(s) for s in eb.plan.steps] == [id(s) for s in plan.steps[:-1]]
     if not same or eb.plan.base_gram is not plan.base_gram:
         raise ValueError("the batch was not evaluated on the predictor's parent")
-    Z = np.zeros((len(eb), plan.k))
+    Z = np.empty((len(eb), plan.k))
     Z[:, : st.k] = eb.Z
     pnorm2 = eb.pnorm2.copy()
-    st.replay(Z, pnorm2, p.kernel.R2)
+    for rows in _row_blocks(len(eb)):
+        st.replay(Z[rows], pnorm2[rows], p.kernel.R2)
     return EvaluatedBatch(p.kernel, eb.X, eb.Y, plan, Z, pnorm2, eb.batch_id)
 
 

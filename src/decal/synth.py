@@ -259,7 +259,9 @@ class LogitMixtureBase(PredictorBase):
         return as_outcomes(self.world.support, self.spec.dim)
 
     def weights(self, X: np.ndarray) -> np.ndarray:
-        return self.world.mixture_weights(X) - np.asarray(self.world.shift_coeffs, dtype=np.float64)
+        w = self.world.mixture_weights(X)
+        w -= np.asarray(self.world.shift_coeffs, dtype=np.float64)
+        return w
 
     def to_doc(self) -> dict:
         arrays = {k: np.asarray(getattr(self.world, k)).tolist() for k in _WORLD_KEYS}

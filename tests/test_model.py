@@ -1,6 +1,7 @@
 """Decision rules, loss functions, and patched predictors."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracle
+from decal import model
 from decal.kernel import (
     KernelMismatchError,
     KernelSpec,
@@ -48,11 +50,11 @@ LIN2 = KernelSpec("linear", 2, 1.5)
 rng = np.random.default_rng(19)
 
 
-def sample_points(spec, n):
+def sample_points(spec, n, g=rng):
     if spec.kind == "min":
-        return rng.uniform(0.05, 0.95, size=(n, 1))
-    pts = rng.standard_normal((n, spec.dim))
-    radii = rng.uniform(0.0, 0.9 * spec.domain_radius, size=(n, 1))
+        return g.uniform(0.05, 0.95, size=(n, 1))
+    pts = g.standard_normal((n, spec.dim))
+    radii = g.uniform(0.0, 0.9 * spec.domain_radius, size=(n, 1))
     return pts / np.maximum(np.linalg.norm(pts, axis=1, keepdims=True), 1e-12) * radii
 
 
@@ -135,6 +137,28 @@ def test_softmax_matches_scipy_bitwise():
     cases.append(np.array([[1e3, -1e3, 0.0], [-1e3, -1e3, -1e3], [1e3, 1e3 - 1e-9, 999.0]]))
     for Z in cases:
         assert softmax(Z).tobytes() == scipy_softmax(Z, axis=-1).tobytes()
+
+
+def _softmax_written_out(z):
+    """softmax as one expression per step, each into a fresh array."""
+    e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def test_softmax_in_place_steps_keep_every_bit():
+    """The shifted copy is exponentiated and divided in place: the same bytes
+    as the written-out expression, rows that underflow to 0 included, and the
+    argument is left as it was."""
+    g = np.random.default_rng(29)
+    cases = [g.standard_normal(shape) * scale
+             for shape in [(1,), (6,), (33, 5), (2, 3, 7)] for scale in (1e-2, 1.0, 50.0, 1e3)]
+    cases.append(np.array([[0.0, -800.0, -1e4], [1e3, 1e3, -1e3], [-np.inf, 0.0, 1.0]]))
+    for Z in cases:
+        before = Z.tobytes()
+        got = softmax(Z)
+        assert got.tobytes() == _softmax_written_out(Z).tobytes()
+        assert Z.tobytes() == before
+    assert np.count_nonzero(softmax(cases[-1]) == 0.0) >= 3
 
 
 def test_smooth_rule_translation_invariant():
@@ -581,6 +605,72 @@ def _random_chain(g, spec, pool, n_patches, scale):
     return records
 
 
+EXP2 = KernelSpec("exp", 2, 1.5)
+
+
+@pytest.mark.parametrize("spec", [MIN, LIN2, EXP2], ids=lambda s: s.kind)
+@given(seed=st.integers(0, 2**32 - 1), n_patches=st.integers(4, 10), m=st.integers(2, 11))
+@settings(max_examples=12, deadline=None)
+def test_blocked_replay_matches_dense_replay_at_every_block_size(spec, seed, n_patches, m):
+    """Replay in row blocks of 1, 3, m - 1, m and m + 1 contexts agrees with
+    the dense replay over the anchors, on chains in which the projection
+    fires: Z, n2, coefficients, loss estimates and an evaluated batch's Z, all
+    to 1e-12 relative; an empty batch gives empty coordinates and estimates."""
+    g = np.random.default_rng(seed)
+    base = SimilarityBase(spec, sample_points(spec, 8, g), g.standard_normal((8, 2)), 0.7)
+    pool = sample_points(spec, 30, g)
+    p = Predictor(spec, base, tuple(_random_chain(g, spec, pool, n_patches, 0.6)))
+    X = g.standard_normal((m, 2))
+    batch = SampleBatch(X, sample_points(spec, m, g), "b")
+    loss = make_loss("probe", [RkhsElement(spec, pool[:4], g.standard_normal(4)) for _ in range(3)], 1.0)
+    plan = p._plan
+    W_ref, fired = _dense_replay(p, X)
+    assert fired >= 1
+    F = _dense_basis(plan)
+    n2_ref = np.einsum("ij,ij->i", W_ref @ spec.gram(p.anchors, p.anchors), W_ref)
+    est_ref = W_ref @ loss.values(p.anchors)
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * max(np.abs(want).max(), 1.0))
+
+    for block in (1, 3, m - 1, m, m + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "REPLAY_BLOCK", block)
+            Z, n2 = p._replay(X)
+            assert Z.shape == (m, plan.k)
+            close(Z @ F, W_ref)
+            close(n2, n2_ref)
+            close(p.coefficients(X), W_ref)
+            close(loss_estimates(p, X, loss), est_ref)
+            close(evaluate_batch(p, batch).Z @ F, W_ref)
+            Z0, n20 = p._replay(np.zeros((0, 2)))
+            assert Z0.shape == (0, plan.k) and n20.shape == (0,)
+            assert loss_estimates(p, np.zeros((0, 2)), loss).shape == (0, loss.n_actions)
+
+
+def test_loss_estimates_hold_only_a_block_of_coordinates():
+    """A decision on m >= 8 blocks of contexts never holds the (m, k)
+    coordinate matrix: its traced peak stays under half of its m * k * 8
+    bytes."""
+    g = np.random.default_rng(61)
+    base = SimilarityBase(MIN, sample_points(MIN, 10, g), g.standard_normal((10, 2)), 0.6)
+    pool = sample_points(MIN, 200, g)
+    p = Predictor(MIN, base, tuple(_random_chain(g, MIN, pool, 40, 0.4)))
+    m = 8 * model.REPLAY_BLOCK
+    X = g.standard_normal((m, 2))
+    loss = make_loss("decide", [RkhsElement(MIN, pool[:3], g.standard_normal(3)) for _ in range(3)], 1.0)
+    k = p._plan.k
+    tracemalloc.start()
+    try:
+        got = loss_estimates(p, X, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * k * 8 / 2
+    want = p._plan.estimates(p._replay(X)[0], loss)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 def _dense_basis(plan):
     """The patch-row basis F = [I; R_1; ...; R_T] as one (k, N) matrix."""
     N = len(plan.anchors)
@@ -705,17 +795,22 @@ def test_child_plans_extend_the_parents(monkeypatch):
 STEP_ARRAYS = ("table", "M", "R", "S")
 
 
-def test_extend_evaluated_is_a_full_replay_of_the_child():
+def test_extend_evaluated_is_a_full_replay_of_the_child(monkeypatch):
+    """Bit for bit, in one replay block, across blocks of 5 rows, and with a
+    last block of one row, whose products can round otherwise than the same
+    row's inside a larger block."""
     g = np.random.default_rng(47)
     base = SimilarityBase(MIN, sample_points(MIN, 10), g.standard_normal((10, 2)), bandwidth=0.6)
     records = _random_chain(g, MIN, sample_points(MIN, 60), 5, 0.8)
     parent = Predictor(MIN, base, tuple(records[:-1]))
     child = parent.with_patch(records[-1])
     batch = SampleBatch(g.standard_normal((24, 2)), sample_points(MIN, 24), "b")
-    got = extend_evaluated(evaluate_batch(parent, batch), child)
-    want = evaluate_batch(child, batch)
-    for name in ("Z", "pnorm2"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for block in (model.REPLAY_BLOCK, 5, 23):
+        monkeypatch.setattr(model, "REPLAY_BLOCK", block)
+        got = extend_evaluated(evaluate_batch(parent, batch), child)
+        want = evaluate_batch(child, batch)
+        for name in ("Z", "pnorm2"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.plan is want.plan is child._plan
     assert got.batch_id == "b"
     with pytest.raises(ValueError, match="parent"):
@@ -777,6 +872,26 @@ def test_similarity_base_matches_explicit_softmax():
     assert np.allclose(W, oracle.similarity_weights(X, contexts, 0.8), atol=1e-12)
     assert W.sum(axis=1) == pytest.approx(np.ones(5), abs=1e-12)
     assert np.all(W >= 0.0)
+
+
+def test_similarity_base_in_place_steps_keep_every_bit():
+    """weights() builds the squared distances and scales them in place: the
+    same bytes as the written-out expression, for near contexts and for far
+    ones whose weights underflow to 0."""
+    g = np.random.default_rng(37)
+    contexts = g.standard_normal((40, 3))
+    for bw in (0.05, 0.3, 2.0):
+        base = SimilarityBase(MIN, sample_points(MIN, 40, g), contexts, bandwidth=bw)
+        X = np.vstack([g.standard_normal((9, 3)), g.standard_normal((4, 3)) * 1e3])
+        d2 = (
+            np.einsum("ij,ij->i", X, X)[:, None]
+            + np.einsum("ij,ij->i", contexts, contexts)[None, :]
+            - 2.0 * X @ contexts.T
+        )
+        want = _softmax_written_out(-d2 / (2.0 * bw**2))
+        got = base.weights(X)
+        assert got.tobytes() == want.tobytes()
+        assert np.any(got[9:] == 0.0)
 
 
 def test_similarity_base_localizes_at_small_bandwidth():

@@ -148,6 +148,21 @@ def test_affine_map_checks_the_domain():
         amap.sample(np.array([[5.0]]), MIN, np.random.default_rng(0))
 
 
+def test_logit_mixture_weights_keep_every_bit():
+    """The shift is subtracted in place: the same bytes as the written-out
+    softmax minus the shift, for far contexts whose weights underflow too."""
+    inst = planted_bias_instance(MIN, context_dim=2, support_size=8, shift_norm=0.2, seed=0)
+    world = inst.outcomes
+    g = np.random.default_rng(43)
+    X = np.vstack([g.standard_normal((7, 2)), g.standard_normal((3, 2)) * 500.0])
+    logits = X @ world.weight_matrix.T + world.weight_offset
+    e = np.exp(logits - np.max(logits, axis=-1, keepdims=True))
+    q = e / np.sum(e, axis=-1, keepdims=True)
+    assert np.any(q == 0.0)
+    got = inst.predictor.base.weights(X)
+    assert got.tobytes() == (q - world.shift_coeffs).tobytes()
+
+
 def test_synthetic_source_streams_fresh_batches():
     inst = planted_bias_instance(MIN, context_dim=2, support_size=8, shift_norm=0.2, seed=0)
     src = inst.source(seed=4)
