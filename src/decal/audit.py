@@ -26,6 +26,7 @@ from .model import (
     EvaluatedBatch,
     LossFunction,
     SampleBatch,
+    cut_span,
     evaluate_batch,
     smooth_best_response,
 )
@@ -113,18 +114,17 @@ def _witness(eb: EvaluatedBatch, parts, norms: np.ndarray, R1: float, loss_id: s
     from its parts in the pooled scan: each action coefficient is the
     residual mean weighted by that action's rule probability, rescaled to
     norm R1 by its norm from the pooled scan, or zero where it is degenerate.
-    Every column lives on one merged table over [U; anchors]; the loss also
-    carries the parts themselves as its cut form, scaled the same way.  The
-    form copies its |A| columns out of the pooled scan, so that a witness
-    kept for later rounds does not keep the whole pool's parts alive.
+    Every column lives on one merged table over [U; anchors], which
+    `cut_span` builds from the parts; the loss also carries the parts as its
+    cut form.  The form copies its |A| columns out of the pooled scan, so
+    that a witness kept for later rounds does not keep the whole pool's
+    parts alive.
     """
-    spec, (BU, ZB) = eb.kernel, parts
-    U, plan = eb.outcomes[0], eb.plan
-    anchors, means = merge_terms(spec, np.vstack([U, plan.anchors]),
-                                 np.vstack([BU, -plan.expand(ZB.T).T]))
-    form = CutForm(plan.lineage, plan.k, U, BU.copy(), ZB.copy(), _unit_scale(norms, R1))
-    return LossFunction(loss_id, spec, anchors, _unit_columns(means, norms, R1), R1,
-                        form=form), means
+    (BU, ZB), plan = parts, eb.plan
+    form = CutForm(plan.lineage, plan.k, eb.outcomes[0], BU.copy(), ZB.copy(),
+                   _unit_scale(norms, R1))
+    anchors, means, coeffs = cut_span(plan, form)
+    return LossFunction(loss_id, eb.kernel, anchors, coeffs, R1, form=form), means
 
 
 def closed_form_witnesses(

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -159,7 +159,7 @@ def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         witness.coeffs * step,
         batch_id=report.batch_id,
         eta=config.eta,
-        form=None if form is None else form.scaled(form.scale * step),
+        form=None if form is None else replace(form, step=form.step * step),
     )
 
 
@@ -185,7 +185,7 @@ def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         report.residual_means,
         batch_id=report.batch_id,
         mixing=mixing,
-        form=None if form is None else form.scaled(1.0),
+        form=None if form is None else replace(form, unit=np.ones_like(form.unit), step=1.0),
     )
 
 

@@ -20,16 +20,23 @@ Replay runs in row blocks of REPLAY_BLOCK contexts: a decision reuses one
 block's (REPLAY_BLOCK, k) coordinates, so `loss_estimates` holds only
 block x k numbers, and an evaluated batch is filled block by block.
 
-A witness or patch cut by the audit carries its cut form in memory: the
-batch's distinct outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of
-its columns sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i, over the first
-k rows f_i of the basis of the plan it was cut on.  A plan that descends
-from that plan (the same base and a prefix of its patch records, compared
-by identity) reads the span's Gram products through the form, K(anchors, U)
-and F G F^T, at N x |U| kernel entries instead of N x (|U| + N).  Losses and
-patches loaded from JSON or built by hand have no form and take the dense
-path, which stays the reference.  The coefficients W = Z F are built only
-by `coefficients` and for a witness's |A| rows.
+A witness or patch cut by the audit carries its cut form: the batch's
+distinct outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of its
+columns sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i, over the first k
+rows f_i of the basis of the plan it was cut on, with each column's unit
+scale and the step that scales them all.  A plan that descends from that
+plan (the same base and a prefix of its patch records, compared by
+identity) reads the span's Gram products through the form, K(anchors, U)
+and F G F^T, at N x |U| kernel entries instead of N x (|U| + N).  Spans
+without a form (random and user losses, hand-built records, a loaded
+`witness_loss.json`) take the dense path.  The coefficients W = Z F are
+built only by `coefficients` and, by `cut_span`, for a cut span's |A| rows.
+
+`predictor.json` stores each span whose form descends from the predictor's
+own chain as that form plus the number of chain records it was cut on; the
+loader folds the patches in order and rebuilds each anchor table with
+`cut_span` on the loaded prefix, so the loaded predictor, its plan
+included, equals the saved one bit for bit.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
@@ -125,20 +132,19 @@ def smooth_best_response(fvals, beta: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class CutForm:
     """The audit's own form of |A| spans cut from one evaluated batch: column a
-    is scale[a] * (sum_u BU[u, a] phi(U[u]) - sum_{i<k} ZB[i, a] f_i), with
-    f_i row i of the patch-row basis of the plan whose lineage (base, patch
-    records) it was cut on.  Held in memory only; no file stores it."""
+    is unit[a] * step * (sum_u BU[u, a] phi(U[u]) - sum_{i<k} ZB[i, a] f_i),
+    with f_i row i of the patch-row basis of the plan whose lineage (base,
+    patch records) it was cut on.  `predictor.json` stores the form in place
+    of the anchor table that `cut_span` rebuilds from it."""
 
     lineage: tuple  # (PredictorBase, tuple[PatchRecord, ...])
     k: int
     U: np.ndarray  # (|U|, dim)
     BU: np.ndarray  # (|U|, |A|)
     ZB: np.ndarray  # (k, |A|)
-    scale: np.ndarray  # (|A|,)
-
-    def scaled(self, scale) -> "CutForm":
-        """The same parts with each column scaled by `scale` instead."""
-        return replace(self, scale=np.broadcast_to(scale, self.scale.shape))
+    # R1 / the column's norm, or 0 where it is degenerate; ones for alg2 rows
+    unit: np.ndarray  # (|A|,)
+    step: float = 1.0  # alg1's eta R1 / witness R1; kept apart from unit for its bits
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,7 +462,8 @@ class _EvalPlan:
         """F G times the spans of a form this plan descends from, (k, |A|):
         F K(anchors, U) BU - gram_F[:, :k] ZB, with the form's columns scaled.
         Also returns K(anchors, U) and the scaled BU and ZB."""
-        BU, ZB = form.BU * form.scale, form.ZB * form.scale
+        scale = form.unit * form.step
+        BU, ZB = form.BU * scale, form.ZB * scale
         K_AU = self.spec.gram(self.anchors, form.U)
         return self.lift(K_AU @ BU) - self.gram_F[:, : form.k] @ ZB, K_AU, BU, ZB
 
@@ -515,6 +522,17 @@ class _EvalPlan:
         self.lineage = (self.lineage[0], self.lineage[1] + (rec,))
         self.steps.append(step)
         self.k += len(R)
+
+
+def cut_span(plan: _EvalPlan, form: CutForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The anchor table of a form's columns, cut on `plan` (the plan of its
+    lineage): the anchors [U; plan.anchors] with repeats merged, the raw
+    columns BU - F^T ZB over them, and the coefficients, each raw column
+    times its unit scale (zero where that is zero) times the step."""
+    anchors, means = merge_terms(plan.spec, np.vstack([form.U, plan.anchors]),
+                                 np.vstack([form.BU, -plan.expand(form.ZB.T).T]))
+    # where, not the zero scale alone: a negative coefficient times 0.0 is -0.0
+    return anchors, means, np.where(form.unit > 0, means * form.unit, 0.0) * form.step
 
 
 def _project_rows(W: np.ndarray, n2: np.ndarray, upto: int, R2: float) -> None:
@@ -685,6 +703,9 @@ def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
 # ---------------------------------------------------------------------------
 # Serialization: structured JSON documents with exact float round-trip.
 
+# The predictor document layout; a document without it is refused.
+PREDICTOR_FORMAT = "decal.predictor/cut-1"
+
 
 def kernel_to_doc(spec: KernelSpec) -> dict:
     return {"kind": spec.kind, "dim": spec.dim, "R2": spec.R2}
@@ -705,18 +726,66 @@ def span_from_doc(doc: dict, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
     return anchors, np.asarray(doc["coeffs"], dtype=np.float64).T
 
 
-def loss_to_doc(loss: LossFunction) -> dict:
+def _chain_prefix(form: CutForm | None, base: PredictorBase, before: tuple) -> int | None:
+    """How many records the plan `form` was cut on holds, when that plan is
+    `base` and a prefix of the records `before`, compared by identity; None
+    when it is not or there is no form."""
+    if form is None:
+        return None
+    cut_base, recs = form.lineage
+    if cut_base is not base or len(recs) > len(before):
+        return None
+    return len(recs) if all(a is b for a, b in zip(recs, before)) else None
+
+
+def _table_to_doc(anchors: np.ndarray, coeffs: np.ndarray, form: CutForm | None, chain) -> dict:
+    """A span's cut form when it descends from `chain` = (base, the records
+    before the span's own record), else its anchor table."""
+    j = None if chain is None else _chain_prefix(form, *chain)
+    if j is None:
+        return span_to_doc(anchors, coeffs)
+    return {"cut": {"prefix": j, "U": form.U.tolist(), "BU": form.BU.T.tolist(),
+                    "ZB": form.ZB.T.tolist(), "unit": form.unit.tolist(), "step": form.step}}
+
+
+def _table_from_doc(doc: dict, spec: KernelSpec, plans):
+    """(anchors, coeffs, form) of a span document; a cut is rebuilt by
+    `cut_span` on plans[prefix], plans being the loaded chain's plans of the
+    records before the span's own, one per prefix."""
+    if "cut" not in doc:
+        return (*span_from_doc(doc, spec), None)
+    cut = doc["cut"]
+    j = int(cut["prefix"])
+    if not 0 <= j < len(plans):
+        raise ValueError(f"cut 'prefix' {j} names none of the {len(plans)} chain prefixes before it")
+    plan = plans[j]
+    U = np.asarray(cut["U"], dtype=np.float64).reshape(-1, spec.dim)
+    # BU and ZB are written one list per action, as `coeffs` is, and held by row
+    BU, ZB = (np.ascontiguousarray(np.asarray(cut[key], dtype=np.float64).T) for key in ("BU", "ZB"))
+    unit = np.asarray(cut["unit"], dtype=np.float64)
+    n_actions = BU.shape[-1]
+    for key, arr, want in (("BU", BU, (len(U), n_actions)), ("ZB", ZB, (plan.k, n_actions)),
+                           ("unit", unit, (n_actions,))):
+        if arr.shape != want:
+            raise ValueError(f"cut {key!r} has shape {arr.shape}, expected {want}")
+    form = CutForm(plan.lineage, plan.k, U, BU, ZB, unit, float(cut["step"]))
+    anchors, _, coeffs = cut_span(plan, form)
+    return anchors, coeffs, form
+
+
+def loss_to_doc(loss: LossFunction, chain=None) -> dict:
     return {
         "loss_id": loss.loss_id,
         "R1": loss.R1,
         "rescaled": loss.rescaled,
-        **span_to_doc(loss.anchors, loss.coeffs),
+        **_table_to_doc(loss.anchors, loss.coeffs, loss.form, chain),
     }
 
 
-def loss_from_doc(doc: dict, spec: KernelSpec) -> LossFunction:
+def loss_from_doc(doc: dict, spec: KernelSpec, plans=()) -> LossFunction:
+    anchors, coeffs, form = _table_from_doc(doc, spec, plans)
     return LossFunction(
-        doc["loss_id"], spec, *span_from_doc(doc, spec), float(doc["R1"]), bool(doc["rescaled"])
+        doc["loss_id"], spec, anchors, coeffs, float(doc["R1"]), bool(doc["rescaled"]), form=form
     )
 
 
@@ -727,13 +796,13 @@ def base_from_doc(doc: dict, spec: KernelSpec) -> PredictorBase:
     return cls.from_doc(doc, spec)
 
 
-def patch_to_doc(rec: PatchRecord) -> dict:
+def patch_to_doc(rec: PatchRecord, chain) -> dict:
     doc = {
         "algorithm": rec.algorithm,
-        "witness_lossprime": loss_to_doc(rec.witness_lossprime),
+        "witness_lossprime": loss_to_doc(rec.witness_lossprime, chain),
         "beta": rec.beta,
         "batch_id": rec.batch_id,
-        **span_to_doc(rec.anchors, rec.coeffs),
+        **_table_to_doc(rec.anchors, rec.coeffs, rec.form, chain),
     }
     if rec.algorithm == "alg1":
         doc["eta"] = rec.eta
@@ -742,32 +811,45 @@ def patch_to_doc(rec: PatchRecord) -> dict:
     return doc
 
 
-def patch_from_doc(doc: dict, spec: KernelSpec) -> PatchRecord:
+def patch_from_doc(doc: dict, spec: KernelSpec, plans) -> PatchRecord:
     alg1 = doc["algorithm"] == "alg1"
+    lossprime = loss_from_doc(doc["witness_lossprime"], spec, plans)
+    anchors, coeffs, form = _table_from_doc(doc, spec, plans)
     return PatchRecord(
         doc["algorithm"],
-        loss_from_doc(doc["witness_lossprime"], spec),
+        lossprime,
         float(doc["beta"]),
-        *span_from_doc(doc, spec),
+        anchors,
+        coeffs,
         doc["batch_id"],
         mixing=None if alg1 else np.asarray(doc["mixing"], dtype=np.float64),
         eta=float(doc["eta"]) if alg1 else None,
+        form=form,
     )
 
 
 def predictor_to_doc(p: Predictor) -> dict:
     return {
+        "format": PREDICTOR_FORMAT,
         "kernel": kernel_to_doc(p.kernel),
         "base": p.base.to_doc(),
-        "patches": [patch_to_doc(rec) for rec in p.patches],
+        "patches": [patch_to_doc(rec, (p.base, p.patches[:t])) for t, rec in enumerate(p.patches)],
     }
 
 
 def predictor_from_doc(doc: dict) -> Predictor:
+    """The predictor of a document, its patches folded in order by
+    `with_patch`, so each cut span is rebuilt on the plan of its prefix and
+    the plan is built once, by the same path as in memory."""
+    if doc.get("format") != PREDICTOR_FORMAT:
+        raise ValueError(f"predictor 'format' is {doc.get('format')!r}, not {PREDICTOR_FORMAT!r}")
     spec = kernel_from_doc(doc["kernel"])
-    base = base_from_doc(doc["base"], spec)
-    patches = tuple(patch_from_doc(d, spec) for d in doc["patches"])
-    return Predictor(spec, base, patches)
+    p = Predictor(spec, base_from_doc(doc["base"], spec))
+    plans = [p._plan]
+    for d in doc["patches"]:
+        p = p.with_patch(patch_from_doc(d, spec, plans))
+        plans.append(p._plan)
+    return p
 
 
 def save_json(path, doc: dict) -> None:

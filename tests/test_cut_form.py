@@ -7,9 +7,11 @@ the reference these tests compare against.
 """
 
 import contextlib
+import copy
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +20,8 @@ from decal.audit import AuditReport, _gap_scan, _witness, random_loss_pool
 from decal.calibrate import CalibConfig, alg1_step, alg2_step
 from decal.kernel import KernelSpec
 from decal.model import (
-    LossFunction, Predictor, SampleBatch, SimilarityBase, evaluate_batch, predictor_from_doc,
-    predictor_to_doc,
+    LossFunction, PatchRecord, Predictor, SampleBatch, SimilarityBase, evaluate_batch,
+    predictor_from_doc, predictor_to_doc,
 )
 
 SPECS = {
@@ -62,11 +64,13 @@ def close(got, want):
     return np.max(np.abs(got - want), initial=0.0) <= REL * np.max(np.abs(want), initial=0.0)
 
 
-def cut(p, batch, cfg, witnesses, g, zero, wid):
-    """One audit round on p with the best witness's column `zero` (if any)
-    cut as degenerate; returns the witness and the patch record built from it."""
+def cut(p, batch, cfg, witnesses, g, zero, wid, pool=None):
+    """One audit round on p, by default over random losses and the witnesses,
+    with the best witness's column `zero` (if any) cut as degenerate; returns
+    the witness and the patch record built from it."""
     eb = evaluate_batch(p, batch)
-    pool = random_loss_pool(p.kernel, batch.Y, cfg.n_actions, cfg.R1, POOL, g) + witnesses
+    if pool is None:
+        pool = random_loss_pool(p.kernel, batch.Y, cfg.n_actions, cfg.R1, POOL, g) + witnesses
     gaps, norms, probs, parts = _gap_scan(eb, pool, cfg.beta, cfg.R1)
     best = int(np.argmax(gaps))
     nv = norms[best].copy()
@@ -122,14 +126,13 @@ def test_cut_forms_match_the_dense_path(kind, n_actions, finite, algorithm, zero
             assert not dense
             assert close(got, plan.lift(w.values(plan.anchors)))
 
-    # every step against the plan of the predictor reloaded from JSON
-    reloaded = predictor_from_doc(json.loads(json.dumps(predictor_to_doc(p))))
+    # the predictor reloaded from JSON folds its cut patches by the same path
     with spy(model, "gram_apply") as dense_rows:
-        fresh = reloaded._plan
-    assert len(dense_rows) == ROUNDS
+        fresh = predictor_from_doc(json.loads(json.dumps(predictor_to_doc(p))))._plan
+    assert not dense_rows
     for mine, theirs in zip(p._plan.steps, fresh.steps, strict=True):
-        assert close(mine.S, theirs.S)
-        assert close(mine.table, theirs.table)
+        assert np.array_equal(mine.S, theirs.S)
+        assert np.array_equal(mine.table, theirs.table)
 
     # a sibling branch, an equal but distinct base and the reloaded chain
     # read `last` (cut on p) densely
@@ -143,3 +146,134 @@ def test_cut_forms_match_the_dense_path(kind, n_actions, finite, algorithm, zero
             got = plan.lifted_values(last)
         assert len(dense) == 1
         assert np.array_equal(got, plan.lift(last.values(plan.anchors)))
+
+
+def chain(spec, algorithm, n_actions, g, zero=None, witnesses_only=False):
+    """A calibrated chain of cut patches with a hand-built dense patch after
+    the first and, last but one, a record cut on a sibling branch; returns
+    the predictor, the indices of its dense records and the random losses."""
+    base = SimilarityBase(spec, outcomes(spec, N_BASE, g), g.standard_normal((N_BASE, 2)), 1.0)
+    cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=n_actions,
+                      algorithm=algorithm)
+
+    def draw(t):
+        return SampleBatch(g.standard_normal((N_BATCH, 2)), outcomes(spec, N_BATCH, g), f"b{t}")
+
+    def round_on(p, t, witnesses):
+        # a pool of witnesses alone carries one as the lossprime
+        pool = witnesses if witnesses_only and witnesses else None
+        return cut(p, draw(t), cfg, witnesses, g, zero, f"w{t}", pool)
+
+    p, witnesses, randoms = Predictor(spec, base), [], []
+    for t in range(ROUNDS):
+        witness, rec = round_on(p, t, witnesses)
+        p = p.with_patch(rec)
+        witnesses.append(witness)
+        if t == 0:
+            lossprime = random_loss_pool(spec, draw(t).Y, n_actions, cfg.R1, 1, g)[0]
+            rows = g.standard_normal((3, n_actions)) * 0.1
+            kw = {"eta": cfg.eta} if algorithm == "alg1" else {"mixing": 0.8 * np.eye(n_actions)}
+            p = p.with_patch(PatchRecord(algorithm, lossprime, cfg.beta, outcomes(spec, 3, g),
+                                         rows, "hand", **kw))
+            randoms.append(lossprime)
+    _, forked = round_on(p, ROUNDS, witnesses)
+    p = Predictor(spec, base, p.patches[:-1]).with_patch(forked)
+    p = p.with_patch(round_on(p, ROUNDS + 1, witnesses)[1])
+    return p, (1, len(p.patches) - 2), randoms
+
+
+def assert_same_predictor(p, q, X, losses):
+    """q is p bit for bit: records, plan steps, gram_F, coefficients and
+    loss estimates."""
+    for mine, theirs in zip(p.patches, q.patches, strict=True):
+        for a, b in ((mine, theirs), (mine.witness_lossprime, theirs.witness_lossprime)):
+            assert a.anchors.tobytes() == b.anchors.tobytes()
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    P, Q = p._plan, q._plan
+    assert P.anchors.tobytes() == Q.anchors.tobytes()
+    assert P.gram_F.tobytes() == Q.gram_F.tobytes()
+    for mine, theirs in zip(P.steps, Q.steps, strict=True):
+        assert (mine.n_before, mine.n_after, mine.k) == (theirs.n_before, theirs.n_after, theirs.k)
+        for name in ("R", "S", "table", "M"):
+            a, b = getattr(mine, name), getattr(theirs, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert p.coefficients(X).tobytes() == q.coefficients(X).tobytes()
+    pairs = [(loss, loss) for loss in losses]
+    pairs += [(a.witness_lossprime, b.witness_lossprime) for a, b in zip(p.patches, q.patches)]
+    for a, b in pairs:
+        assert model.loss_estimates(p, X, a).tobytes() == model.loss_estimates(q, X, b).tobytes()
+
+
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    n_actions=st.integers(1, 3),
+    algorithm=st.sampled_from(["alg1", "alg2"]),
+    zero=st.one_of(st.none(), st.integers(0, 2)),
+    witnesses_only=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_reloaded_predictor_is_the_calibrated_one(kind, n_actions, algorithm, zero,
+                                                 witnesses_only, seed):
+    g = np.random.default_rng(seed)
+    p, dense, randoms = chain(SPECS[kind], algorithm, n_actions, g, zero, witnesses_only)
+    text = json.dumps(predictor_to_doc(p))
+    doc = json.loads(text)
+    assert [i for i, d in enumerate(doc["patches"]) if "cut" not in d] == list(dense)
+    if witnesses_only:
+        # round 1's lossprime is round 0's witness, cut on the empty chain
+        assert doc["patches"][2]["witness_lossprime"]["cut"]["prefix"] == 0
+    q = predictor_from_doc(doc)
+    assert_same_predictor(p, q, g.standard_normal((2 * model.REPLAY_BLOCK + 3, 2)), randoms)
+    assert json.dumps(predictor_to_doc(q)) == text
+
+
+def small_doc():
+    """The document of a two-round alg1 chain on the min kernel."""
+    g = np.random.default_rng(5)
+    spec = SPECS["min"]
+    base = SimilarityBase(spec, outcomes(spec, N_BASE, g), g.standard_normal((N_BASE, 2)), 1.0)
+    cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=2)
+    p = Predictor(spec, base)
+    for t in range(2):
+        batch = SampleBatch(g.standard_normal((N_BATCH, 2)), outcomes(spec, N_BATCH, g), f"b{t}")
+        p = p.with_patch(cut(p, batch, cfg, [], g, None, f"w{t}")[1])
+    return json.loads(json.dumps(predictor_to_doc(p)))
+
+
+def drop_format(doc):
+    del doc["format"]
+
+
+def bad_format(doc):
+    doc["format"] = "decal.predictor/dense-0"
+
+
+def prefix_past_own_index(doc):
+    doc["patches"][0]["cut"]["prefix"] = 1
+
+
+def short_BU(doc):
+    for column in doc["patches"][1]["cut"]["BU"]:
+        column.pop()
+
+
+def short_ZB(doc):
+    for column in doc["patches"][1]["cut"]["ZB"]:
+        column.pop()
+
+
+def long_unit(doc):
+    doc["patches"][0]["cut"]["unit"].append(1.0)
+
+
+@pytest.mark.parametrize("spoil, key", [
+    (drop_format, "'format'"), (bad_format, "'format'"), (prefix_past_own_index, "'prefix'"),
+    (short_BU, "'BU'"), (short_ZB, "'ZB'"), (long_unit, "'unit'"),
+])
+def test_loader_names_the_key_it_refuses(spoil, key):
+    doc = small_doc()
+    predictor_from_doc(copy.deepcopy(doc))
+    spoil(doc)
+    with pytest.raises(ValueError, match=key):
+        predictor_from_doc(doc)
