@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, as_outcomes, column_norms, merge_terms
+from .kernel import KernelSpec, RkhsElement, as_outcomes, column_norms, merge_terms
 from .model import (
     DEGENERATE_NORM,
     CutForm,
@@ -46,7 +46,7 @@ class AuditReport:
     candidate_pool_size: int
     batch_id: str = ""
     # the best candidate's rule on the batch (n, |A|), and its raw residual
-    # means as the columns of an (M, |A|) matrix over witness_loss.anchors
+    # means as the columns of an (M, |A|) matrix over witness_loss.span.anchors
     rule_probs: np.ndarray | None = None
     residual_means: np.ndarray | None = None
 
@@ -70,7 +70,7 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     """Witness-sup gap, per-action residual norms, rule probabilities and
     residual-mean parts of every candidate lossprime.  With B the rule
     probabilities, a residual mean is BU (B / n summed onto the distinct
-    outcomes U in input order from 0.0, as compress's bincount does) minus
+    outcomes U in input order from 0.0, as merge_terms's bincount does) minus
     ZB = Z^T B / n over the basis F, and its squared norm is a diagonal entry
     of BU^T K_UU BU - 2 BU^T K_FU^T ZB + ZB^T gram_F ZB."""
     _require_samples(eb)
@@ -115,16 +115,16 @@ def _witness(eb: EvaluatedBatch, parts, norms: np.ndarray, R1: float, loss_id: s
     residual mean weighted by that action's rule probability, rescaled to
     norm R1 by its norm from the pooled scan, or zero where it is degenerate.
     Every column lives on one merged table over [U; anchors], which
-    `cut_span` builds from the parts; the loss also carries the parts as its
-    cut form.  The form copies its |A| columns out of the pooled scan, so
+    `cut_span` builds from the parts and which carries the parts as its cut
+    form.  The form copies its |A| columns out of the pooled scan, so
     that a witness kept for later rounds does not keep the whole pool's
     parts alive.
     """
     (BU, ZB), plan = parts, eb.plan
     form = CutForm(plan.lineage, plan.k, eb.outcomes[0], BU.copy(), ZB.copy(),
                    _unit_scale(norms, R1))
-    anchors, means, coeffs = cut_span(plan, form)
-    return LossFunction(loss_id, eb.kernel, anchors, coeffs, R1, form=form), means
+    span, means = cut_span(plan, form)
+    return LossFunction(loss_id, span, R1), means
 
 
 def closed_form_witnesses(
@@ -223,5 +223,5 @@ def random_loss_pool(
             coeffs[a * take : (a + 1) * take, a] = rng.standard_normal(take)
         anchors, coeffs = merge_terms(spec, Y[np.concatenate(idx)], coeffs)
         unit = _unit_columns(coeffs, column_norms(spec, anchors, coeffs), R1)
-        pool.append(LossFunction(f"{id_prefix}-{k:03d}", spec, anchors, unit, R1))
+        pool.append(LossFunction(f"{id_prefix}-{k:03d}", RkhsElement(spec, anchors, unit), R1))
     return pool

@@ -150,16 +150,15 @@ def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         raise ValueError("alg1_step requires a report with found=True")
     witness = report.witness_loss
     step = config.eta * config.R1 / witness.R1
-    form = witness.form
+    span, form = witness.span, witness.span.form
     return PatchRecord(
         "alg1",
         report.witness_lossprime,
         config.beta,
-        witness.anchors,
-        witness.coeffs * step,
+        replace(span, coeffs=span.coeffs * step,
+                form=None if form is None else replace(form, step=form.step * step)),
         batch_id=report.batch_id,
         eta=config.eta,
-        form=None if form is None else replace(form, step=form.step * step),
     )
 
 
@@ -176,16 +175,15 @@ def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
     dhat = (kprobs.T @ kprobs) / report.n_used
     mixing = np.linalg.inv(dhat + RIDGE_LAMBDA * np.eye(kprobs.shape[1]))
     mixing = (mixing + mixing.T) / 2.0  # keep the inverse exactly symmetric
-    form = report.witness_loss.form
+    span, form = report.witness_loss.span, report.witness_loss.span.form
     return PatchRecord(
         "alg2",
         report.witness_lossprime,
         config.beta,
-        report.witness_loss.anchors,
-        report.residual_means,
+        replace(span, coeffs=report.residual_means,
+                form=None if form is None else replace(form, unit=np.ones_like(form.unit), step=1.0)),
         batch_id=report.batch_id,
         mixing=mixing,
-        form=None if form is None else replace(form, unit=np.ones_like(form.unit), step=1.0),
     )
 
 

@@ -1,16 +1,17 @@
 """Kernels and exact arithmetic on finite feature-map spans.
 
 Every object downstream (predictors, losses, calibration patches) is a finite
-span ``sum_i c_i * phi(y_i)``, so inner products, norms, and projections all
-reduce to Gram matrices over the anchor outcomes.  Coordinates of the feature
-space are never materialized; the kernels below are the only place the
-geometry enters.
+span ``sum_i c_i * phi(y_i)``, held in one type: an `RkhsElement` is an anchor
+table, one column of coefficients per spanned element over shared anchors.
+Inner products, norms, and projections all reduce to Gram matrices over the
+anchor outcomes.  Coordinates of the feature space are never materialized;
+the kernels below are the only place the geometry enters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -119,59 +120,50 @@ def as_outcomes(Y, dim: int) -> np.ndarray:
     return arr
 
 
-def frozen_span(spec: KernelSpec, anchors, coeffs, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Checked read-only copies of anchors (n, dim) and coefficients (n,) for
-    ndim 1, or (n, cols) for ndim 2: one column per spanned element."""
-    anchors = as_outcomes(anchors, spec.dim).copy()
-    coeffs = np.asarray(coeffs, dtype=np.float64).copy()
-    if ndim == 1:
-        coeffs = coeffs.reshape(-1)
-    if coeffs.ndim != ndim or len(coeffs) != len(anchors):
-        raise ValueError("anchor and coefficient counts differ")
-    if coeffs.size and not np.all(np.isfinite(coeffs)):
-        raise ValueError("coefficients must be finite")
-    spec.check_domain(anchors)
-    anchors.setflags(write=False)
-    coeffs.setflags(write=False)
-    return anchors, coeffs
-
-
 @dataclass(frozen=True, eq=False)
 class RkhsElement:
-    """Immutable finite span sum_i coeffs[i] * phi(anchors[i])."""
+    """Immutable anchor table, one column per spanned element: column j is
+    sum_i coeffs[i, j] * phi(anchors[i]).  `form` is the model.CutForm the
+    audit cut the table by, when it did."""
 
     spec: KernelSpec
-    anchors: np.ndarray  # (n, dim)
-    coeffs: np.ndarray  # (n,)
+    anchors: np.ndarray  # (M, dim)
+    coeffs: np.ndarray  # (M, cols)
+    form: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        anchors, coeffs = frozen_span(self.spec, self.anchors, self.coeffs, 1)
+        anchors = as_outcomes(self.anchors, self.spec.dim).copy()
+        coeffs = np.asarray(self.coeffs, dtype=np.float64).copy()
+        if coeffs.ndim != 2 or len(coeffs) != len(anchors):
+            raise ValueError("coefficients must be one row per anchor, one column per element")
+        if coeffs.size and not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be finite")
+        self.spec.check_domain(anchors)
+        anchors.setflags(write=False)
+        coeffs.setflags(write=False)
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
 
+    def norms(self) -> np.ndarray:
+        """The norm of each column; (cols,)."""
+        return column_norms(self.spec, self.anchors, self.coeffs)
+
+    def values(self, Y) -> np.ndarray:
+        """<column j, phi(Y[i])> from one Gram block; (n, cols)."""
+        return self.spec.gram(as_outcomes(Y, self.spec.dim), self.anchors) @ self.coeffs
+
+    def merged(self) -> "RkhsElement":
+        """The same columns with repeated anchors merged and zero terms dropped."""
+        return RkhsElement(self.spec, *merge_terms(self.spec, self.anchors, self.coeffs))
+
 
 def check_spec(a: KernelSpec, b: KernelSpec) -> None:
     """Raise KernelMismatchError unless spans over a and b share one RKHS."""
     if a != b:
         raise KernelMismatchError(f"kernel specs differ: {a} vs {b}")
-
-
-def inner(u: RkhsElement, v: RkhsElement) -> float:
-    """<u, v> via the cross-Gram matrix of the anchors."""
-    check_spec(u.spec, v.spec)
-    return float(u.coeffs @ u.spec.gram(u.anchors, v.anchors) @ v.coeffs)
-
-
-def norm2(v: RkhsElement) -> float:
-    """Squared norm, clamped at zero against Gram round-off."""
-    return max(inner(v, v), 0.0)
-
-
-def norm(v: RkhsElement) -> float:
-    return math.sqrt(norm2(v))
 
 
 def column_norms(spec: KernelSpec, anchors: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -215,13 +207,6 @@ def merge_terms(
     scale = np.sqrt(np.maximum(spec.diag(anchors), 0.0))
     keep = np.any(np.abs(merged) * scale[:, None] > 0.0, axis=1)
     return anchors[keep], merged[keep]
-
-
-def compress(v: RkhsElement) -> RkhsElement:
-    """The same element with repeated anchors merged and zero terms dropped
-    (see merge_terms)."""
-    anchors, merged = merge_terms(v.spec, v.anchors, v.coeffs[:, None])
-    return RkhsElement(v.spec, anchors, merged[:, 0])
 
 
 def gram_apply(spec: KernelSpec, points: np.ndarray, C: np.ndarray) -> np.ndarray:

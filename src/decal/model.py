@@ -1,5 +1,8 @@
 """Loss functions, predictors, and the smooth decision rule over kernel spans.
 
+Every span is one `kernel.RkhsElement` anchor table: a loss's action columns,
+a patch's update rows, a constant base's single column.
+
 A predictor is a base coefficient map plus an ordered chain of calibration
 patches.  Evaluation replays the chain: each patch recomputes the smooth
 decision rule of its recorded witness loss against the element built so far,
@@ -20,7 +23,7 @@ Replay runs in row blocks of REPLAY_BLOCK contexts: a decision reuses one
 block's (REPLAY_BLOCK, k) coordinates, so `loss_estimates` holds only
 block x k numbers, and an evaluated batch is filled block by block.
 
-A witness or patch cut by the audit carries its cut form: the batch's
+A witness or patch table cut by the audit carries its cut form: the batch's
 distinct outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of its
 columns sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i, over the first k
 rows f_i of the basis of the plan it was cut on, with each column's unit
@@ -44,7 +47,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
@@ -52,8 +55,7 @@ from typing import ClassVar
 import numpy as np
 
 from .kernel import (
-    KernelSpec, RkhsElement, as_outcomes, check_spec, column_norms, distinct_rows, frozen_span,
-    gram_apply, merge_terms,
+    KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, gram_apply, merge_terms,
 )
 
 DEGENERATE_NORM = 1e-12
@@ -149,8 +151,8 @@ class CutForm:
 
 @dataclass(frozen=True, eq=False)
 class LossFunction:
-    """Per-action RKHS coefficients r(a) = sum_i coeffs[i, a] * phi(anchors[i]),
-    one column per action on one anchor table; the loss value is <r(a), phi(y)>.
+    """Per-action RKHS coefficients r(a), column a of one anchor table `span`;
+    the loss value is <r(a), phi(y)>.
 
     make_loss enforces the norm bound R1 by rescaling any over-bound action
     column down to norm R1 exactly (recorded in `rescaled`); callers that
@@ -158,29 +160,19 @@ class LossFunction:
     """
 
     loss_id: str
-    spec: KernelSpec
-    anchors: np.ndarray  # (M, dim)
-    coeffs: np.ndarray  # (M, |A|), column a for action a
+    span: RkhsElement  # (M, |A|), column a for action a
     R1: float
     rescaled: bool = False
-    # the same span as the audit cut it, which `_witness` attaches
-    form: CutForm | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        anchors, coeffs = frozen_span(self.spec, self.anchors, self.coeffs, 2)
-        if coeffs.shape[1] == 0:
+        if self.n_actions == 0:
             raise ValueError("a loss needs at least one action")
         if not self.R1 > 0:
             raise ValueError("R1 must be positive")
-        object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def n_actions(self) -> int:
-        return self.coeffs.shape[1]
-
-    def norms(self) -> np.ndarray:
-        return column_norms(self.spec, self.anchors, self.coeffs)
+        return self.span.coeffs.shape[1]
 
     def values(self, Y) -> np.ndarray:
         """Loss matrix ell(a, y_i), shape (n, n_actions), from one Gram block.
@@ -188,28 +180,19 @@ class LossFunction:
         On a predictor's anchors these are the loss-estimate columns:
         <r(a), sum_j w_j phi(anchors[j])> = w @ values(anchors)[:, a].
         """
-        return self.spec.gram(as_outcomes(Y, self.spec.dim), self.anchors) @ self.coeffs
+        return self.span.values(Y)
 
 
-def make_loss(loss_id: str, elements, R1: float) -> LossFunction:
-    """Build a LossFunction from one RkhsElement per action: stack them on
-    one merged anchor table, then rescale the actions whose norm exceeds R1."""
-    elements = list(elements)
-    if not elements:
-        raise ValueError("a loss needs at least one action")
-    spec = elements[0].spec
-    for el in elements:
-        check_spec(spec, el.spec)
-    sizes = [len(el) for el in elements]
-    coeffs = np.zeros((sum(sizes), len(elements)))
-    coeffs[np.arange(sum(sizes)), np.repeat(np.arange(len(elements)), sizes)] = np.concatenate(
-        [el.coeffs for el in elements]
-    )
-    anchors, coeffs = merge_terms(spec, np.vstack([el.anchors for el in elements]), coeffs)
-    nv = column_norms(spec, anchors, coeffs)
+def make_loss(loss_id: str, span: RkhsElement, R1: float) -> LossFunction:
+    """A LossFunction with one action per column of `span`: the table with
+    repeated anchors merged, then the actions whose norm exceeds R1 rescaled
+    down to it."""
+    span = span.merged()
+    nv = span.norms()
     over = nv > R1 * (1.0 + 1e-12)
-    coeffs = coeffs * np.where(over, R1 / np.where(over, nv, 1.0), 1.0)
-    return LossFunction(loss_id, spec, anchors, coeffs, R1, bool(np.any(over)))
+    coeffs = span.coeffs * np.where(over, R1 / np.where(over, nv, 1.0), 1.0)
+    return LossFunction(loss_id, RkhsElement(span.spec, span.anchors, coeffs), R1,
+                        bool(np.any(over)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,24 +226,31 @@ class PredictorBase:
 @register_base
 @dataclass(frozen=True)
 class ConstantBase(PredictorBase):
-    """Context-independent element, e.g. the feature mean of a training batch."""
+    """Context-independent element, e.g. the feature mean of a training batch:
+    a one-column span, written as one flat coefficient list."""
 
     kind: ClassVar[str] = "constant"
     element: RkhsElement
+
+    def __post_init__(self) -> None:
+        if self.element.coeffs.shape[1] != 1:
+            raise ValueError("a constant base is one element: one coefficient column")
 
     @property
     def anchors(self) -> np.ndarray:
         return self.element.anchors
 
     def weights(self, X: np.ndarray) -> np.ndarray:
-        return np.tile(self.element.coeffs, (len(X), 1))
+        return np.tile(self.element.coeffs[:, 0], (len(X), 1))
 
     def to_doc(self) -> dict:
-        return {"kind": self.kind, "element": span_to_doc(self.anchors, self.element.coeffs)}
+        doc = span_to_doc(self.element)
+        return {"kind": self.kind, "element": {**doc, "coeffs": doc["coeffs"][0]}}
 
     @classmethod
     def from_doc(cls, doc: dict, spec: KernelSpec) -> "ConstantBase":
-        return cls(RkhsElement(spec, *span_from_doc(doc["element"], spec)))
+        el = doc["element"]
+        return cls(span_from_doc({**el, "coeffs": [el["coeffs"]]}, spec))
 
 
 @register_base
@@ -324,7 +314,7 @@ class SimilarityBase(PredictorBase):
 class PatchRecord:
     """One calibration round: the witness decision loss, the rule temperature
     used when the patch was laid down, and the update rows mixed by the rule:
-    row a = sum_i coeffs[i, a] * phi(anchors[i]), over the witness's kernel.
+    row a is column a of the table `rows`, over the witness's kernel.
 
     The update at x is sum_a (mixing @ ruleprob(x))_a * row a.  alg1 mixes with
     the identity, and row a has norm eta * R1 (or is zero when the audited
@@ -335,13 +325,10 @@ class PatchRecord:
     algorithm: str
     witness_lossprime: LossFunction
     beta: float
-    anchors: np.ndarray  # (M, dim)
-    coeffs: np.ndarray  # (M, |A|), column a for action a
+    rows: RkhsElement  # (M, |A|), column a for action a
     batch_id: str = ""
     mixing: np.ndarray | None = None
     eta: float | None = None
-    # the same rows as the audit cut them, which the calibration steps attach
-    form: CutForm | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         n_act = self.witness_lossprime.n_actions
@@ -360,13 +347,11 @@ class PatchRecord:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if mixing.shape != (n_act, n_act):
             raise ValueError("mixing matrix must be (|A|, |A|)")
-        anchors, coeffs = frozen_span(self.witness_lossprime.spec, self.anchors, self.coeffs, 2)
-        if coeffs.shape[1] != n_act:
+        check_spec(self.witness_lossprime.span.spec, self.rows.spec)
+        if self.rows.coeffs.shape[1] != n_act:
             raise ValueError("one coefficient column per action required")
         mixing.setflags(write=False)
         object.__setattr__(self, "mixing", mixing)
-        object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "coeffs", coeffs)
 
 
 @dataclass(frozen=True)
@@ -449,14 +434,8 @@ class _EvalPlan:
         return W
 
     def descends(self, form: CutForm | None) -> bool:
-        """Whether this plan extends the plan `form` was cut on: the same base
-        and a prefix of its records, compared by identity."""
-        if form is None:
-            return False
-        base, recs = form.lineage
-        mine = self.lineage[1]
-        return (base is self.lineage[0] and len(recs) <= len(mine)
-                and all(a is b for a, b in zip(recs, mine)))
+        """Whether this plan extends the plan `form` was cut on."""
+        return _chain_prefix(form, *self.lineage) is not None
 
     def _through(self, form: CutForm):
         """F G times the spans of a form this plan descends from, (k, |A|):
@@ -470,10 +449,10 @@ class _EvalPlan:
     def lifted_values(self, loss: LossFunction) -> np.ndarray:
         """F @ loss.values(anchors), (k, |A|): through the loss's cut form when
         this plan descends from the plan it was cut on, densely otherwise."""
-        check_spec(self.spec, loss.spec)
-        if not self.descends(loss.form):
+        check_spec(self.spec, loss.span.spec)
+        if not self.descends(loss.span.form):
             return self.lift(loss.values(self.anchors))
-        return self._through(loss.form)[0]
+        return self._through(loss.span.form)[0]
 
     def estimates(self, Z: np.ndarray, loss: LossFunction) -> np.ndarray:
         """Loss estimates W @ L = Z @ (F @ L) of coordinates Z; (m, |A|)."""
@@ -490,9 +469,9 @@ class _EvalPlan:
         terms instead would lose its digits to cancellation when the rows are
         short against their parts.  Other rows multiply the anchors' Gram
         matrix in blocks."""
-        check_spec(self.spec, rec.witness_lossprime.spec)
-        n_before = len(self.anchors)
-        Z = np.vstack([self.anchors, rec.anchors])
+        check_spec(self.spec, rec.rows.spec)
+        n_before, form = len(self.anchors), rec.rows.form
+        Z = np.vstack([self.anchors, rec.rows.anchors])
         first, inverse = distinct_rows(Z)
         seen = first < n_before
         # the position of each distinct row once the unseen ones are appended
@@ -500,11 +479,11 @@ class _EvalPlan:
         anchors = np.vstack([self.anchors, Z[first[~seen]]])
         n_after = len(anchors)
         cols = row_at[inverse[n_before:]]
-        R = np.array([np.bincount(cols, weights=c, minlength=n_after) for c in rec.coeffs.T])
-        if self.descends(rec.form) and rec.form.k == self.k:
-            cross, K_AU, BU, ZB = self._through(rec.form)
+        R = np.array([np.bincount(cols, weights=c, minlength=n_after) for c in rec.rows.coeffs.T])
+        if self.descends(form) and form.k == self.k:
+            cross, K_AU, BU, ZB = self._through(form)
             table = np.hstack([self.lifted_values(rec.witness_lossprime), cross])
-            g = self.spec.gram(rec.form.U, rec.form.U) @ BU - K_AU.T @ self.expand(ZB.T).T
+            g = self.spec.gram(form.U, form.U) @ BU - K_AU.T @ self.expand(ZB.T).T
             S = BU.T @ g - ZB.T @ cross
         else:
             H = gram_apply(self.spec, anchors, R.T)
@@ -524,15 +503,16 @@ class _EvalPlan:
         self.k += len(R)
 
 
-def cut_span(plan: _EvalPlan, form: CutForm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cut_span(plan: _EvalPlan, form: CutForm) -> tuple[RkhsElement, np.ndarray]:
     """The anchor table of a form's columns, cut on `plan` (the plan of its
-    lineage): the anchors [U; plan.anchors] with repeats merged, the raw
-    columns BU - F^T ZB over them, and the coefficients, each raw column
-    times its unit scale (zero where that is zero) times the step."""
+    lineage), carrying the form: over the anchors [U; plan.anchors] with
+    repeats merged, each raw column BU - F^T ZB times its unit scale (zero
+    where that is zero) times the step.  Also returns the raw columns."""
     anchors, means = merge_terms(plan.spec, np.vstack([form.U, plan.anchors]),
                                  np.vstack([form.BU, -plan.expand(form.ZB.T).T]))
     # where, not the zero scale alone: a negative coefficient times 0.0 is -0.0
-    return anchors, means, np.where(form.unit > 0, means * form.unit, 0.0) * form.step
+    coeffs = np.where(form.unit > 0, means * form.unit, 0.0) * form.step
+    return RkhsElement(plan.spec, anchors, coeffs, form), means
 
 
 def _project_rows(W: np.ndarray, n2: np.ndarray, upto: int, R2: float) -> None:
@@ -715,21 +695,20 @@ def kernel_from_doc(doc: dict) -> KernelSpec:
     return KernelSpec(doc["kind"], int(doc["dim"]), float(doc["R2"]))
 
 
-def span_to_doc(anchors: np.ndarray, coeffs: np.ndarray) -> dict:
-    """The anchors once, then the coefficients: one list for an element, one
-    list per column for an anchor table."""
-    return {"anchors": anchors.tolist(), "coeffs": coeffs.T.tolist()}
+def span_to_doc(span: RkhsElement) -> dict:
+    """The anchors once, then the coefficients one list per column."""
+    return {"anchors": span.anchors.tolist(), "coeffs": span.coeffs.T.tolist()}
 
 
-def span_from_doc(doc: dict, spec: KernelSpec) -> tuple[np.ndarray, np.ndarray]:
+def span_from_doc(doc: dict, spec: KernelSpec) -> RkhsElement:
     anchors = np.asarray(doc["anchors"], dtype=np.float64).reshape(-1, spec.dim)
-    return anchors, np.asarray(doc["coeffs"], dtype=np.float64).T
+    return RkhsElement(spec, anchors, np.asarray(doc["coeffs"], dtype=np.float64).T)
 
 
 def _chain_prefix(form: CutForm | None, base: PredictorBase, before: tuple) -> int | None:
     """How many records the plan `form` was cut on holds, when that plan is
-    `base` and a prefix of the records `before`, compared by identity; None
-    when it is not or there is no form."""
+    `base` and a prefix of the records `before` (a chain's lineage), compared
+    by identity; None when it is not or there is no form."""
     if form is None:
         return None
     cut_base, recs = form.lineage
@@ -738,22 +717,23 @@ def _chain_prefix(form: CutForm | None, base: PredictorBase, before: tuple) -> i
     return len(recs) if all(a is b for a, b in zip(recs, before)) else None
 
 
-def _table_to_doc(anchors: np.ndarray, coeffs: np.ndarray, form: CutForm | None, chain) -> dict:
+def _table_to_doc(span: RkhsElement, chain) -> dict:
     """A span's cut form when it descends from `chain` = (base, the records
     before the span's own record), else its anchor table."""
+    form = span.form
     j = None if chain is None else _chain_prefix(form, *chain)
     if j is None:
-        return span_to_doc(anchors, coeffs)
+        return span_to_doc(span)
     return {"cut": {"prefix": j, "U": form.U.tolist(), "BU": form.BU.T.tolist(),
                     "ZB": form.ZB.T.tolist(), "unit": form.unit.tolist(), "step": form.step}}
 
 
-def _table_from_doc(doc: dict, spec: KernelSpec, plans):
-    """(anchors, coeffs, form) of a span document; a cut is rebuilt by
-    `cut_span` on plans[prefix], plans being the loaded chain's plans of the
-    records before the span's own, one per prefix."""
+def _table_from_doc(doc: dict, spec: KernelSpec, plans) -> RkhsElement:
+    """The span of a span document; a cut is rebuilt by `cut_span` on
+    plans[prefix], plans being the loaded chain's plans of the records
+    before the span's own, one per prefix."""
     if "cut" not in doc:
-        return (*span_from_doc(doc, spec), None)
+        return span_from_doc(doc, spec)
     cut = doc["cut"]
     j = int(cut["prefix"])
     if not 0 <= j < len(plans):
@@ -768,9 +748,7 @@ def _table_from_doc(doc: dict, spec: KernelSpec, plans):
                            ("unit", unit, (n_actions,))):
         if arr.shape != want:
             raise ValueError(f"cut {key!r} has shape {arr.shape}, expected {want}")
-    form = CutForm(plan.lineage, plan.k, U, BU, ZB, unit, float(cut["step"]))
-    anchors, _, coeffs = cut_span(plan, form)
-    return anchors, coeffs, form
+    return cut_span(plan, CutForm(plan.lineage, plan.k, U, BU, ZB, unit, float(cut["step"])))[0]
 
 
 def loss_to_doc(loss: LossFunction, chain=None) -> dict:
@@ -778,15 +756,13 @@ def loss_to_doc(loss: LossFunction, chain=None) -> dict:
         "loss_id": loss.loss_id,
         "R1": loss.R1,
         "rescaled": loss.rescaled,
-        **_table_to_doc(loss.anchors, loss.coeffs, loss.form, chain),
+        **_table_to_doc(loss.span, chain),
     }
 
 
 def loss_from_doc(doc: dict, spec: KernelSpec, plans=()) -> LossFunction:
-    anchors, coeffs, form = _table_from_doc(doc, spec, plans)
-    return LossFunction(
-        doc["loss_id"], spec, anchors, coeffs, float(doc["R1"]), bool(doc["rescaled"]), form=form
-    )
+    span = _table_from_doc(doc, spec, plans)
+    return LossFunction(doc["loss_id"], span, float(doc["R1"]), bool(doc["rescaled"]))
 
 
 def base_from_doc(doc: dict, spec: KernelSpec) -> PredictorBase:
@@ -802,7 +778,7 @@ def patch_to_doc(rec: PatchRecord, chain) -> dict:
         "witness_lossprime": loss_to_doc(rec.witness_lossprime, chain),
         "beta": rec.beta,
         "batch_id": rec.batch_id,
-        **_table_to_doc(rec.anchors, rec.coeffs, rec.form, chain),
+        **_table_to_doc(rec.rows, chain),
     }
     if rec.algorithm == "alg1":
         doc["eta"] = rec.eta
@@ -813,18 +789,14 @@ def patch_to_doc(rec: PatchRecord, chain) -> dict:
 
 def patch_from_doc(doc: dict, spec: KernelSpec, plans) -> PatchRecord:
     alg1 = doc["algorithm"] == "alg1"
-    lossprime = loss_from_doc(doc["witness_lossprime"], spec, plans)
-    anchors, coeffs, form = _table_from_doc(doc, spec, plans)
     return PatchRecord(
         doc["algorithm"],
-        lossprime,
+        loss_from_doc(doc["witness_lossprime"], spec, plans),
         float(doc["beta"]),
-        anchors,
-        coeffs,
+        _table_from_doc(doc, spec, plans),
         doc["batch_id"],
         mixing=None if alg1 else np.asarray(doc["mixing"], dtype=np.float64),
         eta=float(doc["eta"]) if alg1 else None,
-        form=form,
     )
 
 
@@ -870,7 +842,7 @@ def load_predictor(path) -> Predictor:
 
 def loss_file_doc(loss: LossFunction) -> dict:
     """The loss file document: the loss together with its kernel."""
-    return {"kernel": kernel_to_doc(loss.spec), "loss": loss_to_doc(loss)}
+    return {"kernel": kernel_to_doc(loss.span.spec), "loss": loss_to_doc(loss)}
 
 
 def load_loss(path) -> LossFunction:

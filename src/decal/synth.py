@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .calibrate import DataExhaustedError
-from .kernel import KernelSpec, RkhsElement, as_outcomes, compress, distinct_rows, norm
+from .kernel import KernelSpec, RkhsElement, as_outcomes, distinct_rows
 from .model import (
     LossFunction,
     Predictor,
@@ -60,12 +60,12 @@ def make_piecewise_linear_loss(
             R1 = 1.0
     if np.max(np.maximum(np.abs(k1), np.abs(k2))) > R1 + 1e-9:
         raise ValueError("slopes exceed the declared norm bound R1")
-    elements = []
-    for a in range(n_actions):
-        anchors = np.array([[1.0], [c[a]]])
-        coeffs = np.array([k2[a], k1[a] - k2[a]])
-        elements.append(RkhsElement(spec, anchors, coeffs))
-    return make_loss(loss_id, elements, R1)
+    # action a spans rows 2a (anchor 1) and 2a + 1 (anchor c[a])
+    anchors = np.column_stack([np.ones(n_actions), c]).reshape(-1, 1)
+    coeffs = np.zeros((2 * n_actions, n_actions))
+    coeffs[2 * np.arange(n_actions), np.arange(n_actions)] = k2
+    coeffs[2 * np.arange(n_actions) + 1, np.arange(n_actions)] = k1 - k2
+    return make_loss(loss_id, RkhsElement(spec, anchors, coeffs), R1)
 
 
 def piecewise_linear_value(k1: float, k2: float, c: float, y: float) -> float:
@@ -98,8 +98,7 @@ def make_cobb_douglas_loss(
         raise ValueError("each exponent vector must lie on the probability simplex")
     if spec.domain_radius < 1.0 - 1e-12:
         raise ValueError("exp kernel domain must contain the simplex; need R2 >= sqrt(e)")
-    elements = tuple(RkhsElement(spec, row.reshape(1, -1), np.full(1, sign)) for row in A)
-    return make_loss(loss_id, elements, COBB_DOUGLAS_R1)
+    return make_loss(loss_id, RkhsElement(spec, A, np.diag(np.full(len(A), sign))), COBB_DOUGLAS_R1)
 
 
 def cobb_douglas_value(alpha, y, sign: float = -1.0) -> float:
@@ -174,12 +173,6 @@ class PlantedBiasMap:
         idx = (q.cumsum(axis=1) < u[:, None]).sum(axis=1)
         idx = np.minimum(idx, len(self.support) - 1)  # guard cumsum round-off
         return np.asarray(self.support, dtype=np.float64)[idx]
-
-    def shift_element(self, spec: KernelSpec) -> RkhsElement:
-        return compress(
-            RkhsElement(spec, np.asarray(self.support, dtype=np.float64),
-                        np.asarray(self.shift_coeffs, dtype=np.float64))
-        )
 
 
 @dataclass(frozen=True)
@@ -330,6 +323,7 @@ def planted_bias_instance(
 
     if shift_norm == 0:
         shift = np.zeros(support_size)
+        actual = 0.0
     else:
         gram = spec.gram(support, support)
         for _ in range(16):
@@ -338,6 +332,7 @@ def planted_bias_instance(
             raw = math.sqrt(max(float(c @ gram @ c), 0.0))
             if raw > 1e-9:
                 shift = c * (shift_norm / raw)
+                actual = math.sqrt(max(float(shift @ gram @ shift), 0.0))
                 break
         else:
             raise RuntimeError("could not find a non-degenerate shift direction")
@@ -345,7 +340,6 @@ def planted_bias_instance(
     outcomes = PlantedBiasMap(support, weight_matrix, weight_offset, shift)
     predictor = Predictor(spec, LogitMixtureBase(spec, outcomes))
     contexts = ContextSpec(context_kind, context_dim)
-    actual = norm(outcomes.shift_element(spec))
     return PlantedInstance(spec, contexts, outcomes, predictor, actual)
 
 

@@ -2,9 +2,47 @@
 
 import numpy as np
 
-from decal.kernel import KernelSpec, RkhsElement, as_outcomes
+from decal.kernel import KernelSpec, RkhsElement, as_outcomes, check_spec, column_norms, merge_terms
+
+
+def element(spec: KernelSpec, anchors, coeffs) -> RkhsElement:
+    """The one-column span sum_i coeffs[i] * phi(anchors[i])."""
+    return RkhsElement(spec, anchors, np.asarray(coeffs, dtype=np.float64).reshape(-1, 1))
 
 
 def feature(spec: KernelSpec, y) -> RkhsElement:
     """The single feature map phi(y): one anchor with coefficient 1."""
-    return RkhsElement(spec, as_outcomes(y, spec.dim), np.ones(1))
+    return element(spec, as_outcomes(y, spec.dim), np.ones(1))
+
+
+def inner(u: RkhsElement, v: RkhsElement) -> float:
+    """<u, v> of two one-column spans, through u's values at v's anchors."""
+    check_spec(u.spec, v.spec)
+    return float(v.coeffs[:, 0] @ u.values(v.anchors)[:, 0])
+
+
+def stack(spec: KernelSpec, elements) -> RkhsElement:
+    """One-column spans as the columns of one unmerged anchor table: the
+    anchors of each in turn, element a's terms in column a and zeros
+    elsewhere.  This is how a loss used to be built from one element per
+    action, kept as the reference for tables built directly."""
+    for el in elements:
+        check_spec(spec, el.spec)
+    sizes = [len(el) for el in elements]
+    coeffs = np.zeros((sum(sizes), len(elements)))
+    coeffs[np.arange(sum(sizes)), np.repeat(np.arange(len(elements)), sizes)] = np.concatenate(
+        [np.zeros(0)] + [el.coeffs[:, 0] for el in elements]
+    )
+    anchors = np.vstack([np.zeros((0, spec.dim))] + [el.anchors for el in elements])
+    return RkhsElement(spec, anchors, coeffs)
+
+
+def reference_loss(spec: KernelSpec, elements, R1: float):
+    """(anchors, coeffs, rescaled) of a loss with one action per element, by
+    the per-element steps: stack, merge repeated anchors, then rescale the
+    columns whose norm exceeds R1 down to it."""
+    table = stack(spec, elements)
+    anchors, coeffs = merge_terms(spec, table.anchors, table.coeffs)
+    nv = column_norms(spec, anchors, coeffs)
+    over = nv > R1 * (1.0 + 1e-12)
+    return anchors, coeffs * np.where(over, R1 / np.where(over, nv, 1.0), 1.0), bool(np.any(over))

@@ -26,7 +26,7 @@ from decal.experiments import (
     regret_experiment,
     uniform_convergence_experiment,
 )
-from decal.kernel import KernelSpec, RkhsElement
+from decal.kernel import KernelSpec
 from decal.model import (
     ConstantBase,
     Predictor,
@@ -44,6 +44,7 @@ from decal.synth import (
     piecewise_linear_value,
     planted_bias_instance,
 )
+from spans import element, stack
 
 PIPELINE_ATOL = 1e-9
 DOMINANCE_SLACK = 1e-9
@@ -60,8 +61,8 @@ def ball_rows(rng, m, d, radius):
 def vector_loss(spec, rng, n_actions, R1, loss_id):
     """Random linear-kernel loss along with its explicit vector rows."""
     V = ball_rows(rng, n_actions, spec.dim, R1)
-    elements = tuple(RkhsElement(spec, row[None, :], np.ones(1)) for row in V)
-    return make_loss(loss_id, elements, R1), V
+    elements = tuple(element(spec, row[None, :], np.ones(1)) for row in V)
+    return make_loss(loss_id, stack(spec, elements), R1), V
 
 
 # 1. The implicit Gram-only pipeline agrees with an explicit vector
@@ -82,7 +83,7 @@ def test_implicit_pipeline_matches_vector_oracle():
 
         anchors = ball_rows(rng, int(rng.integers(3, 7)), d, 1.0)
         coeffs = rng.normal(size=len(anchors)) * 0.6
-        p = Predictor(spec, ConstantBase(RkhsElement(spec, anchors, coeffs)))
+        p = Predictor(spec, ConstantBase(element(spec, anchors, coeffs)))
         base_vec = coeffs @ anchors
         vp = oracle.VectorPredictor(lambda X, b=base_vec: np.tile(b, (len(X), 1)), spec.R2)
 

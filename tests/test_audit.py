@@ -25,7 +25,6 @@ from decal.kernel import (
     KernelMismatchError,
     KernelSpec,
     RkhsElement,
-    compress,
     distinct_rows,
 )
 from decal.model import (
@@ -42,7 +41,7 @@ from decal.model import (
     make_loss,
 )
 from decal.synth import ArraySource, planted_bias_instance
-from spans import feature
+from spans import element, feature, stack
 
 # the modules themselves; the package exports a function named `audit`
 audit_module = importlib.import_module("decal.audit")
@@ -60,23 +59,11 @@ def min_batch(n, batch_id="b"):
 
 def min_predictor(n_anchors=4, scale=0.25):
     anchors = rng.uniform(0.05, 0.95, size=(n_anchors, 1))
-    return Predictor(MIN, ConstantBase(RkhsElement(MIN, anchors, rng.standard_normal(n_anchors) * scale)))
+    return Predictor(MIN, ConstantBase(element(MIN, anchors, rng.standard_normal(n_anchors) * scale)))
 
 
 def empty(spec):
-    return RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros(0))
-
-
-def stacked(spec, elements):
-    """The elements as the columns of one unmerged anchor table: element a's
-    terms in column a, zeros elsewhere."""
-    anchors = np.vstack([np.zeros((0, spec.dim))] + [el.anchors for el in elements])
-    coeffs = np.zeros((len(anchors), len(elements)))
-    at = 0
-    for a, el in enumerate(elements):
-        coeffs[at : at + len(el), a] = el.coeffs
-        at += len(el)
-    return anchors, coeffs
+    return RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros((0, 1)))
 
 
 def pool_for(batch, n_actions, size, seed=0, R1=1.0):
@@ -102,7 +89,7 @@ def test_point_mass_predictor_has_zero_gap():
 def test_zero_loss_has_zero_gap():
     batch = min_batch(10)
     p = min_predictor()
-    zero = LossFunction("zero", MIN, np.zeros((0, 1)), np.zeros((0, 2)), 1.0)
+    zero = LossFunction("zero", RkhsElement(MIN, np.zeros((0, 1)), np.zeros((0, 2))), 1.0)
     lp = pool_for(batch, 2, 1)[0]
     assert empirical_gap(evaluate_batch(p, batch), zero, lp, beta=3.0) == 0.0
 
@@ -139,19 +126,19 @@ def test_linear_instance_matches_vector_oracle():
     Y = g.standard_normal((3, 2)) * 0.4
     banchors = g.standard_normal((2, 2)) * 0.3
     bcoeffs = g.standard_normal(2)
-    p = Predictor(LIN2, ConstantBase(RkhsElement(LIN2, banchors, bcoeffs)))
+    p = Predictor(LIN2, ConstantBase(element(LIN2, banchors, bcoeffs)))
     batch = SampleBatch(X, Y)
 
     rows = g.standard_normal((2, 2))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    lp = LossFunction("lp", LIN2, rows, np.eye(2), 1.0)
+    lp = LossFunction("lp", RkhsElement(LIN2, rows, np.eye(2)), 1.0)
 
     P = oracle.project_rows(np.tile(bcoeffs @ banchors, (3, 1)), LIN2.R2)
     K = oracle.smooth_rule(P, rows, 3.0)
 
     eb = evaluate_batch(p, batch)
     wl = closed_form_witnesses(eb, [lp], R1=1.0, beta=3.0, loss_ids=["star"])[0]
-    wl_vecs = wl.coeffs.T @ wl.anchors
+    wl_vecs = wl.span.coeffs.T @ wl.span.anchors
     expect_vecs, expect_gap = oracle.closed_form_witness(Y, P, K, 1.0)
     assert np.allclose(wl_vecs, expect_vecs, atol=1e-9)
 
@@ -235,7 +222,7 @@ def scan_case(spec, n, support_size, all_distinct, signed_zeros, n_patches, seed
         return draw(m) if all_distinct else support[r.integers(0, support_size, m)]
 
     def element(m, scale):
-        return RkhsElement(spec, rows(m), r.standard_normal(m) * scale)
+        return RkhsElement(spec, rows(m), (r.standard_normal(m) * scale)[:, None])
 
     Y, anchors = rows(n), rows(4)
     if signed_zeros:
@@ -244,22 +231,22 @@ def scan_case(spec, n, support_size, all_distinct, signed_zeros, n_patches, seed
         anchors = np.vstack([anchors, zeros])
     base = SimilarityBase(spec, anchors, r.standard_normal((len(anchors), 2)), bandwidth=0.7)
     top = np.full((1, spec.dim), 0.5)
-    push = RkhsElement(spec, top, [4.0 * spec.R2 / np.sqrt(spec.diag(top)[0])])
+    push = RkhsElement(spec, top, [[4.0 * spec.R2 / np.sqrt(spec.diag(top)[0])]])
     records = []
     for t in range(n_patches):
-        lossprime = make_loss(f"lp{t}", [element(2, 1.0) for _ in range(2)], 1.0)
+        lossprime = make_loss(f"lp{t}", stack(spec, [element(2, 1.0) for _ in range(2)]), 1.0)
         beta = float(r.uniform(0.5, 4.0))
         if t % 3 == 1 or t == n_patches - 1:
-            records.append(PatchRecord("alg1", lossprime, beta, *stacked(spec, (push, push)),
+            records.append(PatchRecord("alg1", lossprime, beta, stack(spec, (push, push)),
                                        eta=0.1))
         elif t % 2:
-            rows_t = stacked(spec, [element(int(r.integers(1, 4)), 0.4) for _ in range(2)])
-            records.append(PatchRecord("alg1", lossprime, beta, *rows_t, eta=0.1))
+            rows_t = stack(spec, [element(int(r.integers(1, 4)), 0.4) for _ in range(2)])
+            records.append(PatchRecord("alg1", lossprime, beta, rows_t, eta=0.1))
         else:
             A = r.standard_normal((2, 2))
             M = np.linalg.inv(A @ A.T / 4.0 + np.eye(2))
-            rows_t = stacked(spec, [element(int(r.integers(1, 4)), 0.4) for _ in range(2)])
-            records.append(PatchRecord("alg2", lossprime, beta, *rows_t, mixing=(M + M.T) / 2.0))
+            rows_t = stack(spec, [element(int(r.integers(1, 4)), 0.4) for _ in range(2)])
+            records.append(PatchRecord("alg2", lossprime, beta, rows_t, mixing=(M + M.T) / 2.0))
     p = Predictor(spec, base, tuple(records))
     return p, evaluate_batch(p, SampleBatch(r.standard_normal((len(Y), 2)), Y))
 
@@ -328,22 +315,22 @@ def test_basis_scan_matches_dense_reference(
     U = eb.outcomes[0]
     for i, (part, nv) in enumerate(zip(parts, norms)):
         witness, means = _witness(eb, part, nv, 1.0, "w")
-        assert means.shape == witness.coeffs.shape == (len(witness.anchors), width)
+        assert means.shape == witness.span.coeffs.shape == (len(witness.span.anchors), width)
         BU, ZB = part
         own = np.vstack([BU, -p._plan.expand(ZB.T).T])
         for j in range(width):
             c = i * width + j
             live = means[:, j] != 0.0
-            got = RkhsElement(spec, witness.anchors[live], means[live, j])
-            # the merge is compress of the witness's own unmerged columns
-            mine = compress(RkhsElement(spec, np.vstack([U, p.anchors]), own[:, j]))
+            got = element(spec, witness.span.anchors[live], means[live, j])
+            # the merge is the merged table of the witness's own unmerged columns
+            mine = element(spec, np.vstack([U, p.anchors]), own[:, j]).merged()
             assert got.anchors.tobytes() == mine.anchors.tobytes()
             assert got.coeffs.tobytes() == mine.coeffs.tobytes()
-            # and it matches compress of the dense columns
-            want = compress(RkhsElement(spec, points, C[:, c]))
+            # and it matches the merged dense columns
+            want = element(spec, points, C[:, c]).merged()
             scale = np.bincount(inverse, weights=terms[:, c], minlength=len(first))
-            got_at, want_at = coefficient_map(got.anchors, got.coeffs), coefficient_map(
-                want.anchors, want.coeffs
+            got_at, want_at = coefficient_map(got.anchors, got.coeffs[:, 0]), coefficient_map(
+                want.anchors, want.coeffs[:, 0]
             )
             assert set(got_at) | set(want_at) <= {pt.tobytes() for pt in points[first]}
             for pt, s in zip(points[first], scale):
@@ -460,7 +447,7 @@ def test_audit_validation():
         decce_estimate(eb, pool=[], beta=1.0, R1=1.0)
     # a loss over another kernel with the same outcome dimension
     lin1 = KernelSpec("linear", 1, 1.5)
-    other = LossFunction("lin", lin1, [[0.5], [-0.5]], np.eye(2), 1.0)
+    other = LossFunction("lin", RkhsElement(lin1, [[0.5], [-0.5]], np.eye(2)), 1.0)
     with pytest.raises(KernelMismatchError):
         audit(p, batch, epsilon=0.1, pool=[other], beta=1.0, R1=1.0)
     with pytest.raises(KernelMismatchError):
@@ -489,8 +476,8 @@ def test_pooled_witnesses_match_pools_of_one():
     for lp, lid, got in zip(pool, ids, pooled):
         alone = closed_form_witnesses(eb, [lp], R1=1.0, beta=4.0, loss_ids=[lid])[0]
         assert got.loss_id == alone.loss_id == lid
-        assert np.array_equal(got.anchors, alone.anchors)
-        np.testing.assert_allclose(got.coeffs, alone.coeffs, rtol=1e-12, atol=0.0)
+        assert np.array_equal(got.span.anchors, alone.span.anchors)
+        np.testing.assert_allclose(got.span.coeffs, alone.span.coeffs, rtol=1e-12, atol=0.0)
 
 
 # candidate pools
@@ -503,8 +490,8 @@ def test_random_pool_shape_and_norms():
     seen = {row.tobytes() for row in batch.Y}
     for loss in pool:
         assert loss.n_actions == 3
-        assert loss.norms() == pytest.approx(np.full(3, 0.7), rel=1e-12)
-        assert all(a.tobytes() in seen for a in loss.anchors)
+        assert loss.span.norms() == pytest.approx(np.full(3, 0.7), rel=1e-12)
+        assert all(a.tobytes() in seen for a in loss.span.anchors)
 
 
 def test_random_pool_needs_outcomes():
@@ -522,9 +509,9 @@ def per_element_pool(spec, Y, n_actions, R1, size, rng, id_prefix="rand"):
         for _ in range(n_actions):
             take = min(POOL_LOSS_SPAN, len(Y))
             idx = rng.choice(len(Y), size=take, replace=False)
-            el = compress(RkhsElement(spec, Y[idx], rng.standard_normal(take)))
+            el = element(spec, Y[idx], rng.standard_normal(take)).merged()
             G = spec.gram(el.anchors, el.anchors)
-            nv = np.sqrt(max(el.coeffs @ G @ el.coeffs, 0.0))
+            nv = np.sqrt(max(el.coeffs[:, 0] @ G @ el.coeffs[:, 0], 0.0))
             if nv <= DEGENERATE_NORM:
                 elements.append(empty(spec))
             else:
@@ -556,6 +543,6 @@ def test_random_pool_matches_per_element_construction(spec, Y):
         assert loss.n_actions == len(elements)
         for a, el in enumerate(elements):
             K = spec.gram(Y, el.anchors)
-            want_vals = K @ el.coeffs
-            slack = np.abs(K) @ np.abs(el.coeffs)
+            want_vals = K @ el.coeffs[:, 0]
+            slack = np.abs(K) @ np.abs(el.coeffs[:, 0])
             assert np.all(np.abs(loss.values(Y)[:, a] - want_vals) <= 1e-12 * slack)

@@ -5,6 +5,8 @@ every public function, and its hooks read `save_json(path, doc)` by position
 and `audit(..., pool=...)` by keyword.  A rename or a changed call there
 fails only the traced benchmark, so this test runs the traced read and
 write paths in a fresh process, with the package and bench/ importable.
+Every span is built through the bound `RkhsElement.__post_init__` and every
+loss is read through `LossFunction.values`, so both must record calls.
 """
 
 import os
@@ -49,8 +51,9 @@ decal.audit(q, batch, epsilon=0.1, pool=[loss], beta=8.0, R1=1.0)
 tracer.enabled = False
 
 calls = tracer.summary(1.0)["calls"]
-for name in ("cli.main", "model.with_patch", "model.plan", "kernel.gram", "synth.take",
-             "model.save_json", "model.load_predictor", "audit.audit"):
+for name in ("cli.main", "model.with_patch", "model.plan", "kernel.gram", "kernel.element",
+             "model.loss_values", "synth.take", "model.save_json", "model.load_predictor",
+             "audit.audit"):
     assert calls.get(name, 0) > 0, name
 assert tracer.counts["model.json.bytes"] > 0
 assert tracer.counts["audit.audit.candidates"] == scanned + 1

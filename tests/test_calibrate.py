@@ -15,9 +15,10 @@ from decal.calibrate import (
     potential,
     run_calibration,
 )
-from decal.kernel import KernelSpec, RkhsElement, column_norms, norm
+from decal.kernel import KernelSpec, RkhsElement, column_norms
 from decal.model import ConstantBase, LossFunction, Predictor, SampleBatch
 from decal.synth import ArraySource, planted_bias_instance
+from spans import element
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN2 = KernelSpec("linear", 2, 1.5)
@@ -30,7 +31,7 @@ def min_outcomes(n):
 
 
 def zero_predictor(spec=MIN):
-    return Predictor(spec, ConstantBase(RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros(0))))
+    return Predictor(spec, ConstantBase(RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros((0, 1)))))
 
 
 class BiasedStream:
@@ -61,7 +62,7 @@ def test_potential_matches_vector_oracle():
     Y = g.standard_normal((6, 2)) * 0.4
     anchors = g.standard_normal((3, 2)) * 0.3
     coeffs = g.standard_normal(3)
-    p = Predictor(LIN2, ConstantBase(RkhsElement(LIN2, anchors, coeffs)))
+    p = Predictor(LIN2, ConstantBase(element(LIN2, anchors, coeffs)))
     batch = SampleBatch(g.standard_normal((6, 2)), Y)
     P = oracle.project_rows(np.tile(coeffs @ anchors, (6, 1)), LIN2.R2)
     assert potential(p, batch) == pytest.approx(oracle.potential(Y, P), abs=1e-9)
@@ -134,8 +135,8 @@ def test_alg1_adjustments_have_exact_step_norm():
     assert report.found
     rec = alg1_step(report, config=cfg)
     assert rec.algorithm == "alg1" and rec.eta == cfg.eta and rec.batch_id == "b7"
-    assert np.array_equal(rec.anchors, report.witness_loss.anchors)
-    for nv in column_norms(MIN, rec.anchors, rec.coeffs):
+    assert np.array_equal(rec.rows.anchors, report.witness_loss.span.anchors)
+    for nv in column_norms(MIN, rec.rows.anchors, rec.rows.coeffs):
         assert nv == pytest.approx(cfg.eta * cfg.R1, rel=1e-12)
 
 
@@ -154,13 +155,13 @@ def test_alg2_single_action_halves_the_residual_mean():
     # one action: Dhat = [[1]], so the mixing weight is exactly 1/2
     cfg = CalibConfig(epsilon=0.1, beta=3.0, R1=1.0, R2=1.5, n_actions=1)
     batch = SampleBatch(np.zeros((3, 1)), np.array([[0.2], [0.5], [0.8]]))
-    lp = LossFunction("lp", MIN, [[0.5]], [[1.0]], 1.0)
+    lp = LossFunction("lp", RkhsElement(MIN, [[0.5]], [[1.0]]), 1.0)
     rec = alg2_step(audit_one(zero_predictor(), lp, batch, cfg), config=cfg)
     assert np.array_equal(rec.mixing, np.array([[0.5]]))
     # raw residual row is the mean feature of the outcomes
-    row = RkhsElement(MIN, rec.anchors, rec.coeffs[:, 0])
-    mean_feat = RkhsElement(MIN, batch.Y, np.full(3, 1 / 3))
-    assert norm(row) == pytest.approx(norm(mean_feat), rel=1e-12)
+    row = element(MIN, rec.rows.anchors, rec.rows.coeffs[:, 0])
+    mean_feat = element(MIN, batch.Y, np.full(3, 1 / 3))
+    assert row.norms()[0] == pytest.approx(mean_feat.norms()[0], rel=1e-12)
 
 
 def test_alg2_matches_vector_oracle():
@@ -168,11 +169,11 @@ def test_alg2_matches_vector_oracle():
     Y = g.standard_normal((12, 2)) * 0.4
     anchors = g.standard_normal((3, 2)) * 0.2
     coeffs = g.standard_normal(3)
-    p = Predictor(LIN2, ConstantBase(RkhsElement(LIN2, anchors, coeffs)))
+    p = Predictor(LIN2, ConstantBase(element(LIN2, anchors, coeffs)))
     batch = SampleBatch(g.standard_normal((12, 2)), Y)
     rows = g.standard_normal((2, 2))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    lp = LossFunction("lp", LIN2, rows, np.eye(2), 1.0)
+    lp = LossFunction("lp", RkhsElement(LIN2, rows, np.eye(2)), 1.0)
     cfg = CalibConfig(epsilon=0.1, beta=3.0, R1=1.0, R2=1.5, n_actions=2)
     rec = alg2_step(audit_one(p, lp, batch, cfg), config=cfg)
 
@@ -180,7 +181,7 @@ def test_alg2_matches_vector_oracle():
     K = oracle.smooth_rule(P, rows, 3.0)
     M, G = oracle.alg2_update(Y, P, K)
     assert np.allclose(rec.mixing, M, atol=1e-9)
-    got_rows = rec.coeffs.T @ rec.anchors
+    got_rows = rec.rows.coeffs.T @ rec.rows.anchors
     assert np.allclose(got_rows, G, atol=1e-9)
 
 
@@ -193,7 +194,7 @@ def test_alg2_mixing_is_spd_with_unit_capped_spectrum():
     eigs = np.linalg.eigvalsh(rec.mixing)
     assert np.all(eigs > 0.0)
     assert np.all(eigs <= 1.0 + 1e-12)
-    assert np.all(column_norms(MIN, rec.anchors, rec.coeffs) <= 2.0 * MIN.R2 + 1e-9)
+    assert np.all(column_norms(MIN, rec.rows.anchors, rec.rows.coeffs) <= 2.0 * MIN.R2 + 1e-9)
 
 
 # full runs

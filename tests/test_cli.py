@@ -290,8 +290,8 @@ def test_audit_finds_the_planted_bias(tmp_path):
     assert report["decce_adjusted"] == report["empirical_gap"]
 
     spec_loss = load_loss(out_dir / "witness_loss.json")
-    assert spec_loss.spec.kind == "min"
-    assert np.all(spec_loss.norms() <= 1.0 + 1e-9)
+    assert spec_loss.span.spec.kind == "min"
+    assert np.all(spec_loss.span.norms() <= 1.0 + 1e-9)
 
 
 def test_audit_passes_a_calibrated_instance(tmp_path):

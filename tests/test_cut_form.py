@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from decal import model
 from decal.audit import AuditReport, _gap_scan, _witness, random_loss_pool
 from decal.calibrate import CalibConfig, alg1_step, alg2_step
-from decal.kernel import KernelSpec
+from decal.kernel import KernelSpec, RkhsElement
 from decal.model import (
     LossFunction, PatchRecord, Predictor, SampleBatch, SimilarityBase, evaluate_batch,
     predictor_from_doc, predictor_to_doc,
@@ -173,8 +173,8 @@ def chain(spec, algorithm, n_actions, g, zero=None, witnesses_only=False):
             lossprime = random_loss_pool(spec, draw(t).Y, n_actions, cfg.R1, 1, g)[0]
             rows = g.standard_normal((3, n_actions)) * 0.1
             kw = {"eta": cfg.eta} if algorithm == "alg1" else {"mixing": 0.8 * np.eye(n_actions)}
-            p = p.with_patch(PatchRecord(algorithm, lossprime, cfg.beta, outcomes(spec, 3, g),
-                                         rows, "hand", **kw))
+            p = p.with_patch(PatchRecord(algorithm, lossprime, cfg.beta,
+                                         RkhsElement(spec, outcomes(spec, 3, g), rows), "hand", **kw))
             randoms.append(lossprime)
     _, forked = round_on(p, ROUNDS, witnesses)
     p = Predictor(spec, base, p.patches[:-1]).with_patch(forked)
@@ -186,7 +186,8 @@ def assert_same_predictor(p, q, X, losses):
     """q is p bit for bit: records, plan steps, gram_F, coefficients and
     loss estimates."""
     for mine, theirs in zip(p.patches, q.patches, strict=True):
-        for a, b in ((mine, theirs), (mine.witness_lossprime, theirs.witness_lossprime)):
+        for a, b in ((mine.rows, theirs.rows),
+                     (mine.witness_lossprime.span, theirs.witness_lossprime.span)):
             assert a.anchors.tobytes() == b.anchors.tobytes()
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
     P, Q = p._plan, q._plan

@@ -245,13 +245,13 @@ def test_witness_pairs_are_anchored_and_scaled():
     assert len(pairs) == 5
     for wl, lp in pairs:
         assert wl.loss_id == f"star-{lp.loss_id}"
-        assert np.all(wl.norms() <= 1.0 + 1e-9)
+        assert np.all(wl.span.norms() <= 1.0 + 1e-9)
         assert wl.rescaled is False
-        G = MIN.gram(wl.anchors, wl.anchors)  # scaled from the pooled Gram, checked densely
-        for c in wl.coeffs.T:
+        G = MIN.gram(wl.span.anchors, wl.span.anchors)  # scaled from the pooled Gram, checked densely
+        for c in wl.span.coeffs.T:
             if np.any(c):
                 assert np.sqrt(c @ G @ c) == pytest.approx(1.0, rel=1e-12)
-        assert lp.norms() == pytest.approx(np.ones(2), rel=1e-12)
+        assert lp.span.norms() == pytest.approx(np.ones(2), rel=1e-12)
 
 
 class _PointMassStream:

@@ -12,14 +12,10 @@ from decal.kernel import (
     OutcomeDomainError,
     RkhsElement,
     as_outcomes,
-    compress,
     gram_apply,
-    inner,
     merge_terms,
-    norm,
-    norm2,
 )
-from spans import feature
+from spans import element, feature, inner
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN3 = KernelSpec("linear", 3, 1.0)
@@ -37,7 +33,7 @@ def sample_points(spec, n, r=rng):
 
 
 def random_span(spec, n):
-    return RkhsElement(spec, sample_points(spec, n), rng.standard_normal(n))
+    return element(spec, sample_points(spec, n), rng.standard_normal(n))
 
 
 def kval(spec, y1, y2):
@@ -51,7 +47,7 @@ def kval(spec, y1, y2):
 def concat(a, u, v):
     """a * u + v as one concatenated span."""
     anchors = np.vstack([u.anchors, v.anchors])
-    return RkhsElement(u.spec, anchors, np.concatenate([a * u.coeffs, v.coeffs]))
+    return RkhsElement(u.spec, anchors, np.vstack([a * u.coeffs, v.coeffs]))
 
 
 # fixed-coordinate values
@@ -78,18 +74,18 @@ def test_reproducing_single_anchor():
 def test_hand_expanded_difference_norm():
     # K(.4,.4) - 2 K(.4,.2) + K(.2,.2) = 0.4 - 0.4 + 0.2
     u = concat(-1.0, feature(MIN, 0.2), feature(MIN, 0.4))
-    assert norm2(u) == pytest.approx(0.2, abs=1e-12)
+    assert u.norms()[0] ** 2 == pytest.approx(0.2, abs=1e-12)
 
 
 def empty(spec):
-    return RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros(0))
+    return RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros((0, 1)))
 
 
 def test_zero_element_inner_and_norm():
     z = empty(MIN)
     v = random_span(MIN, 5)
     assert inner(z, v) == 0.0
-    assert norm(z) == 0.0
+    assert z.norms()[0] == 0.0
     assert len(z) == 0
 
 
@@ -146,9 +142,9 @@ def test_blocked_gram_products_match_dense(spec, block, n, k, seed):
 @settings(max_examples=60, deadline=None)
 def test_cauchy_schwarz(nu, nv, seed):
     r = np.random.default_rng(seed)
-    u = RkhsElement(MIN, r.uniform(0, 1, (nu, 1)), r.standard_normal(nu))
-    v = RkhsElement(MIN, r.uniform(0, 1, (nv, 1)), r.standard_normal(nv))
-    assert abs(inner(u, v)) <= norm(u) * norm(v) + 1e-9
+    u = element(MIN, r.uniform(0, 1, (nu, 1)), r.standard_normal(nu))
+    v = element(MIN, r.uniform(0, 1, (nv, 1)), r.standard_normal(nv))
+    assert abs(inner(u, v)) <= u.norms()[0] * v.norms()[0] + 1e-9
 
 
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
@@ -160,9 +156,9 @@ def test_linear_norm_matches_euclidean(n, seed):
         np.linalg.norm(pts, axis=1, keepdims=True), 1e-12
     )
     c = r.standard_normal(n)
-    v = RkhsElement(LIN3, pts, c)
+    v = element(LIN3, pts, c)
     explicit = float(np.sum((c[:, None] * pts).sum(axis=0) ** 2))
-    assert norm2(v) == pytest.approx(explicit, rel=1e-9, abs=1e-12)
+    assert v.norms()[0] ** 2 == pytest.approx(explicit, rel=1e-9, abs=1e-12)
 
 
 @given(
@@ -177,7 +173,7 @@ def test_axpy_linearity(a, nu, nv, nw, seed):
     r = np.random.default_rng(seed)
 
     def span(n):
-        return RkhsElement(MIN, r.uniform(0, 1, (n, 1)), r.standard_normal(n))
+        return element(MIN, r.uniform(0, 1, (n, 1)), r.standard_normal(n))
 
     u, v, w = span(nu), span(nv), span(nw)
     lhs = inner(concat(a, u, v), w)
@@ -193,18 +189,18 @@ def test_axpy_zero_scale_equals_v():
 def test_axpy_identity_with_zero():
     u = random_span(MIN, 4)
     s = concat(1.0, u, empty(MIN))
-    assert norm(concat(-1.0, u, s)) <= 1e-9
+    assert concat(-1.0, u, s).norms()[0] <= 1e-9
 
 
 def test_axpy_self_cancellation():
     u = random_span(MIN, 6)
-    assert norm(concat(-1.0, u, u)) <= 1e-9
+    assert concat(-1.0, u, u).norms()[0] <= 1e-9
 
 
 def test_scale_scales_norm():
     u = random_span(MIN, 5)
     scaled = RkhsElement(MIN, u.anchors, -2.5 * u.coeffs)
-    assert norm(scaled) == pytest.approx(2.5 * norm(u), rel=1e-12)
+    assert scaled.norms()[0] == pytest.approx(2.5 * u.norms()[0], rel=1e-12)
 
 
 def test_representation_robust_to_reordering():
@@ -217,8 +213,8 @@ def test_representation_robust_to_reordering():
 
 def test_representation_robust_to_coefficient_split():
     anchors = np.array([[0.3], [0.8]])
-    whole = RkhsElement(MIN, anchors, np.array([1.5, -0.5]))
-    split = RkhsElement(
+    whole = element(MIN, anchors, np.array([1.5, -0.5]))
+    split = element(
         MIN, np.array([[0.3], [0.3], [0.8]]), np.array([0.75, 0.75, -0.5])
     )
     w = random_span(MIN, 4)
@@ -230,15 +226,15 @@ def test_representation_robust_to_coefficient_split():
 
 def test_compress_merges_duplicates():
     v = concat(1.0, feature(MIN, 0.5), feature(MIN, 0.5))
-    c = compress(v)
+    c = v.merged()
     assert len(c) == 1
-    assert c.coeffs[0] == 2.0
+    assert c.coeffs[0, 0] == 2.0
     assert c.anchors[0, 0] == 0.5
 
 
 def test_compress_all_zero_coefficients():
-    v = RkhsElement(MIN, rng.uniform(0, 1, (4, 1)), np.zeros(4))
-    assert len(compress(v)) == 0
+    v = RkhsElement(MIN, rng.uniform(0, 1, (4, 1)), np.zeros((4, 1)))
+    assert len(v.merged()) == 0
 
 
 @st.composite
@@ -279,7 +275,7 @@ def test_merge_terms_columns_match_one_column_merges(table):
 
 def test_compress_preserves_inner_products():
     v = random_span(MIN, 10)
-    cv = compress(v)
+    cv = v.merged()
     for _ in range(20):
         w = random_span(MIN, 3)
         assert inner(cv, w) == pytest.approx(inner(v, w), rel=1e-9, abs=1e-12)
@@ -323,6 +319,23 @@ def test_min_kernel_requires_dim_one():
 def test_exp_kernel_requires_R2_at_least_one():
     with pytest.raises(ValueError):
         KernelSpec("exp", 2, 0.5)
+
+
+def test_element_rejects_flat_or_miscounted_coefficients():
+    with pytest.raises(ValueError):
+        RkhsElement(MIN, [[0.2], [0.4]], np.ones(2))
+    with pytest.raises(ValueError):
+        RkhsElement(MIN, [[0.2], [0.4]], np.ones((3, 1)))
+
+
+def test_element_rejects_non_finite_coefficients():
+    with pytest.raises(ValueError, match="finite"):
+        RkhsElement(MIN, [[0.2], [0.4]], [[1.0, 0.0], [np.nan, 2.0]])
+
+
+def test_element_rejects_anchor_outside_domain():
+    with pytest.raises(OutcomeDomainError):
+        RkhsElement(MIN, [[0.2], [1.5]], np.ones((2, 1)))
 
 
 def test_elements_are_frozen():

@@ -15,8 +15,6 @@ from decal.kernel import (
     KernelMismatchError,
     KernelSpec,
     RkhsElement,
-    compress,
-    norm,
 )
 from decal.model import (
     ConstantBase,
@@ -42,7 +40,7 @@ from decal.model import (
     smooth_best_response,
     softmax,
 )
-from spans import feature
+from spans import element, feature, reference_loss, stack
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN2 = KernelSpec("linear", 2, 1.5)
@@ -62,39 +60,27 @@ def random_loss(spec, n_actions, R1, loss_id="rand"):
     els = []
     for a in range(n_actions):
         pts = sample_points(spec, 3)
-        els.append(RkhsElement(spec, pts, rng.standard_normal(3) * 0.3))
-    return make_loss(loss_id, els, R1)
+        els.append(element(spec, pts, rng.standard_normal(3) * 0.3))
+    return make_loss(loss_id, stack(spec, els), R1)
 
 
 def constant_predictor(spec, anchors, coeffs):
-    el = RkhsElement(spec, np.asarray(anchors, dtype=np.float64), np.asarray(coeffs, dtype=np.float64))
+    el = element(spec, np.asarray(anchors, dtype=np.float64), np.asarray(coeffs, dtype=np.float64))
     return Predictor(spec, ConstantBase(el))
 
 
 def empty(spec):
-    return RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros(0))
-
-
-def stacked(spec, elements):
-    """The elements as the columns of one unmerged anchor table: element a's
-    terms in column a, zeros elsewhere."""
-    anchors = np.vstack([np.zeros((0, spec.dim))] + [el.anchors for el in elements])
-    coeffs = np.zeros((len(anchors), len(elements)))
-    at = 0
-    for a, el in enumerate(elements):
-        coeffs[at : at + len(el), a] = el.coeffs
-        at += len(el)
-    return anchors, coeffs
+    return RkhsElement(spec, np.zeros((0, spec.dim)), np.zeros((0, 1)))
 
 
 def record(algorithm, lossprime, beta, rows, **kw):
     """A patch record whose row a is the element rows[a]."""
-    return PatchRecord(algorithm, lossprime, beta, *stacked(lossprime.spec, rows), **kw)
+    return PatchRecord(algorithm, lossprime, beta, stack(lossprime.span.spec, rows), **kw)
 
 
 def single_anchor_loss(spec, rows, R1, loss_id):
-    els = tuple(RkhsElement(spec, np.atleast_2d(row), np.array([1.0])) for row in rows)
-    return make_loss(loss_id, els, R1)
+    els = tuple(element(spec, np.atleast_2d(row), np.array([1.0])) for row in rows)
+    return make_loss(loss_id, stack(spec, els), R1)
 
 
 # decision rules
@@ -206,41 +192,70 @@ def test_smooth_rule_near_optimal(f, beta):
 
 
 def test_make_loss_rescales_oversized_actions():
-    big = RkhsElement(MIN, np.array([[0.9]]), np.array([5.0]))  # norm 5 * sqrt(.9)
+    big = element(MIN, np.array([[0.9]]), np.array([5.0]))  # norm 5 * sqrt(.9)
     small = feature(MIN, 0.25)
-    loss = make_loss("mixed", [big, small], 1.0)
+    loss = make_loss("mixed", stack(MIN, [big, small]), 1.0)
     assert loss.rescaled
-    assert loss.norms()[0] == pytest.approx(1.0, rel=1e-12)
-    assert np.array_equal(loss.anchors, [[0.9], [0.25]])
-    assert np.array_equal(loss.coeffs[:, 1], [0.0, small.coeffs[0]])
+    assert loss.span.norms()[0] == pytest.approx(1.0, rel=1e-12)
+    assert np.array_equal(loss.span.anchors, [[0.9], [0.25]])
+    assert np.array_equal(loss.span.coeffs[:, 1], [0.0, small.coeffs[0, 0]])
 
 
 def test_make_loss_keeps_in_bound_actions():
     els = [feature(MIN, 0.2), feature(MIN, 0.5)]
-    loss = make_loss("ok", els, 1.0)
+    loss = make_loss("ok", stack(MIN, els), 1.0)
     assert not loss.rescaled
-    assert np.array_equal(loss.anchors, [[0.2], [0.5]])
-    assert np.array_equal(loss.coeffs, np.eye(2))
-    assert np.all(loss.norms() <= 1.0 + 1e-9)
+    assert np.array_equal(loss.span.anchors, [[0.2], [0.5]])
+    assert np.array_equal(loss.span.coeffs, np.eye(2))
+    assert np.all(loss.span.norms() <= 1.0 + 1e-9)
 
 
 def test_loss_validation():
     with pytest.raises(ValueError):
-        LossFunction("empty", MIN, [[0.5]], np.zeros((1, 0)), 1.0)
+        LossFunction("empty", RkhsElement(MIN, [[0.5]], np.zeros((1, 0))), 1.0)
     with pytest.raises(ValueError):
-        make_loss("empty", [], 1.0)
+        make_loss("empty", stack(MIN, []), 1.0)
     with pytest.raises(ValueError):
-        make_loss("mixed", [feature(MIN, 0.5), feature(LIN2, [0.1, 0.0])], 1.0)
+        make_loss("mixed", stack(MIN, [feature(MIN, 0.5), feature(LIN2, [0.1, 0.0])]), 1.0)
     with pytest.raises(ValueError):
-        LossFunction("bad-r1", MIN, [[0.5]], [[1.0]], 0.0)
+        LossFunction("bad-r1", RkhsElement(MIN, [[0.5]], [[1.0]]), 0.0)
     with pytest.raises(ValueError):
-        LossFunction("ragged", MIN, [[0.5], [0.6]], [[1.0]], 1.0)
+        LossFunction("ragged", RkhsElement(MIN, [[0.5], [0.6]], [[1.0]]), 1.0)
     with pytest.raises(ValueError):
-        LossFunction("flat", MIN, [[0.5]], [1.0], 1.0)
+        LossFunction("flat", RkhsElement(MIN, [[0.5]], [1.0]), 1.0)
+
+
+@st.composite
+def loss_tables(draw):
+    """A kernel and an (n, cols) table over anchors that repeat a small pool,
+    0.0 and -0.0 among them, with some zero and all-zero columns."""
+    spec = draw(st.sampled_from([MIN, LIN2, EXP2]))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.vstack([sample_points(spec, 4, r), np.zeros(spec.dim), -np.zeros(spec.dim)])
+    n = draw(st.integers(0, 10))
+    coeffs = r.standard_normal((n, draw(st.integers(1, 4))))
+    coeffs[r.random(coeffs.shape) < 0.25] = 0.0
+    coeffs[:, r.random(coeffs.shape[1]) < 0.2] = 0.0
+    return spec, pool[r.integers(0, len(pool), n)], coeffs
+
+
+@given(loss_tables(), st.sampled_from([1e9, 0.5]))
+@settings(max_examples=80, deadline=None)
+def test_make_loss_table_matches_per_column_reference(case, R1):
+    """make_loss on a table equals its columns as elements, stacked, merged
+    and rescaled, byte for byte."""
+    spec, anchors, coeffs = case
+    loss = make_loss("t", RkhsElement(spec, anchors, coeffs), R1)
+    columns = [element(spec, anchors, coeffs[:, a]) for a in range(coeffs.shape[1])]
+    want_anchors, want_coeffs, rescaled = reference_loss(spec, columns, R1)
+    assert loss.span.anchors.tobytes() == want_anchors.tobytes()
+    assert loss.span.coeffs.shape == want_coeffs.shape
+    assert loss.span.coeffs.tobytes() == want_coeffs.tobytes()
+    assert loss.rescaled == rescaled
 
 
 def test_loss_values_reproduce_kernel():
-    loss = make_loss("probe", [feature(MIN, 0.6)], 1.0)
+    loss = make_loss("probe", stack(MIN, [feature(MIN, 0.6)]), 1.0)
     vals = loss.values([[0.3], [0.6], [0.9]])
     assert vals[:, 0] == pytest.approx([0.3, 0.6, 0.6], abs=1e-12)
 
@@ -263,7 +278,7 @@ def action_elements(draw):
     for _ in range(draw(st.sampled_from([1, 2, 4]))):
         k = int(r.integers(0, 7))
         coeffs = r.standard_normal(k) * (0.0 if r.random() < 0.2 else 1.0)
-        elements.append(RkhsElement(spec, pool[r.integers(0, len(pool), k)], coeffs))
+        elements.append(element(spec, pool[r.integers(0, len(pool), k)], coeffs))
     return spec, elements
 
 
@@ -274,22 +289,23 @@ def test_loss_table_matches_per_action_reference(case, R1):
     the element itself does, densely, to 1e-12 relative, rescaling exactly
     the over-bound actions."""
     spec, elements = case
-    loss = make_loss("t", elements, R1)
+    loss = make_loss("t", stack(spec, elements), R1)
     assert loss.n_actions == len(elements)
     Y = np.vstack([el.anchors for el in elements] + [np.zeros((1, spec.dim))])
     for a, el in enumerate(elements):
+        c = el.coeffs[:, 0]
         G = spec.gram(el.anchors, el.anchors)
-        nv = np.sqrt(max(el.coeffs @ G @ el.coeffs, 0.0))
+        nv = np.sqrt(max(c @ G @ c, 0.0))
         assume(abs(nv - R1) > 1e-9 * R1)
         scale = R1 / nv if nv > R1 else 1.0
         K = spec.gram(Y, el.anchors)
-        want = K @ el.coeffs * scale
-        slack = np.abs(K) @ np.abs(el.coeffs) * scale
+        want = K @ c * scale
+        slack = np.abs(K) @ np.abs(c) * scale
         assert np.all(np.abs(loss.values(Y)[:, a] - want) <= 1e-12 * slack + 1e-300)
-        sq_slack = np.abs(el.coeffs) @ np.abs(G) @ np.abs(el.coeffs) * scale**2
-        assert abs(loss.norms()[a] ** 2 - (nv * scale) ** 2) <= 1e-12 * sq_slack + 1e-300
+        sq_slack = np.abs(c) @ np.abs(G) @ np.abs(c) * scale**2
+        assert abs(loss.span.norms()[a] ** 2 - (nv * scale) ** 2) <= 1e-12 * sq_slack + 1e-300
     assert loss.rescaled == any(
-        np.sqrt(max(el.coeffs @ spec.gram(el.anchors, el.anchors) @ el.coeffs, 0.0)) > R1
+        np.sqrt(max(el.coeffs[:, 0] @ spec.gram(el.anchors, el.anchors) @ el.coeffs[:, 0], 0.0)) > R1
         for el in elements
     )
 
@@ -305,7 +321,7 @@ def test_loss_values_make_one_gram_call(monkeypatch):
 
 
 def test_loss_values_zero_action_column():
-    loss = LossFunction("z", MIN, [[0.5]], [[0.0, 1.0]], 1.0)
+    loss = LossFunction("z", RkhsElement(MIN, [[0.5]], [[0.0, 1.0]]), 1.0)
     vals = loss.values([[0.4], [0.8]])
     assert np.array_equal(vals[:, 0], np.zeros(2))
 
@@ -340,9 +356,11 @@ def test_estimates_linear_in_the_loss():
     lb = random_loss(MIN, 2, 1.0, "b")
     combo = LossFunction(
         "combo",
-        MIN,
-        np.vstack([la.anchors, lb.anchors]),
-        np.vstack([0.7 * la.coeffs, lb.coeffs]),
+        RkhsElement(
+            MIN,
+            np.vstack([la.span.anchors, lb.span.anchors]),
+            np.vstack([0.7 * la.span.coeffs, lb.span.coeffs]),
+        ),
         4.0,
     )
     X = rng.standard_normal((5, 2))
@@ -361,7 +379,7 @@ def test_estimate_rejects_kernel_mismatch():
     with pytest.raises(KernelMismatchError):
         loss_estimates(p, [[0.0]], loss)
     with pytest.raises(KernelMismatchError):
-        p.with_patch(PatchRecord("alg1", loss, 1.0, loss.anchors, loss.coeffs, eta=0.1))
+        p.with_patch(PatchRecord("alg1", loss, 1.0, loss.span, eta=0.1))
 
 
 # predictors and patches
@@ -369,7 +387,7 @@ def test_estimate_rejects_kernel_mismatch():
 
 def predicted(p, x):
     """The predicted element at a single context."""
-    return RkhsElement(p.kernel, p.anchors, p.coefficients(x)[0])
+    return element(p.kernel, p.anchors, p.coefficients(x)[0])
 
 
 def test_empty_patch_chain_returns_base():
@@ -378,20 +396,21 @@ def test_empty_patch_chain_returns_base():
     p = constant_predictor(MIN, pts, coeffs)
     el = predicted(p, [[0.4]])
     assert np.array_equal(el.anchors, pts)
-    assert np.array_equal(el.coeffs, coeffs)
+    assert np.array_equal(el.coeffs[:, 0], coeffs)
 
 
 def test_base_is_projected_onto_ball():
     p = constant_predictor(MIN, [[0.81]], [3.0])  # norm 2.7 > R2
     el = predicted(p, [[0.0]])
-    assert norm(el) == pytest.approx(MIN.R2, rel=1e-12)
+    assert el.norms()[0] == pytest.approx(MIN.R2, rel=1e-12)
 
 
 def test_zero_adjustment_patch_is_identity():
     p = constant_predictor(MIN, sample_points(MIN, 3), [0.3, 0.1, -0.2])
     before = predicted(p, [[0.25]])
     rec = PatchRecord(
-        "alg1", random_loss(MIN, 2, 1.0, "w"), 4.0, np.zeros((0, 1)), np.zeros((0, 2)), eta=0.5
+        "alg1", random_loss(MIN, 2, 1.0, "w"), 4.0,
+        RkhsElement(MIN, np.zeros((0, 1)), np.zeros((0, 2))), eta=0.5
     )
     after = predicted(p.with_patch(rec), [[0.25]])
     assert np.array_equal(after.anchors, before.anchors)
@@ -402,35 +421,42 @@ def test_patched_norms_stay_in_ball():
     p = constant_predictor(MIN, sample_points(MIN, 4), rng.standard_normal(4))
     for t in range(5):
         adj = tuple(
-            RkhsElement(MIN, sample_points(MIN, 1), np.array([0.6]))
+            element(MIN, sample_points(MIN, 1), np.array([0.6]))
             for _ in range(2)
         )
         rec = record("alg1", random_loss(MIN, 2, 1.0, f"w{t}"), 3.0, adj, eta=0.6)
         p = p.with_patch(rec)
         for x in rng.standard_normal((3, 2)):
-            assert norm(predicted(p, x)) <= MIN.R2 + 1e-6
+            assert predicted(p, x).norms()[0] <= MIN.R2 + 1e-6
 
 
 def test_patch_record_validation():
     w = random_loss(MIN, 2, 1.0, "w")
-    zz = (np.zeros((0, 1)), np.zeros((0, 2)))
-    z1 = (np.zeros((0, 1)), np.zeros((0, 1)))
+    zz = RkhsElement(MIN, np.zeros((0, 1)), np.zeros((0, 2)))
+    z1 = RkhsElement(MIN, np.zeros((0, 1)), np.zeros((0, 1)))
     with pytest.raises(ValueError):
-        PatchRecord("alg3", w, 1.0, *zz)
+        PatchRecord("alg3", w, 1.0, zz)
     with pytest.raises(ValueError):
-        PatchRecord("alg1", w, 1.0, *zz)  # missing eta
+        PatchRecord("alg1", w, 1.0, zz)  # missing eta
     with pytest.raises(ValueError):
-        PatchRecord("alg1", w, 1.0, *z1, eta=0.1)
+        PatchRecord("alg1", w, 1.0, z1, eta=0.1)
     with pytest.raises(ValueError):
-        PatchRecord("alg1", w, 1.0, *zz, mixing=2 * np.eye(2), eta=0.1)  # not the identity
+        PatchRecord("alg1", w, 1.0, zz, mixing=2 * np.eye(2), eta=0.1)  # not the identity
     with pytest.raises(ValueError):
-        PatchRecord("alg2", w, 1.0, *zz)  # missing mixing
+        PatchRecord("alg2", w, 1.0, zz)  # missing mixing
     with pytest.raises(ValueError):
-        PatchRecord("alg2", w, 1.0, *zz, mixing=np.eye(3))
+        PatchRecord("alg2", w, 1.0, zz, mixing=np.eye(3))
     with pytest.raises(ValueError):
-        PatchRecord("alg2", w, 1.0, *z1, mixing=np.eye(2))
+        PatchRecord("alg2", w, 1.0, z1, mixing=np.eye(2))
     with pytest.raises(ValueError):
-        PatchRecord("alg2", w, 1.0, [[0.5]], np.zeros((2, 2)), mixing=np.eye(2))
+        PatchRecord("alg2", w, 1.0, RkhsElement(MIN, [[0.5]], np.zeros((2, 2))), mixing=np.eye(2))
+
+
+def test_patch_record_rejects_rows_over_another_kernel():
+    w = random_loss(MIN, 2, 1.0, "w")
+    rows = RkhsElement(KernelSpec("min", 1, 2.0), [[0.5]], np.ones((1, 2)))
+    with pytest.raises(KernelMismatchError):
+        PatchRecord("alg1", w, 1.0, rows, eta=0.1)
 
 
 # Few coordinates, so rows repeat often and 0.0 / -0.0 must stay apart, and
@@ -446,7 +472,7 @@ TERMS = st.lists(
 
 def _span(terms):
     anchors = np.array([row for row, _ in terms], dtype=np.float64).reshape(-1, 2)
-    return RkhsElement(LIN2, anchors, np.array([c for _, c in terms], dtype=np.float64))
+    return element(LIN2, anchors, np.array([c for _, c in terms], dtype=np.float64))
 
 
 # Symmetric positive definite 2 x 2 mixing matrices for alg2 records.
@@ -464,7 +490,7 @@ def test_row_dedup_matches_dict_reference(base, chain):
     the record's matrix (the identity for alg1)."""
     for el in [_span(base)] + [_span(t) for t0, t1, _ in chain for t in (t0, t1)]:
         index, rows, sums = {}, [], []
-        for row, c in zip(el.anchors, el.coeffs):
+        for row, c in zip(el.anchors, el.coeffs[:, 0]):
             j = index.setdefault(row.tobytes(), len(rows))
             if j == len(rows):
                 rows.append(row)
@@ -472,11 +498,13 @@ def test_row_dedup_matches_dict_reference(base, chain):
             sums[j] += c
         weights = [abs(c) * np.sqrt(LIN2.diag(rows[j][None])[0]) for j, c in enumerate(sums)]
         keep = [j for j, w in enumerate(weights) if w > 0]
-        got = compress(el)
+        got = el.merged()
         assert got.anchors.tobytes() == np.array([rows[j] for j in keep]).tobytes()
         assert got.coeffs.tobytes() == np.array([sums[j] for j in keep]).tobytes()
 
-    lossprime = make_loss("lp", [feature(LIN2, [0.5, 0.0]), feature(LIN2, [0.0, 0.5])], 1.0)
+    lossprime = make_loss(
+        "lp", stack(LIN2, [feature(LIN2, [0.5, 0.0]), feature(LIN2, [0.0, 0.5])]), 1.0
+    )
     base_el = _span(base)
     steps, mixings = [], []
     p = Predictor(LIN2, ConstantBase(base_el))
@@ -497,7 +525,7 @@ def test_row_dedup_matches_dict_reference(base, chain):
     for els, mixing, plan_step in zip(steps, mixings, p._plan.steps, strict=True):
         entries = []
         for a, el in enumerate(els):
-            for row, c in zip(el.anchors, el.coeffs):
+            for row, c in zip(el.anchors, el.coeffs[:, 0]):
                 j = index.setdefault(row.tobytes(), len(rows))
                 if j == len(rows):
                     rows.append(row)
@@ -529,10 +557,12 @@ def test_patched_predictor_matches_vector_simulation():
     M = (M + M.T) / 2.0
 
     p = p.with_patch(
-        PatchRecord("alg1", single_anchor_loss(LIN2, r1, 1.0, "w1"), 4.0, d, np.eye(2), eta=0.25)
+        PatchRecord("alg1", single_anchor_loss(LIN2, r1, 1.0, "w1"), 4.0,
+                    RkhsElement(LIN2, d, np.eye(2)), eta=0.25)
     )
     p = p.with_patch(
-        PatchRecord("alg2", single_anchor_loss(LIN2, r2, 1.0, "w2"), 2.0, gvecs, np.eye(2), mixing=M)
+        PatchRecord("alg2", single_anchor_loss(LIN2, r2, 1.0, "w2"), 2.0,
+                    RkhsElement(LIN2, gvecs, np.eye(2)), mixing=M)
     )
 
     sim = oracle.VectorPredictor(lambda X: np.tile(base_coeffs @ base_anchors, (len(X), 1)), LIN2.R2)
@@ -544,7 +574,7 @@ def test_patched_predictor_matches_vector_simulation():
     assert np.allclose(implicit, sim.evaluate(X), atol=1e-9)
 
     probe = single_anchor_loss(LIN2, unit_rows(2, 0.9), 1.0, "probe")
-    Lp = probe.coeffs.T @ probe.anchors
+    Lp = probe.span.coeffs.T @ probe.span.anchors
     assert np.allclose(
         loss_estimates(p, X, probe), oracle.loss_estimates(sim.evaluate(X), Lp), atol=1e-9
     )
@@ -585,12 +615,12 @@ def _random_chain(g, spec, pool, n_patches, scale):
 
     def element(k, coeff_scale):
         picks = g.integers(0, len(pool), k)
-        return RkhsElement(spec, pool[picks], g.standard_normal(k) * coeff_scale)
+        return RkhsElement(spec, pool[picks], (g.standard_normal(k) * coeff_scale)[:, None])
 
-    push = RkhsElement(spec, pool[:1], [4.0 * spec.R2 / np.sqrt(spec.diag(pool[:1])[0])])
+    push = RkhsElement(spec, pool[:1], [[4.0 * spec.R2 / np.sqrt(spec.diag(pool[:1])[0])]])
     records = []
     for t in range(n_patches):
-        lossprime = make_loss(f"lp{t}", [element(2, 1.0) for _ in range(2)], 1.0)
+        lossprime = make_loss(f"lp{t}", stack(spec, [element(2, 1.0) for _ in range(2)]), 1.0)
         beta = float(g.uniform(0.5, 4.0))
         if t % 7 == 3:
             records.append(record("alg1", lossprime, beta, (push, push), eta=0.1))
@@ -622,7 +652,8 @@ def test_blocked_replay_matches_dense_replay_at_every_block_size(spec, seed, n_p
     p = Predictor(spec, base, tuple(_random_chain(g, spec, pool, n_patches, 0.6)))
     X = g.standard_normal((m, 2))
     batch = SampleBatch(X, sample_points(spec, m, g), "b")
-    loss = make_loss("probe", [RkhsElement(spec, pool[:4], g.standard_normal(4)) for _ in range(3)], 1.0)
+    columns = [element(spec, pool[:4], g.standard_normal(4)) for _ in range(3)]
+    loss = make_loss("probe", stack(spec, columns), 1.0)
     plan = p._plan
     W_ref, fired = _dense_replay(p, X)
     assert fired >= 1
@@ -658,7 +689,8 @@ def test_loss_estimates_hold_only_a_block_of_coordinates():
     p = Predictor(MIN, base, tuple(_random_chain(g, MIN, pool, 40, 0.4)))
     m = 8 * model.REPLAY_BLOCK
     X = g.standard_normal((m, 2))
-    loss = make_loss("decide", [RkhsElement(MIN, pool[:3], g.standard_normal(3)) for _ in range(3)], 1.0)
+    columns = [element(MIN, pool[:3], g.standard_normal(3)) for _ in range(3)]
+    loss = make_loss("decide", stack(MIN, columns), 1.0)
     k = p._plan.k
     tracemalloc.start()
     try:
@@ -717,7 +749,8 @@ def test_tracked_norms_match_dense_replay(seed, n_patches, scale):
     np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=atol)
     np.testing.assert_allclose(Z @ _dense_basis(plan), W_ref, rtol=1e-12, atol=atol)
 
-    loss = make_loss("probe", [RkhsElement(spec, pool[:5], g.standard_normal(5)) for _ in range(3)], 1.0)
+    columns = [element(spec, pool[:5], g.standard_normal(5)) for _ in range(3)]
+    loss = make_loss("probe", stack(spec, columns), 1.0)
     want = W_ref @ loss.values(p.anchors)
     got = loss_estimates(p, X, loss)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -827,8 +860,9 @@ def test_extend_evaluated_rejects_a_siblings_batch():
     base = SimilarityBase(MIN, sample_points(MIN, 10), g.standard_normal((10, 2)), bandwidth=0.6)
     records = _random_chain(g, MIN, sample_points(MIN, 60), 3, 0.8)
     rec = records[1]
-    twin = PatchRecord(rec.algorithm, rec.witness_lossprime, rec.beta + 1.0, rec.anchors,
-                       -0.5 * rec.coeffs, mixing=rec.mixing, eta=rec.eta)
+    twin = PatchRecord(rec.algorithm, rec.witness_lossprime, rec.beta + 1.0,
+                       RkhsElement(MIN, rec.rows.anchors, -0.5 * rec.rows.coeffs), mixing=rec.mixing,
+                       eta=rec.eta)
     parent = Predictor(MIN, base, tuple(records[:1]))
     first, second = parent.with_patch(rec), parent.with_patch(twin)
     grandchild = second.with_patch(records[2])
@@ -930,11 +964,11 @@ def test_sample_batch_is_read_only():
 
 def build_patched_predictor():
     p = constant_predictor(MIN, sample_points(MIN, 3), [0.4, -0.1, 0.2])
-    adj = tuple(RkhsElement(MIN, sample_points(MIN, 1), np.array([0.15])) for _ in range(2))
+    adj = tuple(element(MIN, sample_points(MIN, 1), np.array([0.15])) for _ in range(2))
     p = p.with_patch(
         record("alg1", random_loss(MIN, 2, 1.0, "w1"), 4.0, adj, batch_id="b1", eta=0.15)
     )
-    rows = tuple(RkhsElement(MIN, sample_points(MIN, 2), rng.standard_normal(2) * 0.1) for _ in range(2))
+    rows = tuple(element(MIN, sample_points(MIN, 2), rng.standard_normal(2) * 0.1) for _ in range(2))
     M = np.linalg.inv(np.array([[1.3, 0.2], [0.2, 1.1]]))
     M = (M + M.T) / 2.0
     return p.with_patch(
@@ -951,6 +985,33 @@ def test_predictor_doc_round_trip_is_exact():
     assert np.array_equal(p.anchors, q.anchors)
     assert [rec.algorithm for rec in q.patches] == ["alg1", "alg2"]
     assert q.patches[0].batch_id == "b1"
+
+
+# predictor.json of a constant base and one hand-built alg1 patch, as written
+# when a constant base held a flat coefficient vector; the text must not change
+CONSTANT_BASE_DOC = (
+    '{"base":{"element":{"anchors":[[0.25],[0.75]],"coeffs":[0.5,-0.125]},"kind":"constant"},'
+    '"format":"decal.predictor/cut-1","kernel":{"R2":1.5,"dim":1,"kind":"min"},'
+    '"patches":[{"algorithm":"alg1","anchors":[[0.5],[0.125]],"batch_id":"b","beta":2.0,'
+    '"coeffs":[[0.25,0.0],[0.0,-0.5]],"eta":0.5,"witness_lossprime":{"R1":1.0,'
+    '"anchors":[[0.5],[0.25]],"coeffs":[[1.0,0.0],[0.0,0.5]],"loss_id":"w","rescaled":false}}]}\n'
+)
+
+
+def test_constant_base_predictor_file_text_is_unchanged(tmp_path):
+    base = ConstantBase(element(MIN, [[0.25], [0.75]], [0.5, -0.125]))
+    lp = make_loss("w", stack(MIN, [element(MIN, [[0.5]], [1.0]), element(MIN, [[0.25]], [0.5])]), 1.0)
+    rows = RkhsElement(MIN, [[0.5], [0.125]], [[0.25, 0.0], [0.0, -0.5]])
+    p = Predictor(MIN, base).with_patch(PatchRecord("alg1", lp, 2.0, rows, "b", eta=0.5))
+    path = tmp_path / "predictor.json"
+    save_predictor(path, p)
+    assert path.read_text() == CONSTANT_BASE_DOC
+    q = load_predictor(path)
+    assert q.base.element.coeffs.shape == (2, 1)
+    save_predictor(tmp_path / "again.json", q)
+    assert (tmp_path / "again.json").read_text() == CONSTANT_BASE_DOC
+    with pytest.raises(ValueError):
+        ConstantBase(RkhsElement(MIN, [[0.25]], [[0.5, 0.5]]))
 
 
 def test_predictor_file_round_trip(tmp_path):
@@ -978,12 +1039,12 @@ def test_loss_round_trip_is_exact(tmp_path):
     doc = json.loads(json.dumps(loss_to_doc(loss)))
     back = loss_from_doc(doc, MIN)
     assert back.loss_id == "rt"
-    assert np.array_equal(back.norms(), loss.norms())
+    assert np.array_equal(back.span.norms(), loss.span.norms())
     Y = sample_points(MIN, 6)
     assert np.array_equal(back.values(Y), loss.values(Y))
 
     path = tmp_path / "loss.json"
     save_json(path, loss_file_doc(loss))
     again = load_loss(path)
-    assert again.spec == MIN
+    assert again.span.spec == MIN
     assert np.array_equal(again.values(Y), loss.values(Y))

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 from decal.audit import decce_estimate, random_loss_pool
-from decal.kernel import KernelSpec, norm
+from decal.kernel import KernelSpec
 from decal.model import evaluate_batch, predictor_from_doc, predictor_to_doc
 from decal.synth import (
     COBB_DOUGLAS_R1,
@@ -24,6 +26,7 @@ from decal.synth import (
     piecewise_linear_value,
     planted_bias_instance,
 )
+from spans import element, reference_loss
 
 MIN = KernelSpec("min", 1, 1.5)
 EXP2 = KernelSpec("exp", 2, 2.0)
@@ -60,7 +63,7 @@ def test_piecewise_norm_formula():
         c = rng.uniform(0.0, 1.0)
         loss = make_piecewise_linear_loss(k1, k2, c, 1, MIN, R1=3.0)
         expect = math.sqrt(max((1.0 - c) * k2**2 + c * k1**2, 0.0))
-        assert loss.norms()[0] == pytest.approx(expect, abs=1e-12)
+        assert loss.span.norms()[0] == pytest.approx(expect, abs=1e-12)
 
 
 def test_piecewise_per_action_pieces():
@@ -103,10 +106,10 @@ def test_cobb_douglas_matches_direct_evaluation():
 def test_cobb_douglas_norms_peak_at_vertices():
     loss = make_cobb_douglas_loss([[1.0, 0.0], [0.5, 0.5], [0.25, 0.75]], EXP2)
     expect = [math.exp(0.5), math.exp(0.5 / 2), math.exp((0.0625 + 0.5625) / 2)]
-    assert loss.norms() == pytest.approx(expect, rel=1e-12)
+    assert loss.span.norms() == pytest.approx(expect, rel=1e-12)
     assert not loss.rescaled
     assert loss.R1 == COBB_DOUGLAS_R1
-    assert np.all(loss.norms() <= COBB_DOUGLAS_R1 + 1e-12)
+    assert np.all(loss.span.norms() <= COBB_DOUGLAS_R1 + 1e-12)
 
 
 def test_cobb_douglas_validation():
@@ -120,6 +123,44 @@ def test_cobb_douglas_validation():
         make_cobb_douglas_loss([[1.0, 0.0, 0.0]], EXP2)
     with pytest.raises(ValueError):
         make_cobb_douglas_loss([[1.0, 0.0]], MIN)
+
+
+def assert_same_table(loss, reference):
+    anchors, coeffs, rescaled = reference
+    assert loss.span.anchors.tobytes() == anchors.tobytes()
+    assert loss.span.coeffs.shape == coeffs.shape
+    assert loss.span.coeffs.tobytes() == coeffs.tobytes()
+    assert loss.rescaled == rescaled
+
+
+# repeated slopes and knees, signed zeros among them
+SLOPES = st.sampled_from([0.0, -0.0, 0.5, -1.0, 1 / 3, 2.0])
+KNEES = st.sampled_from([0.0, -0.0, 0.25, 1 / 3, 1.0])
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.tuples(SLOPES, SLOPES, KNEES)] * n)))
+@settings(max_examples=80, deadline=None)
+def test_piecewise_table_matches_per_action_reference(pieces):
+    """The table built directly equals one element per action, stacked,
+    merged and rescaled, byte for byte."""
+    k1, k2, c = (np.array(col) for col in zip(*pieces))
+    loss = make_piecewise_linear_loss(k1, k2, c, len(pieces), MIN)
+    elements = [element(MIN, [[1.0], [c[a]]], [k2[a], k1[a] - k2[a]]) for a in range(len(pieces))]
+    assert_same_table(loss, reference_loss(MIN, elements, loss.R1))
+
+
+# simplex vertices, repeated, with signed zeros
+ALPHAS = st.sampled_from([(1.0, 0.0), (1.0, -0.0), (-0.0, 1.0), (0.5, 0.5), (0.25, 0.75)])
+
+
+@given(st.lists(ALPHAS, min_size=1, max_size=5), st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=80, deadline=None)
+def test_cobb_douglas_table_matches_per_action_reference(alphas, sign):
+    """The table built directly equals one element per action, stacked,
+    merged and rescaled, byte for byte."""
+    loss = make_cobb_douglas_loss(alphas, EXP2, sign=sign)
+    elements = [element(EXP2, [alpha], [sign]) for alpha in alphas]
+    assert_same_table(loss, reference_loss(EXP2, elements, COBB_DOUGLAS_R1))
 
 
 # data generators
@@ -191,7 +232,8 @@ def test_array_source_slices_then_raises():
 def test_planted_shift_norm_is_exact():
     inst = planted_bias_instance(MIN, context_dim=3, support_size=12, shift_norm=0.3, seed=7)
     assert inst.shift_norm == pytest.approx(0.3, rel=1e-12)
-    assert norm(inst.outcomes.shift_element(MIN)) == pytest.approx(0.3, rel=1e-12)
+    shift = element(MIN, inst.outcomes.support, inst.outcomes.shift_coeffs)
+    assert shift.norms()[0] == pytest.approx(0.3, rel=1e-12)
 
 
 def test_planted_residual_mean_is_context_free():
