@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, RkhsElement, as_outcomes, column_norms, merge_terms
+from .kernel import KernelSpec, RkhsElement, as_outcomes, column_norms, merge_terms, sum_rows
 from .model import (
     DEGENERATE_NORM,
     CutForm,
@@ -53,7 +53,7 @@ class AuditReport:
 
 def batch_estimates(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
     """Estimated losses <r(a), p(x_i)> on the batch; (n, |A|)."""
-    return eb.plan.estimates(eb.Z, loss)
+    return eb.Z @ eb.plan.lifted_values(loss)
 
 
 def rule_probabilities(eb: EvaluatedBatch, lossprime: LossFunction, beta: float) -> np.ndarray:
@@ -70,9 +70,8 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     """Witness-sup gap, per-action residual norms, rule probabilities and
     residual-mean parts of every candidate lossprime.  With B the rule
     probabilities, a residual mean is BU (B / n summed onto the distinct
-    outcomes U in input order from 0.0, as merge_terms's bincount does) minus
-    ZB = Z^T B / n over the basis F, and its squared norm is a diagonal entry
-    of BU^T K_UU BU - 2 BU^T K_FU^T ZB + ZB^T gram_F ZB."""
+    outcomes U) minus ZB = Z^T B / n over the basis F, and its squared norm
+    is a diagonal entry of BU^T K_UU BU - 2 BU^T K_FU^T ZB + ZB^T gram_F ZB."""
     _require_samples(eb)
     if not pool:
         raise ValueError("candidate pool must be nonempty")
@@ -81,10 +80,9 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
         raise ValueError(f"candidate pool mixes action counts {counts}")
     probs = [rule_probabilities(eb, lp, beta) for lp in pool]
     B = np.hstack(probs)
-    n, cols = B.shape
+    n = len(B)
     U, inverse = eb.outcomes
-    bins = (inverse[:, None] * cols + np.arange(cols)).ravel()
-    BU = np.bincount(bins, weights=(B / n).ravel(), minlength=len(U) * cols).reshape(len(U), cols)
+    BU = sum_rows(inverse, len(U), B / n)
     ZB = (eb.Z.T @ B) / n
     sq = (
         np.einsum("ij,ij->j", BU, eb.K_UU @ BU)

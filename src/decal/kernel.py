@@ -20,9 +20,6 @@ KERNEL_KINDS = ("linear", "min", "exp")
 # Anchors this far outside the declared domain are rejected.
 DOMAIN_SLACK = 1e-9
 
-# Rows of the point list per dense Gram block in gram_apply.
-GRAM_APPLY_BLOCK = 2048
-
 
 class KernelMismatchError(ValueError):
     """Spans built over different kernel specs were combined."""
@@ -189,6 +186,15 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse.ravel()]
 
 
+def sum_rows(index: np.ndarray, size: int, C: np.ndarray) -> np.ndarray:
+    """The rows of C (n, cols) summed by `index`: row j of the (size, cols)
+    result is the sum of the rows C[i] with index[i] == j, added in input
+    order from 0.0, as a running sum per row would."""
+    cols = C.shape[1]
+    bins = (index[:, None] * cols + np.arange(cols)).ravel()
+    return np.bincount(bins, weights=C.ravel(), minlength=size * cols).reshape(size, cols)
+
+
 def merge_terms(
     spec: KernelSpec, anchors: np.ndarray, coeffs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -198,22 +204,8 @@ def merge_terms(
     remaining (anchors, coeffs).  `anchors` is an (n, dim) float array.
     """
     first, inverse = distinct_rows(anchors)
-    cols = coeffs.shape[1]
-    bins = (inverse[:, None] * cols + np.arange(cols)).ravel()
-    # bincount adds in input order from 0.0, as a running sum per anchor would
-    merged = np.bincount(bins, weights=coeffs.ravel(), minlength=len(first) * cols)
-    merged = merged.reshape(len(first), cols)
+    merged = sum_rows(inverse, len(first), coeffs)
     anchors = anchors[first]
     scale = np.sqrt(np.maximum(spec.diag(anchors), 0.0))
     keep = np.any(np.abs(merged) * scale[:, None] > 0.0, axis=1)
     return anchors[keep], merged[keep]
-
-
-def gram_apply(spec: KernelSpec, points: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """K @ C for the Gram matrix K of `points`, in row blocks of GRAM_APPLY_BLOCK
-    rows; the full n x n Gram matrix is never materialized."""
-    out = np.empty((len(points), C.shape[1]))
-    for i0 in range(0, len(points), GRAM_APPLY_BLOCK):
-        i1 = min(i0 + GRAM_APPLY_BLOCK, len(points))
-        out[i0:i1] = spec.gram(points[i0:i1], points) @ C
-    return out

@@ -30,10 +30,14 @@ rows f_i of the basis of the plan it was cut on, with each column's unit
 scale and the step that scales them all.  A plan that descends from that
 plan (the same base and a prefix of its patch records, compared by
 identity) reads the span's Gram products through the form, K(anchors, U)
-and F G F^T, at N x |U| kernel entries instead of N x (|U| + N).  Spans
-without a form (random and user losses, hand-built records, a loaded
-`witness_loss.json`) take the dense path.  The coefficients W = Z F are
-built only by `coefficients` and, by `cut_span`, for a cut span's |A| rows.
+and F G F^T, at N x |U| kernel entries instead of N x (|U| + N).  A loss
+without such a form (random and user losses, a loaded `witness_loss.json`)
+is read densely, F @ values(anchors).  Patch rows without a form cut on the
+very plan they extend (hand-built records, records cut on a sibling branch
+or an equal but distinct base) are appended as the form over their own M
+anchors, with ZB zero, at N x M + M x M entries, so no plan operation forms
+an N x N Gram block.  The coefficients W = Z F are built only by
+`coefficients` and, by `cut_span`, for a cut span's |A| rows.
 
 `predictor.json` stores each span whose form descends from the predictor's
 own chain as that form plus the number of chain records it was cut on; the
@@ -55,7 +59,7 @@ from typing import ClassVar
 import numpy as np
 
 from .kernel import (
-    KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, gram_apply, merge_terms,
+    KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, merge_terms, sum_rows,
 )
 
 DEGENERATE_NORM = 1e-12
@@ -438,9 +442,10 @@ class _EvalPlan:
         return _chain_prefix(form, *self.lineage) is not None
 
     def _through(self, form: CutForm):
-        """F G times the spans of a form this plan descends from, (k, |A|):
-        F K(anchors, U) BU - gram_F[:, :k] ZB, with the form's columns scaled.
-        Also returns K(anchors, U) and the scaled BU and ZB."""
+        """F G times the spans of a form this plan descends from (a cut form,
+        or a record's rows over their own anchors), (k, |A|): F K(anchors, U)
+        BU - gram_F[:, :k] ZB, with the form's columns scaled.  Also returns
+        K(anchors, U) and the scaled BU and ZB."""
         scale = form.unit * form.step
         BU, ZB = form.BU * scale, form.ZB * scale
         K_AU = self.spec.gram(self.anchors, form.U)
@@ -454,23 +459,25 @@ class _EvalPlan:
             return self.lift(loss.values(self.anchors))
         return self._through(loss.span.form)[0]
 
-    def estimates(self, Z: np.ndarray, loss: LossFunction) -> np.ndarray:
-        """Loss estimates W @ L = Z @ (F @ L) of coordinates Z; (m, |A|)."""
-        return Z @ self.lifted_values(loss)
-
     def _append(self, rec: PatchRecord) -> None:
         """Align one patch: each of its anchors goes to the first bitwise-equal
         row so far, unseen rows are appended in order, base rows stay as given.
 
-        Rows cut on this very plan take their Gram products from their form:
-        F G R^T = F K(anchors, U) BU - gram_F ZB, and R G R^T = BU^T g -
-        ZB^T F G R^T with g = K(U, U) BU - K(U, anchors) F^T ZB the rows'
-        inner products with phi(U).  Expanding R G R^T into four quadratic
-        terms instead would lose its digits to cancellation when the rows are
-        short against their parts.  Other rows multiply the anchors' Gram
-        matrix in blocks."""
+        The rows' Gram products come from a form (U, BU, ZB): their cut form
+        when they were cut on this very plan, else the form over their own
+        anchors (U the anchors, BU the coefficients, ZB zero).  Then F G R^T =
+        F K(anchors, U) BU - gram_F ZB, and R G R^T = BU^T g - ZB^T F G R^T
+        with g = K(U, U) BU - K(U, anchors) F^T ZB the rows' inner products
+        with phi(U).  Expanding R G R^T into four quadratic terms instead
+        would lose its digits to cancellation when the rows are short against
+        their parts.  Either way the rows cost N x |U| + |U| x |U| kernel
+        entries, N the anchors before them."""
         check_spec(self.spec, rec.rows.spec)
         n_before, form = len(self.anchors), rec.rows.form
+        if not (self.descends(form) and form.k == self.k):
+            a = rec.rows.coeffs.shape[1]
+            form = CutForm(self.lineage, self.k, rec.rows.anchors, rec.rows.coeffs,
+                           np.zeros((self.k, a)), np.ones(a))
         Z = np.vstack([self.anchors, rec.rows.anchors])
         first, inverse = distinct_rows(Z)
         seen = first < n_before
@@ -478,21 +485,15 @@ class _EvalPlan:
         row_at = np.where(seen, first, n_before - np.count_nonzero(seen) + np.arange(len(first)))
         anchors = np.vstack([self.anchors, Z[first[~seen]]])
         n_after = len(anchors)
-        cols = row_at[inverse[n_before:]]
-        R = np.array([np.bincount(cols, weights=c, minlength=n_after) for c in rec.rows.coeffs.T])
-        if self.descends(form) and form.k == self.k:
-            cross, K_AU, BU, ZB = self._through(form)
-            table = np.hstack([self.lifted_values(rec.witness_lossprime), cross])
-            g = self.spec.gram(form.U, form.U) @ BU - K_AU.T @ self.expand(ZB.T).T
-            S = BU.T @ g - ZB.T @ cross
-        else:
-            H = gram_apply(self.spec, anchors, R.T)
-            V = rec.witness_lossprime.values(anchors[:n_before])
-            table = self.lift(np.hstack([V, H[:n_before]]))
-            S = R @ H
+        # row-major, as the products below were written for: BLAS may round
+        # a transposed operand differently
+        R = np.ascontiguousarray(sum_rows(row_at[inverse[n_before:]], n_after, rec.rows.coeffs).T)
+        cross, K_AU, BU, ZB = self._through(form)
+        table = np.hstack([self.lifted_values(rec.witness_lossprime), cross])
+        g = self.spec.gram(form.U, form.U) @ BU - K_AU.T @ self.expand(ZB.T).T
+        S = BU.T @ g - ZB.T @ cross
         step = _PlanStep(n_before, n_after, self.k, rec.beta, rec.mixing, R, S, table)
-        # the new rows' border of F G F^T: F_{<t} G R^T is the table's right half
-        cross = table[:, len(R) :]
+        # the new rows' border of F G F^T is F_{<t} G R^T
         gram_F = np.block([[self.gram_F, cross], [cross.T, step.S]])
         for arr in (anchors, R, step.S, table, gram_F):
             arr.setflags(write=False)

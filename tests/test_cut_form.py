@@ -2,8 +2,9 @@
 
 A witness or patch the audit cuts carries its parts (U, BU, ZB) in memory,
 and a plan that descends from the plan it was cut on reads its Gram
-products through them.  Every other plan takes the dense path, which is
-the reference these tests compare against.
+products through them.  Every other plan reads a witness densely, which is
+the reference these tests compare against, and appends a patch as the form
+over its own anchors, so no append reads the anchors' N x N Gram matrix.
 """
 
 import contextlib
@@ -48,6 +49,13 @@ def spy(owner, name):
         yield calls
     finally:
         setattr(owner, name, real)
+
+
+def own_anchor_reads(grams, records):
+    """The records whose rows one of the KernelSpec.gram calls `grams` (as
+    `spy` records them) read over the rows' own anchors, as its second point
+    list, rather than through their cut form."""
+    return [rec for rec in records if any(args[2] is rec.rows.anchors for args in grams)]
 
 
 def outcomes(spec, n, g):
@@ -110,9 +118,9 @@ def test_cut_forms_match_the_dense_path(kind, n_actions, finite, algorithm, zero
     plans, witnesses = [p._plan], []
     for t in range(ROUNDS):
         witness, rec = cut(p, draw(t), cfg, witnesses, g, zero, f"w{t}")
-        with spy(model, "gram_apply") as dense_rows:
+        with spy(KernelSpec, "gram") as grams:
             p = p.with_patch(rec)
-        assert not dense_rows  # the rows were cut on this very plan
+        assert not own_anchor_reads(grams, [rec])  # the rows were cut on this very plan
         plans.append(p._plan)
         witnesses.append(witness)
     last, rec_last = cut(p, draw(ROUNDS), cfg, witnesses, g, zero, "last")
@@ -127,25 +135,50 @@ def test_cut_forms_match_the_dense_path(kind, n_actions, finite, algorithm, zero
             assert close(got, plan.lift(w.values(plan.anchors)))
 
     # the predictor reloaded from JSON folds its cut patches by the same path
-    with spy(model, "gram_apply") as dense_rows:
+    with spy(KernelSpec, "gram") as grams:
         fresh = predictor_from_doc(json.loads(json.dumps(predictor_to_doc(p))))._plan
-    assert not dense_rows
+    assert not own_anchor_reads(grams, fresh.lineage[1])
     for mine, theirs in zip(p._plan.steps, fresh.steps, strict=True):
         assert np.array_equal(mine.S, theirs.S)
         assert np.array_equal(mine.table, theirs.table)
 
-    # a sibling branch, an equal but distinct base and the reloaded chain
-    # read `last` (cut on p) densely
-    sibling = Predictor(spec, base, p.patches[:-1]).with_patch(rec_last)
+    # a sibling branch and an equal but distinct base append their records
+    # over their own anchors, and they and the reloaded chain read `last`
+    # (cut on p) densely
+    with spy(KernelSpec, "gram") as grams:
+        sibling = Predictor(spec, base, p.patches[:-1]).with_patch(rec_last)
+    assert own_anchor_reads(grams, sibling.patches) == [rec_last]
     twin_base = SimilarityBase(spec, base.anchors, base.contexts, base.bandwidth)
-    with spy(model, "gram_apply") as dense_rows:
+    with spy(KernelSpec, "gram") as grams:
         twin = Predictor(spec, twin_base, p.patches)._plan
-    assert len(dense_rows) == ROUNDS
+    assert own_anchor_reads(grams, p.patches) == list(p.patches)
     for plan in (sibling._plan, twin, fresh):
         with spy(LossFunction, "values") as dense:
             got = plan.lifted_values(last)
         assert len(dense) == 1
         assert np.array_equal(got, plan.lift(last.values(plan.anchors)))
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_a_hand_built_record_appends_without_the_square_gram(kind):
+    """Appending a hand-built record of M anchors to a plan of N anchors
+    reads N M + M M kernel entries for its rows and N M' for its lossprime's
+    M' anchors, not the (N + M)^2 of the grown anchors' Gram matrix, and
+    gives the dense step: S = R G R^T and table = F [V | G R^T]."""
+    spec, n, m = SPECS[kind], 400, 3
+    g = np.random.default_rng(17)
+    base = SimilarityBase(spec, outcomes(spec, n, g), g.standard_normal((n, 2)), 1.0)
+    p = Predictor(spec, base)
+    assert p._plan.k == n
+    lossprime = random_loss_pool(spec, outcomes(spec, N_BATCH, g), 2, 1.0, 1, g)[0]
+    rows = RkhsElement(spec, outcomes(spec, m, g), g.standard_normal((m, 2)))
+    with spy(KernelSpec, "gram") as grams:
+        q = p.with_patch(PatchRecord("alg1", lossprime, 4.0, rows, "hand", eta=0.1))
+    entries = sum(len(args[1]) * len(args[2]) for args in grams)
+    assert entries <= n * m + m * m + n * len(lossprime.span.anchors)
+    step, G = q._plan.steps[0], spec.gram(q.anchors, q.anchors)
+    assert close(step.S, step.R @ G @ step.R.T)
+    assert close(step.table, np.hstack([lossprime.values(p.anchors), G[:n] @ step.R.T]))
 
 
 def chain(spec, algorithm, n_actions, g, zero=None, witnesses_only=False):

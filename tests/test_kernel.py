@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decal import kernel
 from decal.kernel import (
     KernelMismatchError,
     KernelSpec,
     OutcomeDomainError,
     RkhsElement,
     as_outcomes,
-    gram_apply,
     merge_terms,
 )
 from spans import element, feature, inner
@@ -109,30 +107,6 @@ def test_gram_psd(spec):
         Y = sample_points(spec, n)
         eigs = np.linalg.eigvalsh(spec.gram(Y, Y))
         assert eigs.min() >= -1e-9
-
-
-# the blocked Gram product
-
-
-@pytest.mark.parametrize("spec", [MIN, LIN3, EXP2], ids=lambda s: s.kind)
-@given(st.integers(1, 7), st.integers(0, 24), st.integers(1, 4), st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_blocked_gram_products_match_dense(spec, block, n, k, seed):
-    """Several row blocks, the last one ragged, give the dense products."""
-    r = np.random.default_rng(seed)
-    points = sample_points(spec, n, r)
-    C = r.standard_normal((n, k))
-    K = spec.gram(points, points)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "GRAM_APPLY_BLOCK", block)
-        applied = gram_apply(spec, points, C)
-    products = C.T @ applied
-    for got, want, scale in (
-        (applied, K @ C, np.abs(K) @ np.abs(C)),
-        (products, C.T @ K @ C, np.abs(C).T @ np.abs(K) @ np.abs(C)),
-    ):
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-12 * scale)
 
 
 # span arithmetic
