@@ -11,6 +11,13 @@ The scan works in the predictor's patch-row basis, and each witness keeps
 the scan's parts of its residual means (over the batch's distinct outcomes
 and over the basis) as its cut form, so a later plan descending from the
 scanned one evaluates the witness without expanding it over the anchors.
+
+A scan costs what its batch adds.  Random pool losses are anchored on rows
+of the batch's outcomes, so their values on the basis are columns of the
+K_FU block the scan builds anyway, with no kernel call of their own; a
+carried witness is read through its plan's fold (model._EvalPlan._fold);
+and the whole pool goes through one product with the replay coordinates
+and one softmax.  `random_loss_pool` merges its whole pool at once.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelSpec, RkhsElement, as_outcomes, column_norms, merge_terms, sum_rows
+from .kernel import (
+    KernelSpec, RkhsElement, as_outcomes, check_spec, column_norms, distinct_rows, sum_rows,
+)
 from .model import (
     DEGENERATE_NORM,
     CutForm,
@@ -66,21 +75,36 @@ def _require_samples(eb: EvaluatedBatch) -> None:
         raise ValueError("need at least one sample")
 
 
+def _scan_values(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
+    """F @ loss.values(anchors) for the scan, (k, |A|).  A loss anchored on
+    rows of eb.Y reads them off the scan's own K_FU, since K(anchors, Y[i])
+    is column inverse[i] of K(anchors, U); every other loss (a user loss, a
+    loss drawn on another batch, a loaded one, a witness) takes its route
+    through the plan."""
+    if loss.anchor_rows is not None and loss.anchor_rows[0] is eb.Y:
+        check_spec(eb.kernel, loss.span.spec)
+        return eb.K_FU[:, eb.outcomes[1][loss.anchor_rows[1]]] @ loss.span.coeffs
+    return eb.plan.lifted_values(loss)
+
+
 def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     """Witness-sup gap, per-action residual norms, rule probabilities and
-    residual-mean parts of every candidate lossprime.  With B the rule
-    probabilities, a residual mean is BU (B / n summed onto the distinct
-    outcomes U) minus ZB = Z^T B / n over the basis F, and its squared norm
-    is a diagonal entry of BU^T K_UU BU - 2 BU^T K_FU^T ZB + ZB^T gram_F ZB."""
+    residual-mean parts of every candidate lossprime.  The whole pool's
+    estimates are one product eb.Z @ [L_1 | ... | L_P] and its rules one
+    softmax.  With B the rule probabilities, a residual mean is BU (B / n
+    summed onto the distinct outcomes U) minus ZB = Z^T B / n over the basis
+    F, and its squared norm is a diagonal entry of BU^T K_UU BU - 2 BU^T
+    K_FU^T ZB + ZB^T gram_F ZB."""
     _require_samples(eb)
     if not pool:
         raise ValueError("candidate pool must be nonempty")
     counts = sorted({lp.n_actions for lp in pool})
     if len(counts) > 1:
         raise ValueError(f"candidate pool mixes action counts {counts}")
-    probs = [rule_probabilities(eb, lp, beta) for lp in pool]
-    B = np.hstack(probs)
-    n = len(B)
+    n, P, A = len(eb), len(pool), counts[0]
+    L = np.hstack([_scan_values(eb, lp) for lp in pool])
+    B = smooth_best_response((eb.Z @ L).reshape(n, P, A), beta).reshape(n, P * A)
+    probs = [B[:, c * A : (c + 1) * A] for c in range(P)]
     U, inverse = eb.outcomes
     BU = sum_rows(inverse, len(U), B / n)
     ZB = (eb.Z.T @ B) / n
@@ -89,9 +113,9 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
         - 2.0 * np.einsum("ij,ij->j", eb.K_FU @ BU, ZB)
         + np.einsum("ij,ij->j", ZB, eb.plan.gram_F @ ZB)
     )
-    norms = np.sqrt(np.clip(sq, 0.0, None)).reshape(len(pool), -1)
+    norms = np.sqrt(np.clip(sq, 0.0, None)).reshape(P, A)
     gaps = R1 * np.where(norms > DEGENERATE_NORM, norms, 0.0).sum(axis=1)
-    parts = list(zip(np.split(BU, len(pool), axis=1), np.split(ZB, len(pool), axis=1)))
+    parts = list(zip(np.split(BU, P, axis=1), np.split(ZB, P, axis=1)))
     return gaps, norms, probs, parts
 
 
@@ -184,7 +208,7 @@ def audit(
         n_used=len(eb),
         candidate_pool_size=len(pool),
         batch_id=eb.batch_id,
-        rule_probs=probs[best],
+        rule_probs=probs[best].copy(),
         residual_means=means,
     )
 
@@ -204,8 +228,17 @@ def random_loss_pool(
     rng: np.random.Generator,
     id_prefix: str = "rand",
 ) -> list[LossFunction]:
-    """Random candidate losses anchored on observed outcomes, each action
-    coefficient normalized to norm R1 exactly.
+    """Random candidate losses anchored on observed outcomes: each action
+    draws POOL_LOSS_SPAN distinct rows of Y (all of them when Y has fewer)
+    with standard normal coefficients, and is rescaled to norm R1, or to
+    zero where its norm is degenerate.
+
+    The generator is read per loss and per action, `choice` then
+    `standard_normal`.  The whole pool is merged at once: the drawn rows are
+    deduplicated keyed by (loss, outcome) and summed by one `sum_rows`, the
+    same sums in the same order as merging each loss alone, so every table
+    is bitwise the one per-loss merging gives.  Each loss records the rows
+    of Y it is anchored on (`LossFunction.anchor_rows`).
     """
     Y = as_outcomes(Y, spec.dim)
     n = len(Y)
@@ -213,13 +246,33 @@ def random_loss_pool(
         raise ValueError("need at least one outcome to anchor pool losses")
     spec.check_domain(Y)
     take = min(POOL_LOSS_SPAN, n)
-    pool = []
+    width = take * n_actions  # drawn rows per loss
+    drawn = np.empty(size * width, dtype=np.intp)
+    coeffs = np.zeros((size * width, n_actions))
     for k in range(size):
-        idx, coeffs = [], np.zeros((take * n_actions, n_actions))
         for a in range(n_actions):
-            idx.append(rng.choice(n, size=take, replace=False))
-            coeffs[a * take : (a + 1) * take, a] = rng.standard_normal(take)
-        anchors, coeffs = merge_terms(spec, Y[np.concatenate(idx)], coeffs)
-        unit = _unit_columns(coeffs, column_norms(spec, anchors, coeffs), R1)
-        pool.append(LossFunction(f"{id_prefix}-{k:03d}", RkhsElement(spec, anchors, unit), R1))
-    return pool
+            at = slice((k * n_actions + a) * take, (k * n_actions + a + 1) * take)
+            drawn[at] = rng.choice(n, size=take, replace=False)
+            coeffs[at, a] = rng.standard_normal(take)
+    # (loss, outcome) keys in order of first appearance: grouped by loss, and
+    # within a loss in the order its own rows first appear
+    distinct, outcome = distinct_rows(Y[drawn])
+    key = np.arange(len(drawn)) // width * len(distinct) + outcome
+    first, inverse = distinct_rows(key[:, None])
+    merged = sum_rows(inverse, len(first), coeffs)
+    rows = drawn[first]
+    anchors = Y[rows]
+    scale = np.sqrt(np.maximum(spec.diag(anchors), 0.0))
+    keep = np.any(np.abs(merged) * scale[:, None] > 0.0, axis=1)
+    owner = first[keep] // width
+    rows, anchors, merged = rows[keep], anchors[keep], merged[keep]
+    bounds = np.searchsorted(owner, np.arange(size + 1))
+    tables = [slice(bounds[k], bounds[k + 1]) for k in range(size)]
+    # per loss, as merging it alone computes them, for their bits
+    norms = np.array([column_norms(spec, anchors[at], merged[at]) for at in tables])
+    unit = _unit_columns(merged, norms.reshape(size, n_actions)[owner], R1)
+    return [
+        LossFunction(f"{id_prefix}-{k:03d}", RkhsElement(spec, anchors[at], unit[at]), R1,
+                     anchor_rows=(Y, rows[at]))
+        for k, at in enumerate(tables)
+    ]

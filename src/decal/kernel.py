@@ -175,10 +175,13 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (first, inverse): rows[first] are the distinct rows and
     rows[i] equals rows[first[inverse[i]]].  Rows compare as raw bytes, so
-    0.0 and -0.0 stay distinct.
+    0.0 and -0.0 stay distinct.  A row of 8 bytes (one float64 outcome, one
+    int64 key) is keyed as one uint64, which sorts faster than raw bytes and
+    gives the same result.
     """
     rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    width = rows.itemsize * rows.shape[1]
+    keys = rows.view(np.uint64 if width == 8 else np.dtype((np.void, width))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)

@@ -30,9 +30,14 @@ rows f_i of the basis of the plan it was cut on, with each column's unit
 scale and the step that scales them all.  A plan that descends from that
 plan (the same base and a prefix of its patch records, compared by
 identity) reads the span's Gram products through the form, K(anchors, U)
-and F G F^T, at N x |U| kernel entries instead of N x (|U| + N).  A loss
-without such a form (random and user losses, a loaded `witness_loss.json`)
-is read densely, F @ values(anchors).  Patch rows without a form cut on the
+and F G F^T, as a fold over its steps: the form keeps its latest fold, and a
+plan that extends it continues it through its new steps, at K(new anchors,
+U) kernel entries, so a witness carried from round to round costs what each
+round adds.  A loss without such a form (user losses, a
+random loss read on another batch than its own, a loaded
+`witness_loss.json`) is read densely, F @ values(anchors); the audit reads a
+random pool loss on its own batch off the scan's K_FU instead (see
+`LossFunction.anchor_rows`).  Patch rows without a form cut on the
 very plan they extend (hand-built records, records cut on a sibling branch
 or an equal but distinct base) are appended as the form over their own M
 anchors, with ZB zero, at N x M + M x M entries, so no plan operation forms
@@ -51,7 +56,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import ClassVar
@@ -151,6 +156,10 @@ class CutForm:
     # R1 / the column's norm, or 0 where it is degenerate; ones for alg2 rows
     unit: np.ndarray  # (|A|,)
     step: float = 1.0  # alg1's eta R1 / witness R1; kept apart from unit for its bits
+    # the latest fold of the parts onto a plan (see _EvalPlan._fold), by the
+    # parts' identity; `dataclasses.replace` hands it on, so the forms an alg1
+    # or alg2 step rescales from a witness share it
+    folds: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +176,10 @@ class LossFunction:
     span: RkhsElement  # (M, |A|), column a for action a
     R1: float
     rescaled: bool = False
+    # (Y, rows) when span.anchors are the rows Y[rows] of the outcome array Y,
+    # as a random pool loss's are; the audit reads such a loss through the
+    # kernel block its scan builds for a batch of that very Y
+    anchor_rows: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_actions == 0:
@@ -387,6 +400,18 @@ class _PlanStep:
         _project_rows(Z, n2, self.k + a, R2)
 
 
+@dataclass(frozen=True)
+class _Fold:
+    """A cut form's unscaled values folded over the first `steps` steps of a
+    plan, the last of them `last`: X = K(anchors, U) BU over their anchors
+    and L = F G times the spans over their basis rows (see _EvalPlan._fold)."""
+
+    steps: int
+    last: object  # the _PlanStep the fold ends with, None for the base
+    X: np.ndarray  # (N, |A|)
+    L: np.ndarray  # (k, |A|)
+
+
 class _EvalPlan:
     """Patch chain aligned onto one shared anchor matrix, one patch at a time,
     with the patch-row basis F = [I_{n_base}; R_1; ...; R_T] that replay
@@ -441,23 +466,52 @@ class _EvalPlan:
         """Whether this plan extends the plan `form` was cut on."""
         return _chain_prefix(form, *self.lineage) is not None
 
-    def _through(self, form: CutForm):
-        """F G times the spans of a form this plan descends from (a cut form,
-        or a record's rows over their own anchors), (k, |A|): F K(anchors, U)
-        BU - gram_F[:, :k] ZB, with the form's columns scaled.  Also returns
-        K(anchors, U) and the scaled BU and ZB."""
-        scale = form.unit * form.step
-        BU, ZB = form.BU * scale, form.ZB * scale
-        K_AU = self.spec.gram(self.anchors, form.U)
-        return self.lift(K_AU @ BU) - self.gram_F[:, : form.k] @ ZB, K_AU, BU, ZB
+    def _fold(self, form: CutForm, K_AU: np.ndarray | None = None) -> np.ndarray:
+        """F G times the unscaled spans of a form this plan descends from,
+        (k, |A|): F K(anchors, U) BU - gram_F[:, :form.k] ZB.
+
+        The values are a fold over the plan's steps.  It starts on the plan
+        the form was cut on, with K(its anchors, U) (K_AU, when the caller
+        has it), and each later step adds the rows R_t @ X - cross_t^T ZB,
+        where X = K(anchors, U) BU grows by the step's new anchors only and
+        cross_t is that step's border of gram_F.  The form keeps its latest
+        fold, which the forms an alg1 or alg2 step rescales from it share, and
+        a plan whose steps extend that fold's continues it, so a carried
+        witness costs its new anchors times |U| kernel entries a round.  Every
+        plan folds the same blocks in the same order, wherever it starts, so a
+        reloaded plan reads a form bit for bit as the calibrated one did."""
+        key = (id(form.U), id(form.BU), id(form.ZB), form.k)
+        fold = form.folds.get(key)
+        if fold is None or fold.steps > len(self.steps) or (
+                fold.steps and self.steps[fold.steps - 1] is not fold.last):
+            j = len(form.lineage[1])
+            n = self.steps[j - 1].n_after if j else self.n_base
+            if K_AU is None:
+                K_AU = self.spec.gram(self.anchors[:n], form.U)
+            X = K_AU @ form.BU
+            top = [X[: self.n_base]] + [st.R @ X[: st.n_after] for st in self.steps[:j]]
+            L = np.vstack(top) - self.gram_F[: form.k, : form.k] @ form.ZB
+            fold = _Fold(j, self.steps[j - 1] if j else None, X, L)
+        if fold.steps < len(self.steps):
+            X, blocks = fold.X, [fold.L]
+            for st in self.steps[fold.steps :]:
+                new = self.spec.gram(self.anchors[st.n_before : st.n_after], form.U) @ form.BU
+                X = np.vstack([X, new])
+                cross = st.table[: form.k, len(st.M) :]
+                blocks.append(st.R @ X - cross.T @ form.ZB)
+            fold = _Fold(len(self.steps), self.steps[-1], X, np.vstack(blocks))
+        form.folds[key] = fold
+        return fold.L
 
     def lifted_values(self, loss: LossFunction) -> np.ndarray:
-        """F @ loss.values(anchors), (k, |A|): through the loss's cut form when
-        this plan descends from the plan it was cut on, densely otherwise."""
+        """F @ loss.values(anchors), (k, |A|): through the fold of the loss's
+        cut form when this plan descends from the plan it was cut on,
+        densely otherwise."""
         check_spec(self.spec, loss.span.spec)
-        if not self.descends(loss.span.form):
+        form = loss.span.form
+        if not self.descends(form):
             return self.lift(loss.values(self.anchors))
-        return self._through(loss.span.form)[0]
+        return self._fold(form) * (form.unit * form.step)
 
     def _append(self, rec: PatchRecord) -> None:
         """Align one patch: each of its anchors goes to the first bitwise-equal
@@ -488,7 +542,10 @@ class _EvalPlan:
         # row-major, as the products below were written for: BLAS may round
         # a transposed operand differently
         R = np.ascontiguousarray(sum_rows(row_at[inverse[n_before:]], n_after, rec.rows.coeffs).T)
-        cross, K_AU, BU, ZB = self._through(form)
+        scale = form.unit * form.step
+        BU, ZB = form.BU * scale, form.ZB * scale
+        K_AU = self.spec.gram(self.anchors, form.U)
+        cross = self._fold(form, K_AU) * scale
         table = np.hstack([self.lifted_values(rec.witness_lossprime), cross])
         g = self.spec.gram(form.U, form.U) @ BU - K_AU.T @ self.expand(ZB.T).T
         S = BU.T @ g - ZB.T @ cross
@@ -518,12 +575,14 @@ def cut_span(plan: _EvalPlan, form: CutForm) -> tuple[RkhsElement, np.ndarray]:
 
 def _project_rows(W: np.ndarray, n2: np.ndarray, upto: int, R2: float) -> None:
     """Scale the rows of W[:, :upto] whose squared norm n2 exceeds R2**2 back
-    onto the ball, in place, and scale their n2 to match."""
+    onto the ball, in place, and scale their n2 to match.  Every row is
+    multiplied, by 1.0 off the ball, which keeps its bits, so no projected
+    row is copied out."""
     over = n2 > R2 * R2
     if np.any(over):
-        s = R2 / np.sqrt(n2[over])
-        W[over, :upto] *= s[:, None]
-        n2[over] *= s * s
+        s = np.where(over, R2 / np.sqrt(np.where(over, n2, 1.0)), 1.0)
+        W[:, :upto] *= s[:, None]
+        n2 *= s * s
 
 
 @dataclass(frozen=True)

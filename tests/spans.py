@@ -1,4 +1,7 @@
-"""Span builders the tests share; they use only the package's public types."""
+"""Span builders and a call spy the tests share; they use only the
+package's public types."""
+
+import contextlib
 
 import numpy as np
 
@@ -46,3 +49,28 @@ def reference_loss(spec: KernelSpec, elements, R1: float):
     nv = column_norms(spec, anchors, coeffs)
     over = nv > R1 * (1.0 + 1e-12)
     return anchors, coeffs * np.where(over, R1 / np.where(over, nv, 1.0), 1.0), bool(np.any(over))
+
+
+@contextlib.contextmanager
+def spy(owner, name, when=None):
+    """Record the positional arguments of every call of owner.name while the
+    block runs (only while when() is true, if given), then restore it."""
+    calls = []
+    real = getattr(owner, name)
+
+    def recording(*args, **kwargs):
+        if when is None or when():
+            calls.append(args)
+        return real(*args, **kwargs)
+
+    setattr(owner, name, recording)
+    try:
+        yield calls
+    finally:
+        setattr(owner, name, real)
+
+
+def gram_entries(grams) -> int:
+    """The kernel entries that the KernelSpec.gram calls `grams` (as `spy`
+    records them: self, Y1, Y2) computed."""
+    return sum(len(args[1]) * len(args[2]) for args in grams)

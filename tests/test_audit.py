@@ -12,6 +12,7 @@ from decal.audit import (
     AUDIT_THRESHOLD_FACTOR,
     POOL_LOSS_SPAN,
     _gap_scan,
+    _unit_columns,
     _witness,
     audit,
     closed_form_witnesses,
@@ -25,7 +26,9 @@ from decal.kernel import (
     KernelMismatchError,
     KernelSpec,
     RkhsElement,
+    column_norms,
     distinct_rows,
+    merge_terms,
 )
 from decal.model import (
     DEGENERATE_NORM,
@@ -41,7 +44,7 @@ from decal.model import (
     make_loss,
 )
 from decal.synth import ArraySource, planted_bias_instance
-from spans import element, feature, stack
+from spans import element, feature, spy, stack
 
 # the modules themselves; the package exports a function named `audit`
 audit_module = importlib.import_module("decal.audit")
@@ -338,7 +341,7 @@ def test_basis_scan_matches_dense_reference(
                 assert abs(got_at.get(key, 0.0) - want_at.get(key, 0.0)) <= 1e-12 * s
 
 
-def test_audit_scans_each_distinct_point_once(monkeypatch):
+def test_audit_scans_each_distinct_point_once():
     # 4,096 samples of a 24-point planted instance: the outcomes are merged
     # once per batch, and no Gram matrix the scans build spans more than the
     # distinct outcomes U plus the K basis rows
@@ -346,25 +349,13 @@ def test_audit_scans_each_distinct_point_once(monkeypatch):
     inst = planted_bias_instance(spec, 2, 24, 0.25, 3)
     eb = evaluate_batch(inst.predictor, inst.source(0).take(4096))
     pool = random_loss_pool(spec, eb.Y, 2, 1.0, 4, np.random.default_rng(0))
-    merged, grams = [], []
-    real_gram, real_distinct_rows = KernelSpec.gram, model_module.distinct_rows
-
-    def counting_gram(self, Y1, Y2):
-        grams.append((len(Y1), len(Y2)))
-        return real_gram(self, Y1, Y2)
-
-    def counting_distinct_rows(rows):
-        merged.append(len(rows))
-        return real_distinct_rows(rows)
-
-    monkeypatch.setattr(KernelSpec, "gram", counting_gram)
-    monkeypatch.setattr(model_module, "distinct_rows", counting_distinct_rows)
-    audit(eb, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
-    decce_estimate(eb, pool=pool, beta=2.0, R1=1.0)
-    assert merged == [4096]
+    with spy(KernelSpec, "gram") as grams, spy(model_module, "distinct_rows") as merged:
+        audit(eb, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
+        decce_estimate(eb, pool=pool, beta=2.0, R1=1.0)
+    assert [len(args[0]) for args in merged] == [4096]
     bound = len(eb.outcomes[0]) + eb.plan.k
     assert bound <= 48
-    assert grams and max(max(shape) for shape in grams) <= bound
+    assert grams and max(max(len(args[1]), len(args[2])) for args in grams) <= bound
 
 
 def test_calibration_expands_only_witness_rows(monkeypatch):
@@ -518,6 +509,66 @@ def per_element_pool(spec, Y, n_actions, R1, size, rng, id_prefix="rand"):
                 elements.append(RkhsElement(spec, el.anchors, el.coeffs * (R1 / nv)))
         pool.append((f"{id_prefix}-{k:03d}", elements))
     return pool
+
+
+def per_loss_pool(spec, Y, n_actions, R1, size, rng, id_prefix="rand"):
+    """random_loss_pool merged one loss at a time: each loss's drawn rows by
+    merge_terms, then its column norms and its columns rescaled to R1."""
+    take = min(POOL_LOSS_SPAN, len(Y))
+    pool = []
+    for k in range(size):
+        idx, coeffs = [], np.zeros((take * n_actions, n_actions))
+        for a in range(n_actions):
+            idx.append(rng.choice(len(Y), size=take, replace=False))
+            coeffs[a * take : (a + 1) * take, a] = rng.standard_normal(take)
+        anchors, coeffs = merge_terms(spec, Y[np.concatenate(idx)], coeffs)
+        unit = _unit_columns(coeffs, column_norms(spec, anchors, coeffs), R1)
+        pool.append((f"{id_prefix}-{k:03d}", anchors, unit))
+    return pool
+
+
+def signed_zero_rows(dim, g):
+    """Four rows, each also present with its first coordinate's zero negated."""
+    rows = np.vstack([np.zeros((1, dim)), g.uniform(0.0, 0.5, (3, dim))])
+    rows[:, 0] = 0.0
+    flipped = rows.copy()
+    flipped[:, 0] = -0.0
+    return np.vstack([rows, flipped])
+
+
+def with_signed_zeros(dim, n, seed):
+    """signed_zero_rows followed by n uniform rows inside every test kernel's domain."""
+    g = np.random.default_rng(seed)
+    return np.vstack([signed_zero_rows(dim, g), g.uniform(-0.6, 0.6, (n, dim))])
+
+
+@pytest.mark.parametrize(
+    "spec, Y",
+    [
+        (MIN, signed_zero_rows(1, np.random.default_rng(5))[np.arange(60) % 8]),
+        (LIN2, with_signed_zeros(2, 9, 6)[np.arange(51) % 17]),
+        (KernelSpec("exp", 2, 2.0), with_signed_zeros(2, 40, 8)),
+        (MIN, np.array([[0.3], [0.0], [0.3], [-0.0], [0.9]])),
+    ],
+    ids=["min-repeated", "linear-repeated", "exp", "min-fewer-than-span"],
+)
+def test_random_pool_is_bytewise_the_per_loss_merge(spec, Y):
+    """Merging the whole pool at once gives every loss the table that merging
+    it alone gives, byte for byte, and leaves the generator where the per-loss
+    draws leave it; each loss records the rows of Y it is anchored on."""
+    Y.setflags(write=False)
+    got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+    got = random_loss_pool(spec, Y, 3, 0.7, 24, got_rng, id_prefix="c")
+    want = per_loss_pool(spec, Y, 3, 0.7, 24, want_rng, id_prefix="c")
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    assert [loss.loss_id for loss in got] == [lid for lid, _, _ in want]
+    for loss, (_, anchors, coeffs) in zip(got, want):
+        assert loss.span.anchors.tobytes() == anchors.tobytes()
+        assert loss.span.coeffs.shape == coeffs.shape
+        assert loss.span.coeffs.tobytes() == coeffs.tobytes()
+        source, rows = loss.anchor_rows
+        assert source is Y
+        assert source[rows].tobytes() == anchors.tobytes()
 
 
 @pytest.mark.parametrize(

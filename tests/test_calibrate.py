@@ -18,7 +18,7 @@ from decal.calibrate import (
 from decal.kernel import KernelSpec, RkhsElement, column_norms
 from decal.model import ConstantBase, LossFunction, Predictor, SampleBatch
 from decal.synth import ArraySource, planted_bias_instance
-from spans import element
+from spans import element, spy
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN2 = KernelSpec("linear", 2, 1.5)
@@ -308,8 +308,8 @@ def test_rounds_take_no_gram_block_wider_than_the_batch(algorithm, monkeypatch):
         epsilon=0.02, beta=4.0, R1=1.0, R2=1.5, n_actions=2, algorithm=algorithm,
         audit_batch_size=32, pool_size=8, heldout_size=64, max_iters=5, seed=5,
     )
-    source, heldout, shapes, in_round = BiasedStream(8), [], [], [False]
-    real_take, real_gram = source.take, KernelSpec.gram
+    source, heldout, in_round = BiasedStream(8), [], [False]
+    real_take = source.take
     real_evaluate = calibrate_module.evaluate_batch
 
     def take(n):
@@ -322,19 +322,14 @@ def test_rounds_take_no_gram_block_wider_than_the_batch(algorithm, monkeypatch):
         in_round[0] = batch is not heldout[0]
         return real_evaluate(p, batch)
 
-    def gram(self, Y1, Y2):
-        if in_round[0]:
-            shapes.append((len(Y1), len(Y2)))
-        return real_gram(self, Y1, Y2)
-
     source.take = take
     monkeypatch.setattr(calibrate_module, "evaluate_batch", evaluate)
-    monkeypatch.setattr(KernelSpec, "gram", gram)
-    p, trace = run_calibration(zero_predictor(), source, cfg)
+    with spy(KernelSpec, "gram", when=lambda: in_round[0]) as grams:
+        p, trace = run_calibration(zero_predictor(), source, cfg)
     assert len(trace.iterations) >= 3
     assert len(p.anchors) > 2 * cfg.audit_batch_size
-    assert shapes
-    assert all(min(shape) <= cfg.audit_batch_size for shape in shapes)
+    assert grams
+    assert all(min(len(args[1]), len(args[2])) <= cfg.audit_batch_size for args in grams)
 
 
 def test_alg2_run_also_calibrates():

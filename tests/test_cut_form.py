@@ -7,9 +7,10 @@ the reference these tests compare against, and appends a patch as the form
 over its own anchors, so no append reads the anchors' N x N Gram matrix.
 """
 
-import contextlib
 import copy
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -17,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decal import model
-from decal.audit import AuditReport, _gap_scan, _witness, random_loss_pool
+from decal.audit import AuditReport, _gap_scan, _scan_values, _witness, random_loss_pool
 from decal.calibrate import CalibConfig, alg1_step, alg2_step
-from decal.kernel import KernelSpec, RkhsElement
+from decal.kernel import KernelMismatchError, KernelSpec, RkhsElement, sum_rows
 from decal.model import (
-    LossFunction, PatchRecord, Predictor, SampleBatch, SimilarityBase, evaluate_batch,
-    predictor_from_doc, predictor_to_doc,
+    DEGENERATE_NORM, LossFunction, PatchRecord, Predictor, SampleBatch, SimilarityBase,
+    evaluate_batch, predictor_from_doc, predictor_to_doc, smooth_best_response,
 )
+from spans import gram_entries, spy
 
 SPECS = {
     "min": KernelSpec("min", 1, 1.5),
@@ -32,23 +34,6 @@ SPECS = {
 }
 REL = 1e-12
 N_BASE, N_BATCH, POOL, ROUNDS = 6, 14, 3, 3
-
-
-@contextlib.contextmanager
-def spy(owner, name):
-    """Record the calls of owner.name while the block runs."""
-    calls = []
-    real = getattr(owner, name)
-
-    def recording(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    setattr(owner, name, recording)
-    try:
-        yield calls
-    finally:
-        setattr(owner, name, real)
 
 
 def own_anchor_reads(grams, records):
@@ -159,6 +144,167 @@ def test_cut_forms_match_the_dense_path(kind, n_actions, finite, algorithm, zero
         assert np.array_equal(got, plan.lift(last.values(plan.anchors)))
 
 
+def signed_support(spec, g):
+    """Nine outcomes: three drawn, then each again with its first coordinate
+    set to 0.0 and to -0.0, which compare unequal bitwise but not as numbers."""
+    rows = outcomes(spec, 3, g)
+    pos, neg = rows.copy(), rows.copy()
+    pos[:, 0], neg[:, 0] = 0.0, -0.0
+    return np.vstack([rows, pos, neg])
+
+
+def dense_scan(eb, pool, beta):
+    """The pool scan one candidate at a time from its dense values: each
+    rule probability matrix, the residual-mean parts BU and ZB, and the three
+    terms of the squared norms, BU^T K_UU BU, BU^T K_FU^T ZB and
+    ZB^T gram_F ZB, per column."""
+    plan = eb.plan
+    probs = [smooth_best_response(eb.Z @ plan.lift(lp.values(plan.anchors)), beta) for lp in pool]
+    B = np.hstack(probs)
+    U, inverse = eb.outcomes
+    BU = sum_rows(inverse, len(U), B / len(B))
+    ZB = eb.Z.T @ B / len(B)
+    terms = (np.einsum("ij,ij->j", BU, eb.K_UU @ BU), np.einsum("ij,ij->j", eb.K_FU @ BU, ZB),
+             np.einsum("ij,ij->j", ZB, plan.gram_F @ ZB))
+    return probs, BU, ZB, terms
+
+
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    n_actions=st.integers(1, 3),
+    finite=st.booleans(),
+    depth=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None)
+def test_batch_routes_match_the_dense_path(kind, n_actions, finite, depth, seed):
+    """Pool losses read off K_FU, the batched scan, and witnesses folded onto
+    plans 1 to `depth` plies below the one they were cut on agree with the
+    dense path to REL, on batches with repeated outcomes and +-0.0 rows.  A
+    fold continued plan by plan is bitwise the fold a fresh plan runs from
+    the start.  A pool drawn on another batch is read densely, and a pool
+    over another kernel is refused."""
+    spec = SPECS[kind]
+    g = np.random.default_rng(seed)
+    train = outcomes(spec, N_BASE, g)
+    base = SimilarityBase(spec, train, g.standard_normal((N_BASE, 2)), bandwidth=1.0)
+    cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=n_actions)
+    support = np.vstack([train[:2], signed_support(spec, g)])
+
+    def draw(t):
+        if finite:
+            Y = support[g.integers(len(support), size=N_BATCH)]
+        else:
+            Y = np.vstack([outcomes(spec, N_BATCH - 4, g),
+                           support[g.integers(len(support), size=4)]])
+        return SampleBatch(g.standard_normal((N_BATCH, 2)), Y, f"b{t}")
+
+    p, plans, witnesses = Predictor(spec, base), [], []
+    for t in range(depth):
+        witness, rec = cut(p, draw(t), cfg, witnesses, g, None, f"w{t}")
+        plans.append(p._plan)
+        p = p.with_patch(rec)
+        witnesses.append(witness)
+    plans.append(p._plan)
+
+    # witnesses on every plan below the one they were cut on
+    for t, w in enumerate(witnesses):
+        for j, plan in enumerate(plans[t + 1 :], start=t + 1):
+            with spy(LossFunction, "values") as dense:
+                got = plan.lifted_values(w)
+            assert not dense
+            assert close(got, plan.lift(w.values(plan.anchors)))
+            fresh = Predictor(spec, base, p.patches[:j])._plan
+            assert fresh.lifted_values(w).tobytes() == got.tobytes()
+
+    # the pool of the last batch through K_FU, then the batched scan
+    batch = draw(depth)
+    eb = evaluate_batch(p, batch)
+    drawn = random_loss_pool(spec, batch.Y, n_actions, cfg.R1, POOL, g)
+    plan = eb.plan
+    with spy(LossFunction, "values") as dense:
+        routed = [_scan_values(eb, loss) for loss in drawn]
+    assert not dense
+    for got, loss in zip(routed, drawn):
+        assert close(got, plan.lift(loss.values(plan.anchors)))
+    pool = drawn + witnesses
+    gaps, norms, probs, parts = _gap_scan(eb, pool, cfg.beta, cfg.R1)
+    want_probs, BU, ZB, (uu, fu, ff) = dense_scan(eb, pool, cfg.beta)
+    for got, want in zip(probs, want_probs):
+        assert np.max(np.abs(got - want)) <= REL
+    assert close(np.hstack([part[0] for part in parts]), BU)
+    assert close(np.hstack([part[1] for part in parts]), ZB)
+    slack = REL * (np.abs(uu) + 2.0 * np.abs(fu) + np.abs(ff)) + 1e-300
+    assert np.all(np.abs(norms.ravel() ** 2 - np.clip(uu - 2.0 * fu + ff, 0.0, None)) <= slack)
+    assert np.all(np.abs(gaps - cfg.R1 * np.where(norms > DEGENERATE_NORM, norms, 0.0).sum(axis=1))
+                  <= cfg.R1 * np.sqrt(slack).reshape(norms.shape).sum(axis=1))
+
+    # fallbacks: a pool drawn on another batch, and one over another kernel
+    other = random_loss_pool(spec, draw(depth + 1).Y, n_actions, cfg.R1, 1, g)[0]
+    with spy(LossFunction, "values") as dense:
+        got = _scan_values(eb, other)
+    assert len(dense) == 1
+    assert got.tobytes() == plan.lift(other.values(plan.anchors)).tobytes()
+    wider = KernelSpec(spec.kind, spec.dim, 2.0 * spec.R2)
+    with pytest.raises(KernelMismatchError):
+        _gap_scan(eb, random_loss_pool(wider, batch.Y, n_actions, cfg.R1, 2, g), cfg.beta, cfg.R1)
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_a_round_reads_only_the_kernel_entries_it_adds(kind):
+    """A scan of drawn pool losses reads no kernel entries beyond K_UU and
+    K_FU, and a witness carried onto a child plan reads K(new anchors, U)
+    only, not K(anchors, U) over every anchor again."""
+    spec = SPECS[kind]
+    g = np.random.default_rng(31)
+    base = SimilarityBase(spec, outcomes(spec, 40, g), g.standard_normal((40, 2)), 1.0)
+    cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=2)
+
+    def draw(t):
+        return SampleBatch(g.standard_normal((60, 2)), outcomes(spec, 60, g), f"b{t}")
+
+    p, batch = Predictor(spec, base), draw(0)
+    eb = evaluate_batch(p, batch)
+    pool = random_loss_pool(spec, batch.Y, 2, cfg.R1, 16, g)
+    with spy(KernelSpec, "gram") as grams:
+        _gap_scan(eb, pool, cfg.beta, cfg.R1)
+    U = eb.outcomes[0]
+    assert gram_entries(grams) == len(U) ** 2 + len(p.anchors) * len(U)
+
+    witnesses = []
+    for t in range(3):
+        witness, rec = cut(p, draw(t), cfg, witnesses, g, None, f"w{t}")
+        child = p.with_patch(rec)
+        witnesses.append(witness)
+        new = len(child.anchors) - len(p.anchors)
+        assert 0 < new < len(child.anchors)
+        for w in witnesses:
+            with spy(KernelSpec, "gram") as grams:
+                child._plan.lifted_values(w)
+            assert gram_entries(grams) <= new * len(w.span.form.U)
+        p = child
+
+
+def test_a_plan_holds_no_fold_of_a_witness_it_read():
+    """A form keeps its own fold, so a long-lived plan audited again and again
+    does not keep every witness read on it alive."""
+    spec = SPECS["min"]
+    g = np.random.default_rng(37)
+    base = SimilarityBase(spec, outcomes(spec, N_BASE, g), g.standard_normal((N_BASE, 2)), 1.0)
+    cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=2)
+    p = Predictor(spec, base)
+    p = p.with_patch(cut(p, SampleBatch(g.standard_normal((N_BATCH, 2)), outcomes(spec, N_BATCH, g),
+                                        "b0"), cfg, [], g, None, "w0")[1])
+    witness = cut(p, SampleBatch(g.standard_normal((N_BATCH, 2)), outcomes(spec, N_BATCH, g), "b1"),
+                  cfg, [], g, None, "w1")[0]
+    p._plan.lifted_values(witness)
+    assert witness.span.form.folds
+    form = weakref.ref(witness.span.form)
+    del witness
+    gc.collect()
+    assert form() is None
+
+
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_a_hand_built_record_appends_without_the_square_gram(kind):
     """Appending a hand-built record of M anchors to a plan of N anchors
@@ -174,7 +320,7 @@ def test_a_hand_built_record_appends_without_the_square_gram(kind):
     rows = RkhsElement(spec, outcomes(spec, m, g), g.standard_normal((m, 2)))
     with spy(KernelSpec, "gram") as grams:
         q = p.with_patch(PatchRecord("alg1", lossprime, 4.0, rows, "hand", eta=0.1))
-    entries = sum(len(args[1]) * len(args[2]) for args in grams)
+    entries = gram_entries(grams)
     assert entries <= n * m + m * m + n * len(lossprime.span.anchors)
     step, G = q._plan.steps[0], spec.gram(q.anchors, q.anchors)
     assert close(step.S, step.R @ G @ step.R.T)

@@ -11,6 +11,7 @@ from decal.kernel import (
     OutcomeDomainError,
     RkhsElement,
     as_outcomes,
+    distinct_rows,
     merge_terms,
 )
 from spans import element, feature, inner
@@ -318,3 +319,24 @@ def test_elements_are_frozen():
     assert not v.coeffs.flags.writeable
     with pytest.raises(Exception):
         v.coeffs = np.zeros(3)
+
+
+@given(
+    picks=st.lists(st.integers(0, 5), min_size=0, max_size=40),
+    cols=st.integers(1, 2),
+    as_keys=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_distinct_rows_in_order_of_first_appearance(picks, cols, as_keys):
+    """distinct_rows keys rows by their bytes, whether a row is one 8-byte
+    word (a float64 outcome or an int64 key) or wider: 0.0 and -0.0 stay
+    apart, and the distinct rows come in order of first appearance."""
+    table = np.array([[0.5, 0.0], [0.0, 0.5], [-0.0, 0.5], [0.25, -0.0], [0.25, 0.0], [-0.0, -0.0]])
+    rows = table[picks][:, :cols] if not as_keys else np.array(picks, dtype=np.int64)[:, None] * 7
+    seen = {}
+    for row in rows:
+        seen.setdefault(row.tobytes(), len(seen))
+    first, inverse = distinct_rows(rows)
+    assert [rows[i].tobytes() for i in first] == list(seen)
+    assert [seen[row.tobytes()] for row in rows] == inverse.tolist()
+    assert all(first[inverse[i]] <= i for i in range(len(rows)))

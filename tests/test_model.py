@@ -40,7 +40,7 @@ from decal.model import (
     smooth_best_response,
     softmax,
 )
-from spans import element, feature, reference_loss, stack
+from spans import element, feature, reference_loss, spy, stack
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN2 = KernelSpec("linear", 2, 1.5)
@@ -308,12 +308,10 @@ def test_loss_table_matches_per_action_reference(case, R1):
     )
 
 
-def test_loss_values_make_one_gram_call(monkeypatch):
+def test_loss_values_make_one_gram_call():
     loss = random_loss(MIN, 4, 1.0)
-    calls = []
-    gram = KernelSpec.gram
-    monkeypatch.setattr(KernelSpec, "gram", lambda self, A, B: (calls.append(1), gram(self, A, B))[1])
-    vals = loss.values(sample_points(MIN, 5))
+    with spy(KernelSpec, "gram") as calls:
+        vals = loss.values(sample_points(MIN, 5))
     assert vals.shape == (5, 4)
     assert len(calls) == 1
 
@@ -699,6 +697,38 @@ def test_loss_estimates_hold_only_a_block_of_coordinates():
     assert peak < m * k * 8 / 2
     want = p._replay(X)[0] @ p._plan.lifted_values(loss)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_projection_scales_the_block_in_place():
+    """Projecting a (512, 90) block whose rows all lie outside the R2 ball
+    allocates less than the block itself: no projected row is copied out.
+    Each projected row is its product with R2 / norm, and a row inside the
+    ball keeps its bits, -0.0 entries included."""
+    g = np.random.default_rng(67)
+    R2, upto = 1.5, 80
+    W = g.standard_normal((512, 90))
+    n2 = g.uniform(1.2, 4.0, 512) * R2 * R2
+    tracemalloc.start()
+    try:
+        model._project_rows(W, n2, upto, R2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < W.nbytes
+
+    W = g.standard_normal((512, 90))
+    W[::7, 3] = -0.0
+    n2 = g.uniform(0.5, 1.5, 512) * R2 * R2
+    W0, n20 = W.copy(), n2.copy()
+    model._project_rows(W, n2, upto, R2)
+    over = n20 > R2 * R2
+    assert over.any() and not over.all()
+    s = R2 / np.sqrt(n20[over])
+    assert W[~over].tobytes() == W0[~over].tobytes()
+    assert n2[~over].tobytes() == n20[~over].tobytes()
+    assert W[over, :upto].tobytes() == (W0[over, :upto] * s[:, None]).tobytes()
+    assert W[over, upto:].tobytes() == W0[over, upto:].tobytes()
+    assert n2[over].tobytes() == (n20[over] * (s * s)).tobytes()
 
 
 def _dense_basis(plan):
