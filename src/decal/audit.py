@@ -104,7 +104,8 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     n, P, A = len(eb), len(pool), counts[0]
     L = np.hstack([_scan_values(eb, lp) for lp in pool])
     B = smooth_best_response((eb.Z @ L).reshape(n, P, A), beta).reshape(n, P * A)
-    probs = [B[:, c * A : (c + 1) * A] for c in range(P)]
+    cols = [slice(c * A, (c + 1) * A) for c in range(P)]
+    probs = [B[:, at] for at in cols]
     U, inverse = eb.outcomes
     BU = sum_rows(inverse, len(U), B / n)
     ZB = (eb.Z.T @ B) / n
@@ -115,7 +116,7 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     )
     norms = np.sqrt(np.clip(sq, 0.0, None)).reshape(P, A)
     gaps = R1 * np.where(norms > DEGENERATE_NORM, norms, 0.0).sum(axis=1)
-    parts = list(zip(np.split(BU, P, axis=1), np.split(ZB, P, axis=1)))
+    parts = [(BU[:, at], ZB[:, at]) for at in cols]
     return gaps, norms, probs, parts
 
 
@@ -138,9 +139,9 @@ def _witness(eb: EvaluatedBatch, parts, norms: np.ndarray, R1: float, loss_id: s
     norm R1 by its norm from the pooled scan, or zero where it is degenerate.
     Every column lives on one merged table over [U; anchors], which
     `cut_span` builds from the parts and which carries the parts as its cut
-    form.  The form copies its |A| columns out of the pooled scan, so
-    that a witness kept for later rounds does not keep the whole pool's
-    parts alive.
+    form; the caller has checked U against the kernel's domain.  The form
+    copies its |A| columns out of the pooled scan, so that a witness kept
+    for later rounds does not keep the whole pool's parts alive.
     """
     (BU, ZB), plan = parts, eb.plan
     form = CutForm(plan.lineage, plan.k, eb.outcomes[0], BU.copy(), ZB.copy(),
@@ -156,6 +157,7 @@ def closed_form_witnesses(
     of the pool, from one scan of the batch; loss_ids name them in order.
     """
     _, norms, _, parts = _gap_scan(eb, pool, beta, R1)
+    eb.kernel.check_domain(eb.outcomes[0])
     scanned = zip(parts, norms, loss_ids, strict=True)
     return [_witness(eb, part, nv, R1, lid)[0] for part, nv, lid in scanned]
 
@@ -196,6 +198,7 @@ def audit(
         eb = evaluate_batch(p_or_eb, batch)
     gaps, norms, probs, parts = _gap_scan(eb, pool, beta, R1)
     best = int(np.argmax(gaps))
+    eb.kernel.check_domain(eb.outcomes[0])
     witness, means = _witness(eb, parts[best], norms[best], R1, witness_id)
     threshold = AUDIT_THRESHOLD_FACTOR * epsilon
     gap = float(gaps[best])
@@ -271,8 +274,9 @@ def random_loss_pool(
     # per loss, as merging it alone computes them, for their bits
     norms = np.array([column_norms(spec, anchors[at], merged[at]) for at in tables])
     unit = _unit_columns(merged, norms.reshape(size, n_actions)[owner], R1)
+    # Y is checked above, so its rows go into the tables unchecked
     return [
-        LossFunction(f"{id_prefix}-{k:03d}", RkhsElement(spec, anchors[at], unit[at]), R1,
-                     anchor_rows=(Y, rows[at]))
+        LossFunction(f"{id_prefix}-{k:03d}", RkhsElement._of_checked(spec, anchors[at], unit[at]),
+                     R1, anchor_rows=(Y, rows[at]))
         for k, at in enumerate(tables)
     ]

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .audit import AuditReport, audit, decce_estimate, random_loss_pool
+from .kernel import RkhsElement
 from .model import (
     EvaluatedBatch, LossFunction, PatchRecord, Predictor, SampleBatch, evaluate_batch,
     extend_evaluated,
@@ -155,8 +156,9 @@ def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         "alg1",
         report.witness_lossprime,
         config.beta,
-        replace(span, coeffs=span.coeffs * step,
-                form=None if form is None else replace(form, step=form.step * step)),
+        RkhsElement._of_checked(
+            span.spec, span.anchors, span.coeffs * step,
+            None if form is None else replace(form, step=form.step * step)),
         batch_id=report.batch_id,
         eta=config.eta,
     )
@@ -180,8 +182,9 @@ def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         "alg2",
         report.witness_lossprime,
         config.beta,
-        replace(span, coeffs=report.residual_means,
-                form=None if form is None else replace(form, unit=np.ones_like(form.unit), step=1.0)),
+        RkhsElement._of_checked(
+            span.spec, span.anchors, report.residual_means,
+            None if form is None else replace(form, unit=np.ones_like(form.unit), step=1.0)),
         batch_id=report.batch_id,
         mixing=mixing,
     )

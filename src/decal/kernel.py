@@ -10,6 +10,7 @@ the kernels below are the only place the geometry enters.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -141,6 +142,25 @@ class RkhsElement:
         object.__setattr__(self, "anchors", anchors)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _of_checked(cls, spec: KernelSpec, anchors: np.ndarray, coeffs: np.ndarray,
+                    form: object = None) -> "RkhsElement":
+        """A table whose anchors are rows the code has already checked against
+        spec's domain (rows of a checked table or batch), as (M, dim) and
+        (M, cols) float64 arrays that no one else writes: C-ordered ones are
+        taken without a copy or a domain check and frozen in place.  The
+        coefficients must still be finite."""
+        anchors, coeffs = np.ascontiguousarray(anchors), np.ascontiguousarray(coeffs)
+        if coeffs.size and not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficients must be finite")
+        anchors.setflags(write=False)
+        coeffs.setflags(write=False)
+        el = object.__new__(cls)
+        for name, value in (("spec", spec), ("anchors", anchors), ("coeffs", coeffs),
+                            ("form", form)):
+            object.__setattr__(el, name, value)
+        return el
+
     def __len__(self) -> int:
         return len(self.coeffs)
 
@@ -154,7 +174,8 @@ class RkhsElement:
 
     def merged(self) -> "RkhsElement":
         """The same columns with repeated anchors merged and zero terms dropped."""
-        return RkhsElement(self.spec, *merge_terms(self.spec, self.anchors, self.coeffs))
+        return RkhsElement._of_checked(self.spec,
+                                       *merge_terms(self.spec, self.anchors, self.coeffs))
 
 
 def check_spec(a: KernelSpec, b: KernelSpec) -> None:
@@ -176,12 +197,42 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns (first, inverse): rows[first] are the distinct rows and
     rows[i] equals rows[first[inverse[i]]].  Rows compare as raw bytes, so
     0.0 and -0.0 stay distinct.  A row of 8 bytes (one float64 outcome, one
-    int64 key) is keyed as one uint64, which sorts faster than raw bytes and
-    gives the same result.
+    int64 key) is keyed as one uint64.  A wider row is hashed to one uint64
+    key by a single product of its 4-byte words with odd pseudo-random
+    multipliers (mod 2**64), so one pass over the bytes replaces a sort of n
+    wide keys; a 4-byte word times its own odd multiplier keeps every bit of
+    the word, so rows whose floats end in zero bits hash apart too.  Every
+    row is then checked to hold the bytes of the first row of its key, and
+    on a hash collision the rows are sorted as raw bytes instead, so the
+    result is the same either way.
     """
     rows = np.ascontiguousarray(rows)
     width = rows.itemsize * rows.shape[1]
-    keys = rows.view(np.uint64 if width == 8 else np.dtype((np.void, width))).ravel()
+    if width == 8:
+        return _first_appearance(rows.view(np.uint64).ravel())
+    if width % 4 == 0:
+        words = rows.view(np.uint32)
+        first, inverse = _first_appearance(
+            np.einsum("ij,j->i", words, _row_multipliers(words.shape[1])))
+        # distinct keys are distinct rows; otherwise compare the bytes
+        if len(first) == len(words) or np.array_equal(words[first[inverse]], words):
+            return first, inverse
+    return _first_appearance(rows.view(np.dtype((np.void, width))).ravel())
+
+
+@functools.cache
+def _row_multipliers(words: int) -> np.ndarray:
+    """The odd uint64 multipliers of distinct_rows' row hash, one per word;
+    drawn from a fixed seed, though any multipliers give the same result."""
+    m = np.random.default_rng(0x5EED).integers(
+        0, 2**64, size=words, dtype=np.uint64, endpoint=False)
+    m |= np.uint64(1)
+    m.setflags(write=False)
+    return m
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """distinct_rows' (first, inverse) of a 1-d array of keys."""
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)

@@ -116,8 +116,26 @@ class SampleBatch:
 def softmax(z) -> np.ndarray:
     """Softmax over the last axis: subtract the max, exponentiate, divide by
     the sum -- scipy.special.softmax's operations, so its bits too.  Only the
-    shifted copy is allocated; z is left as it was."""
+    shifted copy is allocated; z is left as it was.
+
+    Below 8 actions the max and the sum are taken column by column
+    (np.maximum, +=), since numpy reduces a short last axis slowly; numpy
+    sums fewer than 8 terms one after another, so the bits are the same.
+    From 8 terms on its pairwise sum unrolls by 8 and adds in another
+    order, so there numpy's reductions are kept."""
     z = np.asarray(z, dtype=np.float64)
+    A = z.shape[-1] if z.ndim else 1
+    if 1 < A < 8:
+        top = np.maximum(z[..., 0], z[..., 1], out=np.empty(z.shape[:-1]))
+        for a in range(2, A):
+            np.maximum(top, z[..., a], out=top)
+        e = z - top[..., None]
+        np.exp(e, out=e)
+        total = np.add(e[..., 0], e[..., 1], out=np.empty(z.shape[:-1]))
+        for a in range(2, A):
+            total += e[..., a]
+        e /= total[..., None]
+        return e
     e = z - np.max(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
@@ -349,9 +367,11 @@ class PatchRecord:
 
     def __post_init__(self) -> None:
         n_act = self.witness_lossprime.n_actions
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"a patch's beta must be finite and >= 0, got {self.beta!r}")
         if self.algorithm == "alg1":
-            if self.eta is None or not self.eta > 0:
-                raise ValueError("alg1 patches need eta > 0")
+            if self.eta is None or not (math.isfinite(self.eta) and self.eta > 0):
+                raise ValueError(f"alg1 patches need a finite eta > 0, got {self.eta!r}")
             # the file format stores no alg1 mixing, so any other would be lost
             if self.mixing is not None and not np.array_equal(self.mixing, np.eye(n_act)):
                 raise ValueError("alg1 patches mix with the identity")
@@ -565,12 +585,16 @@ def cut_span(plan: _EvalPlan, form: CutForm) -> tuple[RkhsElement, np.ndarray]:
     """The anchor table of a form's columns, cut on `plan` (the plan of its
     lineage), carrying the form: over the anchors [U; plan.anchors] with
     repeats merged, each raw column BU - F^T ZB times its unit scale (zero
-    where that is zero) times the step.  Also returns the raw columns."""
+    where that is zero) times the step.  Also returns the raw columns.
+
+    The table is taken as checked: plan.anchors are, and form.U must lie in
+    the kernel's domain (the audit checks its batch's outcomes, the loader a
+    file's U, before they cut)."""
     anchors, means = merge_terms(plan.spec, np.vstack([form.U, plan.anchors]),
                                  np.vstack([form.BU, -plan.expand(form.ZB.T).T]))
     # where, not the zero scale alone: a negative coefficient times 0.0 is -0.0
     coeffs = np.where(form.unit > 0, means * form.unit, 0.0) * form.step
-    return RkhsElement(plan.spec, anchors, coeffs, form), means
+    return RkhsElement._of_checked(plan.spec, anchors, coeffs, form), means
 
 
 def _project_rows(W: np.ndarray, n2: np.ndarray, upto: int, R2: float) -> None:
@@ -752,6 +776,13 @@ def kernel_to_doc(spec: KernelSpec) -> dict:
 
 
 def kernel_from_doc(doc: dict) -> KernelSpec:
+    """The kernel of a document; `dim` must be a whole number and `R2` a
+    number (JSON true is neither, though Python reads it as 1)."""
+    for key in ("dim", "R2"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
+            raise ValueError(f"kernel {key!r} must be a number, got {doc[key]!r}")
+    if not float(doc["dim"]).is_integer():
+        raise ValueError(f"kernel 'dim' must be a whole number, got {doc['dim']!r}")
     return KernelSpec(doc["kind"], int(doc["dim"]), float(doc["R2"]))
 
 
@@ -791,7 +822,10 @@ def _table_to_doc(span: RkhsElement, chain) -> dict:
 def _table_from_doc(doc: dict, spec: KernelSpec, plans) -> RkhsElement:
     """The span of a span document; a cut is rebuilt by `cut_span` on
     plans[prefix], plans being the loaded chain's plans of the records
-    before the span's own, one per prefix."""
+    before the span's own, one per prefix.  The cut's U is checked against
+    the kernel's domain and its parts for finite values first, since its
+    fold reads them as they are, while the table `cut_span` merges drops a
+    term it cannot weigh."""
     if "cut" not in doc:
         return span_from_doc(doc, spec)
     cut = doc["cut"]
@@ -803,12 +837,18 @@ def _table_from_doc(doc: dict, spec: KernelSpec, plans) -> RkhsElement:
     # BU and ZB are written one list per action, as `coeffs` is, and held by row
     BU, ZB = (np.ascontiguousarray(np.asarray(cut[key], dtype=np.float64).T) for key in ("BU", "ZB"))
     unit = np.asarray(cut["unit"], dtype=np.float64)
+    step = float(cut["step"])
     n_actions = BU.shape[-1]
     for key, arr, want in (("BU", BU, (len(U), n_actions)), ("ZB", ZB, (plan.k, n_actions)),
                            ("unit", unit, (n_actions,))):
         if arr.shape != want:
             raise ValueError(f"cut {key!r} has shape {arr.shape}, expected {want}")
-    return cut_span(plan, CutForm(plan.lineage, plan.k, U, BU, ZB, unit, float(cut["step"])))[0]
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"cut {key!r} must be finite")
+    if not math.isfinite(step):
+        raise ValueError(f"cut 'step' must be finite, got {step!r}")
+    spec.check_domain(U)
+    return cut_span(plan, CutForm(plan.lineage, plan.k, U, BU, ZB, unit, step))[0]
 
 
 def loss_to_doc(loss: LossFunction, chain=None) -> dict:

@@ -5,8 +5,9 @@ every public function, and its hooks read `save_json(path, doc)` by position
 and `audit(..., pool=...)` by keyword.  A rename or a changed call there
 fails only the traced benchmark, so this test runs the traced read and
 write paths in a fresh process, with the package and bench/ importable.
-Every span is built through the bound `RkhsElement.__post_init__` and every
-loss is read through `LossFunction.values`, so both must record calls.
+Every span built from outside rows (a loaded file, a loss made from user
+anchors) goes through the bound `RkhsElement.__post_init__`, and every loss
+is read through `LossFunction.values`, so both must record calls.
 """
 
 import os

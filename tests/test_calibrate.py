@@ -16,7 +16,7 @@ from decal.calibrate import (
     run_calibration,
 )
 from decal.kernel import KernelSpec, RkhsElement, column_norms
-from decal.model import ConstantBase, LossFunction, Predictor, SampleBatch
+from decal.model import ConstantBase, LossFunction, Predictor, SampleBatch, evaluate_batch
 from decal.synth import ArraySource, planted_bias_instance
 from spans import element, spy
 
@@ -138,6 +138,30 @@ def test_alg1_adjustments_have_exact_step_norm():
     assert np.array_equal(rec.rows.anchors, report.witness_loss.span.anchors)
     for nv in column_norms(MIN, rec.rows.anchors, rec.rows.coeffs):
         assert nv == pytest.approx(cfg.eta * cfg.R1, rel=1e-12)
+
+
+@pytest.mark.parametrize("step", [alg1_step, alg2_step])
+def test_a_round_checks_the_batch_outcomes_and_no_table(step):
+    """A round checks its batch's outcomes against the kernel's domain where
+    the pool draws on them and where the audit cuts on them; the tables it
+    builds from those rows (pool losses, the merged witness, the rescaled
+    patch rows) are taken as checked, frozen, without a check of their own."""
+    g = np.random.default_rng(4)
+    cfg = CalibConfig(epsilon=0.3, beta=4.0, R1=1.0, R2=1.5, n_actions=2, pool_size=8)
+    batch = SampleBatch(g.standard_normal((40, 2)), g.uniform(0.1, 0.9, (40, 2)))
+    eb = evaluate_batch(zero_predictor(LIN2), batch)
+    with spy(KernelSpec, "check_domain") as checks:
+        pool = random_loss_pool(LIN2, batch.Y, 2, 1.0, 8, g)
+        report = audit(eb, epsilon=1e-6, pool=pool, beta=cfg.beta, R1=cfg.R1)
+        rec = step(report, config=cfg)
+    assert report.found
+    assert len(checks) == 2
+    assert checks[0][1] is batch.Y and checks[1][1] is eb.outcomes[0]
+    for span in [lp.span for lp in pool] + [report.witness_loss.span, rec.rows]:
+        assert not span.anchors.flags.writeable and not span.coeffs.flags.writeable
+        assert span.anchors.flags.c_contiguous and span.coeffs.flags.c_contiguous
+        assert np.all(np.isfinite(span.coeffs))
+        LIN2.check_domain(span.anchors)
 
 
 def test_alg1_requires_a_firing_report():

@@ -457,3 +457,66 @@ def test_loader_names_the_key_it_refuses(spoil, key):
     spoil(doc)
     with pytest.raises(ValueError, match=key):
         predictor_from_doc(doc)
+
+
+def nan_U(doc):
+    doc["patches"][1]["cut"]["U"][0][0] = float("nan")
+
+
+def U_outside_domain(doc):
+    doc["patches"][1]["cut"]["U"][0][0] = 1.5
+
+
+def nan_BU(doc):
+    doc["patches"][1]["cut"]["BU"][0][0] = float("nan")
+
+
+def nan_ZB(doc):
+    doc["patches"][1]["cut"]["ZB"][0][0] = float("nan")
+
+
+def nan_unit(doc):
+    doc["patches"][1]["cut"]["unit"][0] = float("nan")
+
+
+def infinite_step(doc):
+    doc["patches"][1]["cut"]["step"] = float("inf")
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (nan_U, "finite"), (U_outside_domain, "lie in"), (nan_BU, "'BU'"), (nan_ZB, "'ZB'"),
+    (nan_unit, "'unit'"), (infinite_step, "'step'"),
+])
+def test_loader_refuses_a_cut_it_cannot_fold(spoil, match):
+    """A plan folds a loaded cut's U and parts as they are, while the table
+    `cut_span` merges from them drops a term it cannot weigh: so a NaN row
+    of U loaded, and its fold read NaN, unless the loader checks the cut."""
+    doc = small_doc()
+    spoil(doc)
+    with pytest.raises(ValueError, match=match):
+        predictor_from_doc(doc)
+
+
+def beta_nan(doc):
+    doc["patches"][0]["beta"] = float("nan")
+
+
+def beta_negative(doc):
+    doc["patches"][1]["beta"] = -1.0
+
+
+def eta_infinite(doc):
+    doc["patches"][0]["eta"] = float("inf")
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (beta_nan, "beta"), (beta_negative, "beta"), (eta_infinite, "eta"),
+])
+def test_loader_refuses_a_patch_it_cannot_replay(spoil, match):
+    """A patch's beta must be finite and >= 0, and an alg1 eta finite, when
+    the record is built: a loaded beta of NaN or -1 failed only at decide,
+    and eta = inf passed eta > 0."""
+    doc = small_doc()
+    spoil(doc)
+    with pytest.raises(ValueError, match=match):
+        predictor_from_doc(doc)

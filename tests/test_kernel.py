@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decal.kernel as kernel_module
 from decal.kernel import (
     KernelMismatchError,
     KernelSpec,
@@ -14,7 +15,7 @@ from decal.kernel import (
     distinct_rows,
     merge_terms,
 )
-from spans import element, feature, inner
+from spans import element, feature, inner, spy
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN3 = KernelSpec("linear", 3, 1.0)
@@ -340,3 +341,78 @@ def test_distinct_rows_in_order_of_first_appearance(picks, cols, as_keys):
     assert [rows[i].tobytes() for i in first] == list(seen)
     assert [seen[row.tobytes()] for row in rows] == inverse.tolist()
     assert all(first[inverse[i]] <= i for i in range(len(rows)))
+
+
+def reference_distinct(rows):
+    """distinct_rows by a dict keyed by row bytes, in order of first appearance."""
+    seen, first = {}, []
+    inverse = []
+    for i, row in enumerate(rows):
+        j = seen.setdefault(row.tobytes(), len(seen))
+        if j == len(first):
+            first.append(i)
+        inverse.append(j)
+    return first, inverse
+
+
+# a palette of row entries whose bytes differ where their values compare equal
+# (0.0 and -0.0) or not at all (NaN), plus values that end in many zero bits
+ENTRIES = [0.0, -0.0, 0.5, 0.25, -2.0, 1 / 3, 1e-300, np.nan]
+
+
+@given(
+    cols=st.sampled_from([1, 2, 3, 50]),
+    palette=st.lists(st.lists(st.sampled_from(ENTRIES), min_size=50, max_size=50),
+                     min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), min_size=0, max_size=60),
+    as_keys=st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_distinct_rows_matches_row_bytes_reference(cols, palette, picks, as_keys):
+    """Rows of 8, 16, 24 and 400 bytes, as float64 or int64 words, with
+    repeats, +-0.0 and NaN: the hashed keys give the dict-of-row-bytes
+    result, empty input included."""
+    table = np.array(palette)[:, :cols]
+    if as_keys:
+        table = table.view(np.int64) % 5
+    rows = table[[i % len(table) for i in picks]].reshape(-1, cols)
+    first, inverse = distinct_rows(rows)
+    want_first, want_inverse = reference_distinct(rows)
+    assert first.tolist() == want_first
+    assert inverse.tolist() == want_inverse
+
+
+def test_distinct_rows_falls_back_on_a_hash_collision(monkeypatch):
+    """With every multiplier zero, every row hashes onto one key: the byte
+    check sees the collision and the raw-byte sort gives the exact result.
+    Rows 1 and 2 differ only in the sign of one zero."""
+    g = np.random.default_rng(3)
+    table = g.standard_normal((5, 50))
+    table[1, 7] = -0.0
+    table[2] = table[1]
+    table[2, 7] = 0.0
+    rows = table[g.integers(0, 5, 40)]
+    want = reference_distinct(rows)
+    for zero_multipliers, keyings in ((False, 1), (True, 2)):
+        if zero_multipliers:
+            monkeypatch.setattr(kernel_module, "_row_multipliers",
+                                lambda words: np.zeros(words, np.uint64))
+        with spy(kernel_module, "_first_appearance") as keyed:
+            first, inverse = distinct_rows(rows)
+        # the hashed keys, then on a collision the raw bytes
+        assert len(keyed) == keyings
+        assert (first.tolist(), inverse.tolist()) == want
+    assert len(np.unique(keyed[0][0])) == 1
+
+
+def test_merging_a_checked_table_checks_only_its_coefficients():
+    """merged() takes its anchors as checked (they are rows of a checked
+    table) and runs no domain check, but still refuses a merge whose sum
+    overflows to a non-finite coefficient."""
+    u = random_span(LIN3, 6)
+    with spy(KernelSpec, "check_domain") as checks:
+        merged = u.merged()
+    assert checks == [] and not merged.anchors.flags.writeable
+    big = RkhsElement(MIN, [[0.5], [0.5]], [[1e308], [1e308]])
+    with pytest.raises(ValueError, match="finite"):
+        big.merged()

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -146,6 +146,38 @@ def test_softmax_in_place_steps_keep_every_bit():
         assert got.tobytes() == _softmax_written_out(Z).tobytes()
         assert Z.tobytes() == before
     assert np.count_nonzero(softmax(cases[-1]) == 0.0) >= 3
+
+
+@st.composite
+def logit_blocks(draw):
+    """(n, A) or (n, P, A) logits, |A| from 1 to 12: values within 8 of a
+    common offset of magnitude up to 1e3, so that the exponentials do not
+    underflow and the order of their sum shows in the bits, with some
+    entries set to 0.0, -0.0 or -inf."""
+    shape = draw(st.one_of(
+        st.tuples(st.integers(1, 40), st.integers(1, 12)),
+        st.tuples(st.integers(1, 12), st.integers(1, 6), st.integers(1, 12)),
+    ))
+    Z = draw(arrays(np.float64, shape, elements=st.floats(-8.0, 8.0)))
+    Z += draw(st.floats(-1e3, 1e3))
+    special = draw(arrays(np.int8, shape, elements=st.sampled_from([0, 0, 0, 0, 0, 1, 2, 3])))
+    for code, value in ((1, 0.0), (2, -0.0), (3, -np.inf)):
+        Z[special == code] = value
+    return Z
+
+
+@given(Z=logit_blocks())
+# at 8 terms a running sum and numpy's pairwise sum round this row apart
+@example(Z=np.array([[2.0] + [0.0] * 7]))
+@example(Z=np.array([[[2.0] + [0.0] * 6] * 3]))
+@settings(max_examples=200, deadline=None)
+def test_softmax_columns_keep_every_bit(Z):
+    """Below 8 actions the max and sum are taken column by column, from 8
+    on by numpy's reductions: either way the bytes of the written-out
+    expression, on (n, A) and (n, P, A) blocks for |A| from 1 to 12, with
+    +-0.0, -inf and rows that are -inf throughout."""
+    with np.errstate(invalid="ignore"):
+        assert softmax(Z).tobytes() == _softmax_written_out(Z).tobytes()
 
 
 def test_smooth_rule_translation_invariant():
@@ -1076,3 +1108,23 @@ def test_loss_round_trip_is_exact(tmp_path):
     again = load_loss(path)
     assert again.span.spec == MIN
     assert np.array_equal(again.values(Y), loss.values(Y))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dim", True), ("dim", "1"), ("dim", 1.5), ("dim", None), ("R2", True), ("R2", "1.5"),
+    ("R2", [1.5]),
+])
+def test_kernel_doc_refuses_what_is_not_a_number(tmp_path, key, value):
+    """JSON true reads as 1 in Python, so without a type check a file with
+    `"dim": true` or `"R2": true` loaded as dim 1 or R2 1.0."""
+    p, loss = build_patched_predictor(), random_loss(MIN, 2, 1.0, "k")
+    for name, doc, load in (("predictor.json", predictor_to_doc(p), load_predictor),
+                            ("loss.json", loss_file_doc(loss), load_loss)):
+        path = tmp_path / name
+        save_json(path, doc)
+        load(path)
+        doc = json.loads(path.read_text())
+        doc["kernel"][key] = value
+        save_json(path, doc)
+        with pytest.raises(ValueError, match=f"kernel '{key}'"):
+            load(path)
