@@ -9,40 +9,42 @@ decision rule of its recorded witness loss against the element built so far,
 adds the recorded rows mixed by the rule, and projects back onto the
 radius-R2 ball.  Every prediction is a_0 * W_0(x) + sum_t a_t * Q_t(x) R_t,
 with W_0 the base coefficients, Q_t the mixed rule probabilities of patch t,
-R_t its rows over the shared anchor list, and a_t the product of the
-projection scalings applied to the row from patch t on.
-Replay therefore carries coordinates over the patch-row basis
-F = [I; R_1; ...; R_T]: K = n_base + sum_t |A_t| numbers per prediction, not
-one per anchor.  Each plan step caches the basis applied to its witness
-columns and to its rows' Gram products, and replay tracks each prediction's
-squared norm through the updates instead of recomputing it, so no N x N Gram
-matrix is formed, a decision reads loss estimates straight off the
-coordinates, and a patched predictor extends its parent's plan by one step.
-The plan also keeps F G F^T, so the audit reads through the basis too.
+R_t its |A| rows, and a_t the product of the projection scalings applied to
+the row from patch t on.  Replay therefore carries coordinates over the
+patch-row basis F = [I; R_1; ...; R_T]: K = n_base + sum_t |A_t| numbers per
+prediction, not one per anchor.  A step keeps its rows as their scaled form
+R_t = BU_t^T phi(U_t) - ZB_t^T F_{<t}, over its own points U_t, which follow
+the anchors before them as they are, and the k_t basis rows before it; so F X
+is the recursion F_t X = BU_t^T X[U_t] - ZB_t^T F_{<t} X, at |A| (|U_t| +
+k_t) per column and step.  Each plan step caches the basis applied to its
+witness columns and to its rows' Gram products, and replay tracks each
+prediction's squared norm through the updates instead of recomputing it, so
+no N x N Gram matrix is formed, a decision reads loss estimates straight off
+the coordinates, and a patched predictor extends its parent's plan by one
+step.  The plan also keeps F G F^T, so the audit reads through the basis too.
 Replay runs in row blocks of REPLAY_BLOCK contexts: a decision reuses one
-block's (REPLAY_BLOCK, k) coordinates, so `loss_estimates` holds only
-block x k numbers, and an evaluated batch is filled block by block.
+block's (REPLAY_BLOCK, k) coordinates, so `loss_estimates` holds only block x
+k numbers, and an evaluated batch is filled block by block.
 
 A witness or patch table cut by the audit carries its cut form: the batch's
 distinct outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of its
-columns sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i, over the first k
-rows f_i of the basis of the plan it was cut on, with each column's unit
-scale and the step that scales them all.  A plan that descends from that
-plan (the same base and a prefix of its patch records, compared by
-identity) reads the span's Gram products through the form, K(anchors, U)
-and F G F^T, as a fold over its steps: the form keeps its latest fold, and a
-plan that extends it continues it through its new steps, at K(new anchors,
-U) kernel entries, so a witness carried from round to round costs what each
-round adds.  A loss without such a form (user losses, a
-random loss read on another batch than its own, a loaded
-`witness_loss.json`) is read densely, F @ values(anchors); the audit reads a
-random pool loss on its own batch off the scan's K_FU instead (see
-`LossFunction.anchor_rows`).  Patch rows without a form cut on the
-very plan they extend (hand-built records, records cut on a sibling branch
-or an equal but distinct base) are appended as the form over their own M
-anchors, with ZB zero, at N x M + M x M entries, so no plan operation forms
-an N x N Gram block.  The coefficients W = Z F are built only by
-`coefficients` and, by `cut_span`, for a cut span's |A| rows.
+columns sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i, over the first k rows
+f_i of the basis of the plan it was cut on, with each column's unit scale and
+the step that scales them all.  A plan that descends from that plan (the same
+base and a prefix of its patch records, compared by identity) reads the
+span's Gram products through the form, F K(anchors, U) BU and F G F^T, as a
+fold over its steps: the form keeps its latest fold, and a plan that extends
+it continues it through its new steps, at K(U_t, U) kernel entries a step, so
+a witness carried from round to round costs what each round adds.  A loss
+without such a form (user losses, a random loss read on another batch than
+its own, a loaded `witness_loss.json`) is read densely, F @ values(anchors);
+the audit reads a random pool loss on its own batch off the scan's K_FU
+instead (see `LossFunction.anchor_rows`).  A patch cut on the very plan it
+extends is appended as its cut form; any other patch (hand-built records,
+records cut on a sibling branch or an equal but distinct base) as the form
+over its own M anchors, with ZB zero, at N x M + M x M entries, so no plan
+operation forms an N x N Gram block.  The coefficients W = Z F are built only
+by `coefficients` and, by `cut_span`, for a cut span's |A| rows.
 
 `predictor.json` stores each span whose form descends from the predictor's
 own chain as that form plus the number of chain records it was cut on; the
@@ -64,7 +66,7 @@ from typing import ClassVar
 import numpy as np
 
 from .kernel import (
-    KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, merge_terms, sum_rows,
+    KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, merge_terms,
 )
 
 DEGENERATE_NORM = 1e-12
@@ -394,16 +396,22 @@ class PatchRecord:
 @dataclass(frozen=True)
 class _PlanStep:
     n_before: int
-    n_after: int
+    n_after: int  # the step's points U are the anchors [n_before, n_after)
     k: int  # basis rows before this step; its own coordinates are Z[:, k : k + |A|]
     beta: float
     M: np.ndarray  # (|A|, |A|) the record's mixing
-    R: np.ndarray  # (|A|, n_after) the record's rows over the anchors
+    # row a of the rows is sum_u BU[u, a] phi(U[u]) - sum_{i<k} ZB[i, a] f_i
+    BU: np.ndarray  # (|U|, |A|)
+    ZB: np.ndarray  # (k, |A|)
     S: np.ndarray  # (|A|, |A|) the Gram matrix of the rows
-    # (k, 2 |A|) the basis so far applied to [V | H[:n_before]], where V holds
-    # the witness's loss-estimate columns on the anchors and H = K(anchors,
-    # anchors) @ R.T the rows' Gram products; F_{<t} G R^T is its right half
+    # (k, 2 |A|) the basis so far applied to [V | G R^T], where V holds the
+    # witness's loss-estimate columns on the anchors and G R^T the rows'
+    # inner products with the anchors; F_{<t} G R^T is its right half
     table: np.ndarray
+
+    def lift(self, X_own: np.ndarray, below: np.ndarray) -> np.ndarray:
+        """F_t X = BU^T X_own - ZB^T below, from X at the step's points and F_{<t} X."""
+        return self.BU.T @ X_own - self.ZB.T @ below
 
     def replay(self, Z: np.ndarray, n2: np.ndarray, R2: float) -> None:
         """Carry coordinates Z (m, >= k + |A|) and squared norms n2 through
@@ -423,19 +431,18 @@ class _PlanStep:
 @dataclass(frozen=True)
 class _Fold:
     """A cut form's unscaled values folded over the first `steps` steps of a
-    plan, the last of them `last`: X = K(anchors, U) BU over their anchors
-    and L = F G times the spans over their basis rows (see _EvalPlan._fold)."""
+    plan, the last of them `last`: P = F K(anchors, U) BU over their basis
+    rows (see _EvalPlan._fold)."""
 
     steps: int
     last: object  # the _PlanStep the fold ends with, None for the base
-    X: np.ndarray  # (N, |A|)
-    L: np.ndarray  # (k, |A|)
+    P: np.ndarray  # (k, |A|)
 
 
 class _EvalPlan:
-    """Patch chain aligned onto one shared anchor matrix, one patch at a time,
-    with the patch-row basis F = [I_{n_base}; R_1; ...; R_T] that replay
-    carries its coordinates over (k rows).
+    """A patch chain as its steps' forms over one anchor list (the base's,
+    then each step's points), with the patch-row basis F = [I_{n_base}; R_1;
+    ...; R_T] that replay carries its coordinates over (k rows).
 
     Every array a plan holds is read-only, so a child plan shares its
     parent's steps and the parent stays valid.  The lineage (base, records)
@@ -465,21 +472,28 @@ class _EvalPlan:
         plan._append(rec)
         return plan
 
-    def lift(self, X: np.ndarray) -> np.ndarray:
+    def lift(self, X: np.ndarray, steps: list | None = None) -> np.ndarray:
         """F @ X for X with one row per anchor (at least the last step's
-        n_after): [X[:n_base]; R_1 @ X[:n_after_1]; ...], shape (k, cols)."""
-        return np.vstack([X[: self.n_base]] + [st.R @ X[: st.n_after] for st in self.steps])
+        n_after), (k, cols), by the recursion F_t X = BU_t^T X[n_before_t :
+        n_after_t] - ZB_t^T (F_{<t} X); over a prefix `steps` of the plan's."""
+        steps = self.steps if steps is None else steps
+        out = np.empty((steps[-1].k + len(steps[-1].M) if steps else self.n_base, X.shape[1]))
+        out[: self.n_base] = X[: self.n_base]
+        for st in steps:
+            out[st.k : st.k + len(st.M)] = st.lift(X[st.n_before : st.n_after], out[: st.k])
+        return out
 
     def expand(self, Z: np.ndarray) -> np.ndarray:
-        """The coefficients over the anchors, W = Z @ F: the base block, then
-        one rank-|A| update per step; shape (m, N).  With no step the basis
-        is the identity and W is Z itself."""
-        if not self.steps:
-            return Z
-        W = np.zeros((len(Z), len(self.anchors)))
+        """The coefficients over the anchors, W = Z @ F, (m, N), by lift's
+        recursion run backward: step t writes Z_t BU_t^T over its points and
+        takes Z_t ZB_t^T off the coordinates before it."""
+        Z = Z.copy()
+        W = np.empty((len(Z), len(self.anchors)))
+        for st in reversed(self.steps):
+            Zt = Z[:, st.k : st.k + len(st.M)]
+            W[:, st.n_before : st.n_after] = Zt @ st.BU.T
+            Z[:, : st.k] -= Zt @ st.ZB.T
         W[:, : self.n_base] = Z[:, : self.n_base]
-        for st in self.steps:
-            W[:, : st.n_after] += Z[:, st.k : st.k + len(st.M)] @ st.R
         return W
 
     def descends(self, form: CutForm | None) -> bool:
@@ -488,40 +502,34 @@ class _EvalPlan:
 
     def _fold(self, form: CutForm, K_AU: np.ndarray | None = None) -> np.ndarray:
         """F G times the unscaled spans of a form this plan descends from,
-        (k, |A|): F K(anchors, U) BU - gram_F[:, :form.k] ZB.
+        (k, |A|): P - gram_F[:, :form.k] ZB, with P = F K(anchors, U) BU.
 
-        The values are a fold over the plan's steps.  It starts on the plan
-        the form was cut on, with K(its anchors, U) (K_AU, when the caller
-        has it), and each later step adds the rows R_t @ X - cross_t^T ZB,
-        where X = K(anchors, U) BU grows by the step's new anchors only and
-        cross_t is that step's border of gram_F.  The form keeps its latest
-        fold, which the forms an alg1 or alg2 step rescales from it share, and
-        a plan whose steps extend that fold's continues it, so a carried
-        witness costs its new anchors times |U| kernel entries a round.  Every
-        plan folds the same blocks in the same order, wherever it starts, so a
-        reloaded plan reads a form bit for bit as the calibrated one did."""
+        P is a fold over the plan's steps by lift's recursion.  It starts on
+        the plan the form was cut on, with K(its anchors, U) (K_AU, when the
+        caller has it), and each later step t adds BU_t^T K(U_t, U) BU -
+        ZB_t^T P.  The form keeps its latest fold, which the forms an alg1 or
+        alg2 step rescales from it share, and a plan whose steps extend that
+        fold's continues it, so a carried witness costs |U_t| x |U| kernel
+        entries a step.  Every plan folds the same blocks in the same order,
+        wherever it starts, so a reloaded plan reads a form bit for bit as the
+        calibrated one did."""
         key = (id(form.U), id(form.BU), id(form.ZB), form.k)
         fold = form.folds.get(key)
         if fold is None or fold.steps > len(self.steps) or (
                 fold.steps and self.steps[fold.steps - 1] is not fold.last):
             j = len(form.lineage[1])
-            n = self.steps[j - 1].n_after if j else self.n_base
+            last = self.steps[j - 1] if j else None
             if K_AU is None:
-                K_AU = self.spec.gram(self.anchors[:n], form.U)
-            X = K_AU @ form.BU
-            top = [X[: self.n_base]] + [st.R @ X[: st.n_after] for st in self.steps[:j]]
-            L = np.vstack(top) - self.gram_F[: form.k, : form.k] @ form.ZB
-            fold = _Fold(j, self.steps[j - 1] if j else None, X, L)
+                K_AU = self.spec.gram(self.anchors[: last.n_after if last else self.n_base], form.U)
+            fold = _Fold(j, last, self.lift(K_AU @ form.BU, self.steps[:j]))
         if fold.steps < len(self.steps):
-            X, blocks = fold.X, [fold.L]
+            P = np.pad(fold.P, ((0, self.k - len(fold.P)), (0, 0)))
             for st in self.steps[fold.steps :]:
-                new = self.spec.gram(self.anchors[st.n_before : st.n_after], form.U) @ form.BU
-                X = np.vstack([X, new])
-                cross = st.table[: form.k, len(st.M) :]
-                blocks.append(st.R @ X - cross.T @ form.ZB)
-            fold = _Fold(len(self.steps), self.steps[-1], X, np.vstack(blocks))
+                X = self.spec.gram(self.anchors[st.n_before : st.n_after], form.U) @ form.BU
+                P[st.k : st.k + len(st.M)] = st.lift(X, P[: st.k])
+            fold = _Fold(len(self.steps), self.steps[-1], P)
         form.folds[key] = fold
-        return fold.L
+        return fold.P - self.gram_F[:, : form.k] @ form.ZB
 
     def lifted_values(self, loss: LossFunction) -> np.ndarray:
         """F @ loss.values(anchors), (k, |A|): through the fold of the loss's
@@ -534,34 +542,25 @@ class _EvalPlan:
         return self._fold(form) * (form.unit * form.step)
 
     def _append(self, rec: PatchRecord) -> None:
-        """Align one patch: each of its anchors goes to the first bitwise-equal
-        row so far, unseen rows are appended in order, base rows stay as given.
+        """Append one patch as its rows' scaled form (U, BU, ZB): their cut
+        form when they were cut on this very plan, else the form over their
+        own anchors (U the anchors, BU the coefficients, ZB zero).  U goes
+        onto the anchors as it is.
 
-        The rows' Gram products come from a form (U, BU, ZB): their cut form
-        when they were cut on this very plan, else the form over their own
-        anchors (U the anchors, BU the coefficients, ZB zero).  Then F G R^T =
-        F K(anchors, U) BU - gram_F ZB, and R G R^T = BU^T g - ZB^T F G R^T
-        with g = K(U, U) BU - K(U, anchors) F^T ZB the rows' inner products
-        with phi(U).  Expanding R G R^T into four quadratic terms instead
-        would lose its digits to cancellation when the rows are short against
-        their parts.  Either way the rows cost N x |U| + |U| x |U| kernel
-        entries, N the anchors before them."""
+        Then F G R^T = F K(anchors, U) BU - gram_F ZB, and R G R^T = BU^T g -
+        ZB^T F G R^T with g = K(U, U) BU - K(U, anchors) F^T ZB the rows'
+        inner products with phi(U).  Expanding R G R^T into four quadratic
+        terms instead would lose its digits to cancellation when the rows are
+        short against their parts.  Either way the rows cost N x |U| + |U| x
+        |U| kernel entries, N the anchors before them.  A step whose scaled
+        parts, S or table are not finite (a loaded unit of 1e308, say) is
+        refused."""
         check_spec(self.spec, rec.rows.spec)
-        n_before, form = len(self.anchors), rec.rows.form
+        form = rec.rows.form
         if not (self.descends(form) and form.k == self.k):
             a = rec.rows.coeffs.shape[1]
             form = CutForm(self.lineage, self.k, rec.rows.anchors, rec.rows.coeffs,
                            np.zeros((self.k, a)), np.ones(a))
-        Z = np.vstack([self.anchors, rec.rows.anchors])
-        first, inverse = distinct_rows(Z)
-        seen = first < n_before
-        # the position of each distinct row once the unseen ones are appended
-        row_at = np.where(seen, first, n_before - np.count_nonzero(seen) + np.arange(len(first)))
-        anchors = np.vstack([self.anchors, Z[first[~seen]]])
-        n_after = len(anchors)
-        # row-major, as the products below were written for: BLAS may round
-        # a transposed operand differently
-        R = np.ascontiguousarray(sum_rows(row_at[inverse[n_before:]], n_after, rec.rows.coeffs).T)
         scale = form.unit * form.step
         BU, ZB = form.BU * scale, form.ZB * scale
         K_AU = self.spec.gram(self.anchors, form.U)
@@ -569,16 +568,21 @@ class _EvalPlan:
         table = np.hstack([self.lifted_values(rec.witness_lossprime), cross])
         g = self.spec.gram(form.U, form.U) @ BU - K_AU.T @ self.expand(ZB.T).T
         S = BU.T @ g - ZB.T @ cross
-        step = _PlanStep(n_before, n_after, self.k, rec.beta, rec.mixing, R, S, table)
+        for key, arr in (("BU", BU), ("ZB", ZB), ("S", S), ("table", table)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"patch {key!r} scaled by its unit and step is not finite")
+        n = len(self.anchors)
+        step = _PlanStep(n, n + len(form.U), self.k, rec.beta, rec.mixing, BU, ZB, S, table)
         # the new rows' border of F G F^T is F_{<t} G R^T
-        gram_F = np.block([[self.gram_F, cross], [cross.T, step.S]])
-        for arr in (anchors, R, step.S, table, gram_F):
+        gram_F = np.block([[self.gram_F, cross], [cross.T, S]])
+        anchors = np.vstack([self.anchors, form.U])
+        for arr in (anchors, BU, ZB, S, table, gram_F):
             arr.setflags(write=False)
         self.anchors = anchors
         self.gram_F = gram_F
         self.lineage = (self.lineage[0], self.lineage[1] + (rec,))
         self.steps.append(step)
-        self.k += len(R)
+        self.k += len(step.M)
 
 
 def cut_span(plan: _EvalPlan, form: CutForm) -> tuple[RkhsElement, np.ndarray]:
@@ -747,8 +751,9 @@ def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
 def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
     """The batch of `eb`, evaluated on p's parent, carried through p's last
     patch only: the same numbers as evaluate_batch(p, batch), bit for bit,
-    without replaying the earlier patches again.  eb's plan must hold p's
-    steps but the last, as the same objects (as `with_patch` makes it)."""
+    without replaying the earlier patches again or merging the outcomes
+    that eb has merged.  eb's plan must hold p's steps but the last, as the
+    same objects (as `with_patch` makes it)."""
     plan = p._plan
     if not plan.steps:
         raise ValueError("the predictor has no patch to extend through")
@@ -761,7 +766,10 @@ def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
     pnorm2 = eb.pnorm2.copy()
     for rows in _row_blocks(len(eb)):
         st.replay(Z[rows], pnorm2[rows], p.kernel.R2)
-    return EvaluatedBatch(p.kernel, eb.X, eb.Y, plan, Z, pnorm2, eb.batch_id)
+    out = EvaluatedBatch(p.kernel, eb.X, eb.Y, plan, Z, pnorm2, eb.batch_id)
+    if "outcomes" in eb.__dict__:  # the cached_property's value
+        out.__dict__["outcomes"] = eb.outcomes
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +855,8 @@ def _table_from_doc(doc: dict, spec: KernelSpec, plans) -> RkhsElement:
             raise ValueError(f"cut {key!r} must be finite")
     if not math.isfinite(step):
         raise ValueError(f"cut 'step' must be finite, got {step!r}")
+    if np.any(unit < 0):  # cut_span zeroes such a column, while a plan would scale by it
+        raise ValueError(f"cut 'unit' must be >= 0, got {unit.tolist()!r}")
     spec.check_domain(U)
     return cut_span(plan, CutForm(plan.lineage, plan.k, U, BU, ZB, unit, step))[0]
 
@@ -912,15 +922,17 @@ def predictor_to_doc(p: Predictor) -> dict:
 def predictor_from_doc(doc: dict) -> Predictor:
     """The predictor of a document, its patches folded in order by
     `with_patch`, so each cut span is rebuilt on the plan of its prefix and
-    the plan is built once, by the same path as in memory."""
+    the plan is built once, by the same path as in memory.  A file's scales
+    may overflow the fold; `_append` refuses what is not finite."""
     if doc.get("format") != PREDICTOR_FORMAT:
         raise ValueError(f"predictor 'format' is {doc.get('format')!r}, not {PREDICTOR_FORMAT!r}")
     spec = kernel_from_doc(doc["kernel"])
     p = Predictor(spec, base_from_doc(doc["base"], spec))
     plans = [p._plan]
-    for d in doc["patches"]:
-        p = p.with_patch(patch_from_doc(d, spec, plans))
-        plans.append(p._plan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in doc["patches"]:
+            p = p.with_patch(patch_from_doc(d, spec, plans))
+            plans.append(p._plan)
     return p
 
 

@@ -247,6 +247,22 @@ class LogitMixtureBase(PredictorBase):
     spec: KernelSpec
     world: PlantedBiasMap
 
+    def __post_init__(self) -> None:
+        """The world's arrays must be finite, over one support of K outcomes
+        in the kernel's domain: weight_matrix (K, dx), weight_offset and
+        shift_coeffs (K,).  A NaN weight or shift would replay to NaN."""
+        arrays = {k: np.asarray(getattr(self.world, k), dtype=np.float64) for k in _WORLD_KEYS}
+        K = len(arrays["support"]) if arrays["support"].ndim else -1
+        dx = arrays["weight_matrix"].shape[-1] if arrays["weight_matrix"].ndim == 2 else -1
+        wants = {"support": (K, self.spec.dim), "weight_matrix": (K, dx),
+                 "weight_offset": (K,), "shift_coeffs": (K,)}
+        for key, arr in arrays.items():
+            if arr.shape != wants[key]:
+                raise ValueError(f"logit_mixture {key!r} has shape {arr.shape}, expected {wants[key]}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"logit_mixture {key!r} must be finite")
+        self.spec.check_domain(arrays["support"])
+
     @property
     def anchors(self) -> np.ndarray:
         return as_outcomes(self.world.support, self.spec.dim)

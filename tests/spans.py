@@ -1,5 +1,5 @@
-"""Span builders and a call spy the tests share; they use only the
-package's public types."""
+"""Span builders, a call spy and dense plan references the tests share;
+all but the plan references use only the package's public types."""
 
 import contextlib
 
@@ -68,6 +68,29 @@ def spy(owner, name, when=None):
         yield calls
     finally:
         setattr(owner, name, real)
+
+
+def dense_basis(plan, steps=None) -> np.ndarray:
+    """A plan's patch-row basis F = [I; R_1; ...; R_T] as one dense (k, N)
+    matrix over its anchors, each R_t built from its step's form as
+    [-ZB_t^T F_{<t}, BU_t^T] over the anchors up to its own points; with
+    `steps`, only the rows of the plan's first `steps` steps, over their
+    anchors."""
+    chosen = plan.steps[:steps]
+    N = chosen[-1].n_after if chosen else plan.n_base
+    F = np.eye(plan.n_base, N)
+    for st in chosen:
+        R = np.zeros((len(st.M), N))
+        R[:, : st.n_before] -= st.ZB.T @ F[:, : st.n_before]
+        R[:, st.n_before : st.n_after] = st.BU.T
+        F = np.vstack([F, R])
+    return F
+
+
+def dense_rows(plan, t: int) -> np.ndarray:
+    """Step t's rows R_t as a dense (|A|, n_after) matrix over the plan's
+    anchors up to its own points, built from the step's form."""
+    return dense_basis(plan, t + 1)[plan.steps[t].k :]
 
 
 def gram_entries(grams) -> int:

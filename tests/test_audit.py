@@ -44,7 +44,7 @@ from decal.model import (
     make_loss,
 )
 from decal.synth import ArraySource, planted_bias_instance
-from spans import element, feature, spy, stack
+from spans import dense_basis, element, feature, spy, stack
 
 # the modules themselves; the package exports a function named `audit`
 audit_module = importlib.import_module("decal.audit")
@@ -254,15 +254,6 @@ def scan_case(spec, n, support_size, all_distinct, signed_zeros, n_patches, seed
     return p, evaluate_batch(p, SampleBatch(r.standard_normal((len(Y), 2)), Y))
 
 
-def dense_basis(plan):
-    """The patch-row basis F = [I; R_1; ...; R_T] as one (k, N) matrix."""
-    N = len(plan.anchors)
-    blocks = [np.eye(plan.n_base, N)]
-    for step in plan.steps:
-        blocks.append(np.hstack([step.R, np.zeros((len(step.R), N - step.n_after))]))
-    return np.vstack(blocks)
-
-
 def coefficient_map(points, coeffs):
     """{point bytes: coefficient} of a span with distinct points."""
     return {pt.tobytes(): c for pt, c in zip(points, coeffs, strict=True)}
@@ -277,7 +268,7 @@ def coefficient_map(points, coeffs):
     st.integers(2, 7),
     st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_basis_scan_matches_dense_reference(
     kind, n, support_size, all_distinct, signed_zeros, n_patches, seed
 ):

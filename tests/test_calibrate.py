@@ -322,6 +322,25 @@ def test_pot_after_is_the_patched_predictors_potential(algorithm):
 
 
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+def test_a_round_merges_its_batch_outcomes_once(algorithm):
+    """The audit merges a round's batch outcomes, and the batch that pot_after
+    carries through the new patch takes them over rather than merging the
+    same outcomes again."""
+    model_module = importlib.import_module("decal.model")
+    cfg = CalibConfig(
+        epsilon=0.2, beta=4.0, R1=1.0, R2=1.5, n_actions=2, algorithm=algorithm,
+        audit_batch_size=96, pool_size=8, heldout_size=128, seed=4,
+    )
+    source = RecordingStream(3)
+    with spy(model_module, "distinct_rows") as merged:
+        p, trace = run_calibration(zero_predictor(), source, cfg)
+    assert len(trace.iterations) >= 2
+    for row in trace.iterations:
+        Y = source.batches[row.batch_id].Y
+        assert sum(args[0] is Y for args in merged) == 1, row.batch_id
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
 def test_rounds_take_no_gram_block_wider_than_the_batch(algorithm, monkeypatch):
     """Continuous outcomes grow the anchors by about a batch per patch, yet
     no Gram block of a round has both sides beyond the audit batch: witnesses

@@ -25,7 +25,7 @@ from decal.model import (
     DEGENERATE_NORM, LossFunction, PatchRecord, Predictor, SampleBatch, SimilarityBase,
     evaluate_batch, predictor_from_doc, predictor_to_doc, smooth_best_response,
 )
-from spans import gram_entries, spy
+from spans import dense_rows, gram_entries, spy
 
 SPECS = {
     "min": KernelSpec("min", 1, 1.5),
@@ -84,7 +84,7 @@ def cut(p, batch, cfg, witnesses, g, zero, wid, pool=None):
     zero=st.one_of(st.none(), st.integers(0, 2)),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_cut_forms_match_the_dense_path(kind, n_actions, finite, algorithm, zero, seed):
     spec = SPECS[kind]
     g = np.random.default_rng(seed)
@@ -176,7 +176,7 @@ def dense_scan(eb, pool, beta):
     depth=st.integers(1, 4),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_batch_routes_match_the_dense_path(kind, n_actions, finite, depth, seed):
     """Pool losses read off K_FU, the batched scan, and witnesses folded onto
     plans 1 to `depth` plies below the one they were cut on agree with the
@@ -322,21 +322,28 @@ def test_a_hand_built_record_appends_without_the_square_gram(kind):
         q = p.with_patch(PatchRecord("alg1", lossprime, 4.0, rows, "hand", eta=0.1))
     entries = gram_entries(grams)
     assert entries <= n * m + m * m + n * len(lossprime.span.anchors)
-    step, G = q._plan.steps[0], spec.gram(q.anchors, q.anchors)
-    assert close(step.S, step.R @ G @ step.R.T)
-    assert close(step.table, np.hstack([lossprime.values(p.anchors), G[:n] @ step.R.T]))
+    step, R, G = q._plan.steps[0], dense_rows(q._plan, 0), spec.gram(q.anchors, q.anchors)
+    assert close(step.S, R @ G @ R.T)
+    assert close(step.table, np.hstack([lossprime.values(p.anchors), G[:n] @ R.T]))
 
 
-def chain(spec, algorithm, n_actions, g, zero=None, witnesses_only=False):
+def chain(spec, algorithm, n_actions, g, zero=None, witnesses_only=False, finite=False):
     """A calibrated chain of cut patches with a hand-built dense patch after
     the first and, last but one, a record cut on a sibling branch; returns
-    the predictor, the indices of its dense records and the random losses."""
-    base = SimilarityBase(spec, outcomes(spec, N_BASE, g), g.standard_normal((N_BASE, 2)), 1.0)
+    the predictor, the indices of its dense records and the random losses.
+    With `finite`, every outcome and hand-built anchor is drawn from two base
+    anchors and a signed support, so points repeat and +-0.0 rows occur."""
+    train = outcomes(spec, N_BASE, g)
+    base = SimilarityBase(spec, train, g.standard_normal((N_BASE, 2)), 1.0)
     cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=n_actions,
                       algorithm=algorithm)
+    support = np.vstack([train[:2], signed_support(spec, g)]) if finite else None
+
+    def points(n):
+        return outcomes(spec, n, g) if support is None else support[g.integers(len(support), size=n)]
 
     def draw(t):
-        return SampleBatch(g.standard_normal((N_BATCH, 2)), outcomes(spec, N_BATCH, g), f"b{t}")
+        return SampleBatch(g.standard_normal((N_BATCH, 2)), points(N_BATCH), f"b{t}")
 
     def round_on(p, t, witnesses):
         # a pool of witnesses alone carries one as the lossprime
@@ -353,12 +360,88 @@ def chain(spec, algorithm, n_actions, g, zero=None, witnesses_only=False):
             rows = g.standard_normal((3, n_actions)) * 0.1
             kw = {"eta": cfg.eta} if algorithm == "alg1" else {"mixing": 0.8 * np.eye(n_actions)}
             p = p.with_patch(PatchRecord(algorithm, lossprime, cfg.beta,
-                                         RkhsElement(spec, outcomes(spec, 3, g), rows), "hand", **kw))
+                                         RkhsElement(spec, points(3), rows), "hand", **kw))
             randoms.append(lossprime)
     _, forked = round_on(p, ROUNDS, witnesses)
     p = Predictor(spec, base, p.patches[:-1]).with_patch(forked)
     p = p.with_patch(round_on(p, ROUNDS + 1, witnesses)[1])
     return p, (1, len(p.patches) - 2), randoms
+
+
+def table_lift(p, values_at):
+    """F @ X from the records' own anchor tables, with X's rows at any points
+    given by values_at(points): the rows at the base anchors, then for each
+    record its coefficients against X's rows at its table's anchors."""
+    blocks = [values_at(p._plan.anchors[: p._plan.n_base])]
+    return np.vstack(blocks + [rec.rows.coeffs.T @ values_at(rec.rows.anchors) for rec in p.patches])
+
+
+def close_by_block(plan, got, want):
+    """close, for each row block of the plan's basis: the base's rows, then
+    each step's |A| rows."""
+    bounds = [(0, plan.n_base)] + [(st.k, st.k + len(st.M)) for st in plan.steps]
+    return all(close(got[i:j], want[i:j]) for i, j in bounds)
+
+
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    n_actions=st.integers(1, 3),
+    algorithm=st.sampled_from(["alg1", "alg2"]),
+    zero=st.one_of(st.none(), st.integers(0, 2)),
+    finite=st.booleans(),
+    witnesses_only=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30)
+def test_step_forms_match_the_record_tables(kind, n_actions, algorithm, zero, finite,
+                                            witnesses_only, seed):
+    """Each plan step's form spans its record's rows: against the records'
+    own anchor tables, at REL, a step's rows lifted over points Y equal its
+    record's values at Y, Z @ F expanded over the anchors gives Z's values
+    at Y, and every lossprime's values on the basis, through a fold or
+    densely, are the tables' too.  The chain holds cut, hand-built and
+    sibling-branch records, over repeated and +-0.0 outcomes with `finite`."""
+    spec = SPECS[kind]
+    g = np.random.default_rng(seed)
+    p, _, randoms = chain(spec, algorithm, n_actions, g, zero, witnesses_only, finite)
+    plan = p._plan
+    Y = np.vstack([outcomes(spec, 5, g), plan.anchors[g.integers(len(plan.anchors), size=3)]])
+    lifted = plan.lift(spec.gram(plan.anchors, Y))
+    for step, rec in zip(plan.steps, p.patches, strict=True):
+        assert close(lifted[step.k : step.k + len(step.M)], rec.rows.values(Y).T)
+    want = table_lift(p, lambda pts: spec.gram(pts, Y))
+    assert close_by_block(plan, lifted, want)
+    Z = g.standard_normal((4, plan.k))
+    assert close(plan.expand(Z) @ spec.gram(plan.anchors, Y), Z @ want)
+    for loss in randoms + [rec.witness_lossprime for rec in p.patches]:
+        assert close_by_block(plan, plan.lifted_values(loss), table_lift(p, loss.values))
+
+
+def test_a_plan_keeps_nothing_as_wide_as_its_anchors():
+    """On a continuous-outcome chain every patch adds anchors, yet a plan
+    step keeps no array with more rows or columns than its own points or
+    the basis rows before it, and a carried witness's fold is one (k, |A|)
+    block over the basis of the plan it was folded onto."""
+    g = np.random.default_rng(41)
+    p, _, _ = chain(SPECS["min"], "alg1", 2, g, witnesses_only=True)
+    plan = p._plan
+    assert len(plan.anchors) > 2 * max(plan.k, N_BATCH)
+    for step in plan.steps:
+        bound = max(step.n_after - step.n_before, step.k)
+        for name, arr in vars(step).items():
+            if isinstance(arr, np.ndarray):
+                assert max(arr.shape) <= bound, name
+    folds = 0
+    for rec in p.patches:
+        form = rec.witness_lossprime.span.form
+        if plan.descends(form):
+            plan.lifted_values(rec.witness_lossprime)
+            for fold in form.folds.values():
+                k = fold.last.k + len(fold.last.M) if fold.last else plan.n_base
+                shapes = [a.shape for a in vars(fold).values() if isinstance(a, np.ndarray)]
+                assert shapes == [(k, 2)]
+                folds += 1
+    assert folds >= 3
 
 
 def assert_same_predictor(p, q, X, losses):
@@ -374,7 +457,7 @@ def assert_same_predictor(p, q, X, losses):
     assert P.gram_F.tobytes() == Q.gram_F.tobytes()
     for mine, theirs in zip(P.steps, Q.steps, strict=True):
         assert (mine.n_before, mine.n_after, mine.k) == (theirs.n_before, theirs.n_after, theirs.k)
-        for name in ("R", "S", "table", "M"):
+        for name in ("BU", "ZB", "S", "table", "M"):
             a, b = getattr(mine, name), getattr(theirs, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert p.coefficients(X).tobytes() == q.coefficients(X).tobytes()
@@ -392,7 +475,7 @@ def assert_same_predictor(p, q, X, losses):
     witnesses_only=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 def test_reloaded_predictor_is_the_calibrated_one(kind, n_actions, algorithm, zero,
                                                  witnesses_only, seed):
     g = np.random.default_rng(seed)
@@ -483,14 +566,30 @@ def infinite_step(doc):
     doc["patches"][1]["cut"]["step"] = float("inf")
 
 
+def negative_unit(doc):
+    doc["patches"][1]["cut"]["unit"][0] = -1.0
+
+
+def huge_unit(doc):
+    doc["patches"][1]["cut"]["unit"][0] = 1e308
+
+
+def huge_step(doc):
+    doc["patches"][1]["cut"]["step"] = 1e308
+
+
 @pytest.mark.parametrize("spoil, match", [
     (nan_U, "finite"), (U_outside_domain, "lie in"), (nan_BU, "'BU'"), (nan_ZB, "'ZB'"),
-    (nan_unit, "'unit'"), (infinite_step, "'step'"),
+    (nan_unit, "'unit'"), (infinite_step, "'step'"), (negative_unit, "'unit'"),
+    (huge_unit, "'S'"), (huge_step, "'BU'"),
 ])
 def test_loader_refuses_a_cut_it_cannot_fold(spoil, match):
     """A plan folds a loaded cut's U and parts as they are, while the table
     `cut_span` merges from them drops a term it cannot weigh: so a NaN row
-    of U loaded, and its fold read NaN, unless the loader checks the cut."""
+    of U loaded, and its fold read NaN, unless the loader checks the cut.
+    A negative unit loaded too, its table column zeroed by `cut_span` while
+    the plan scaled its row by it, and so did a unit of 1e308, whose scaled
+    rows have an infinite Gram matrix S."""
     doc = small_doc()
     spoil(doc)
     with pytest.raises(ValueError, match=match):

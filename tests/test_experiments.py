@@ -114,7 +114,7 @@ EDGE_N = 100_000
 @example(counts=(EDGE_N - 2, EDGE_N), level=0.9999)
 @example(counts=(EDGE_N - 1, EDGE_N), level=0.9999)
 @example(counts=(EDGE_N, EDGE_N), level=0.5)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_clopper_pearson_matches_scipy_beta_ppf(counts, level):
     k, n = counts
     lo, hi = clopper_pearson(k, n, level)

@@ -115,7 +115,7 @@ def test_gram_psd(spec):
 
 
 @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_cauchy_schwarz(nu, nv, seed):
     r = np.random.default_rng(seed)
     u = element(MIN, r.uniform(0, 1, (nu, 1)), r.standard_normal(nu))
@@ -124,7 +124,7 @@ def test_cauchy_schwarz(nu, nv, seed):
 
 
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_linear_norm_matches_euclidean(n, seed):
     r = np.random.default_rng(seed)
     pts = r.standard_normal((n, 3))
@@ -144,7 +144,7 @@ def test_linear_norm_matches_euclidean(n, seed):
     st.integers(1, 8),
     st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_axpy_linearity(a, nu, nv, nw, seed):
     r = np.random.default_rng(seed)
 
@@ -229,7 +229,7 @@ def coefficient_tables(draw):
 
 
 @given(coefficient_tables())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_merge_terms_columns_match_one_column_merges(table):
     """Each column of a multi-column merge, on the anchors where it is
     nonzero, is that column's own one-column merge, bit for bit; and that is
@@ -327,7 +327,7 @@ def test_elements_are_frozen():
     cols=st.integers(1, 2),
     as_keys=st.booleans(),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_distinct_rows_in_order_of_first_appearance(picks, cols, as_keys):
     """distinct_rows keys rows by their bytes, whether a row is one 8-byte
     word (a float64 outcome or an int64 key) or wider: 0.0 and -0.0 stay
@@ -367,7 +367,7 @@ ENTRIES = [0.0, -0.0, 0.5, 0.25, -2.0, 1 / 3, 1e-300, np.nan]
     picks=st.lists(st.integers(0, 5), min_size=0, max_size=60),
     as_keys=st.booleans(),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120)
 def test_distinct_rows_matches_row_bytes_reference(cols, palette, picks, as_keys):
     """Rows of 8, 16, 24 and 400 bytes, as float64 or int64 words, with
     repeats, +-0.0 and NaN: the hashed keys give the dict-of-row-bytes

@@ -40,7 +40,7 @@ from decal.model import (
     smooth_best_response,
     softmax,
 )
-from spans import element, feature, reference_loss, spy, stack
+from spans import dense_basis, dense_rows, element, feature, reference_loss, spy, stack
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN2 = KernelSpec("linear", 2, 1.5)
@@ -170,7 +170,7 @@ def logit_blocks(draw):
 # at 8 terms a running sum and numpy's pairwise sum round this row apart
 @example(Z=np.array([[2.0] + [0.0] * 7]))
 @example(Z=np.array([[[2.0] + [0.0] * 6] * 3]))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_softmax_columns_keep_every_bit(Z):
     """Below 8 actions the max and sum are taken column by column, from 8
     on by numpy's reductions: either way the bytes of the written-out
@@ -202,7 +202,7 @@ def test_smooth_rule_batched_rows():
     scale=st.floats(0.0, 10.0),
     beta=st.floats(0.0, 20.0),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_smooth_rule_lipschitz(f, step, scale, beta):
     g = f + scale * step
     l1 = np.abs(smooth_best_response(f, beta) - smooth_best_response(g, beta)).sum()
@@ -213,7 +213,7 @@ def test_smooth_rule_lipschitz(f, step, scale, beta):
     f=arrays(np.float64, st.integers(1, 6).map(lambda n: (n,)), elements=st.floats(-20, 20)),
     beta=st.floats(0.01, 50.0),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_smooth_rule_near_optimal(f, beta):
     # expected loss under the smooth rule trails the best action by at most
     # (ln |A| + 1) / beta
@@ -273,7 +273,7 @@ def loss_tables(draw):
 
 
 @given(loss_tables(), st.sampled_from([1e9, 0.5]))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_make_loss_table_matches_per_column_reference(case, R1):
     """make_loss on a table equals its columns as elements, stacked, merged
     and rescaled, byte for byte."""
@@ -313,7 +313,7 @@ def action_elements(draw):
 
 
 @given(action_elements(), st.sampled_from([1e9, 0.5]))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_loss_table_matches_per_action_reference(case, R1):
     """make_loss on one merged table gives each action's values and norm as
     the element itself does, densely, to 1e-12 relative, rescaling exactly
@@ -510,10 +510,12 @@ SPD = arrays(np.float64, (2, 2), elements=st.floats(-2.0, 2.0)).map(
 
 
 @given(base=TERMS, chain=st.lists(st.tuples(TERMS, TERMS, SPD), max_size=3))
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 def test_row_dedup_matches_dict_reference(base, chain):
-    """compress and the patch-chain anchor list agree bit for bit with a
-    dict keyed by row bytes that sums coefficients in input order; the
+    """A merged table agrees bit for bit with a dict keyed by row bytes that
+    sums coefficients in input order.  The patch chain keeps its anchors
+    unmerged, the base's and then each record's in order, and each step's
+    rows are bitwise its record's coefficients over its own anchors; the
     chain alternates alg1 and alg2 records, and each plan step mixes with
     the record's matrix (the identity for alg1)."""
     for el in [_span(base)] + [_span(t) for t0, t1, _ in chain for t in (t0, t1)]:
@@ -546,22 +548,16 @@ def test_row_dedup_matches_dict_reference(base, chain):
         steps.append(els)
         mixings.append(mixing)
 
-    index, rows = {}, []
-    for row in base_el.anchors:
-        index.setdefault(row.tobytes(), len(rows))
-        rows.append(row)
-    for els, mixing, plan_step in zip(steps, mixings, p._plan.steps, strict=True):
-        entries = []
+    # the plan appends each record's anchors as they are, after the base's,
+    # so row a of a step holds column a of its table over its own anchors
+    rows = list(base_el.anchors)
+    for t, (els, mixing, plan_step) in enumerate(zip(steps, mixings, p._plan.steps, strict=True)):
+        D = np.zeros((len(els), len(rows) + sum(len(el) for el in els)))
         for a, el in enumerate(els):
             for row, c in zip(el.anchors, el.coeffs[:, 0]):
-                j = index.setdefault(row.tobytes(), len(rows))
-                if j == len(rows):
-                    rows.append(row)
-                entries.append((a, j, c))
-        D = np.zeros((len(els), len(rows)))
-        for a, j, c in entries:
-            D[a, j] += c
-        assert plan_step.R.tobytes() == D.tobytes()
+                D[a, len(rows)] = c
+                rows.append(row)
+        assert dense_rows(p._plan, t).tobytes() == D.tobytes()
         assert plan_step.M.tobytes() == mixing.tobytes()
     assert p.anchors.tobytes() == np.array(rows).reshape(-1, 2).tobytes()
 
@@ -628,10 +624,11 @@ def _dense_replay(p, X):
         fired += bool(np.any(over))
 
     project(plan.n_base)
+    F = dense_basis(plan)
     for step, rec in zip(plan.steps, p.patches, strict=True):
         V = rec.witness_lossprime.values(plan.anchors[: step.n_before])
         P = oracle.softmax_rows(-rec.beta * (W[:, : step.n_before] @ V))
-        W[:, : step.n_after] += (P @ rec.mixing) @ step.R
+        W[:, : step.n_after] += (P @ rec.mixing) @ F[step.k : step.k + len(step.M), : step.n_after]
         project(step.n_after)
     return W, fired
 
@@ -668,7 +665,7 @@ EXP15 = KernelSpec("exp", 2, 1.5)
 
 @pytest.mark.parametrize("spec", [MIN, LIN2, EXP15], ids=lambda s: s.kind)
 @given(seed=st.integers(0, 2**32 - 1), n_patches=st.integers(4, 10), m=st.integers(2, 11))
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=12)
 def test_blocked_replay_matches_dense_replay_at_every_block_size(spec, seed, n_patches, m):
     """Replay in row blocks of 1, 3, m - 1, m and m + 1 contexts agrees with
     the dense replay over the anchors, on chains in which the projection
@@ -685,7 +682,7 @@ def test_blocked_replay_matches_dense_replay_at_every_block_size(spec, seed, n_p
     plan = p._plan
     W_ref, fired = _dense_replay(p, X)
     assert fired >= 1
-    F = _dense_basis(plan)
+    F = dense_basis(plan)
     n2_ref = np.einsum("ij,ij->i", W_ref @ spec.gram(p.anchors, p.anchors), W_ref)
     est_ref = W_ref @ loss.values(p.anchors)
 
@@ -763,21 +760,12 @@ def test_projection_scales_the_block_in_place():
     assert n2[over].tobytes() == (n20[over] * (s * s)).tobytes()
 
 
-def _dense_basis(plan):
-    """The patch-row basis F = [I; R_1; ...; R_T] as one (k, N) matrix."""
-    N = len(plan.anchors)
-    blocks = [np.eye(plan.n_base, N)]
-    for step in plan.steps:
-        blocks.append(np.hstack([step.R, np.zeros((len(step.R), N - step.n_after))]))
-    return np.vstack(blocks)
-
-
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_patches=st.integers(50, 64),
     scale=st.floats(0.05, 2.0),
 )
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 def test_tracked_norms_match_dense_replay(seed, n_patches, scale):
     """Replay in the patch-row basis agrees with a replay over the anchors
     that recomputes each norm from the Gram matrix, over long chains in which
@@ -807,7 +795,7 @@ def test_tracked_norms_match_dense_replay(seed, n_patches, scale):
     assert fired >= n_patches // 7
     atol = 1e-12 * np.abs(W_ref).max()
     np.testing.assert_allclose(W, W_ref, rtol=1e-12, atol=atol)
-    np.testing.assert_allclose(Z @ _dense_basis(plan), W_ref, rtol=1e-12, atol=atol)
+    np.testing.assert_allclose(Z @ dense_basis(plan), W_ref, rtol=1e-12, atol=atol)
 
     columns = [element(spec, pool[:5], g.standard_normal(5)) for _ in range(3)]
     loss = make_loss("probe", stack(spec, columns), 1.0)
@@ -885,7 +873,7 @@ def test_child_plans_extend_the_parents(monkeypatch):
             assert not any(getattr(step, name).flags.writeable for name in STEP_ARRAYS)
 
 
-STEP_ARRAYS = ("table", "M", "R", "S")
+STEP_ARRAYS = ("table", "M", "BU", "ZB", "S")
 
 
 def test_extend_evaluated_is_a_full_replay_of_the_child(monkeypatch):

@@ -1,5 +1,7 @@
 """Synthetic losses, generators, planted bias, and the paired worlds."""
 
+import copy
+import json
 import math
 
 import numpy as np
@@ -139,7 +141,7 @@ KNEES = st.sampled_from([0.0, -0.0, 0.25, 1 / 3, 1.0])
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.tuples(SLOPES, SLOPES, KNEES)] * n)))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_piecewise_table_matches_per_action_reference(pieces):
     """The table built directly equals one element per action, stacked,
     merged and rescaled, byte for byte."""
@@ -154,7 +156,7 @@ ALPHAS = st.sampled_from([(1.0, 0.0), (1.0, -0.0), (-0.0, 1.0), (0.5, 0.5), (0.2
 
 
 @given(st.lists(ALPHAS, min_size=1, max_size=5), st.sampled_from([-1.0, 1.0]))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_cobb_douglas_table_matches_per_action_reference(alphas, sign):
     """The table built directly equals one element per action, stacked,
     merged and rescaled, byte for byte."""
@@ -202,6 +204,42 @@ def test_logit_mixture_weights_keep_every_bit():
     assert np.any(q == 0.0)
     got = inst.predictor.base.weights(X)
     assert got.tobytes() == (q - world.shift_coeffs).tobytes()
+
+
+def _nan_at(key):
+    def spoil(base):
+        first = base[key] if not isinstance(base[key][0], list) else base[key][0]
+        first[0] = math.nan
+    return spoil
+
+
+def _outside_domain(base):
+    base["support"][0] = [1.5]
+
+
+def _short(key):
+    def spoil(base):
+        base[key].pop()
+    return spoil
+
+
+@pytest.mark.parametrize("spoil, match", [
+    (_nan_at("support"), "'support'"), (_nan_at("weight_matrix"), "'weight_matrix'"),
+    (_nan_at("weight_offset"), "'weight_offset'"), (_nan_at("shift_coeffs"), "'shift_coeffs'"),
+    (_outside_domain, "lie in"), (_short("support"), "'weight_matrix'"),
+    (_short("weight_offset"), "'weight_offset'"), (_short("shift_coeffs"), "'shift_coeffs'"),
+], ids=["nan-support", "nan-weight_matrix", "nan-weight_offset", "nan-shift_coeffs",
+        "support-outside-domain", "short-support", "short-weight_offset", "short-shift_coeffs"])
+def test_loader_refuses_a_planted_base_it_cannot_replay(spoil, match):
+    """A logit_mixture base's arrays are finite, of one support size, and its
+    support lies in the kernel's domain: a NaN shift or offset used to load
+    and replay to NaN."""
+    inst = planted_bias_instance(MIN, context_dim=2, support_size=6, shift_norm=0.2, seed=3)
+    doc = json.loads(json.dumps(predictor_to_doc(inst.predictor)))
+    assert np.all(np.isfinite(predictor_from_doc(copy.deepcopy(doc))._replay(np.ones((2, 2)))[0]))
+    spoil(doc["base"])
+    with pytest.raises(ValueError, match=match):
+        predictor_from_doc(doc)
 
 
 def test_synthetic_source_streams_fresh_batches():
