@@ -13,15 +13,20 @@ R_t its |A| rows, and a_t the product of the projection scalings applied to
 the row from patch t on.  Replay therefore carries coordinates over the
 patch-row basis F = [I; R_1; ...; R_T]: K = n_base + sum_t |A_t| numbers per
 prediction, not one per anchor.  A step keeps its rows as their scaled form
-R_t = BU_t^T phi(U_t) - ZB_t^T F_{<t}, over its own points U_t, which follow
-the anchors before them as they are, and the k_t basis rows before it; so F X
-is the recursion F_t X = BU_t^T X[U_t] - ZB_t^T F_{<t} X, at |A| (|U_t| +
-k_t) per column and step.  Each plan step caches the basis applied to its
-witness columns and to its rows' Gram products, and replay tracks each
-prediction's squared norm through the updates instead of recomputing it, so
-no N x N Gram matrix is formed, a decision reads loss estimates straight off
-the coordinates, and a patched predictor extends its parent's plan by one
-step.  The plan also keeps F G F^T, so the audit reads through the basis too.
+R_t = BU_t^T phi(U_t) - ZB_t^T F_{<t}, over its own distinct points U_t and
+the k_t basis rows before it, so F X is the recursion F_t X = BU_t^T X[U_t]
+- ZB_t^T F_{<t} X, at |A| (|U_t| + k_t) per column and step; or, when the
+N_t anchors so far are fewer than |U_t| + k_t, as R_t over every anchor (ZB
+empty), at |A| N_t.  A step looks its points up among the anchors by their
+bytes and appends only those not seen before, so on a finite outcome support
+N stays within the base's anchors and the support, while on continuous
+outcomes every step adds its points.  Each plan step caches the basis
+applied to its witness columns and to its rows' Gram products, and replay
+tracks each prediction's squared norm through the updates instead of
+recomputing it, so no N x N Gram matrix is formed, a decision reads loss
+estimates straight off the coordinates, and a patched predictor extends its
+parent's plan by one step.  The plan also keeps F G F^T, so the audit reads
+through the basis too.
 Replay runs in row blocks of REPLAY_BLOCK contexts: a decision reuses one
 block's (REPLAY_BLOCK, k) coordinates, so `loss_estimates` holds only block x
 k numbers, and an evaluated batch is filled block by block.
@@ -66,7 +71,7 @@ from typing import ClassVar
 import numpy as np
 
 from .kernel import (
-    KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, merge_terms,
+    KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, merge_terms, sum_rows,
 )
 
 DEGENERATE_NORM = 1e-12
@@ -396,13 +401,18 @@ class PatchRecord:
 @dataclass(frozen=True)
 class _PlanStep:
     n_before: int
-    n_after: int  # the step's points U are the anchors [n_before, n_after)
+    n_after: int  # the anchors before and after the step placed its points
     k: int  # basis rows before this step; its own coordinates are Z[:, k : k + |A|]
     beta: float
     M: np.ndarray  # (|A|, |A|) the record's mixing
-    # row a of the rows is sum_u BU[u, a] phi(U[u]) - sum_{i<k} ZB[i, a] f_i
+    # the anchor rows of the step's points U: a slice when they are anchors
+    # [i, j) in order, else an index array
+    at: slice | np.ndarray
+    # row a of the rows is sum_u BU[u, a] phi(U[u]) - sum_{i<j} ZB[i, a] f_i,
+    # over the step's distinct points and the first j = k basis rows, or over
+    # every anchor and j = 0 basis rows, whichever holds fewer numbers
     BU: np.ndarray  # (|U|, |A|)
-    ZB: np.ndarray  # (k, |A|)
+    ZB: np.ndarray  # (j, |A|)
     S: np.ndarray  # (|A|, |A|) the Gram matrix of the rows
     # (k, 2 |A|) the basis so far applied to [V | G R^T], where V holds the
     # witness's loss-estimate columns on the anchors and G R^T the rows'
@@ -410,8 +420,11 @@ class _PlanStep:
     table: np.ndarray
 
     def lift(self, X_own: np.ndarray, below: np.ndarray) -> np.ndarray:
-        """F_t X = BU^T X_own - ZB^T below, from X at the step's points and F_{<t} X."""
-        return self.BU.T @ X_own - self.ZB.T @ below
+        """F_t X = BU^T X_own - ZB^T below[:j], from X at the step's points and F_{<t} X."""
+        out = self.BU.T @ X_own
+        if len(self.ZB):
+            out -= self.ZB.T @ below[: len(self.ZB)]
+        return out
 
     def replay(self, Z: np.ndarray, n2: np.ndarray, R2: float) -> None:
         """Carry coordinates Z (m, >= k + |A|) and squared norms n2 through
@@ -431,22 +444,25 @@ class _PlanStep:
 @dataclass(frozen=True)
 class _Fold:
     """A cut form's unscaled values folded over the first `steps` steps of a
-    plan, the last of them `last`: P = F K(anchors, U) BU over their basis
-    rows (see _EvalPlan._fold)."""
+    plan, the last of them `last`, over their basis rows: P = F K(anchors, U)
+    BU and L = F G times the spans (see _EvalPlan._fold)."""
 
     steps: int
     last: object  # the _PlanStep the fold ends with, None for the base
     P: np.ndarray  # (k, |A|)
+    L: np.ndarray  # (k, |A|)
 
 
 class _EvalPlan:
     """A patch chain as its steps' forms over one anchor list (the base's,
-    then each step's points), with the patch-row basis F = [I_{n_base}; R_1;
-    ...; R_T] that replay carries its coordinates over (k rows).
+    then each step's points not seen before), with the patch-row basis F =
+    [I_{n_base}; R_1; ...; R_T] that replay carries its coordinates over (k
+    rows).
 
     Every array a plan holds is read-only, so a child plan shares its
-    parent's steps and the parent stays valid.  The lineage (base, records)
-    names the plan by the objects it was built from.
+    parent's steps and the parent stays valid; only the index of anchor rows
+    by their bytes is copied.  The lineage (base, records) names the plan by
+    the objects it was built from.
     """
 
     def __init__(self, predictor: "Predictor") -> None:
@@ -459,58 +475,73 @@ class _EvalPlan:
         self.anchors = anchors
         self.n_base = len(anchors)
         self.k = self.n_base
+        # the first anchor row of each distinct row, by its bytes (see _place)
+        self.rows: dict[bytes, int] = {}
+        for i, key in enumerate(_row_keys(anchors)):
+            self.rows.setdefault(key, i)
         self.base_gram = base_gram
         self.gram_F = base_gram  # F G F^T (k, k), G the Gram matrix of the anchors
         self.steps: list[_PlanStep] = []
+        self._lifted = None  # the last (U, gram_lift(U)), see gram_lift
         for rec in predictor.patches:
             self._append(rec)
 
     def extended(self, rec: PatchRecord) -> "_EvalPlan":
         """This plan with one more patch appended; this plan is unchanged."""
         plan = copy.copy(self)
-        plan.steps = list(self.steps)
+        plan.steps, plan.rows = list(self.steps), dict(self.rows)
         plan._append(rec)
         return plan
 
     def lift(self, X: np.ndarray, steps: list | None = None) -> np.ndarray:
         """F @ X for X with one row per anchor (at least the last step's
-        n_after), (k, cols), by the recursion F_t X = BU_t^T X[n_before_t :
-        n_after_t] - ZB_t^T (F_{<t} X); over a prefix `steps` of the plan's."""
+        n_after), (k, cols), by the recursion F_t X = BU_t^T X[at_t] - ZB_t^T
+        (F_{<t} X); over a prefix `steps` of the plan's."""
         steps = self.steps if steps is None else steps
         out = np.empty((steps[-1].k + len(steps[-1].M) if steps else self.n_base, X.shape[1]))
         out[: self.n_base] = X[: self.n_base]
         for st in steps:
-            out[st.k : st.k + len(st.M)] = st.lift(X[st.n_before : st.n_after], out[: st.k])
+            out[st.k : st.k + len(st.M)] = st.lift(X[st.at], out[: st.k])
         return out
+
+    def gram_lift(self, U: np.ndarray) -> np.ndarray:
+        """F K(anchors, U), (k, |U|).  The plan keeps the last U's, so the
+        append of a patch cut on a batch reads the batch's block again."""
+        if self._lifted is None or self._lifted[0] is not U:
+            self._lifted = (U, self.lift(self.spec.gram(self.anchors, U)))
+        return self._lifted[1]
 
     def expand(self, Z: np.ndarray) -> np.ndarray:
         """The coefficients over the anchors, W = Z @ F, (m, N), by lift's
-        recursion run backward: step t writes Z_t BU_t^T over its points and
+        recursion run backward: step t adds Z_t BU_t^T at its points and
         takes Z_t ZB_t^T off the coordinates before it."""
         Z = Z.copy()
-        W = np.empty((len(Z), len(self.anchors)))
+        W = np.zeros((len(Z), len(self.anchors)))
         for st in reversed(self.steps):
             Zt = Z[:, st.k : st.k + len(st.M)]
-            W[:, st.n_before : st.n_after] = Zt @ st.BU.T
-            Z[:, : st.k] -= Zt @ st.ZB.T
-        W[:, : self.n_base] = Z[:, : self.n_base]
+            W[:, st.at] += Zt @ st.BU.T
+            if len(st.ZB):
+                Z[:, : len(st.ZB)] -= Zt @ st.ZB.T
+        W[:, : self.n_base] += Z[:, : self.n_base]
         return W
 
     def descends(self, form: CutForm | None) -> bool:
         """Whether this plan extends the plan `form` was cut on."""
         return _chain_prefix(form, *self.lineage) is not None
 
-    def _fold(self, form: CutForm, K_AU: np.ndarray | None = None) -> np.ndarray:
+    def _fold(self, form: CutForm, KF: np.ndarray | None = None) -> np.ndarray:
         """F G times the unscaled spans of a form this plan descends from,
-        (k, |A|): P - gram_F[:, :form.k] ZB, with P = F K(anchors, U) BU.
+        (k, |A|): L = P - gram_F[:, :form.k] ZB, with P = F K(anchors, U) BU.
 
-        P is a fold over the plan's steps by lift's recursion.  It starts on
-        the plan the form was cut on, with K(its anchors, U) (K_AU, when the
-        caller has it), and each later step t adds BU_t^T K(U_t, U) BU -
-        ZB_t^T P.  The form keeps its latest fold, which the forms an alg1 or
-        alg2 step rescales from it share, and a plan whose steps extend that
-        fold's continues it, so a carried witness costs |U_t| x |U| kernel
-        entries a step.  Every plan folds the same blocks in the same order,
+        P and L are a fold over the plan's steps by lift's recursion.  It
+        starts on the plan the form was cut on, with F K(its anchors, U) (KF,
+        when the caller has it) times BU, and each later step t adds P_t = BU_t^T
+        K(U_t, U) BU - ZB_t^T P and L_t = P_t - cross_t^T ZB, cross_t being
+        the step's border of gram_F.  The form keeps its latest fold, which
+        the forms an alg1 or alg2 step rescales from it share, and a plan
+        whose steps extend that fold's continues it, so a carried witness
+        costs K(step t's points, U) a step, and a second read on the same
+        plan nothing.  Every plan folds the same blocks in the same order,
         wherever it starts, so a reloaded plan reads a form bit for bit as the
         calibrated one did."""
         key = (id(form.U), id(form.BU), id(form.ZB), form.k)
@@ -519,17 +550,21 @@ class _EvalPlan:
                 fold.steps and self.steps[fold.steps - 1] is not fold.last):
             j = len(form.lineage[1])
             last = self.steps[j - 1] if j else None
-            if K_AU is None:
+            if KF is None:
                 K_AU = self.spec.gram(self.anchors[: last.n_after if last else self.n_base], form.U)
-            fold = _Fold(j, last, self.lift(K_AU @ form.BU, self.steps[:j]))
+                KF = self.lift(K_AU, self.steps[:j])
+            P = KF @ form.BU
+            fold = _Fold(j, last, P, P - self.gram_F[: form.k, : form.k] @ form.ZB)
         if fold.steps < len(self.steps):
-            P = np.pad(fold.P, ((0, self.k - len(fold.P)), (0, 0)))
+            P, L = np.empty((2, self.k, form.BU.shape[1]))
+            P[: len(fold.P)], L[: len(fold.L)] = fold.P, fold.L
             for st in self.steps[fold.steps :]:
-                X = self.spec.gram(self.anchors[st.n_before : st.n_after], form.U) @ form.BU
-                P[st.k : st.k + len(st.M)] = st.lift(X, P[: st.k])
-            fold = _Fold(len(self.steps), self.steps[-1], P)
+                a, X = len(st.M), self.spec.gram(self.anchors[st.at], form.U) @ form.BU
+                P[st.k : st.k + a] = st.lift(X, P[: st.k])
+                L[st.k : st.k + a] = P[st.k : st.k + a] - st.table[: form.k, a:].T @ form.ZB
+            fold = _Fold(len(self.steps), self.steps[-1], P, L)
         form.folds[key] = fold
-        return fold.P - self.gram_F[:, : form.k] @ form.ZB
+        return fold.L
 
     def lifted_values(self, loss: LossFunction) -> np.ndarray:
         """F @ loss.values(anchors), (k, |A|): through the fold of the loss's
@@ -541,20 +576,44 @@ class _EvalPlan:
             return self.lift(loss.values(self.anchors))
         return self._fold(form) * (form.unit * form.step)
 
+    def _place(self, U: np.ndarray, BU: np.ndarray) -> tuple[slice | np.ndarray, np.ndarray]:
+        """The anchor rows `at` of U's distinct rows in order of first
+        appearance, and BU's rows summed over each of them in input order; a
+        row that is no anchor yet goes onto the anchors, in that order.  Rows
+        compare by their bytes, as in distinct_rows, and only U's rows are
+        looked up."""
+        n, own, inverse, fresh = len(self.anchors), {}, [], []
+        for i, key in enumerate(_row_keys(U)):
+            row = self.rows.setdefault(key, n + len(fresh))
+            if row == n + len(fresh):
+                fresh.append(i)
+            inverse.append(own.setdefault(row, len(own)))
+        if fresh:
+            self.anchors = np.vstack([self.anchors, U[fresh]])
+        if len(fresh) == len(own):
+            at = slice(n, n + len(own))
+        else:
+            at = np.fromiter(own, np.intp, len(own))
+            at.setflags(write=False)
+        return at, sum_rows(np.asarray(inverse, dtype=np.intp), len(own), BU)
+
     def _append(self, rec: PatchRecord) -> None:
         """Append one patch as its rows' scaled form (U, BU, ZB): their cut
         form when they were cut on this very plan, else the form over their
-        own anchors (U the anchors, BU the coefficients, ZB zero).  U goes
-        onto the anchors as it is.
+        own anchors (U the anchors, BU the coefficients, ZB zero).  U's rows
+        are placed among the anchors by `_place`, and BU's rows summed over
+        each distinct point; when the anchors are then fewer than those
+        points and ZB's rows, the step keeps the rows over every anchor.
 
-        Then F G R^T = F K(anchors, U) BU - gram_F ZB, and R G R^T = BU^T g -
-        ZB^T F G R^T with g = K(U, U) BU - K(U, anchors) F^T ZB the rows'
-        inner products with phi(U).  Expanding R G R^T into four quadratic
-        terms instead would lose its digits to cancellation when the rows are
-        short against their parts.  Either way the rows cost N x |U| + |U| x
-        |U| kernel entries, N the anchors before them.  A step whose scaled
-        parts, S or table are not finite (a loaded unit of 1e308, say) is
-        refused."""
+        Then with KF = F K(anchors, U) (`gram_lift`, which a batch's scan has
+        built already when the rows were cut on it), F G R^T = KF BU -
+        gram_F ZB, and R G R^T = BU^T g - ZB^T F G R^T with g = K(U, U) BU -
+        KF^T ZB the rows' inner products with phi(U).  Expanding R G R^T into
+        four quadratic terms instead would lose its digits to cancellation
+        when the rows are short against their parts.  Either way the rows
+        cost at most N x |U| + |U| x |U| kernel entries, N the anchors before
+        them.  A step whose scaled parts, S or table are not finite (a loaded
+        unit of 1e308, say) is refused."""
         check_spec(self.spec, rec.rows.spec)
         form = rec.rows.form
         if not (self.descends(form) and form.k == self.k):
@@ -563,23 +622,29 @@ class _EvalPlan:
                            np.zeros((self.k, a)), np.ones(a))
         scale = form.unit * form.step
         BU, ZB = form.BU * scale, form.ZB * scale
-        K_AU = self.spec.gram(self.anchors, form.U)
-        cross = self._fold(form, K_AU) * scale
+        KF = self.gram_lift(form.U)
+        cross = self._fold(form, KF) * scale
         table = np.hstack([self.lifted_values(rec.witness_lossprime), cross])
-        g = self.spec.gram(form.U, form.U) @ BU - K_AU.T @ self.expand(ZB.T).T
+        g = self.spec.gram(form.U, form.U) @ BU - KF.T @ ZB
         S = BU.T @ g - ZB.T @ cross
         for key, arr in (("BU", BU), ("ZB", ZB), ("S", S), ("table", table)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"patch {key!r} scaled by its unit and step is not finite")
         n = len(self.anchors)
-        step = _PlanStep(n, n + len(form.U), self.k, rec.beta, rec.mixing, BU, ZB, S, table)
+        at, BU = self._place(form.U, BU)
+        N = len(self.anchors)
+        if N < len(BU) + len(ZB):  # the rows over every anchor hold fewer numbers
+            RT = np.zeros((N, len(rec.mixing)))
+            RT[at] = BU
+            RT -= self.expand(ZB.T).T
+            at, BU, ZB = slice(0, N), RT, ZB[:0]
+        step = _PlanStep(n, N, self.k, rec.beta, rec.mixing, at, BU, ZB, S, table)
         # the new rows' border of F G F^T is F_{<t} G R^T
         gram_F = np.block([[self.gram_F, cross], [cross.T, S]])
-        anchors = np.vstack([self.anchors, form.U])
-        for arr in (anchors, BU, ZB, S, table, gram_F):
+        for arr in (self.anchors, BU, ZB, S, table, gram_F):
             arr.setflags(write=False)
-        self.anchors = anchors
         self.gram_F = gram_F
+        self._lifted = None
         self.lineage = (self.lineage[0], self.lineage[1] + (rec,))
         self.steps.append(step)
         self.k += len(step.M)
@@ -599,6 +664,12 @@ def cut_span(plan: _EvalPlan, form: CutForm) -> tuple[RkhsElement, np.ndarray]:
     # where, not the zero scale alone: a negative coefficient times 0.0 is -0.0
     coeffs = np.where(form.unit > 0, means * form.unit, 0.0) * form.step
     return RkhsElement._of_checked(plan.spec, anchors, coeffs, form), means
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a float array, as a plan keys its anchors."""
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
 def _project_rows(W: np.ndarray, n2: np.ndarray, upto: int, R2: float) -> None:
@@ -740,7 +811,7 @@ class EvaluatedBatch:
     @cached_property
     def K_FU(self) -> np.ndarray:
         """F @ K(anchors, U), the basis's inner products with phi(U); (k, |U|)."""
-        return self.plan.lift(self.kernel.gram(self.plan.anchors, self.outcomes[0]))
+        return self.plan.gram_lift(self.outcomes[0])
 
 
 def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
@@ -751,9 +822,11 @@ def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
 def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
     """The batch of `eb`, evaluated on p's parent, carried through p's last
     patch only: the same numbers as evaluate_batch(p, batch), bit for bit,
-    without replaying the earlier patches again or merging the outcomes
-    that eb has merged.  eb's plan must hold p's steps but the last, as the
-    same objects (as `with_patch` makes it)."""
+    without replaying the earlier patches again, merging the outcomes that
+    eb has merged, or lifting again the K_FU rows that eb has lifted (the
+    new step's rows are lift's last block, at |U_T| x |U| kernel entries).
+    eb's plan must hold p's steps but the last, as the same objects (as
+    `with_patch` makes it)."""
     plan = p._plan
     if not plan.steps:
         raise ValueError("the predictor has no patch to extend through")
@@ -769,6 +842,9 @@ def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
     out = EvaluatedBatch(p.kernel, eb.X, eb.Y, plan, Z, pnorm2, eb.batch_id)
     if "outcomes" in eb.__dict__:  # the cached_property's value
         out.__dict__["outcomes"] = eb.outcomes
+    if "K_FU" in eb.__dict__:
+        X = p.kernel.gram(plan.anchors[st.at], eb.outcomes[0])
+        out.__dict__["K_FU"] = np.vstack([eb.K_FU, st.lift(X, eb.K_FU)])
     return out
 
 
@@ -813,7 +889,8 @@ def _chain_prefix(form: CutForm | None, base: PredictorBase, before: tuple) -> i
     cut_base, recs = form.lineage
     if cut_base is not base or len(recs) > len(before):
         return None
-    return len(recs) if all(a is b for a, b in zip(recs, before)) else None
+    # records compare by identity (eq=False), so tuple equality is identity too
+    return len(recs) if before[: len(recs)] == recs else None
 
 
 def _table_to_doc(span: RkhsElement, chain) -> dict:

@@ -73,7 +73,7 @@ def spy(owner, name, when=None):
 def dense_basis(plan, steps=None) -> np.ndarray:
     """A plan's patch-row basis F = [I; R_1; ...; R_T] as one dense (k, N)
     matrix over its anchors, each R_t built from its step's form as
-    [-ZB_t^T F_{<t}, BU_t^T] over the anchors up to its own points; with
+    -ZB_t^T F_{<t} plus BU_t^T at the anchor rows of its points; with
     `steps`, only the rows of the plan's first `steps` steps, over their
     anchors."""
     chosen = plan.steps[:steps]
@@ -81,8 +81,8 @@ def dense_basis(plan, steps=None) -> np.ndarray:
     F = np.eye(plan.n_base, N)
     for st in chosen:
         R = np.zeros((len(st.M), N))
-        R[:, : st.n_before] -= st.ZB.T @ F[:, : st.n_before]
-        R[:, st.n_before : st.n_after] = st.BU.T
+        R[:, : st.n_before] -= st.ZB.T @ F[: len(st.ZB), : st.n_before]
+        R[:, st.at] += st.BU.T
         F = np.vstack([F, R])
     return F
 

@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decal import model
-from decal.audit import AuditReport, _gap_scan, _scan_values, _witness, random_loss_pool
+from decal.audit import AuditReport, _gap_scan, _scan_values, _witness, audit, random_loss_pool
 from decal.calibrate import CalibConfig, alg1_step, alg2_step
 from decal.kernel import KernelMismatchError, KernelSpec, RkhsElement, sum_rows
 from decal.model import (
     DEGENERATE_NORM, LossFunction, PatchRecord, Predictor, SampleBatch, SimilarityBase,
-    evaluate_batch, predictor_from_doc, predictor_to_doc, smooth_best_response,
+    evaluate_batch, extend_evaluated, predictor_from_doc, predictor_to_doc, smooth_best_response,
 )
 from spans import dense_rows, gram_entries, spy
 
@@ -52,9 +52,11 @@ def outcomes(spec, n, g):
     return Y * (radius * g.uniform(0.2, 1.0, (n, 1)) / np.linalg.norm(Y, axis=1, keepdims=True))
 
 
-def close(got, want):
-    """got equals want to REL relative to the largest entry of want."""
-    return np.max(np.abs(got - want), initial=0.0) <= REL * np.max(np.abs(want), initial=0.0)
+def close(got, want, size=None):
+    """got equals want to REL relative to the largest entry of want, or of
+    `size` when given."""
+    size = np.abs(want) if size is None else size
+    return np.max(np.abs(got - want), initial=0.0) <= REL * np.max(size, initial=0.0)
 
 
 def cut(p, batch, cfg, witnesses, g, zero, wid, pool=None):
@@ -285,6 +287,37 @@ def test_a_round_reads_only_the_kernel_entries_it_adds(kind):
         p = child
 
 
+@pytest.mark.parametrize("kind", sorted(SPECS))
+def test_a_round_reuses_the_blocks_its_scan_built(kind):
+    """After a scan built K_FU, appending a patch cut on that batch reads no
+    K(anchors, U) again, only K(U, U) and its lossprime's entries, and the
+    batch carried through the new patch continues K_FU at K(step's points,
+    U), to the bits of a fresh lift."""
+    spec = SPECS[kind]
+    g = np.random.default_rng(31)
+    base = SimilarityBase(spec, outcomes(spec, 40, g), g.standard_normal((40, 2)), 1.0)
+    cfg = CalibConfig(epsilon=0.01, beta=4.0, R1=1.0, R2=spec.R2, n_actions=2)
+    p, witnesses = Predictor(spec, base), []
+    for t in range(3):
+        batch = SampleBatch(g.standard_normal((60, 2)), outcomes(spec, 60, g), f"b{t}")
+        eb = evaluate_batch(p, batch)
+        pool = random_loss_pool(spec, batch.Y, 2, cfg.R1, POOL, g) + witnesses
+        report = audit(eb, epsilon=cfg.epsilon, pool=pool, beta=cfg.beta, R1=cfg.R1,
+                       witness_id=f"w{t}")
+        rec, U = alg1_step(report, config=cfg), eb.outcomes[0]
+        assert rec.rows.form.U is U and "K_FU" in eb.__dict__
+        with spy(KernelSpec, "gram") as grams:
+            q = p.with_patch(rec)
+        lossprime = len(rec.witness_lossprime.span.anchors)
+        assert gram_entries(grams) <= len(U) ** 2 + len(p.anchors) * lossprime
+        with spy(KernelSpec, "gram") as grams:
+            K_FU = extend_evaluated(eb, q).K_FU
+        assert gram_entries(grams) == (len(q.anchors) - len(p.anchors)) * len(U)
+        assert K_FU.tobytes() == q._plan.lift(spec.gram(q.anchors, U)).tobytes()
+        witnesses.append(report.witness_loss)
+        p = q
+
+
 def test_a_plan_holds_no_fold_of_a_witness_it_read():
     """A form keeps its own fold, so a long-lived plan audited again and again
     does not keep every witness read on it alive."""
@@ -371,16 +404,21 @@ def chain(spec, algorithm, n_actions, g, zero=None, witnesses_only=False, finite
 def table_lift(p, values_at):
     """F @ X from the records' own anchor tables, with X's rows at any points
     given by values_at(points): the rows at the base anchors, then for each
-    record its coefficients against X's rows at its table's anchors."""
-    blocks = [values_at(p._plan.anchors[: p._plan.n_base])]
-    return np.vstack(blocks + [rec.rows.coeffs.T @ values_at(rec.rows.anchors) for rec in p.patches])
+    record its coefficients against X's rows at its table's anchors.  Also
+    returns the same product over the tables' and X's absolute values: the
+    size of the terms each entry sums, which can cancel far below it."""
+    X = values_at(p._plan.anchors[: p._plan.n_base])
+    pairs = [(rec.rows.coeffs.T, values_at(rec.rows.anchors)) for rec in p.patches]
+    return (np.vstack([X] + [C @ V for C, V in pairs]),
+            np.vstack([np.abs(X)] + [np.abs(C) @ np.abs(V) for C, V in pairs]))
 
 
-def close_by_block(plan, got, want):
-    """close, for each row block of the plan's basis: the base's rows, then
+def close_by_block(plan, got, want, size):
+    """got equals want to REL relative to the largest term `size` that an
+    entry sums, for each row block of the plan's basis: the base's rows, then
     each step's |A| rows."""
     bounds = [(0, plan.n_base)] + [(st.k, st.k + len(st.M)) for st in plan.steps]
-    return all(close(got[i:j], want[i:j]) for i, j in bounds)
+    return all(close(got[i:j], want[i:j], size[i:j]) for i, j in bounds)
 
 
 @given(
@@ -396,38 +434,47 @@ def close_by_block(plan, got, want):
 def test_step_forms_match_the_record_tables(kind, n_actions, algorithm, zero, finite,
                                             witnesses_only, seed):
     """Each plan step's form spans its record's rows: against the records'
-    own anchor tables, at REL, a step's rows lifted over points Y equal its
-    record's values at Y, Z @ F expanded over the anchors gives Z's values
-    at Y, and every lossprime's values on the basis, through a fold or
-    densely, are the tables' too.  The chain holds cut, hand-built and
-    sibling-branch records, over repeated and +-0.0 outcomes with `finite`."""
+    own anchor tables, at REL of the terms that each entry sums, a step's
+    rows lifted over points Y equal its record's values at Y, Z @ F expanded
+    over the anchors gives Z's values at Y, and every lossprime's values on
+    the basis, through a fold or densely, are the tables' too.  The chain
+    holds cut, hand-built and sibling-branch records, over repeated and
+    +-0.0 outcomes with `finite`."""
     spec = SPECS[kind]
     g = np.random.default_rng(seed)
     p, _, randoms = chain(spec, algorithm, n_actions, g, zero, witnesses_only, finite)
     plan = p._plan
     Y = np.vstack([outcomes(spec, 5, g), plan.anchors[g.integers(len(plan.anchors), size=3)]])
     lifted = plan.lift(spec.gram(plan.anchors, Y))
+    want, size = table_lift(p, lambda pts: spec.gram(pts, Y))
     for step, rec in zip(plan.steps, p.patches, strict=True):
-        assert close(lifted[step.k : step.k + len(step.M)], rec.rows.values(Y).T)
-    want = table_lift(p, lambda pts: spec.gram(pts, Y))
-    assert close_by_block(plan, lifted, want)
+        block = slice(step.k, step.k + len(step.M))
+        assert close(lifted[block], rec.rows.values(Y).T, size[block])
+    assert close_by_block(plan, lifted, want, size)
     Z = g.standard_normal((4, plan.k))
-    assert close(plan.expand(Z) @ spec.gram(plan.anchors, Y), Z @ want)
+    assert close(plan.expand(Z) @ spec.gram(plan.anchors, Y), Z @ want, np.abs(Z) @ size)
     for loss in randoms + [rec.witness_lossprime for rec in p.patches]:
-        assert close_by_block(plan, plan.lifted_values(loss), table_lift(p, loss.values))
+        assert close_by_block(plan, plan.lifted_values(loss), *table_lift(p, loss.values))
+
+
+def form_points(plan, rec):
+    """The distinct points of the form a plan step was built from: the
+    record's cut form when it was cut on the plan, else its own anchors."""
+    U = rec.rows.form.U if plan.descends(rec.rows.form) else rec.rows.anchors
+    return len({row.tobytes() for row in U})
 
 
 def test_a_plan_keeps_nothing_as_wide_as_its_anchors():
     """On a continuous-outcome chain every patch adds anchors, yet a plan
     step keeps no array with more rows or columns than its own points or
-    the basis rows before it, and a carried witness's fold is one (k, |A|)
-    block over the basis of the plan it was folded onto."""
+    the basis rows before it, and a carried witness's fold is two (k, |A|)
+    blocks over the basis of the plan it was folded onto."""
     g = np.random.default_rng(41)
     p, _, _ = chain(SPECS["min"], "alg1", 2, g, witnesses_only=True)
     plan = p._plan
     assert len(plan.anchors) > 2 * max(plan.k, N_BATCH)
-    for step in plan.steps:
-        bound = max(step.n_after - step.n_before, step.k)
+    for step, rec in zip(plan.steps, p.patches, strict=True):
+        bound = max(form_points(plan, rec), step.k)
         for name, arr in vars(step).items():
             if isinstance(arr, np.ndarray):
                 assert max(arr.shape) <= bound, name
@@ -439,9 +486,30 @@ def test_a_plan_keeps_nothing_as_wide_as_its_anchors():
             for fold in form.folds.values():
                 k = fold.last.k + len(fold.last.M) if fold.last else plan.n_base
                 shapes = [a.shape for a in vars(fold).values() if isinstance(a, np.ndarray)]
-                assert shapes == [(k, 2)]
+                assert shapes == [(k, 2), (k, 2)]
                 folds += 1
     assert folds >= 3
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+def test_a_finite_support_chain_keeps_few_anchors_and_the_smaller_form(algorithm):
+    """On outcomes from a finite support (with +-0.0 rows) a plan's anchors
+    are the base's and the support's rows not among them, each once, however
+    many patches place their points; and every step keeps the form of its
+    rows that holds fewer numbers, its distinct points and the basis rows
+    before it, or every anchor so far."""
+    g = np.random.default_rng(43)
+    p, _, _ = chain(SPECS["min"], algorithm, 2, g, finite=True)
+    plan = p._plan
+    assert len(plan.anchors) <= N_BASE + 9  # the nine rows of signed_support
+    keys = [row.tobytes() for row in plan.anchors]
+    assert len(set(keys[N_BASE:])) == len(keys) - N_BASE
+    assert not set(keys[N_BASE:]) & set(keys[:N_BASE])
+    dense = 0
+    for step, rec in zip(plan.steps, p.patches, strict=True):
+        assert len(step.BU) + len(step.ZB) == min(step.n_after, form_points(plan, rec) + step.k)
+        dense += not len(step.ZB)
+    assert dense >= 2
 
 
 def assert_same_predictor(p, q, X, losses):
@@ -457,6 +525,7 @@ def assert_same_predictor(p, q, X, losses):
     assert P.gram_F.tobytes() == Q.gram_F.tobytes()
     for mine, theirs in zip(P.steps, Q.steps, strict=True):
         assert (mine.n_before, mine.n_after, mine.k) == (theirs.n_before, theirs.n_after, theirs.k)
+        assert repr(mine.at) == repr(theirs.at)
         for name in ("BU", "ZB", "S", "table", "M"):
             a, b = getattr(mine, name), getattr(theirs, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name

@@ -512,12 +512,12 @@ SPD = arrays(np.float64, (2, 2), elements=st.floats(-2.0, 2.0)).map(
 @given(base=TERMS, chain=st.lists(st.tuples(TERMS, TERMS, SPD), max_size=3))
 @settings(max_examples=100)
 def test_row_dedup_matches_dict_reference(base, chain):
-    """A merged table agrees bit for bit with a dict keyed by row bytes that
-    sums coefficients in input order.  The patch chain keeps its anchors
-    unmerged, the base's and then each record's in order, and each step's
-    rows are bitwise its record's coefficients over its own anchors; the
-    chain alternates alg1 and alg2 records, and each plan step mixes with
-    the record's matrix (the identity for alg1)."""
+    """A merged table and the patch-chain anchor list agree bit for bit with a
+    dict keyed by row bytes that sums coefficients in input order: the base's
+    anchors as given, then each record's rows not seen before, and each
+    step's rows its record's coefficients summed onto those anchors.  The
+    chain alternates alg1 and alg2 records, and each plan step mixes with the
+    record's matrix (the identity for alg1)."""
     for el in [_span(base)] + [_span(t) for t0, t1, _ in chain for t in (t0, t1)]:
         index, rows, sums = {}, [], []
         for row, c in zip(el.anchors, el.coeffs[:, 0]):
@@ -548,15 +548,21 @@ def test_row_dedup_matches_dict_reference(base, chain):
         steps.append(els)
         mixings.append(mixing)
 
-    # the plan appends each record's anchors as they are, after the base's,
-    # so row a of a step holds column a of its table over its own anchors
-    rows = list(base_el.anchors)
+    index, rows = {}, []
+    for row in base_el.anchors:
+        index.setdefault(row.tobytes(), len(rows))
+        rows.append(row)
     for t, (els, mixing, plan_step) in enumerate(zip(steps, mixings, p._plan.steps, strict=True)):
-        D = np.zeros((len(els), len(rows) + sum(len(el) for el in els)))
+        entries = []
         for a, el in enumerate(els):
             for row, c in zip(el.anchors, el.coeffs[:, 0]):
-                D[a, len(rows)] = c
-                rows.append(row)
+                j = index.setdefault(row.tobytes(), len(rows))
+                if j == len(rows):
+                    rows.append(row)
+                entries.append((a, j, c))
+        D = np.zeros((len(els), len(rows)))
+        for a, j, c in entries:
+            D[a, j] += c
         assert dense_rows(p._plan, t).tobytes() == D.tobytes()
         assert plan_step.M.tobytes() == mixing.tobytes()
     assert p.anchors.tobytes() == np.array(rows).reshape(-1, 2).tobytes()
@@ -857,6 +863,7 @@ def test_child_plans_extend_the_parents(monkeypatch):
     for mine, theirs in zip(p._plan.steps, fresh.steps, strict=True):
         for name in ("n_before", "n_after", "k", "beta"):
             assert getattr(mine, name) == getattr(theirs, name), name
+        assert repr(mine.at) == repr(theirs.at)
         for name in STEP_ARRAYS:
             a, b = getattr(mine, name), getattr(theirs, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
