@@ -11,51 +11,44 @@ radius-R2 ball.  Every prediction is a_0 * W_0(x) + sum_t a_t * Q_t(x) R_t,
 with W_0 the base coefficients, Q_t the mixed rule probabilities of patch t,
 R_t its |A| rows, and a_t the product of the projection scalings applied to
 the row from patch t on.  Replay therefore carries coordinates over the
-patch-row basis F = [I; R_1; ...; R_T]: K = n_base + sum_t |A_t| numbers per
-prediction, not one per anchor.  A step keeps its rows as their scaled form
-R_t = BU_t^T phi(U_t) - ZB_t^T F_{<t}, over its own distinct points U_t and
-the k_t basis rows before it, so F X is the recursion F_t X = BU_t^T X[U_t]
-- ZB_t^T F_{<t} X, at |A| (|U_t| + k_t) per column and step; or, when the
-N_t anchors so far are fewer than |U_t| + k_t, as R_t over every anchor (ZB
-empty), at |A| N_t.  A step looks its points up among the anchors by their
-bytes and appends only those not seen before, so on a finite outcome support
-N stays within the base's anchors and the support, while on continuous
-outcomes every step adds its points.  Each plan step caches the basis
-applied to its witness columns and to its rows' Gram products, and replay
-tracks each prediction's squared norm through the updates instead of
-recomputing it, so no N x N Gram matrix is formed, a decision reads loss
-estimates straight off the coordinates, and a patched predictor extends its
-parent's plan by one step.  The plan also keeps F G F^T, so the audit reads
-through the basis too.
-Replay runs in row blocks of REPLAY_BLOCK contexts: a decision reuses one
-block's (REPLAY_BLOCK, k) coordinates, so `loss_estimates` holds only block x
-k numbers, and an evaluated batch is filled block by block.
+patch-row basis F = [I; R_1; ...; R_T] (k = n_base + sum_t |A_t| numbers)
+and tracks their squared norms.  Each plan step caches the basis applied to
+its witness columns and its rows' Gram products, and the plan keeps F G F^T,
+so no N x N Gram matrix is formed, decisions and the audit read through the
+basis, and a patched predictor extends its parent's plan by one step.
+Replay runs in blocks of REPLAY_BLOCK contexts, so `loss_estimates` holds
+block x k coordinates and an evaluated batch is filled block by block.
+
+A step keeps its rows as their scaled form R_t = BU_t^T phi(U_t) - ZB_t^T
+F_{<t}, over its distinct points U_t and the k_t basis rows before it, or,
+when the N_t anchors so far are fewer than |U_t| + k_t, over every anchor
+(ZB empty).  F X is the recursion F_t X = BU_t^T X[at_t] - ZB_t^T F_{<t} X,
+at |A| min(|U_t| + k_t, N_t) per column and step, reading X's rows at_t a
+step at a time, so F K(anchors, U) holds the (k, |U|) result and no kernel
+block wider than the base's or one step's rows.  A step appends only its
+points not yet anchors (by their bytes): on a finite outcome support N
+stays within the base's anchors and the support; on continuous outcomes
+every step adds its points.
 
 A witness or patch table cut by the audit carries its cut form: the batch's
 distinct outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of its
-columns sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i, over the first k rows
-f_i of the basis of the plan it was cut on, with each column's unit scale and
-the step that scales them all.  A plan that descends from that plan (the same
-base and a prefix of its patch records, compared by identity) reads the
-span's Gram products through the form, F K(anchors, U) BU and F G F^T, as a
-fold over its steps: the form keeps its latest fold, and a plan that extends
-it continues it through its new steps, at K(U_t, U) kernel entries a step, so
-a witness carried from round to round costs what each round adds.  A loss
-without such a form (user losses, a random loss read on another batch than
-its own, a loaded `witness_loss.json`) is read densely, F @ values(anchors);
-the audit reads a random pool loss on its own batch off the scan's K_FU
-instead (see `LossFunction.anchor_rows`).  A patch cut on the very plan it
-extends is appended as its cut form; any other patch (hand-built records,
-records cut on a sibling branch or an equal but distinct base) as the form
-over its own M anchors, with ZB zero, at N x M + M x M entries, so no plan
-operation forms an N x N Gram block.  The coefficients W = Z F are built only
-by `coefficients` and, by `cut_span`, for a cut span's |A| rows.
+columns sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i over the first k
+basis rows f_i of the plan it was cut on, with each column's unit scale and
+the step that scales them all.  A plan descending from that plan (its base
+and a prefix of its records, by identity) reads the span through the form,
+as a fold over its steps that the form keeps and a longer plan continues at
+K(U_t, U) a step.  A loss without such a form (user losses, a random loss
+read on another batch, a loaded `witness_loss.json`) is read densely, F @
+values(anchors), but a random pool loss on its own batch is read off the
+scan's K_FU (`LossFunction.anchor_rows`).  A patch not cut on the plan it
+extends is appended as the form over its own M anchors, ZB zero, at N x M +
+M x M entries.  W = Z F is built only by `coefficients` and, for a cut
+span's |A| rows, by `cut_span`.
 
 `predictor.json` stores each span whose form descends from the predictor's
-own chain as that form plus the number of chain records it was cut on; the
-loader folds the patches in order and rebuilds each anchor table with
-`cut_span` on the loaded prefix, so the loaded predictor, its plan
-included, equals the saved one bit for bit.
+own chain as that form and the number of records it was cut on; the loader
+folds the patches in order, rebuilding each table by `cut_span` on its
+prefix, so the loaded predictor, plan included, is the saved one bit for bit.
 """
 
 from __future__ import annotations
@@ -313,10 +306,10 @@ class SimilarityBase(PredictorBase):
     def __post_init__(self) -> None:
         anchors = as_outcomes(self.anchors, self.spec.dim).copy()
         contexts = as_contexts(self.contexts).copy()
-        if len(anchors) != len(contexts):
-            raise ValueError("anchor and context counts differ")
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if len(anchors) != len(contexts) or not np.all(np.isfinite(contexts)):
+            raise ValueError("similarity base 'contexts' must be finite, one per anchor")
+        if isinstance(bw := self.bandwidth, bool) or not isinstance(bw, (int, float)) or not bw > 0:
+            raise ValueError(f"similarity base 'bandwidth' must be a positive number, got {bw!r}")
         self.spec.check_domain(anchors)
         anchors.setflags(write=False)
         contexts.setflags(write=False)
@@ -344,7 +337,7 @@ class SimilarityBase(PredictorBase):
             spec,
             np.asarray(doc["anchors"], dtype=np.float64),
             np.asarray(doc["contexts"], dtype=np.float64),
-            float(doc["bandwidth"]),
+            doc["bandwidth"],
         )
 
 
@@ -474,7 +467,7 @@ class _EvalPlan:
         base_gram.setflags(write=False)
         self.anchors = anchors
         self.n_base = len(anchors)
-        self.k = self.n_base
+        self.k = self.widest = self.n_base  # widest: the most anchors one lift block reads
         # the first anchor row of each distinct row, by its bytes (see _place)
         self.rows: dict[bytes, int] = {}
         for i, key in enumerate(_row_keys(anchors)):
@@ -493,23 +486,39 @@ class _EvalPlan:
         plan._append(rec)
         return plan
 
-    def lift(self, X: np.ndarray, steps: list | None = None) -> np.ndarray:
-        """F @ X for X with one row per anchor (at least the last step's
-        n_after), (k, cols), by the recursion F_t X = BU_t^T X[at_t] - ZB_t^T
-        (F_{<t} X); over a prefix `steps` of the plan's."""
+    def lift(self, X, steps: list | None = None, head: np.ndarray | None = None) -> np.ndarray:
+        """F @ X, (k, cols), by the recursion F_t X = BU_t^T X[at_t] - ZB_t^T
+        (F_{<t} X) over a prefix `steps` of the plan's steps, or those after
+        `head`, F X over the steps before them.  X has a row per anchor, or is
+        a function giving X[at], read block by block."""
         steps = self.steps if steps is None else steps
-        out = np.empty((steps[-1].k + len(steps[-1].M) if steps else self.n_base, X.shape[1]))
-        out[: self.n_base] = X[: self.n_base]
+        rows = X.__getitem__ if isinstance(X, np.ndarray) else X
+        head = rows(slice(0, self.n_base)) if head is None else head
+        out = np.empty((steps[-1].k + len(steps[-1].M) if steps else len(head), head.shape[1]))
+        out[: len(head)] = head
         for st in steps:
-            out[st.k : st.k + len(st.M)] = st.lift(X[st.at], out[: st.k])
+            out[st.k : st.k + len(st.M)] = st.lift(rows(st.at), out[: st.k])
         return out
 
-    def gram_lift(self, U: np.ndarray) -> np.ndarray:
-        """F K(anchors, U), (k, |U|).  The plan keeps the last U's, so the
-        append of a patch cut on a batch reads the batch's block again."""
-        if self._lifted is None or self._lifted[0] is not U:
-            self._lifted = (U, self.lift(self.spec.gram(self.anchors, U)))
-        return self._lifted[1]
+    def gram_lift(self, U: np.ndarray, steps: list | None = None, head=None) -> np.ndarray:
+        """F K(anchors, U), (k, |U|), by `lift` over `steps` from `head`,
+        reading K(anchors, U) whole if no wider than the widest step block (on
+        a finite support), else block by block, at (n_base + sum_t |at_t|) x
+        |U| kernel entries.  A one-row block is read as two equal rows: numpy
+        multiplies one row by gemv, which rounds unlike gemm.  The plan keeps
+        the last U's full lift, which a patch cut on that batch reuses."""
+        if steps is None:
+            if self._lifted is None or self._lifted[0] is not U:
+                self._lifted = (U, self.gram_lift(U, self.steps))
+            return self._lifted[1]
+        n = steps[-1].n_after if steps else self.n_base
+        if head is None and n <= self.widest:
+            return self.lift(self.spec.gram(self.anchors[:n], U), steps)
+
+        def block(at):
+            pts = self.anchors[at]
+            return self.spec.gram(pts if len(pts) > 1 else np.vstack([pts, pts]), U)[: len(pts)]
+        return self.lift(block, steps, head)
 
     def expand(self, Z: np.ndarray) -> np.ndarray:
         """The coefficients over the anchors, W = Z @ F, (m, N), by lift's
@@ -533,28 +542,23 @@ class _EvalPlan:
         """F G times the unscaled spans of a form this plan descends from,
         (k, |A|): L = P - gram_F[:, :form.k] ZB, with P = F K(anchors, U) BU.
 
-        P and L are a fold over the plan's steps by lift's recursion.  It
-        starts on the plan the form was cut on, with F K(its anchors, U) (KF,
-        when the caller has it) times BU, and each later step t adds P_t = BU_t^T
-        K(U_t, U) BU - ZB_t^T P and L_t = P_t - cross_t^T ZB, cross_t being
-        the step's border of gram_F.  The form keeps its latest fold, which
-        the forms an alg1 or alg2 step rescales from it share, and a plan
-        whose steps extend that fold's continues it, so a carried witness
-        costs K(step t's points, U) a step, and a second read on the same
-        plan nothing.  Every plan folds the same blocks in the same order,
-        wherever it starts, so a reloaded plan reads a form bit for bit as the
-        calibrated one did."""
+        P and L are a fold by lift's recursion, from P = F K(anchors, U) BU
+        on the plan the form was cut on (KF, when the caller has it); each
+        later step t adds P_t = BU_t^T K(U_t, U) BU - ZB_t^T P and L_t = P_t -
+        cross_t^T ZB, cross_t its border of gram_F.  The form keeps its latest
+        fold, shared by the forms an alg1 or alg2 step rescales from it, and a
+        plan whose steps extend that fold's continues it: a carried witness
+        costs K(step t's points, U) a step, a second read nothing.  Every plan
+        folds the same blocks in the same order, wherever it starts, so a
+        reloaded plan reads a form bit for bit as the calibrated one did."""
         key = (id(form.U), id(form.BU), id(form.ZB), form.k)
         fold = form.folds.get(key)
         if fold is None or fold.steps > len(self.steps) or (
                 fold.steps and self.steps[fold.steps - 1] is not fold.last):
             j = len(form.lineage[1])
-            last = self.steps[j - 1] if j else None
-            if KF is None:
-                K_AU = self.spec.gram(self.anchors[: last.n_after if last else self.n_base], form.U)
-                KF = self.lift(K_AU, self.steps[:j])
-            P = KF @ form.BU
-            fold = _Fold(j, last, P, P - self.gram_F[: form.k, : form.k] @ form.ZB)
+            P = (self.gram_lift(form.U, self.steps[:j]) if KF is None else KF) @ form.BU
+            fold = _Fold(j, self.steps[j - 1] if j else None, P,
+                         P - self.gram_F[: form.k, : form.k] @ form.ZB)
         if fold.steps < len(self.steps):
             P, L = np.empty((2, self.k, form.BU.shape[1]))
             P[: len(fold.P)], L[: len(fold.L)] = fold.P, fold.L
@@ -605,15 +609,13 @@ class _EvalPlan:
         each distinct point; when the anchors are then fewer than those
         points and ZB's rows, the step keeps the rows over every anchor.
 
-        Then with KF = F K(anchors, U) (`gram_lift`, which a batch's scan has
-        built already when the rows were cut on it), F G R^T = KF BU -
-        gram_F ZB, and R G R^T = BU^T g - ZB^T F G R^T with g = K(U, U) BU -
-        KF^T ZB the rows' inner products with phi(U).  Expanding R G R^T into
-        four quadratic terms instead would lose its digits to cancellation
-        when the rows are short against their parts.  Either way the rows
-        cost at most N x |U| + |U| x |U| kernel entries, N the anchors before
-        them.  A step whose scaled parts, S or table are not finite (a loaded
-        unit of 1e308, say) is refused."""
+        Then with KF = F K(anchors, U) (`gram_lift`, built beside its largest
+        step block only, or the batch's K_FU when the rows were cut on it),
+        F G R^T = KF BU - gram_F ZB and R G R^T = BU^T g - ZB^T F G R^T, with
+        g = K(U, U) BU - KF^T ZB the rows' inner products with phi(U), not
+        four quadratic terms that cancel when the rows are short against
+        their parts.  A step whose scaled parts, S or table are not finite (a
+        loaded unit of 1e308, say) is refused."""
         check_spec(self.spec, rec.rows.spec)
         form = rec.rows.form
         if not (self.descends(form) and form.k == self.k):
@@ -644,7 +646,7 @@ class _EvalPlan:
         for arr in (self.anchors, BU, ZB, S, table, gram_F):
             arr.setflags(write=False)
         self.gram_F = gram_F
-        self._lifted = None
+        self._lifted, self.widest = None, max(self.widest, len(BU))
         self.lineage = (self.lineage[0], self.lineage[1] + (rec,))
         self.steps.append(step)
         self.k += len(step.M)
@@ -822,11 +824,10 @@ def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
 def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
     """The batch of `eb`, evaluated on p's parent, carried through p's last
     patch only: the same numbers as evaluate_batch(p, batch), bit for bit,
-    without replaying the earlier patches again, merging the outcomes that
-    eb has merged, or lifting again the K_FU rows that eb has lifted (the
-    new step's rows are lift's last block, at |U_T| x |U| kernel entries).
-    eb's plan must hold p's steps but the last, as the same objects (as
-    `with_patch` makes it)."""
+    without replaying the earlier patches, merging the outcomes that eb has
+    merged, or lifting the K_FU rows that eb has lifted (the new step's rows
+    cost |U_T| x |U| kernel entries).  eb's plan must hold p's steps but the
+    last, as the same objects (as `with_patch` makes it)."""
     plan = p._plan
     if not plan.steps:
         raise ValueError("the predictor has no patch to extend through")
@@ -843,8 +844,7 @@ def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
     if "outcomes" in eb.__dict__:  # the cached_property's value
         out.__dict__["outcomes"] = eb.outcomes
     if "K_FU" in eb.__dict__:
-        X = p.kernel.gram(plan.anchors[st.at], eb.outcomes[0])
-        out.__dict__["K_FU"] = np.vstack([eb.K_FU, st.lift(X, eb.K_FU)])
+        out.__dict__["K_FU"] = plan.gram_lift(eb.outcomes[0], [st], eb.K_FU)
     return out
 
 

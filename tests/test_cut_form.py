@@ -7,7 +7,9 @@ the reference these tests compare against, and appends a patch as the form
 over its own anchors, so no append reads the anchors' N x N Gram matrix.
 """
 
+import contextlib
 import copy
+import dataclasses
 import gc
 import json
 import weakref
@@ -512,6 +514,86 @@ def test_a_finite_support_chain_keeps_few_anchors_and_the_smaller_form(algorithm
     assert dense >= 2
 
 
+@contextlib.contextmanager
+def recorded_lifts():
+    """Record each _EvalPlan.gram_lift call while the block runs as (plan,
+    its anchors then, the plan's steps whose rows the result holds, U,
+    result)."""
+    real, calls = model._EvalPlan.gram_lift, []
+
+    def recording(plan, U, *args, **kwargs):
+        got = real(plan, U, *args, **kwargs)
+        calls.append((plan, plan.anchors, [st for st in plan.steps if st.k < len(got)], U, got))
+        return got
+
+    model._EvalPlan.gram_lift = recording
+    try:
+        yield calls
+    finally:
+        model._EvalPlan.gram_lift = real
+
+
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    n_actions=st.integers(1, 3),
+    algorithm=st.sampled_from(["alg1", "alg2"]),
+    finite=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30)
+def test_a_lifted_kernel_block_is_read_one_step_at_a_time(kind, n_actions, algorithm, finite,
+                                                          seed):
+    """F K(anchors, U) is read one kernel block at a time wherever a plan
+    lifts it: a batch's fresh K_FU and its continuation through one more
+    patch, the loader's append of every patch, and the start of a cut form's
+    fold.  No KernelSpec.gram call there reads more anchors than the base's
+    or one step's points (every anchor so far, for a step kept as rows over
+    them, where the whole block is read at once), while on continuous
+    outcomes lifting the whole block read all N; and every lift is the dense
+    lift of K(anchors, U) bit for bit.  The chain ends on a hand-built patch
+    at one point, whose one-row block numpy would take by gemv."""
+    spec = SPECS[kind]
+    g = np.random.default_rng(seed)
+    p, _, randoms = chain(spec, algorithm, n_actions, g, finite=finite)
+    Y = np.vstack([outcomes(spec, 5, g), p.anchors[g.integers(len(p.anchors), size=5)]])
+    kw = {"eta": 0.1} if algorithm == "alg1" else {"mixing": 0.8 * np.eye(n_actions)}
+    one = RkhsElement(spec, Y[-1:], g.standard_normal((1, n_actions)) * 0.1)
+    q = p.with_patch(PatchRecord(algorithm, randoms[0], 4.0, one, "one", **kw))
+    plan = q._plan
+    bound = max([plan.n_base] + [len(plan.anchors[st.at]) for st in plan.steps])
+    # on a finite support the point's step keeps rows over the few anchors
+    assert finite or len(plan.anchors[plan.steps[-1].at]) == 1
+
+    def widest(grams, Us=None):
+        return max(len(args[1]) for args in grams if Us is None or any(args[2] is U for U in Us))
+
+    with recorded_lifts() as lifts:
+        eb = evaluate_batch(p, SampleBatch(g.standard_normal((len(Y), 2)), Y, "held"))
+        with spy(KernelSpec, "gram") as grams:
+            eb.K_FU
+            extend_evaluated(eb, q).K_FU
+        assert widest(grams) <= bound
+        with spy(KernelSpec, "gram") as grams:
+            loaded = predictor_from_doc(json.loads(json.dumps(predictor_to_doc(q))))
+        # the reads for the patches' forms and the lossprimes' cut forms; a
+        # lossprime without one is read densely, at every anchor
+        Us = [rec.rows.anchors if rec.rows.form is None else rec.rows.form.U for rec in loaded.patches]
+        Us += [rec.witness_lossprime.span.form.U for rec in loaded.patches
+               if rec.witness_lossprime.span.form is not None]
+        assert widest(grams, Us) <= bound
+        starts = 0
+        for rec in q.patches:
+            if plan.descends(rec.rows.form):
+                with spy(KernelSpec, "gram") as grams:
+                    plan._fold(dataclasses.replace(rec.rows.form, folds={}))
+                assert widest(grams) <= bound
+                starts += 1
+        assert starts >= ROUNDS
+    assert len(lifts) >= 2 + len(q.patches) + starts
+    for lifted, anchors, steps, U, got in lifts:
+        assert got.tobytes() == lifted.lift(spec.gram(anchors, U), steps).tobytes()
+
+
 def assert_same_predictor(p, q, X, losses):
     """q is p bit for bit: records, plan steps, gram_F, coefficients and
     loss estimates."""
@@ -599,9 +681,22 @@ def long_unit(doc):
     doc["patches"][0]["cut"]["unit"].append(1.0)
 
 
+def nan_context(doc):
+    doc["base"]["contexts"][0][0] = float("nan")
+
+
+def infinite_context(doc):
+    doc["base"]["contexts"][1][1] = float("-inf")
+
+
+def true_bandwidth(doc):
+    doc["base"]["bandwidth"] = True
+
+
 @pytest.mark.parametrize("spoil, key", [
     (drop_format, "'format'"), (bad_format, "'format'"), (prefix_past_own_index, "'prefix'"),
     (short_BU, "'BU'"), (short_ZB, "'ZB'"), (long_unit, "'unit'"),
+    (nan_context, "'contexts'"), (infinite_context, "'contexts'"), (true_bandwidth, "'bandwidth'"),
 ])
 def test_loader_names_the_key_it_refuses(spoil, key):
     doc = small_doc()
