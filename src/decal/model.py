@@ -26,9 +26,9 @@ when the N_t anchors so far are fewer than |U_t| + k_t, over every anchor
 at |A| min(|U_t| + k_t, N_t) per column and step, reading X's rows at_t a
 step at a time, so F K(anchors, U) holds the (k, |U|) result and no kernel
 block wider than the base's or one step's rows.  A step appends only its
-points not yet anchors (by their bytes): on a finite outcome support N
-stays within the base's anchors and the support; on continuous outcomes
-every step adds its points.
+points not yet anchors (found by `distinct_rows`): on a finite outcome
+support N stays within the base's anchors and the support; on continuous
+outcomes every step adds its points.
 
 A witness or patch table cut by the audit carries its cut form: the batch's
 distinct outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of its
@@ -47,8 +47,9 @@ span's |A| rows, by `cut_span`.
 
 `predictor.json` stores each span whose form descends from the predictor's
 own chain as that form and the number of records it was cut on; the loader
-folds the patches in order, rebuilding each table by `cut_span` on its
-prefix, so the loaded predictor, plan included, is the saved one bit for bit.
+folds the patches in order, each table rebuilt by `cut_span` on the chain's
+current plan, so the loaded predictor, plan included, is the saved one bit
+for bit.
 """
 
 from __future__ import annotations
@@ -453,9 +454,8 @@ class _EvalPlan:
     rows).
 
     Every array a plan holds is read-only, so a child plan shares its
-    parent's steps and the parent stays valid; only the index of anchor rows
-    by their bytes is copied.  The lineage (base, records) names the plan by
-    the objects it was built from.
+    parent's steps and the parent stays valid.  The lineage (base, records)
+    names the plan by the objects it was built from.
     """
 
     def __init__(self, predictor: "Predictor") -> None:
@@ -468,10 +468,6 @@ class _EvalPlan:
         self.anchors = anchors
         self.n_base = len(anchors)
         self.k = self.widest = self.n_base  # widest: the most anchors one lift block reads
-        # the first anchor row of each distinct row, by its bytes (see _place)
-        self.rows: dict[bytes, int] = {}
-        for i, key in enumerate(_row_keys(anchors)):
-            self.rows.setdefault(key, i)
         self.base_gram = base_gram
         self.gram_F = base_gram  # F G F^T (k, k), G the Gram matrix of the anchors
         self.steps: list[_PlanStep] = []
@@ -482,7 +478,7 @@ class _EvalPlan:
     def extended(self, rec: PatchRecord) -> "_EvalPlan":
         """This plan with one more patch appended; this plan is unchanged."""
         plan = copy.copy(self)
-        plan.steps, plan.rows = list(self.steps), dict(self.rows)
+        plan.steps = list(self.steps)
         plan._append(rec)
         return plan
 
@@ -520,13 +516,15 @@ class _EvalPlan:
             return self.spec.gram(pts if len(pts) > 1 else np.vstack([pts, pts]), U)[: len(pts)]
         return self.lift(block, steps, head)
 
-    def expand(self, Z: np.ndarray) -> np.ndarray:
+    def expand(self, Z: np.ndarray, steps: list | None = None) -> np.ndarray:
         """The coefficients over the anchors, W = Z @ F, (m, N), by lift's
-        recursion run backward: step t adds Z_t BU_t^T at its points and
+        recursion run backward over a prefix `steps` of the plan's steps (N
+        the anchors after them): step t adds Z_t BU_t^T at its points and
         takes Z_t ZB_t^T off the coordinates before it."""
+        steps = self.steps if steps is None else steps
         Z = Z.copy()
-        W = np.zeros((len(Z), len(self.anchors)))
-        for st in reversed(self.steps):
+        W = np.zeros((len(Z), steps[-1].n_after if steps else self.n_base))
+        for st in reversed(steps):
             Zt = Z[:, st.k : st.k + len(st.M)]
             W[:, st.at] += Zt @ st.BU.T
             if len(st.ZB):
@@ -584,22 +582,21 @@ class _EvalPlan:
         """The anchor rows `at` of U's distinct rows in order of first
         appearance, and BU's rows summed over each of them in input order; a
         row that is no anchor yet goes onto the anchors, in that order.  Rows
-        compare by their bytes, as in distinct_rows, and only U's rows are
-        looked up."""
-        n, own, inverse, fresh = len(self.anchors), {}, [], []
-        for i, key in enumerate(_row_keys(U)):
-            row = self.rows.setdefault(key, n + len(fresh))
-            if row == n + len(fresh):
-                fresh.append(i)
-            inverse.append(own.setdefault(row, len(own)))
-        if fresh:
-            self.anchors = np.vstack([self.anchors, U[fresh]])
-        if len(fresh) == len(own):
-            at = slice(n, n + len(own))
+        compare by their bytes: `distinct_rows` groups [anchors; U], then
+        orders U's groups by their first appearance in U."""
+        n = len(self.anchors)
+        first, group = distinct_rows(np.vstack([self.anchors, U]))
+        old = np.searchsorted(first, n)  # the groups the anchors hold come first
+        own, inverse = distinct_rows(group[n:, None])
+        g = group[n:][own]
+        if old < len(first):
+            self.anchors = np.vstack([self.anchors, U[first[old:] - n]])
+        if np.all(g >= old):
+            at = slice(n, n + len(g))
         else:
-            at = np.fromiter(own, np.intp, len(own))
+            at = np.where(g < old, first[g], n + g - old)
             at.setflags(write=False)
-        return at, sum_rows(np.asarray(inverse, dtype=np.intp), len(own), BU)
+        return at, sum_rows(inverse, len(g), BU)
 
     def _append(self, rec: PatchRecord) -> None:
         """Append one patch as its rows' scaled form (U, BU, ZB): their cut
@@ -638,7 +635,7 @@ class _EvalPlan:
         if N < len(BU) + len(ZB):  # the rows over every anchor hold fewer numbers
             RT = np.zeros((N, len(rec.mixing)))
             RT[at] = BU
-            RT -= self.expand(ZB.T).T
+            RT[:n] -= self.expand(ZB.T).T  # F's rows so far reach the n anchors before U
             at, BU, ZB = slice(0, N), RT, ZB[:0]
         step = _PlanStep(n, N, self.k, rec.beta, rec.mixing, at, BU, ZB, S, table)
         # the new rows' border of F G F^T is F_{<t} G R^T
@@ -653,25 +650,21 @@ class _EvalPlan:
 
 
 def cut_span(plan: _EvalPlan, form: CutForm) -> tuple[RkhsElement, np.ndarray]:
-    """The anchor table of a form's columns, cut on `plan` (the plan of its
-    lineage), carrying the form: over the anchors [U; plan.anchors] with
-    repeats merged, each raw column BU - F^T ZB times its unit scale (zero
-    where that is zero) times the step.  Also returns the raw columns.
+    """The anchor table of a form's columns, carrying the form, rebuilt on
+    any `plan` descending from its lineage of j records: over the anchors [U;
+    those of plan's first j steps] with repeats merged, each raw column BU -
+    F^T ZB, F over those steps, times its unit scale (zero where that is
+    zero) times the step.  Also returns the raw columns.
 
     The table is taken as checked: plan.anchors are, and form.U must lie in
     the kernel's domain (the audit checks its batch's outcomes, the loader a
     file's U, before they cut)."""
-    anchors, means = merge_terms(plan.spec, np.vstack([form.U, plan.anchors]),
-                                 np.vstack([form.BU, -plan.expand(form.ZB.T).T]))
+    W = plan.expand(form.ZB.T, plan.steps[: len(form.lineage[1])])
+    anchors, means = merge_terms(plan.spec, np.vstack([form.U, plan.anchors[: W.shape[1]]]),
+                                 np.vstack([form.BU, -W.T]))
     # where, not the zero scale alone: a negative coefficient times 0.0 is -0.0
     coeffs = np.where(form.unit > 0, means * form.unit, 0.0) * form.step
     return RkhsElement._of_checked(plan.spec, anchors, coeffs, form), means
-
-
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a float array, as a plan keys its anchors."""
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
 def _project_rows(W: np.ndarray, n2: np.ndarray, upto: int, R2: float) -> None:
@@ -860,14 +853,24 @@ def kernel_to_doc(spec: KernelSpec) -> dict:
 
 
 def kernel_from_doc(doc: dict) -> KernelSpec:
-    """The kernel of a document; `dim` must be a whole number and `R2` a
-    number (JSON true is neither, though Python reads it as 1)."""
-    for key in ("dim", "R2"):
-        if isinstance(doc[key], bool) or not isinstance(doc[key], (int, float)):
-            raise ValueError(f"kernel {key!r} must be a number, got {doc[key]!r}")
-    if not float(doc["dim"]).is_integer():
-        raise ValueError(f"kernel 'dim' must be a whole number, got {doc['dim']!r}")
-    return KernelSpec(doc["kind"], int(doc["dim"]), float(doc["R2"]))
+    return KernelSpec(doc["kind"], _field(doc, "dim", int, "kernel "),
+                      _field(doc, "R2", float, "kernel "))
+
+
+def _field(doc: dict, key: str, kind: type = float, where: str = ""):
+    """doc[key] as a `kind`: a str or bool as it is, a float a finite number,
+    an int a whole one (JSON true and quoted numbers are no numbers; a huge
+    int compares with a float exactly).  A ValueError names the key."""
+    value = doc.get(key)
+    ok = isinstance(value, kind) if kind in (str, bool) else (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and abs(value) <= float(np.finfo(np.float64).max)
+        and (kind is float or float(value).is_integer()))
+    if not ok:
+        what = {str: "a string", bool: "true or false", float: "a finite number"}
+        got = f"got {value!r}" if key in doc else "it is missing"
+        raise ValueError(f"{where}{key!r} must be {what.get(kind, 'a whole number')}, {got}")
+    return kind(value)
 
 
 def span_to_doc(span: RkhsElement) -> dict:
@@ -904,38 +907,38 @@ def _table_to_doc(span: RkhsElement, chain) -> dict:
                     "ZB": form.ZB.T.tolist(), "unit": form.unit.tolist(), "step": form.step}}
 
 
-def _table_from_doc(doc: dict, spec: KernelSpec, plans) -> RkhsElement:
-    """The span of a span document; a cut is rebuilt by `cut_span` on
-    plans[prefix], plans being the loaded chain's plans of the records
-    before the span's own, one per prefix.  The cut's U is checked against
-    the kernel's domain and its parts for finite values first, since its
-    fold reads them as they are, while the table `cut_span` merges drops a
-    term it cannot weigh."""
+def _table_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None) -> RkhsElement:
+    """The span of a span document; a cut is rebuilt by `cut_span` on the
+    chain's current plan, that of the records before the span's own, with
+    the lineage of its first `prefix` records.  The cut's U is checked
+    against the kernel's domain and its parts for finite values first, since
+    its fold reads them as they are, while the table `cut_span` merges drops
+    a term it cannot weigh."""
     if "cut" not in doc:
         return span_from_doc(doc, spec)
     cut = doc["cut"]
-    j = int(cut["prefix"])
-    if not 0 <= j < len(plans):
-        raise ValueError(f"cut 'prefix' {j} names none of the {len(plans)} chain prefixes before it")
-    plan = plans[j]
+    j = _field(cut, "prefix", int, "cut ")
+    T = -1 if plan is None else len(plan.steps)
+    if not 0 <= j <= T:
+        raise ValueError(f"cut 'prefix' {j} names none of the {T + 1} chain prefixes before it")
+    k = plan.steps[j].k if j < T else plan.k
     U = np.asarray(cut["U"], dtype=np.float64).reshape(-1, spec.dim)
     # BU and ZB are written one list per action, as `coeffs` is, and held by row
     BU, ZB = (np.ascontiguousarray(np.asarray(cut[key], dtype=np.float64).T) for key in ("BU", "ZB"))
     unit = np.asarray(cut["unit"], dtype=np.float64)
-    step = float(cut["step"])
+    step = _field(cut, "step", float, "cut ")
     n_actions = BU.shape[-1]
-    for key, arr, want in (("BU", BU, (len(U), n_actions)), ("ZB", ZB, (plan.k, n_actions)),
+    for key, arr, want in (("BU", BU, (len(U), n_actions)), ("ZB", ZB, (k, n_actions)),
                            ("unit", unit, (n_actions,))):
         if arr.shape != want:
             raise ValueError(f"cut {key!r} has shape {arr.shape}, expected {want}")
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"cut {key!r} must be finite")
-    if not math.isfinite(step):
-        raise ValueError(f"cut 'step' must be finite, got {step!r}")
     if np.any(unit < 0):  # cut_span zeroes such a column, while a plan would scale by it
         raise ValueError(f"cut 'unit' must be >= 0, got {unit.tolist()!r}")
     spec.check_domain(U)
-    return cut_span(plan, CutForm(plan.lineage, plan.k, U, BU, ZB, unit, step))[0]
+    lineage = (plan.lineage[0], plan.lineage[1][:j])
+    return cut_span(plan, CutForm(lineage, k, U, BU, ZB, unit, step))[0]
 
 
 def loss_to_doc(loss: LossFunction, chain=None) -> dict:
@@ -947,9 +950,10 @@ def loss_to_doc(loss: LossFunction, chain=None) -> dict:
     }
 
 
-def loss_from_doc(doc: dict, spec: KernelSpec, plans=()) -> LossFunction:
-    span = _table_from_doc(doc, spec, plans)
-    return LossFunction(doc["loss_id"], span, float(doc["R1"]), bool(doc["rescaled"]))
+def loss_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None = None) -> LossFunction:
+    span = _table_from_doc(doc, spec, plan)
+    return LossFunction(_field(doc, "loss_id", str), span, _field(doc, "R1"),
+                        _field(doc, "rescaled", bool))
 
 
 def base_from_doc(doc: dict, spec: KernelSpec) -> PredictorBase:
@@ -974,16 +978,18 @@ def patch_to_doc(rec: PatchRecord, chain) -> dict:
     return doc
 
 
-def patch_from_doc(doc: dict, spec: KernelSpec, plans) -> PatchRecord:
+def patch_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan) -> PatchRecord:
+    if doc.get("algorithm") not in ("alg1", "alg2"):
+        raise ValueError(f"patch 'algorithm' must be 'alg1' or 'alg2', got {doc.get('algorithm')!r}")
     alg1 = doc["algorithm"] == "alg1"
     return PatchRecord(
         doc["algorithm"],
-        loss_from_doc(doc["witness_lossprime"], spec, plans),
-        float(doc["beta"]),
-        _table_from_doc(doc, spec, plans),
-        doc["batch_id"],
+        loss_from_doc(doc["witness_lossprime"], spec, plan),
+        _field(doc, "beta"),
+        _table_from_doc(doc, spec, plan),
+        _field(doc, "batch_id", str),
         mixing=None if alg1 else np.asarray(doc["mixing"], dtype=np.float64),
-        eta=float(doc["eta"]) if alg1 else None,
+        eta=_field(doc, "eta") if alg1 else None,
     )
 
 
@@ -998,18 +1004,19 @@ def predictor_to_doc(p: Predictor) -> dict:
 
 def predictor_from_doc(doc: dict) -> Predictor:
     """The predictor of a document, its patches folded in order by
-    `with_patch`, so each cut span is rebuilt on the plan of its prefix and
-    the plan is built once, by the same path as in memory.  A file's scales
-    may overflow the fold; `_append` refuses what is not finite."""
+    `with_patch`, so each cut span is rebuilt on the chain's current plan,
+    only that plan is kept, and it is built once, by the same path as in
+    memory.  A file's scales may overflow the fold; `_append` refuses what
+    is not finite."""
     if doc.get("format") != PREDICTOR_FORMAT:
         raise ValueError(f"predictor 'format' is {doc.get('format')!r}, not {PREDICTOR_FORMAT!r}")
+    if not isinstance(doc.get("patches"), list):
+        raise ValueError(f"predictor 'patches' must be a list, got {doc.get('patches')!r}")
     spec = kernel_from_doc(doc["kernel"])
     p = Predictor(spec, base_from_doc(doc["base"], spec))
-    plans = [p._plan]
     with np.errstate(over="ignore", invalid="ignore"):
         for d in doc["patches"]:
-            p = p.with_patch(patch_from_doc(d, spec, plans))
-            plans.append(p._plan)
+            p = p.with_patch(patch_from_doc(d, spec, p._plan))
     return p
 
 

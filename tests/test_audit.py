@@ -360,7 +360,8 @@ def test_calibration_expands_only_witness_rows(monkeypatch):
     rows = []
     real_expand = _EvalPlan.expand
     monkeypatch.setattr(
-        _EvalPlan, "expand", lambda self, Z: (rows.append(len(Z)), real_expand(self, Z))[1]
+        _EvalPlan, "expand",
+        lambda self, Z, *args: (rows.append(len(Z)), real_expand(self, Z, *args))[1]
     )
     p, trace = run_calibration(p0, source, config)
     assert len(p.patches) >= 2

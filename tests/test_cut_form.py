@@ -693,10 +693,53 @@ def true_bandwidth(doc):
     doc["base"]["bandwidth"] = True
 
 
+def fractional_prefix(doc):
+    doc["patches"][1]["cut"]["prefix"] += 0.7
+
+
+def no_beta(doc):
+    del doc["patches"][1]["beta"]
+
+
+def put(name, value, *path):
+    """A spoil named `name` that sets the field at `path` of the document to
+    `value`."""
+    def spoil(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    spoil.__name__ = name
+    return spoil
+
+
+# a number as a string or a bool, one past the float range, a fractional
+# prefix, a mistyped string or bool: each loaded at one time; an unknown
+# algorithm, a missing beta and null patches raised errors naming no key
+LOSS, CUT = ("patches", 1, "witness_lossprime"), ("patches", 1, "cut")
+MISTYPED = [
+    (put("true_R1", True, *LOSS, "R1"), "'R1'"),
+    (put("string_R1", "1.0", *LOSS, "R1"), "'R1'"),
+    (put("overflowing_R1", json.loads("1e309"), *LOSS, "R1"), "'R1'"),
+    (put("string_beta", "8", "patches", 1, "beta"), "'beta'"),
+    (put("true_beta", True, "patches", 1, "beta"), "'beta'"),
+    (put("string_eta", "0.05", "patches", 1, "eta"), "'eta'"),
+    (put("string_step", "1.0", *CUT, "step"), "'step'"),
+    (put("true_prefix", True, *CUT, "prefix"), "'prefix'"),
+    (fractional_prefix, "'prefix'"),
+    (put("string_rescaled", "no", *LOSS, "rescaled"), "'rescaled'"),
+    (put("number_loss_id", 7, *LOSS, "loss_id"), "'loss_id'"),
+    (put("list_batch_id", [1], "patches", 1, "batch_id"), "'batch_id'"),
+    (put("unknown_algorithm", "alg3", "patches", 1, "algorithm"), "'algorithm'"),
+    (no_beta, "'beta'"),
+    (put("null_patches", None, "patches"), "'patches'"),
+]
+
+
 @pytest.mark.parametrize("spoil, key", [
     (drop_format, "'format'"), (bad_format, "'format'"), (prefix_past_own_index, "'prefix'"),
     (short_BU, "'BU'"), (short_ZB, "'ZB'"), (long_unit, "'unit'"),
     (nan_context, "'contexts'"), (infinite_context, "'contexts'"), (true_bandwidth, "'bandwidth'"),
+    *MISTYPED,
 ])
 def test_loader_names_the_key_it_refuses(spoil, key):
     doc = small_doc()
@@ -704,6 +747,30 @@ def test_loader_names_the_key_it_refuses(spoil, key):
     spoil(doc)
     with pytest.raises(ValueError, match=key):
         predictor_from_doc(doc)
+
+
+def test_a_load_keeps_one_live_plan(monkeypatch):
+    """predictor_from_doc rebuilds each cut on the chain's current plan, so
+    while a patch is appended no plan older than the one it extends is
+    alive: an earlier prefix's plan, with its own F G F^T, is dropped as
+    soon as the next is built.  Witnesses carried as later lossprimes make
+    the file cut spans on earlier prefixes."""
+    g = np.random.default_rng(13)
+    doc = json.loads(json.dumps(predictor_to_doc(
+        chain(SPECS["min"], "alg1", 2, g, witnesses_only=True)[0])))
+    older, alive = [], []
+    real = Predictor.with_patch
+
+    def with_patch(self, record):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in older))
+        older.append(weakref.ref(self._plan))
+        return real(self, record)
+
+    monkeypatch.setattr(Predictor, "with_patch", with_patch)
+    predictor_from_doc(doc)
+    assert len(alive) == len(doc["patches"]) >= 3
+    assert alive == [0] * len(alive)
 
 
 def nan_U(doc):

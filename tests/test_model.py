@@ -498,9 +498,10 @@ TERMS = st.lists(
 )
 
 
-def _span(terms):
-    anchors = np.array([row for row, _ in terms], dtype=np.float64).reshape(-1, 2)
-    return element(LIN2, anchors, np.array([c for _, c in terms], dtype=np.float64))
+def _span(terms, spec=LIN2):
+    """The span of (row, coefficient) terms over spec, each row cut to its dim."""
+    anchors = np.array([row[: spec.dim] for row, _ in terms], dtype=np.float64)
+    return element(spec, anchors.reshape(-1, spec.dim), np.array([c for _, c in terms]))
 
 
 # Symmetric positive definite 2 x 2 mixing matrices for alg2 records.
@@ -509,16 +510,27 @@ SPD = arrays(np.float64, (2, 2), elements=st.floats(-2.0, 2.0)).map(
 )
 
 
-@given(base=TERMS, chain=st.lists(st.tuples(TERMS, TERMS, SPD), max_size=3))
+@given(spec=st.sampled_from([LIN2, MIN]), base=TERMS,
+       chain=st.lists(st.tuples(TERMS, TERMS, SPD), max_size=3))
 @settings(max_examples=100)
-def test_row_dedup_matches_dict_reference(base, chain):
+def test_row_dedup_matches_dict_reference(spec, base, chain):
     """A merged table and the patch-chain anchor list agree bit for bit with a
     dict keyed by row bytes that sums coefficients in input order: the base's
     anchors as given, then each record's rows not seen before, and each
     step's rows its record's coefficients summed onto those anchors.  The
     chain alternates alg1 and alg2 records, and each plan step mixes with the
-    record's matrix (the identity for alg1)."""
-    for el in [_span(base)] + [_span(t) for t0, t1, _ in chain for t in (t0, t1)]:
+    record's matrix (the identity for alg1).  LIN2's 16-byte rows take
+    distinct_rows' hashed path and MIN's 8-byte rows its uint64 path.  A
+    last record holds only old anchors: every distinct row so far in
+    reverse, and each of them twice."""
+    seen = {}
+    for terms in [base] + [t for t0, t1, _ in chain for t in (t0, t1)]:
+        for row in _span(terms, spec).anchors:
+            seen.setdefault(row.tobytes(), row)
+    old = list(seen.values())[::-1]
+    chain = chain + [([(row, c) for row, c in zip(old, [0.1, -0.7, 1 / 3] * len(old))],
+                      [(row, c) for row in old for c in (0.2, 0.3)], np.eye(2))]
+    for el in [_span(base, spec)] + [_span(t, spec) for t0, t1, _ in chain for t in (t0, t1)]:
         index, rows, sums = {}, [], []
         for row, c in zip(el.anchors, el.coeffs[:, 0]):
             j = index.setdefault(row.tobytes(), len(rows))
@@ -526,20 +538,19 @@ def test_row_dedup_matches_dict_reference(base, chain):
                 rows.append(row)
                 sums.append(0.0)
             sums[j] += c
-        weights = [abs(c) * np.sqrt(LIN2.diag(rows[j][None])[0]) for j, c in enumerate(sums)]
+        weights = [abs(c) * np.sqrt(spec.diag(rows[j][None])[0]) for j, c in enumerate(sums)]
         keep = [j for j, w in enumerate(weights) if w > 0]
         got = el.merged()
         assert got.anchors.tobytes() == np.array([rows[j] for j in keep]).tobytes()
         assert got.coeffs.tobytes() == np.array([sums[j] for j in keep]).tobytes()
 
-    lossprime = make_loss(
-        "lp", stack(LIN2, [feature(LIN2, [0.5, 0.0]), feature(LIN2, [0.0, 0.5])]), 1.0
-    )
-    base_el = _span(base)
+    lossprime = make_loss("lp", stack(spec, [feature(spec, np.full(spec.dim, 0.5)),
+                                             feature(spec, np.full(spec.dim, 0.25))]), 1.0)
+    base_el = _span(base, spec)
     steps, mixings = [], []
-    p = Predictor(LIN2, ConstantBase(base_el))
+    p = Predictor(spec, ConstantBase(base_el))
     for i, (t0, t1, mixing) in enumerate(chain):
-        els = (_span(t0), _span(t1))
+        els = (_span(t0, spec), _span(t1, spec))
         if i % 2:
             p = p.with_patch(record("alg2", lossprime, 1.0, els, mixing=mixing))
         else:
@@ -565,7 +576,7 @@ def test_row_dedup_matches_dict_reference(base, chain):
             D[a, j] += c
         assert dense_rows(p._plan, t).tobytes() == D.tobytes()
         assert plan_step.M.tobytes() == mixing.tobytes()
-    assert p.anchors.tobytes() == np.array(rows).reshape(-1, 2).tobytes()
+    assert p.anchors.tobytes() == np.array(rows).reshape(-1, spec.dim).tobytes()
 
 
 def test_patched_predictor_matches_vector_simulation():
