@@ -15,9 +15,10 @@ scanned one evaluates the witness without expanding it over the anchors.
 A scan costs what its batch adds.  Random pool losses are anchored on rows
 of the batch's outcomes, so their values on the basis are columns of the
 K_FU block the scan builds anyway, with no kernel call of their own; a
-carried witness is read through its plan's fold (model._EvalPlan._fold);
-and the whole pool goes through one product with the replay coordinates
-and one softmax.  `random_loss_pool` merges its whole pool at once.
+carried witness is its patch's column block of the plan's F G F^T
+(model._EvalPlan.lifted_values), also with none; and the whole pool goes
+through one product with the replay coordinates and one softmax.
+`random_loss_pool` merges its whole pool at once.
 """
 
 from __future__ import annotations

@@ -34,22 +34,25 @@ A witness or patch table cut by the audit carries its cut form: the batch's
 distinct outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of its
 columns sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i over the first k
 basis rows f_i of the plan it was cut on, with each column's unit scale and
-the step that scales them all.  A plan descending from that plan (its base
-and a prefix of its records, by identity) reads the span through the form,
-as a fold over its steps that the form keeps and a longer plan continues at
-K(U_t, U) a step.  A loss without such a form (user losses, a random loss
-read on another batch, a loaded `witness_loss.json`) is read densely, F @
-values(anchors), but a random pool loss on its own batch is read off the
-scan's K_FU (`LossFunction.anchor_rows`).  A patch not cut on the plan it
-extends is appended as the form over its own M anchors, ZB zero, at N x M +
-M x M entries.  W = Z F is built only by `coefficients` and, for a cut
-span's |A| rows, by `cut_span`.
+the step that scales them all.  The plan it was cut on reads the span
+through the form.  Every witness the audit finds becomes the next patch, so
+a longer plan descending from it (its base and a prefix of its records, by
+identity) reads it as that patch's column block of F G F^T, rescaled, with
+no kernel entry.  Any other loss (user losses, a random loss read on
+another batch, a loaded `witness_loss.json`, a witness whose patch a
+sibling replaced) is read densely, F @ values(anchors), but a random pool
+loss on its own batch is read off the scan's K_FU
+(`LossFunction.anchor_rows`).  A patch not cut on the plan it extends is
+appended as the form over its own M anchors, ZB zero, at N x M + M x M
+entries.  W = Z F is built only by `coefficients` and, for a cut span's |A|
+rows, by `cut_span`.
 
 `predictor.json` stores each span whose form descends from the predictor's
 own chain as that form and the number of records it was cut on; the loader
 folds the patches in order, each table rebuilt by `cut_span` on the chain's
-current plan, so the loaded predictor, plan included, is the saved one bit
-for bit.
+current plan, and a loaded lossprime that was an earlier patch's witness
+matches that patch's parts by value, so the loaded predictor, plan
+included, is the saved one bit for bit.
 """
 
 from __future__ import annotations
@@ -175,10 +178,6 @@ class CutForm:
     # R1 / the column's norm, or 0 where it is degenerate; ones for alg2 rows
     unit: np.ndarray  # (|A|,)
     step: float = 1.0  # alg1's eta R1 / witness R1; kept apart from unit for its bits
-    # the latest fold of the parts onto a plan (see _EvalPlan._fold), by the
-    # parts' identity; `dataclasses.replace` hands it on, so the forms an alg1
-    # or alg2 step rescales from a witness share it
-    folds: dict = field(default_factory=dict, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,6 +380,8 @@ class PatchRecord:
             if self.mixing is None:
                 raise ValueError("alg2 patches need the mixing matrix")
             mixing = np.asarray(self.mixing, dtype=np.float64).copy()
+            if not np.all(np.isfinite(mixing)):
+                raise ValueError("alg2 patch 'mixing' must be finite")
         else:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if mixing.shape != (n_act, n_act):
@@ -433,18 +434,6 @@ class _PlanStep:
         n2 += 2.0 * np.einsum("ij,ij->i", ZT[:, a:], Q) + np.einsum("ij,ij->i", Q @ self.S, Q)
         Z[:, self.k : self.k + a] = Q
         _project_rows(Z, n2, self.k + a, R2)
-
-
-@dataclass(frozen=True)
-class _Fold:
-    """A cut form's unscaled values folded over the first `steps` steps of a
-    plan, the last of them `last`, over their basis rows: P = F K(anchors, U)
-    BU and L = F G times the spans (see _EvalPlan._fold)."""
-
-    steps: int
-    last: object  # the _PlanStep the fold ends with, None for the base
-    P: np.ndarray  # (k, |A|)
-    L: np.ndarray  # (k, |A|)
 
 
 class _EvalPlan:
@@ -537,46 +526,34 @@ class _EvalPlan:
         return _chain_prefix(form, *self.lineage) is not None
 
     def _fold(self, form: CutForm, KF: np.ndarray | None = None) -> np.ndarray:
-        """F G times the unscaled spans of a form this plan descends from,
-        (k, |A|): L = P - gram_F[:, :form.k] ZB, with P = F K(anchors, U) BU.
-
-        P and L are a fold by lift's recursion, from P = F K(anchors, U) BU
-        on the plan the form was cut on (KF, when the caller has it); each
-        later step t adds P_t = BU_t^T K(U_t, U) BU - ZB_t^T P and L_t = P_t -
-        cross_t^T ZB, cross_t its border of gram_F.  The form keeps its latest
-        fold, shared by the forms an alg1 or alg2 step rescales from it, and a
-        plan whose steps extend that fold's continues it: a carried witness
-        costs K(step t's points, U) a step, a second read nothing.  Every plan
-        folds the same blocks in the same order, wherever it starts, so a
-        reloaded plan reads a form bit for bit as the calibrated one did."""
-        key = (id(form.U), id(form.BU), id(form.ZB), form.k)
-        fold = form.folds.get(key)
-        if fold is None or fold.steps > len(self.steps) or (
-                fold.steps and self.steps[fold.steps - 1] is not fold.last):
-            j = len(form.lineage[1])
-            P = (self.gram_lift(form.U, self.steps[:j]) if KF is None else KF) @ form.BU
-            fold = _Fold(j, self.steps[j - 1] if j else None, P,
-                         P - self.gram_F[: form.k, : form.k] @ form.ZB)
-        if fold.steps < len(self.steps):
-            P, L = np.empty((2, self.k, form.BU.shape[1]))
-            P[: len(fold.P)], L[: len(fold.L)] = fold.P, fold.L
-            for st in self.steps[fold.steps :]:
-                a, X = len(st.M), self.spec.gram(self.anchors[st.at], form.U) @ form.BU
-                P[st.k : st.k + a] = st.lift(X, P[: st.k])
-                L[st.k : st.k + a] = P[st.k : st.k + a] - st.table[: form.k, a:].T @ form.ZB
-            fold = _Fold(len(self.steps), self.steps[-1], P, L)
-        form.folds[key] = fold
-        return fold.L
+        """F G times the unscaled spans of a form cut on this very plan,
+        (k, |A|): KF BU - gram_F ZB, with KF = F K(anchors, U) (the caller's,
+        when it has it)."""
+        KF = self.gram_lift(form.U, self.steps) if KF is None else KF
+        return KF @ form.BU - self.gram_F @ form.ZB
 
     def lifted_values(self, loss: LossFunction) -> np.ndarray:
-        """F @ loss.values(anchors), (k, |A|): through the fold of the loss's
-        cut form when this plan descends from the plan it was cut on,
-        densely otherwise."""
+        """F @ loss.values(anchors), (k, |A|).  A loss cut on this plan is
+        read by `_fold`; one cut on an earlier prefix of j records, with the
+        parts (U, BU, ZB) of the rows step j was appended from (by identity,
+        or by value after a load), is gram_F[:, k_j : k_j + |A|] times the
+        ratio of its column scales to the rows' (zero where its own is zero);
+        any other, or one with a zero row scale under a nonzero one, densely."""
         check_spec(self.spec, loss.span.spec)
         form = loss.span.form
-        if not self.descends(form):
-            return self.lift(loss.values(self.anchors))
-        return self._fold(form) * (form.unit * form.step)
+        if self.descends(form):
+            scale, j = form.unit * form.step, len(form.lineage[1])
+            if j == len(self.steps):
+                return self._fold(form) * scale
+            st, own = self.steps[j], self.lineage[1][j].rows.form
+            if (_chain_prefix(own, *form.lineage) == j
+                    and all(a is b or np.array_equal(a, b) for a, b in
+                            ((own.U, form.U), (own.BU, form.BU), (own.ZB, form.ZB)))):
+                rows = own.unit * own.step
+                if not np.any((rows == 0) & (scale != 0)):
+                    ratio = np.where(scale != 0, scale / np.where(rows != 0, rows, 1.0), 0.0)
+                    return self.gram_F[:, st.k : st.k + len(ratio)] * ratio
+        return self.lift(loss.values(self.anchors))
 
     def _place(self, U: np.ndarray, BU: np.ndarray) -> tuple[slice | np.ndarray, np.ndarray]:
         """The anchor rows `at` of U's distinct rows in order of first
@@ -629,6 +606,11 @@ class _EvalPlan:
         for key, arr in (("BU", BU), ("ZB", ZB), ("S", S), ("table", table)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"patch {key!r} scaled by its unit and step is not finite")
+        # replay moves a prediction within R2 by at most sqrt(max |M S M^T|)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reach = self.spec.R2 + np.sqrt(np.max(np.abs(rec.mixing @ S @ rec.mixing.T)))
+        if not reach < np.sqrt(np.finfo(np.float64).max):
+            raise ValueError("patch 'mixing' moves a prediction past the float range")
         n = len(self.anchors)
         at, BU = self._place(form.U, BU)
         N = len(self.anchors)
@@ -862,15 +844,29 @@ def _field(doc: dict, key: str, kind: type = float, where: str = ""):
     an int a whole one (JSON true and quoted numbers are no numbers; a huge
     int compares with a float exactly).  A ValueError names the key."""
     value = doc.get(key)
-    ok = isinstance(value, kind) if kind in (str, bool) else (
+    ok = isinstance(value, kind) if kind in (str, bool, dict, list) else (
         isinstance(value, (int, float)) and not isinstance(value, bool)
         and abs(value) <= float(np.finfo(np.float64).max)
         and (kind is float or float(value).is_integer()))
     if not ok:
-        what = {str: "a string", bool: "true or false", float: "a finite number"}
+        what = {str: "a string", bool: "true or false", float: "a finite number",
+                dict: "an object", list: "a list"}
         got = f"got {value!r}" if key in doc else "it is missing"
         raise ValueError(f"{where}{key!r} must be {what.get(kind, 'a whole number')}, {got}")
     return kind(value)
+
+
+def _array(doc: dict, key: str, where: str = "") -> np.ndarray:
+    """doc[key] as a float array of at least one dimension; a ValueError
+    names the key when it is missing or holds no rectangular list of numbers."""
+    try:
+        arr = np.asarray(doc.get(key), dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim == 0:
+        got = "it is missing" if key not in doc else f"got a {type(doc[key]).__name__}"
+        raise ValueError(f"{where}{key!r} must be a rectangular list of numbers, {got}")
+    return arr
 
 
 def span_to_doc(span: RkhsElement) -> dict:
@@ -922,10 +918,10 @@ def _table_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None) -> Rkhs
     if not 0 <= j <= T:
         raise ValueError(f"cut 'prefix' {j} names none of the {T + 1} chain prefixes before it")
     k = plan.steps[j].k if j < T else plan.k
-    U = np.asarray(cut["U"], dtype=np.float64).reshape(-1, spec.dim)
+    U = _array(cut, "U", "cut ").reshape(-1, spec.dim)
     # BU and ZB are written one list per action, as `coeffs` is, and held by row
-    BU, ZB = (np.ascontiguousarray(np.asarray(cut[key], dtype=np.float64).T) for key in ("BU", "ZB"))
-    unit = np.asarray(cut["unit"], dtype=np.float64)
+    BU, ZB = (np.ascontiguousarray(_array(cut, key, "cut ").T) for key in ("BU", "ZB"))
+    unit = _array(cut, "unit", "cut ")
     step = _field(cut, "step", float, "cut ")
     n_actions = BU.shape[-1]
     for key, arr, want in (("BU", BU, (len(U), n_actions)), ("ZB", ZB, (k, n_actions)),
@@ -979,16 +975,18 @@ def patch_to_doc(rec: PatchRecord, chain) -> dict:
 
 
 def patch_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan) -> PatchRecord:
+    if not isinstance(doc, dict):
+        raise ValueError(f"each of predictor 'patches' must be an object, got {doc!r}")
     if doc.get("algorithm") not in ("alg1", "alg2"):
         raise ValueError(f"patch 'algorithm' must be 'alg1' or 'alg2', got {doc.get('algorithm')!r}")
     alg1 = doc["algorithm"] == "alg1"
     return PatchRecord(
         doc["algorithm"],
-        loss_from_doc(doc["witness_lossprime"], spec, plan),
+        loss_from_doc(_field(doc, "witness_lossprime", dict, "patch "), spec, plan),
         _field(doc, "beta"),
         _table_from_doc(doc, spec, plan),
         _field(doc, "batch_id", str),
-        mixing=None if alg1 else np.asarray(doc["mixing"], dtype=np.float64),
+        mixing=None if alg1 else _array(doc, "mixing", "patch "),
         eta=_field(doc, "eta") if alg1 else None,
     )
 
@@ -1010,12 +1008,11 @@ def predictor_from_doc(doc: dict) -> Predictor:
     is not finite."""
     if doc.get("format") != PREDICTOR_FORMAT:
         raise ValueError(f"predictor 'format' is {doc.get('format')!r}, not {PREDICTOR_FORMAT!r}")
-    if not isinstance(doc.get("patches"), list):
-        raise ValueError(f"predictor 'patches' must be a list, got {doc.get('patches')!r}")
-    spec = kernel_from_doc(doc["kernel"])
-    p = Predictor(spec, base_from_doc(doc["base"], spec))
+    patches = _field(doc, "patches", list, "predictor ")
+    spec = kernel_from_doc(_field(doc, "kernel", dict, "predictor "))
+    p = Predictor(spec, base_from_doc(_field(doc, "base", dict, "predictor "), spec))
     with np.errstate(over="ignore", invalid="ignore"):
-        for d in doc["patches"]:
+        for d in patches:
             p = p.with_patch(patch_from_doc(d, spec, p._plan))
     return p
 

@@ -182,12 +182,12 @@ def dense_scan(eb, pool, beta):
 )
 @settings(max_examples=30)
 def test_batch_routes_match_the_dense_path(kind, n_actions, finite, depth, seed):
-    """Pool losses read off K_FU, the batched scan, and witnesses folded onto
+    """Pool losses read off K_FU, the batched scan, and witnesses read on
     plans 1 to `depth` plies below the one they were cut on agree with the
     dense path to REL, on batches with repeated outcomes and +-0.0 rows.  A
-    fold continued plan by plan is bitwise the fold a fresh plan runs from
-    the start.  A pool drawn on another batch is read densely, and a pool
-    over another kernel is refused."""
+    witness read on a plan extended patch by patch is bitwise the one a
+    fresh plan of the same records reads.  A pool drawn on another batch is
+    read densely, and a pool over another kernel is refused."""
     spec = SPECS[kind]
     g = np.random.default_rng(seed)
     train = outcomes(spec, N_BASE, g)
@@ -257,8 +257,8 @@ def test_batch_routes_match_the_dense_path(kind, n_actions, finite, depth, seed)
 @pytest.mark.parametrize("kind", sorted(SPECS))
 def test_a_round_reads_only_the_kernel_entries_it_adds(kind):
     """A scan of drawn pool losses reads no kernel entries beyond K_UU and
-    K_FU, and a witness carried onto a child plan reads K(new anchors, U)
-    only, not K(anchors, U) over every anchor again."""
+    K_FU, and a witness carried onto a child plan reads none: it is its
+    patch's column block of F G F^T."""
     spec = SPECS[kind]
     g = np.random.default_rng(31)
     base = SimilarityBase(spec, outcomes(spec, 40, g), g.standard_normal((40, 2)), 1.0)
@@ -285,7 +285,7 @@ def test_a_round_reads_only_the_kernel_entries_it_adds(kind):
         for w in witnesses:
             with spy(KernelSpec, "gram") as grams:
                 child._plan.lifted_values(w)
-            assert gram_entries(grams) <= new * len(w.span.form.U)
+            assert gram_entries(grams) == 0
         p = child
 
 
@@ -321,8 +321,8 @@ def test_a_round_reuses_the_blocks_its_scan_built(kind):
 
 
 def test_a_plan_holds_no_fold_of_a_witness_it_read():
-    """A form keeps its own fold, so a long-lived plan audited again and again
-    does not keep every witness read on it alive."""
+    """A plan keeps nothing of a witness it read, so a long-lived plan
+    audited again and again does not keep every witness read on it alive."""
     spec = SPECS["min"]
     g = np.random.default_rng(37)
     base = SimilarityBase(spec, outcomes(spec, N_BASE, g), g.standard_normal((N_BASE, 2)), 1.0)
@@ -333,7 +333,6 @@ def test_a_plan_holds_no_fold_of_a_witness_it_read():
     witness = cut(p, SampleBatch(g.standard_normal((N_BATCH, 2)), outcomes(spec, N_BATCH, g), "b1"),
                   cfg, [], g, None, "w1")[0]
     p._plan.lifted_values(witness)
-    assert witness.span.form.folds
     form = weakref.ref(witness.span.form)
     del witness
     gc.collect()
@@ -439,7 +438,7 @@ def test_step_forms_match_the_record_tables(kind, n_actions, algorithm, zero, fi
     own anchor tables, at REL of the terms that each entry sums, a step's
     rows lifted over points Y equal its record's values at Y, Z @ F expanded
     over the anchors gives Z's values at Y, and every lossprime's values on
-    the basis, through a fold or densely, are the tables' too.  The chain
+    the basis, through F G F^T or densely, are the tables' too.  The chain
     holds cut, hand-built and sibling-branch records, over repeated and
     +-0.0 outcomes with `finite`."""
     spec = SPECS[kind]
@@ -469,8 +468,7 @@ def form_points(plan, rec):
 def test_a_plan_keeps_nothing_as_wide_as_its_anchors():
     """On a continuous-outcome chain every patch adds anchors, yet a plan
     step keeps no array with more rows or columns than its own points or
-    the basis rows before it, and a carried witness's fold is two (k, |A|)
-    blocks over the basis of the plan it was folded onto."""
+    the basis rows before it."""
     g = np.random.default_rng(41)
     p, _, _ = chain(SPECS["min"], "alg1", 2, g, witnesses_only=True)
     plan = p._plan
@@ -480,17 +478,6 @@ def test_a_plan_keeps_nothing_as_wide_as_its_anchors():
         for name, arr in vars(step).items():
             if isinstance(arr, np.ndarray):
                 assert max(arr.shape) <= bound, name
-    folds = 0
-    for rec in p.patches:
-        form = rec.witness_lossprime.span.form
-        if plan.descends(form):
-            plan.lifted_values(rec.witness_lossprime)
-            for fold in form.folds.values():
-                k = fold.last.k + len(fold.last.M) if fold.last else plan.n_base
-                shapes = [a.shape for a in vars(fold).values() if isinstance(a, np.ndarray)]
-                assert shapes == [(k, 2), (k, 2)]
-                folds += 1
-    assert folds >= 3
 
 
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
@@ -545,12 +532,12 @@ def test_a_lifted_kernel_block_is_read_one_step_at_a_time(kind, n_actions, algor
                                                           seed):
     """F K(anchors, U) is read one kernel block at a time wherever a plan
     lifts it: a batch's fresh K_FU and its continuation through one more
-    patch, the loader's append of every patch, and the start of a cut form's
-    fold.  No KernelSpec.gram call there reads more anchors than the base's
-    or one step's points (every anchor so far, for a step kept as rows over
-    them, where the whole block is read at once), while on continuous
-    outcomes lifting the whole block read all N; and every lift is the dense
-    lift of K(anchors, U) bit for bit.  The chain ends on a hand-built patch
+    patch, the loader's append of every patch, and a cut form's fold on the
+    plan it was cut on.  No KernelSpec.gram call there reads more anchors
+    than the base's or one step's points (every anchor so far, for a step
+    kept as rows over them, where the whole block is read at once), while on
+    continuous outcomes lifting the whole block read all N; and every lift
+    is the dense lift of K(anchors, U) bit for bit.  The chain ends on a hand-built patch
     at one point, whose one-row block numpy would take by gemv."""
     spec = SPECS[kind]
     g = np.random.default_rng(seed)
@@ -584,8 +571,9 @@ def test_a_lifted_kernel_block_is_read_one_step_at_a_time(kind, n_actions, algor
         starts = 0
         for rec in q.patches:
             if plan.descends(rec.rows.form):
+                cut_on = Predictor(spec, *rec.rows.form.lineage)._plan
                 with spy(KernelSpec, "gram") as grams:
-                    plan._fold(dataclasses.replace(rec.rows.form, folds={}))
+                    cut_on._fold(rec.rows.form)
                 assert widest(grams) <= bound
                 starts += 1
         assert starts >= ROUNDS
@@ -701,6 +689,20 @@ def no_beta(doc):
     del doc["patches"][1]["beta"]
 
 
+def string_mixing(doc):
+    doc["patches"][1].update(algorithm="alg2", mixing="x")
+
+
+def drop(name, *path):
+    """A spoil named `name` that deletes the field at `path` of the document."""
+    def spoil(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        del doc[path[-1]]
+    spoil.__name__ = name
+    return spoil
+
+
 def put(name, value, *path):
     """A spoil named `name` that sets the field at `path` of the document to
     `value`."""
@@ -733,13 +735,24 @@ MISTYPED = [
     (no_beta, "'beta'"),
     (put("null_patches", None, "patches"), "'patches'"),
 ]
+# objects and arrays `_field` does not read: a missing or null one, or an
+# array of no numbers, is refused naming its own key, not the next one read
+UNREAD = [
+    (put("alg2_without_mixing", "alg2", "patches", 1, "algorithm"), "'mixing'"),
+    (put("null_patch", None, "patches", 1), "'patches'"),
+    (drop("no_kernel", "kernel"), "'kernel'"),
+    (drop("no_lossprime", *LOSS), "'witness_lossprime'"),
+    (put("null_base", None, "base"), "'base'"),
+    (string_mixing, "'mixing'"),
+    (put("null_U", None, *CUT, "U"), "'U'"),
+]
 
 
 @pytest.mark.parametrize("spoil, key", [
     (drop_format, "'format'"), (bad_format, "'format'"), (prefix_past_own_index, "'prefix'"),
     (short_BU, "'BU'"), (short_ZB, "'ZB'"), (long_unit, "'unit'"),
     (nan_context, "'contexts'"), (infinite_context, "'contexts'"), (true_bandwidth, "'bandwidth'"),
-    *MISTYPED,
+    *MISTYPED, *UNREAD,
 ])
 def test_loader_names_the_key_it_refuses(spoil, key):
     doc = small_doc()
@@ -771,6 +784,59 @@ def test_a_load_keeps_one_live_plan(monkeypatch):
     predictor_from_doc(doc)
     assert len(alive) == len(doc["patches"]) >= 3
     assert alive == [0] * len(alive)
+
+
+def carried_lossprimes(p):
+    """The indices of p's records whose lossprime is a witness cut on an
+    earlier prefix of p's own chain, whose own patch comes right after that
+    prefix (not one dropped for a sibling's)."""
+    plan = p._plan
+    return [t for t, rec in enumerate(p.patches)
+            if plan.descends(form := rec.witness_lossprime.span.form)
+            and len(form.lineage[1]) < t
+            and p.patches[len(form.lineage[1])].rows.form.U is form.U]
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+def test_a_load_reads_no_kernel_entry_for_a_carried_lossprime(algorithm):
+    """A chain whose lossprimes are earlier witnesses loads with no kernel
+    read for those lossprimes, neither at their points nor at their
+    tables' anchors: each is its witness's patch block of the loaded
+    F G F^T."""
+    g = np.random.default_rng(13)
+    p = chain(SPECS["min"], algorithm, 2, g, witnesses_only=True)[0]
+    doc = json.loads(json.dumps(predictor_to_doc(p)))
+    with spy(KernelSpec, "gram") as grams, spy(LossFunction, "values") as dense:
+        q = predictor_from_doc(doc)
+    spans = [q.patches[t].witness_lossprime.span for t in carried_lossprimes(p)]
+    assert len(spans) >= 2
+    points = [span.form.U for span in spans] + [span.anchors for span in spans]
+    assert not [args for args in grams if any(args[1] is X or args[2] is X for X in points)]
+    assert not [args for args in dense if any(args[0].span is span for span in spans)]
+
+
+@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+def test_a_copy_of_a_step_form_reads_the_same_bits(kind, algorithm):
+    """A lossprime whose parts equal a step's but are separate arrays, as a
+    loaded one's are, reads the bits the in-memory lossprime reads, with no
+    kernel entry either way."""
+    g = np.random.default_rng(19)
+    p = chain(SPECS[kind], algorithm, 2, g, zero=1, witnesses_only=True)[0]
+    plan, seen = p._plan, 0
+    for t in carried_lossprimes(p):
+        loss = p.patches[t].witness_lossprime
+        form = loss.span.form
+        parts = {name: getattr(form, name).copy() for name in ("U", "BU", "ZB", "unit")}
+        copied = LossFunction(loss.loss_id, RkhsElement(
+            loss.span.spec, loss.span.anchors, loss.span.coeffs,
+            dataclasses.replace(form, **parts)), loss.R1)
+        with spy(KernelSpec, "gram") as grams:
+            mine, theirs = plan.lifted_values(loss), plan.lifted_values(copied)
+        assert not grams
+        assert mine.tobytes() == theirs.tobytes()
+        seen += 1
+    assert seen
 
 
 def nan_U(doc):
@@ -825,6 +891,28 @@ def test_loader_refuses_a_cut_it_cannot_fold(spoil, match):
     spoil(doc)
     with pytest.raises(ValueError, match=match):
         predictor_from_doc(doc)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e308])
+def test_a_mixing_that_replays_no_number_is_refused(value):
+    """An alg2 mixing of NaN or inf, or of 1e308 (whose mixed rows leave the
+    float range), would replay all-NaN norms: the record refuses the first
+    two and the plan the third, each naming 'mixing', in memory and on load,
+    while the identity mixing loads."""
+    doc = small_doc()
+    for patch in doc["patches"]:
+        patch["algorithm"], patch["mixing"] = "alg2", np.eye(2).tolist()
+        del patch["eta"]
+    q = predictor_from_doc(copy.deepcopy(doc))
+    doc["patches"][0]["mixing"][0][0] = value
+    with pytest.raises(ValueError, match="'mixing'"):
+        predictor_from_doc(doc)
+    rec = q.patches[0]
+    mixing = np.eye(2)
+    mixing[0, 0] = value
+    with pytest.raises(ValueError, match="'mixing'"):
+        Predictor(q.kernel, q.base).with_patch(PatchRecord(
+            "alg2", rec.witness_lossprime, rec.beta, rec.rows, mixing=mixing))
 
 
 def beta_nan(doc):
