@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -39,7 +37,7 @@ from .experiments import (
     uniform_convergence_experiment,
 )
 from .kernel import KERNEL_KINDS, KernelSpec
-from .model import loss_file_doc, predictor_to_doc, save_json
+from .model import Field, load_json, loss_file_doc, predictor_to_doc, read_field, save_json
 from .synth import gen_lower_bound, planted_bias_instance
 
 
@@ -51,109 +49,25 @@ class ConfigError(Exception):
 # Strict flat-config parsing
 
 
-REQUIRED = object()
-
-
-@dataclass(frozen=True)
-class Field:
-    kind: str  # int | float | str | list_int | list_float
-    default: object = REQUIRED
-    minimum: float | None = None
-    maximum: float | None = None
-    exclusive_min: bool = False
-    exclusive_max: bool = False
-    choices: tuple | None = None
-    allow_none: bool = False
-    min_items: int = 1  # list kinds only
-
-
-def _coerce_scalar(key: str, value, kind: str):
-    if isinstance(value, bool):
-        raise ConfigError(f"config key {key!r}: expected {kind}, got a boolean")
-    if kind == "int":
-        if not isinstance(value, int):
-            raise ConfigError(f"config key {key!r}: expected an integer")
-        return value
-    if kind == "float":
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r}: expected a number")
-        if not math.isfinite(value):
-            raise ConfigError(f"config key {key!r}: must be finite, got {value}")
-        return float(value)
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r}: expected a string")
-        return value
-    raise AssertionError(kind)
-
-
-def _check_range(key: str, value, f: Field) -> None:
-    if f.minimum is not None:
-        if f.exclusive_min and not value > f.minimum:
-            raise ConfigError(f"config key {key!r}: must be > {f.minimum}")
-        if not f.exclusive_min and value < f.minimum:
-            raise ConfigError(f"config key {key!r}: must be >= {f.minimum}")
-    if f.maximum is not None:
-        if f.exclusive_max and not value < f.maximum:
-            raise ConfigError(f"config key {key!r}: must be < {f.maximum}")
-        if not f.exclusive_max and value > f.maximum:
-            raise ConfigError(f"config key {key!r}: must be <= {f.maximum}")
-
-
-def _validate_field(key: str, value, f: Field):
-    if value is None:
-        if f.allow_none:
-            return None
-        raise ConfigError(f"config key {key!r}: null is not allowed")
-    if f.kind.startswith("list_"):
-        if not isinstance(value, list) or len(value) < f.min_items:
-            raise ConfigError(
-                f"config key {key!r}: expected a list of at least {f.min_items} items"
-            )
-        item_kind = f.kind.removeprefix("list_")
-        out = []
-        for item in value:
-            item = _coerce_scalar(key, item, item_kind)
-            _check_range(key, item, f)
-            out.append(item)
-        if len(set(out)) < len(out):
-            raise ConfigError(f"config key {key!r}: items must be distinct")
-        return out
-    value = _coerce_scalar(key, value, f.kind)
-    if f.choices is not None and value not in f.choices:
-        raise ConfigError(f"config key {key!r}: must be one of {sorted(f.choices)}")
-    _check_range(key, value, f)
-    return value
-
-
 def parse_config(doc: dict, schema) -> dict:
     """Resolve a flat config document against a schema, strictly.
 
-    `schema` maps keys to Fields, or is a pair (key, schemas) whose schema
-    the document's value at `key` selects.  Unknown keys are errors; missing
-    keys take schema defaults; every value is type- and range-checked.
+    `schema` maps keys to `model.Field`s, or is a pair (key, schemas) whose
+    schema the document's value at `key` selects.  Unknown keys are errors;
+    every value is read by `model.read_field`, so a missing key takes the
+    schema default (or is refused when it has none) and every value is
+    type- and range-checked.  A refusal is a ConfigError naming the key.
     Returns the fully-resolved mapping.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    if isinstance(schema, tuple):
-        selector, schemas = schema
-        name = doc.get(selector)
-        if not isinstance(name, str) or name not in schemas:
-            raise ConfigError(f"config key {selector!r}: must be one of {sorted(schemas)}")
-        schema = schemas[name]
-    for key in doc:
-        if key not in schema:
-            raise ConfigError(f"unknown config key: {key!r}")
-    resolved = {}
-    for key, f in schema.items():
-        if key in doc:
-            resolved[key] = _validate_field(key, doc[key], f)
-        elif f.default is REQUIRED:
-            raise ConfigError(f"missing required config key: {key!r}")
-        else:
-            resolved[key] = f.default
-    return resolved
+    with _config_errors():
+        if isinstance(schema, tuple):
+            selector, schemas = schema
+            schema = schemas[read_field(doc, selector, Field("str", choices=tuple(schemas)),
+                                        "config key ")]
+        for key in doc:
+            if key not in schema:
+                raise ConfigError(f"unknown config key: {key!r}")
+        return {key: read_field(doc, key, f, "config key ") for key, f in schema.items()}
 
 
 KERNEL_FIELDS = {
@@ -356,13 +270,13 @@ class RunDir:
 
 
 @contextmanager
-def _config_errors():
-    """A ValueError raised while building from parsed config values is a
-    configuration error."""
+def _config_errors(where: str = ""):
+    """A ValueError raised while reading a config, or while building from
+    its parsed values, is a configuration error, named after `where`."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{where}{exc}") from exc
 
 
 def _planted(kernel: tuple, **kwargs):
@@ -552,25 +466,28 @@ DIGEST_SOURCES = {
 }
 
 
+# The manifest fields a report copies, each as source_<key>.
+MANIFEST = {"command": Field("str"), "config": Field("object"),
+            "outputs": Field("list_str", min_items=0)}
+
+
 def run_report_command(cfg: dict, rd: RunDir) -> int:
     run_dir = Path(cfg["run_dir"])
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.is_file():
         raise ConfigError(f"config key 'run_dir': no manifest.json under {run_dir}")
-    manifest = json.loads(manifest_path.read_text())
-    digest: dict = {
-        "source_command": manifest.get("command"),
-        "source_config": manifest.get("config"),
-        "source_outputs": manifest.get("outputs"),
-        "metrics": {},
-    }
-    source = DIGEST_SOURCES.get(manifest.get("command"))
-    if source is not None:
-        name, key, fields = source
-        path = run_dir / name
-        if path.is_file():
-            doc = json.loads(path.read_text())
-            digest["metrics"][key] = {k: doc.get(k) for k in fields}
+    with _config_errors("config key 'run_dir': "):
+        manifest = load_json(manifest_path)
+        digest: dict = {f"source_{k}": read_field(manifest, k, f, "manifest.json ")
+                        for k, f in MANIFEST.items()}
+        digest["metrics"] = {}
+        source = DIGEST_SOURCES.get(digest["source_command"])
+        if source is not None:
+            name, key, fields = source
+            path = run_dir / name
+            if path.is_file():
+                doc = load_json(path)
+                digest["metrics"][key] = {k: doc.get(k) for k in fields}
     rd.write_json("report.json", digest)
     return 0
 
@@ -609,12 +526,9 @@ def main(argv=None) -> int:
         print("error: --seed must be >= 0", file=sys.stderr)
         return 2
     try:
-        raw = json.loads(Path(args.config).read_text())
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
+        raw = load_json(args.config)
+    except (OSError, ValueError) as exc:  # no file, no JSON, or JSON that is no object
+        print(f"error: config {args.config}: {exc}", file=sys.stderr)
         return 2
     rd = RunDir(Path(args.out), args.quiet)
     try:

@@ -53,8 +53,8 @@ class KernelSpec:
             raise ValueError("kernel dim must be >= 1")
         if self.kind == "min" and self.dim != 1:
             raise ValueError("min kernel is defined on scalars; dim must be 1")
-        if not (math.isfinite(self.R2) and self.R2 > 0):
-            raise ValueError("R2 must be finite and positive")
+        if not (self.R2 > 0 and math.isfinite(self.R2 * self.R2)):  # replay squares R2
+            raise ValueError(f"kernel 'R2' must be positive with a finite square, got {self.R2!r}")
         if self.kind == "min" and self.R2 < 1.0:
             raise ValueError("min kernel has K(1, 1) = 1; R2 must be >= 1")
         if self.kind == "exp" and self.R2 < 1.0:

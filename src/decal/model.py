@@ -63,12 +63,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .kernel import (
-    KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, merge_terms, sum_rows,
+    KERNEL_KINDS, KernelSpec, RkhsElement, as_outcomes, check_spec, distinct_rows, merge_terms,
+    sum_rows,
 )
 
 DEGENERATE_NORM = 1e-12
@@ -270,6 +271,8 @@ class ConstantBase(PredictorBase):
     def __post_init__(self) -> None:
         if self.element.coeffs.shape[1] != 1:
             raise ValueError("a constant base is one element: one coefficient column")
+        if not np.isfinite(self.element.norms()[0]):  # replay squares it
+            raise ValueError("constant base 'element' has 'coeffs' whose norm is not finite")
 
     @property
     def anchors(self) -> np.ndarray:
@@ -284,8 +287,10 @@ class ConstantBase(PredictorBase):
 
     @classmethod
     def from_doc(cls, doc: dict, spec: KernelSpec) -> "ConstantBase":
-        el = doc["element"]
-        return cls(span_from_doc({**el, "coeffs": [el["coeffs"]]}, spec))
+        el = read_field(doc, "element", OBJECT, "base ")
+        anchors = read_field(el, "anchors", Field("array", domain=spec), "element ")
+        coeffs = read_field(el, "coeffs", Field("array", shape=(len(anchors),)), "element ")
+        return cls(RkhsElement(spec, anchors, coeffs[:, None]))
 
 
 @register_base
@@ -306,10 +311,12 @@ class SimilarityBase(PredictorBase):
     def __post_init__(self) -> None:
         anchors = as_outcomes(self.anchors, self.spec.dim).copy()
         contexts = as_contexts(self.contexts).copy()
-        if len(anchors) != len(contexts) or not np.all(np.isfinite(contexts)):
-            raise ValueError("similarity base 'contexts' must be finite, one per anchor")
-        if isinstance(bw := self.bandwidth, bool) or not isinstance(bw, (int, float)) or not bw > 0:
-            raise ValueError(f"similarity base 'bandwidth' must be a positive number, got {bw!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # weights square the contexts
+            norms2 = np.einsum("ij,ij->i", contexts, contexts)
+        if len(anchors) != len(contexts) or not np.all(np.isfinite(norms2)):
+            raise ValueError("similarity base 'contexts' must have finite squares, one per anchor")
+        if not (bw := self.bandwidth) > 0 or not 0 < bw * bw < math.inf:  # and the bandwidth
+            raise ValueError(f"similarity base 'bandwidth' must be > 0, finite squared, got {bw!r}")
         self.spec.check_domain(anchors)
         anchors.setflags(write=False)
         contexts.setflags(write=False)
@@ -333,12 +340,9 @@ class SimilarityBase(PredictorBase):
 
     @classmethod
     def from_doc(cls, doc: dict, spec: KernelSpec) -> "SimilarityBase":
-        return cls(
-            spec,
-            np.asarray(doc["anchors"], dtype=np.float64),
-            np.asarray(doc["contexts"], dtype=np.float64),
-            doc["bandwidth"],
-        )
+        anchors = read_field(doc, "anchors", Field("array", domain=spec), "base ")
+        contexts = read_field(doc, "contexts", Field("array", shape=(len(anchors), None)), "base ")
+        return cls(spec, anchors, contexts, read_field(doc, "bandwidth", Field("float"), "base "))
 
 
 # ---------------------------------------------------------------------------
@@ -588,8 +592,8 @@ class _EvalPlan:
         F G R^T = KF BU - gram_F ZB and R G R^T = BU^T g - ZB^T F G R^T, with
         g = K(U, U) BU - KF^T ZB the rows' inner products with phi(U), not
         four quadratic terms that cancel when the rows are short against
-        their parts.  A step whose scaled parts, S or table are not finite (a
-        loaded unit of 1e308, say) is refused."""
+        their parts.  A step whose scaled parts, S or table square past the
+        float range (a loaded unit of 1e308, say) is refused."""
         check_spec(self.spec, rec.rows.spec)
         form = rec.rows.form
         if not (self.descends(form) and form.k == self.k):
@@ -603,11 +607,12 @@ class _EvalPlan:
         table = np.hstack([self.lifted_values(rec.witness_lossprime), cross])
         g = self.spec.gram(form.U, form.U) @ BU - KF.T @ ZB
         S = BU.T @ g - ZB.T @ cross
-        for key, arr in (("BU", BU), ("ZB", ZB), ("S", S), ("table", table)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"patch {key!r} scaled by its unit and step is not finite")
-        # replay moves a prediction within R2 by at most sqrt(max |M S M^T|)
         with np.errstate(over="ignore", invalid="ignore"):
+            for key, arr in (("S", S), ("table", table), ("BU", BU), ("ZB", ZB)):
+                if not np.isfinite(arr * arr).all():  # replay multiplies these
+                    raise ValueError(f"patch {key!r} squares past the float range: a 'BU', 'ZB', "
+                                     "'unit', 'step' or 'coeffs' of its rows or lossprime is huge")
+            # replay moves a prediction within R2 by at most sqrt(max |M S M^T|)
             reach = self.spec.R2 + np.sqrt(np.max(np.abs(rec.mixing @ S @ rec.mixing.T)))
         if not reach < np.sqrt(np.finfo(np.float64).max):
             raise ValueError("patch 'mixing' moves a prediction past the float range")
@@ -646,6 +651,8 @@ def cut_span(plan: _EvalPlan, form: CutForm) -> tuple[RkhsElement, np.ndarray]:
                                  np.vstack([form.BU, -W.T]))
     # where, not the zero scale alone: a negative coefficient times 0.0 is -0.0
     coeffs = np.where(form.unit > 0, means * form.unit, 0.0) * form.step
+    if not np.isfinite(coeffs).all():
+        raise ValueError("a cut table is not finite: its 'BU', 'ZB', 'unit' or 'step' is too large")
     return RkhsElement._of_checked(plan.spec, anchors, coeffs, form), means
 
 
@@ -829,44 +836,111 @@ def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
 # The predictor document layout; a document without it is refused.
 PREDICTOR_FORMAT = "decal.predictor/cut-1"
 
+REQUIRED = object()
+_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+          "str": (str, "a string"), "bool": (bool, "true or false"), "object": (dict, "an object")}
+
+
+class Field(NamedTuple):
+    """What one key of a JSON document holds, as `read_field` reads it: an
+    "int" (a JSON integer: not true, not 2.0), a "float" (a finite number),
+    "str", "bool", "object", "list_<kind>" (at least `min_items` of those,
+    distinct unless objects) or "array" (finite numbers as a float64 array of
+    `shape`, None where any length goes; with a `domain`, outcome rows in its
+    domain).  A number in quotes is no number.  Every number, array entries
+    included, lies in the range, and a scalar is one of any `choices`.
+    `_KINDS` holds each scalar kind's Python types and what it must be."""
+
+    kind: str
+    default: object = REQUIRED
+    minimum: float | None = None
+    maximum: float | None = None
+    exclusive_min: bool = False
+    exclusive_max: bool = False
+    choices: tuple | None = None
+    allow_none: bool = False
+    min_items: int = 1  # list kinds
+    shape: tuple = ()  # arrays
+    domain: KernelSpec | None = None  # arrays of outcome rows
+
+
+OBJECT, STRING = Field("object"), Field("str")
+POSITIVE = Field("float", minimum=0.0, exclusive_min=True)
+
+
+def read_field(doc: dict, key: str, f: Field, where: str = ""):
+    """doc[key] as `f` reads it; a missing key is f.default, refused when
+    that is REQUIRED, and null is refused unless f.allow_none.  Every
+    refusal is a ValueError naming the key after `where`, the object read."""
+    if key not in doc:
+        if f.default is REQUIRED:
+            raise ValueError(f"missing required {where.strip()}: {key!r}")
+        return f.default
+    value = doc[key]
+    try:
+        if value is None and f.allow_none:
+            return None
+        if f.kind == "array":
+            return _read_array(value, f)
+        if not f.kind.startswith("list_"):
+            return _read_scalar(value, f.kind, f)
+        if not isinstance(value, list) or len(value) < f.min_items:
+            raise ValueError(f"must be a list of at least {f.min_items} items, got {value!r:.60}")
+        items = [_read_scalar(item, f.kind[5:], f, "each item ") for item in value]
+        if f.kind != "list_object" and len(set(items)) < len(items):
+            raise ValueError("items must be distinct")
+        return items
+    except (ValueError, OverflowError) as exc:  # overflow: an int no float holds
+        raise ValueError(f"{where}{key!r}: {exc}") from exc
+
+
+def _read_scalar(value, kind: str, f: Field, subject: str = ""):
+    types, what = _KINDS[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+        raise ValueError(f"{subject}must be {what}, got {value!r:.60}")
+    if kind == "float" and not math.isfinite(value):  # an int past floats overflows here
+        raise ValueError(f"{subject}must be finite, got {value!r:.60}")
+    value = float(value) if kind == "float" else value
+    if f.choices is not None and value not in f.choices:
+        raise ValueError(f"{subject}must be one of {sorted(f.choices)}, got {value!r:.60}")
+    _check_range(value, f, subject)
+    return value
+
+
+def _read_array(value, f: Field) -> np.ndarray:
+    shape = (None, f.domain.dim) if f.domain is not None else f.shape
+    cells = np.array(value, dtype=object)
+    if cells.shape == (0,) and len(shape) > 1:  # JSON writes an array of no rows as []
+        cells = cells.reshape(0, *(n or 0 for n in shape[1:]))
+    if cells.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, cells.shape)):
+        raise ValueError(f"must be a list of numbers of shape {shape}, got shape {cells.shape}")
+    if not {type(x) for x in cells.flat} <= {int, float}:  # not bool, str, None or a list
+        raise ValueError("must hold numbers only, none in quotes, true or null")
+    arr = cells.astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("must hold finite numbers only")
+    _check_range(arr, f)
+    if f.domain is not None:
+        f.domain.check_domain(arr)
+    return arr
+
+
+def _check_range(x, f: Field, subject: str = "") -> None:
+    lo, hi = f.minimum, f.maximum
+    if lo is not None and np.any(x <= lo if f.exclusive_min else x < lo):
+        raise ValueError(f"{subject}must be {'>' if f.exclusive_min else '>='} {lo}")
+    if hi is not None and np.any(x >= hi if f.exclusive_max else x > hi):
+        raise ValueError(f"{subject}must be {'<' if f.exclusive_max else '<='} {hi}")
+
 
 def kernel_to_doc(spec: KernelSpec) -> dict:
     return {"kind": spec.kind, "dim": spec.dim, "R2": spec.R2}
 
 
 def kernel_from_doc(doc: dict) -> KernelSpec:
-    return KernelSpec(doc["kind"], _field(doc, "dim", int, "kernel "),
-                      _field(doc, "R2", float, "kernel "))
-
-
-def _field(doc: dict, key: str, kind: type = float, where: str = ""):
-    """doc[key] as a `kind`: a str or bool as it is, a float a finite number,
-    an int a whole one (JSON true and quoted numbers are no numbers; a huge
-    int compares with a float exactly).  A ValueError names the key."""
-    value = doc.get(key)
-    ok = isinstance(value, kind) if kind in (str, bool, dict, list) else (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and abs(value) <= float(np.finfo(np.float64).max)
-        and (kind is float or float(value).is_integer()))
-    if not ok:
-        what = {str: "a string", bool: "true or false", float: "a finite number",
-                dict: "an object", list: "a list"}
-        got = f"got {value!r}" if key in doc else "it is missing"
-        raise ValueError(f"{where}{key!r} must be {what.get(kind, 'a whole number')}, {got}")
-    return kind(value)
-
-
-def _array(doc: dict, key: str, where: str = "") -> np.ndarray:
-    """doc[key] as a float array of at least one dimension; a ValueError
-    names the key when it is missing or holds no rectangular list of numbers."""
-    try:
-        arr = np.asarray(doc.get(key), dtype=np.float64)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim == 0:
-        got = "it is missing" if key not in doc else f"got a {type(doc[key]).__name__}"
-        raise ValueError(f"{where}{key!r} must be a rectangular list of numbers, {got}")
-    return arr
+    return KernelSpec(read_field(doc, "kind", Field("str", choices=KERNEL_KINDS), "kernel "),
+                      read_field(doc, "dim", Field("int", minimum=1), "kernel "),
+                      read_field(doc, "R2", POSITIVE, "kernel "))
 
 
 def span_to_doc(span: RkhsElement) -> dict:
@@ -874,9 +948,14 @@ def span_to_doc(span: RkhsElement) -> dict:
     return {"anchors": span.anchors.tolist(), "coeffs": span.coeffs.T.tolist()}
 
 
-def span_from_doc(doc: dict, spec: KernelSpec) -> RkhsElement:
-    anchors = np.asarray(doc["anchors"], dtype=np.float64).reshape(-1, spec.dim)
-    return RkhsElement(spec, anchors, np.asarray(doc["coeffs"], dtype=np.float64).T)
+def span_from_doc(doc: dict, spec: KernelSpec, where: str = "") -> RkhsElement:
+    anchors = read_field(doc, "anchors", Field("array", domain=spec), where)
+    coeffs = read_field(doc, "coeffs", Field("array", shape=(None, len(anchors))), where)
+    span = RkhsElement(spec, anchors, coeffs.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # a table's values can overflow
+        if not np.isfinite(span.norms()).all():
+            raise ValueError(f"{where}'coeffs': columns must have finite norms")
+    return span
 
 
 def _chain_prefix(form: CutForm | None, base: PredictorBase, before: tuple) -> int | None:
@@ -903,37 +982,29 @@ def _table_to_doc(span: RkhsElement, chain) -> dict:
                     "ZB": form.ZB.T.tolist(), "unit": form.unit.tolist(), "step": form.step}}
 
 
-def _table_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None) -> RkhsElement:
+def _table_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None, where: str) -> RkhsElement:
     """The span of a span document; a cut is rebuilt by `cut_span` on the
-    chain's current plan, that of the records before the span's own, with
-    the lineage of its first `prefix` records.  The cut's U is checked
-    against the kernel's domain and its parts for finite values first, since
-    its fold reads them as they are, while the table `cut_span` merges drops
-    a term it cannot weigh."""
+    chain's current plan with the lineage of its first `prefix` records (a
+    loss file's, read with no plan, has none).  A plan folds the cut's parts
+    as they are, so U must lie in the domain, the parts be finite and the
+    unit >= 0, while `cut_span` would drop or zero what it cannot weigh."""
     if "cut" not in doc:
-        return span_from_doc(doc, spec)
-    cut = doc["cut"]
-    j = _field(cut, "prefix", int, "cut ")
+        if "anchors" not in doc:
+            raise ValueError(f"missing required {where.strip()}: 'cut' or 'anchors'")
+        return span_from_doc(doc, spec, where)
+    cut = read_field(doc, "cut", OBJECT, where)
     T = -1 if plan is None else len(plan.steps)
-    if not 0 <= j <= T:
-        raise ValueError(f"cut 'prefix' {j} names none of the {T + 1} chain prefixes before it")
+    j = read_field(cut, "prefix", Field("int", minimum=0, maximum=T), "cut ")
     k = plan.steps[j].k if j < T else plan.k
-    U = _array(cut, "U", "cut ").reshape(-1, spec.dim)
+    U = read_field(cut, "U", Field("array", domain=spec), "cut ")
     # BU and ZB are written one list per action, as `coeffs` is, and held by row
-    BU, ZB = (np.ascontiguousarray(_array(cut, key, "cut ").T) for key in ("BU", "ZB"))
-    unit = _array(cut, "unit", "cut ")
-    step = _field(cut, "step", float, "cut ")
-    n_actions = BU.shape[-1]
-    for key, arr, want in (("BU", BU, (len(U), n_actions)), ("ZB", ZB, (k, n_actions)),
-                           ("unit", unit, (n_actions,))):
-        if arr.shape != want:
-            raise ValueError(f"cut {key!r} has shape {arr.shape}, expected {want}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"cut {key!r} must be finite")
-    if np.any(unit < 0):  # cut_span zeroes such a column, while a plan would scale by it
-        raise ValueError(f"cut 'unit' must be >= 0, got {unit.tolist()!r}")
-    spec.check_domain(U)
+    BU = read_field(cut, "BU", Field("array", shape=(None, len(U))), "cut ")
+    a = len(BU)
+    ZB = read_field(cut, "ZB", Field("array", shape=(a, k)), "cut ")
+    unit = read_field(cut, "unit", Field("array", shape=(a,), minimum=0.0), "cut ")
+    step = read_field(cut, "step", Field("float"), "cut ")
     lineage = (plan.lineage[0], plan.lineage[1][:j])
+    BU, ZB = np.ascontiguousarray(BU.T), np.ascontiguousarray(ZB.T)
     return cut_span(plan, CutForm(lineage, k, U, BU, ZB, unit, step))[0]
 
 
@@ -947,16 +1018,15 @@ def loss_to_doc(loss: LossFunction, chain=None) -> dict:
 
 
 def loss_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None = None) -> LossFunction:
-    span = _table_from_doc(doc, spec, plan)
-    return LossFunction(_field(doc, "loss_id", str), span, _field(doc, "R1"),
-                        _field(doc, "rescaled", bool))
+    span = _table_from_doc(doc, spec, plan, "loss ")
+    return LossFunction(read_field(doc, "loss_id", STRING, "loss "), span,
+                        read_field(doc, "R1", POSITIVE, "loss "),
+                        read_field(doc, "rescaled", Field("bool"), "loss "))
 
 
 def base_from_doc(doc: dict, spec: KernelSpec) -> PredictorBase:
-    cls = _BASE_REGISTRY.get(doc["kind"])
-    if cls is None:
-        raise ValueError(f"unknown predictor base kind {doc['kind']!r}")
-    return cls.from_doc(doc, spec)
+    kind = read_field(doc, "kind", Field("str", choices=tuple(_BASE_REGISTRY)), "base ")
+    return _BASE_REGISTRY[kind].from_doc(doc, spec)
 
 
 def patch_to_doc(rec: PatchRecord, chain) -> dict:
@@ -975,19 +1045,15 @@ def patch_to_doc(rec: PatchRecord, chain) -> dict:
 
 
 def patch_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan) -> PatchRecord:
-    if not isinstance(doc, dict):
-        raise ValueError(f"each of predictor 'patches' must be an object, got {doc!r}")
-    if doc.get("algorithm") not in ("alg1", "alg2"):
-        raise ValueError(f"patch 'algorithm' must be 'alg1' or 'alg2', got {doc.get('algorithm')!r}")
-    alg1 = doc["algorithm"] == "alg1"
+    algorithm = read_field(doc, "algorithm", Field("str", choices=("alg1", "alg2")), "patch ")
+    lossprime = loss_from_doc(read_field(doc, "witness_lossprime", OBJECT, "patch "), spec, plan)
+    a = lossprime.n_actions
     return PatchRecord(
-        doc["algorithm"],
-        loss_from_doc(_field(doc, "witness_lossprime", dict, "patch "), spec, plan),
-        _field(doc, "beta"),
-        _table_from_doc(doc, spec, plan),
-        _field(doc, "batch_id", str),
-        mixing=None if alg1 else _array(doc, "mixing", "patch "),
-        eta=_field(doc, "eta") if alg1 else None,
+        algorithm, lossprime, read_field(doc, "beta", Field("float", minimum=0.0), "patch "),
+        _table_from_doc(doc, spec, plan, "patch "), read_field(doc, "batch_id", STRING, "patch "),
+        mixing=read_field(doc, "mixing", Field("array", shape=(a, a)), "patch ")
+        if algorithm == "alg2" else None,
+        eta=read_field(doc, "eta", POSITIVE, "patch ") if algorithm == "alg1" else None,
     )
 
 
@@ -1004,13 +1070,12 @@ def predictor_from_doc(doc: dict) -> Predictor:
     """The predictor of a document, its patches folded in order by
     `with_patch`, so each cut span is rebuilt on the chain's current plan,
     only that plan is kept, and it is built once, by the same path as in
-    memory.  A file's scales may overflow the fold; `_append` refuses what
-    is not finite."""
-    if doc.get("format") != PREDICTOR_FORMAT:
-        raise ValueError(f"predictor 'format' is {doc.get('format')!r}, not {PREDICTOR_FORMAT!r}")
-    patches = _field(doc, "patches", list, "predictor ")
-    spec = kernel_from_doc(_field(doc, "kernel", dict, "predictor "))
-    p = Predictor(spec, base_from_doc(_field(doc, "base", dict, "predictor "), spec))
+    memory.  Every field is read by `read_field`; `_append` refuses a fold
+    that a file's scales overflow."""
+    read_field(doc, "format", Field("str", choices=(PREDICTOR_FORMAT,)), "predictor ")
+    patches = read_field(doc, "patches", Field("list_object", min_items=0), "predictor ")
+    spec = kernel_from_doc(read_field(doc, "kernel", OBJECT, "predictor "))
+    p = Predictor(spec, base_from_doc(read_field(doc, "base", OBJECT, "predictor "), spec))
     with np.errstate(over="ignore", invalid="ignore"):
         for d in patches:
             p = p.with_patch(patch_from_doc(d, spec, p._plan))
@@ -1022,7 +1087,13 @@ def save_json(path, doc: dict) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON object in file `path`; a file of no JSON or no object is refused by name."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"file {path.name!r}: is not JSON: {exc}") from exc
+    return read_field({path.name: doc}, path.name, OBJECT, "file ")
 
 
 def save_predictor(path, p: Predictor) -> None:
@@ -1039,5 +1110,7 @@ def loss_file_doc(loss: LossFunction) -> dict:
 
 
 def load_loss(path) -> LossFunction:
+    """The loss of a loss file, every field read by `read_field`."""
     doc = load_json(path)
-    return loss_from_doc(doc["loss"], kernel_from_doc(doc["kernel"]))
+    spec = kernel_from_doc(read_field(doc, "kernel", OBJECT, "loss file "))
+    return loss_from_doc(read_field(doc, "loss", OBJECT, "loss file "), spec)

@@ -19,12 +19,14 @@ import numpy as np
 from .calibrate import DataExhaustedError
 from .kernel import KernelSpec, RkhsElement, as_outcomes, distinct_rows
 from .model import (
+    Field,
     LossFunction,
     Predictor,
     PredictorBase,
     SampleBatch,
     as_contexts,
     make_loss,
+    read_field,
     register_base,
     softmax,
 )
@@ -250,17 +252,23 @@ class LogitMixtureBase(PredictorBase):
     def __post_init__(self) -> None:
         """The world's arrays must be finite, over one support of K outcomes
         in the kernel's domain: weight_matrix (K, dx), weight_offset and
-        shift_coeffs (K,).  A NaN weight or shift would replay to NaN."""
+        shift_coeffs (K,), with finite squares, and the shift's norm finite:
+        the weights multiply a context by the weight rows, and replay squares
+        the shift's norm, so past these they would replay to NaN."""
         arrays = {k: np.asarray(getattr(self.world, k), dtype=np.float64) for k in _WORLD_KEYS}
         K = len(arrays["support"]) if arrays["support"].ndim else -1
         dx = arrays["weight_matrix"].shape[-1] if arrays["weight_matrix"].ndim == 2 else -1
         wants = {"support": (K, self.spec.dim), "weight_matrix": (K, dx),
                  "weight_offset": (K,), "shift_coeffs": (K,)}
-        for key, arr in arrays.items():
-            if arr.shape != wants[key]:
-                raise ValueError(f"logit_mixture {key!r} has shape {arr.shape}, expected {wants[key]}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"logit_mixture {key!r} must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):
+            for key, arr in arrays.items():
+                if arr.shape != wants[key]:
+                    raise ValueError(f"logit_mixture {key!r}: shape {arr.shape}, not {wants[key]}")
+                if not np.isfinite(arr * arr).all():
+                    raise ValueError(f"logit_mixture {key!r} must have finite squares")
+            c = arrays["shift_coeffs"]
+            if not np.isfinite(c @ self.spec.gram(self.anchors, self.anchors) @ c):
+                raise ValueError("logit_mixture 'shift_coeffs' must span a shift of finite norm")
         self.spec.check_domain(arrays["support"])
 
     @property
@@ -278,8 +286,11 @@ class LogitMixtureBase(PredictorBase):
 
     @classmethod
     def from_doc(cls, doc: dict, spec: KernelSpec) -> "LogitMixtureBase":
-        arrays = (np.asarray(doc[k], dtype=np.float64) for k in _WORLD_KEYS)
-        return cls(spec, PlantedBiasMap(*arrays))
+        support = read_field(doc, "support", Field("array", domain=spec), "base ")
+        K = len(support)
+        shapes = {"weight_matrix": (K, None), "weight_offset": (K,), "shift_coeffs": (K,)}
+        arrays = (read_field(doc, k, Field("array", shape=shapes[k]), "base ") for k in shapes)
+        return cls(spec, PlantedBiasMap(support, *arrays))
 
 
 @dataclass(frozen=True)

@@ -544,6 +544,27 @@ def test_report_requires_a_manifest(tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, text, key", [
+    ("manifest.json", "[1, 2]", "'manifest.json'"),
+    ("manifest.json", "{not json", "'manifest.json'"),
+    ("summary.json", "[]", "'summary.json'"),
+], ids=["manifest-list", "manifest-not-json", "summary-list"])
+def test_report_of_a_malformed_run_dir_exits_two(tmp_path, capsys, name, text, key):
+    """A run directory whose manifest or digested file does not read is a
+    config error naming run_dir and the file, and no report is written;
+    these exited 3 with a Python error naming neither."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    manifest = {"command": "calibrate", "config": {}, "outputs": ["summary.json"]}
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    (run_dir / name).write_text(text)
+    code, out_dir = run_cli(tmp_path, "report", {"run_dir": str(run_dir)})
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'run_dir'" in err and key in err
+    assert not out_dir.exists()
+
+
 # process-level entry
 
 

@@ -10,9 +10,12 @@ over its own anchors, so no append reads the anchors' N x N Gram matrix.
 import contextlib
 import copy
 import dataclasses
+import functools
 import gc
 import json
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,9 +27,11 @@ from decal.audit import AuditReport, _gap_scan, _scan_values, _witness, audit, r
 from decal.calibrate import CalibConfig, alg1_step, alg2_step
 from decal.kernel import KernelMismatchError, KernelSpec, RkhsElement, sum_rows
 from decal.model import (
-    DEGENERATE_NORM, LossFunction, PatchRecord, Predictor, SampleBatch, SimilarityBase,
-    evaluate_batch, extend_evaluated, predictor_from_doc, predictor_to_doc, smooth_best_response,
+    DEGENERATE_NORM, ConstantBase, LossFunction, PatchRecord, Predictor, SampleBatch,
+    SimilarityBase, evaluate_batch, extend_evaluated, load_loss, loss_file_doc, predictor_from_doc,
+    predictor_to_doc, smooth_best_response,
 )
+from decal.synth import planted_bias_instance
 from spans import dense_rows, gram_entries, spy
 
 SPECS = {
@@ -361,14 +366,17 @@ def test_a_hand_built_record_appends_without_the_square_gram(kind):
     assert close(step.table, np.hstack([lossprime.values(p.anchors), G[:n] @ R.T]))
 
 
-def chain(spec, algorithm, n_actions, g, zero=None, witnesses_only=False, finite=False):
+def chain(spec, algorithm, n_actions, g, zero=None, witnesses_only=False, finite=False,
+          base=None):
     """A calibrated chain of cut patches with a hand-built dense patch after
     the first and, last but one, a record cut on a sibling branch; returns
     the predictor, the indices of its dense records and the random losses.
     With `finite`, every outcome and hand-built anchor is drawn from two base
-    anchors and a signed support, so points repeat and +-0.0 rows occur."""
+    anchors and a signed support, so points repeat and +-0.0 rows occur.
+    The base is `base`, by default a similarity base on fresh outcomes."""
     train = outcomes(spec, N_BASE, g)
-    base = SimilarityBase(spec, train, g.standard_normal((N_BASE, 2)), 1.0)
+    similarity = SimilarityBase(spec, train, g.standard_normal((N_BASE, 2)), 1.0)
+    base = similarity if base is None else base
     cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=n_actions,
                       algorithm=algorithm)
     support = np.vstack([train[:2], signed_support(spec, g)]) if finite else None
@@ -693,6 +701,15 @@ def string_mixing(doc):
     doc["patches"][1].update(algorithm="alg2", mixing="x")
 
 
+def quoted_BU(doc):
+    cut = doc["patches"][1]["cut"]
+    cut["BU"] = [[repr(x) for x in column] for column in cut["BU"]]
+
+
+def quoted_mixing(doc):
+    doc["patches"][1].update(algorithm="alg2", mixing=[["1.0", "0.0"], ["0.0", "1.0"]])
+
+
 def drop(name, *path):
     """A spoil named `name` that deletes the field at `path` of the document."""
     def spoil(doc):
@@ -734,6 +751,11 @@ MISTYPED = [
     (put("unknown_algorithm", "alg3", "patches", 1, "algorithm"), "'algorithm'"),
     (no_beta, "'beta'"),
     (put("null_patches", None, "patches"), "'patches'"),
+    # numbers in quotes inside arrays loaded, parsed by numpy; an R2 whose
+    # square overflows failed every patch as a 'mixing' past the float range
+    (quoted_BU, "'BU'"),
+    (quoted_mixing, "'mixing'"),
+    (put("huge_R2", 1e308, "kernel", "R2"), "'R2'"),
 ]
 # objects and arrays `_field` does not read: a missing or null one, or an
 # array of no numbers, is refused naming its own key, not the next one read
@@ -745,6 +767,14 @@ UNREAD = [
     (put("null_base", None, "base"), "'base'"),
     (string_mixing, "'mixing'"),
     (put("null_U", None, *CUT, "U"), "'U'"),
+    # read by direct indexing or a bare numpy conversion, which named no key
+    (drop("no_kernel_kind", "kernel", "kind"), "'kind'"),
+    (drop("no_base_kind", "base", "kind"), "'kind'"),
+    (put("logit_mixture_without_support", {"kind": "logit_mixture"}, "base"), "'support'"),
+    (put("string_contexts", "x", "base", "contexts"), "'contexts'"),
+    (drop("no_bandwidth", "base", "bandwidth"), "'bandwidth'"),
+    (put("constant_without_element", {"kind": "constant"}, "base"), "'element'"),
+    (put("ragged_anchors", [[0.5], [0.5, 0.5]], *LOSS, "anchors"), "'anchors'"),
 ]
 
 
@@ -938,3 +968,87 @@ def test_loader_refuses_a_patch_it_cannot_replay(spoil, match):
     spoil(doc)
     with pytest.raises(ValueError, match=match):
         predictor_from_doc(doc)
+
+
+# single-field mutations of predictor.json and witness_loss.json
+
+@functools.cache
+def mutation_documents():
+    """(document, whether it is a loss file, its fields' (path, key) by
+    `document_fields`) for an alg1 and an alg2 chain on each kernel, each on
+    its own base kind (min on a similarity base, linear on a constant base,
+    exp on a planted logit-mixture base), and for a witness_loss.json of
+    each chain's last lossprime, as JSON gives them back."""
+    docs = []
+    for kind in sorted(SPECS):
+        for algorithm in ("alg1", "alg2"):
+            spec, g = SPECS[kind], np.random.default_rng(23)
+            base = None  # the min kernel's: chain's similarity base
+            if kind == "linear":
+                mean = np.full((N_BASE, 1), 1.0 / N_BASE)
+                base = ConstantBase(RkhsElement(spec, outcomes(spec, N_BASE, g), mean))
+            elif kind == "exp":
+                base = planted_bias_instance(spec, 2, N_BASE, 0.2, 23).predictor.base
+            p = chain(spec, algorithm, 2, g, base=base)[0]
+            loss = p.patches[-1].witness_lossprime
+            for doc, is_loss in ((predictor_to_doc(p), False), (loss_file_doc(loss), True)):
+                doc = json.loads(json.dumps(doc))
+                docs.append((doc, is_loss, list(document_fields(doc))))
+    return docs
+
+
+def document_fields(doc, path=()):
+    """(path, key) of every field of a document: each key of an object, each
+    object of a list (by the list's key) and each entry of an array."""
+    for key, value in doc.items():
+        yield path + (key,), key
+        if isinstance(value, dict):
+            yield from document_fields(value, path + (key,))
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            for i, item in enumerate(value):
+                yield path + (key, i), key
+                yield from document_fields(item, path + (key, i))
+        elif isinstance(value, list):
+            for index in np.ndindex(np.shape(value)):
+                yield path + (key, *index), key
+
+
+@given(data=st.data())
+@settings(max_examples=150)
+def test_a_mutated_field_is_refused_by_name_or_replays_finite(data):
+    """Every single-field mutation of a document (a key dropped, a field
+    nulled, of another type, a number in quotes, or NaN, an infinity or
+    +-1e308 in its place) is refused by a ValueError naming the key, or loads
+    a predictor whose replay on fixed contexts is finite (a loss whose
+    values at fixed outcomes are)."""
+    doc, is_loss, fields = data.draw(st.sampled_from(mutation_documents()))
+    path, key = data.draw(st.sampled_from(fields))
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    value = parent[path[-1]]
+    changes = [None, *(v for v in ("x", True, {}, [], 7) if type(v) is not type(value))]
+    if isinstance(path[-1], str):  # a key, not an array entry or a list's object
+        changes.append("drop")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        changes += [repr(value), float("nan"), float("inf"), float("-inf"), 1e308, -1e308]
+    change = data.draw(st.sampled_from(changes))
+    if change == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = change
+    text = json.dumps(doc)
+    try:
+        if is_loss:
+            with tempfile.TemporaryDirectory() as tmp:
+                (Path(tmp) / "witness_loss.json").write_text(text)
+                loss = load_loss(Path(tmp) / "witness_loss.json")
+            got = [loss.values(outcomes(loss.span.spec, 5, np.random.default_rng(1)))]
+        else:
+            got = predictor_from_doc(json.loads(text))._replay(
+                np.random.default_rng(1).standard_normal((9, 2)))
+    except ValueError as exc:
+        assert repr(key) in str(exc), (path, change, str(exc))
+        return
+    assert all(np.all(np.isfinite(arr)) for arr in got), (path, change)

@@ -1116,6 +1116,17 @@ def test_loss_round_trip_is_exact(tmp_path):
     assert np.array_equal(again.values(Y), loss.values(Y))
 
 
+@pytest.mark.parametrize("key", ["loss", "kernel"])
+def test_load_loss_names_the_key_it_misses(tmp_path, key):
+    """A loss file without its loss or its kernel raised KeyError."""
+    doc = loss_file_doc(random_loss(MIN, 2, 1.0, "k"))
+    del doc[key]
+    path = tmp_path / "loss.json"
+    save_json(path, doc)
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        load_loss(path)
+
+
 @pytest.mark.parametrize("key, value", [
     ("dim", True), ("dim", "1"), ("dim", 1.5), ("dim", None), ("R2", True), ("R2", "1.5"),
     ("R2", [1.5]),
