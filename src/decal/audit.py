@@ -7,10 +7,11 @@ loss side has a closed-form maximizer over the R1 ball: each action
 coefficient is the rescaled per-action residual mean.  Auditing therefore
 scans a pool of candidate lossprimes and takes the best closed-form witness.
 
-The scan works in the predictor's patch-row basis, and each witness keeps
+The scan works in the predictor's patch-row basis, and each witness is
 the scan's parts of its residual means (over the batch's distinct outcomes
-and over the basis) as its cut form, so a later plan descending from the
-scanned one evaluates the witness without expanding it over the anchors.
+and over the basis) as its cut form, so a plan descending from the scanned
+one evaluates the witness without expanding it over the anchors, and its
+anchor table is built only for a dense reader such as `empirical_gap`.
 
 A scan costs what its batch adds.  Random pool losses are anchored on rows
 of the batch's outcomes, so their values on the basis are columns of the
@@ -36,7 +37,6 @@ from .model import (
     EvaluatedBatch,
     LossFunction,
     SampleBatch,
-    cut_span,
     evaluate_batch,
     smooth_best_response,
 )
@@ -55,10 +55,7 @@ class AuditReport:
     n_used: int
     candidate_pool_size: int
     batch_id: str = ""
-    # the best candidate's rule on the batch (n, |A|), and its raw residual
-    # means as the columns of an (M, |A|) matrix over witness_loss.span.anchors
-    rule_probs: np.ndarray | None = None
-    residual_means: np.ndarray | None = None
+    rule_probs: np.ndarray | None = None  # the best candidate's rule on the batch (n, |A|)
 
 
 def batch_estimates(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
@@ -134,21 +131,20 @@ def _unit_columns(coeffs: np.ndarray, nv: np.ndarray, R1: float) -> np.ndarray:
 
 
 def _witness(eb: EvaluatedBatch, parts, norms: np.ndarray, R1: float, loss_id: str):
-    """One candidate's gap-maximizing loss and its raw residual means, cut
-    from its parts in the pooled scan: each action coefficient is the
-    residual mean weighted by that action's rule probability, rescaled to
-    norm R1 by its norm from the pooled scan, or zero where it is degenerate.
-    Every column lives on one merged table over [U; anchors], which
-    `cut_span` builds from the parts and which carries the parts as its cut
-    form; the caller has checked U against the kernel's domain.  The form
-    copies its |A| columns out of the pooled scan, so that a witness kept
-    for later rounds does not keep the whole pool's parts alive.
+    """One candidate's gap-maximizing loss, cut from its parts in the pooled
+    scan: each action coefficient is the residual mean weighted by that
+    action's rule probability, rescaled to norm R1 by its norm from the
+    pooled scan, or zero where it is degenerate.  Its span is the cut form
+    alone, whose table over [U; anchors] only a dense reader builds
+    (`model.CutForm.table`); the caller has checked U against the kernel's
+    domain.  The form copies its |A| columns out of the pooled scan, so that
+    a witness kept for later rounds does not keep the whole pool's parts
+    alive.
     """
     (BU, ZB), plan = parts, eb.plan
     form = CutForm(plan.lineage, plan.k, eb.outcomes[0], BU.copy(), ZB.copy(),
                    _unit_scale(norms, R1))
-    span, means = cut_span(plan, form)
-    return LossFunction(loss_id, span, R1), means
+    return LossFunction(loss_id, RkhsElement._cut(plan.spec, form), R1)
 
 
 def closed_form_witnesses(
@@ -160,7 +156,7 @@ def closed_form_witnesses(
     _, norms, _, parts = _gap_scan(eb, pool, beta, R1)
     eb.kernel.check_domain(eb.outcomes[0])
     scanned = zip(parts, norms, loss_ids, strict=True)
-    return [_witness(eb, part, nv, R1, lid)[0] for part, nv, lid in scanned]
+    return [_witness(eb, part, nv, R1, lid) for part, nv, lid in scanned]
 
 
 def empirical_gap(
@@ -200,7 +196,7 @@ def audit(
     gaps, norms, probs, parts = _gap_scan(eb, pool, beta, R1)
     best = int(np.argmax(gaps))
     eb.kernel.check_domain(eb.outcomes[0])
-    witness, means = _witness(eb, parts[best], norms[best], R1, witness_id)
+    witness = _witness(eb, parts[best], norms[best], R1, witness_id)
     threshold = AUDIT_THRESHOLD_FACTOR * epsilon
     gap = float(gaps[best])
     return AuditReport(
@@ -213,7 +209,6 @@ def audit(
         candidate_pool_size=len(pool),
         batch_id=eb.batch_id,
         rule_probs=probs[best].copy(),
-        residual_means=means,
     )
 
 

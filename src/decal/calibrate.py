@@ -88,6 +88,9 @@ class CalibConfig:
             ) from exc
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+        if self.algorithm == "alg1" and not math.isfinite((g := self.eta * self.R1) * g * g * g):
+            raise ValueError(f"'eta' times 'R1' is {g!r}: alg1 rows of that norm have a Gram"
+                             " matrix that squares past the float range")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         for name in ("audit_batch_size", "pool_size", "heldout_size"):
@@ -145,20 +148,18 @@ def potential(p: Predictor, batch: SampleBatch) -> float:
 def alg1_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
     """Fixed-step patch: the audited witness scaled by eta, so each action's
     row is its residual mean rescaled to norm eta * R1 (zero for degenerate
-    directions), mixed by the identity.
+    directions), mixed by the identity: the witness's cut form, step scaled.
     """
     if not report.found:
         raise ValueError("alg1_step requires a report with found=True")
     witness = report.witness_loss
+    form = witness.span.form
     step = config.eta * config.R1 / witness.R1
-    span, form = witness.span, witness.span.form
     return PatchRecord(
         "alg1",
         report.witness_lossprime,
         config.beta,
-        RkhsElement._of_checked(
-            span.spec, span.anchors, span.coeffs * step,
-            None if form is None else replace(form, step=form.step * step)),
+        RkhsElement._cut(witness.span.spec, replace(form, step=form.step * step)),
         batch_id=report.batch_id,
         eta=config.eta,
     )
@@ -168,8 +169,8 @@ def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
     """Regularized least-squares patch from the audited rule probabilities.
 
     Dhat[a, b] = Ehat[k_a k_b], mixing = (Dhat + RIDGE_LAMBDA * I)^-1, and
-    the rows are the raw per-action residual means; the replayed update at x
-    is rows^T @ mixing @ k(x).
+    the rows are the raw per-action residual means, the witness's cut form
+    with unit 1 and step 1; the replayed update at x is rows^T @ mixing @ k(x).
     """
     if not report.found:
         raise ValueError("alg2_step requires a report with found=True")
@@ -182,9 +183,7 @@ def alg2_step(report: AuditReport, *, config: CalibConfig) -> PatchRecord:
         "alg2",
         report.witness_lossprime,
         config.beta,
-        RkhsElement._of_checked(
-            span.spec, span.anchors, report.residual_means,
-            None if form is None else replace(form, unit=np.ones_like(form.unit), step=1.0)),
+        RkhsElement._cut(span.spec, replace(form, unit=np.ones_like(form.unit), step=1.0)),
         batch_id=report.batch_id,
         mixing=mixing,
     )

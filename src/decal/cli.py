@@ -76,6 +76,10 @@ KERNEL_FIELDS = {
     "R2": Field("float", minimum=0.0, exclusive_min=True),
 }
 
+# a loss's norm bound, whose square must be finite, as a loaded loss's norms must be
+R1 = Field("float", default=1.0, minimum=0.0, exclusive_min=True,
+           maximum=math.sqrt(sys.float_info.max))
+
 PLANTED_FIELDS = {
     "shift_norm": Field("float", default=0.3, minimum=0.0),
     "support_size": Field("int", default=24, minimum=2),
@@ -89,7 +93,7 @@ CALIBRATE_SCHEMA = {
     **PLANTED_FIELDS,
     "epsilon": Field("float", minimum=0.0, exclusive_min=True),
     "beta": Field("float", minimum=0.0),
-    "R1": Field("float", default=1.0, minimum=0.0, exclusive_min=True),
+    "R1": R1,
     "n_actions": Field("int", default=2, minimum=1),
     "algorithm": Field("str", default="alg1", choices=("alg1", "alg2")),
     "eta": Field("float", default=None, minimum=0.0, exclusive_min=True, allow_none=True),
@@ -105,7 +109,7 @@ AUDIT_SCHEMA = {
     **PLANTED_FIELDS,
     "epsilon": Field("float", minimum=0.0, exclusive_min=True),
     "beta": Field("float", minimum=0.0),
-    "R1": Field("float", default=1.0, minimum=0.0, exclusive_min=True),
+    "R1": R1,
     "n_actions": Field("int", default=2, minimum=1),
     "pool_size": Field("int", default=32, minimum=1),
     "n": Field("int", default=512, minimum=8),
@@ -133,7 +137,7 @@ EXPERIMENT_SCHEMAS = {
         "experiment": Field("str", choices=("convergence",)),
         "epsilons": Field("list_float", minimum=0.0, exclusive_min=True),
         "beta": Field("float", default=4.0, minimum=0.0),
-        "R1": Field("float", default=1.0, minimum=0.0, exclusive_min=True),
+        "R1": R1,
         "R2": Field("float", default=1.5, minimum=0.0, exclusive_min=True),
         "shift_norm": Field("float", default=0.3, minimum=0.0),
         "n_actions": Field("int", default=2, minimum=1),
@@ -148,14 +152,14 @@ EXPERIMENT_SCHEMAS = {
         "reference_n": Field("int", default=8192, minimum=64),
         "resamples": Field("int", default=20, minimum=2),
         "beta": Field("float", default=2.0, minimum=0.0),
-        "R1": Field("float", default=1.0, minimum=0.0, exclusive_min=True),
+        "R1": R1,
         "seed": Field("int", default=0, minimum=0),
     },
     "regret": {
         "experiment": Field("str", choices=("regret",)),
         "epsilon": Field("float", default=0.1, minimum=0.0, exclusive_min=True),
         "beta": Field("float", default=20.0, minimum=0.0, exclusive_min=True),
-        "R1": Field("float", default=1.0, minimum=0.0, exclusive_min=True),
+        "R1": R1,
         "R2": Field("float", default=1.5, minimum=0.0, exclusive_min=True),
         "n_actions": Field("int", default=2, minimum=1),
         "loss_count": Field("int", default=16, minimum=1),

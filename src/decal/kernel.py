@@ -122,7 +122,8 @@ def as_outcomes(Y, dim: int) -> np.ndarray:
 class RkhsElement:
     """Immutable anchor table, one column per spanned element: column j is
     sum_i coeffs[i, j] * phi(anchors[i]).  `form` is the model.CutForm the
-    audit cut the table by, when it did."""
+    audit cut the table by, when it did; a `_cut` table holds only its form
+    until `anchors` or `coeffs` is read, which builds both by `form.table`."""
 
     spec: KernelSpec
     anchors: np.ndarray  # (M, dim)
@@ -155,11 +156,24 @@ class RkhsElement:
             raise ValueError("coefficients must be finite")
         anchors.setflags(write=False)
         coeffs.setflags(write=False)
-        el = object.__new__(cls)
-        for name, value in (("spec", spec), ("anchors", anchors), ("coeffs", coeffs),
-                            ("form", form)):
-            object.__setattr__(el, name, value)
+        el = cls._cut(spec, form)
+        vars(el).update(anchors=anchors, coeffs=coeffs)
         return el
+
+    @classmethod
+    def _cut(cls, spec: KernelSpec, form: object) -> "RkhsElement":
+        """The table of `form`'s columns, held as the form alone until read."""
+        el = object.__new__(cls)
+        vars(el).update(spec=spec, form=form)
+        return el
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set: the table of a `_cut` span
+        if name not in ("anchors", "coeffs") or self.form is None:
+            raise AttributeError(name)
+        table = self.form.table(self.spec)
+        vars(self).update(anchors=table.anchors, coeffs=table.coeffs)
+        return vars(self)[name]
 
     def __len__(self) -> int:
         return len(self.coeffs)

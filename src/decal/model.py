@@ -30,29 +30,29 @@ points not yet anchors (found by `distinct_rows`): on a finite outcome
 support N stays within the base's anchors and the support; on continuous
 outcomes every step adds its points.
 
-A witness or patch table cut by the audit carries its cut form: the batch's
-distinct outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of its
-columns sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i over the first k
-basis rows f_i of the plan it was cut on, with each column's unit scale and
-the step that scales them all.  The plan it was cut on reads the span
-through the form.  Every witness the audit finds becomes the next patch, so
-a longer plan descending from it (its base and a prefix of its records, by
-identity) reads it as that patch's column block of F G F^T, rescaled, with
-no kernel entry.  Any other loss (user losses, a random loss read on
-another batch, a loaded `witness_loss.json`, a witness whose patch a
-sibling replaced) is read densely, F @ values(anchors), but a random pool
-loss on its own batch is read off the scan's K_FU
-(`LossFunction.anchor_rows`).  A patch not cut on the plan it extends is
-appended as the form over its own M anchors, ZB zero, at N x M + M x M
-entries.  W = Z F is built only by `coefficients` and, for a cut span's |A|
-rows, by `cut_span`.
+A witness or patch the audit cuts is its cut form: the batch's distinct
+outcomes U and the parts BU (|U|, |A|) and ZB (k, |A|) of its columns
+sum_u BU[u, a] phi(u) - sum_{i<k} ZB[i, a] f_i over the first k basis rows
+f_i of the plan it was cut on, each column's unit scale and the step that
+scales them all (an alg1 patch scales the witness's step, an alg2 patch has
+unit 1: its raw residual means).  The plan it was cut on reads the span
+through the form, and so does a longer plan descending from it (its base
+and a prefix of its records, by identity), as the column block of F G F^T
+of the patch the witness became, rescaled, with no kernel entry.  Any other
+loss (user losses, a random loss read on another batch, a loaded
+`witness_loss.json`, a witness whose patch a sibling replaced) is read
+densely, F @ values(anchors), but a random pool loss on its own batch is
+read off the scan's K_FU (`LossFunction.anchor_rows`).  A patch not cut on
+the plan it extends is appended as the form over its own M anchors, ZB
+zero, at N x M + M x M entries.  W = Z F is built only by `coefficients`
+and, for a dense reader of a cut span's table, by `cut_span`.
 
 `predictor.json` stores each span whose form descends from the predictor's
 own chain as that form and the number of records it was cut on; the loader
-folds the patches in order, each table rebuilt by `cut_span` on the chain's
-current plan, and a loaded lossprime that was an earlier patch's witness
-matches that patch's parts by value, so the loaded predictor, plan
-included, is the saved one bit for bit.
+reads each back as a form on those records and folds the patches in order,
+and a loaded lossprime that was an earlier patch's witness matches that
+patch's parts by value, so the loaded predictor, plan included, is the
+saved one bit for bit.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ REPLAY_BLOCK = 512
 
 
 def as_contexts(X) -> np.ndarray:
-    """Coerce a context or batch of contexts into an (m, dx) float array."""
+    """Coerce a context or batch of contexts into an (m, dx) array of finite floats."""
     arr = np.asarray(X, dtype=np.float64)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
@@ -87,6 +87,8 @@ def as_contexts(X) -> np.ndarray:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
         raise ValueError(f"contexts must be at most 2-d, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("contexts must be finite")
     return arr
 
 
@@ -169,7 +171,7 @@ class CutForm:
     is unit[a] * step * (sum_u BU[u, a] phi(U[u]) - sum_{i<k} ZB[i, a] f_i),
     with f_i row i of the patch-row basis of the plan whose lineage (base,
     patch records) it was cut on.  `predictor.json` stores the form in place
-    of the anchor table that `cut_span` rebuilds from it."""
+    of the anchor table that `table` builds from it."""
 
     lineage: tuple  # (PredictorBase, tuple[PatchRecord, ...])
     k: int
@@ -179,6 +181,19 @@ class CutForm:
     # R1 / the column's norm, or 0 where it is degenerate; ones for alg2 rows
     unit: np.ndarray  # (|A|,)
     step: float = 1.0  # alg1's eta R1 / witness R1; kept apart from unit for its bits
+
+    def table(self, spec: KernelSpec) -> RkhsElement:
+        """The form's table, `cut_span` on its lineage's plan rebuilt, which
+        a cut span builds on the first read of its anchors or coeffs: one
+        rebuild, T appends for a form cut after T patches, paid only by
+        dense readers (`empirical_gap`, `witness_loss.json`, a sibling plan's
+        append, `lifted_values`' dense fallback), not by a round or a load."""
+        return cut_span(Predictor(spec, *self.lineage)._plan, self)
+
+
+def _width(span: RkhsElement) -> int:
+    """A span's column count, read off its form if it has one (building no table)."""
+    return span.coeffs.shape[1] if span.form is None else len(span.form.unit)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +223,7 @@ class LossFunction:
 
     @property
     def n_actions(self) -> int:
-        return self.span.coeffs.shape[1]
+        return _width(self.span)
 
     def values(self, Y) -> np.ndarray:
         """Loss matrix ell(a, y_i), shape (n, n_actions), from one Gram block.
@@ -391,7 +406,7 @@ class PatchRecord:
         if mixing.shape != (n_act, n_act):
             raise ValueError("mixing matrix must be (|A|, |A|)")
         check_spec(self.witness_lossprime.span.spec, self.rows.spec)
-        if self.rows.coeffs.shape[1] != n_act:
+        if _width(self.rows) != n_act:
             raise ValueError("one coefficient column per action required")
         mixing.setflags(write=False)
         object.__setattr__(self, "mixing", mixing)
@@ -509,15 +524,14 @@ class _EvalPlan:
             return self.spec.gram(pts if len(pts) > 1 else np.vstack([pts, pts]), U)[: len(pts)]
         return self.lift(block, steps, head)
 
-    def expand(self, Z: np.ndarray, steps: list | None = None) -> np.ndarray:
+    def expand(self, Z: np.ndarray) -> np.ndarray:
         """The coefficients over the anchors, W = Z @ F, (m, N), by lift's
-        recursion run backward over a prefix `steps` of the plan's steps (N
-        the anchors after them): step t adds Z_t BU_t^T at its points and
-        takes Z_t ZB_t^T off the coordinates before it."""
-        steps = self.steps if steps is None else steps
+        recursion run backward over the plan's steps (N the anchors after
+        them): step t adds Z_t BU_t^T at its points and takes Z_t ZB_t^T off
+        the coordinates before it."""
         Z = Z.copy()
-        W = np.zeros((len(Z), steps[-1].n_after if steps else self.n_base))
-        for st in reversed(steps):
+        W = np.zeros((len(Z), self.steps[-1].n_after if self.steps else self.n_base))
+        for st in reversed(self.steps):
             Zt = Z[:, st.k : st.k + len(st.M)]
             W[:, st.at] += Zt @ st.BU.T
             if len(st.ZB):
@@ -600,14 +614,14 @@ class _EvalPlan:
             a = rec.rows.coeffs.shape[1]
             form = CutForm(self.lineage, self.k, rec.rows.anchors, rec.rows.coeffs,
                            np.zeros((self.k, a)), np.ones(a))
-        scale = form.unit * form.step
-        BU, ZB = form.BU * scale, form.ZB * scale
-        KF = self.gram_lift(form.U)
-        cross = self._fold(form, KF) * scale
-        table = np.hstack([self.lifted_values(rec.witness_lossprime), cross])
-        g = self.spec.gram(form.U, form.U) @ BU - KF.T @ ZB
-        S = BU.T @ g - ZB.T @ cross
         with np.errstate(over="ignore", invalid="ignore"):
+            scale = form.unit * form.step
+            BU, ZB = form.BU * scale, form.ZB * scale
+            KF = self.gram_lift(form.U)
+            cross = self._fold(form, KF) * scale
+            table = np.hstack([self.lifted_values(rec.witness_lossprime), cross])
+            g = self.spec.gram(form.U, form.U) @ BU - KF.T @ ZB
+            S = BU.T @ g - ZB.T @ cross
             for key, arr in (("S", S), ("table", table), ("BU", BU), ("ZB", ZB)):
                 if not np.isfinite(arr * arr).all():  # replay multiplies these
                     raise ValueError(f"patch {key!r} squares past the float range: a 'BU', 'ZB', "
@@ -636,24 +650,22 @@ class _EvalPlan:
         self.k += len(step.M)
 
 
-def cut_span(plan: _EvalPlan, form: CutForm) -> tuple[RkhsElement, np.ndarray]:
-    """The anchor table of a form's columns, carrying the form, rebuilt on
-    any `plan` descending from its lineage of j records: over the anchors [U;
-    those of plan's first j steps] with repeats merged, each raw column BU -
-    F^T ZB, F over those steps, times its unit scale (zero where that is
-    zero) times the step.  Also returns the raw columns.
-
+def cut_span(plan: _EvalPlan, form: CutForm) -> RkhsElement:
+    """The anchor table of a form's columns, carrying the form, on the plan
+    it was cut on (or one rebuilt from its lineage, `CutForm.table`): over
+    the anchors [U; plan.anchors] with repeats merged, each raw column BU -
+    F^T ZB times its unit scale (zero where that is zero) times the step.
     The table is taken as checked: plan.anchors are, and form.U must lie in
     the kernel's domain (the audit checks its batch's outcomes, the loader a
     file's U, before they cut)."""
-    W = plan.expand(form.ZB.T, plan.steps[: len(form.lineage[1])])
-    anchors, means = merge_terms(plan.spec, np.vstack([form.U, plan.anchors[: W.shape[1]]]),
-                                 np.vstack([form.BU, -W.T]))
-    # where, not the zero scale alone: a negative coefficient times 0.0 is -0.0
-    coeffs = np.where(form.unit > 0, means * form.unit, 0.0) * form.step
+    with np.errstate(over="ignore", invalid="ignore"):
+        anchors, means = merge_terms(plan.spec, np.vstack([form.U, plan.anchors]),
+                                     np.vstack([form.BU, -plan.expand(form.ZB.T).T]))
+        # where, not the zero scale alone: a negative coefficient times 0.0 is -0.0
+        coeffs = np.where(form.unit > 0, means * form.unit, 0.0) * form.step
     if not np.isfinite(coeffs).all():
         raise ValueError("a cut table is not finite: its 'BU', 'ZB', 'unit' or 'step' is too large")
-    return RkhsElement._of_checked(plan.spec, anchors, coeffs, form), means
+    return RkhsElement._of_checked(plan.spec, anchors, coeffs, form)
 
 
 def _project_rows(W: np.ndarray, n2: np.ndarray, upto: int, R2: float) -> None:
@@ -983,11 +995,11 @@ def _table_to_doc(span: RkhsElement, chain) -> dict:
 
 
 def _table_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None, where: str) -> RkhsElement:
-    """The span of a span document; a cut is rebuilt by `cut_span` on the
-    chain's current plan with the lineage of its first `prefix` records (a
-    loss file's, read with no plan, has none).  A plan folds the cut's parts
-    as they are, so U must lie in the domain, the parts be finite and the
-    unit >= 0, while `cut_span` would drop or zero what it cannot weigh."""
+    """The span of a span document; a cut is its form on the chain's first
+    `prefix` records (a loss file's, read with no plan, has none).  A plan
+    folds the cut's parts as they are, so U must lie in the domain, the
+    parts be finite and the unit >= 0, while `cut_span` would drop or zero
+    what it cannot weigh; `_append` refuses scaled parts that overflow."""
     if "cut" not in doc:
         if "anchors" not in doc:
             raise ValueError(f"missing required {where.strip()}: 'cut' or 'anchors'")
@@ -1005,7 +1017,7 @@ def _table_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None, where: 
     step = read_field(cut, "step", Field("float"), "cut ")
     lineage = (plan.lineage[0], plan.lineage[1][:j])
     BU, ZB = np.ascontiguousarray(BU.T), np.ascontiguousarray(ZB.T)
-    return cut_span(plan, CutForm(lineage, k, U, BU, ZB, unit, step))[0]
+    return RkhsElement._cut(spec, CutForm(lineage, k, U, BU, ZB, unit, step))
 
 
 def loss_to_doc(loss: LossFunction, chain=None) -> dict:
@@ -1068,9 +1080,9 @@ def predictor_to_doc(p: Predictor) -> dict:
 
 def predictor_from_doc(doc: dict) -> Predictor:
     """The predictor of a document, its patches folded in order by
-    `with_patch`, so each cut span is rebuilt on the chain's current plan,
-    only that plan is kept, and it is built once, by the same path as in
-    memory.  Every field is read by `read_field`; `_append` refuses a fold
+    `with_patch`, so each cut span is read back as its form, only the
+    chain's current plan is kept, and it is built once, by the same path as
+    in memory.  Every field is read by `read_field`; `_append` refuses a fold
     that a file's scales overflow."""
     read_field(doc, "format", Field("str", choices=(PREDICTOR_FORMAT,)), "predictor ")
     patches = read_field(doc, "patches", Field("list_object", min_items=0), "predictor ")

@@ -1,5 +1,6 @@
 """Auditing: empirical gaps, closed-form witnesses, and pool scans."""
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -39,6 +40,7 @@ from decal.model import (
     SampleBatch,
     SimilarityBase,
     _EvalPlan,
+    cut_span,
     evaluate_batch,
     loss_estimates,
     make_loss,
@@ -308,7 +310,10 @@ def test_basis_scan_matches_dense_reference(
     width = norms.shape[1]
     U = eb.outcomes[0]
     for i, (part, nv) in enumerate(zip(parts, norms)):
-        witness, means = _witness(eb, part, nv, 1.0, "w")
+        witness = _witness(eb, part, nv, 1.0, "w")
+        # the raw residual means: the witness's form with unit 1, as alg2's rows
+        raw = dataclasses.replace(witness.span.form, unit=np.ones(width))
+        means = cut_span(p._plan, raw).coeffs
         assert means.shape == witness.span.coeffs.shape == (len(witness.span.anchors), width)
         BU, ZB = part
         own = np.vstack([BU, -p._plan.expand(ZB.T).T])
@@ -350,8 +355,9 @@ def test_audit_scans_each_distinct_point_once():
 
 
 def test_calibration_expands_only_witness_rows(monkeypatch):
-    # a patched calibration on continuous outcomes: the coefficients over
-    # the anchors are expanded only for a witness's |A| residual means
+    # a patched calibration on continuous outcomes expands no coefficients
+    # over the anchors: its witnesses and patch rows are cut forms whose
+    # tables no round reads
     g = np.random.default_rng(29)
     source = ArraySource(g.standard_normal((2000, 2)), g.uniform(0.3, 0.9, (2000, 1)))
     p0 = Predictor(MIN, ConstantBase(empty(MIN)))
@@ -365,7 +371,32 @@ def test_calibration_expands_only_witness_rows(monkeypatch):
     )
     p, trace = run_calibration(p0, source, config)
     assert len(p.patches) >= 2
-    assert rows and max(rows) <= config.n_actions
+    assert rows == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_context_is_refused(bad):
+    """One NaN or infinite context made every residual norm of its batch
+    NaN, which the scan counts as degenerate: audit reported a zero gap, a
+    calibration with one among its held-out rows ended calibrated with NaN
+    potentials and a zero held-out decCE, and loss estimates were NaN.  Every
+    batch, source and replay entry point refuses it by name."""
+    inst = planted_bias_instance(MIN, 2, 24, 0.25, 3)
+    batch = inst.source(0).take(200)
+    X = batch.X.copy()
+    X[7, 0] = bad
+    pool = random_loss_pool(MIN, batch.Y, 2, 1.0, 4, np.random.default_rng(0))
+    config = CalibConfig(epsilon=0.2, beta=4.0, R1=1.0, R2=1.5, n_actions=2, max_iters=2,
+                         audit_batch_size=96, pool_size=4, heldout_size=100)
+    for run in (
+        lambda: audit(inst.predictor, SampleBatch(X, batch.Y), epsilon=0.1, pool=pool, beta=2.0,
+                      R1=1.0),
+        lambda: evaluate_batch(inst.predictor, SampleBatch(X, batch.Y)),
+        lambda: loss_estimates(inst.predictor, X, pool[0]),
+        lambda: run_calibration(inst.predictor, ArraySource(X, batch.Y), config),
+    ):
+        with pytest.raises(ValueError, match="contexts must be finite"):
+            run()
 
 
 # audit reports

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,43 @@ def test_config_error_leaves_no_out_directory(tmp_path, override):
     code, out_dir = run_cli(tmp_path, "calibrate", dict(CALIBRATE_BASE, **override))
     assert code == 2
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command, override, key", [
+    ("calibrate", {"eta": 1.2e77}, "'eta'"),
+    ("calibrate", {"eta": 1e78}, "'eta'"),
+    ("calibrate", {"eta": 1e160}, "'eta'"),
+    ("calibrate", {"R1": 1e200}, "'R1'"),
+    ("audit", {"R1": 1.7e308}, "'R1'"),
+    ("audit", {"R1": 1e200}, "'R1'"),
+    ("audit", {"R1": 1.35e154}, "'R1'"),
+], ids=["eta-1.2e77", "eta-1e78", "eta-1e160", "calibrate-R1-1e200", "audit-R1-1.7e308",
+        "audit-R1-1e200", "audit-R1-1.35e154"])
+def test_a_scale_past_the_float_range_exits_two(tmp_path, capsys, command, override, key):
+    """An alg1 eta * R1 whose rows' Gram matrix squares past the float range
+    failed at the first patch (exit 3, blaming fields of a file never
+    loaded, with numpy warnings from 1e160 on), and an audit R1 whose square
+    is not finite exited 3 or wrote a witness_loss.json that load_loss
+    refuses: each is a config error naming its key, with no warning."""
+    doc = dict(CALIBRATE_BASE if command == "calibrate" else AUDIT_BASE, **override)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out_dir = run_cli(tmp_path, command, doc)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert key in err and "Warning" not in err and not caught
+    assert not out_dir.exists()
+
+
+def test_the_largest_scales_still_run(tmp_path):
+    """Just inside both bounds: an alg1 eta * R1 of 1e76 calibrates and an
+    audit R1 of 1e100 writes a witness_loss.json that loads."""
+    doc = dict(CALIBRATE_BASE, eta=1e76, max_iters=3)
+    code, _ = run_cli(tmp_path, "calibrate", doc, out="cal")
+    assert code in (0, 1)
+    code, out_dir = run_cli(tmp_path, "audit", dict(AUDIT_BASE, R1=1e100), out="aud")
+    assert code == 0
+    assert load_loss(out_dir / "witness_loss.json").R1 == 1e100
 
 
 def test_domain_error_after_the_build_exits_three(tmp_path, monkeypatch, capsys):

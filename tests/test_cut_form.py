@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import functools
 import gc
+import importlib
 import json
 import tempfile
 import weakref
@@ -24,14 +25,14 @@ from hypothesis import strategies as st
 
 from decal import model
 from decal.audit import AuditReport, _gap_scan, _scan_values, _witness, audit, random_loss_pool
-from decal.calibrate import CalibConfig, alg1_step, alg2_step
+from decal.calibrate import CalibConfig, alg1_step, alg2_step, run_calibration
 from decal.kernel import KernelMismatchError, KernelSpec, RkhsElement, sum_rows
 from decal.model import (
     DEGENERATE_NORM, ConstantBase, LossFunction, PatchRecord, Predictor, SampleBatch,
-    SimilarityBase, evaluate_batch, extend_evaluated, load_loss, loss_file_doc, predictor_from_doc,
-    predictor_to_doc, smooth_best_response,
+    SimilarityBase, cut_span, evaluate_batch, extend_evaluated, load_loss, load_predictor,
+    loss_file_doc, predictor_from_doc, predictor_to_doc, save_predictor, smooth_best_response,
 )
-from decal.synth import planted_bias_instance
+from decal.synth import AffineMap, ContextSpec, SynthSpec, SyntheticSource, planted_bias_instance
 from spans import dense_rows, gram_entries, spy
 
 SPECS = {
@@ -78,9 +79,9 @@ def cut(p, batch, cfg, witnesses, g, zero, wid, pool=None):
     nv = norms[best].copy()
     if zero is not None:
         nv[zero % cfg.n_actions] = 0.0
-    witness, means = _witness(eb, parts[best], nv, cfg.R1, wid)
+    witness = _witness(eb, parts[best], nv, cfg.R1, wid)
     report = AuditReport(True, witness, pool[best], float(gaps[best]), 0.0, len(eb), len(pool),
-                         batch.batch_id, probs[best], means)
+                         batch.batch_id, probs[best])
     step = alg1_step if cfg.algorithm == "alg1" else alg2_step
     return witness, step(report, config=cfg)
 
@@ -1052,3 +1053,100 @@ def test_a_mutated_field_is_refused_by_name_or_replays_finite(data):
         assert repr(key) in str(exc), (path, change, str(exc))
         return
     assert all(np.all(np.isfinite(arr)) for arr in got), (path, change)
+
+
+# a cut span is its form: its table is built only when something reads it
+
+
+def held_arrays(span):
+    """The arrays a span holds now, its form's included, read without
+    building a table it has not built."""
+    parts = [*vars(span).values(), *(() if span.form is None else vars(span.form).values())]
+    return [arr for arr in parts if isinstance(arr, np.ndarray)]
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+def test_a_calibration_and_its_reload_build_no_cut_table(algorithm, tmp_path, monkeypatch):
+    """Six continuous-outcome rounds (the benchmark's continuous_growth
+    recipe) and a reload of their predictor.json call `cut_span` nowhere,
+    and no witness, patch rows or cut lossprime holds a table: its form's
+    arrays have a row per batch outcome or basis row, none a row per plan
+    anchor."""
+    spec, ctx = KernelSpec("min", 1, 1.5), ContextSpec("uniform", 2)
+    amap = AffineMap(np.array([[0.4, 0.3]]), np.array([0.1]), noise_scale=0.1)
+    g = np.random.default_rng(5)
+    X = ctx.sample(200, g)
+    p0 = Predictor(spec, SimilarityBase(spec, amap.sample(X, spec, g) * 0.7, X, 0.3))
+    cfg = CalibConfig(epsilon=0.01, beta=8.0, R1=1.0, R2=1.5, n_actions=2, algorithm=algorithm,
+                      max_iters=6, seed=5)
+    audit_module, witnesses = importlib.import_module("decal.audit"), []
+    real = audit_module._witness
+    monkeypatch.setattr(audit_module, "_witness",
+                        lambda *args: witnesses.append(real(*args)) or witnesses[-1])
+    with spy(model, "cut_span") as cuts:
+        p, _ = run_calibration(p0, SyntheticSource(SynthSpec(spec, ctx, amap, n=1, seed=6)), cfg)
+        save_predictor(tmp_path / "predictor.json", p)
+        q = load_predictor(tmp_path / "predictor.json")
+    assert not cuts
+    assert len(p.patches) == len(q.patches) == 6
+    N = len(p.anchors)
+    assert N > 4 * p._plan.k  # every patch added a batch of anchors
+    spans = [w.span for w in witnesses]
+    for rec in p.patches + q.patches:
+        lossprime = rec.witness_lossprime.span
+        spans += [rec.rows] + [lossprime] * (lossprime.form is not None)
+    assert len(witnesses) == 6 and len(spans) >= 3 * 6
+    for span in spans:
+        assert set(vars(span)) == {"spec", "form"}
+        assert max(len(arr) for arr in held_arrays(span)) <= max(len(span.form.U), span.form.k) < N
+
+
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    n_actions=st.integers(1, 3),
+    algorithm=st.sampled_from(["alg1", "alg2"]),
+    zero=st.one_of(st.none(), st.integers(0, 2)),
+    finite=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=20)
+def test_a_table_read_late_is_the_one_cut_on_its_plan(kind, n_actions, algorithm, zero, finite,
+                                                      seed):
+    """The table a witness, a patch's rows or a loaded cut builds on its
+    first read is bitwise `cut_span` on the plan it was cut on: the
+    witness's table as the audit used to cut it, alg1 rows as that table
+    times the step and alg2 rows as its raw residual means, as the patch
+    steps used to build them, on unpatched and patched lineages, with
+    degenerate columns and, with `finite`, outcomes that repeat base
+    anchors and +-0.0 rows; and a loaded chain's cuts, read late, are the
+    in-memory ones."""
+    spec = SPECS[kind]
+    g = np.random.default_rng(seed)
+    train = outcomes(spec, N_BASE, g)
+    base = SimilarityBase(spec, train, g.standard_normal((N_BASE, 2)), 1.0)
+    cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=n_actions,
+                      algorithm=algorithm)
+    support = np.vstack([train[:2], signed_support(spec, g)])
+    p, witnesses, late = Predictor(spec, base), [], []
+    for t in range(ROUNDS):
+        Y = support[g.integers(len(support), size=N_BATCH)] if finite else outcomes(spec, N_BATCH, g)
+        batch = SampleBatch(g.standard_normal((N_BATCH, 2)), Y, f"b{t}")
+        witness, rec = cut(p, batch, cfg, witnesses, g, zero, f"w{t}")
+        table = cut_span(p._plan, witness.span.form)
+        raw = cut_span(p._plan, dataclasses.replace(witness.span.form, unit=np.ones(n_actions)))
+        step = cfg.eta * cfg.R1 / witness.R1
+        rows = table.coeffs * step if algorithm == "alg1" else raw.coeffs
+        late += [(witness.span, table.anchors, table.coeffs), (rec.rows, table.anchors, rows)]
+        p = p.with_patch(rec)
+        witnesses.append(witness)
+    q = predictor_from_doc(json.loads(json.dumps(predictor_to_doc(p))))
+    for mine, theirs in zip(p.patches, q.patches, strict=True):
+        for a, b in ((mine.rows, theirs.rows),
+                     (mine.witness_lossprime.span, theirs.witness_lossprime.span)):
+            if b.form is not None:
+                assert set(vars(b)) == {"spec", "form"}
+                late.append((b, a.anchors, a.coeffs))
+    assert any(span.form.lineage[1] for span, _, _ in late)  # patched lineages too
+    for span, anchors, coeffs in late:
+        assert span.anchors.tobytes() == anchors.tobytes()
+        assert span.coeffs.shape == coeffs.shape and span.coeffs.tobytes() == coeffs.tobytes()
