@@ -19,7 +19,9 @@ K_FU block the scan builds anyway, with no kernel call of their own; a
 carried witness is its patch's column block of the plan's F G F^T
 (model._EvalPlan.lifted_values), also with none; and the whole pool goes
 through one product with the replay coordinates and one softmax.
-`random_loss_pool` merges its whole pool at once.
+`random_loss_pool` merges its whole pool at once.  The scan reads a batch's
+outcomes only through `EvaluatedBatch.outcomes`, which refuses any outside
+the kernel's domain before a kernel block is built on them.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _scan_values(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
     loss drawn on another batch, a loaded one, a witness) takes its route
     through the plan."""
     if loss.anchor_rows is not None and loss.anchor_rows[0] is eb.Y:
-        check_spec(eb.kernel, loss.span.spec)
+        check_spec(eb.plan.spec, loss.span.spec)
         return eb.K_FU[:, eb.outcomes[1][loss.anchor_rows[1]]] @ loss.span.coeffs
     return eb.plan.lifted_values(loss)
 
@@ -94,6 +96,7 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     F, and its squared norm is a diagonal entry of BU^T K_UU BU - 2 BU^T
     K_FU^T ZB + ZB^T gram_F ZB."""
     _require_samples(eb)
+    U, inverse = eb.outcomes
     if not pool:
         raise ValueError("candidate pool must be nonempty")
     counts = sorted({lp.n_actions for lp in pool})
@@ -104,7 +107,6 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     B = smooth_best_response((eb.Z @ L).reshape(n, P, A), beta).reshape(n, P * A)
     cols = [slice(c * A, (c + 1) * A) for c in range(P)]
     probs = [B[:, at] for at in cols]
-    U, inverse = eb.outcomes
     BU = sum_rows(inverse, len(U), B / n)
     ZB = (eb.Z.T @ B) / n
     sq = (
@@ -136,10 +138,10 @@ def _witness(eb: EvaluatedBatch, parts, norms: np.ndarray, R1: float, loss_id: s
     action's rule probability, rescaled to norm R1 by its norm from the
     pooled scan, or zero where it is degenerate.  Its span is the cut form
     alone, whose table over [U; anchors] only a dense reader builds
-    (`model.CutForm.table`); the caller has checked U against the kernel's
-    domain.  The form copies its |A| columns out of the pooled scan, so that
-    a witness kept for later rounds does not keep the whole pool's parts
-    alive.
+    (`model.CutForm.table`); U lies in the kernel's domain, since
+    `EvaluatedBatch.outcomes` refuses any other.  The form copies its |A|
+    columns out of the pooled scan, so that a witness kept for later rounds
+    does not keep the whole pool's parts alive.
     """
     (BU, ZB), plan = parts, eb.plan
     form = CutForm(plan.lineage, plan.k, eb.outcomes[0], BU.copy(), ZB.copy(),
@@ -154,7 +156,6 @@ def closed_form_witnesses(
     of the pool, from one scan of the batch; loss_ids name them in order.
     """
     _, norms, _, parts = _gap_scan(eb, pool, beta, R1)
-    eb.kernel.check_domain(eb.outcomes[0])
     scanned = zip(parts, norms, loss_ids, strict=True)
     return [_witness(eb, part, nv, R1, lid) for part, nv, lid in scanned]
 
@@ -195,7 +196,6 @@ def audit(
         eb = evaluate_batch(p_or_eb, batch)
     gaps, norms, probs, parts = _gap_scan(eb, pool, beta, R1)
     best = int(np.argmax(gaps))
-    eb.kernel.check_domain(eb.outcomes[0])
     witness = _witness(eb, parts[best], norms[best], R1, witness_id)
     threshold = AUDIT_THRESHOLD_FACTOR * epsilon
     gap = float(gaps[best])

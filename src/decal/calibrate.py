@@ -137,7 +137,7 @@ class CalibrationTrace:
 def _potential_eb(eb: EvaluatedBatch) -> float:
     """Ehat[ ||phi(y) - p(x)||^2 ] on an evaluated batch, through the basis."""
     inner_py = np.einsum("ij,ji->i", eb.Z, eb.K_FU[:, eb.outcomes[1]])
-    return float(np.mean(eb.kernel.diag(eb.Y) - 2.0 * inner_py + eb.pnorm2))
+    return float(np.mean(eb.plan.spec.diag(eb.Y) - 2.0 * inner_py + eb.pnorm2))
 
 
 def potential(p: Predictor, batch: SampleBatch) -> float:

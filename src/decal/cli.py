@@ -23,10 +23,12 @@ from typing import Callable
 
 import numpy as np
 
-from .audit import AuditReport, audit, random_loss_pool
+from .audit import audit, random_loss_pool
 from .calibrate import HELDOUT_DELTA, RIDGE_LAMBDA, CalibConfig, run_calibration
 from .experiments import (
     ExperimentResult,
+    _convergence_config,
+    _sweep_config,
     convergence_experiment,
     convergence_instances,
     distinguishing_experiment,
@@ -275,11 +277,11 @@ class RunDir:
 
 @contextmanager
 def _config_errors(where: str = ""):
-    """A ValueError raised while reading a config, or while building from
-    its parsed values, is a configuration error, named after `where`."""
+    """A ValueError or OverflowError raised while reading a config, or while
+    building from its parsed values, is a configuration error, named after `where`."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}{exc}") from exc
 
 
@@ -301,10 +303,10 @@ def _planted_from_config(cfg: dict):
 
 
 def _calib_config(cfg: dict) -> CalibConfig:
-    """The run config of a calibrate or regret config."""
+    """The run config of a calibrate or regret config; with eta unset, refusals name 'epsilon'."""
     keys = ("epsilon", "beta", "R1", "R2", "n_actions", "algorithm", "audit_batch_size",
             "pool_size", "heldout_size", "seed")
-    with _config_errors():
+    with _config_errors("" if cfg.get("eta") else "config key 'epsilon': "):
         return CalibConfig(
             eta=cfg.get("eta"), max_iters=cfg.get("max_iters"), **{k: cfg[k] for k in keys}
         )
@@ -335,25 +337,6 @@ def run_calibrate_command(cfg: dict, rd: RunDir) -> int:
     return 0 if trace.terminal == "calibrated" else 1
 
 
-def audit_report_doc(report: AuditReport, approx_offset: float) -> dict:
-    """The report document schema for audit outcomes.
-
-    decce_adjusted folds a declared representation-error offset into the
-    estimate, for loss classes only approximately inside the span.
-    """
-    return {
-        "found": report.found,
-        "empirical_gap": report.empirical_gap,
-        "threshold": report.threshold,
-        "n_used": report.n_used,
-        "candidate_pool_size": report.candidate_pool_size,
-        "witness_loss_id": report.witness_loss.loss_id,
-        "witness_lossprime_id": report.witness_lossprime.loss_id,
-        "approx_offset": approx_offset,
-        "decce_adjusted": report.empirical_gap + approx_offset,
-    }
-
-
 def run_audit_command(cfg: dict, rd: RunDir) -> int:
     inst = _planted_from_config(cfg)
     batch = inst.source(cfg["seed"]).take(cfg["n"])
@@ -373,9 +356,20 @@ def run_audit_command(cfg: dict, rd: RunDir) -> int:
         beta=cfg["beta"],
         R1=cfg["R1"],
     )
-    rd.write_json("report.json", audit_report_doc(report, cfg["approx_offset"]))
-    if report.found:
-        rd.write_json("witness_loss.json", loss_file_doc(report.witness_loss))
+    witness = loss_file_doc(report.witness_loss) if report.found else None  # before any write
+    # decce_adjusted folds a declared representation-error offset into the
+    # estimate, for loss classes only approximately inside the span
+    offset = cfg["approx_offset"]
+    rd.write_json("report.json", {
+        "found": report.found, "empirical_gap": report.empirical_gap,
+        "threshold": report.threshold, "n_used": report.n_used,
+        "candidate_pool_size": report.candidate_pool_size,
+        "witness_loss_id": report.witness_loss.loss_id,
+        "witness_lossprime_id": report.witness_lossprime.loss_id,
+        "approx_offset": offset, "decce_adjusted": report.empirical_gap + offset,
+    })
+    if witness is not None:
+        rd.write_json("witness_loss.json", witness)
     return 0
 
 
@@ -400,6 +394,9 @@ def run_synth_command(cfg: dict, rd: RunDir) -> int:
 def _run_convergence(*, epsilons, R2, shift_norm, seed, **params) -> ExperimentResult:
     with _config_errors():
         cells = convergence_instances(epsilons, R2=R2, shift_norm=shift_norm, seed=seed)
+    for i, (eps, inst) in enumerate(cells):  # every run config, before any calibration
+        with _config_errors(f"config key 'epsilons': {eps!r}: "):
+            _convergence_config(i, eps, inst, seed=seed, **params)
     return convergence_experiment(cells, shift_norm=shift_norm, seed=seed, **params)
 
 
@@ -410,6 +407,7 @@ def _run_uniform_convergence(**params) -> ExperimentResult:
 
 
 def _run_regret(**cfg) -> ExperimentResult:
+    config = _calib_config(cfg)
     inst = _planted(
         ("min", 1, cfg["R2"]), context_dim=2, support_size=24,
         shift_norm=cfg["shift_norm"], seed=cfg["seed"] + 17,
@@ -421,7 +419,7 @@ def _run_regret(**cfg) -> ExperimentResult:
         np.random.default_rng(cfg["seed"] + 3), id_prefix="regret",
     )
     calibrated, trace = run_calibration(
-        inst.predictor, inst.source(cfg["seed"]), _calib_config(cfg), user_losses=losses
+        inst.predictor, inst.source(cfg["seed"]), config, user_losses=losses
     )
     batch = inst.source(cfg["seed"] + 9).take(cfg["regret_batch_size"])
     result = regret_experiment(
@@ -437,6 +435,10 @@ def _run_regret(**cfg) -> ExperimentResult:
 def _run_sample_complexity(*, eps_grid, shift_norm, seed, **params) -> ExperimentResult:
     with _config_errors():
         cells = sample_complexity_instances(eps_grid, seed=seed, shift_norm=shift_norm)
+    for i, (eps, inst) in enumerate(cells):  # every run config, before any calibration
+        with _config_errors(f"config key 'eps_grid': {eps!r}: "):
+            for alg in ("alg1", "alg2"):
+                _sweep_config(alg, i, eps, inst, seed=seed, **params)
     return sample_complexity_sweep(cells, seed=seed, **params)
 
 

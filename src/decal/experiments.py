@@ -247,6 +247,11 @@ def convergence_instances(
     ]
 
 
+def _convergence_config(i: int, eps: float, inst, *, seed: int, **params) -> CalibConfig:
+    """Cell i's alg1 run config; params: beta, R1, n_actions and the batch sizes."""
+    return CalibConfig(epsilon=eps, R2=inst.kernel.R2, seed=seed + 1000 + i, **params)
+
+
 def convergence_experiment(
     cells,
     *,
@@ -274,11 +279,9 @@ def convergence_experiment(
             "audit_batch_size": audit_batch_size, "heldout_size": heldout_size,
         }
         try:
-            cfg = CalibConfig(
-                epsilon=eps, beta=beta, R1=R1, R2=inst.kernel.R2, n_actions=n_actions,
-                algorithm="alg1", audit_batch_size=audit_batch_size,
-                heldout_size=heldout_size, seed=seed + 1000 + i,
-            )
+            cfg = _convergence_config(i, eps, inst, seed=seed, beta=beta, R1=R1,
+                                      n_actions=n_actions, audit_batch_size=audit_batch_size,
+                                      heldout_size=heldout_size)
             _, trace = run_calibration(inst.predictor, inst.source(seed + 2000 + i), cfg)
         except Exception as exc:  # noqa: BLE001 - cell records carry failures
             record.update({"error": str(exc), "ok": False})
@@ -334,7 +337,7 @@ def witness_pair_pool(
     functions.
     """
     eb = evaluate_batch(p, batch)
-    candidates = random_loss_pool(eb.kernel, batch.Y, n_actions, R1, pool_size, rng)
+    candidates = random_loss_pool(eb.plan.spec, batch.Y, n_actions, R1, pool_size, rng)
     ids = [f"star-{lp.loss_id}" for lp in candidates]
     witnesses = closed_form_witnesses(eb, candidates, R1=R1, beta=beta, loss_ids=ids)
     return list(zip(witnesses, candidates))
@@ -695,6 +698,12 @@ def sample_complexity_instances(
     ]
 
 
+def _sweep_config(alg: str, i: int, eps: float, inst, *, seed: int, **params) -> CalibConfig:
+    """Cell i's run config under algorithm alg; params: n_actions and beta."""
+    return CalibConfig(epsilon=eps, R1=1.0, R2=inst.kernel.R2, algorithm=alg, heldout_size=256,
+                       audit_batch_size=max(96, int(24 / eps)), seed=seed + 7 * i, **params)
+
+
 def sample_complexity_sweep(
     cells, seed: int = 0, n_actions: int = 2, beta: float = 4.0
 ) -> ExperimentResult:
@@ -706,12 +715,7 @@ def sample_complexity_sweep(
     totals: dict[str, list[float]] = {"alg1": [], "alg2": []}
     for alg in ("alg1", "alg2"):
         for i, (eps, inst) in enumerate(cells):
-            cfg = CalibConfig(
-                epsilon=eps, beta=beta, R1=1.0, R2=inst.kernel.R2,
-                n_actions=n_actions, algorithm=alg,
-                audit_batch_size=max(96, int(24 / eps)),
-                heldout_size=256, seed=seed + 7 * i,
-            )
+            cfg = _sweep_config(alg, i, eps, inst, seed=seed, n_actions=n_actions, beta=beta)
             _, trace = run_calibration(inst.predictor, inst.source(seed + 13 * i), cfg)
             consumed = cfg.heldout_size + cfg.audit_batch_size * (
                 len(trace.iterations) + (1 if trace.terminal == "calibrated" else 0)

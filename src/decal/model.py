@@ -17,7 +17,10 @@ its witness columns and its rows' Gram products, and the plan keeps F G F^T,
 so no N x N Gram matrix is formed, decisions and the audit read through the
 basis, and a patched predictor extends its parent's plan by one step.
 Replay runs in blocks of REPLAY_BLOCK contexts, so `loss_estimates` holds
-block x k coordinates and an evaluated batch is filled block by block.
+block x k coordinates and `evaluate_batch`, the one way to push a batch
+through a predictor, fills its coordinates block by block.  An evaluated
+batch checks its distinct outcomes against the kernel's domain once, as it
+merges them, so no kernel block is built on an outcome outside it.
 
 A step keeps its rows as their scaled form R_t = BU_t^T phi(U_t) - ZB_t^T
 F_{<t}, over its distinct points U_t and the k_t basis rows before it, or,
@@ -655,9 +658,9 @@ def cut_span(plan: _EvalPlan, form: CutForm) -> RkhsElement:
     it was cut on (or one rebuilt from its lineage, `CutForm.table`): over
     the anchors [U; plan.anchors] with repeats merged, each raw column BU -
     F^T ZB times its unit scale (zero where that is zero) times the step.
-    The table is taken as checked: plan.anchors are, and form.U must lie in
-    the kernel's domain (the audit checks its batch's outcomes, the loader a
-    file's U, before they cut)."""
+    The table is taken as checked: plan.anchors are, and form.U lies in the
+    kernel's domain (an evaluated batch checks its outcomes as it merges
+    them, the loader a file's U)."""
     with np.errstate(over="ignore", invalid="ignore"):
         anchors, means = merge_terms(plan.spec, np.vstack([form.U, plan.anchors]),
                                      np.vstack([form.BU, -plan.expand(form.ZB.T).T]))
@@ -711,22 +714,6 @@ class Predictor:
             W[rows] = plan.expand(Z)
         return W
 
-    def _replay(self, X) -> tuple[np.ndarray, np.ndarray]:
-        """Replay the patch chain on every context, in blocks of REPLAY_BLOCK
-        rows, projecting onto the R2 ball after the base map and after every
-        patch.
-
-        Returns the coordinates Z (m, k) of the predictions over the plan's
-        patch-row basis F, so that their coefficients over the anchors are
-        W = Z @ F, and their squared norms n2 (m,).
-        """
-        Xm = as_contexts(X)
-        Z = np.empty((len(Xm), self._plan.k))
-        n2 = np.empty(len(Xm))
-        for rows in _row_blocks(len(Xm)):
-            self._replay_rows(Xm[rows], Z[rows], n2[rows])
-        return Z, n2
-
     def _replay_blocks(self, Xm: np.ndarray):
         """Yield (rows, Z) for each block of REPLAY_BLOCK contexts, the
         block's coordinates replayed into one buffer that every block reuses,
@@ -778,8 +765,6 @@ class EvaluatedBatch:
     """A batch pushed through a predictor once; reused by audit and patching.
     Caches the kernel blocks the audit reads, over the distinct outcomes U."""
 
-    kernel: KernelSpec
-    X: np.ndarray
     Y: np.ndarray
     plan: _EvalPlan
     Z: np.ndarray  # (n, k) the replay's coordinates over the patch-row basis
@@ -787,14 +772,16 @@ class EvaluatedBatch:
     batch_id: str = ""
 
     def __len__(self) -> int:
-        return len(self.X)
+        return len(self.Y)
 
     @cached_property
     def outcomes(self) -> tuple[np.ndarray, np.ndarray]:
         """(U, inverse): the bitwise-distinct outcomes in order of first
-        appearance, and the index in U of each sample's outcome."""
+        appearance, and the index in U of each sample's outcome; U is
+        refused (OutcomeDomainError) unless it lies in the kernel's domain."""
         first, inverse = distinct_rows(self.Y)
         U = self.Y[first]
+        self.plan.spec.check_domain(U)
         U.setflags(write=False)
         inverse.setflags(write=False)
         return U, inverse
@@ -802,7 +789,7 @@ class EvaluatedBatch:
     @cached_property
     def K_UU(self) -> np.ndarray:
         """K(U, U); (|U|, |U|)."""
-        return self.kernel.gram(self.outcomes[0], self.outcomes[0])
+        return self.plan.spec.gram(self.outcomes[0], self.outcomes[0])
 
     @cached_property
     def K_FU(self) -> np.ndarray:
@@ -811,8 +798,13 @@ class EvaluatedBatch:
 
 
 def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
-    Z, pnorm2 = p._replay(batch.X)
-    return EvaluatedBatch(p.kernel, batch.X, batch.Y, p._plan, Z, pnorm2, batch.batch_id)
+    """The batch replayed through p's chain in blocks of REPLAY_BLOCK
+    contexts: its predictions' coordinates Z over the patch-row basis F (so
+    W = Z @ F over the anchors) and their squared norms."""
+    Z, pnorm2 = np.empty((len(batch), p._plan.k)), np.empty(len(batch))
+    for rows in _row_blocks(len(batch)):
+        p._replay_rows(batch.X[rows], Z[rows], pnorm2[rows])
+    return EvaluatedBatch(batch.Y, p._plan, Z, pnorm2, batch.batch_id)
 
 
 def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
@@ -834,7 +826,7 @@ def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
     pnorm2 = eb.pnorm2.copy()
     for rows in _row_blocks(len(eb)):
         st.replay(Z[rows], pnorm2[rows], p.kernel.R2)
-    out = EvaluatedBatch(p.kernel, eb.X, eb.Y, plan, Z, pnorm2, eb.batch_id)
+    out = EvaluatedBatch(eb.Y, plan, Z, pnorm2, eb.batch_id)
     if "outcomes" in eb.__dict__:  # the cached_property's value
         out.__dict__["outcomes"] = eb.outcomes
     if "K_FU" in eb.__dict__:
@@ -1117,8 +1109,11 @@ def load_predictor(path) -> Predictor:
 
 
 def loss_file_doc(loss: LossFunction) -> dict:
-    """The loss file document: the loss together with its kernel."""
-    return {"kernel": kernel_to_doc(loss.span.spec), "loss": loss_to_doc(loss)}
+    """The loss file document: the loss together with its kernel, refused
+    unless `load_loss` would read it back."""
+    doc = loss_to_doc(loss)
+    loss_from_doc(doc, loss.span.spec)
+    return {"kernel": kernel_to_doc(loss.span.spec), "loss": doc}
 
 
 def load_loss(path) -> LossFunction:

@@ -211,9 +211,7 @@ class ArraySource:
 
     def __init__(self, X: np.ndarray, Y: np.ndarray) -> None:
         self.X = as_contexts(X)
-        self.Y = np.asarray(Y, dtype=np.float64)
-        if self.Y.ndim == 1:
-            self.Y = self.Y.reshape(-1, 1)
+        self.Y = np.asarray(Y, dtype=np.float64)  # each batch coerces its rows
         self._cursor = 0
         self._count = 0
 

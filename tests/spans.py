@@ -1,11 +1,12 @@
-"""Span builders, a call spy and dense plan references the tests share;
-all but the plan references use only the package's public types."""
+"""Span builders, a replay reader, a call spy and dense plan references the
+tests share; all but the plan references use only the package's public types."""
 
 import contextlib
 
 import numpy as np
 
 from decal.kernel import KernelSpec, RkhsElement, as_outcomes, check_spec, column_norms, merge_terms
+from decal.model import SampleBatch, evaluate_batch
 
 
 def element(spec: KernelSpec, anchors, coeffs) -> RkhsElement:
@@ -49,6 +50,15 @@ def reference_loss(spec: KernelSpec, elements, R1: float):
     nv = column_norms(spec, anchors, coeffs)
     over = nv > R1 * (1.0 + 1e-12)
     return anchors, coeffs * np.where(over, R1 / np.where(over, nv, 1.0), 1.0), bool(np.any(over))
+
+
+def replay(p, X) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, n2): the replay coordinates over p's patch-row basis and the
+    squared norms of the predictions at contexts X, as `evaluate_batch`
+    computes them (with zero outcomes, which it does not read)."""
+    batch = SampleBatch(X, np.zeros((len(X), p.kernel.dim)))
+    eb = evaluate_batch(p, batch)
+    return eb.Z, eb.pnorm2
 
 
 @contextlib.contextmanager

@@ -22,10 +22,11 @@ from decal.audit import (
     random_loss_pool,
     rule_probabilities,
 )
-from decal.calibrate import CalibConfig, run_calibration
+from decal.calibrate import CalibConfig, potential, run_calibration
 from decal.kernel import (
     KernelMismatchError,
     KernelSpec,
+    OutcomeDomainError,
     RkhsElement,
     column_norms,
     distinct_rows,
@@ -50,6 +51,7 @@ from spans import dense_basis, element, feature, spy, stack
 
 # the modules themselves; the package exports a function named `audit`
 audit_module = importlib.import_module("decal.audit")
+calibrate_module = importlib.import_module("decal.calibrate")
 model_module = importlib.import_module("decal.model")
 
 MIN = KernelSpec("min", 1, 1.5)
@@ -209,7 +211,7 @@ SCAN_SPECS = {
 
 
 def scan_case(spec, n, support_size, all_distinct, signed_zeros, n_patches, seed):
-    """A patched predictor and an evaluated batch whose outcomes, base
+    """A patched predictor, a batch and its evaluation, whose outcomes, base
     anchors and patch rows repeat a small support, or are all distinct;
     signed_zeros adds rows that differ only in the sign of a zero coordinate.
     Every third patch, and the last, pushes every prediction out of the R2
@@ -253,7 +255,8 @@ def scan_case(spec, n, support_size, all_distinct, signed_zeros, n_patches, seed
             rows_t = stack(spec, [element(int(r.integers(1, 4)), 0.4) for _ in range(2)])
             records.append(PatchRecord("alg2", lossprime, beta, rows_t, mixing=(M + M.T) / 2.0))
     p = Predictor(spec, base, tuple(records))
-    return p, evaluate_batch(p, SampleBatch(r.standard_normal((len(Y), 2)), Y))
+    batch = SampleBatch(r.standard_normal((len(Y), 2)), Y)
+    return p, batch, evaluate_batch(p, batch)
 
 
 def coefficient_map(points, coeffs):
@@ -280,13 +283,13 @@ def test_basis_scan_matches_dense_reference(
     (slack scaled by |C|^T |K| |C|) and witness means coefficient by
     coefficient to 1e-12 of the magnitudes summed into each."""
     spec = SCAN_SPECS[kind]
-    p, eb = scan_case(spec, n, support_size, all_distinct, signed_zeros, n_patches, seed)
+    p, batch, eb = scan_case(spec, n, support_size, all_distinct, signed_zeros, n_patches, seed)
     assert np.allclose(eb.pnorm2, spec.R2**2, rtol=1e-9)  # the last push was projected
     pool = random_loss_pool(spec, eb.Y, 2, 1.0, 3, np.random.default_rng(seed))
     gaps, norms, probs, parts = _gap_scan(eb, pool, 3.0, 1.0)
 
     n = len(eb)
-    W = p.coefficients(eb.X)
+    W = p.coefficients(batch.X)
     B = np.hstack(probs)
     points = np.vstack([eb.Y, p.anchors])
     C = np.vstack([B / n, -(W.T @ B) / n])
@@ -397,6 +400,89 @@ def test_a_non_finite_context_is_refused(bad):
     ):
         with pytest.raises(ValueError, match="contexts must be finite"):
             run()
+
+
+EXP3 = KernelSpec("exp", 3, 2.0)  # domain radius sqrt(2 ln 2) = 1.18
+# outcome rows outside each kernel's domain: non-finite, or past [0, 1] or the ball
+DOMAIN_CASES = [
+    (MIN, [np.nan]), (MIN, [np.inf]), (MIN, [-np.inf]), (MIN, [7.0]), (MIN, [-3.0]),
+    (LIN2, [np.nan, 0.0]), (LIN2, [2.0, 0.0]), (LIN2, [0.0, -np.inf]),
+    (EXP3, [np.inf, 0.0, 0.0]), (EXP3, [0.0, 1.5, 0.0]),
+]
+DOMAIN_IDS = ["min-nan", "min-inf", "min-neg-inf", "min-7", "min-neg-3", "linear-nan",
+              "linear-past-ball", "linear-neg-inf", "exp-inf", "exp-past-ball"]
+
+
+def _spoiled(spec, row):
+    """A planted instance, a clean batch, a pool drawn on it, and the batch
+    with its outcome 7 replaced by `row`."""
+    inst = planted_bias_instance(spec, 2, 24, 0.25, 3)
+    batch = inst.source(0).take(200)
+    pool = random_loss_pool(spec, batch.Y, 2, 1.0, 4, np.random.default_rng(0))
+    Y = batch.Y.copy()
+    Y[7] = row
+    return inst, pool, SampleBatch(batch.X, Y)
+
+
+def _admissible(spec, arr) -> bool:
+    try:
+        spec.check_domain(arr)
+    except OutcomeDomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("spec, row", DOMAIN_CASES, ids=DOMAIN_IDS)
+def test_an_outcome_outside_the_domain_is_refused_before_any_kernel_block(spec, row):
+    """Every reader of a batch's distinct outcomes takes them from
+    EvaluatedBatch.outcomes, which refuses one outside the kernel's domain
+    as it merges them: audit and closed_form_witnesses checked only after
+    the scan had built K_UU and K_FU on it, and decce_estimate and
+    potential did not check at all (one NaN made the estimate 0.0 and the
+    potential NaN).  No kernel block is built on the bad row."""
+    inst, pool, bad = _spoiled(spec, row)
+    p = inst.predictor
+    runs = {
+        "audit": lambda: audit(p, bad, epsilon=0.1, pool=pool, beta=2.0, R1=1.0),
+        "witnesses": lambda: closed_form_witnesses(
+            evaluate_batch(p, bad), pool, R1=1.0, beta=2.0, loss_ids=range(len(pool))),
+        "decce": lambda: decce_estimate(evaluate_batch(p, bad), pool=pool, beta=2.0, R1=1.0),
+        "potential": lambda: potential(p, bad),
+    }
+    for name, run in runs.items():
+        with spy(KernelSpec, "gram") as grams, spy(_EvalPlan, "gram_lift") as lifts:
+            with pytest.raises(OutcomeDomainError):
+                run()
+        assert lifts == [], name
+        assert all(_admissible(spec, arr) for args in grams for arr in args[1:]), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, 7.0])
+def test_a_held_out_outcome_outside_the_domain_stops_a_calibration_before_its_first_audit(bad):
+    """The held-out batch's potential reads its merged outcomes, so one
+    outcome outside the domain among them is refused before the first
+    round; one used to let the calibration run its audits (NaN potentials
+    included) and be refused only by the final held-out pool draw."""
+    inst = planted_bias_instance(MIN, 2, 24, 0.25, 3)
+    batch = inst.source(0).take(2000)
+    Y = batch.Y.copy()
+    Y[5] = bad
+    config = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=1.5, n_actions=2, max_iters=6,
+                         audit_batch_size=96, pool_size=4, heldout_size=100)
+    with spy(calibrate_module, "audit") as audits:
+        with pytest.raises(OutcomeDomainError):
+            run_calibration(inst.predictor, ArraySource(batch.X, Y), config)
+    assert audits == []
+
+
+def test_empirical_gap_reads_the_raw_outcomes():
+    """empirical_gap reads loss.values(eb.Y), not the merged outcomes, and
+    checks none: a NaN outcome gives a NaN gap, never a number that looks
+    like one."""
+    inst, pool, bad = _spoiled(MIN, [np.nan])
+    eb = evaluate_batch(inst.predictor, bad)
+    assert np.isnan(empirical_gap(eb, pool[0], pool[1], beta=2.0))
+    assert "outcomes" not in eb.__dict__
 
 
 # audit reports

@@ -143,9 +143,10 @@ def test_alg1_adjustments_have_exact_step_norm():
 @pytest.mark.parametrize("step", [alg1_step, alg2_step])
 def test_a_round_checks_the_batch_outcomes_and_no_table(step):
     """A round checks its batch's outcomes against the kernel's domain where
-    the pool draws on them and where the audit cuts on them; the tables it
-    builds from those rows (pool losses, the merged witness, the rescaled
-    patch rows) are taken as checked, frozen, without a check of their own."""
+    the pool draws on them and where the evaluated batch merges them; the
+    tables it builds from those rows (pool losses, the merged witness, the
+    rescaled patch rows) are taken as checked, frozen, without a check of
+    their own."""
     g = np.random.default_rng(4)
     cfg = CalibConfig(epsilon=0.3, beta=4.0, R1=1.0, R2=1.5, n_actions=2, pool_size=8)
     batch = SampleBatch(g.standard_normal((40, 2)), g.uniform(0.1, 0.9, (40, 2)))

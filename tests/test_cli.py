@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import decal.cli
+import decal.experiments
 from decal.calibrate import TRACE_COLUMNS
 from decal.experiments import SLOPE_BAND, ExperimentResult
 from decal.cli import (
@@ -189,6 +190,53 @@ def test_the_largest_scales_still_run(tmp_path):
     code, out_dir = run_cli(tmp_path, "audit", dict(AUDIT_BASE, R1=1e100), out="aud")
     assert code == 0
     assert load_loss(out_dir / "witness_loss.json").R1 == 1e100
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"experiment": "sample_complexity", "eps_grid": [0.5, 0.4, 1e100]}, "'eps_grid'"),
+    ({"experiment": "sample_complexity", "eps_grid": [0.5, 0.4, 5e-324]}, "'eps_grid'"),
+    ({"experiment": "convergence", "epsilons": [1e100]}, "'epsilons'"),
+    ({"experiment": "convergence", "epsilons": [0.3, 1e100]}, "'epsilons'"),
+    ({"experiment": "regret", "epsilon": 1e100}, "'epsilon'"),
+], ids=["sweep-1e100", "sweep-5e-324", "convergence-1e100", "convergence-second-cell",
+        "regret-1e100"])
+def test_an_experiment_whose_run_config_is_refused_exits_two(tmp_path, monkeypatch, capsys,
+                                                             doc, key):
+    """Every cell's run config is built before the first calibration, so an
+    epsilon whose derived eta (or audit batch size) is refused is a config
+    error naming its key: the sweep ran its first cells and exited 3, the
+    convergence experiment wrote a failed cell and exited 1, and regret's
+    message named no key."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("a calibration started")
+
+    monkeypatch.setattr(decal.cli, "run_calibration", recording)
+    monkeypatch.setattr(decal.experiments, "run_calibration", recording)
+    code, out_dir = run_cli(tmp_path, "experiment", doc)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"config key {key}" in err
+    assert not out_dir.exists()
+    assert calls == []
+
+
+def test_an_audit_witness_that_would_not_load_is_refused(tmp_path, capsys):
+    """An audit R1 just inside the config bound can cut a witness whose
+    column norms load_loss cannot sum (their partial sums pass the float
+    max), which exited 0 with a witness_loss.json that does not load: the
+    command reads the file's document back first, refuses it with exit 3,
+    and writes nothing.  A smaller R1 still writes a file that loads."""
+    doc = dict(AUDIT_BASE, epsilon=0.05, n=256, pool_size=4, seed=1)
+    code, out_dir = run_cli(tmp_path, "audit", dict(doc, R1=1.3e154), out="huge")
+    assert code == 3
+    assert "columns must have finite norms" in capsys.readouterr().err
+    assert not out_dir.exists()
+    code, out_dir = run_cli(tmp_path, "audit", dict(doc, R1=1e150), out="large")
+    assert code == 0
+    assert load_loss(out_dir / "witness_loss.json").R1 == 1e150
 
 
 def test_domain_error_after_the_build_exits_three(tmp_path, monkeypatch, capsys):

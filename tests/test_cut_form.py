@@ -33,7 +33,7 @@ from decal.model import (
     loss_file_doc, predictor_from_doc, predictor_to_doc, save_predictor, smooth_best_response,
 )
 from decal.synth import AffineMap, ContextSpec, SynthSpec, SyntheticSource, planted_bias_instance
-from spans import dense_rows, gram_entries, spy
+from spans import dense_rows, gram_entries, replay, spy
 
 SPECS = {
     "min": KernelSpec("min", 1, 1.5),
@@ -1047,8 +1047,8 @@ def test_a_mutated_field_is_refused_by_name_or_replays_finite(data):
                 loss = load_loss(Path(tmp) / "witness_loss.json")
             got = [loss.values(outcomes(loss.span.spec, 5, np.random.default_rng(1)))]
         else:
-            got = predictor_from_doc(json.loads(text))._replay(
-                np.random.default_rng(1).standard_normal((9, 2)))
+            got = replay(predictor_from_doc(json.loads(text)),
+                         np.random.default_rng(1).standard_normal((9, 2)))
     except ValueError as exc:
         assert repr(key) in str(exc), (path, change, str(exc))
         return

@@ -40,7 +40,7 @@ from decal.model import (
     smooth_best_response,
     softmax,
 )
-from spans import dense_basis, dense_rows, element, feature, reference_loss, spy, stack
+from spans import dense_basis, dense_rows, element, feature, reference_loss, replay, spy, stack
 
 MIN = KernelSpec("min", 1, 1.5)
 LIN2 = KernelSpec("linear", 2, 1.5)
@@ -709,14 +709,14 @@ def test_blocked_replay_matches_dense_replay_at_every_block_size(spec, seed, n_p
     for block in (1, 3, m - 1, m, m + 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(model, "REPLAY_BLOCK", block)
-            Z, n2 = p._replay(X)
+            Z, n2 = replay(p, X)
             assert Z.shape == (m, plan.k)
             close(Z @ F, W_ref)
             close(n2, n2_ref)
             close(p.coefficients(X), W_ref)
             close(loss_estimates(p, X, loss), est_ref)
             close(evaluate_batch(p, batch).Z @ F, W_ref)
-            Z0, n20 = p._replay(np.zeros((0, 2)))
+            Z0, n20 = replay(p, np.zeros((0, 2)))
             assert Z0.shape == (0, plan.k) and n20.shape == (0,)
             assert loss_estimates(p, np.zeros((0, 2)), loss).shape == (0, loss.n_actions)
 
@@ -741,7 +741,7 @@ def test_loss_estimates_hold_only_a_block_of_coordinates():
     finally:
         tracemalloc.stop()
     assert peak < m * k * 8 / 2
-    want = p._replay(X)[0] @ p._plan.lifted_values(loss)
+    want = replay(p, X)[0] @ p._plan.lifted_values(loss)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -798,7 +798,7 @@ def test_tracked_norms_match_dense_replay(seed, n_patches, scale):
     p = Predictor(spec, base, tuple(_random_chain(g, spec, pool, n_patches, scale)))
     X = g.standard_normal((16, 2))
 
-    Z, n2 = p._replay(X)
+    Z, n2 = replay(p, X)
     plan = p._plan
     assert Z.shape == (len(X), plan.k) == (len(X), 12 + 2 * n_patches)
     W = p.coefficients(X)
@@ -879,7 +879,7 @@ def test_child_plans_extend_the_parents(monkeypatch):
             a, b = getattr(mine, name), getattr(theirs, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
     assert np.array_equal(p.coefficients(X), q.coefficients(X))
-    assert np.array_equal(p._replay(X)[0], q._replay(X)[0])
+    assert np.array_equal(replay(p, X)[0], replay(q, X)[0])
 
     for plan, n_steps, k, anchors in parents:
         assert len(plan.steps) == n_steps
