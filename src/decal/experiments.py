@@ -700,6 +700,8 @@ def sample_complexity_instances(
 
 def _sweep_config(alg: str, i: int, eps: float, inst, *, seed: int, **params) -> CalibConfig:
     """Cell i's run config under algorithm alg; params: n_actions and beta."""
+    if not 24 / eps <= np.iinfo(np.intp).max:
+        raise ValueError(f"its audit batch, 24 / epsilon = {24 / eps!r} samples, exceeds any array")
     return CalibConfig(epsilon=eps, R1=1.0, R2=inst.kernel.R2, algorithm=alg, heldout_size=256,
                        audit_batch_size=max(96, int(24 / eps)), seed=seed + 7 * i, **params)
 

@@ -18,9 +18,12 @@ so no N x N Gram matrix is formed, decisions and the audit read through the
 basis, and a patched predictor extends its parent's plan by one step.
 Replay runs in blocks of REPLAY_BLOCK contexts, so `loss_estimates` holds
 block x k coordinates and `evaluate_batch`, the one way to push a batch
-through a predictor, fills its coordinates block by block.  An evaluated
-batch checks its distinct outcomes against the kernel's domain once, as it
-merges them, so no kernel block is built on an outcome outside it.
+through a predictor, fills its coordinates block by block.  A decision
+certifies the R2 projection with a norm bound, not the base's Gram product,
+with the exact replay's bits (`Predictor._replay_rows`); only
+`evaluate_batch` tracks exact squared norms.  An evaluated batch checks its
+distinct outcomes against the kernel's domain once, as it merges them, so no
+kernel block is built on an outcome outside it.
 
 A step keeps its rows as their scaled form R_t = BU_t^T phi(U_t) - ZB_t^T
 F_{<t}, over its distinct points U_t and the k_t basis rows before it, or,
@@ -443,19 +446,16 @@ class _PlanStep:
             out -= self.ZB.T @ below[: len(self.ZB)]
         return out
 
-    def replay(self, Z: np.ndarray, n2: np.ndarray, R2: float) -> None:
-        """Carry coordinates Z (m, >= k + |A|) and squared norms n2 through
-        this patch, in place.
-
-        With Q the mixed rule probabilities, ||w + Q R||^2 = n2 + 2 <w, Q R>
-        + ||Q R||^2, and the table and S supply both inner products.
-        """
+    def advance(self, Z: np.ndarray) -> np.ndarray:
+        """Write this patch's mixed rule probabilities Q into the own |A|
+        columns of coordinates Z (m, >= k + |A|), in place, and return what
+        the patch adds to each squared norm: ||w + Q R||^2 - ||w||^2 =
+        2 <w, Q R> + ||Q R||^2, whose inner products the table and S supply."""
         a = len(self.M)
         ZT = Z[:, : self.k] @ self.table
         Q = smooth_best_response(ZT[:, :a], self.beta) @ self.M
-        n2 += 2.0 * np.einsum("ij,ij->i", ZT[:, a:], Q) + np.einsum("ij,ij->i", Q @ self.S, Q)
         Z[:, self.k : self.k + a] = Q
-        _project_rows(Z, n2, self.k + a, R2)
+        return 2.0 * np.einsum("ij,ij->i", ZT[:, a:], Q) + np.einsum("ij,ij->i", Q @ self.S, Q)
 
 
 class _EvalPlan:
@@ -481,6 +481,12 @@ class _EvalPlan:
         self.k = self.widest = self.n_base  # widest: the most anchors one lift block reads
         self.base_gram = base_gram
         self.gram_F = base_gram  # F G F^T (k, k), G the Gram matrix of the anchors
+        # the decide's norm bound (`Predictor._replay_rows`): the root of the
+        # largest |entry| of each row and column of G, and its rounding slack
+        big = np.abs(base_gram)
+        root = np.sqrt(np.maximum(big.max(axis=0, initial=0.0), big.max(axis=1, initial=0.0)))
+        root.setflags(write=False)
+        self.base_root, self.slack = root, 1.0 + 8 * (self.n_base + 2) * np.finfo(np.float64).eps
         self.steps: list[_PlanStep] = []
         self._lifted = None  # the last (U, gram_lift(U)), see gram_lift
         for rec in predictor.patches:
@@ -717,30 +723,58 @@ class Predictor:
     def _replay_blocks(self, Xm: np.ndarray):
         """Yield (rows, Z) for each block of REPLAY_BLOCK contexts, the
         block's coordinates replayed into one buffer that every block reuses,
-        so no (m, k) matrix is held."""
+        so no (m, k) matrix is held; blocks certify the projection
+        (`_replay_rows`) until one's base bound fails, the rest replay exactly."""
         size = min(len(Xm), REPLAY_BLOCK)
         Zbuf, n2buf = np.empty((size, self._plan.k)), np.empty(size)
+        certify = True
         for rows in _row_blocks(len(Xm)):
             b = rows.stop - rows.start
-            self._replay_rows(Xm[rows], Zbuf[:b], n2buf[:b])
+            certify = self._replay_rows(Xm[rows], Zbuf[:b], n2buf[:b], certify)
             yield rows, Zbuf[:b]
 
-    def _replay_rows(self, X: np.ndarray, Z: np.ndarray, n2: np.ndarray) -> None:
+    def _replay_rows(self, X: np.ndarray, Z: np.ndarray, n2: np.ndarray,
+                     certify: bool = False) -> bool:
         """Replay one block of contexts X into Z (b, k) and n2 (b,), in place.
 
         Z[:, :n_base] is the projected base map; each step reads the
         coordinates so far through its table, writes its mixed rule
         probabilities into its own |A| columns, and scales the rows it
         projects, all without forming W.  Every column of Z is written.
+
+        With `certify`, Z is the exact replay's, bit for bit, without the
+        base norms Zb G Zb^T.  With c_i^2 the largest |entry| of row and column
+        i of the computed G, |G_ij| <= c_i c_j, so the exact fl((Zb G) . Zb)
+        is at most (1 + gamma_{2n}) (|Zb| c)^2 for any kernel and any rounding
+        of G, and the bound fl(fl(|Zb| @ fl(c))^2 * slack) at least (1 -
+        gamma_n)^2 (1 - u)^4 slack (|Zb| c)^2 (n = n_base, u = eps / 2,
+        gamma_j = j u / (1 - j u): Higham 2002, 3.1); slack = 1 + 8 (n + 2) eps
+        covers both, barring underflow.  Each step adds its exact increment
+        (`advance`) to the bound; rounding is monotone, so the bound stays >=
+        the exact norm, and while every bound is <= R2^2 no row is projected
+        (n2 then holds the bounds).  At the first bound past R2^2 the exact
+        base norms are computed once and the recorded increments re-added with
+        the exact projections; replay goes on exactly, no step run twice.
+        Returns whether the base bound held (False when replaying exactly).
         """
         plan = self._plan
         Zb = Z[:, : plan.n_base]
         Zb[...] = self.base.weights(X)
-        n2[...] = np.einsum("ij,ij->i", Zb @ plan.base_gram, Zb)
         R2 = self.kernel.R2
+        incs = []
+        if certify:
+            n2[...] = np.square(np.abs(Zb) @ plan.base_root) * plan.slack
+            while np.all(n2 <= R2 * R2):
+                if len(incs) == len(plan.steps):
+                    return True
+                incs.append(plan.steps[len(incs)].advance(Z))
+                n2 += incs[-1]
+        n2[...] = np.einsum("ij,ij->i", Zb @ plan.base_gram, Zb)
         _project_rows(Z, n2, plan.n_base, R2)
-        for st in plan.steps:
-            st.replay(Z, n2, R2)
+        for t, st in enumerate(plan.steps):
+            n2 += incs[t] if t < len(incs) else st.advance(Z)
+            _project_rows(Z, n2, st.k + len(st.M), R2)
+        return bool(incs)
 
 
 def _row_blocks(m: int):
@@ -825,7 +859,9 @@ def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
     Z[:, : st.k] = eb.Z
     pnorm2 = eb.pnorm2.copy()
     for rows in _row_blocks(len(eb)):
-        st.replay(Z[rows], pnorm2[rows], p.kernel.R2)
+        n2 = pnorm2[rows]
+        n2 += st.advance(Z[rows])
+        _project_rows(Z[rows], n2, plan.k, p.kernel.R2)
     out = EvaluatedBatch(eb.Y, plan, Z, pnorm2, eb.batch_id)
     if "outcomes" in eb.__dict__:  # the cached_property's value
         out.__dict__["outcomes"] = eb.outcomes

@@ -68,6 +68,14 @@ def test_potential_matches_vector_oracle():
     assert potential(p, batch) == pytest.approx(oracle.potential(Y, P), abs=1e-9)
 
 
+def test_potential_refuses_an_empty_batch():
+    """An empty batch has no mean distance: it returned NaN with numpy's
+    empty-slice warning, and is refused as the audit refuses it."""
+    inst = planted_bias_instance(MIN, context_dim=2, support_size=6, shift_norm=0.3, seed=3)
+    with pytest.raises(ValueError, match="need at least one sample"):
+        potential(inst.predictor, SampleBatch(np.zeros((0, 2)), np.zeros((0, 1))))
+
+
 # config
 
 

@@ -195,16 +195,18 @@ def test_the_largest_scales_still_run(tmp_path):
 @pytest.mark.parametrize("doc, key", [
     ({"experiment": "sample_complexity", "eps_grid": [0.5, 0.4, 1e100]}, "'eps_grid'"),
     ({"experiment": "sample_complexity", "eps_grid": [0.5, 0.4, 5e-324]}, "'eps_grid'"),
+    ({"experiment": "sample_complexity", "eps_grid": [0.5, 0.4, 1e-150]}, "'eps_grid'"),
     ({"experiment": "convergence", "epsilons": [1e100]}, "'epsilons'"),
     ({"experiment": "convergence", "epsilons": [0.3, 1e100]}, "'epsilons'"),
     ({"experiment": "regret", "epsilon": 1e100}, "'epsilon'"),
-], ids=["sweep-1e100", "sweep-5e-324", "convergence-1e100", "convergence-second-cell",
-        "regret-1e100"])
+], ids=["sweep-1e100", "sweep-5e-324", "sweep-1e-150", "convergence-1e100",
+        "convergence-second-cell", "regret-1e100"])
 def test_an_experiment_whose_run_config_is_refused_exits_two(tmp_path, monkeypatch, capsys,
                                                              doc, key):
     """Every cell's run config is built before the first calibration, so an
     epsilon whose derived eta (or audit batch size) is refused is a config
-    error naming its key: the sweep ran its first cells and exited 3, the
+    error naming its key: the sweep ran its first cells and exited 3 (at
+    1e-150, at the first draw of its 2.4e151-sample audit batch), the
     convergence experiment wrote a failed cell and exited 1, and regret's
     message named no key."""
     calls = []

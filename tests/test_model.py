@@ -40,6 +40,7 @@ from decal.model import (
     smooth_best_response,
     softmax,
 )
+from decal.synth import LogitMixtureBase, PlantedBiasMap
 from spans import dense_basis, dense_rows, element, feature, reference_loss, replay, spy, stack
 
 MIN = KernelSpec("min", 1, 1.5)
@@ -819,6 +820,196 @@ def test_tracked_norms_match_dense_replay(seed, n_patches, scale):
     want = W_ref @ loss.values(p.anchors)
     got = loss_estimates(p, X, loss)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+LIN50 = KernelSpec("linear", 50, 1.5)
+FIRINGS = {"constant": ("never", "mid", "base"), "similarity": ("never", "mid"),
+           "logit_mixture": ("never", "mid", "base")}
+
+
+def _firing_predictor(spec, kind, fire, g):
+    """A predictor over 1 to 8 base anchors whose exact replay projects no
+    row ("never": 3 short patches), first at a patch ("mid": an alg1 push
+    out of the ball at the fourth of 5 patches) or at the base ("base": a
+    base element of norm 3 R2; a similarity base, convex over anchors inside
+    the ball, cannot leave it)."""
+    n = int(g.integers(1, 9))
+    anchors = sample_points(spec, n, g)
+    if kind == "similarity":
+        base = SimilarityBase(spec, anchors, g.standard_normal((n, 2)), 0.7)
+    elif kind == "constant":
+        el = element(spec, anchors, g.uniform(0.1, 1.0, n))
+        target = 3.0 * spec.R2 if fire == "base" else 0.6
+        base = ConstantBase(element(spec, anchors, el.coeffs[:, 0] * target / el.norms()[0]))
+    else:
+        shift = g.uniform(0.0, 0.02, n)
+        if fire == "base":  # a shift of norm 6 on the anchor of largest K(y, y)
+            j = int(np.argmax(spec.diag(anchors)))
+            shift[j] = 6.0 / np.sqrt(spec.diag(anchors)[j])
+        world = PlantedBiasMap(anchors, g.standard_normal((n, 2)), g.standard_normal(n), shift)
+        base = LogitMixtureBase(spec, world)
+    pool = sample_points(spec, 20, g)
+    n_patches, scale = (3, 0.02) if fire == "never" else (5, 0.3)
+    return Predictor(spec, base, tuple(_random_chain(g, spec, pool, n_patches, scale)))
+
+
+def _exact_projections(p, X):
+    """The exact replay, `evaluate_batch`, of contexts X, and the `upto` of
+    each of its checks that projected a row."""
+    fired, real = [], model._project_rows
+
+    def recording(W, n2, upto, R2):
+        if np.any(n2 > R2 * R2):
+            fired.append(upto)
+        real(W, n2, upto, R2)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_project_rows", recording)
+        eb = evaluate_batch(p, SampleBatch(X, np.zeros((len(X), p.kernel.dim))))
+    return eb, fired
+
+
+def _assert_bound_covers_the_norm(p, X):
+    """The decide's norm bound and the exact tracked norm, carried side by
+    side until the exact replay first projects: the bound is >= the norm at
+    the base and after every step."""
+    plan, R2 = p._plan, p.kernel.R2
+    Z = np.empty((len(X), plan.k))
+    Zb = Z[:, : plan.n_base]
+    Zb[...] = p.base.weights(X)
+    bound = np.square(np.abs(Zb) @ plan.base_root) * plan.slack
+    n2 = np.einsum("ij,ij->i", Zb @ plan.base_gram, Zb)
+    assert np.all(bound >= n2)
+    for st in plan.steps:
+        if np.any(n2 > R2 * R2):
+            break
+        inc = st.advance(Z)
+        bound += inc
+        n2 += inc
+        assert np.all(bound >= n2)
+
+
+@pytest.mark.parametrize("spec", [MIN, LIN2, LIN50, EXP15],
+                         ids=["min", "linear-2", "linear-50", "exp"])
+@pytest.mark.parametrize("kind", sorted(FIRINGS))
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=3)
+def test_certified_decide_is_the_exact_replay_bit_for_bit(spec, kind, seed):
+    """`loss_estimates` and `coefficients`, which certify the R2 projection
+    with a norm bound instead of the base Gram product, are the exact
+    replay's (`evaluate_batch`) Z read block by block, bit for bit, in
+    blocks of 1, 3 and m contexts, whether the exact replay projects at the
+    base, at a patch or never; and the bound covers the exact norm."""
+    g = np.random.default_rng(seed)
+    m = 7
+    X = g.standard_normal((m, 2))
+    for fire in FIRINGS[kind]:
+        p = _firing_predictor(spec, kind, fire, g)
+        plan = p._plan
+        columns = [element(spec, sample_points(spec, 3, g), g.standard_normal(3)) for _ in range(2)]
+        loss = make_loss("probe", stack(spec, columns), 1.0)
+        L = plan.lifted_values(loss)
+        _assert_bound_covers_the_norm(p, X)
+        for block in (1, 3, m):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model, "REPLAY_BLOCK", block)
+                eb, fired = _exact_projections(p, X)
+                first = fired[0] if fired else None  # the first check that projected
+                assert {"never": first is None, "base": first == plan.n_base,
+                        "mid": first is not None and first > plan.n_base}[fire]
+                blocks = model._row_blocks(m)
+                W = np.vstack([plan.expand(eb.Z[rows]) for rows in blocks])
+                est = np.vstack([eb.Z[rows] @ L for rows in blocks])
+                assert p.coefficients(X).tobytes() == W.tobytes()
+                assert loss_estimates(p, X, loss).tobytes() == est.tobytes()
+
+
+class _Unreadable:
+    """Stands in for an array that no operation may read."""
+
+    __array_ufunc__ = None  # so numpy defers `x @ self` to __rmatmul__
+
+    def _read(self, *args, **kwargs):
+        raise AssertionError("base_gram was read")
+
+    __array__ = __matmul__ = __rmatmul__ = __getitem__ = _read
+
+
+def _certifying_chain(g, n_patches, scale):
+    """A similarity base over 40 min-kernel anchors (R2 1.5, so every base
+    bound is at most 1 * slack) and a random chain over it."""
+    base = SimilarityBase(MIN, sample_points(MIN, 40, g), g.standard_normal((40, 2)), 0.5)
+    return Predictor(MIN, base, tuple(_random_chain(g, MIN, sample_points(MIN, 30, g),
+                                                    n_patches, scale)))
+
+
+def test_a_certified_decide_never_reads_the_base_gram():
+    """On a chain that stays inside the ball, a decide over three replay
+    blocks reads no base Gram entry and gives the same bits, while the exact
+    replay (`evaluate_batch`) still reads it."""
+    g = np.random.default_rng(73)
+    p = _certifying_chain(g, 3, 0.05)
+    X = g.standard_normal((2 * model.REPLAY_BLOCK + 5, 2))
+    loss = make_loss("decide", stack(MIN, [element(MIN, [[0.3], [0.8]], [1.0, -0.5])] * 2), 1.0)
+    want = loss_estimates(p, X, loss).tobytes(), p.coefficients(X[:64]).tobytes()
+    p._plan.base_gram = _Unreadable()
+    assert (loss_estimates(p, X, loss).tobytes(), p.coefficients(X[:64]).tobytes()) == want
+    with pytest.raises(AssertionError, match="base_gram was read"):
+        evaluate_batch(p, SampleBatch(X, np.zeros((len(X), 1))))
+
+
+def test_a_bound_failing_mid_chain_advances_each_step_once_per_block(monkeypatch):
+    """When every base bound holds but the chain's push leaves the ball, each
+    block falls back to the exact norms mid-chain and re-adds the recorded
+    increments: every step advances once per block, and the estimates are
+    the exact replay's bits."""
+    g = np.random.default_rng(79)
+    p = _certifying_chain(g, 6, 0.3)
+    plan = p._plan
+    X = g.standard_normal((11, 2))
+    monkeypatch.setattr(model, "REPLAY_BLOCK", 4)
+    base_bound = np.square(np.abs(p.base.weights(X)) @ plan.base_root) * plan.slack
+    assert np.all(base_bound <= MIN.R2**2)
+    loss = make_loss("decide", stack(MIN, [element(MIN, [[0.3], [0.8]], [1.0, -0.5])] * 2), 1.0)
+    L = plan.lifted_values(loss)
+    eb, fired = _exact_projections(p, X)
+    assert fired and fired[0] > plan.n_base
+    with spy(model._PlanStep, "advance") as advanced, spy(model, "_project_rows") as projected:
+        got = loss_estimates(p, X, loss)
+    assert [id(args[0]) for args in advanced] == [id(st) for st in plan.steps] * 3
+    assert len(projected) == 3 * (1 + len(plan.steps))
+    want = np.vstack([eb.Z[rows] @ L for rows in model._row_blocks(len(X))])
+    assert got.tobytes() == want.tobytes()
+
+
+class _CountedReads:
+    """Stands in for an array read only as the right operand of `@`, and
+    counts those reads."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, arr):
+        self.arr, self.reads = arr, 0
+
+    def __rmatmul__(self, other):
+        self.reads += 1
+        return other @ self.arr
+
+
+def test_a_failed_base_bound_sends_the_later_blocks_of_the_call_exact(monkeypatch):
+    """A base of norm 3 R2 fails the bound in the first block, so the call's
+    later blocks replay exactly without computing it; a base inside the ball
+    computes it once per block."""
+    g = np.random.default_rng(83)
+    monkeypatch.setattr(model, "REPLAY_BLOCK", 4)
+    X = g.standard_normal((11, 2))
+    loss = make_loss("decide", stack(MIN, [element(MIN, [[0.3], [0.8]], [1.0, -0.5])] * 2), 1.0)
+    for kind, fire, reads in (("constant", "base", 1), ("similarity", "never", 3)):
+        p = _firing_predictor(MIN, kind, fire, g)
+        want = loss_estimates(p, X, loss).tobytes()
+        p._plan.base_root = counted = _CountedReads(p._plan.base_root)
+        assert loss_estimates(p, X, loss).tobytes() == want
+        assert counted.reads == reads
 
 
 def test_loss_estimates_never_expand_the_coefficients(monkeypatch):
