@@ -10,8 +10,11 @@ scans a pool of candidate lossprimes and takes the best closed-form witness.
 The scan works in the predictor's patch-row basis, and each witness is
 the scan's parts of its residual means (over the batch's distinct outcomes
 and over the basis) as its cut form, so a plan descending from the scanned
-one evaluates the witness without expanding it over the anchors, and its
-anchor table is built only for a dense reader such as `empirical_gap`.
+one evaluates the witness without expanding it over the anchors.
+`empirical_gap` reads a witness's values on a batch evaluated on such a
+plan from the batch's own blocks (`_batch_values`), not from the anchor
+table, which only a dense reader such as `witness_loss.json` builds; it
+reads every other loss on the raw outcomes.
 
 A scan costs what its batch adds.  Random pool losses are anchored on rows
 of the batch's outcomes, so their values on the basis are columns of the
@@ -85,6 +88,23 @@ def _scan_values(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
         check_spec(eb.plan.spec, loss.span.spec)
         return eb.K_FU[:, eb.outcomes[1][loss.anchor_rows[1]]] @ loss.span.coeffs
     return eb.plan.lifted_values(loss)
+
+
+def _batch_values(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
+    """loss.values(eb.Y), (n, |A|).  A loss cut on a plan that eb's plan
+    descends from reads them off the batch's own blocks: its basis rows f_i
+    are the first k of eb's, so on the distinct outcomes U its raw columns
+    are K(U, U_f) BU - K_FU[:k]^T ZB, scaled as `cut_span` scales them, at
+    |U| x |U_f| kernel entries and no table.  Every other loss reads the
+    raw outcomes through its own Gram block."""
+    check_spec(eb.plan.spec, loss.span.spec)
+    form = loss.span.form
+    if not eb.plan.descends(form):
+        return loss.values(eb.Y)
+    U, inverse = eb.outcomes
+    raw = eb.plan.spec.gram(U, form.U) @ form.BU - eb.K_FU[: form.k].T @ form.ZB
+    # where, not the zero scale alone: a negative value times 0.0 is -0.0
+    return (np.where(form.unit > 0, raw * form.unit, 0.0) * form.step)[inverse]
 
 
 def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
@@ -163,11 +183,17 @@ def closed_form_witnesses(
 def empirical_gap(
     eb: EvaluatedBatch, loss: LossFunction, lossprime: LossFunction, *, beta: float
 ) -> float:
-    """|Ehat[ sum_a <r(a), phi(y) - p(x)> * k_a(x) ]| on the batch."""
+    """|Ehat[ sum_a <r(a), phi(y) - p(x)> * k_a(x) ]| on the batch.  The
+    loss's values are read first (`_batch_values`), so a cut loss refuses a
+    batch outcome outside the kernel's domain before any kernel block is
+    built; any other loss reads the raw outcomes unchecked."""
     _require_samples(eb)
+    if loss.n_actions != lossprime.n_actions:
+        raise ValueError(f"loss and lossprime differ in action count: "
+                         f"{loss.n_actions} against {lossprime.n_actions}")
+    vals = _batch_values(eb, loss)
     kprobs = rule_probabilities(eb, lossprime, beta)
     ests = batch_estimates(eb, loss)
-    vals = loss.values(eb.Y)
     return abs(float(np.mean(np.sum((vals - ests) * kprobs, axis=1))))
 
 

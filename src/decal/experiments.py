@@ -498,8 +498,11 @@ def regret_experiment(
     """
     if not losses:
         raise ValueError("need at least one loss")
+    counts = sorted({l.n_actions for l in losses})
+    if len(counts) > 1:
+        raise ValueError(f"losses mix action counts {counts}")
     eb = evaluate_batch(p, batch)
-    n_act = losses[0].n_actions
+    n_act = counts[0]
     smooth_gap = (math.log(n_act) + 1.0) / beta
     slack = hoeffding_halfwidth(2.0 * R1 * R2, len(batch), REGRET_DELTA)
     bound = 2.0 * epsilon + smooth_gap + slack

@@ -192,8 +192,10 @@ class CutForm:
         """The form's table, `cut_span` on its lineage's plan rebuilt, which
         a cut span builds on the first read of its anchors or coeffs: one
         rebuild, T appends for a form cut after T patches, paid only by
-        dense readers (`empirical_gap`, `witness_loss.json`, a sibling plan's
-        append, `lifted_values`' dense fallback), not by a round or a load."""
+        dense readers (`witness_loss.json`, a sibling plan's append,
+        `lifted_values`' dense fallback, `empirical_gap` on a batch of
+        another lineage), not by a round, a load or `empirical_gap` on a
+        batch of a plan descending from the lineage."""
         return cut_span(Predictor(spec, *self.lineage)._plan, self)
 
 

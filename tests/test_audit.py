@@ -439,15 +439,21 @@ def test_an_outcome_outside_the_domain_is_refused_before_any_kernel_block(spec, 
     as it merges them: audit and closed_form_witnesses checked only after
     the scan had built K_UU and K_FU on it, and decce_estimate and
     potential did not check at all (one NaN made the estimate 0.0 and the
-    potential NaN).  No kernel block is built on the bad row."""
+    potential NaN); empirical_gap reads a witness cut on the predictor's
+    plan from the merged outcomes before the lossprime's rule (it used to
+    read the witness's table on the raw rows, a NaN gap).  No kernel block
+    is built on the bad row."""
     inst, pool, bad = _spoiled(spec, row)
     p = inst.predictor
+    witness = closed_form_witnesses(evaluate_batch(p, inst.source(0).take(200)), pool[:1],
+                                    R1=1.0, beta=2.0, loss_ids=["w"])[0]
     runs = {
         "audit": lambda: audit(p, bad, epsilon=0.1, pool=pool, beta=2.0, R1=1.0),
         "witnesses": lambda: closed_form_witnesses(
             evaluate_batch(p, bad), pool, R1=1.0, beta=2.0, loss_ids=range(len(pool))),
         "decce": lambda: decce_estimate(evaluate_batch(p, bad), pool=pool, beta=2.0, R1=1.0),
         "potential": lambda: potential(p, bad),
+        "gap": lambda: empirical_gap(evaluate_batch(p, bad), witness, pool[1], beta=2.0),
     }
     for name, run in runs.items():
         with spy(KernelSpec, "gram") as grams, spy(_EvalPlan, "gram_lift") as lifts:
@@ -483,6 +489,35 @@ def test_empirical_gap_reads_the_raw_outcomes():
     eb = evaluate_batch(inst.predictor, bad)
     assert np.isnan(empirical_gap(eb, pool[0], pool[1], beta=2.0))
     assert "outcomes" not in eb.__dict__
+
+
+def test_empirical_gap_reads_a_cut_witness_without_its_table():
+    """On a fresh batch of the plan the witnesses were cut on, and for the
+    witness that became a patch on the patched plan, empirical_gap builds
+    neither a witness's anchor table nor a plan (the other witnesses of the
+    scan still reach `lifted_values`' dense fallback there), and its gaps
+    match those of the dense tables."""
+    inst = planted_bias_instance(MIN, 2, 24, 0.25, 5)
+    p, source = inst.predictor, inst.source(4)
+    batch = source.take(300)
+    eb = evaluate_batch(p, batch)
+    pool = random_loss_pool(MIN, batch.Y, 2, 1.0, 4, np.random.default_rng(2))
+    witnesses = closed_form_witnesses(eb, pool, R1=1.0, beta=2.0, loss_ids=range(len(pool)))
+    report = audit(eb, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
+    config = CalibConfig(epsilon=0.1, beta=2.0, R1=1.0, R2=MIN.R2, n_actions=2)
+    child = p.with_patch(calibrate_module.alg1_step(report, config=config))
+    reads = [(p, list(zip(witnesses, pool))),
+             (child, [(report.witness_loss, report.witness_lossprime)])]
+    for q, pairs in reads:
+        fresh = evaluate_batch(q, source.take(200))
+        with spy(model_module.CutForm, "table") as tables, \
+                spy(model_module._EvalPlan, "__init__") as plans:
+            gaps = [empirical_gap(fresh, w, lp, beta=2.0) for w, lp in pairs]
+        assert tables == [] and plans == []
+        for (w, lp), gap in zip(pairs, gaps):
+            table = w.span.form.table(MIN)
+            dense = LossFunction("dense", RkhsElement(MIN, table.anchors, table.coeffs), 1.0)
+            assert gap == pytest.approx(empirical_gap(fresh, dense, lp, beta=2.0), abs=1e-13)
 
 
 # audit reports
@@ -552,6 +587,14 @@ def test_audit_validation():
         audit(p, batch, epsilon=0.1, pool=[other], beta=1.0, R1=1.0)
     with pytest.raises(KernelMismatchError):
         empirical_gap(eb, other, pool[0], beta=1.0)
+    # a loss and a lossprime of different action counts, refused before any
+    # kernel block (a 1-action loss used to broadcast against a 2-action rule)
+    for a, b in ((1, 2), (2, 3)):
+        loss, lossprime = pool_for(batch, a, 1, seed=a)[0], pool_for(batch, b, 1, seed=b)[0]
+        with spy(KernelSpec, "gram") as grams, spy(_EvalPlan, "gram_lift") as lifts:
+            with pytest.raises(ValueError, match=f"action count: {a} against {b}"):
+                empirical_gap(eb, loss, lossprime, beta=1.0)
+        assert grams == [] and lifts == []
 
 
 def test_pool_with_mixed_action_counts_is_rejected():

@@ -23,8 +23,12 @@ from decal.cli import (
     main,
     parse_config,
 )
-from decal.kernel import OutcomeDomainError
-from decal.model import load_loss, load_predictor
+from decal.calibrate import CalibConfig, run_calibration
+from decal.kernel import KernelSpec, OutcomeDomainError
+from decal.model import (
+    Predictor, SimilarityBase, load_loss, load_predictor, loss_estimates,
+)
+from decal.synth import ArraySource, make_piecewise_linear_loss
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "configs" / "planted_bias.json"
@@ -288,6 +292,52 @@ def test_calibrate_reruns_are_byte_identical(tmp_path):
     _, second = run_cli(tmp_path, "calibrate", CALIBRATE_BASE, out="b")
     for name in ("trace.csv", "summary.json", "predictor.json"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_calibrate_is_byte_identical_at_one_and_two_blas_threads(tmp_path):
+    """`decal calibrate` on the fixture config, alg1 and alg2, each run in a
+    fresh interpreter under OPENBLAS_NUM_THREADS 1 and 2, writes the same
+    trace.csv, summary.json and predictor.json bytes."""
+    doc = json.loads(FIXTURE.read_text())
+    for alg in ("alg1", "alg2"):
+        cfg = write_config(tmp_path, dict(doc, algorithm=alg), name=f"{alg}.json")
+        outs = [tmp_path / f"{alg}-{threads}" for threads in (1, 2)]
+        for threads, out in zip((1, 2), outs):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                       OPENBLAS_NUM_THREADS=str(threads))
+            proc = subprocess.run(
+                [sys.executable, "-m", "decal.cli", "calibrate", "--config", cfg,
+                 "--out", str(out), "--quiet"],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+        for name in ("trace.csv", "summary.json", "predictor.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (alg, name)
+
+
+def test_a_decision_alone_agrees_with_it_inside_a_batch(tmp_path):
+    """A decision's last bits depend on the REPLAY_BLOCK rows it is replayed
+    with (README), not on its context alone, but a context decided alone
+    agrees with itself inside a 1,000-context batch to 1e-14 of the row's
+    largest estimate: on the fixture's alg1 predictor and on a 12-patch
+    chain over continuous outcomes."""
+    code, out = run_cli(tmp_path, "calibrate", json.loads(FIXTURE.read_text()))
+    assert code == 0
+    spec = KernelSpec("min", 1, 1.5)
+    g = np.random.default_rng(8)
+    base = SimilarityBase(spec, g.uniform(0.0, 0.4, (40, 1)), g.standard_normal((40, 2)), 0.5)
+    source = ArraySource(g.standard_normal((4000, 2)), g.uniform(0.3, 0.9, (4000, 1)))
+    config = CalibConfig(epsilon=0.05, beta=8.0, R1=1.0, R2=1.5, n_actions=2, max_iters=12,
+                         audit_batch_size=96, pool_size=8, heldout_size=128, seed=3)
+    chain, _ = run_calibration(Predictor(spec, base), source, config)
+    assert len(chain.patches) == 12
+    loss = make_piecewise_linear_loss([0.8, -0.3], [-0.5, 0.6], [0.3, 0.7], 2, spec)
+    X = g.standard_normal((1000, 2))
+    for p in (load_predictor(out / "predictor.json"), chain):
+        together = loss_estimates(p, X, loss)[::5]
+        alone = np.vstack([loss_estimates(p, x[None], loss) for x in X[::5]])
+        scale = np.abs(together).max(axis=1, keepdims=True)
+        assert np.all(np.abs(alone - together) <= 1e-14 * scale)
 
 
 def test_calibrate_seed_override_lands_in_manifest(tmp_path):

@@ -24,7 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decal import model
-from decal.audit import AuditReport, _gap_scan, _scan_values, _witness, audit, random_loss_pool
+from decal.audit import (
+    AuditReport, _batch_values, _gap_scan, _scan_values, _witness, audit, random_loss_pool,
+)
 from decal.calibrate import CalibConfig, alg1_step, alg2_step, run_calibration
 from decal.kernel import KernelMismatchError, KernelSpec, RkhsElement, sum_rows
 from decal.model import (
@@ -152,6 +154,55 @@ def test_cut_forms_match_the_dense_path(kind, n_actions, finite, algorithm, zero
             got = plan.lifted_values(last)
         assert len(dense) == 1
         assert np.array_equal(got, plan.lift(last.values(plan.anchors)))
+
+
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    n_actions=st.integers(1, 3),
+    algorithm=st.sampled_from(["alg1", "alg2"]),
+    zero=st.one_of(st.none(), st.integers(0, 2)),
+    finite=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30)
+def test_batch_block_values_match_the_dense_table(kind, n_actions, algorithm, zero, finite, seed):
+    """A cut span's values on an evaluated batch, read off the batch's own
+    blocks (`audit._batch_values`), equal its table's `values(eb.Y)` to REL
+    of each column's largest |value|: for witnesses and the patch rows cut
+    from them (alg1's scaled step, alg2's unit scales), cut on unpatched and
+    patched lineages, read on the batch each was cut on, on a fresh batch
+    of that plan and on every plan descending from it, with degenerate
+    columns and, with `finite`, repeated outcomes and +-0.0 rows."""
+    spec = SPECS[kind]
+    g = np.random.default_rng(seed)
+    train = outcomes(spec, N_BASE, g)
+    base = SimilarityBase(spec, train, g.standard_normal((N_BASE, 2)), 1.0)
+    cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=n_actions,
+                      algorithm=algorithm)
+    support = np.vstack([train[:2], signed_support(spec, g)])
+
+    def draw(t):
+        Y = support[g.integers(len(support), size=N_BATCH)] if finite else outcomes(spec, N_BATCH, g)
+        return SampleBatch(g.standard_normal((N_BATCH, 2)), Y, f"b{t}")
+
+    p, preds, cuts, witnesses = Predictor(spec, base), [], [], []
+    for t in range(ROUNDS):
+        batch = draw(t)
+        witness, rec = cut(p, batch, cfg, witnesses, g, zero, f"w{t}")
+        cuts.append((batch, [witness, LossFunction(f"rows{t}", rec.rows, cfg.R1)]))
+        preds.append(p)
+        p = p.with_patch(rec)
+        witnesses.append(witness)
+    preds.append(p)
+    assert any(w.span.form.lineage[1] for w in witnesses)  # patched lineages too
+    for t, (batch, losses) in enumerate(cuts):
+        for q in preds[t:]:
+            for b in (batch, draw(ROUNDS)):
+                eb = evaluate_batch(q, b)
+                for loss in losses:
+                    want = loss.values(eb.Y)
+                    size = np.abs(want).max(axis=0)
+                    assert np.all(np.abs(_batch_values(eb, loss) - want) <= REL * size)
 
 
 def signed_support(spec, g):

@@ -31,7 +31,7 @@ from decal.audit import random_loss_pool
 from decal.kernel import KernelSpec
 from decal.model import ConstantBase, Predictor, SampleBatch
 from decal.synth import planted_bias_instance
-from spans import feature
+from spans import feature, spy
 
 MIN = KernelSpec("min", 1, 1.5)
 
@@ -345,9 +345,15 @@ def test_regret_bound_tightens_with_beta():
 
 
 def test_regret_requires_losses():
-    p, _, batch = regret_inputs(beta=5.0)
-    with pytest.raises(ValueError):
-        regret_experiment(p, [], batch, epsilon=0.25, beta=5.0, R1=1.0, R2=1.5)
+    """No losses, or losses of different action counts, are refused before
+    any kernel block is built; 2- and 1-action losses used to pass with a
+    max_regret of 0.0."""
+    p, losses, batch = regret_inputs(beta=5.0)
+    one = random_loss_pool(MIN, batch.Y, 1, 1.0, 1, np.random.default_rng(6))
+    for bad, match in (([], "need at least one loss"), (losses[:1] + one, r"counts \[1, 2\]")):
+        with spy(KernelSpec, "gram") as grams, pytest.raises(ValueError, match=match):
+            regret_experiment(p, bad, batch, epsilon=0.25, beta=5.0, R1=1.0, R2=1.5)
+        assert grams == []
 
 
 # distinguishing harness
