@@ -43,26 +43,31 @@ f_i of the plan it was cut on, each column's unit scale and the step that
 scales them all (an alg1 patch scales the witness's step, an alg2 patch has
 unit 1: its raw residual means).  The plan it was cut on reads the span
 through the form, and so does a longer plan descending from it (its base
-and a prefix of its records, by identity), as the column block of F G F^T
-of the patch the witness became, rescaled, with no kernel entry.  Any other
-loss (user losses, a random loss read on another batch, a loaded
-`witness_loss.json`, a witness whose patch a sibling replaced) is read
+and a prefix of its records, by identity): as the column block of F G F^T
+of the patch the witness became, rescaled, with no kernel entry, or, for a
+witness that became no patch of it, as F K(anchors, U) BU - (F G F^T)[:,
+:k] ZB.  Any other loss (user losses, a random loss read on another batch,
+a loaded `witness_loss.json`, a witness cut on another lineage) is read
 densely, F @ values(anchors), but a random pool loss on its own batch is
 read off the scan's K_FU (`LossFunction.anchor_rows`).  A patch not cut on
 the plan it extends is appended as the form over its own M anchors, ZB
 zero, at N x M + M x M entries.  W = Z F is built only by `coefficients`
 and, for a dense reader of a cut span's table, by `cut_span`.
 
-`predictor.json` stores each span whose form descends from the predictor's
-own chain as that form and the number of records it was cut on; the loader
-reads each back as a form on those records and folds the patches in order,
-and a loaded lossprime that was an earlier patch's witness matches that
-patch's parts by value, so the loaded predictor, plan included, is the
+`predictor.json` (layout `cut-2`) stores each span whose form descends from
+the predictor's own chain as that form and the number of records it was cut
+on, and every float array as the base64 text of its C-order little-endian
+float64 bytes (`_array_doc`), so no number goes through decimal text.  The
+loader reads that text or, as layout `cut-1` wrote every array, nested
+lists; it reads each cut back as a form on its records and folds the patches
+in order, and a loaded lossprime that was an earlier patch's witness matches
+that patch's parts by value, so the loaded predictor, plan included, is the
 saved one bit for bit.
 """
 
 from __future__ import annotations
 
+import binascii
 import copy
 import json
 import math
@@ -193,9 +198,9 @@ class CutForm:
         a cut span builds on the first read of its anchors or coeffs: one
         rebuild, T appends for a form cut after T patches, paid only by
         dense readers (`witness_loss.json`, a sibling plan's append,
-        `lifted_values`' dense fallback, `empirical_gap` on a batch of
-        another lineage), not by a round, a load or `empirical_gap` on a
-        batch of a plan descending from the lineage."""
+        `lifted_values` or `empirical_gap` on a plan of another lineage),
+        not by a round, a load, or a read on a plan descending from the
+        lineage."""
         return cut_span(Predictor(spec, *self.lineage)._plan, self)
 
 
@@ -305,8 +310,8 @@ class ConstantBase(PredictorBase):
         return np.tile(self.element.coeffs[:, 0], (len(X), 1))
 
     def to_doc(self) -> dict:
-        doc = span_to_doc(self.element)
-        return {"kind": self.kind, "element": {**doc, "coeffs": doc["coeffs"][0]}}
+        return {"kind": self.kind, "element": {"anchors": _array_doc(self.anchors),
+                                               "coeffs": _array_doc(self.element.coeffs[:, 0])}}
 
     @classmethod
     def from_doc(cls, doc: dict, spec: KernelSpec) -> "ConstantBase":
@@ -356,8 +361,8 @@ class SimilarityBase(PredictorBase):
     def to_doc(self) -> dict:
         return {
             "kind": self.kind,
-            "anchors": self.anchors.tolist(),
-            "contexts": self.contexts.tolist(),
+            "anchors": _array_doc(self.anchors),
+            "contexts": _array_doc(self.contexts),
             "bandwidth": self.bandwidth,
         }
 
@@ -555,25 +560,26 @@ class _EvalPlan:
         return _chain_prefix(form, *self.lineage) is not None
 
     def _fold(self, form: CutForm, KF: np.ndarray | None = None) -> np.ndarray:
-        """F G times the unscaled spans of a form cut on this very plan,
-        (k, |A|): KF BU - gram_F ZB, with KF = F K(anchors, U) (the caller's,
-        when it has it)."""
+        """F G times the unscaled spans of a form cut on this plan or a
+        prefix of it, (k, |A|): KF BU - gram_F[:, :form.k] ZB, with KF = F
+        K(anchors, U) (the caller's, when it has it)."""
         KF = self.gram_lift(form.U, self.steps) if KF is None else KF
-        return KF @ form.BU - self.gram_F @ form.ZB
+        return KF @ form.BU - self.gram_F[:, : form.k] @ form.ZB
 
     def lifted_values(self, loss: LossFunction) -> np.ndarray:
-        """F @ loss.values(anchors), (k, |A|).  A loss cut on this plan is
-        read by `_fold`; one cut on an earlier prefix of j records, with the
-        parts (U, BU, ZB) of the rows step j was appended from (by identity,
-        or by value after a load), is gram_F[:, k_j : k_j + |A|] times the
-        ratio of its column scales to the rows' (zero where its own is zero);
-        any other, or one with a zero row scale under a nonzero one, densely."""
+        """F @ loss.values(anchors), (k, |A|).  A loss cut on this plan or a
+        prefix of it is read by `_fold`, but one cut on an earlier prefix of
+        j records, with the parts (U, BU, ZB) of the rows step j was appended
+        from (by identity, or by value after a load), is gram_F[:, k_j : k_j
+        + |A|] times the ratio of its column scales to the rows' (zero where
+        its own is zero) unless a zero row scale is under a nonzero one; any
+        other loss densely."""
         check_spec(self.spec, loss.span.spec)
         form = loss.span.form
-        if self.descends(form):
-            scale, j = form.unit * form.step, len(form.lineage[1])
-            if j == len(self.steps):
-                return self._fold(form) * scale
+        if not self.descends(form):
+            return self.lift(loss.values(self.anchors))
+        scale, j = form.unit * form.step, len(form.lineage[1])
+        if j < len(self.steps):
             st, own = self.steps[j], self.lineage[1][j].rows.form
             if (_chain_prefix(own, *form.lineage) == j
                     and all(a is b or np.array_equal(a, b) for a, b in
@@ -582,7 +588,7 @@ class _EvalPlan:
                 if not np.any((rows == 0) & (scale != 0)):
                     ratio = np.where(scale != 0, scale / np.where(rows != 0, rows, 1.0), 0.0)
                     return self.gram_F[:, st.k : st.k + len(ratio)] * ratio
-        return self.lift(loss.values(self.anchors))
+        return self._fold(form) * scale
 
     def _place(self, U: np.ndarray, BU: np.ndarray) -> tuple[slice | np.ndarray, np.ndarray]:
         """The anchor rows `at` of U's distinct rows in order of first
@@ -875,8 +881,9 @@ def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
 # ---------------------------------------------------------------------------
 # Serialization: structured JSON documents with exact float round-trip.
 
-# The predictor document layout; a document without it is refused.
-PREDICTOR_FORMAT = "decal.predictor/cut-1"
+# The predictor document layout; a document without it is refused.  cut-1
+# wrote the same fields with every array as nested lists, which still load.
+PREDICTOR_FORMAT = "decal.predictor/cut-2"
 
 REQUIRED = object()
 _KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
@@ -888,8 +895,9 @@ class Field(NamedTuple):
     "int" (a JSON integer: not true, not 2.0), a "float" (a finite number),
     "str", "bool", "object", "list_<kind>" (at least `min_items` of those,
     distinct unless objects) or "array" (finite numbers as a float64 array of
-    `shape`, None where any length goes; with a `domain`, outcome rows in its
-    domain).  A number in quotes is no number.  Every number, array entries
+    `shape`, None where a length of at least 1 goes; with a `domain`, any
+    number of outcome rows in its domain), as nested lists or as `_array_doc`
+    text.  A number in quotes is no number.  Every number, array entries
     included, lies in the range, and a scalar is one of any `choices`.
     `_KINDS` holds each scalar kind's Python types and what it must be."""
 
@@ -949,16 +957,38 @@ def _read_scalar(value, kind: str, f: Field, subject: str = ""):
     return value
 
 
+def _array_doc(arr) -> str | list:
+    """An array as the base64 text of its C-order little-endian float64
+    bytes, or, when it has no entries, as nested lists, which keep its shape."""
+    arr = np.asarray(arr, dtype="<f8")
+    return binascii.b2a_base64(arr.tobytes(), newline=False).decode() if arr.size else arr.tolist()
+
+
 def _read_array(value, f: Field) -> np.ndarray:
     shape = (None, f.domain.dim) if f.domain is not None else f.shape
-    cells = np.array(value, dtype=object)
-    if cells.shape == (0,) and len(shape) > 1:  # JSON writes an array of no rows as []
-        cells = cells.reshape(0, *(n or 0 for n in shape[1:]))
-    if cells.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, cells.shape)):
-        raise ValueError(f"must be a list of numbers of shape {shape}, got shape {cells.shape}")
-    if not {type(x) for x in cells.flat} <= {int, float}:  # not bool, str, None or a list
-        raise ValueError("must hold numbers only, none in quotes, true or null")
-    arr = cells.astype(np.float64)
+    if isinstance(value, str):  # `_array_doc` text, its one open length read off its size
+        try:
+            raw = binascii.a2b_base64(value)
+            canonical = binascii.b2a_base64(raw, newline=False).decode() == value
+        except ValueError:  # binascii.Error, or text beyond ASCII
+            canonical = False
+        if not canonical or len(raw) % 8:
+            raise ValueError(f"must be base64 text of 8-byte floats, got {value!r:.60}")
+        cells = np.frombuffer(raw, "<f8").astype(np.float64)
+        known = math.prod(n for n in shape if n is not None)
+        filled = [(len(cells) // known if known else 0) if n is None else n for n in shape]
+        cells = cells.reshape(filled) if math.prod(filled) == len(cells) else cells
+    else:
+        cells = np.array(value, dtype=object)
+        if cells.shape == (0,) and len(shape) > 1:  # JSON writes an array of no rows as []
+            cells = cells.reshape(0, *(n or 0 for n in shape[1:]))
+    least = 0 if f.domain is not None else 1  # the least open length
+    if cells.ndim != len(shape) or any(
+            m < least if n is None else m != n for n, m in zip(shape, cells.shape)):
+        raise ValueError(f"must be an array of shape {shape}, None {least}+, got {cells.shape}")
+    if cells.dtype == object and not {type(x) for x in cells.flat} <= {int, float}:
+        raise ValueError("must hold numbers only, none in quotes, true or null")  # nor lists
+    arr = cells.astype(np.float64, copy=False)
     if not np.isfinite(arr).all():
         raise ValueError("must hold finite numbers only")
     _check_range(arr, f)
@@ -987,12 +1017,13 @@ def kernel_from_doc(doc: dict) -> KernelSpec:
 
 def span_to_doc(span: RkhsElement) -> dict:
     """The anchors once, then the coefficients one list per column."""
-    return {"anchors": span.anchors.tolist(), "coeffs": span.coeffs.T.tolist()}
+    return {"anchors": _array_doc(span.anchors), "coeffs": _array_doc(span.coeffs.T)}
 
 
-def span_from_doc(doc: dict, spec: KernelSpec, where: str = "") -> RkhsElement:
+def span_from_doc(doc: dict, spec: KernelSpec, where: str = "",
+                  actions: int | None = None) -> RkhsElement:
     anchors = read_field(doc, "anchors", Field("array", domain=spec), where)
-    coeffs = read_field(doc, "coeffs", Field("array", shape=(None, len(anchors))), where)
+    coeffs = read_field(doc, "coeffs", Field("array", shape=(actions, len(anchors))), where)
     span = RkhsElement(spec, anchors, coeffs.T)
     with np.errstate(over="ignore", invalid="ignore"):  # a table's values can overflow
         if not np.isfinite(span.norms()).all():
@@ -1020,27 +1051,29 @@ def _table_to_doc(span: RkhsElement, chain) -> dict:
     j = None if chain is None else _chain_prefix(form, *chain)
     if j is None:
         return span_to_doc(span)
-    return {"cut": {"prefix": j, "U": form.U.tolist(), "BU": form.BU.T.tolist(),
-                    "ZB": form.ZB.T.tolist(), "unit": form.unit.tolist(), "step": form.step}}
+    return {"cut": {"prefix": j, "U": _array_doc(form.U), "BU": _array_doc(form.BU.T),
+                    "ZB": _array_doc(form.ZB.T), "unit": _array_doc(form.unit), "step": form.step}}
 
 
-def _table_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None, where: str) -> RkhsElement:
-    """The span of a span document; a cut is its form on the chain's first
-    `prefix` records (a loss file's, read with no plan, has none).  A plan
-    folds the cut's parts as they are, so U must lie in the domain, the
-    parts be finite and the unit >= 0, while `cut_span` would drop or zero
-    what it cannot weigh; `_append` refuses scaled parts that overflow."""
+def _table_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None, where: str,
+                    actions: int | None = None) -> RkhsElement:
+    """The span of a span document, of `actions` columns when given; a cut is
+    its form on the chain's first `prefix` records (a loss file's, read with
+    no plan, has none).  A plan folds the cut's parts as they are, so U must
+    lie in the domain, the parts be finite and the unit >= 0, while
+    `cut_span` would drop or zero what it cannot weigh; `_append` refuses
+    scaled parts that overflow."""
     if "cut" not in doc:
         if "anchors" not in doc:
             raise ValueError(f"missing required {where.strip()}: 'cut' or 'anchors'")
-        return span_from_doc(doc, spec, where)
+        return span_from_doc(doc, spec, where, actions)
     cut = read_field(doc, "cut", OBJECT, where)
     T = -1 if plan is None else len(plan.steps)
     j = read_field(cut, "prefix", Field("int", minimum=0, maximum=T), "cut ")
     k = plan.steps[j].k if j < T else plan.k
     U = read_field(cut, "U", Field("array", domain=spec), "cut ")
     # BU and ZB are written one list per action, as `coeffs` is, and held by row
-    BU = read_field(cut, "BU", Field("array", shape=(None, len(U))), "cut ")
+    BU = read_field(cut, "BU", Field("array", shape=(actions, len(U))), "cut ")
     a = len(BU)
     ZB = read_field(cut, "ZB", Field("array", shape=(a, k)), "cut ")
     unit = read_field(cut, "unit", Field("array", shape=(a,), minimum=0.0), "cut ")
@@ -1082,7 +1115,7 @@ def patch_to_doc(rec: PatchRecord, chain) -> dict:
     if rec.algorithm == "alg1":
         doc["eta"] = rec.eta
     else:
-        doc["mixing"] = rec.mixing.tolist()
+        doc["mixing"] = _array_doc(rec.mixing)
     return doc
 
 
@@ -1092,7 +1125,8 @@ def patch_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan) -> PatchRecord:
     a = lossprime.n_actions
     return PatchRecord(
         algorithm, lossprime, read_field(doc, "beta", Field("float", minimum=0.0), "patch "),
-        _table_from_doc(doc, spec, plan, "patch "), read_field(doc, "batch_id", STRING, "patch "),
+        _table_from_doc(doc, spec, plan, "patch ", a),
+        read_field(doc, "batch_id", STRING, "patch "),
         mixing=read_field(doc, "mixing", Field("array", shape=(a, a)), "patch ")
         if algorithm == "alg2" else None,
         eta=read_field(doc, "eta", POSITIVE, "patch ") if algorithm == "alg1" else None,
@@ -1114,7 +1148,8 @@ def predictor_from_doc(doc: dict) -> Predictor:
     chain's current plan is kept, and it is built once, by the same path as
     in memory.  Every field is read by `read_field`; `_append` refuses a fold
     that a file's scales overflow."""
-    read_field(doc, "format", Field("str", choices=(PREDICTOR_FORMAT,)), "predictor ")
+    read_field(doc, "format", Field("str", choices=(PREDICTOR_FORMAT, "decal.predictor/cut-1")),
+               "predictor ")
     patches = read_field(doc, "patches", Field("list_object", min_items=0), "predictor ")
     spec = kernel_from_doc(read_field(doc, "kernel", OBJECT, "predictor "))
     p = Predictor(spec, base_from_doc(read_field(doc, "base", OBJECT, "predictor "), spec))

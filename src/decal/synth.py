@@ -26,6 +26,7 @@ from .model import (
     SampleBatch,
     as_contexts,
     make_loss,
+    _array_doc,
     read_field,
     register_base,
     softmax,
@@ -279,7 +280,7 @@ class LogitMixtureBase(PredictorBase):
         return w
 
     def to_doc(self) -> dict:
-        arrays = {k: np.asarray(getattr(self.world, k)).tolist() for k in _WORLD_KEYS}
+        arrays = {k: _array_doc(getattr(self.world, k)) for k in _WORLD_KEYS}
         return {"kind": self.kind, **arrays}
 
     @classmethod

@@ -492,11 +492,12 @@ def test_empirical_gap_reads_the_raw_outcomes():
 
 
 def test_empirical_gap_reads_a_cut_witness_without_its_table():
-    """On a fresh batch of the plan the witnesses were cut on, and for the
-    witness that became a patch on the patched plan, empirical_gap builds
-    neither a witness's anchor table nor a plan (the other witnesses of the
-    scan still reach `lifted_values`' dense fallback there), and its gaps
-    match those of the dense tables."""
+    """On a fresh batch of the plan the witnesses were cut on, and on one of
+    the patched plan for the witness that became the patch and the three
+    that became none, empirical_gap builds neither a witness's anchor table
+    nor a plan, and its gaps match those of the dense tables.  (The three
+    read on the patched plan cost three `CutForm.table` calls while
+    `lifted_values` read them densely.)"""
     inst = planted_bias_instance(MIN, 2, 24, 0.25, 5)
     p, source = inst.predictor, inst.source(4)
     batch = source.take(300)
@@ -506,8 +507,10 @@ def test_empirical_gap_reads_a_cut_witness_without_its_table():
     report = audit(eb, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
     config = CalibConfig(epsilon=0.1, beta=2.0, R1=1.0, R2=MIN.R2, n_actions=2)
     child = p.with_patch(calibrate_module.alg1_step(report, config=config))
+    others = [(w, lp) for w, lp in zip(witnesses, pool) if lp is not report.witness_lossprime]
+    assert len(others) == 3
     reads = [(p, list(zip(witnesses, pool))),
-             (child, [(report.witness_loss, report.witness_lossprime)])]
+             (child, [(report.witness_loss, report.witness_lossprime), *others])]
     for q, pairs in reads:
         fresh = evaluate_batch(q, source.take(200))
         with spy(model_module.CutForm, "table") as tables, \

@@ -7,6 +7,7 @@ the reference these tests compare against, and appends a patch as the form
 over its own anchors, so no append reads the anchors' N x N Gram matrix.
 """
 
+import base64
 import contextlib
 import copy
 import dataclasses
@@ -35,6 +36,7 @@ from decal.model import (
     loss_file_doc, predictor_from_doc, predictor_to_doc, save_predictor, smooth_best_response,
 )
 from decal.synth import AffineMap, ContextSpec, SynthSpec, SyntheticSource, planted_bias_instance
+from docs import as_cut1
 from spans import dense_rows, gram_entries, replay, spy
 
 SPECS = {
@@ -154,6 +156,59 @@ def test_cut_forms_match_the_dense_path(kind, n_actions, finite, algorithm, zero
             got = plan.lifted_values(last)
         assert len(dense) == 1
         assert np.array_equal(got, plan.lift(last.values(plan.anchors)))
+
+
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    n_actions=st.integers(1, 3),
+    algorithm=st.sampled_from(["alg1", "alg2"]),
+    zero=st.one_of(st.none(), st.integers(0, 2)),
+    finite=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30)
+def test_every_witness_of_a_scan_is_read_through_its_form(kind, n_actions, algorithm, zero,
+                                                          finite, seed):
+    """Every witness a scan cuts, the one that became the patch and those
+    that became none, is read by `lifted_values` on the plan it was cut on
+    and on every plan descending from it through its form, with no dense
+    read and no table, and equals the dense lift F @ values(anchors) to REL
+    of its largest entry: with degenerate columns and, with `finite`,
+    outcomes shared with the base anchors."""
+    spec = SPECS[kind]
+    g = np.random.default_rng(seed)
+    train = outcomes(spec, N_BASE, g)
+    base = SimilarityBase(spec, train, g.standard_normal((N_BASE, 2)), 1.0)
+    cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=n_actions,
+                      algorithm=algorithm)
+    support = np.vstack([train[:3], outcomes(spec, 3, g)])
+    p, plans, scans = Predictor(spec, base), [], []
+    for t in range(ROUNDS):
+        Y = support[g.integers(len(support), size=N_BATCH)] if finite else outcomes(spec, N_BATCH, g)
+        batch = SampleBatch(g.standard_normal((N_BATCH, 2)), Y, f"b{t}")
+        eb = evaluate_batch(p, batch)
+        pool = random_loss_pool(spec, batch.Y, n_actions, cfg.R1, POOL + 1, g)
+        gaps, norms, probs, parts = _gap_scan(eb, pool, cfg.beta, cfg.R1)
+        scan = []
+        for i in range(len(pool)):
+            nv = norms[i].copy()
+            if zero is not None:
+                nv[zero % n_actions] = 0.0
+            scan.append(_witness(eb, parts[i], nv, cfg.R1, f"w{t}.{i}"))
+        best = int(np.argmax(gaps))
+        report = AuditReport(True, scan[best], pool[best], float(gaps[best]), 0.0, len(eb),
+                             len(pool), batch.batch_id, probs[best])
+        plans.append(p._plan)
+        scans.append(scan)
+        p = p.with_patch((alg1_step if algorithm == "alg1" else alg2_step)(report, config=cfg))
+    plans.append(p._plan)
+    for t, scan in enumerate(scans):
+        for plan in plans[t:]:
+            with spy(LossFunction, "values") as dense, spy(model.CutForm, "table") as tables:
+                got = [plan.lifted_values(w) for w in scan]
+            assert not dense and not tables
+            for w, lifted in zip(scan, got):
+                assert close(lifted, plan.lift(w.values(plan.anchors)))
 
 
 @given(
@@ -690,8 +745,10 @@ def test_reloaded_predictor_is_the_calibrated_one(kind, n_actions, algorithm, ze
     assert json.dumps(predictor_to_doc(q)) == text
 
 
-def small_doc():
-    """The document of a two-round alg1 chain on the min kernel."""
+def small_doc(binary=False):
+    """The document of a two-round alg1 chain on the min kernel, in the
+    cut-1 layout (every array as lists, as the spoils below edit them) or,
+    with `binary`, as written (cut-2)."""
     g = np.random.default_rng(5)
     spec = SPECS["min"]
     base = SimilarityBase(spec, outcomes(spec, N_BASE, g), g.standard_normal((N_BASE, 2)), 1.0)
@@ -700,7 +757,8 @@ def small_doc():
     for t in range(2):
         batch = SampleBatch(g.standard_normal((N_BATCH, 2)), outcomes(spec, N_BATCH, g), f"b{t}")
         p = p.with_patch(cut(p, batch, cfg, [], g, None, f"w{t}")[1])
-    return json.loads(json.dumps(predictor_to_doc(p)))
+    doc = json.loads(json.dumps(predictor_to_doc(p)))
+    return doc if binary else as_cut1(doc)
 
 
 def drop_format(doc):
@@ -975,6 +1033,65 @@ def test_loader_refuses_a_cut_it_cannot_fold(spoil, match):
         predictor_from_doc(doc)
 
 
+def floats_of(text):
+    return np.frombuffer(base64.b64decode(text), "<f8")
+
+
+def text_of(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+
+
+def rewrite(name, edit, *path):
+    """A spoil named `name` that replaces the base64 text at `path` of a
+    cut-2 document by edit(text)."""
+    def spoil(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = edit(doc[path[-1]])
+    spoil.__name__ = name
+    return spoil
+
+
+def entry(value):
+    """An edit that sets the first float of a payload to `value`."""
+    def edit(text):
+        floats = floats_of(text).copy()
+        floats[0] = value
+        return text_of(floats)
+    return edit
+
+
+BINARY = [
+    (rewrite("U_not_base64", lambda text: "not base64!", *CUT, "U"), "'U': .*base64"),
+    (rewrite("U_cut_short", lambda text: text[:-1], *CUT, "U"), "'U': .*base64"),
+    (rewrite("BU_odd_bytes", lambda text: base64.b64encode(base64.b64decode(text)[:-3]).decode(),
+             *CUT, "BU"), "'BU': .*8-byte"),
+    (rewrite("BU_one_float_short", lambda text: text_of(floats_of(text)[:-1]), *CUT, "BU"),
+     "'BU': .*shape"),
+    (rewrite("short_ZB", lambda text: text_of(floats_of(text)[:-1]), *CUT, "ZB"), "'ZB': .*shape"),
+    (rewrite("long_unit", lambda text: text_of([*floats_of(text), 1.0]), *CUT, "unit"),
+     "'unit': .*shape"),
+    (rewrite("nan_BU", entry(float("nan")), *CUT, "BU"), "'BU': .*finite"),
+    (rewrite("infinite_ZB", entry(float("inf")), *CUT, "ZB"), "'ZB': .*finite"),
+    (rewrite("infinite_context", entry(-float("inf")), "base", "contexts"), "'contexts': .*finite"),
+    (rewrite("nan_lossprime_coeffs", entry(float("nan")), *LOSS, "coeffs"), "'coeffs': .*finite"),
+    (rewrite("U_outside_domain", entry(1.5), *CUT, "U"), "'U': .*lie in"),
+    (rewrite("negative_unit", entry(-1.0), *CUT, "unit"), "'unit': must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("spoil, match", BINARY, ids=[spoil.__name__ for spoil, _ in BINARY])
+def test_loader_names_the_binary_field_it_refuses(spoil, match):
+    """A cut-2 array that is not base64, not whole floats, not of its
+    field's shape, not finite, outside the domain or below its minimum is
+    refused naming its key, as the same fault in a cut-1 list is."""
+    doc = small_doc(binary=True)
+    predictor_from_doc(copy.deepcopy(doc))
+    spoil(doc)
+    with pytest.raises(ValueError, match=match):
+        predictor_from_doc(doc)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1e308])
 def test_a_mixing_that_replays_no_number_is_refused(value):
     """An alg2 mixing of NaN or inf, or of 1e308 (whose mixed rows leave the
@@ -1030,7 +1147,8 @@ def mutation_documents():
     `document_fields`) for an alg1 and an alg2 chain on each kernel, each on
     its own base kind (min on a similarity base, linear on a constant base,
     exp on a planted logit-mixture base), and for a witness_loss.json of
-    each chain's last lossprime, as JSON gives them back."""
+    each chain's last lossprime, as JSON gives them back, each as written
+    (cut-2) and in the cut-1 layout."""
     docs = []
     for kind in sorted(SPECS):
         for algorithm in ("alg1", "alg2"):
@@ -1045,8 +1163,29 @@ def mutation_documents():
             loss = p.patches[-1].witness_lossprime
             for doc, is_loss in ((predictor_to_doc(p), False), (loss_file_doc(loss), True)):
                 doc = json.loads(json.dumps(doc))
-                docs.append((doc, is_loss, list(document_fields(doc))))
+                for layout in (doc, as_cut1(doc)):
+                    docs.append((layout, is_loss, list(document_fields(layout))))
     return docs
+
+
+# the fields that hold a float array, as nested lists (cut-1) or base64 text (cut-2)
+ARRAYS = {"anchors", "coeffs", "contexts", "U", "BU", "ZB", "unit", "mixing", "support",
+          "weight_matrix", "weight_offset", "shift_coeffs"}
+# the arrays whose shape an array's length sets: a lossprime's coeffs or BU
+# set the action count of its cut's ZB and unit and of the patch's coeffs,
+# BU and mixing
+SHAPED_BY = {"anchors": {"coeffs", "contexts"}, "U": {"BU"},
+             "BU": {"ZB", "unit", "coeffs", "BU", "mixing"}, "coeffs": {"coeffs", "BU", "mixing"},
+             "support": {"weight_matrix", "weight_offset", "shift_coeffs"}}
+
+
+def float_count(value):
+    """The float count of base64 text of whole floats, else None."""
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError:
+        return None
+    return len(raw) // 8 if len(raw) % 8 == 0 else None
 
 
 def document_fields(doc, path=()):
@@ -1066,13 +1205,16 @@ def document_fields(doc, path=()):
 
 
 @given(data=st.data())
-@settings(max_examples=150)
+@settings(max_examples=300)
 def test_a_mutated_field_is_refused_by_name_or_replays_finite(data):
     """Every single-field mutation of a document (a key dropped, a field
     nulled, of another type, a number in quotes, or NaN, an infinity or
-    +-1e308 in its place) is refused by a ValueError naming the key, or loads
-    a predictor whose replay on fixed contexts is finite (a loss whose
-    values at fixed outcomes are)."""
+    +-1e308 in its place; for a base64 array, its text cut short, appended
+    to or not base64, or NaN, an infinity or +-1e308 in its payload) is
+    refused by a ValueError naming the key, or loads a predictor whose
+    replay on fixed contexts is finite (a loss whose values at fixed
+    outcomes are).  An array given another length may be refused at the
+    next array whose shape it sets, naming that array's key."""
     doc, is_loss, fields = data.draw(st.sampled_from(mutation_documents()))
     path, key = data.draw(st.sampled_from(fields))
     doc = copy.deepcopy(doc)
@@ -1085,7 +1227,20 @@ def test_a_mutated_field_is_refused_by_name_or_replays_finite(data):
         changes.append("drop")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         changes += [repr(value), float("nan"), float("inf"), float("-inf"), 1e308, -1e308]
+    if isinstance(value, str) and key in ARRAYS:
+        floats = floats_of(value)
+        end = data.draw(st.integers(0, len(value) - 1))
+        tail = data.draw(st.sampled_from(["A", "AA==", "AAAA", "=", text_of([0.5])]))
+        i = data.draw(st.integers(0, len(floats) - 1))
+        changes += ["x", value[:end], value + tail, "@" + value[1:], *(
+            text_of(np.where(np.arange(len(floats)) == i, v, floats))
+            for v in (float("nan"), float("inf"), float("-inf"), 1e308, -1e308))]
     change = data.draw(st.sampled_from(changes))
+    named = {key}
+    if isinstance(value, str) and key in ARRAYS and (
+            change == [] or isinstance(change, str)
+            and float_count(change) not in (None, len(floats_of(value)))):
+        named |= SHAPED_BY.get(key, set())
     if change == "drop":
         del parent[path[-1]]
     else:
@@ -1101,7 +1256,7 @@ def test_a_mutated_field_is_refused_by_name_or_replays_finite(data):
             got = replay(predictor_from_doc(json.loads(text)),
                          np.random.default_rng(1).standard_normal((9, 2)))
     except ValueError as exc:
-        assert repr(key) in str(exc), (path, change, str(exc))
+        assert any(repr(k) in str(exc) for k in named), (path, change, str(exc))
         return
     assert all(np.all(np.isfinite(arr)) for arr in got), (path, change)
 

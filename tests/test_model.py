@@ -41,6 +41,7 @@ from decal.model import (
     softmax,
 )
 from decal.synth import LogitMixtureBase, PlantedBiasMap
+from docs import as_cut1
 from spans import dense_basis, dense_rows, element, feature, reference_loss, replay, spy, stack
 
 MIN = KernelSpec("min", 1, 1.5)
@@ -1244,14 +1245,23 @@ def test_predictor_doc_round_trip_is_exact():
     assert q.patches[0].batch_id == "b1"
 
 
-# predictor.json of a constant base and one hand-built alg1 patch, as written
-# when a constant base held a flat coefficient vector; the text must not change
+# predictor.json of a constant base and one hand-built alg1 patch in the
+# cut-1 layout, as written when a constant base held a flat coefficient
+# vector; it must load, and save as CONSTANT_BASE_CUT2, whose text must not change
 CONSTANT_BASE_DOC = (
     '{"base":{"element":{"anchors":[[0.25],[0.75]],"coeffs":[0.5,-0.125]},"kind":"constant"},'
     '"format":"decal.predictor/cut-1","kernel":{"R2":1.5,"dim":1,"kind":"min"},'
     '"patches":[{"algorithm":"alg1","anchors":[[0.5],[0.125]],"batch_id":"b","beta":2.0,'
     '"coeffs":[[0.25,0.0],[0.0,-0.5]],"eta":0.5,"witness_lossprime":{"R1":1.0,'
     '"anchors":[[0.5],[0.25]],"coeffs":[[1.0,0.0],[0.0,0.5]],"loss_id":"w","rescaled":false}}]}\n'
+)
+CONSTANT_BASE_CUT2 = (
+    '{"base":{"element":{"anchors":"AAAAAAAA0D8AAAAAAADoPw==","coeffs":"AAAAAAAA4D8AAAAAAADAvw=="},'
+    '"kind":"constant"},"format":"decal.predictor/cut-2","kernel":{"R2":1.5,"dim":1,"kind":"min"},'
+    '"patches":[{"algorithm":"alg1","anchors":"AAAAAAAA4D8AAAAAAADAPw==","batch_id":"b",'
+    '"beta":2.0,"coeffs":"AAAAAAAA0D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA4L8=","eta":0.5,'
+    '"witness_lossprime":{"R1":1.0,"anchors":"AAAAAAAA4D8AAAAAAADQPw==",'
+    '"coeffs":"AAAAAAAA8D8AAAAAAAAAAAAAAAAAAAAAAAAAAAAA4D8=","loss_id":"w","rescaled":false}}]}\n'
 )
 
 
@@ -1262,11 +1272,14 @@ def test_constant_base_predictor_file_text_is_unchanged(tmp_path):
     p = Predictor(MIN, base).with_patch(PatchRecord("alg1", lp, 2.0, rows, "b", eta=0.5))
     path = tmp_path / "predictor.json"
     save_predictor(path, p)
-    assert path.read_text() == CONSTANT_BASE_DOC
-    q = load_predictor(path)
+    assert path.read_text() == CONSTANT_BASE_CUT2
+    (tmp_path / "cut1.json").write_text(CONSTANT_BASE_DOC)
+    q = load_predictor(tmp_path / "cut1.json")
     assert q.base.element.coeffs.shape == (2, 1)
     save_predictor(tmp_path / "again.json", q)
-    assert (tmp_path / "again.json").read_text() == CONSTANT_BASE_DOC
+    assert (tmp_path / "again.json").read_text() == CONSTANT_BASE_CUT2
+    cut1 = as_cut1(json.loads(CONSTANT_BASE_CUT2))
+    assert json.dumps(cut1, separators=(",", ":"), sort_keys=True) + "\n" == CONSTANT_BASE_DOC
     with pytest.raises(ValueError):
         ConstantBase(RkhsElement(MIN, [[0.25]], [[0.5, 0.5]]))
 

@@ -28,6 +28,7 @@ from decal.synth import (
     piecewise_linear_value,
     planted_bias_instance,
 )
+from docs import as_cut1
 from spans import element, reference_loss, replay
 
 MIN = KernelSpec("min", 1, 1.5)
@@ -233,9 +234,9 @@ def _short(key):
 def test_loader_refuses_a_planted_base_it_cannot_replay(spoil, match):
     """A logit_mixture base's arrays are finite, of one support size, and its
     support lies in the kernel's domain: a NaN shift or offset used to load
-    and replay to NaN."""
+    and replay to NaN.  The spoils edit the arrays as cut-1 lists."""
     inst = planted_bias_instance(MIN, context_dim=2, support_size=6, shift_norm=0.2, seed=3)
-    doc = json.loads(json.dumps(predictor_to_doc(inst.predictor)))
+    doc = as_cut1(json.loads(json.dumps(predictor_to_doc(inst.predictor))))
     Z, _ = replay(predictor_from_doc(copy.deepcopy(doc)), np.ones((2, 2)))
     assert np.all(np.isfinite(Z))
     spoil(doc["base"])
