@@ -10,15 +10,16 @@ scans a pool of candidate lossprimes and takes the best closed-form witness.
 The scan works in the predictor's patch-row basis, and each witness is
 the scan's parts of its residual means (over the batch's distinct outcomes
 and over the basis) as its cut form, so a plan descending from the scanned
-one evaluates the witness without expanding it over the anchors.
-`empirical_gap` reads a witness's values on a batch evaluated on such a
-plan from the batch's own blocks (`_batch_values`), not from the anchor
-table, which only a dense reader such as `witness_loss.json` builds; it
-reads every other loss on the raw outcomes.
+one evaluates the witness without expanding it over the anchors.  This
+module scans, cuts witnesses and reports; how a loss is read on a batch is
+the batch's own: its estimates through `EvaluatedBatch.lifted`, its values
+(for `empirical_gap`) through `EvaluatedBatch.values`, and `evaluate_batch`
+refuses an empty batch.
 
 A scan costs what its batch adds.  Random pool losses are anchored on rows
 of the batch's outcomes, so their values on the basis are columns of the
-K_FU block the scan builds anyway, with no kernel call of their own; a
+K_FU block the scan builds anyway, with no kernel call of their own, and
+`empirical_gap` reads a drawn lossprime on its own batch the same way; a
 carried witness is its patch's column block of the plan's F G F^T
 (model._EvalPlan.lifted_values), also with none; and the whole pool goes
 through one product with the replay coordinates and one softmax.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import (
-    KernelSpec, RkhsElement, as_outcomes, check_spec, column_norms, distinct_rows, sum_rows,
+    KernelSpec, RkhsElement, as_outcomes, column_norms, distinct_rows, sum_rows,
 )
 from .model import (
     DEGENERATE_NORM,
@@ -65,46 +66,12 @@ class AuditReport:
 
 def batch_estimates(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
     """Estimated losses <r(a), p(x_i)> on the batch; (n, |A|)."""
-    return eb.Z @ eb.plan.lifted_values(loss)
+    return eb.Z @ eb.lifted(loss)
 
 
 def rule_probabilities(eb: EvaluatedBatch, lossprime: LossFunction, beta: float) -> np.ndarray:
     """Smooth best-response probabilities on the batch; (n, |A|)."""
     return smooth_best_response(batch_estimates(eb, lossprime), beta)
-
-
-def _require_samples(eb: EvaluatedBatch) -> None:
-    if len(eb) == 0:
-        raise ValueError("need at least one sample")
-
-
-def _scan_values(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
-    """F @ loss.values(anchors) for the scan, (k, |A|).  A loss anchored on
-    rows of eb.Y reads them off the scan's own K_FU, since K(anchors, Y[i])
-    is column inverse[i] of K(anchors, U); every other loss (a user loss, a
-    loss drawn on another batch, a loaded one, a witness) takes its route
-    through the plan."""
-    if loss.anchor_rows is not None and loss.anchor_rows[0] is eb.Y:
-        check_spec(eb.plan.spec, loss.span.spec)
-        return eb.K_FU[:, eb.outcomes[1][loss.anchor_rows[1]]] @ loss.span.coeffs
-    return eb.plan.lifted_values(loss)
-
-
-def _batch_values(eb: EvaluatedBatch, loss: LossFunction) -> np.ndarray:
-    """loss.values(eb.Y), (n, |A|).  A loss cut on a plan that eb's plan
-    descends from reads them off the batch's own blocks: its basis rows f_i
-    are the first k of eb's, so on the distinct outcomes U its raw columns
-    are K(U, U_f) BU - K_FU[:k]^T ZB, scaled as `cut_span` scales them, at
-    |U| x |U_f| kernel entries and no table.  Every other loss reads the
-    raw outcomes through its own Gram block."""
-    check_spec(eb.plan.spec, loss.span.spec)
-    form = loss.span.form
-    if not eb.plan.descends(form):
-        return loss.values(eb.Y)
-    U, inverse = eb.outcomes
-    raw = eb.plan.spec.gram(U, form.U) @ form.BU - eb.K_FU[: form.k].T @ form.ZB
-    # where, not the zero scale alone: a negative value times 0.0 is -0.0
-    return (np.where(form.unit > 0, raw * form.unit, 0.0) * form.step)[inverse]
 
 
 def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
@@ -115,7 +82,6 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     summed onto the distinct outcomes U) minus ZB = Z^T B / n over the basis
     F, and its squared norm is a diagonal entry of BU^T K_UU BU - 2 BU^T
     K_FU^T ZB + ZB^T gram_F ZB."""
-    _require_samples(eb)
     U, inverse = eb.outcomes
     if not pool:
         raise ValueError("candidate pool must be nonempty")
@@ -123,7 +89,7 @@ def _gap_scan(eb: EvaluatedBatch, pool, beta: float, R1: float):
     if len(counts) > 1:
         raise ValueError(f"candidate pool mixes action counts {counts}")
     n, P, A = len(eb), len(pool), counts[0]
-    L = np.hstack([_scan_values(eb, lp) for lp in pool])
+    L = np.hstack([eb.lifted(lp) for lp in pool])
     B = smooth_best_response((eb.Z @ L).reshape(n, P, A), beta).reshape(n, P * A)
     cols = [slice(c * A, (c + 1) * A) for c in range(P)]
     probs = [B[:, at] for at in cols]
@@ -184,14 +150,13 @@ def empirical_gap(
     eb: EvaluatedBatch, loss: LossFunction, lossprime: LossFunction, *, beta: float
 ) -> float:
     """|Ehat[ sum_a <r(a), phi(y) - p(x)> * k_a(x) ]| on the batch.  The
-    loss's values are read first (`_batch_values`), so a cut loss refuses a
-    batch outcome outside the kernel's domain before any kernel block is
-    built; any other loss reads the raw outcomes unchecked."""
-    _require_samples(eb)
+    loss's values are read first (`EvaluatedBatch.values`), so a cut loss
+    refuses a batch outcome outside the kernel's domain before any kernel
+    block is built; any other loss reads the raw outcomes unchecked."""
     if loss.n_actions != lossprime.n_actions:
         raise ValueError(f"loss and lossprime differ in action count: "
                          f"{loss.n_actions} against {lossprime.n_actions}")
-    vals = _batch_values(eb, loss)
+    vals = eb.values(loss)
     kprobs = rule_probabilities(eb, lossprime, beta)
     ests = batch_estimates(eb, loss)
     return abs(float(np.mean(np.sum((vals - ests) * kprobs, axis=1))))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .audit import AuditReport, _require_samples, audit, decce_estimate, random_loss_pool
+from .audit import AuditReport, audit, decce_estimate, random_loss_pool
 from .kernel import RkhsElement
 from .model import (
     EvaluatedBatch, LossFunction, PatchRecord, Predictor, SampleBatch, evaluate_batch,
@@ -135,8 +135,7 @@ class CalibrationTrace:
 
 
 def _potential_eb(eb: EvaluatedBatch) -> float:
-    """Ehat[ ||phi(y) - p(x)||^2 ] on an evaluated (nonempty) batch, through the basis."""
-    _require_samples(eb)
+    """Ehat[ ||phi(y) - p(x)||^2 ] on an evaluated batch, through the basis."""
     inner_py = np.einsum("ij,ji->i", eb.Z, eb.K_FU[:, eb.outcomes[1]])
     return float(np.mean(eb.plan.spec.diag(eb.Y) - 2.0 * inner_py + eb.pnorm2))
 

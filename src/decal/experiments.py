@@ -509,7 +509,7 @@ def regret_experiment(
 
     ests = {l.loss_id: batch_estimates(eb, l) for l in losses}
     probs = {lid: smooth_best_response(f, beta) for lid, f in ests.items()}
-    values = {l.loss_id: l.values(eb.Y) for l in losses}
+    values = {l.loss_id: eb.values(l) for l in losses}
 
     smooth_violation = -float("inf")
     for l in losses:

@@ -48,11 +48,12 @@ of the patch the witness became, rescaled, with no kernel entry, or, for a
 witness that became no patch of it, as F K(anchors, U) BU - (F G F^T)[:,
 :k] ZB.  Any other loss (user losses, a random loss read on another batch,
 a loaded `witness_loss.json`, a witness cut on another lineage) is read
-densely, F @ values(anchors), but a random pool loss on its own batch is
-read off the scan's K_FU (`LossFunction.anchor_rows`).  A patch not cut on
-the plan it extends is appended as the form over its own M anchors, ZB
-zero, at N x M + M x M entries.  W = Z F is built only by `coefficients`
-and, for a dense reader of a cut span's table, by `cut_span`.
+densely, F @ values(anchors), but `EvaluatedBatch.lifted` reads a random
+pool loss on its own batch off K_FU (`LossFunction.anchor_rows`), and
+`EvaluatedBatch.values` a cut loss off the batch's own blocks.  A patch
+not cut on the plan it extends is appended as the form over its own M
+anchors, ZB zero, at N x M + M x M entries.  W = Z F is built only by
+`coefficients` and, for a dense reader of a cut span's table, `cut_span`.
 
 `predictor.json` (layout `cut-2`) stores each span whose form descends from
 the predictor's own chain as that form and the number of records it was cut
@@ -60,9 +61,9 @@ on, and every float array as the base64 text of its C-order little-endian
 float64 bytes (`_array_doc`), so no number goes through decimal text.  The
 loader reads that text or, as layout `cut-1` wrote every array, nested
 lists; it reads each cut back as a form on its records and folds the patches
-in order, and a loaded lossprime that was an earlier patch's witness matches
-that patch's parts by value, so the loaded predictor, plan included, is the
-saved one bit for bit.
+in order, and a loaded lossprime that was an earlier patch's witness shares
+that patch's arrays, matched once as the file loads, so the loaded
+predictor, plan included, is the saved one bit for bit.
 """
 
 from __future__ import annotations
@@ -203,6 +204,11 @@ class CutForm:
         lineage."""
         return cut_span(Predictor(spec, *self.lineage)._plan, self)
 
+    def scaled(self, raw: np.ndarray) -> np.ndarray:
+        """Raw columns times their unit scale (zero where that is zero) times the step."""
+        # where, not the zero scale alone: a negative value times 0.0 is -0.0
+        return np.where(self.unit > 0, raw * self.unit, 0.0) * self.step
+
 
 def _width(span: RkhsElement) -> int:
     """A span's column count, read off its form if it has one (building no table)."""
@@ -223,9 +229,8 @@ class LossFunction:
     span: RkhsElement  # (M, |A|), column a for action a
     R1: float
     rescaled: bool = False
-    # (Y, rows) when span.anchors are the rows Y[rows] of the outcome array Y,
-    # as a random pool loss's are; the audit reads such a loss through the
-    # kernel block its scan builds for a batch of that very Y
+    # (Y, rows) when span.anchors are the rows Y[rows] of the outcome array Y, as a
+    # random pool loss's are; `EvaluatedBatch.lifted` reads it off K_FU of a batch of Y
     anchor_rows: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -341,8 +346,9 @@ class SimilarityBase(PredictorBase):
         contexts = as_contexts(self.contexts).copy()
         with np.errstate(over="ignore", invalid="ignore"):  # weights square the contexts
             norms2 = np.einsum("ij,ij->i", contexts, contexts)
-        if len(anchors) != len(contexts) or not np.all(np.isfinite(norms2)):
-            raise ValueError("similarity base 'contexts' must have finite squares, one per anchor")
+        if not 0 < len(anchors) == len(contexts) or not np.all(np.isfinite(norms2)):
+            raise ValueError("similarity base 'anchors' must be nonempty, and 'contexts' have"
+                             " finite squares, one per anchor")
         if not (bw := self.bandwidth) > 0 or not 0 < bw * bw < math.inf:  # and the bandwidth
             raise ValueError(f"similarity base 'bandwidth' must be > 0, finite squared, got {bw!r}")
         self.spec.check_domain(anchors)
@@ -569,9 +575,9 @@ class _EvalPlan:
     def lifted_values(self, loss: LossFunction) -> np.ndarray:
         """F @ loss.values(anchors), (k, |A|).  A loss cut on this plan or a
         prefix of it is read by `_fold`, but one cut on an earlier prefix of
-        j records, with the parts (U, BU, ZB) of the rows step j was appended
-        from (by identity, or by value after a load), is gram_F[:, k_j : k_j
-        + |A|] times the ratio of its column scales to the rows' (zero where
+        j records, with the very parts (U, BU, ZB) of the rows step j was
+        appended from (the loader shares them too), is gram_F[:, k_j : k_j +
+        |A|] times the ratio of its column scales to the rows' (zero where
         its own is zero) unless a zero row scale is under a nonzero one; any
         other loss densely."""
         check_spec(self.spec, loss.span.spec)
@@ -582,8 +588,7 @@ class _EvalPlan:
         if j < len(self.steps):
             st, own = self.steps[j], self.lineage[1][j].rows.form
             if (_chain_prefix(own, *form.lineage) == j
-                    and all(a is b or np.array_equal(a, b) for a, b in
-                            ((own.U, form.U), (own.BU, form.BU), (own.ZB, form.ZB)))):
+                    and own.U is form.U and own.BU is form.BU and own.ZB is form.ZB):
                 rows = own.unit * own.step
                 if not np.any((rows == 0) & (scale != 0)):
                     ratio = np.where(scale != 0, scale / np.where(rows != 0, rows, 1.0), 0.0)
@@ -678,8 +683,7 @@ def cut_span(plan: _EvalPlan, form: CutForm) -> RkhsElement:
     with np.errstate(over="ignore", invalid="ignore"):
         anchors, means = merge_terms(plan.spec, np.vstack([form.U, plan.anchors]),
                                      np.vstack([form.BU, -plan.expand(form.ZB.T).T]))
-        # where, not the zero scale alone: a negative coefficient times 0.0 is -0.0
-        coeffs = np.where(form.unit > 0, means * form.unit, 0.0) * form.step
+        coeffs = form.scaled(means)
     if not np.isfinite(coeffs).all():
         raise ValueError("a cut table is not finite: its 'BU', 'ZB', 'unit' or 'step' is too large")
     return RkhsElement._of_checked(plan.spec, anchors, coeffs, form)
@@ -804,8 +808,8 @@ def loss_estimates(p: Predictor, X, loss: LossFunction) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EvaluatedBatch:
-    """A batch pushed through a predictor once; reused by audit and patching.
-    Caches the kernel blocks the audit reads, over the distinct outcomes U."""
+    """A nonempty batch pushed through a predictor once; reused by audit and patching.
+    Caches the kernel blocks over its distinct outcomes U that `lifted` and `values` read."""
 
     Y: np.ndarray
     plan: _EvalPlan
@@ -838,11 +842,36 @@ class EvaluatedBatch:
         """F @ K(anchors, U), the basis's inner products with phi(U); (k, |U|)."""
         return self.plan.gram_lift(self.outcomes[0])
 
+    def lifted(self, loss: LossFunction) -> np.ndarray:
+        """F @ loss.values(anchors), (k, |A|), which Z maps to the loss's
+        estimates.  A loss anchored on rows of this batch's Y reads them
+        off K_FU, since K(anchors, Y[i]) is column inverse[i] of K(anchors,
+        U); every other loss goes through the plan (`_EvalPlan.lifted_values`)."""
+        if loss.anchor_rows is not None and loss.anchor_rows[0] is self.Y:
+            check_spec(self.plan.spec, loss.span.spec)
+            return self.K_FU[:, self.outcomes[1][loss.anchor_rows[1]]] @ loss.span.coeffs
+        return self.plan.lifted_values(loss)
+
+    def values(self, loss: LossFunction) -> np.ndarray:
+        """loss.values(Y), (n, |A|).  A loss cut on a plan this batch's plan
+        descends from (its k basis rows f_i are the batch's first k) reads its
+        raw columns on U off the batch's blocks, K(U, U_f) BU - K_FU[:k]^T ZB,
+        at |U| x |U_f| kernel entries; any other reads Y unchecked, densely."""
+        check_spec(self.plan.spec, loss.span.spec)
+        form = loss.span.form
+        if not self.plan.descends(form):
+            return loss.values(self.Y)
+        U, inverse = self.outcomes
+        raw = self.plan.spec.gram(U, form.U) @ form.BU - self.K_FU[: form.k].T @ form.ZB
+        return form.scaled(raw)[inverse]
+
 
 def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
     """The batch replayed through p's chain in blocks of REPLAY_BLOCK
     contexts: its predictions' coordinates Z over the patch-row basis F (so
-    W = Z @ F over the anchors) and their squared norms."""
+    W = Z @ F over the anchors) and their squared norms; no empty batch."""
+    if len(batch) == 0:
+        raise ValueError("need at least one sample")
     Z, pnorm2 = np.empty((len(batch), p._plan.k)), np.empty(len(batch))
     for rows in _row_blocks(len(batch)):
         p._replay_rows(batch.X[rows], Z[rows], pnorm2[rows])
@@ -1059,10 +1088,11 @@ def _table_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None, where: 
                     actions: int | None = None) -> RkhsElement:
     """The span of a span document, of `actions` columns when given; a cut is
     its form on the chain's first `prefix` records (a loss file's, read with
-    no plan, has none).  A plan folds the cut's parts as they are, so U must
-    lie in the domain, the parts be finite and the unit >= 0, while
-    `cut_span` would drop or zero what it cannot weigh; `_append` refuses
-    scaled parts that overflow."""
+    no plan, has none); one on an earlier record's prefix whose U, BU and ZB
+    have that record's rows' bytes holds those very arrays, as in memory.  A
+    plan folds the cut's parts as they are, so U must lie in the domain, the
+    parts be finite and the unit >= 0, while `cut_span` would drop or zero
+    what it cannot weigh; `_append` refuses scaled parts that overflow."""
     if "cut" not in doc:
         if "anchors" not in doc:
             raise ValueError(f"missing required {where.strip()}: 'cut' or 'anchors'")
@@ -1079,8 +1109,11 @@ def _table_from_doc(doc: dict, spec: KernelSpec, plan: _EvalPlan | None, where: 
     unit = read_field(cut, "unit", Field("array", shape=(a,), minimum=0.0), "cut ")
     step = read_field(cut, "step", Field("float"), "cut ")
     lineage = (plan.lineage[0], plan.lineage[1][:j])
-    BU, ZB = np.ascontiguousarray(BU.T), np.ascontiguousarray(ZB.T)
-    return RkhsElement._cut(spec, CutForm(lineage, k, U, BU, ZB, unit, step))
+    parts = (U, np.ascontiguousarray(BU.T), np.ascontiguousarray(ZB.T))
+    own = () if j == T or (f := plan.lineage[1][j].rows.form) is None else (f.U, f.BU, f.ZB)
+    if own and all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(parts, own)):
+        parts = own
+    return RkhsElement._cut(spec, CutForm(lineage, k, *parts, unit, step))
 
 
 def loss_to_doc(loss: LossFunction, chain=None) -> dict:

@@ -249,13 +249,15 @@ class LogitMixtureBase(PredictorBase):
     world: PlantedBiasMap
 
     def __post_init__(self) -> None:
-        """The world's arrays must be finite, over one support of K outcomes
-        in the kernel's domain: weight_matrix (K, dx), weight_offset and
+        """The world's arrays must be finite, over one support of K >= 1
+        outcomes in the kernel's domain: weight_matrix (K, dx), weight_offset and
         shift_coeffs (K,), with finite squares, and the shift's norm finite:
         the weights multiply a context by the weight rows, and replay squares
         the shift's norm, so past these they would replay to NaN."""
         arrays = {k: np.asarray(getattr(self.world, k), dtype=np.float64) for k in _WORLD_KEYS}
         K = len(arrays["support"]) if arrays["support"].ndim else -1
+        if K == 0:
+            raise ValueError("logit_mixture 'support' must hold at least one outcome")
         dx = arrays["weight_matrix"].shape[-1] if arrays["weight_matrix"].ndim == 2 else -1
         wants = {"support": (K, self.spec.dim), "weight_matrix": (K, dx),
                  "weight_offset": (K,), "shift_coeffs": (K,)}

@@ -189,16 +189,16 @@ def test_scan_gap_agrees_with_direct_evaluation():
 
 
 def test_empty_batch_is_rejected_by_every_entry_point():
+    """`evaluate_batch` refuses an empty batch, so no estimator is handed
+    one: `decce_estimate` and `empirical_gap` take only an evaluated batch,
+    and `audit` on a predictor evaluates its batch first."""
     p = min_predictor()
     empty = SampleBatch(np.zeros((0, 2)), np.zeros((0, 1)))
     pool = pool_for(min_batch(10), 2, 3)
     with pytest.raises(ValueError, match="need at least one sample"):
         audit(p, empty, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
-    eb = evaluate_batch(p, empty)
     with pytest.raises(ValueError, match="need at least one sample"):
-        decce_estimate(eb, pool=pool, beta=2.0, R1=1.0)
-    with pytest.raises(ValueError, match="need at least one sample"):
-        empirical_gap(eb, pool[0], pool[1], beta=2.0)
+        evaluate_batch(p, empty)
 
 
 # the scan over distinct points

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from decal import model
 from decal.audit import (
-    AuditReport, _batch_values, _gap_scan, _scan_values, _witness, audit, random_loss_pool,
+    AuditReport, _gap_scan, _witness, audit, closed_form_witnesses, empirical_gap, random_loss_pool,
 )
 from decal.calibrate import CalibConfig, alg1_step, alg2_step, run_calibration
 from decal.kernel import KernelMismatchError, KernelSpec, RkhsElement, sum_rows
@@ -222,7 +222,7 @@ def test_every_witness_of_a_scan_is_read_through_its_form(kind, n_actions, algor
 @settings(max_examples=30)
 def test_batch_block_values_match_the_dense_table(kind, n_actions, algorithm, zero, finite, seed):
     """A cut span's values on an evaluated batch, read off the batch's own
-    blocks (`audit._batch_values`), equal its table's `values(eb.Y)` to REL
+    blocks (`EvaluatedBatch.values`), equal its table's `values(eb.Y)` to REL
     of each column's largest |value|: for witnesses and the patch rows cut
     from them (alg1's scaled step, alg2's unit scales), cut on unpatched and
     patched lineages, read on the batch each was cut on, on a fresh batch
@@ -257,7 +257,7 @@ def test_batch_block_values_match_the_dense_table(kind, n_actions, algorithm, ze
                 for loss in losses:
                     want = loss.values(eb.Y)
                     size = np.abs(want).max(axis=0)
-                    assert np.all(np.abs(_batch_values(eb, loss) - want) <= REL * size)
+                    assert np.all(np.abs(eb.values(loss) - want) <= REL * size)
 
 
 def signed_support(spec, g):
@@ -339,7 +339,7 @@ def test_batch_routes_match_the_dense_path(kind, n_actions, finite, depth, seed)
     drawn = random_loss_pool(spec, batch.Y, n_actions, cfg.R1, POOL, g)
     plan = eb.plan
     with spy(LossFunction, "values") as dense:
-        routed = [_scan_values(eb, loss) for loss in drawn]
+        routed = [eb.lifted(loss) for loss in drawn]
     assert not dense
     for got, loss in zip(routed, drawn):
         assert close(got, plan.lift(loss.values(plan.anchors)))
@@ -358,12 +358,73 @@ def test_batch_routes_match_the_dense_path(kind, n_actions, finite, depth, seed)
     # fallbacks: a pool drawn on another batch, and one over another kernel
     other = random_loss_pool(spec, draw(depth + 1).Y, n_actions, cfg.R1, 1, g)[0]
     with spy(LossFunction, "values") as dense:
-        got = _scan_values(eb, other)
+        got = eb.lifted(other)
     assert len(dense) == 1
     assert got.tobytes() == plan.lift(other.values(plan.anchors)).tobytes()
     wider = KernelSpec(spec.kind, spec.dim, 2.0 * spec.R2)
     with pytest.raises(KernelMismatchError):
         _gap_scan(eb, random_loss_pool(wider, batch.Y, n_actions, cfg.R1, 2, g), cfg.beta, cfg.R1)
+
+
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    n_actions=st.integers(1, 3),
+    finite=st.booleans(),
+    depth=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30)
+def test_a_drawn_loss_is_read_off_its_own_batch(kind, n_actions, finite, depth, seed):
+    """`EvaluatedBatch.lifted` reads a loss drawn on the batch off its K_FU,
+    within REL of the plan's dense read and with no kernel call once K_FU
+    is built, on unpatched and patched plans and batches with repeated
+    outcomes; on another batch it is the dense read, bit for bit.
+    `empirical_gap` of a (witness, drawn lossprime) pair reads the
+    lossprime the same way, with no kernel block of its own, and agrees
+    with the gap of the same lossprime read densely."""
+    spec = SPECS[kind]
+    g = np.random.default_rng(seed)
+    train = outcomes(spec, N_BASE, g)
+    base = SimilarityBase(spec, train, g.standard_normal((N_BASE, 2)), bandwidth=1.0)
+    cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=n_actions)
+    support = np.vstack([train[:2], signed_support(spec, g)])
+
+    def draw(t):
+        fresh = 0 if finite else N_BATCH - 4
+        Y = np.vstack([outcomes(spec, fresh, g),
+                       support[g.integers(len(support), size=N_BATCH - fresh)]])
+        return SampleBatch(g.standard_normal((N_BATCH, 2)), Y, f"b{t}")
+
+    p, witnesses = Predictor(spec, base), []
+    for t in range(depth):
+        witness, rec = cut(p, draw(t), cfg, witnesses, g, None, f"w{t}")
+        p = p.with_patch(rec)
+        witnesses.append(witness)
+    batch = draw(depth)
+    eb, plan = evaluate_batch(p, batch), p._plan
+    drawn = random_loss_pool(spec, batch.Y, n_actions, cfg.R1, POOL, g)
+    assert eb.K_FU.shape == (plan.k, len(eb.outcomes[0]))
+    with spy(KernelSpec, "gram") as grams:
+        lifted = [eb.lifted(loss) for loss in drawn]
+    assert not grams
+    for got, loss in zip(lifted, drawn):
+        assert close(got, plan.lifted_values(loss))
+    elsewhere = evaluate_batch(p, draw(depth + 1))
+    for loss in drawn:
+        assert elsewhere.lifted(loss).tobytes() == plan.lifted_values(loss).tobytes()
+
+    ids = [f"star-{lp.loss_id}" for lp in drawn]
+    pairs = list(zip(closed_form_witnesses(eb, drawn, R1=cfg.R1, beta=cfg.beta, loss_ids=ids),
+                     drawn))
+    with spy(KernelSpec, "gram") as grams, spy(LossFunction, "values") as dense:
+        gaps = [empirical_gap(eb, w, lp, beta=cfg.beta) for w, lp in pairs]
+    assert not [args for args in dense if any(args[0] is lp for lp in drawn)]
+    assert not [args for args in grams if any(args[i] is lp.span.anchors
+                                               for lp in drawn for i in (1, 2))]
+    for gap, (w, lp) in zip(gaps, pairs):
+        plain = LossFunction(lp.loss_id, lp.span, lp.R1)  # no anchor rows: read densely
+        want = empirical_gap(eb, w, plain, beta=cfg.beta)
+        assert abs(gap - want) <= REL * max(1.0, want)
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
@@ -937,30 +998,39 @@ def carried_lossprimes(p):
             and p.patches[len(form.lineage[1])].rows.form.U is form.U]
 
 
+def shares_its_patch_parts(p, t):
+    """Whether record t's lossprime holds the U, BU and ZB of the rows of the
+    patch it became, as the same objects."""
+    form = p.patches[t].witness_lossprime.span.form
+    own = p.patches[len(form.lineage[1])].rows.form
+    return own.U is form.U and own.BU is form.BU and own.ZB is form.ZB
+
+
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
 def test_a_load_reads_no_kernel_entry_for_a_carried_lossprime(algorithm):
-    """A chain whose lossprimes are earlier witnesses loads with no kernel
-    read for those lossprimes, neither at their points nor at their
-    tables' anchors: each is its witness's patch block of the loaded
-    F G F^T."""
+    """A chain whose lossprimes are earlier witnesses loads with each such
+    lossprime holding its witness's patch rows' parts, as in memory, and
+    read as that patch's block of the loaded F G F^T: no fold of its parts
+    (which would read K(anchors, U)) and no dense read of its table."""
     g = np.random.default_rng(13)
     p = chain(SPECS["min"], algorithm, 2, g, witnesses_only=True)[0]
     doc = json.loads(json.dumps(predictor_to_doc(p)))
-    with spy(KernelSpec, "gram") as grams, spy(LossFunction, "values") as dense:
+    with spy(model._EvalPlan, "_fold") as folds, spy(LossFunction, "values") as dense:
         q = predictor_from_doc(doc)
-    spans = [q.patches[t].witness_lossprime.span for t in carried_lossprimes(p)]
-    assert len(spans) >= 2
-    points = [span.form.U for span in spans] + [span.anchors for span in spans]
-    assert not [args for args in grams if any(args[1] is X or args[2] is X for X in points)]
+    carried = carried_lossprimes(p)
+    assert len(carried) >= 2
+    assert all(shares_its_patch_parts(q, t) for t in carried)
+    spans = [q.patches[t].witness_lossprime.span for t in carried]
+    assert not [args for args in folds if any(args[1] is span.form for span in spans)]
     assert not [args for args in dense if any(args[0].span is span for span in spans)]
 
 
 @pytest.mark.parametrize("kind", sorted(SPECS))
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
 def test_a_copy_of_a_step_form_reads_the_same_bits(kind, algorithm):
-    """A lossprime whose parts equal a step's but are separate arrays, as a
-    loaded one's are, reads the bits the in-memory lossprime reads, with no
-    kernel entry either way."""
+    """A lossprime whose parts equal a step's but are new arrays is no
+    carried witness: it reads the same bits as the fold of its own parts,
+    within REL of the in-memory lossprime's patch block, with no dense read."""
     g = np.random.default_rng(19)
     p = chain(SPECS[kind], algorithm, 2, g, zero=1, witnesses_only=True)[0]
     plan, seen = p._plan, 0
@@ -968,15 +1038,32 @@ def test_a_copy_of_a_step_form_reads_the_same_bits(kind, algorithm):
         loss = p.patches[t].witness_lossprime
         form = loss.span.form
         parts = {name: getattr(form, name).copy() for name in ("U", "BU", "ZB", "unit")}
-        copied = LossFunction(loss.loss_id, RkhsElement(
-            loss.span.spec, loss.span.anchors, loss.span.coeffs,
-            dataclasses.replace(form, **parts)), loss.R1)
-        with spy(KernelSpec, "gram") as grams:
+        copied = LossFunction(loss.loss_id, RkhsElement._cut(
+            loss.span.spec, dataclasses.replace(form, **parts)), loss.R1)
+        with spy(model._EvalPlan, "_fold") as folds, spy(LossFunction, "values") as dense:
             mine, theirs = plan.lifted_values(loss), plan.lifted_values(copied)
-        assert not grams
-        assert mine.tobytes() == theirs.tobytes()
+        assert [args[1] for args in folds] == [copied.span.form] and not dense
+        fold = plan._fold(copied.span.form) * (form.unit * form.step)
+        assert theirs.tobytes() == fold.tobytes()
+        assert close(theirs, mine)
         seen += 1
     assert seen
+
+
+@pytest.mark.parametrize("reload", ["cut-1", "cut-2"])
+def test_a_loaded_carried_lossprime_holds_its_patch_rows_parts(reload, tmp_path):
+    """The carried lossprimes of a committed cut-1 file, and of its cut-2
+    re-save reloaded, hold their patch rows' U, BU and ZB as the same
+    objects, matched once as the file loads."""
+    p = load_predictor(Path(__file__).parent / "data" / "cut1_continuous_alg2.json")
+    if reload == "cut-2":
+        save_predictor(tmp_path / "cut2.json", p)
+        p = load_predictor(tmp_path / "cut2.json")
+    carried = [t for t, rec in enumerate(p.patches)
+               if p._plan.descends(form := rec.witness_lossprime.span.form)
+               and len(form.lineage[1]) < t]
+    assert len(carried) == 2
+    assert all(shares_its_patch_parts(p, t) for t in carried)
 
 
 def nan_U(doc):

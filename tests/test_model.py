@@ -689,7 +689,7 @@ def test_blocked_replay_matches_dense_replay_at_every_block_size(spec, seed, n_p
     """Replay in row blocks of 1, 3, m - 1, m and m + 1 contexts agrees with
     the dense replay over the anchors, on chains in which the projection
     fires: Z, n2, coefficients, loss estimates and an evaluated batch's Z, all
-    to 1e-12 relative; an empty batch gives empty coordinates and estimates."""
+    to 1e-12 relative; a decision on no contexts gives empty estimates."""
     g = np.random.default_rng(seed)
     base = SimilarityBase(spec, sample_points(spec, 8, g), g.standard_normal((8, 2)), 0.7)
     pool = sample_points(spec, 30, g)
@@ -718,8 +718,6 @@ def test_blocked_replay_matches_dense_replay_at_every_block_size(spec, seed, n_p
             close(p.coefficients(X), W_ref)
             close(loss_estimates(p, X, loss), est_ref)
             close(evaluate_batch(p, batch).Z @ F, W_ref)
-            Z0, n20 = replay(p, np.zeros((0, 2)))
-            assert Z0.shape == (0, plan.k) and n20.shape == (0,)
             assert loss_estimates(p, np.zeros((0, 2)), loss).shape == (0, loss.n_actions)
 
 
@@ -1198,6 +1196,30 @@ def test_similarity_base_validation():
         SimilarityBase(MIN, sample_points(MIN, 3), rng.standard_normal((4, 2)), 0.5)
     with pytest.raises(ValueError):
         SimilarityBase(MIN, sample_points(MIN, 3), rng.standard_normal((3, 2)), 0.0)
+
+
+def test_a_base_over_no_anchors_is_refused_by_name():
+    """A similarity or logit_mixture base over no anchors used to be taken,
+    and its first replay failed inside `softmax`; each constructor refuses
+    it naming the key, and a file with no anchors or support is refused by
+    key as it loads.  A constant base over no anchors is the zero element."""
+    with pytest.raises(ValueError, match="similarity base 'anchors' must be nonempty"):
+        SimilarityBase(MIN, np.zeros((0, 1)), np.zeros((0, 2)), 0.5)
+    no_support = PlantedBiasMap(np.zeros((0, 1)), np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError, match="logit_mixture 'support' must hold at least one"):
+        LogitMixtureBase(MIN, no_support)
+    train = sample_points(MIN, 3)
+    doc = predictor_to_doc(Predictor(MIN, SimilarityBase(MIN, train, np.ones((3, 2)), 0.5)))
+    doc["base"].update(anchors=[], contexts=[])
+    with pytest.raises(ValueError, match="base 'contexts'"):
+        predictor_from_doc(doc)
+    world = PlantedBiasMap(train, np.ones((3, 2)), np.zeros(3), np.zeros(3))
+    doc = predictor_to_doc(Predictor(MIN, LogitMixtureBase(MIN, world)))
+    doc["base"].update(support=[], weight_matrix=[], weight_offset=[], shift_coeffs=[])
+    with pytest.raises(ValueError, match="base 'weight_matrix'"):
+        predictor_from_doc(doc)
+    Z, n2 = replay(Predictor(MIN, ConstantBase(empty(MIN))), np.ones((2, 2)))
+    assert Z.shape == (2, 0) and np.array_equal(n2, np.zeros(2))
 
 
 # sample batches
