@@ -22,7 +22,6 @@ from .audit import AuditReport, audit, decce_estimate, random_loss_pool
 from .kernel import RkhsElement
 from .model import (
     EvaluatedBatch, LossFunction, PatchRecord, Predictor, SampleBatch, evaluate_batch,
-    extend_evaluated,
 )
 
 TRACE_COLUMNS = (
@@ -254,7 +253,7 @@ def run_calibration(
         pot_before = _potential_eb(eb)
         step = alg1_step if config.algorithm == "alg1" else alg2_step
         p_next = p.with_patch(step(report, config=config))
-        pot_after = _potential_eb(extend_evaluated(eb, p_next))
+        pot_after = _potential_eb(evaluate_batch(p_next, batch))
         trace.iterations.append(
             IterationRecord(
                 iteration=t,

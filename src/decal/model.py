@@ -18,7 +18,10 @@ so no N x N Gram matrix is formed, decisions and the audit read through the
 basis, and a patched predictor extends its parent's plan by one step.
 Replay runs in blocks of REPLAY_BLOCK contexts, so `loss_estimates` holds
 block x k coordinates and `evaluate_batch`, the one way to push a batch
-through a predictor, fills its coordinates block by block.  A decision
+through a predictor, fills its coordinates block by block.  A batch keeps
+its latest evaluation, which `evaluate_batch` returns on the same plan and
+carries through the new steps of a plan extending it, the same blocks bit
+for bit a full replay.  A decision
 certifies the R2 projection with a norm bound, not the base's Gram product,
 with the exact replay's bits (`Predictor._replay_rows`); only
 `evaluate_batch` tracks exact squared norms.  An evaluated batch checks its
@@ -106,11 +109,14 @@ def as_contexts(X) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Paired contexts and outcomes drawn from one distribution."""
+    """Paired contexts and outcomes drawn from one distribution.  The batch
+    keeps its latest evaluation (`evaluate_batch`) and the kernel blocks that
+    evaluation built; dropping the batch frees them."""
 
     X: np.ndarray  # (n, dx)
     Y: np.ndarray  # (n, dim)
     batch_id: str = ""
+    _evaluated: EvaluatedBatch | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         X = as_contexts(self.X).copy()
@@ -808,7 +814,8 @@ def loss_estimates(p: Predictor, X, loss: LossFunction) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EvaluatedBatch:
-    """A nonempty batch pushed through a predictor once; reused by audit and patching.
+    """A nonempty batch pushed through a predictor, kept by the batch and
+    shared by every reader of it, so every array it holds is read-only.
     Caches the kernel blocks over its distinct outcomes U that `lifted` and `values` read."""
 
     Y: np.ndarray
@@ -835,12 +842,16 @@ class EvaluatedBatch:
     @cached_property
     def K_UU(self) -> np.ndarray:
         """K(U, U); (|U|, |U|)."""
-        return self.plan.spec.gram(self.outcomes[0], self.outcomes[0])
+        K = self.plan.spec.gram(self.outcomes[0], self.outcomes[0])
+        K.setflags(write=False)
+        return K
 
     @cached_property
     def K_FU(self) -> np.ndarray:
         """F @ K(anchors, U), the basis's inner products with phi(U); (k, |U|)."""
-        return self.plan.gram_lift(self.outcomes[0])
+        K = self.plan.gram_lift(self.outcomes[0])
+        K.setflags(write=False)
+        return K
 
     def lifted(self, loss: LossFunction) -> np.ndarray:
         """F @ loss.values(anchors), (k, |A|), which Z maps to the loss's
@@ -869,42 +880,43 @@ class EvaluatedBatch:
 def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:
     """The batch replayed through p's chain in blocks of REPLAY_BLOCK
     contexts: its predictions' coordinates Z over the patch-row basis F (so
-    W = Z @ F over the anchors) and their squared norms; no empty batch."""
+    W = Z @ F over the anchors) and their squared norms; no empty batch.
+
+    The batch keeps the result.  Its evaluation on p's plan is returned as
+    is; one on a plan that p's extends (the same base Gram matrix and its
+    steps first, by identity, as `with_patch` makes it) is carried through
+    the new steps only, block by block, bit for bit a full replay, with its
+    merged outcomes and K_UU and its K_FU lifted through the new steps'
+    rows; any other is replayed in full."""
     if len(batch) == 0:
         raise ValueError("need at least one sample")
-    Z, pnorm2 = np.empty((len(batch), p._plan.k)), np.empty(len(batch))
+    plan, old = p._plan, batch._evaluated
+    if old is not None and old.plan is plan:
+        return old
+    done = len(old.plan.steps) if old is not None else 0
+    carry = (old is not None and old.plan.base_gram is plan.base_gram
+             and [id(st) for st in old.plan.steps] == [id(st) for st in plan.steps[:done]])
+    Z, pnorm2 = np.empty((len(batch), plan.k)), np.empty(len(batch))
     for rows in _row_blocks(len(batch)):
-        p._replay_rows(batch.X[rows], Z[rows], pnorm2[rows])
-    return EvaluatedBatch(batch.Y, p._plan, Z, pnorm2, batch.batch_id)
-
-
-def extend_evaluated(eb: EvaluatedBatch, p: Predictor) -> EvaluatedBatch:
-    """The batch of `eb`, evaluated on p's parent, carried through p's last
-    patch only: the same numbers as evaluate_batch(p, batch), bit for bit,
-    without replaying the earlier patches, merging the outcomes that eb has
-    merged, or lifting the K_FU rows that eb has lifted (the new step's rows
-    cost |U_T| x |U| kernel entries).  eb's plan must hold p's steps but the
-    last, as the same objects (as `with_patch` makes it)."""
-    plan = p._plan
-    if not plan.steps:
-        raise ValueError("the predictor has no patch to extend through")
-    st = plan.steps[-1]
-    same = [id(s) for s in eb.plan.steps] == [id(s) for s in plan.steps[:-1]]
-    if not same or eb.plan.base_gram is not plan.base_gram:
-        raise ValueError("the batch was not evaluated on the predictor's parent")
-    Z = np.empty((len(eb), plan.k))
-    Z[:, : st.k] = eb.Z
-    pnorm2 = eb.pnorm2.copy()
-    for rows in _row_blocks(len(eb)):
-        n2 = pnorm2[rows]
-        n2 += st.advance(Z[rows])
-        _project_rows(Z[rows], n2, plan.k, p.kernel.R2)
-    out = EvaluatedBatch(eb.Y, plan, Z, pnorm2, eb.batch_id)
-    if "outcomes" in eb.__dict__:  # the cached_property's value
-        out.__dict__["outcomes"] = eb.outcomes
-    if "K_FU" in eb.__dict__:
-        out.__dict__["K_FU"] = plan.gram_lift(eb.outcomes[0], [st], eb.K_FU)
-    return out
+        if not carry:
+            p._replay_rows(batch.X[rows], Z[rows], pnorm2[rows])
+            continue
+        Z[rows, : old.plan.k], pnorm2[rows] = old.Z[rows], old.pnorm2[rows]
+        for st in plan.steps[done:]:  # as `Predictor._replay_rows` replays them
+            n2 = pnorm2[rows]
+            n2 += st.advance(Z[rows])
+            _project_rows(Z[rows], n2, st.k + len(st.M), p.kernel.R2)
+    Z.setflags(write=False)
+    pnorm2.setflags(write=False)
+    eb = EvaluatedBatch(batch.Y, plan, Z, pnorm2, batch.batch_id)
+    if carry:
+        eb.__dict__.update((key, old.__dict__[key]) for key in ("outcomes", "K_UU")
+                           if key in old.__dict__)  # the cached_properties' values
+        if "K_FU" in old.__dict__:
+            eb.__dict__["K_FU"] = K = plan.gram_lift(old.outcomes[0], plan.steps[done:], old.K_FU)
+            K.setflags(write=False)
+    object.__setattr__(batch, "_evaluated", eb)
+    return eb
 
 
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ def test_scan_gap_agrees_with_direct_evaluation():
     p = min_predictor()
     pool = pool_for(batch, 2, 5, seed=4)
     report = audit(p, batch, epsilon=0.05, pool=pool, beta=4.0, R1=1.0)
-    eb = evaluate_batch(p, batch)
+    eb = evaluate_batch(p, SampleBatch(batch.X, batch.Y))  # replayed afresh, the pool read densely
     direct = empirical_gap(eb, report.witness_loss, report.witness_lossprime, beta=4.0)
     assert report.empirical_gap == pytest.approx(direct, rel=1e-9)
 
@@ -552,12 +552,13 @@ def test_audit_report_metadata():
 
 
 def test_audit_accepts_evaluated_batch():
+    """audit on a predictor and a batch is audit on a fresh batch of the
+    same arrays evaluated first, with the same pool drawn on it."""
     batch = min_batch(15)
     p = min_predictor()
-    pool = pool_for(batch, 2, 4)
-    eb = evaluate_batch(p, batch)
-    a = audit(p, batch, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
-    b = audit(eb, epsilon=0.1, pool=pool, beta=2.0, R1=1.0)
+    fresh = SampleBatch(batch.X, batch.Y)
+    a = audit(p, batch, epsilon=0.1, pool=pool_for(batch, 2, 4), beta=2.0, R1=1.0)
+    b = audit(evaluate_batch(p, fresh), epsilon=0.1, pool=pool_for(fresh, 2, 4), beta=2.0, R1=1.0)
     assert a.empirical_gap == b.empirical_gap
     assert a.found == b.found
 

@@ -1,6 +1,7 @@
 """Calibration loop: projection, potentials, patch steps, and traces."""
 
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -347,6 +348,43 @@ def test_a_round_merges_its_batch_outcomes_once(algorithm):
     for row in trace.iterations:
         Y = source.batches[row.batch_id].Y
         assert sum(args[0] is Y for args in merged) == 1, row.batch_id
+
+
+@pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+def test_a_run_replays_each_batch_once(algorithm, monkeypatch):
+    """A run replays its held-out batch once, on p0, and carries that
+    evaluation through every patch for the final scores; it replays each
+    audit batch once, and carries it through the round's patch for
+    pot_after.  A batch keeps one evaluation: the held-out batch's p0
+    evaluation is freed before the final decCE scan."""
+    calibrate_module = importlib.import_module("decal.calibrate")
+    cfg = CalibConfig(
+        epsilon=0.2, beta=4.0, R1=1.0, R2=1.5, n_actions=2, algorithm=algorithm,
+        audit_batch_size=96, pool_size=8, heldout_size=600, seed=4,
+    )
+    source, evaluated, live_at_scan = RecordingStream(3), [], []
+    real_evaluate, real_decce = calibrate_module.evaluate_batch, calibrate_module.decce_estimate
+
+    def evaluate(p, batch):
+        eb = real_evaluate(p, batch)
+        evaluated.append((batch, weakref.ref(eb)))
+        return eb
+
+    def decce(eb, **kwargs):
+        live_at_scan.extend(ref() for batch, ref in evaluated if batch is evaluated[0][0])
+        return real_decce(eb, **kwargs)
+
+    monkeypatch.setattr(calibrate_module, "evaluate_batch", evaluate)
+    monkeypatch.setattr(calibrate_module, "decce_estimate", decce)
+    with spy(Predictor, "_replay_rows") as replays:
+        p, trace = run_calibration(zero_predictor(), source, cfg)
+    assert len(trace.iterations) >= 2
+    batches = list(source.batches.values())
+    heldout = batches[0]
+    assert live_at_scan == [None, heldout._evaluated]
+    blocks = [sum(args[1].base is batch.X for args in replays) for batch in batches]
+    assert blocks == [2] + [1] * (len(batches) - 1)
+    assert len(replays) == sum(blocks)
 
 
 @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])

@@ -28,11 +28,11 @@ from decal import model
 from decal.audit import (
     AuditReport, _gap_scan, _witness, audit, closed_form_witnesses, empirical_gap, random_loss_pool,
 )
-from decal.calibrate import CalibConfig, alg1_step, alg2_step, run_calibration
+from decal.calibrate import CalibConfig, _potential_eb, alg1_step, alg2_step, run_calibration
 from decal.kernel import KernelMismatchError, KernelSpec, RkhsElement, sum_rows
 from decal.model import (
     DEGENERATE_NORM, ConstantBase, LossFunction, PatchRecord, Predictor, SampleBatch,
-    SimilarityBase, cut_span, evaluate_batch, extend_evaluated, load_loss, load_predictor,
+    SimilarityBase, cut_span, evaluate_batch, load_loss, load_predictor,
     loss_file_doc, predictor_from_doc, predictor_to_doc, save_predictor, smooth_best_response,
 )
 from decal.synth import AffineMap, ContextSpec, SynthSpec, SyntheticSource, planted_bias_instance
@@ -486,11 +486,75 @@ def test_a_round_reuses_the_blocks_its_scan_built(kind):
         lossprime = len(rec.witness_lossprime.span.anchors)
         assert gram_entries(grams) <= len(U) ** 2 + len(p.anchors) * lossprime
         with spy(KernelSpec, "gram") as grams:
-            K_FU = extend_evaluated(eb, q).K_FU
+            K_FU = evaluate_batch(q, batch).K_FU
         assert gram_entries(grams) == (len(q.anchors) - len(p.anchors)) * len(U)
         assert K_FU.tobytes() == q._plan.lift(spec.gram(q.anchors, U)).tobytes()
         witnesses.append(report.witness_loss)
         p = q
+
+
+@given(
+    kind=st.sampled_from(sorted(SPECS)),
+    algorithm=st.sampled_from(["alg1", "alg2"]),
+    n=st.sampled_from([1, 511, 512, 513, 1025]),
+    blocks=st.booleans(),
+    via=st.booleans(),
+    push=st.booleans(),
+    finite=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40)
+def test_a_carried_evaluation_is_a_fresh_replay(kind, algorithm, n, blocks, via, push, finite,
+                                                seed):
+    """A batch evaluated on p0 (and, with `via`, on its child) and then on
+    the end of a chain of 3 cut patches is carried through the new steps
+    with no replay, and its Z, pnorm2, K_FU, K_UU and potential are a fresh
+    batch's full replay bit for bit, at n one short of, at and one past a
+    REPLAY_BLOCK boundary.  With `blocks`, p0's evaluation built its kernel
+    blocks first, which the carry keeps (K_UU) or lifts through the new
+    steps' rows (K_FU); with `push`, alg1 rows of norm 3 R2 project rows in
+    the carry.  A repeated evaluation is the same object; a loaded or a
+    sibling predictor, and the chain's end after the sibling, replay the
+    batch in full."""
+    spec = SPECS[kind]
+    g = np.random.default_rng(seed)
+    base = SimilarityBase(spec, outcomes(spec, N_BASE, g), g.standard_normal((N_BASE, 2)), 1.0)
+    cfg = CalibConfig(epsilon=0.1, beta=4.0, R1=1.0, R2=spec.R2, n_actions=2, algorithm=algorithm,
+                      eta=3.0 * spec.R2 if push else None)
+    support = outcomes(spec, 5, g)
+
+    def draw(m, name):
+        Y = support[g.integers(len(support), size=m)] if finite else outcomes(spec, m, g)
+        return SampleBatch(g.standard_normal((m, 2)), Y, name)
+
+    ps = [Predictor(spec, base)]
+    for t in range(3):
+        ps.append(ps[-1].with_patch(cut(ps[-1], draw(N_BATCH, f"b{t}"), cfg, [], g, None, f"w{t}")[1]))
+    p, batch = ps[-1], draw(n, "held")
+    for q in ps[:2] if via else ps[:1]:
+        first = evaluate_batch(q, batch)
+        if blocks:
+            first.K_UU, _potential_eb(first)
+    with spy(Predictor, "_replay_rows") as replays:
+        eb = evaluate_batch(p, batch)
+    assert not replays
+    assert ("K_FU" in eb.__dict__) == ("K_UU" in eb.__dict__) == blocks
+    assert not blocks or eb.K_UU is first.K_UU
+    want = evaluate_batch(p, SampleBatch(batch.X, batch.Y, "held"))
+    assert _potential_eb(eb) == _potential_eb(want)
+    for name in ("Z", "pnorm2", "K_FU", "K_UU"):
+        assert getattr(eb, name).tobytes() == getattr(want, name).tobytes(), name
+    assert evaluate_batch(p, batch) is eb
+
+    sibling = ps[2].with_patch(cut(ps[2], draw(N_BATCH, "twin"), cfg, [], g, None, "twin")[1])
+    loaded = predictor_from_doc(json.loads(json.dumps(predictor_to_doc(p))))
+    for q in (loaded, sibling, p):
+        with spy(Predictor, "_replay_rows") as replays:
+            got = evaluate_batch(q, batch)
+        assert [args[0] for args in replays] == [q] * len(model._row_blocks(n))
+        assert got.plan is q._plan and batch._evaluated is got
+        if q is not sibling:
+            assert got.Z.tobytes() == want.Z.tobytes()
 
 
 def test_a_plan_holds_no_fold_of_a_witness_it_read():
@@ -731,10 +795,11 @@ def test_a_lifted_kernel_block_is_read_one_step_at_a_time(kind, n_actions, algor
         return max(len(args[1]) for args in grams if Us is None or any(args[2] is U for U in Us))
 
     with recorded_lifts() as lifts:
-        eb = evaluate_batch(p, SampleBatch(g.standard_normal((len(Y), 2)), Y, "held"))
+        held = SampleBatch(g.standard_normal((len(Y), 2)), Y, "held")
+        eb = evaluate_batch(p, held)
         with spy(KernelSpec, "gram") as grams:
             eb.K_FU
-            extend_evaluated(eb, q).K_FU
+            evaluate_batch(q, held).K_FU
         assert widest(grams) <= bound
         with spy(KernelSpec, "gram") as grams:
             loaded = predictor_from_doc(json.loads(json.dumps(predictor_to_doc(q))))

@@ -27,9 +27,9 @@ from decal.experiments import (
     uniform_convergence_experiment,
     witness_pair_pool,
 )
-from decal.audit import random_loss_pool
+from decal.audit import audit, random_loss_pool
 from decal.kernel import KernelSpec
-from decal.model import ConstantBase, Predictor, SampleBatch
+from decal.model import ConstantBase, Predictor, SampleBatch, _row_blocks, evaluate_batch
 from decal.synth import planted_bias_instance
 from spans import feature, spy
 
@@ -252,6 +252,24 @@ def test_witness_pairs_are_anchored_and_scaled():
             if np.any(c):
                 assert np.sqrt(c @ G @ c) == pytest.approx(1.0, rel=1e-12)
         assert lp.span.norms() == pytest.approx(np.ones(2), rel=1e-12)
+
+
+def test_a_batch_is_replayed_once_for_its_pairs_audit_and_gaps():
+    """witness_pair_pool, then audit, then evaluate_batch on one predictor
+    and batch replay the batch once, block by block: each reads the
+    evaluation the batch keeps, and the audit reads the kernel blocks that
+    the pair pool's scan built, with no Gram call of its own."""
+    inst = planted_bias_instance(MIN, 2, 12, shift_norm=0.3, seed=4)
+    batch, p = inst.source(1).take(600), inst.predictor
+    with spy(Predictor, "_replay_rows") as replays:
+        pairs = witness_pair_pool(p, batch, n_actions=2, R1=1.0, beta=2.0, pool_size=4,
+                                  rng=np.random.default_rng(0))
+        with spy(KernelSpec, "gram") as grams:
+            audit(p, batch, epsilon=0.1, pool=[lp for _, lp in pairs], beta=2.0, R1=1.0)
+        eb = evaluate_batch(p, batch)
+    assert [args[1].base is batch.X for args in replays] == [True] * len(_row_blocks(600))
+    assert grams == []
+    assert batch._evaluated is eb and eb.plan is p._plan
 
 
 class _PointMassStream:

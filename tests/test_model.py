@@ -25,7 +25,6 @@ from decal.model import (
     SimilarityBase,
     _EvalPlan,
     evaluate_batch,
-    extend_evaluated,
     load_loss,
     load_predictor,
     loss_estimates,
@@ -717,7 +716,7 @@ def test_blocked_replay_matches_dense_replay_at_every_block_size(spec, seed, n_p
             close(n2, n2_ref)
             close(p.coefficients(X), W_ref)
             close(loss_estimates(p, X, loss), est_ref)
-            close(evaluate_batch(p, batch).Z @ F, W_ref)
+            close(evaluate_batch(p, SampleBatch(X, batch.Y)).Z @ F, W_ref)  # a fresh replay
             assert loss_estimates(p, np.zeros((0, 2)), loss).shape == (0, loss.n_actions)
 
 
@@ -1084,34 +1083,47 @@ def test_child_plans_extend_the_parents(monkeypatch):
 STEP_ARRAYS = ("table", "M", "BU", "ZB", "S")
 
 
-def test_extend_evaluated_is_a_full_replay_of_the_child(monkeypatch):
-    """Bit for bit, in one replay block, across blocks of 5 rows, and with a
-    last block of one row, whose products can round otherwise than the same
-    row's inside a larger block."""
+def test_a_carry_through_later_patches_is_a_full_replay_of_the_child(monkeypatch):
+    """A batch evaluated on the parent and then on its grandchild is carried
+    through the two new patches alone, with no replay, the first of which
+    pushes every row out of the ball, and is bit for bit a fresh batch's
+    full replay on the grandchild: in one replay block, across blocks of 5
+    rows, and with a last block of one row, whose products can round
+    otherwise than the same row's inside a larger block."""
     g = np.random.default_rng(47)
     base = SimilarityBase(MIN, sample_points(MIN, 10), g.standard_normal((10, 2)), bandwidth=0.6)
     records = _random_chain(g, MIN, sample_points(MIN, 60), 5, 0.8)
-    parent = Predictor(MIN, base, tuple(records[:-1]))
-    child = parent.with_patch(records[-1])
-    batch = SampleBatch(g.standard_normal((24, 2)), sample_points(MIN, 24), "b")
+    parent = Predictor(MIN, base, tuple(records[:3]))
+    child = parent.with_patch(records[3]).with_patch(records[4])  # records[3] is the push
+    X, Y = g.standard_normal((24, 2)), sample_points(MIN, 24)
+    fired, project = [], model._project_rows
+
+    def recording(W, n2, upto, R2):
+        fired.append(bool(np.any(n2 > R2 * R2)))
+        project(W, n2, upto, R2)
+
+    monkeypatch.setattr(model, "_project_rows", recording)
     for block in (model.REPLAY_BLOCK, 5, 23):
         monkeypatch.setattr(model, "REPLAY_BLOCK", block)
-        got = extend_evaluated(evaluate_batch(parent, batch), child)
-        want = evaluate_batch(child, batch)
+        batch = SampleBatch(X, Y, "b")
+        evaluate_batch(parent, batch)
+        fired.clear()
+        with spy(Predictor, "_replay_rows") as replays:
+            got = evaluate_batch(child, batch)
+        assert not replays and any(fired)
+        want = evaluate_batch(child, SampleBatch(X, Y, "b"))
         for name in ("Z", "pnorm2"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.plan is want.plan is child._plan
     assert got.batch_id == "b"
-    with pytest.raises(ValueError, match="parent"):
-        extend_evaluated(want, child)
-    with pytest.raises(ValueError, match="no patch"):
-        extend_evaluated(evaluate_batch(Predictor(MIN, base), batch), Predictor(MIN, base))
+    assert evaluate_batch(child, batch) is got
 
 
-def test_extend_evaluated_rejects_a_siblings_batch():
+def test_a_siblings_or_rebuilt_evaluation_is_replayed_in_full():
     """Two children of one parent whose patches share their anchors give
-    batches of the same shapes; only the batch of the grandchild's own
-    parent extends."""
+    batches of the same shapes; only an evaluation on the grandchild's own
+    parent is carried.  A sibling's, or one on the same chain with a plan of
+    its own, is replayed in full, to a fresh batch's bits."""
     g = np.random.default_rng(53)
     base = SimilarityBase(MIN, sample_points(MIN, 10), g.standard_normal((10, 2)), bandwidth=0.6)
     records = _random_chain(g, MIN, sample_points(MIN, 60), 3, 0.8)
@@ -1122,18 +1134,21 @@ def test_extend_evaluated_rejects_a_siblings_batch():
     parent = Predictor(MIN, base, tuple(records[:1]))
     first, second = parent.with_patch(rec), parent.with_patch(twin)
     grandchild = second.with_patch(records[2])
-    batch = SampleBatch(g.standard_normal((24, 2)), sample_points(MIN, 24), "b")
-    sibling = evaluate_batch(first, batch)
-    assert sibling.Z.shape == evaluate_batch(second, batch).Z.shape
+    X, Y = g.standard_normal((24, 2)), sample_points(MIN, 24)
+    want = evaluate_batch(grandchild, SampleBatch(X, Y, "b"))
+    sibling = evaluate_batch(first, SampleBatch(X, Y, "b"))
+    assert sibling.Z.shape == evaluate_batch(second, SampleBatch(X, Y, "b")).Z.shape
     assert len(sibling.plan.anchors) == grandchild._plan.steps[-1].n_before
-    with pytest.raises(ValueError, match="parent"):
-        extend_evaluated(sibling, grandchild)
     # the same chain with a plan of its own is not the parent either
     rebuilt = Predictor(MIN, base, second.patches)
-    with pytest.raises(ValueError, match="parent"):
-        extend_evaluated(evaluate_batch(rebuilt, batch), grandchild)
-    got = extend_evaluated(evaluate_batch(second, batch), grandchild)
-    assert got.Z.tobytes() == evaluate_batch(grandchild, batch).Z.tobytes()
+    for on, replayed in ((first, 1), (rebuilt, 1), (second, 0)):
+        batch = SampleBatch(X, Y, "b")
+        evaluate_batch(on, batch)
+        with spy(Predictor, "_replay_rows") as replays:
+            got = evaluate_batch(grandchild, batch)
+        assert [args[0] for args in replays] == [grandchild] * replayed
+        for name in ("Z", "pnorm2"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_evaluate_batch_reuses_coefficients():
@@ -1148,6 +1163,24 @@ def test_evaluate_batch_reuses_coefficients():
     assert eb.batch_id == "b0"
     assert eb.plan is p._plan
     assert p.coefficients(batch.X).tobytes() == eb.plan.expand(eb.Z).tobytes()
+
+
+def test_an_evaluation_is_read_only():
+    """A batch keeps its evaluation and hands the same one to every reader,
+    so no reader can write into its coordinates, norms or kernel blocks, on
+    a fresh replay or a carry."""
+    g = np.random.default_rng(61)
+    base = SimilarityBase(MIN, sample_points(MIN, 8), g.standard_normal((8, 2)), bandwidth=0.6)
+    records = _random_chain(g, MIN, sample_points(MIN, 40), 3, 0.5)
+    parent = Predictor(MIN, base, tuple(records[:-1]))
+    batch = SampleBatch(g.standard_normal((6, 2)), sample_points(MIN, 6), "b")
+    evaluate_batch(parent, batch).K_FU
+    for eb in (batch._evaluated, evaluate_batch(parent.with_patch(records[-1]), batch)):
+        for name in ("Z", "pnorm2", "K_FU", "K_UU"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(eb, name)[0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            eb.Z[:, 0] = 0.0
 
 
 # bases
