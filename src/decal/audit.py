@@ -38,12 +38,7 @@ from .kernel import (
     KernelSpec, RkhsElement, as_outcomes, column_norms, distinct_rows, sum_rows,
 )
 from .model import (
-    DEGENERATE_NORM,
-    CutForm,
-    EvaluatedBatch,
-    LossFunction,
-    SampleBatch,
-    evaluate_batch,
+    DEGENERATE_NORM, CutForm, EvaluatedBatch, LossFunction, SampleBatch, _row_sum, evaluate_batch,
     smooth_best_response,
 )
 
@@ -152,14 +147,15 @@ def empirical_gap(
     """|Ehat[ sum_a <r(a), phi(y) - p(x)> * k_a(x) ]| on the batch.  The
     loss's values are read first (`EvaluatedBatch.values`), so a cut loss
     refuses a batch outcome outside the kernel's domain before any kernel
-    block is built; any other loss reads the raw outcomes unchecked."""
+    block is built; any other loss reads the raw outcomes unchecked.  The
+    sum over actions runs a column at a time (`model._row_sum`)."""
     if loss.n_actions != lossprime.n_actions:
         raise ValueError(f"loss and lossprime differ in action count: "
                          f"{loss.n_actions} against {lossprime.n_actions}")
     vals = eb.values(loss)
     kprobs = rule_probabilities(eb, lossprime, beta)
     ests = batch_estimates(eb, loss)
-    return abs(float(np.mean(np.sum((vals - ests) * kprobs, axis=1))))
+    return abs(float(np.mean(_row_sum((vals - ests) * kprobs))))
 
 
 def audit(

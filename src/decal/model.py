@@ -138,45 +138,54 @@ class SampleBatch:
 # Decision rules
 
 
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """np.sum(x, axis=-1), bit for bit: below 8 terms numpy adds them in order
+    onto +0.0, so there a fold of the columns then + 0.0 (a row of -0.0 sums
+    to +0.0) does, without numpy's slow short-axis reduction."""
+    if not 1 < x.shape[-1] < 8:
+        return np.sum(x, axis=-1)
+    total = x[..., 0] + x[..., 1]
+    for a in range(2, x.shape[-1]):
+        total += x[..., a]
+    total += 0.0
+    return total
+
+
 def softmax(z) -> np.ndarray:
     """Softmax over the last axis: subtract the max, exponentiate, divide by
-    the sum -- scipy.special.softmax's operations, so its bits too.  Only the
-    shifted copy is allocated; z is left as it was.
-
-    Below 8 actions the max and the sum are taken column by column
-    (np.maximum, +=), since numpy reduces a short last axis slowly; numpy
-    sums fewer than 8 terms one after another, so the bits are the same.
-    From 8 terms on its pairwise sum unrolls by 8 and adds in another
-    order, so there numpy's reductions are kept."""
+    the sum -- scipy.special.softmax's operations, so its bits too; z is left
+    as it was, and a 0-d z, with no action axis, is refused.  Below 8 actions
+    each step runs one action column at a time (the sum is `_row_sum`), as
+    numpy broadcasts and reduces over a short last axis slowly; from 8 terms
+    on numpy's pairwise sum adds in another order, so its reductions stay."""
     z = np.asarray(z, dtype=np.float64)
-    A = z.shape[-1] if z.ndim else 1
-    if 1 < A < 8:
-        top = np.maximum(z[..., 0], z[..., 1], out=np.empty(z.shape[:-1]))
-        for a in range(2, A):
-            np.maximum(top, z[..., a], out=top)
-        e = z - top[..., None]
+    if z.ndim == 0:
+        raise ValueError("the smooth rule needs an action axis")
+    A = z.shape[-1]
+    if not 1 < A < 8:
+        e = z - np.max(z, axis=-1, keepdims=True)
         np.exp(e, out=e)
-        total = np.add(e[..., 0], e[..., 1], out=np.empty(z.shape[:-1]))
-        for a in range(2, A):
-            total += e[..., a]
-        e /= total[..., None]
+        e /= np.sum(e, axis=-1, keepdims=True)
         return e
-    e = z - np.max(z, axis=-1, keepdims=True)
+    top = np.maximum(z[..., 0], z[..., 1], out=np.empty(z.shape[:-1]))
+    for a in range(2, A):
+        np.maximum(top, z[..., a], out=top)
+    e = np.empty(z.shape)
+    for a in range(A):
+        np.subtract(z[..., a], top, out=e[..., a])
     np.exp(e, out=e)
-    e /= np.sum(e, axis=-1, keepdims=True)
+    total = _row_sum(e)
+    for a in range(A):
+        e[..., a] /= total
     return e
 
 
 def smooth_best_response(fvals, beta: float) -> np.ndarray:
-    """Quantal response exp(-beta * f_a) / sum_b exp(-beta * f_b).
-
-    Operates on the last axis; beta = 0 gives the uniform distribution.
-    Overflow-safe via max subtraction inside the softmax.
-    """
+    """Quantal response exp(-beta * f_a) / sum_b exp(-beta * f_b) over the
+    last axis, overflow-safe (`softmax`); beta = 0 gives the uniform rule."""
     if not (beta >= 0 and math.isfinite(beta)):
         raise ValueError("beta must be finite and >= 0")
-    f = np.asarray(fvals, dtype=np.float64)
-    return softmax(-beta * f)
+    return softmax(-beta * np.asarray(fvals, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +478,9 @@ class _PlanStep:
         """Write this patch's mixed rule probabilities Q into the own |A|
         columns of coordinates Z (m, >= k + |A|), in place, and return what
         the patch adds to each squared norm: ||w + Q R||^2 - ||w||^2 =
-        2 <w, Q R> + ||Q R||^2, whose inner products the table and S supply."""
+        2 <w, Q R> + ||Q R||^2, whose inner products the table and S supply.
+        They stay `einsum`s: a fold of the action columns adds in einsum's
+        order only up to 2 actions, and from 3 on it moves the last bits."""
         a = len(self.M)
         ZT = Z[:, : self.k] @ self.table
         Q = smooth_best_response(ZT[:, :a], self.beta) @ self.M
@@ -812,6 +823,14 @@ def loss_estimates(p: Predictor, X, loss: LossFunction) -> np.ndarray:
     return out
 
 
+def _expand_columns(cols: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """cols[inverse], bit for bit, a column at a time: numpy gathers short rows slowly."""
+    out = np.empty(inverse.shape + cols.shape[1:])
+    for a in range(cols.shape[-1]):
+        out[..., a] = cols[..., a].take(inverse, axis=0)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class EvaluatedBatch:
     """A nonempty batch pushed through a predictor, kept by the batch and
@@ -867,14 +886,15 @@ class EvaluatedBatch:
         """loss.values(Y), (n, |A|).  A loss cut on a plan this batch's plan
         descends from (its k basis rows f_i are the batch's first k) reads its
         raw columns on U off the batch's blocks, K(U, U_f) BU - K_FU[:k]^T ZB,
-        at |U| x |U_f| kernel entries; any other reads Y unchecked, densely."""
+        at |U| x |U_f| kernel entries, expanded to the samples a column at a
+        time (`_expand_columns`); any other reads Y unchecked, densely."""
         check_spec(self.plan.spec, loss.span.spec)
         form = loss.span.form
         if not self.plan.descends(form):
             return loss.values(self.Y)
         U, inverse = self.outcomes
         raw = self.plan.spec.gram(U, form.U) @ form.BU - self.K_FU[: form.k].T @ form.ZB
-        return form.scaled(raw)[inverse]
+        return _expand_columns(form.scaled(raw), inverse)
 
 
 def evaluate_batch(p: Predictor, batch: SampleBatch) -> EvaluatedBatch:

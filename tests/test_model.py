@@ -181,6 +181,51 @@ def test_softmax_columns_keep_every_bit(Z):
         assert softmax(Z).tobytes() == _softmax_written_out(Z).tobytes()
 
 
+@st.composite
+def sum_blocks(draw):
+    """logit_blocks with some entries also set to subnormals, +inf or
+    +-1e308, so that sums overflow to +-inf or meet inf - inf."""
+    Z = draw(logit_blocks())
+    special = draw(arrays(np.int8, Z.shape, elements=st.sampled_from([0, 0, 0, 0, 1, 2, 3, 4, 5])))
+    for code, value in ((1, 5e-324), (2, -2.5e-310), (3, 1e308), (4, -1e308), (5, np.inf)):
+        Z[special == code] = value
+    return Z
+
+
+@given(Z=sum_blocks())
+# numpy adds a short row onto +0.0, so a row of -0.0 sums to +0.0
+@example(Z=np.full((3, 2), -0.0))
+@example(Z=np.full((2, 3, 7), -0.0))
+@example(Z=np.array([[2.0] + [0.0] * 7]))
+@settings(max_examples=300)
+def test_row_sum_is_numpys_bitwise(Z):
+    """The per-sample sum over actions, a fold of the action columns below
+    8 of them, is np.sum(x, axis=-1) byte for byte on (n, A) and (n, P, A)
+    blocks for |A| from 1 to 12."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = model._row_sum(Z), np.sum(Z, axis=-1)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(cols=sum_blocks(), data=st.data())
+def test_expand_columns_is_the_row_gather_bitwise(cols, data):
+    """Outcome values gathered to the samples one column at a time are
+    cols[inverse] byte for byte, whatever the values."""
+    inverse = np.array(data.draw(st.lists(st.integers(0, len(cols) - 1), max_size=50)),
+                       dtype=np.intp)
+    got, want = model._expand_columns(cols, inverse), cols[inverse]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rule", [lambda z: smooth_best_response(z, 2.0), softmax],
+                         ids=["smooth_best_response", "softmax"])
+def test_smooth_rule_refuses_a_scalar(rule):
+    """A 0-d input has no action axis to spread the rule over."""
+    for z in (1.0, np.float64(1.0), np.array(1.0)):
+        with pytest.raises(ValueError, match="action axis"):
+            rule(z)
+
+
 def test_smooth_rule_translation_invariant():
     f = np.array([0.3, -1.2, 4.0])
     a = smooth_best_response(f, 2.0)
