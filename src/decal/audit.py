@@ -38,7 +38,13 @@ from .kernel import (
     KernelSpec, RkhsElement, as_outcomes, column_norms, distinct_rows, sum_rows,
 )
 from .model import (
-    DEGENERATE_NORM, CutForm, EvaluatedBatch, LossFunction, SampleBatch, _row_sum, evaluate_batch,
+    DEGENERATE_NORM,
+    CutForm,
+    EvaluatedBatch,
+    LossFunction,
+    SampleBatch,
+    _row_sum,
+    evaluate_batch,
     smooth_best_response,
 )
 

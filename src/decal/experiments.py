@@ -19,7 +19,6 @@ math.fsum.  The normal quantile is statistics.NormalDist's.
 
 from __future__ import annotations
 
-import functools
 import math
 import statistics
 from dataclasses import asdict, dataclass, field
@@ -29,9 +28,7 @@ import numpy as np
 from .audit import batch_estimates, closed_form_witnesses, empirical_gap, random_loss_pool
 from .calibrate import CalibConfig, run_calibration
 from .kernel import KernelSpec
-from .model import (
-    LossFunction, Predictor, SampleBatch, _row_sum, evaluate_batch, smooth_best_response,
-)
+from .model import LossFunction, Predictor, SampleBatch, evaluate_batch, smooth_best_response
 from .synth import (
     LogitMixtureBase,
     PlantedBiasMap,
@@ -517,16 +514,18 @@ def regret_experiment(
     smooth_violation = -float("inf")
     for l in losses:
         f = ests[l.loss_id]
-        lhs = _row_sum(probs[l.loss_id] * f)
-        rhs = functools.reduce(np.minimum, f.T) + smooth_gap
+        lhs = np.sum(probs[l.loss_id] * f, axis=1)
+        rhs = f.min(axis=1) + smooth_gap
         smooth_violation = max(smooth_violation, float(np.max(lhs - rhs)))
 
     out = ExperimentResult("regret", seed=0, passed=True)
     worst = -float("inf")
     for l in losses:
-        own = float(np.mean(_row_sum(probs[l.loss_id] * values[l.loss_id])))
+        own = float(np.mean(np.sum(probs[l.loss_id] * values[l.loss_id], axis=1)))
         for lp in losses:
-            other = float(np.mean(_row_sum(probs[lp.loss_id] * values[l.loss_id])))
+            other = float(
+                np.mean(np.sum(probs[lp.loss_id] * values[l.loss_id], axis=1))
+            )
             regret = own - other
             worst = max(worst, regret)
             out.cells.append(

@@ -140,14 +140,13 @@ class SampleBatch:
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
     """np.sum(x, axis=-1), bit for bit: below 8 terms numpy adds them in order
-    onto +0.0, so there a fold of the columns then + 0.0 (a row of -0.0 sums
-    to +0.0) does, without numpy's slow short-axis reduction."""
+    onto +0.0, as this fold of the columns does, without numpy's slow
+    short-axis reduction."""
     if not 1 < x.shape[-1] < 8:
         return np.sum(x, axis=-1)
-    total = x[..., 0] + x[..., 1]
-    for a in range(2, x.shape[-1]):
+    total = x[..., 0] + 0.0
+    for a in range(1, x.shape[-1]):
         total += x[..., a]
-    total += 0.0
     return total
 
 
@@ -181,11 +180,15 @@ def softmax(z) -> np.ndarray:
 
 
 def smooth_best_response(fvals, beta: float) -> np.ndarray:
-    """Quantal response exp(-beta * f_a) / sum_b exp(-beta * f_b) over the
-    last axis, overflow-safe (`softmax`); beta = 0 gives the uniform rule."""
+    """Quantal response exp(-beta * f_a) / sum_b exp(-beta * f_b).
+
+    Operates on the last axis; beta = 0 gives the uniform distribution.
+    Overflow-safe via max subtraction inside the softmax.
+    """
     if not (beta >= 0 and math.isfinite(beta)):
         raise ValueError("beta must be finite and >= 0")
-    return softmax(-beta * np.asarray(fvals, dtype=np.float64))
+    f = np.asarray(fvals, dtype=np.float64)
+    return softmax(-beta * f)
 
 
 # ---------------------------------------------------------------------------
