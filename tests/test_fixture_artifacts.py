@@ -2,13 +2,15 @@
 
 `decal calibrate` on `configs/planted_bias.json` (alg1, and alg2 with only
 `algorithm` changed) and `decal audit` on that config's audit keys must
-write the files under data/planted/, and two `decal experiment` runs (the
-uniform-convergence sweep, and the regret table at three actions, so that
-an action axis wider than 2 is pinned) the files under data/experiment/,
-which an earlier version wrote: every byte of each artifact, and each
-manifest.json but its volatile `timestamp` and `wall_ms`.  The numbers are
-bound to this machine's BLAS bits, as the cut-1 reruns of test_layouts.py
-are.  A change that moves them on purpose rewrites these files from its own
+write the files under data/planted/, and four `decal experiment` runs the
+files under data/experiment/: the uniform-convergence sweep, the regret
+table at three actions (so that an action axis wider than 2 is pinned), and
+the convergence and sample-count sweeps over one unsorted epsilon grid (so
+that each sweep's cell order is pinned, and cells of one to three rounds
+pin alg2 and the per-round inequality slack).  An earlier version wrote
+those files: every byte of each artifact, and each manifest.json but its
+volatile `timestamp` and `wall_ms`.  The numbers are bound to this machine's
+BLAS bits, as the cut-1 reruns of test_layouts.py are.  A change that moves them on purpose rewrites these files from its own
 run and says so in CHANGES.md; from the repository root,
 
     PYTHONPATH=src python3 tests/test_fixture_artifacts.py [RUN ...]
@@ -42,6 +44,13 @@ def configs() -> dict:
         "regret": ("experiment/regret", "experiment", {
             "experiment": "regret", "loss_count": 4, "regret_batch_size": 2048,
             "n_actions": 3,
+        }),
+        "convergence": ("experiment/convergence", "experiment", {
+            "experiment": "convergence", "epsilons": [0.2, 0.3, 0.15],
+            "audit_batch_size": 96, "heldout_size": 128,
+        }),
+        "sample_complexity": ("experiment/sample_complexity", "experiment", {
+            "experiment": "sample_complexity", "eps_grid": [0.2, 0.3, 0.15],
         }),
     }
 
