@@ -27,14 +27,14 @@ from .audit import audit, random_loss_pool
 from .calibrate import HELDOUT_DELTA, RIDGE_LAMBDA, CalibConfig, run_calibration
 from .experiments import (
     ExperimentResult,
-    _convergence_config,
-    _sweep_config,
+    SweepRefusal,
     convergence_experiment,
-    convergence_instances,
+    convergence_runs,
     distinguishing_experiment,
     hoeffding_halfwidth,
+    planted_min_kernel_instance,
     regret_experiment,
-    sample_complexity_instances,
+    sample_complexity_runs,
     sample_complexity_sweep,
     uniform_convergence_experiment,
 )
@@ -276,30 +276,27 @@ class RunDir:
 
 
 @contextmanager
-def _config_errors(where: str = ""):
-    """A ValueError or OverflowError raised while reading a config, or while
-    building from its parsed values, is a configuration error, named after `where`."""
+def _config_errors(where: str = "", errors=(ValueError, OverflowError)):
+    """One of `errors` (by default a ValueError or OverflowError) raised while
+    reading a config, or while building from its parsed values, is a
+    configuration error, named after `where`."""
     try:
         yield
-    except (ValueError, OverflowError) as exc:
+    except errors as exc:
         raise ConfigError(f"{where}{exc}") from exc
 
 
-def _planted(kernel: tuple, **kwargs):
-    """A planted instance from parsed config values."""
-    with _config_errors():
-        return planted_bias_instance(KernelSpec(*kernel), **kwargs)
-
-
 def _planted_from_config(cfg: dict):
-    return _planted(
-        (cfg["kernel_kind"], cfg["kernel_dim"], cfg["R2"]),
-        context_dim=cfg["context_dim"],
-        support_size=cfg["support_size"],
-        shift_norm=cfg["shift_norm"],
-        seed=cfg["instance_seed"],
-        context_kind=cfg["context_kind"],
-    )
+    """The planted instance of a calibrate, audit or synth config."""
+    with _config_errors():
+        return planted_bias_instance(
+            KernelSpec(cfg["kernel_kind"], cfg["kernel_dim"], cfg["R2"]),
+            context_dim=cfg["context_dim"],
+            support_size=cfg["support_size"],
+            shift_norm=cfg["shift_norm"],
+            seed=cfg["instance_seed"],
+            context_kind=cfg["context_kind"],
+        )
 
 
 def _calib_config(cfg: dict) -> CalibConfig:
@@ -391,15 +388,6 @@ def run_synth_command(cfg: dict, rd: RunDir) -> int:
     return 0
 
 
-def _run_convergence(*, epsilons, R2, shift_norm, seed, **params) -> ExperimentResult:
-    with _config_errors():
-        cells = convergence_instances(epsilons, R2=R2, shift_norm=shift_norm, seed=seed)
-    for i, (eps, inst) in enumerate(cells):  # every run config, before any calibration
-        with _config_errors(f"config key 'epsilons': {eps!r}: "):
-            _convergence_config(i, eps, inst, seed=seed, **params)
-    return convergence_experiment(cells, shift_norm=shift_norm, seed=seed, **params)
-
-
 def _run_uniform_convergence(**params) -> ExperimentResult:
     if params["reference_n"] <= max(params["n_grid"]):
         raise ConfigError("config key 'reference_n': must exceed every n_grid size")
@@ -408,10 +396,8 @@ def _run_uniform_convergence(**params) -> ExperimentResult:
 
 def _run_regret(**cfg) -> ExperimentResult:
     config = _calib_config(cfg)
-    inst = _planted(
-        ("min", 1, cfg["R2"]), context_dim=2, support_size=24,
-        shift_norm=cfg["shift_norm"], seed=cfg["seed"] + 17,
-    )
+    with _config_errors():
+        inst = planted_min_kernel_instance(cfg["shift_norm"], cfg["seed"] + 17, R2=cfg["R2"])
     spec = inst.kernel
     pool_batch = inst.source(cfg["seed"] + 5).take(512)
     losses = random_loss_pool(
@@ -424,7 +410,7 @@ def _run_regret(**cfg) -> ExperimentResult:
     batch = inst.source(cfg["seed"] + 9).take(cfg["regret_batch_size"])
     result = regret_experiment(
         calibrated, list(losses), batch,
-        epsilon=cfg["epsilon"], beta=cfg["beta"], R1=cfg["R1"], R2=cfg["R2"],
+        epsilon=cfg["epsilon"], beta=cfg["beta"], R1=cfg["R1"], R2=cfg["R2"], seed=cfg["seed"],
     )
     result.notes["calibration_terminal"] = trace.terminal
     result.notes["calibration_iterations"] = len(trace.iterations)
@@ -432,23 +418,24 @@ def _run_regret(**cfg) -> ExperimentResult:
     return result
 
 
-def _run_sample_complexity(*, eps_grid, shift_norm, seed, **params) -> ExperimentResult:
-    with _config_errors():
-        cells = sample_complexity_instances(eps_grid, seed=seed, shift_norm=shift_norm)
-    for i, (eps, inst) in enumerate(cells):  # every run config, before any calibration
-        with _config_errors(f"config key 'eps_grid': {eps!r}: "):
-            for alg in ("alg1", "alg2"):
-                _sweep_config(alg, i, eps, inst, seed=seed, **params)
-    return sample_complexity_sweep(cells, seed=seed, **params)
+def _sweep(grid: str, runs_of, harness, *keys: str) -> Callable[..., ExperimentResult]:
+    """An epsilon sweep's runner: every run is built before any calibration,
+    a refused run config named after the config key `grid`; its harness then
+    takes the runs, the seed and the config keys `keys`."""
+    def run(**params) -> ExperimentResult:
+        with _config_errors(), _config_errors(f"config key {grid!r}: ", SweepRefusal):
+            runs = runs_of(**params)
+        return harness(runs, **{key: params[key] for key in ("seed", *keys)})
+    return run
 
 
 # Each harness takes its schema's keys, less "experiment", as keywords.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
-    "convergence": _run_convergence,
+    "convergence": _sweep("epsilons", convergence_runs, convergence_experiment, "shift_norm"),
     "uniform_convergence": _run_uniform_convergence,
     "regret": _run_regret,
     "distinguishing": distinguishing_experiment,
-    "sample_complexity": _run_sample_complexity,
+    "sample_complexity": _sweep("eps_grid", sample_complexity_runs, sample_complexity_sweep),
 }
 
 

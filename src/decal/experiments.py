@@ -1,6 +1,7 @@
-"""Experiment harnesses: concentration calculators, convergence and regret
-checks, the uniform-convergence decay fit, and the paired-world
-distinguishing study.
+"""Experiment harnesses: concentration calculators, the two epsilon sweeps
+of the calibration loop (the gated convergence check and the sample-count
+sweep, which is reported, never gated), the uniform-convergence decay fit,
+the regret check, and the paired-world distinguishing study.
 
 Every statistical slack quoted by a harness comes from the Hoeffding
 calculator below or from an exact binomial (Clopper-Pearson) interval; no
@@ -225,69 +226,78 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Convergence of the calibration loop
+# Epsilon sweeps of the calibration loop
 
 
-def _planted_min_kernel_instance(
-    shift_norm: float, seed: int, R2: float = 1.5
-) -> PlantedInstance:
+def planted_min_kernel_instance(shift_norm: float, seed: int, R2: float = 1.5) -> PlantedInstance:
+    """The planted instance the sweeps and the regret check calibrate: a
+    min kernel on [0, 1], 2 context dimensions, 24 support points."""
     spec = KernelSpec("min", 1, R2)
     return planted_bias_instance(spec, context_dim=2, support_size=24,
                                  shift_norm=shift_norm, seed=seed)
 
 
-def convergence_instances(
-    epsilons, *, R2: float, shift_norm: float, seed: int
-) -> list[tuple[float, PlantedInstance]]:
-    """The convergence cells: each epsilon, in the given order, with its
-    planted instance, all built before any calibration runs."""
-    return [
-        (float(eps), _planted_min_kernel_instance(shift_norm, seed + 17 * i, R2=R2))
-        for i, eps in enumerate(epsilons)
-    ]
+class SweepRefusal(ValueError):
+    """A sweep's run config refused at one epsilon, which the message names first."""
 
 
-def _convergence_config(i: int, eps: float, inst, *, seed: int, **params) -> CalibConfig:
-    """Cell i's alg1 run config; params: beta, R1, n_actions and the batch sizes."""
-    return CalibConfig(epsilon=eps, R2=inst.kernel.R2, seed=seed + 1000 + i, **params)
+@dataclass(frozen=True)
+class SweepRun:
+    """One (epsilon, algorithm) run of a sweep: its planted instance, its run
+    config and the seed of its data stream."""
+
+    instance: PlantedInstance
+    config: CalibConfig
+    data_seed: int
+
+    def calibrate(self):
+        return run_calibration(self.instance.predictor, self.instance.source(self.data_seed),
+                               self.config)
 
 
-def convergence_experiment(
-    cells,
-    *,
-    beta: float,
-    R1: float,
-    shift_norm: float,
-    n_actions: int,
-    audit_batch_size: int,
-    heldout_size: int,
-    seed: int,
-) -> ExperimentResult:
-    """Run alg1 on each cell's planted instance at the cell's epsilon.
+def _sweep_runs(epsilons, algorithms, seeds, audit_batch, *, shift_norm, R2, **config):
+    """Each algorithm's runs in turn, one per epsilon in the given order, all
+    built before any calibration runs.  Cell i's instance, run and data seeds
+    are start + step * i for the three (start, step) pairs of `seeds`, its
+    audit batch size is audit_batch(epsilon), and `config` holds the other
+    CalibConfig fields.  A refused run config raises SweepRefusal."""
+    (inst0, inst_step), (run0, run_step), (data0, data_step) = seeds
+    instances = [planted_min_kernel_instance(shift_norm, inst0 + inst_step * i, R2=R2)
+                 for i in range(len(epsilons))]
+    runs = []
+    for alg in algorithms:
+        for i, (eps, inst) in enumerate(zip(epsilons, instances)):
+            try:
+                cfg = CalibConfig(epsilon=eps, R2=R2, algorithm=alg, seed=run0 + run_step * i,
+                                  audit_batch_size=audit_batch(eps), **config)
+            except ValueError as exc:
+                raise SweepRefusal(f"{eps!r}: {exc}") from exc
+            runs.append(SweepRun(inst, cfg, data0 + data_step * i))
+    return runs
+
+
+def convergence_runs(
+    epsilons, *, R2: float, shift_norm: float, seed: int, audit_batch_size: int, **config
+) -> list[SweepRun]:
+    """The convergence sweep's alg1 runs, one per epsilon in the given order;
+    config: beta, R1, n_actions and heldout_size."""
+    seeds = ((seed, 17), (seed + 1000, 1), (seed + 2000, 1))
+    return _sweep_runs([float(eps) for eps in epsilons], ("alg1",), seeds,
+                       lambda eps: audit_batch_size, shift_norm=shift_norm, R2=R2, **config)
+
+
+def convergence_experiment(runs, *, shift_norm: float, seed: int) -> ExperimentResult:
+    """Run each of the sweep's runs and gate it.
 
     Per cell: the settings (shift_norm as requested), terminal status,
     iteration count against the analysis cap, the final held-out gap
     estimate and potential, and the audited per-round inequality
     pot_before - pot_after >= 2 eta gap - eta^2 R1^2 - CHECK_TOL.
-    Calibration failures land in the cell record.
     """
     out = ExperimentResult("convergence", seed, passed=True)
-    for i, (eps, inst) in enumerate(cells):
-        record = {
-            "epsilon": eps, "beta": beta, "R1": R1, "R2": inst.kernel.R2,
-            "shift_norm": shift_norm, "n_actions": n_actions,
-            "audit_batch_size": audit_batch_size, "heldout_size": heldout_size,
-        }
-        try:
-            cfg = _convergence_config(i, eps, inst, seed=seed, beta=beta, R1=R1,
-                                      n_actions=n_actions, audit_batch_size=audit_batch_size,
-                                      heldout_size=heldout_size)
-            _, trace = run_calibration(inst.predictor, inst.source(seed + 2000 + i), cfg)
-        except Exception as exc:  # noqa: BLE001 - cell records carry failures
-            record.update({"error": str(exc), "ok": False})
-            out.cells.append(record)
-            out.passed = False
-            continue
+    for run in runs:
+        cfg = run.config
+        _, trace = run.calibrate()
         slack_min = float("inf")
         for r in trace.iterations:
             lhs = r.pot_before - r.pot_after
@@ -298,19 +308,16 @@ def convergence_experiment(
             and len(trace.iterations) <= cfg.max_iters
             and (not trace.iterations or slack_min >= -CHECK_TOL)
         )
-        record.update(
-            {
-                "terminal": trace.terminal,
-                "iterations": len(trace.iterations),
-                "max_iters": cfg.max_iters,
-                "eta": cfg.eta,
-                "inequality_slack_min": slack_min if trace.iterations else 0.0,
-                "final_heldout_decce": trace.final_heldout_decce,
-                "final_heldout_potential": trace.final_heldout_potential,
-                "ok": ok,
-            }
-        )
-        out.cells.append(record)
+        out.cells.append({
+            "epsilon": cfg.epsilon, "beta": cfg.beta, "R1": cfg.R1, "R2": cfg.R2,
+            "shift_norm": shift_norm, "n_actions": cfg.n_actions,
+            "audit_batch_size": cfg.audit_batch_size, "heldout_size": cfg.heldout_size,
+            "terminal": trace.terminal, "iterations": len(trace.iterations),
+            "max_iters": cfg.max_iters, "eta": cfg.eta,
+            "inequality_slack_min": slack_min if trace.iterations else 0.0,
+            "final_heldout_decce": trace.final_heldout_decce,
+            "final_heldout_potential": trace.final_heldout_potential, "ok": ok,
+        })
         out.passed = out.passed and ok
     return out
 
@@ -432,7 +439,7 @@ def uniform_convergence_experiment(
         raise ValueError("reference_n must exceed the largest grid size")
 
     instances: dict[str, PlantedInstance] = {
-        "min": _planted_min_kernel_instance(0.25, seed + 3)
+        "min": planted_min_kernel_instance(0.25, seed + 3)
     }
     instances.update(_embedded_linear_twins(TWIN_DIMS, 0.25, seed + 5))
 
@@ -488,13 +495,15 @@ def regret_experiment(
     beta: float,
     R1: float,
     R2: float,
+    seed: int = 0,
 ) -> ExperimentResult:
     """Every ordered pair of losses: acting on the smooth rule of the wrong
     loss costs at most 2 epsilon + (ln|A| + 1) / beta plus the sampling
     slack at REGRET_DELTA, up to CHECK_TOL.
 
     Also checks, per sample and per loss, the smoothing inequality
-    sum_a k_a f_a <= min_a f_a + (ln|A| + 1) / beta exactly.
+    sum_a k_a f_a <= min_a f_a + (ln|A| + 1) / beta exactly.  The result
+    records `seed`, the seed the inputs were drawn from.
     """
     if not losses:
         raise ValueError("need at least one loss")
@@ -518,7 +527,7 @@ def regret_experiment(
         rhs = f.min(axis=1) + smooth_gap
         smooth_violation = max(smooth_violation, float(np.max(lhs - rhs)))
 
-    out = ExperimentResult("regret", seed=0, passed=True)
+    out = ExperimentResult("regret", seed, passed=True)
     worst = -float("inf")
     for l in losses:
         own = float(np.mean(np.sum(probs[l.loss_id] * values[l.loss_id], axis=1)))
@@ -687,50 +696,43 @@ def distinguishing_experiment(
 # Sample-count sweep (reported, never gated)
 
 
-def sample_complexity_instances(
-    eps_grid, seed: int = 0, shift_norm: float = 0.3
-) -> list[tuple[float, PlantedInstance]]:
-    """The sweep's cells: each epsilon, ascending, with its planted instance,
-    all built before any calibration runs."""
-    eps_grid = sorted(float(e) for e in eps_grid)
-    if len(eps_grid) < 3:
-        raise ValueError("need at least three epsilon values for a decay fit")
-    return [
-        (eps, _planted_min_kernel_instance(shift_norm, seed + 31 * i))
-        for i, eps in enumerate(eps_grid)
-    ]
-
-
-def _sweep_config(alg: str, i: int, eps: float, inst, *, seed: int, **params) -> CalibConfig:
-    """Cell i's run config under algorithm alg; params: n_actions and beta."""
+def _sample_audit_batch(eps: float) -> int:
+    """A sample-sweep cell's audit batch size: 24 / epsilon samples, at least 96."""
     if not 24 / eps <= np.iinfo(np.intp).max:
         raise ValueError(f"its audit batch, 24 / epsilon = {24 / eps!r} samples, exceeds any array")
-    return CalibConfig(epsilon=eps, R1=1.0, R2=inst.kernel.R2, algorithm=alg, heldout_size=256,
-                       audit_batch_size=max(96, int(24 / eps)), seed=seed + 7 * i, **params)
+    return max(96, int(24 / eps))
 
 
-def sample_complexity_sweep(
-    cells, seed: int = 0, n_actions: int = 2, beta: float = 4.0
-) -> ExperimentResult:
-    """Total samples consumed by alg1 vs alg2 across the epsilon cells,
-    with fitted log-log exponents against 1/epsilon.  Descriptive only: the
+def sample_complexity_runs(
+    eps_grid, *, shift_norm: float = 0.3, seed: int = 0, n_actions: int = 2, beta: float = 4.0
+) -> list[SweepRun]:
+    """The sweep's runs, epsilon ascending: alg1's cells, then alg2's."""
+    eps_grid = sorted(float(e) for e in eps_grid)
+    if len(set(eps_grid)) < 3:
+        raise ValueError("need at least three distinct epsilon values for a decay fit")
+    return _sweep_runs(eps_grid, ("alg1", "alg2"), ((seed, 31), (seed, 7), (seed, 13)),
+                       _sample_audit_batch, shift_norm=shift_norm, R2=1.5, R1=1.0,
+                       heldout_size=256, n_actions=n_actions, beta=beta)
+
+
+def sample_complexity_sweep(runs, seed: int = 0) -> ExperimentResult:
+    """Total samples each run consumes, with fitted log-log exponents of
+    each algorithm's totals against 1/epsilon.  Descriptive only: the
     result always passes; the exponents are for the report.
     """
     out = ExperimentResult("sample_complexity", seed, passed=True)
-    totals: dict[str, list[float]] = {"alg1": [], "alg2": []}
-    for alg in ("alg1", "alg2"):
-        for i, (eps, inst) in enumerate(cells):
-            cfg = _sweep_config(alg, i, eps, inst, seed=seed, n_actions=n_actions, beta=beta)
-            _, trace = run_calibration(inst.predictor, inst.source(seed + 13 * i), cfg)
-            consumed = cfg.heldout_size + cfg.audit_batch_size * (
-                len(trace.iterations) + (1 if trace.terminal == "calibrated" else 0)
-            )
-            totals[alg].append(consumed)
-            out.cells.append(
-                {"algorithm": alg, "epsilon": eps, "iterations": len(trace.iterations),
-                 "samples": consumed, "terminal": trace.terminal}
-            )
-    for alg, ys in totals.items():
-        fit = fit_loglog([1.0 / eps for eps, _ in cells], ys)
+    totals: dict[str, list[tuple[float, int]]] = {}
+    for run in runs:
+        cfg = run.config
+        _, trace = run.calibrate()
+        consumed = cfg.heldout_size + cfg.audit_batch_size * (
+            len(trace.iterations) + (1 if trace.terminal == "calibrated" else 0)
+        )
+        totals.setdefault(cfg.algorithm, []).append((1.0 / cfg.epsilon, consumed))
+        out.cells.append({"algorithm": cfg.algorithm, "epsilon": cfg.epsilon,
+                          "iterations": len(trace.iterations), "samples": consumed,
+                          "terminal": trace.terminal})
+    for alg, points in totals.items():
+        fit = fit_loglog(*zip(*points))
         out.fits[alg] = {"exponent": fit["slope"], "exponent_se": fit["slope_se"]}
     return out

@@ -355,6 +355,7 @@ SEEDED_CONFIGS = {
     "synth-lower": {"instance": "lower_bound", "n": 16, "d": 4, "epsilon": 0.2, "world": 2},
     "experiment": {"experiment": "distinguishing", "d_grid": [4], "n_grid": [2],
                    "trials": 100, "decce_samples": 100},
+    "experiment-regret": {"experiment": "regret", "loss_count": 4, "regret_batch_size": 2048},
 }
 
 
@@ -365,6 +366,8 @@ def test_seed_override_reaches_every_seeded_command(tmp_path, case):
     assert code == 0
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 9
+    if command == "experiment":  # a regret result recorded seed 0 whatever the run's seed
+        assert json.loads((out_dir / "results.json").read_text())["seed"] == 9
 
 
 def test_report_takes_no_seed(tmp_path):

@@ -16,17 +16,18 @@ from decal.experiments import (
     clopper_pearson,
     collision_acceptance_oracle,
     convergence_experiment,
-    convergence_instances,
+    convergence_runs,
     distinguishing_experiment,
     fit_loglog,
     hoeffding_halfwidth,
     pair_deviation_curve,
     regret_experiment,
-    sample_complexity_instances,
+    sample_complexity_runs,
     sample_complexity_sweep,
     uniform_convergence_experiment,
     witness_pair_pool,
 )
+import decal.experiments
 from decal.audit import audit, random_loss_pool
 from decal.kernel import KernelSpec
 from decal.model import ConstantBase, Predictor, SampleBatch, _row_blocks, evaluate_batch
@@ -202,13 +203,23 @@ def test_collision_oracle_matches_enumeration(d, n):
 
 
 CONVERGENCE = dict(
-    beta=4.0, R1=1.0, shift_norm=0.3, n_actions=2, audit_batch_size=192, heldout_size=512
+    beta=4.0, R1=1.0, R2=1.5, shift_norm=0.3, n_actions=2, audit_batch_size=192,
+    heldout_size=512,
 )
 
 
 def run_convergence(epsilons, seed):
-    cells = convergence_instances(epsilons, R2=1.5, shift_norm=0.3, seed=seed)
-    return convergence_experiment(cells, seed=seed, **CONVERGENCE)
+    runs = convergence_runs(epsilons, seed=seed, **CONVERGENCE)
+    return convergence_experiment(runs, shift_norm=0.3, seed=seed)
+
+
+@pytest.fixture
+def no_calibration(monkeypatch):
+    """Fail any test that starts a calibration through the harnesses."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a calibration started")
+
+    monkeypatch.setattr(decal.experiments, "run_calibration", refuse)
 
 
 def test_convergence_cells_record_runs():
@@ -223,13 +234,11 @@ def test_convergence_cells_record_runs():
         assert cell["final_heldout_decce"] < cell["epsilon"]
 
 
-def test_convergence_captures_cell_failures():
-    res = run_convergence([0.3, 0.0], seed=0)  # epsilon 0 fails the run config
-    assert not res.passed
-    good, bad = res.cells
-    assert good["ok"]
-    assert bad["ok"] is False
-    assert "epsilon" in bad["error"]
+def test_convergence_refuses_a_run_config_before_any_calibration(no_calibration):
+    """An epsilon of 0 is refused, by a ValueError naming it, when the runs
+    are built: the cell used to run its good cells and record the failure."""
+    with pytest.raises(ValueError, match=r"^0\.0: epsilon must be positive"):
+        convergence_runs([0.3, 0.0], seed=0, **CONVERGENCE)
 
 
 # deviation pools
@@ -408,7 +417,7 @@ def test_distinguishing_validation():
 
 
 def test_sample_sweep_reports_exponents():
-    res = sample_complexity_sweep(sample_complexity_instances((0.5, 0.4, 0.3), seed=1), seed=1)
+    res = sample_complexity_sweep(sample_complexity_runs((0.5, 0.4, 0.3), seed=1), seed=1)
     assert res.passed  # descriptive harness never gates
     assert len(res.cells) == 6
     assert {c["algorithm"] for c in res.cells} == {"alg1", "alg2"}
@@ -416,6 +425,10 @@ def test_sample_sweep_reports_exponents():
         assert np.isfinite(res.fits[alg]["exponent"])
 
 
-def test_sample_sweep_validation():
-    with pytest.raises(ValueError):
-        sample_complexity_instances((0.5, 0.4))
+def test_sample_sweep_validation(no_calibration):
+    """Fewer than three distinct epsilons are refused when the runs are
+    built: a repeated one used to run all six calibrations and fail only in
+    the exponent fit."""
+    for grid in ((0.5, 0.4), (0.4, 0.4, 0.3)):
+        with pytest.raises(ValueError, match="three distinct"):
+            sample_complexity_runs(grid)
